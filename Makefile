@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench fuzz-smoke bench-trajectory bench-smoke check
+.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke bench-trajectory bench-smoke check
 
 all: check
 
@@ -23,22 +23,39 @@ test-float32:
 race:
 	$(GO) test -race ./...
 
+# lane runs the tests of one package that a -run regex selects, and fails
+# when any |-alternative of the regex names no test there: a test that was
+# moved or renamed must not leave its lane green while running nothing.
+# $(1) = extra go test flags, $(2) = regex, $(3) = package.
+define lane
+	@for alt in $(subst |, ,$(2)); do \
+		$(GO) test $(1) -list "^$$alt" $(3) | grep -q '^Test' || \
+		{ echo "make: -run alternative '$$alt' matches no test in $(3)" >&2; exit 1; }; \
+	done
+	$(GO) test $(1) -run '$(2)' -v $(3)
+endef
+
 # Durability gate: the job-store units (WAL replay, torn tail,
 # checkpoint atomicity, cache), the scheduler recovery/cache/lifecycle
-# suite, and the process-level SIGKILL kill-and-restart test that pins
-# bit-identical resumed trajectories — all under the race detector.
+# suite, the HTTP contract suite (its drain case: event streams end with
+# "draining", so a restart is never held hostage), and the process-level
+# SIGKILL kill-and-restart test that pins bit-identical resumed
+# trajectories — all under the race detector.
 test-recovery:
 	$(GO) test -race ./internal/jobstore ./internal/serve
-	$(GO) test -race -run 'TestKillRestartRecovery|TestEventsCloseOnDrain|TestCachedSubmissionOverHTTP|TestSubmitValidation|TestDivergenceFallbackOverHTTP' -v ./cmd/xserve
+	$(call lane,-race,TestContract,./internal/jobapi)
+	$(call lane,-race,TestKillRestartRecovery|TestCachedSubmissionOverHTTP|TestSubmitValidation|TestDivergenceFallbackOverHTTP,./cmd/xserve)
 
 # Gateway gate: the ring/health/breaker/failover/overload unit suite on
-# fake workers, then the process-level chaos test — three real xserve
+# fake workers, the HTTP contract suite against a gateway-backed and a
+# scheduler-backed mux, then the process-level chaos test — three real xserve
 # workers behind the gateway, one SIGKILLed mid-trajectory, every job
 # finishing under its original ID with finals bit-identical to an
 # undisturbed reference run — all under the race detector.
 test-gateway:
 	$(GO) test -race ./internal/gateway
-	$(GO) test -race -run TestChaosKillWorkerMidTrajectory -v ./cmd/xgate
+	$(call lane,-race,TestContract,./internal/jobapi)
+	$(call lane,-race,TestChaosKillWorkerMidTrajectory,./cmd/xgate)
 
 # Cross-strategy quality oracle: two structurally independent placers
 # (Nesterov gradient flow vs LB/UB alternation) must agree on scaled
@@ -46,8 +63,8 @@ test-gateway:
 # run to run, and a diverging job must be rescued end-to-end by the
 # serve-level lbub fallback.
 test-oracle:
-	$(GO) test -run 'TestOracle|TestLBUB|TestNesterovDiverges' -v ./internal/placer
-	$(GO) test -run 'TestDivergenceFallbackOverHTTP|TestLBUBJobOverHTTP|TestStrategyInCacheKey' -v ./cmd/xserve
+	$(call lane,,TestOracle|TestLBUB|TestNesterovDiverges,./internal/placer)
+	$(call lane,,TestDivergenceFallbackOverHTTP|TestLBUBJobOverHTTP|TestStrategyInCacheKey,./cmd/xserve)
 
 # Neural-field lane (§3.3 end to end, in-CI): the model-artifact
 # integrity suite (versioned header, sha256, shape checks), a tiny FNO
@@ -57,26 +74,34 @@ test-oracle:
 # concurrent jobs sharing one model through the batched inference path —
 # under the race detector.
 test-nn:
-	$(GO) test -run 'TestArtifact|TestLoadRejects|TestGenerateBenchSamples|TestTrainingReducesLoss|TestGeneralizesToUnseenMaps|TestSaveLoadRoundTrip' -v ./internal/nn
-	$(GO) test -run 'TestNNBlend' -v ./internal/placer
-	$(GO) test -run 'TestSessionWithFieldModel|TestWithFieldModelTypedErrors|TestStatModelFacade' -v .
-	$(GO) test -race -run 'TestModelRegistry|TestSubmitRejectsUnknownModel|TestBatchedInference' -v ./internal/serve
-	$(GO) test -race -run 'TestSubmitModelValidation|TestModelJobOverHTTP' -v ./cmd/xserve
+	$(call lane,,TestArtifact|TestLoadRejects|TestGenerateBenchSamples|TestTrainingReducesLoss|TestGeneralizesToUnseenMaps|TestSaveLoadRoundTrip,./internal/nn)
+	$(call lane,,TestNNBlend,./internal/placer)
+	$(call lane,,TestSessionWithFieldModel|TestWithFieldModelTypedErrors|TestStatModelFacade,.)
+	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestBatchedInference,./internal/serve)
+	$(call lane,-race,TestSubmitModelValidation|TestModelJobOverHTTP,./cmd/xserve)
 
-# Short fuzz pass over the file-format parsers: each target gets a few
-# seconds on top of its seed corpus. Catches parser panics (negative or
-# non-finite geometry, truncated streams) before they ship.
+# Short fuzz pass over the byte-level trust boundaries — the file-format
+# parsers and the wire job request: each target gets a few seconds on top
+# of its seed corpus. Catches parser panics (negative or non-finite
+# geometry, truncated streams) and canonicalization drift (non-idempotent
+# normalization, cache keys that alias two placements) before they ship.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/bookshelf
 	$(GO) test -fuzz=FuzzParseLEF -fuzztime=$(FUZZTIME) ./internal/lefdef
 	$(GO) test -fuzz=FuzzParseDEF -fuzztime=$(FUZZTIME) ./internal/lefdef
+	$(GO) test -run '^$$' -fuzz=FuzzRequestCanonical -fuzztime=$(FUZZTIME) ./internal/jobapi
 
 # Kernel-substrate and transform microbenchmarks (pool vs goroutine-spawn
 # dispatch, DCT round trips). Allocation columns are the regression signal:
 # pooled launches and warm transforms must report 0 allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct
+
+# The repo benchmark (BENCHMARK.json): six workloads, client-observed and
+# per-layer metrics; `go run ./benchmark --workload serve-open` runs one.
+benchmark:
+	$(GO) run ./benchmark
 
 # Bench trajectory: the pinned nine-config run (DREAMPlace-style baseline,
 # Xplace without operator combination, full Xplace, the compute-backend

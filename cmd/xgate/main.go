@@ -1,6 +1,6 @@
-// Command xgate is the fault-tolerant placement gateway: one HTTP front
-// end sharding jobs across a fleet of xserve workers while presenting
-// the exact submit/status/cancel/SSE API of a single worker.
+// Command xgate is the fault-tolerant placement gateway: the job API of
+// internal/jobapi (see jobapi.NewMux for the endpoints, gateway.NewMux
+// for /nodes) served over a fleet of xserve workers.
 //
 // Jobs route by consistent hash of their content key, so identical
 // resubmissions land on the node whose result cache already holds them.

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,102 +11,20 @@ import (
 	"xplace/internal/serve"
 )
 
-func getCode(t *testing.T, url string) int {
+// readSSE reads up to n events off a job's stream with the contract's
+// own reader.
+func readSSE(t *testing.T, body io.Reader, n int) []jobapi.Event {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// TestHealthAndReadiness: /healthz is pure liveness (200 for the whole
-// process lifetime, drain included), /readyz tracks the scheduler's
-// intake — 200 while accepting, 503 from the moment a drain begins.
-// The gateway routes on exactly this transition, so it is pinned here.
-func TestHealthAndReadiness(t *testing.T) {
-	srv, s := newTestServer(t, serve.Options{Engines: 1, QueueCap: 2, EngineWorkers: 1})
-
-	if got := getCode(t, srv.URL+"/healthz"); got != http.StatusOK {
-		t.Fatalf("/healthz = %d, want 200", got)
-	}
-	if got := getCode(t, srv.URL+"/readyz"); got != http.StatusOK {
-		t.Fatalf("/readyz before drain = %d, want 200", got)
-	}
-
-	// Keep a job running so the drain stays in progress while we probe.
-	req := jobapi.Request{Bench: "fft_1", Scale: 0.01, MaxIter: 500000}
-	spec, err := req.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Options.Sched.MinIter = 500000
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for j.Status().State != serve.Running {
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	go s.Shutdown(testCtx(t, 60*time.Second))
-	for time.Now().Before(deadline) {
-		if getCode(t, srv.URL+"/readyz") == http.StatusServiceUnavailable {
+	var out []jobapi.Event
+	for r := jobapi.NewEventReader(body); len(out) < n; {
+		ev, err := r.Next()
+		if err == io.EOF {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := getCode(t, srv.URL+"/readyz"); got != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz during drain = %d, want 503", got)
-	}
-	if got := getCode(t, srv.URL+"/healthz"); got != http.StatusOK {
-		t.Fatalf("/healthz during drain = %d, want 200 (draining is not dead)", got)
-	}
-	s.Cancel(j.ID())
-}
-
-// sseEvent is one parsed Server-Sent Event.
-type sseEvent struct {
-	id    int // -1 when the event carried no id line
-	event string
-	data  string
-}
-
-// readSSE parses events off the stream until n events or EOF.
-func readSSE(t *testing.T, r io.Reader, n int) []sseEvent {
-	t.Helper()
-	var (
-		out []sseEvent
-		cur = sseEvent{id: -1}
-	)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if cur.event != "" {
-				out = append(out, cur)
-				if len(out) == n {
-					return out
-				}
-			}
-			cur = sseEvent{id: -1}
-		case strings.HasPrefix(line, "id: "):
-			v, err := strconv.Atoi(strings.TrimPrefix(line, "id: "))
-			if err != nil {
-				t.Fatalf("bad SSE id line %q", line)
-			}
-			cur.id = v
-		case strings.HasPrefix(line, "event: "):
-			cur.event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = strings.TrimPrefix(line, "data: ")
+		if err != nil {
+			t.Fatal(err)
 		}
+		out = append(out, ev)
 	}
 	return out
 }
@@ -143,14 +59,14 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 		t.Fatalf("first stream delivered %d events, want 5", len(events))
 	}
 	last := events[len(events)-1]
-	if last.event != "progress" || last.id < 1 {
+	if last.Name != jobapi.EventProgress || last.ID < 1 {
 		t.Fatalf("unexpected event before disconnect: %+v", last)
 	}
 
 	// Let the job advance past the disconnect point so a from-scratch
 	// replay would be distinguishable from a resume.
 	deadline := time.Now().Add(30 * time.Second)
-	for j.Status().Progress.Iter <= last.id+3 {
+	for j.Status().Progress.Iter <= last.ID+3 {
 		if time.Now().After(deadline) {
 			t.Fatal("job stopped progressing")
 		}
@@ -163,7 +79,7 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req2.Header.Set("Last-Event-ID", strconv.Itoa(last.id))
+	req2.Header.Set("Last-Event-ID", strconv.Itoa(last.ID))
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)
@@ -173,18 +89,18 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	if len(resumed) < 3 {
 		t.Fatalf("resumed stream delivered %d events, want 3", len(resumed))
 	}
-	if resumed[0].event != "progress" {
+	if resumed[0].Name != jobapi.EventProgress {
 		t.Fatalf("first resumed event = %+v, want progress", resumed[0])
 	}
 	// The ring still holds every iteration (History default 512), so the
 	// resume must continue exactly where the stream left off: no replay
 	// from iteration 1, no gap.
-	if resumed[0].id != last.id+1 {
+	if resumed[0].ID != last.ID+1 {
 		t.Fatalf("resumed stream started at iteration %d, want %d (last delivered %d)",
-			resumed[0].id, last.id+1, last.id)
+			resumed[0].ID, last.ID+1, last.ID)
 	}
 	for i := 1; i < len(resumed); i++ {
-		if resumed[i].id != resumed[i-1].id+1 {
+		if resumed[i].ID != resumed[i-1].ID+1 {
 			t.Fatalf("resumed stream not contiguous: %+v", resumed)
 		}
 	}

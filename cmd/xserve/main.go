@@ -1,17 +1,12 @@
-// Command xserve is the placement job daemon: an HTTP front end over the
+// Command xserve is the placement job daemon: the job API of
+// internal/jobapi (see jobapi.NewMux for the endpoints) served over the
 // internal/serve runtime. Jobs are synthetic contest benchmarks placed by
 // a pool of kernel engines; clients submit, poll, stream per-iteration
-// progress, and cancel over plain HTTP.
+// progress, and cancel over plain HTTP. On top of the job API the daemon
+// serves:
 //
-// Endpoints:
-//
-//	POST /jobs              submit a job (JSON body, see jobapi.Request)
-//	GET  /jobs              list all jobs
-//	GET  /jobs/{id}         one job's status
-//	GET  /jobs/{id}/events  live progress stream (Server-Sent Events)
-//	POST /jobs/{id}/cancel  cancel a queued or running job
-//	GET  /metrics           scheduler + engine + arena counters (text)
-//	GET  /debug/pprof/      Go runtime profiles
+//	GET /jobs/{id}/trace  a traced job's operator trace (Chrome trace JSON)
+//	GET /debug/pprof/     Go runtime profiles
 //
 // Example:
 //
@@ -32,8 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -41,24 +34,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"xplace/internal/jobapi"
 	"xplace/internal/jobstore"
-	"xplace/internal/placer"
 	"xplace/internal/serve"
 )
-
-// The POST /jobs body is jobapi.Request — the single versioned wire
-// schema this daemon, the gateway client, and xgate all marshal through,
-// so every tier derives the identical normalized payload and
-// cache/routing key.
-
-// rehydrateRequest rebuilds a Spec from a WAL payload — the recovery
-// half of jobapi.Request.ToSpec.
-func rehydrateRequest(b []byte) (serve.Spec, error) { return jobapi.Rehydrate(b) }
 
 func main() {
 	var (
@@ -101,7 +83,7 @@ func main() {
 		DefaultTimeout:  *timeout,
 		History:         *history,
 		Store:           store,
-		Rehydrate:       rehydrateRequest,
+		Rehydrate:       jobapi.Rehydrate,
 		CheckpointEvery: *ckptEvery,
 		Models:          models,
 	})
@@ -166,18 +148,11 @@ func main() {
 	log.Printf("xserve: bye")
 }
 
-// newMux wires the HTTP surface over a scheduler.
+// newMux is the job API over the scheduler plus the daemon's own
+// diagnostics.
 func newMux(s *serve.Scheduler) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", handleSubmit(s))
-	mux.HandleFunc("GET /jobs", handleList(s))
-	mux.HandleFunc("GET /jobs/{id}", handleStatus(s))
-	mux.HandleFunc("GET /jobs/{id}/events", handleEvents(s))
-	mux.HandleFunc("GET /jobs/{id}/trace", handleTrace(s))
-	mux.HandleFunc("POST /jobs/{id}/cancel", handleCancel(s))
-	mux.HandleFunc("GET /healthz", handleHealthz)
-	mux.HandleFunc("GET /readyz", handleReadyz(s))
-	mux.HandleFunc("GET /metrics", handleMetrics(s))
+	mux := jobapi.NewMux(jobapi.ForScheduler(s))
+	mux.HandleFunc("GET /jobs/{id}/trace", jobapi.WithJobID(handleTrace(s)))
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -186,271 +161,20 @@ func newMux(s *serve.Scheduler) *http.ServeMux {
 	return mux
 }
 
-// jobJSON is the wire form of a job status.
-type jobJSON struct {
-	ID        int64            `json:"id"`
-	Label     string           `json:"label"`
-	State     string           `json:"state"`
-	Err       string           `json:"error,omitempty"`
-	Submitted time.Time        `json:"submitted"`
-	Started   *time.Time       `json:"started,omitempty"`
-	Finished  *time.Time       `json:"finished,omitempty"`
-	Progress  *placer.Snapshot `json:"progress,omitempty"`
-	Iters     int              `json:"iterations,omitempty"`
-	HPWL      float64          `json:"hpwl,omitempty"`
-	Overflow  float64          `json:"overflow,omitempty"`
-	Cached    bool             `json:"cached,omitempty"`    // served from the result cache
-	Recovered bool             `json:"recovered,omitempty"` // replayed from the WAL after a restart
-	Resumed   bool             `json:"resumed,omitempty"`   // continued from a placer checkpoint
-	Fallback  string           `json:"fallback,omitempty"`  // strategy that rescued a diverged run
-}
-
-func toJSON(st serve.Status) jobJSON {
-	j := jobJSON{
-		ID:        st.ID,
-		Label:     st.Label,
-		State:     st.State.String(),
-		Err:       st.Err,
-		Submitted: st.Submitted,
-		Iters:     st.Iterations,
-		HPWL:      st.HPWL,
-		Overflow:  st.Overflow,
-		Cached:    st.Cached,
-		Recovered: st.Recovered,
-		Resumed:   st.Resumed,
-		Fallback:  st.Fallback,
-	}
-	if !st.Started.IsZero() {
-		t := st.Started
-		j.Started = &t
-	}
-	if !st.Finished.IsZero() {
-		t := st.Finished
-		j.Finished = &t
-	}
-	if st.Progress.Iter > 0 || st.Progress.HPWL > 0 {
-		p := st.Progress
-		j.Progress = &p
-	}
-	return j
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func jobFrom(s *serve.Scheduler, w http.ResponseWriter, r *http.Request) (*serve.Job, bool) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id"))
-		return nil, false
-	}
-	j, ok := s.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return nil, false
-	}
-	return j, true
-}
-
-func handleSubmit(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req jobapi.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		spec, err := req.ToSpec()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		j, err := s.Submit(spec)
-		var unknownModel *serve.UnknownModelError
-		switch {
-		case errors.Is(err, serve.ErrQueueFull):
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		case errors.Is(err, serve.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.As(err, &unknownModel):
-			// A model this node does not hold can never succeed here: a
-			// definitive 400 (the gateway treats 4xx as non-retryable).
-			writeError(w, http.StatusBadRequest, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, toJSON(j.Status()))
-	}
-}
-
-func handleList(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		jobs := s.Jobs()
-		out := make([]jobJSON, len(jobs))
-		for i, j := range jobs {
-			out[i] = toJSON(j.Status())
-		}
-		writeJSON(w, http.StatusOK, out)
-	}
-}
-
-func handleStatus(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(s, w, r)
-		if !ok {
-			return
-		}
-		writeJSON(w, http.StatusOK, toJSON(j.Status()))
-	}
-}
-
-func handleCancel(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(s, w, r)
-		if !ok {
-			return
-		}
-		s.Cancel(j.ID())
-		writeJSON(w, http.StatusOK, toJSON(j.Status()))
-	}
-}
-
-// handleHealthz is the liveness probe: the process is up and serving
-// HTTP. It deliberately says nothing about the scheduler — a draining
-// daemon is still alive and must not be restarted by a supervisor.
-func handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the readiness probe: 200 while the scheduler accepts
-// new submissions, 503 once a drain has begun. The xgate gateway routes
-// on this signal, so a draining node stops receiving jobs before its
-// queue rejects them.
-func handleReadyz(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}
-}
-
-// handleEvents streams per-iteration snapshots as Server-Sent Events:
-// first the retained history, then live updates until the job finishes or
-// the client goes away. Every progress event carries its iteration as the
-// SSE id, and a reconnecting client that presents Last-Event-ID resumes
-// from the snapshot ring after that iteration instead of replaying the
-// stream from scratch.
-func handleEvents(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(s, w, r)
-		if !ok {
-			return
-		}
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, http.StatusNotImplemented, errors.New("streaming unsupported"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-
-		// Subscribe before replaying history so no snapshot is missed;
-		// duplicates at the seam are filtered by iteration number.
-		live, unsub := j.Subscribe(64)
-		defer unsub()
-		lastIter := -1
-		// Reconnect support: an EventSource client resends the last id it
-		// saw; everything at or before it is already delivered. An
-		// unparseable header is ignored (full replay).
-		if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-			if v, err := strconv.Atoi(lei); err == nil && v > lastIter {
-				lastIter = v
-			}
-		}
-		emit := func(sn placer.Snapshot) {
-			if sn.Iter <= lastIter {
-				return
-			}
-			lastIter = sn.Iter
-			b, _ := json.Marshal(sn)
-			fmt.Fprintf(w, "id: %d\nevent: progress\ndata: %s\n\n", sn.Iter, b)
-			fl.Flush()
-		}
-		for _, sn := range j.Snapshots() {
-			emit(sn)
-		}
-		// Drain watch: http.Server.Shutdown does NOT cancel in-flight
-		// request contexts, so a stream held open by a long job would hold
-		// graceful shutdown hostage for its whole budget. Poll the
-		// scheduler's drain flag and close the stream promptly instead; the
-		// client sees an explicit "draining" event and can reconnect after
-		// the daemon restarts (recovering the job from the store).
-		drain := time.NewTicker(200 * time.Millisecond)
-		defer drain.Stop()
-		for {
-			select {
-			case sn, ok := <-live:
-				if !ok { // job finished
-					b, _ := json.Marshal(toJSON(j.Status()))
-					fmt.Fprintf(w, "event: done\ndata: %s\n\n", b)
-					fl.Flush()
-					return
-				}
-				emit(sn)
-			case <-drain.C:
-				if s.Draining() {
-					fmt.Fprintf(w, "event: draining\ndata: {}\n\n")
-					fl.Flush()
-					return
-				}
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}
-}
-
-// handleMetrics scrapes the scheduler's registry in the Prometheus text
-// exposition format. The scheduler, its engines and every job's placer all
-// publish into the same registry, so this one endpoint covers the
-// xserve_* runtime series and the xplace_* paper-optimization series; the
-// scrape touches only the registry mutex and instrument atomics, never a
-// job lock.
-func handleMetrics(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.Registry().WritePrometheus(w)
-	}
-}
-
 // handleTrace serves a job's operator trace as Chrome trace_event JSON
 // (load it at chrome://tracing or ui.perfetto.dev). 404 unless the job was
 // submitted with "trace": true and has started.
-func handleTrace(s *serve.Scheduler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(s, w, r)
+func handleTrace(s *serve.Scheduler) func(http.ResponseWriter, *http.Request, int64) {
+	return func(w http.ResponseWriter, _ *http.Request, id int64) {
+		j, ok := s.Job(id)
 		if !ok {
+			jobapi.NoJob(w, id)
 			return
 		}
 		t := j.Tracer()
 		if t == nil {
-			writeError(w, http.StatusNotFound,
-				fmt.Errorf("job %d has no trace (submit with \"trace\": true)", j.ID()))
+			jobapi.WriteError(w, http.StatusNotFound,
+				fmt.Errorf("job %d has no trace (submit with \"trace\": true)", id))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

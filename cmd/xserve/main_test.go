@@ -1,15 +1,16 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"xplace/internal/jobapi"
 	"xplace/internal/serve"
 )
 
@@ -66,21 +67,9 @@ func TestHTTPSubmitStatusEventsMetrics(t *testing.T) {
 	if ct := evResp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content-type = %q", ct)
 	}
-	var progress, done int
-	sc := bufio.NewScanner(evResp.Body)
-	for sc.Scan() {
-		switch sc.Text() {
-		case "event: progress":
-			progress++
-		case "event: done":
-			done++
-		}
-		if done > 0 {
-			break
-		}
-	}
-	if progress == 0 || done != 1 {
-		t.Fatalf("SSE stream: %d progress, %d done events", progress, done)
+	events := readSSE(t, evResp.Body, 1<<20) // to EOF: the stream ends with done
+	if n := len(events); n < 2 || events[n-1].Name != jobapi.EventDone || events[0].Name != jobapi.EventProgress {
+		t.Fatalf("SSE stream: %d events, want progress... then done: %+v", n, events)
 	}
 
 	// Final status over the poll endpoint.
@@ -100,26 +89,33 @@ func TestHTTPSubmitStatusEventsMetrics(t *testing.T) {
 		t.Fatalf("final HPWL = %v", st["hpwl"])
 	}
 
-	// Metrics endpoint exports the counters.
+	// Metrics endpoint exports the counters. The done event fires as the
+	// job turns terminal; the worker settles its counters and returns the
+	// job's arena scratch right after, so wait for it to go idle.
+	deadline := time.Now().Add(10 * time.Second)
+	for scrapeMetric(t, srv.URL, "xserve_jobs_active") != 0 || scrapeMetric(t, srv.URL, "xserve_jobs_succeeded") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never went idle after the done event")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	mResp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	msc := bufio.NewScanner(mResp.Body)
-	for msc.Scan() {
-		sb.WriteString(msc.Text() + "\n")
-	}
+	metrics, err := io.ReadAll(mResp.Body)
 	mResp.Body.Close()
-	body := sb.String()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"xserve_jobs_submitted 1",
 		"xserve_jobs_succeeded 1",
 		"xserve_gp_iterations_total 30",
 		`xserve_arena_in_use_bytes{engine="0"} 0`,
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, body)
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q in:\n%s", want, metrics)
 		}
 	}
 
@@ -131,44 +127,5 @@ func TestHTTPSubmitStatusEventsMetrics(t *testing.T) {
 	pResp.Body.Close()
 	if pResp.StatusCode != http.StatusOK {
 		t.Errorf("pprof status = %d", pResp.StatusCode)
-	}
-}
-
-func TestHTTPCancelAndErrors(t *testing.T) {
-	srv, _ := newTestServer(t, serve.Options{Engines: 1, QueueCap: 4, EngineWorkers: 1})
-
-	// Long-running job, cancelled over HTTP.
-	resp, m := postJSON(t, srv.URL+"/jobs",
-		`{"bench":"fft_1","scale":0.01,"seed":1,"max_iter":100000}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		_, st := postJSON(t, srv.URL+"/jobs/1/cancel", "")
-		if st["state"] == "canceled" {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_, st := postJSON(t, srv.URL+"/jobs/1/cancel", "")
-	if st["state"] != "canceled" {
-		t.Fatalf("state after cancel = %v", st["state"])
-	}
-
-	// Bad requests.
-	if resp, _ := postJSON(t, srv.URL+"/jobs", `{"bench":"no-such-bench"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown bench: status %d", resp.StatusCode)
-	}
-	if resp, _ := postJSON(t, srv.URL+"/jobs", `{"bench":"fft_1","mode":"warp"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown mode: status %d", resp.StatusCode)
-	}
-	r404, err := http.Get(srv.URL + "/jobs/999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r404.Body.Close()
-	if r404.StatusCode != http.StatusNotFound {
-		t.Errorf("missing job: status %d", r404.StatusCode)
 	}
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,13 +14,6 @@ import (
 )
 
 func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
-
-func testCtx(t *testing.T, d time.Duration) context.Context {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	t.Cleanup(cancel)
-	return ctx
-}
 
 // TestSubmitValidation: malformed placement parameters are rejected with
 // 400 instead of being run (or coerced surprisingly). The pre-fix
@@ -119,63 +109,6 @@ func TestStrategyInCacheKey(t *testing.T) {
 	}
 }
 
-// TestEventsCloseOnDrain: an SSE stream over a still-running job closes
-// itself shortly after Shutdown begins, instead of holding the HTTP
-// server's graceful shutdown hostage until the drain budget expires.
-func TestEventsCloseOnDrain(t *testing.T) {
-	srv, s := newTestServer(t, serve.Options{Engines: 1, QueueCap: 2, EngineWorkers: 1})
-
-	// An effectively unbounded job (MinIter pinned: the convergence stop
-	// cannot end it).
-	req := jobapi.Request{Bench: "fft_1", Scale: 0.01, MaxIter: 500000}
-	spec, err := req.ToSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Options.Sched.MinIter = 500000
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for j.Status().State != serve.Running {
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	resp, err := http.Get(srv.URL + "/jobs/1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	// Begin the drain concurrently (as main does); the stream must end
-	// with a "draining" event well before the drain budget.
-	go s.Shutdown(testCtx(t, 60*time.Second))
-
-	streamDone := make(chan string, 1)
-	go func() {
-		var last string
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			if strings.HasPrefix(sc.Text(), "event: ") {
-				last = strings.TrimPrefix(sc.Text(), "event: ")
-			}
-		}
-		streamDone <- last
-	}()
-	select {
-	case last := <-streamDone:
-		if last != "draining" {
-			t.Fatalf("stream ended with event %q, want \"draining\"", last)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("SSE stream still open 15s into the drain")
-	}
-}
-
 // TestCachedSubmissionOverHTTP: the durable result cache is visible at
 // the HTTP surface — an identical second submission reports
 // "cached": true with the same numbers and no new kernel launches.
@@ -187,7 +120,7 @@ func TestCachedSubmissionOverHTTP(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	srv, _ := newTestServer(t, serve.Options{
 		Engines: 1, QueueCap: 4, EngineWorkers: 1,
-		Store: st, Rehydrate: rehydrateRequest,
+		Store: st, Rehydrate: jobapi.Rehydrate,
 	})
 
 	const body = `{"bench":"fft_1","scale":0.002,"seed":4,"max_iter":25}`

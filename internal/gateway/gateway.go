@@ -1,7 +1,6 @@
 // Package gateway is the fault-tolerance tier over a fleet of xserve
-// workers: one HTTP front end (cmd/xgate) that presents the exact
-// submit/status/cancel/SSE API of a single worker while sharding jobs
-// across many.
+// workers: a jobapi.Service (served by cmd/xgate through jobapi.NewMux,
+// the same mux the workers use) that shards jobs across many nodes.
 //
 // The design leans on one property the rest of the stack already
 // guarantees: placement is deterministic. The same normalized request
@@ -44,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"xplace/internal/benchgen"
 	"xplace/internal/jobapi"
 	"xplace/internal/jobstore"
 	"xplace/internal/obs"
@@ -61,11 +59,17 @@ var (
 	ErrClosed = errors.New("gateway: shutting down")
 )
 
-// RequestError is a deterministic client-side rejection (bad request,
-// unknown benchmark) — retrying or rerouting cannot fix it. HTTP: 400.
-type RequestError struct{ Msg string }
+// badRequest is a deterministic client-side rejection (bad request,
+// unknown benchmark): retrying or rerouting cannot fix it. Within this
+// package route and submitTo return no other *jobapi.Rejection.
+func badRequest(err error) error {
+	return &jobapi.Rejection{Code: http.StatusBadRequest, Err: err}
+}
 
-func (e *RequestError) Error() string { return e.Msg }
+func isBadRequest(err error) bool {
+	var rej *jobapi.Rejection
+	return errors.As(err, &rej) && rej.Code == http.StatusBadRequest
+}
 
 // DraftOptions configures the local degradation tier: a small embedded
 // scheduler that answers allow_draft jobs with an lbub draft placement
@@ -297,7 +301,7 @@ func (g *Gateway) recover() error {
 				// Unreplayable non-terminal record: surface it as a failed
 				// job rather than silently dropping it.
 				j := g.newJobLocked(req, nil, r.Key, true, r.ID, r.Submitted)
-				j.finishLocked("failed", fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr))
+				j.finishLocked(serve.Failed, &jobapi.Status{Err: fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr)})
 				g.jobs[r.ID] = j
 				continue
 			}
@@ -305,13 +309,11 @@ func (g *Gateway) recover() error {
 		j := g.newJobLocked(req, append([]byte(nil), r.Payload...), r.Key, true, r.ID, r.Submitted)
 		g.jobs[r.ID] = j
 		if r.Terminal() {
-			j.state = r.State
-			j.errMsg = r.Err
-			j.iterations = r.Iterations
-			j.hpwl = r.HPWL
-			j.overflow = r.Overflow
-			j.cached = r.Cached
-			j.started, j.finished = r.Started, r.Finished
+			state, _ := serve.ParseState(r.State) // unknown name: Failed
+			j.finishLocked(state, &jobapi.Status{
+				Err: r.Err, Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow, Cached: r.Cached,
+			})
+			j.st.Started, j.st.Finished = jobapi.OptTime(r.Started), jobapi.OptTime(r.Finished)
 			close(j.done)
 			continue
 		}
@@ -320,7 +322,7 @@ func (g *Gateway) recover() error {
 		go func(j *Job) {
 			defer g.wg.Done()
 			if err := g.routeWithRetry(j, ""); err != nil {
-				g.finishLocal(j, "failed", fmt.Errorf("gateway: re-routing recovered job: %w", err))
+				g.fail(j, fmt.Errorf("gateway: re-routing recovered job: %w", err))
 				return
 			}
 			g.monitorLoop(j)
@@ -339,51 +341,38 @@ func (g *Gateway) newJobLocked(req jobapi.Request, body []byte, key string, reco
 		submitted = time.Now()
 	}
 	return &Job{
-		id:        id,
-		gw:        g,
-		req:       req,
-		body:      body,
-		key:       key,
-		recovered: recovered,
-		state:     "queued",
-		submitted: submitted,
-		snaps:     make([]placer.Snapshot, g.opts.History),
-		subs:      make(map[int]chan placer.Snapshot),
-		done:      make(chan struct{}),
+		Progress: serve.NewProgress(g.opts.History),
+		id:       id,
+		req:      req,
+		body:     body,
+		key:      key,
+		st: jobapi.Status{
+			ID: id, Label: req.Label, State: serve.Queued.String(),
+			Submitted: submitted, Recovered: recovered,
+		},
+		done: make(chan struct{}),
 	}
 }
 
 // Registry returns the gateway's metrics registry.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
-// Closed reports whether Close has begun.
-func (g *Gateway) Closed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
+// Draining reports whether Close has begun.
+func (g *Gateway) Draining() bool { return g.ctx.Err() != nil }
 
 // Submit validates, normalizes and routes one job. The returned Job is
 // the client's single handle for the request's whole life, across any
 // number of worker-side retries and failovers.
 func (g *Gateway) Submit(req jobapi.Request) (*Job, error) {
-	if err := req.Validate(); err != nil {
-		return nil, &RequestError{err.Error()}
-	}
-	if _, ok := benchgen.FindSpec(req.Bench); !ok {
-		return nil, &RequestError{fmt.Sprintf("unknown benchmark %q", req.Bench)}
-	}
-	req.Normalize()
-	body, err := json.Marshal(&req)
+	body, key, err := req.Canonical()
 	if err != nil {
-		return nil, &RequestError{err.Error()}
+		return nil, badRequest(err)
 	}
-	key := req.CacheKey()
 
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return nil, ErrClosed
+		return nil, &jobapi.Rejection{Code: http.StatusServiceUnavailable, Err: ErrClosed}
 	}
 	g.nextID++
 	id := g.nextID
@@ -392,7 +381,7 @@ func (g *Gateway) Submit(req jobapi.Request) (*Job, error) {
 
 	name, ws, rerr := g.route(key, body, "")
 	if rerr == nil {
-		j.assign(name, ws.ID, ws.Cached)
+		j.assign(name, ws)
 		g.register(j)
 		g.walAppend(func() error { return g.store.AppendSubmit(j.id, j.req.Label, j.body, j.key) })
 		g.walAppend(func() error { return g.store.AppendBegin(j.id) })
@@ -403,9 +392,8 @@ func (g *Gateway) Submit(req jobapi.Request) (*Job, error) {
 		}()
 		return j, nil
 	}
-	var re *RequestError
-	if errors.As(rerr, &re) {
-		return nil, re
+	if isBadRequest(rerr) {
+		return nil, rerr
 	}
 	// Total overload: every available node is at backpressure or down.
 	if req.AllowDraft && g.draft != nil {
@@ -416,7 +404,11 @@ func (g *Gateway) Submit(req jobapi.Request) (*Job, error) {
 		}
 	}
 	g.shedTotal.Inc()
-	return nil, fmt.Errorf("%w: %v", ErrOverloaded, rerr)
+	return nil, &jobapi.Rejection{
+		Code:       http.StatusTooManyRequests,
+		RetryAfter: g.opts.RetryAfter,
+		Err:        fmt.Errorf("%w: %v", ErrOverloaded, rerr),
+	}
 }
 
 func (g *Gateway) register(j *Job) {
@@ -446,6 +438,38 @@ func (g *Gateway) Jobs() []*Job {
 	return out
 }
 
+// Accept, Lookup and List (with Cancel, Draining and Registry) make the
+// gateway a jobapi.Service.
+
+// Accept is Submit for the HTTP surface.
+func (g *Gateway) Accept(req jobapi.Request) (jobapi.Status, error) {
+	j, err := g.Submit(req)
+	if err != nil {
+		return jobapi.Status{}, err
+	}
+	return j.Status(), nil
+}
+
+// Lookup returns one job's status and its failover-deduplicated
+// progress record.
+func (g *Gateway) Lookup(id int64) (jobapi.Status, *serve.Progress, bool) {
+	j, ok := g.Job(id)
+	if !ok {
+		return jobapi.Status{}, nil, false
+	}
+	return j.Status(), j.Progress, true
+}
+
+// List returns every known job's status, newest first.
+func (g *Gateway) List() []jobapi.Status {
+	jobs := g.Jobs()
+	out := make([]jobapi.Status, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.Status()
+	}
+	return out
+}
+
 // Cancel cancels a gateway job, relaying to whichever worker (or the
 // draft tier) currently runs it. Returns false for unknown ids.
 func (g *Gateway) Cancel(id int64) bool {
@@ -453,29 +477,35 @@ func (g *Gateway) Cancel(id int64) bool {
 	if !ok {
 		return false
 	}
-	j.mu.Lock()
-	draft, node, rid := j.draft, j.node, j.remoteID
-	j.mu.Unlock()
-	if draft {
-		if g.draft != nil {
-			g.draft.Cancel(rid)
-		}
-		return true
-	}
-	if node != "" && rid != 0 {
+	st := j.Status()
+	if st.Draft {
+		g.draft.Cancel(st.RemoteID)
+	} else if st.Node != "" && st.RemoteID != 0 {
 		// Best effort: the monitor observes the worker's terminal state and
 		// records it; an unreachable node resolves through failover, where
 		// the rerun is then cancelled the same way.
-		req, err := http.NewRequestWithContext(g.ctx, http.MethodPost,
-			fmt.Sprintf("%s/jobs/%d/cancel", node, rid), nil)
-		if err == nil {
-			if resp, derr := g.client.Do(req); derr == nil {
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}
+		_, _, _ = g.call(g.ctx, http.MethodPost, fmt.Sprintf("%s/jobs/%d/cancel", st.Node, st.RemoteID), nil)
 	}
 	return true
+}
+
+// call makes one request to a worker on the bounded-timeout client and
+// returns the status code and (at most 1 MiB of) the body.
+func (g *Gateway) call(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return resp.StatusCode, b, nil
 }
 
 // node returns the tracked node by name (nil when removed).
@@ -521,7 +551,7 @@ func (g *Gateway) RemoveNode(name string) {
 // next node immediately; transient faults retry with backoff on the
 // same node first (submitTo). A deterministic 4xx stops the walk — no
 // node will answer differently.
-func (g *Gateway) route(key string, body []byte, exclude string) (string, *workerStatus, error) {
+func (g *Gateway) route(key string, body []byte, exclude string) (string, *jobapi.Status, error) {
 	seq := g.ring.sequence(key)
 	lastErr := errors.New("no worker available")
 	for _, name := range seq {
@@ -538,9 +568,8 @@ func (g *Gateway) route(key string, body []byte, exclude string) (string, *worke
 			g.routeTotal.Inc()
 			return name, ws, nil
 		}
-		var re *RequestError
-		if errors.As(err, &re) {
-			return "", nil, re
+		if isBadRequest(err) {
+			return "", nil, err
 		}
 		lastErr = err
 	}
@@ -555,15 +584,11 @@ func (g *Gateway) routeWithRetry(j *Job, exclude string) error {
 	for {
 		name, ws, err := g.route(j.key, j.body, exclude)
 		if err == nil {
-			j.assign(name, ws.ID, ws.Cached)
+			j.assign(name, ws)
 			g.walAppend(func() error { return g.store.AppendBegin(j.id) })
 			return nil
 		}
-		var re *RequestError
-		if errors.As(err, &re) {
-			return re
-		}
-		if time.Now().After(deadline) {
+		if isBadRequest(err) || time.Now().After(deadline) {
 			return err
 		}
 		if !g.sleep(g.opts.RetryAfter) {
@@ -576,7 +601,7 @@ func (g *Gateway) routeWithRetry(j *Job, exclude string) error {
 // faults (network error, 5xx) back off exponentially with jitter and
 // feed the node's breaker; backpressure (429/503) returns immediately
 // so the router can spill to the next ring node.
-func (g *Gateway) submitTo(n *node, body []byte) (*workerStatus, error) {
+func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 	var lastErr error
 	for attempt := 0; attempt < g.opts.SubmitAttempts; attempt++ {
 		if attempt > 0 {
@@ -586,23 +611,16 @@ func (g *Gateway) submitTo(n *node, body []byte) (*workerStatus, error) {
 			}
 		}
 		start := time.Now()
-		req, err := http.NewRequestWithContext(g.ctx, http.MethodPost, n.name+"/jobs", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := g.client.Do(req)
+		code, rb, err := g.call(g.ctx, http.MethodPost, n.name+"/jobs", body)
 		if err != nil {
 			n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 			lastErr = fmt.Errorf("node %s: %w", n.name, err)
 			continue
 		}
-		rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
 		n.latency.Observe(time.Since(start).Seconds())
 		switch {
-		case resp.StatusCode == http.StatusAccepted:
-			var ws workerStatus
+		case code == http.StatusAccepted:
+			var ws jobapi.Status
 			if uerr := json.Unmarshal(rb, &ws); uerr != nil || ws.ID == 0 {
 				n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 				lastErr = fmt.Errorf("node %s: bad accept body: %v", n.name, uerr)
@@ -610,19 +628,19 @@ func (g *Gateway) submitTo(n *node, body []byte) (*workerStatus, error) {
 			}
 			n.submitSuccess()
 			return &ws, nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
 			// Backpressure or draining: the node is functioning and telling
 			// us "not now" — not a fault, so the breaker stays untouched;
 			// spill to the next ring node instead of hammering this one.
-			return nil, fmt.Errorf("node %s: %s", n.name, http.StatusText(resp.StatusCode))
-		case resp.StatusCode >= 500:
+			return nil, fmt.Errorf("node %s: %s", n.name, http.StatusText(code))
+		case code >= 500:
 			n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
-			lastErr = fmt.Errorf("node %s: HTTP %d", n.name, resp.StatusCode)
+			lastErr = fmt.Errorf("node %s: HTTP %d", n.name, code)
 			continue
 		default:
 			// Deterministic rejection (400-class): every node shares the
 			// validation code, so trying another one cannot help.
-			return nil, &RequestError{errorBody(rb, resp.StatusCode)}
+			return nil, badRequest(errors.New(errorBody(rb, code)))
 		}
 	}
 	return nil, lastErr
@@ -672,48 +690,32 @@ func (g *Gateway) walAppend(fn func() error) {
 	g.walAppends.Inc()
 }
 
-// finishLocal records a gateway-side terminal state (failed routing,
-// draft outcome relayed, shutdown).
-func (g *Gateway) finishLocal(j *Job, state string, err error) {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	j.mu.Lock()
-	ok := j.finishLocked(state, msg)
-	j.mu.Unlock()
-	if !ok {
-		return
-	}
-	st := j.Status()
-	g.walAppend(func() error {
-		return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
-	})
-	g.inflight.Add(-1)
-	close(j.done)
+// fail ends a job the gateway itself gave up on (no willing node after
+// a failover or a recovery).
+func (g *Gateway) fail(j *Job, err error) {
+	g.finish(j, &jobapi.Status{State: serve.Failed.String(), Err: err.Error()})
 }
 
-// finishRemote records a worker-reported terminal state.
-func (g *Gateway) finishRemote(j *Job, ws *workerStatus) {
+// finish records a job's terminal status, as reported by its worker (or
+// by fail): WAL first, then waiters are released. It returns false when
+// ws is not terminal — a malformed report.
+func (g *Gateway) finish(j *Job, ws *jobapi.Status) bool {
+	state, ok := serve.ParseState(ws.State)
+	if !ok || !state.Terminal() {
+		return false
+	}
 	j.mu.Lock()
-	if !terminalState(ws.State) || !j.finishLocked(ws.State, ws.Err) {
-		j.mu.Unlock()
-		return
-	}
-	j.iterations = ws.Iters
-	j.hpwl = ws.HPWL
-	j.overflow = ws.Overflow
-	if ws.Cached {
-		j.cached = true
-	}
-	j.fallback = ws.Fallback
+	won := j.finishLocked(state, ws)
 	j.mu.Unlock()
-	st := j.Status()
-	g.walAppend(func() error {
-		return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
-	})
-	g.inflight.Add(-1)
-	close(j.done)
+	if won {
+		st := j.Status()
+		g.walAppend(func() error {
+			return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
+		})
+		g.inflight.Add(-1)
+		close(j.done)
+	}
+	return true
 }
 
 // startDraft degrades one allow_draft job to the local lbub tier: the
@@ -735,8 +737,8 @@ func (g *Gateway) startDraft(j *Job) error {
 		return err
 	}
 	j.mu.Lock()
-	j.draft = true
-	j.remoteID = sj.ID()
+	j.st.Draft = true
+	j.st.RemoteID = sj.ID()
 	j.mu.Unlock()
 	g.draftTotal.Inc()
 	g.wg.Add(1)
@@ -753,15 +755,8 @@ func (g *Gateway) relayDraft(j *Job, sj *serve.Job) {
 		j.observe(sn)
 	}
 	<-sj.Done()
-	st := sj.Status()
-	g.finishRemote(j, &workerStatus{
-		State:    st.State.String(),
-		Err:      st.Err,
-		Iters:    st.Iterations,
-		HPWL:     st.HPWL,
-		Overflow: st.Overflow,
-		Fallback: st.Fallback,
-	})
+	st := jobapi.FromServe(sj.Status())
+	g.finish(j, &st)
 }
 
 // Close stops intake, cancels every monitor/probe/relay goroutine and

@@ -11,12 +11,15 @@ import (
 	"time"
 
 	"xplace/internal/jobapi"
+	"xplace/internal/placer"
+	"xplace/internal/serve"
 )
 
-// fakeWorker is an in-process stand-in for one xserve daemon: the same
-// HTTP surface (submit/status/events/cancel/probes), a per-key result
-// cache, and scripted failure modes (transient 500s, backpressure,
-// sudden death via the test server). Jobs "place" by counting
+// fakeWorker is an in-process stand-in for one xserve daemon: the routes
+// the gateway calls (submit/status/events/cancel/probes) answered with
+// jobapi's own Status and event writers, a per-key result cache, and
+// scripted failure modes (transient 500s, backpressure, sudden death via
+// the test server). Jobs "place" by counting
 // iterations on a timer; the final HPWL is a pure function of the
 // request body, so a failover rerun on a different fake reproduces it
 // exactly — the same determinism contract the real engine provides.
@@ -30,6 +33,7 @@ type fakeWorker struct {
 	nextID   int64
 	full     bool // 429 every submit
 	failNext int  // 500 the next N submits
+	submits  int  // POST /jobs calls received, whatever their outcome
 	launches int  // jobs actually run (cache hits excluded)
 	cache    map[string]fakeResult
 }
@@ -44,7 +48,7 @@ type fakeJob struct {
 	key    string
 	mu     sync.Mutex
 	iter   int
-	state  string
+	state  serve.State
 	hpwl   float64
 	cached bool
 }
@@ -90,6 +94,12 @@ func (w *fakeWorker) setFailNext(n int) {
 	w.mu.Unlock()
 }
 
+func (w *fakeWorker) submitCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.submits
+}
+
 func (w *fakeWorker) launchCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -112,6 +122,7 @@ func (w *fakeWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	}
 	key := req.CacheKey()
 	w.mu.Lock()
+	w.submits++
 	if w.failNext > 0 {
 		w.failNext--
 		w.mu.Unlock()
@@ -124,10 +135,10 @@ func (w *fakeWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.nextID++
-	j := &fakeJob{id: w.nextID, key: key, state: "queued"}
+	j := &fakeJob{id: w.nextID, key: key}
 	w.jobs[j.id] = j
 	if res, ok := w.cache[key]; ok {
-		j.state = "succeeded"
+		j.state = serve.Succeeded
 		j.iter = res.iters
 		j.hpwl = res.hpwl
 		j.cached = true
@@ -136,10 +147,7 @@ func (w *fakeWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		go w.run(j)
 	}
 	w.mu.Unlock()
-	rw.WriteHeader(http.StatusAccepted)
-	j.mu.Lock()
-	fmt.Fprintf(rw, `{"id":%d,"state":%q,"cached":%v}`, j.id, j.state, j.cached)
-	j.mu.Unlock()
+	jobapi.WriteJSON(rw, http.StatusAccepted, j.status())
 }
 
 func (w *fakeWorker) run(j *fakeJob) {
@@ -147,11 +155,11 @@ func (w *fakeWorker) run(j *fakeJob) {
 		time.Sleep(w.iterPeriod)
 		j.mu.Lock()
 		j.iter = i
-		j.state = "running"
+		j.state = serve.Running
 		j.mu.Unlock()
 	}
 	j.mu.Lock()
-	j.state = "succeeded"
+	j.state = serve.Succeeded
 	j.hpwl = fakeHPWL(j.key)
 	j.mu.Unlock()
 	w.mu.Lock()
@@ -167,11 +175,13 @@ func (w *fakeWorker) job(r *http.Request) *fakeJob {
 	return w.jobs[id]
 }
 
-func (j *fakeJob) statusJSON() string {
+func (j *fakeJob) status() jobapi.Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return fmt.Sprintf(`{"id":%d,"state":%q,"iterations":%d,"hpwl":%g,"cached":%v,"progress":{"Iter":%d,"HPWL":%g}}`,
-		j.id, j.state, j.iter, j.hpwl, j.cached, j.iter, j.hpwl)
+	return jobapi.Status{
+		ID: j.id, State: j.state.String(), Iterations: j.iter, HPWL: j.hpwl, Cached: j.cached,
+		Progress: &placer.Snapshot{Iter: j.iter, HPWL: j.hpwl},
+	}
 }
 
 func (w *fakeWorker) handleStatus(rw http.ResponseWriter, r *http.Request) {
@@ -180,7 +190,7 @@ func (w *fakeWorker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, `{"error":"no such job"}`, http.StatusNotFound)
 		return
 	}
-	fmt.Fprint(rw, j.statusJSON())
+	jobapi.WriteJSON(rw, http.StatusOK, j.status())
 }
 
 func (w *fakeWorker) handleEvents(rw http.ResponseWriter, r *http.Request) {
@@ -200,17 +210,14 @@ func (w *fakeWorker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 			return
 		case <-time.After(2 * time.Millisecond):
 		}
-		j.mu.Lock()
-		iter, state := j.iter, j.state
-		j.mu.Unlock()
-		for last < iter {
+		st := j.status()
+		for last < st.Iterations {
 			last++
-			fmt.Fprintf(rw, "id: %d\nevent: progress\ndata: {\"Iter\":%d,\"HPWL\":%g}\n\n",
-				last, last, float64(2000-last))
+			_ = jobapi.WriteProgress(rw, placer.Snapshot{Iter: last, HPWL: float64(2000 - last)})
 			fl.Flush()
 		}
-		if terminalState(state) {
-			fmt.Fprintf(rw, "event: done\ndata: %s\n\n", j.statusJSON())
+		if state, _ := serve.ParseState(st.State); state.Terminal() {
+			_ = jobapi.WriteDone(rw, st)
 			fl.Flush()
 			return
 		}
@@ -235,7 +242,7 @@ func testRequest(seed int64) jobapi.Request {
 	return jobapi.Request{Bench: "fft_1", Scale: 0.002, Seed: seed, MaxIter: 5}
 }
 
-func waitDone(t *testing.T, j *Job, within time.Duration) Status {
+func waitDone(t *testing.T, j *Job, within time.Duration) jobapi.Status {
 	t.Helper()
 	select {
 	case <-j.Done():

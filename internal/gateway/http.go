@@ -1,210 +1,19 @@
 package gateway
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"xplace/internal/jobapi"
-	"xplace/internal/placer"
 )
 
-// NewMux wires the gateway's HTTP surface — the same job API a single
-// xserve worker presents, so clients (and tooling) cannot tell one
-// worker from a fleet:
+// NewMux wires the gateway's HTTP surface: the job API of jobapi.NewMux
+// (the same handlers a worker serves) plus the fleet view:
 //
-//	POST /jobs              submit (JSON body, jobapi.Request)
-//	GET  /jobs              list gateway jobs
-//	GET  /jobs/{id}         one job's status
-//	GET  /jobs/{id}/events  progress stream (SSE, Last-Event-ID resume)
-//	POST /jobs/{id}/cancel  cancel wherever the job runs
-//	GET  /nodes             fleet routing state
-//	GET  /metrics           xgate_* series (Prometheus text)
-//	GET  /healthz           gateway liveness
-//	GET  /readyz            gateway readiness (503 once closing)
+//	GET /nodes  fleet routing state
 func NewMux(g *Gateway) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", handleSubmit(g))
-	mux.HandleFunc("GET /jobs", handleList(g))
-	mux.HandleFunc("GET /jobs/{id}", handleStatus(g))
-	mux.HandleFunc("GET /jobs/{id}/events", handleEvents(g))
-	mux.HandleFunc("POST /jobs/{id}/cancel", handleCancel(g))
-	mux.HandleFunc("GET /nodes", handleNodes(g))
-	mux.HandleFunc("GET /metrics", handleMetrics(g))
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if g.Closed() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "closing"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	mux := jobapi.NewMux(g)
+	mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, r *http.Request) {
+		jobapi.WriteJSON(w, http.StatusOK, g.Nodes())
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func handleSubmit(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req jobapi.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		j, err := g.Submit(req)
-		var re *RequestError
-		switch {
-		case errors.As(err, &re):
-			writeError(w, http.StatusBadRequest, re)
-			return
-		case errors.Is(err, ErrOverloaded):
-			// Graceful shed: the client is told exactly when to come back.
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int(g.opts.RetryAfter/time.Second)+1))
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, j.Status())
-	}
-}
-
-func handleList(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		jobs := g.Jobs()
-		out := make([]Status, len(jobs))
-		for i, j := range jobs {
-			out[i] = j.Status()
-		}
-		writeJSON(w, http.StatusOK, out)
-	}
-}
-
-func jobFrom(g *Gateway, w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id"))
-		return nil, false
-	}
-	j, ok := g.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return nil, false
-	}
-	return j, true
-}
-
-func handleStatus(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(g, w, r)
-		if !ok {
-			return
-		}
-		writeJSON(w, http.StatusOK, j.Status())
-	}
-}
-
-func handleCancel(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(g, w, r)
-		if !ok {
-			return
-		}
-		g.Cancel(j.ID())
-		writeJSON(w, http.StatusOK, j.Status())
-	}
-}
-
-func handleNodes(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, g.Nodes())
-	}
-}
-
-func handleMetrics(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = g.reg.WritePrometheus(w)
-	}
-}
-
-// handleEvents streams a gateway job's progress as SSE — history first,
-// then live — exactly like a worker's stream, including Last-Event-ID
-// resume. Because the gateway's own ring is already deduplicated across
-// failovers, a client streaming through a node death sees one monotone
-// sequence of iterations with a single stall at the failover point.
-func handleEvents(g *Gateway) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := jobFrom(g, w, r)
-		if !ok {
-			return
-		}
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, http.StatusNotImplemented, errors.New("streaming unsupported"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-
-		live, unsub := j.Subscribe(64)
-		defer unsub()
-		lastIter := -1
-		if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-			if v, err := strconv.Atoi(lei); err == nil && v > lastIter {
-				lastIter = v
-			}
-		}
-		emit := func(sn placer.Snapshot) {
-			if sn.Iter <= lastIter {
-				return
-			}
-			lastIter = sn.Iter
-			b, _ := json.Marshal(sn)
-			fmt.Fprintf(w, "id: %d\nevent: progress\ndata: %s\n\n", sn.Iter, b)
-			fl.Flush()
-		}
-		for _, sn := range j.Snapshots() {
-			emit(sn)
-		}
-		for {
-			select {
-			case sn, open := <-live:
-				if !open { // job finished
-					b, _ := json.Marshal(j.Status())
-					fmt.Fprintf(w, "event: done\ndata: %s\n\n", b)
-					fl.Flush()
-					return
-				}
-				emit(sn)
-			case <-g.ctx.Done():
-				fmt.Fprintf(w, "event: draining\ndata: {}\n\n")
-				fl.Flush()
-				return
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}
 }

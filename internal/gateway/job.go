@@ -6,70 +6,30 @@ import (
 
 	"xplace/internal/jobapi"
 	"xplace/internal/placer"
+	"xplace/internal/serve"
 )
 
 // Job is one placement request as the gateway tracks it. The client
 // sees exactly one job ID for the request's whole life — across worker
 // retries, failovers to other nodes, and gateway restarts — while the
-// node/remoteID pair underneath may change.
+// node/remote-id pair underneath may change.
 type Job struct {
-	id        int64
-	gw        *Gateway
-	req       jobapi.Request
-	body      []byte // canonical (normalized) request JSON — the failover resubmission payload
-	key       string // cache/routing key
-	recovered bool
+	// The progress ring is already deduplicated across failovers (see
+	// observe), so a client streaming through a node death sees one
+	// monotone sequence of iterations with a single stall at the failover.
+	*serve.Progress
 
-	mu         sync.Mutex
-	state      string
-	errMsg     string
-	node       string // worker currently running the job ("" for draft/unrouted)
-	remoteID   int64  // job id on that worker (or the draft scheduler)
-	draft      bool
-	excluded   string // node this job most recently died on; skipped at the next route
-	failovers  int
-	iterations int
-	hpwl       float64
-	overflow   float64
-	cached     bool
-	fallback   string
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
+	id   int64
+	req  jobapi.Request
+	body []byte // canonical (normalized) request JSON — the failover resubmission payload
+	key  string // cache/routing key
 
-	// Progress ring + fanout, mirroring serve.Job so the gateway's SSE
-	// surface behaves exactly like a worker's.
-	maxIter   int // highest iteration delivered; non-increasing snapshots drop
-	snaps     []placer.Snapshot
-	snapStart int
-	snapCount int
-	subs      map[int]chan placer.Snapshot
-	nextSub   int
+	mu      sync.Mutex
+	st      jobapi.Status // everything but Progress, which Status fills from the ring
+	state   serve.State   // typed st.State
+	maxIter int           // highest iteration delivered; non-increasing snapshots drop
 
 	done chan struct{}
-}
-
-// Status is a point-in-time copy of a gateway job's visible state; it
-// doubles as the wire form of GET /jobs/{id}.
-type Status struct {
-	ID         int64            `json:"id"`
-	Label      string           `json:"label"`
-	State      string           `json:"state"`
-	Err        string           `json:"error,omitempty"`
-	Node       string           `json:"node,omitempty"`
-	RemoteID   int64            `json:"remote_id,omitempty"`
-	Draft      bool             `json:"draft,omitempty"`
-	Cached     bool             `json:"cached,omitempty"`
-	Recovered  bool             `json:"recovered,omitempty"`
-	Fallback   string           `json:"fallback,omitempty"`
-	Failovers  int              `json:"failovers,omitempty"`
-	Submitted  time.Time        `json:"submitted"`
-	Started    *time.Time       `json:"started,omitempty"`
-	Finished   *time.Time       `json:"finished,omitempty"`
-	Progress   *placer.Snapshot `json:"progress,omitempty"`
-	Iterations int              `json:"iterations,omitempty"`
-	HPWL       float64          `json:"hpwl,omitempty"`
-	Overflow   float64          `json:"overflow,omitempty"`
 }
 
 // ID returns the gateway-scoped job id.
@@ -78,54 +38,20 @@ func (j *Job) ID() int64 { return j.id }
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Status returns a snapshot of the job's state.
-func (j *Job) Status() Status {
+// Status returns a snapshot of the job's state in its wire form.
+func (j *Job) Status() jobapi.Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID:         j.id,
-		Label:      j.req.Label,
-		State:      j.state,
-		Err:        j.errMsg,
-		Node:       j.node,
-		RemoteID:   j.remoteID,
-		Draft:      j.draft,
-		Cached:     j.cached,
-		Recovered:  j.recovered,
-		Fallback:   j.fallback,
-		Failovers:  j.failovers,
-		Submitted:  j.submitted,
-		Iterations: j.iterations,
-		HPWL:       j.hpwl,
-		Overflow:   j.overflow,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if j.snapCount > 0 {
-		p := j.snaps[(j.snapStart+j.snapCount-1)%len(j.snaps)]
+	st := j.st
+	if p, ok := j.Last(); ok {
 		st.Progress = &p
 	}
 	return st
 }
 
-func terminalState(s string) bool {
-	switch s {
-	case "succeeded", "failed", "canceled", "timed-out":
-		return true
-	}
-	return false
-}
-
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return terminalState(j.state)
+// setState moves the job to state. Caller holds j.mu.
+func (j *Job) setState(state serve.State) {
+	j.state, j.st.State = state, state.String()
 }
 
 // observe appends one progress snapshot and fans it out. Snapshots at
@@ -136,31 +62,17 @@ func (j *Job) terminal() bool {
 func (j *Job) observe(sn placer.Snapshot) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminalState(j.state) || sn.Iter <= j.maxIter {
+	if j.state.Terminal() || sn.Iter <= j.maxIter {
 		return
 	}
 	j.maxIter = sn.Iter
-	if j.state == "queued" {
-		j.state = "running"
-		if j.started.IsZero() {
-			j.started = time.Now()
+	if j.state == serve.Queued {
+		j.setState(serve.Running)
+		if j.st.Started == nil {
+			j.st.Started = jobapi.OptTime(time.Now())
 		}
 	}
-	if len(j.snaps) > 0 {
-		if j.snapCount < len(j.snaps) {
-			j.snaps[(j.snapStart+j.snapCount)%len(j.snaps)] = sn
-			j.snapCount++
-		} else {
-			j.snaps[j.snapStart] = sn
-			j.snapStart = (j.snapStart + 1) % len(j.snaps)
-		}
-	}
-	for _, ch := range j.subs {
-		select {
-		case ch <- sn:
-		default: // slow subscriber: drop rather than stall the relay
-		}
-	}
+	j.Add(sn)
 }
 
 // highWater returns the last iteration delivered to the progress ring —
@@ -172,52 +84,13 @@ func (j *Job) highWater() int {
 	return j.maxIter
 }
 
-// Snapshots returns the retained progress history in iteration order.
-func (j *Job) Snapshots() []placer.Snapshot {
+// assign points the job at the worker that accepted it with ws (initial
+// route or failover target).
+func (j *Job) assign(node string, ws *jobapi.Status) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]placer.Snapshot, j.snapCount)
-	for i := 0; i < j.snapCount; i++ {
-		out[i] = j.snaps[(j.snapStart+i)%len(j.snaps)]
-	}
-	return out
-}
-
-// Subscribe registers a live progress listener (SSE fanout). The channel
-// closes when the job finishes or unsubscribe is called.
-func (j *Job) Subscribe(buf int) (<-chan placer.Snapshot, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan placer.Snapshot, buf)
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if c, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(c)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// assign points the job at a worker (initial route or failover target).
-func (j *Job) assign(node string, remoteID int64, cached bool) {
-	j.mu.Lock()
-	j.node = node
-	j.remoteID = remoteID
-	if cached {
-		j.cached = true
-	}
+	j.st.Node = node
+	j.st.RemoteID = ws.ID
+	j.st.Cached = j.st.Cached || ws.Cached
 	j.mu.Unlock()
 }
 
@@ -225,45 +98,43 @@ func (j *Job) assign(node string, remoteID int64, cached bool) {
 func (j *Job) current() (node string, remoteID int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.node, j.remoteID
+	return j.st.Node, j.st.RemoteID
 }
 
-// markFailedOver records that the job's current node died: the node
-// joins the (single-slot) exclusion so the immediate re-route avoids it,
-// and the failover count becomes visible in Status. Keeping only the
-// most recent dead node excluded means a node that comes back later is
-// routable again — a job can never exclude itself out of the fleet.
-func (j *Job) markFailedOver() (deadNode string) {
+// markFailedOver records that the job's current node died and returns
+// it, so the immediate re-route can avoid it; the failover count becomes
+// visible in Status. Only that one re-route excludes the node: one that
+// comes back later is routable again — a job can never exclude itself
+// out of the fleet. ok is false when the job already finished.
+func (j *Job) markFailedOver() (deadNode string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.excluded = j.node
-	j.failovers++
-	j.node = ""
-	j.remoteID = 0
-	return j.excluded
+	if j.state.Terminal() {
+		return "", false
+	}
+	deadNode = j.st.Node
+	j.st.Failovers++
+	j.st.Node = ""
+	j.st.RemoteID = 0
+	return deadNode, true
 }
 
-func (j *Job) excludedNode() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.excluded
-}
-
-// finishLocked moves the job to a terminal state and closes the fanout.
-// Returns false if another path already finished it. Caller holds j.mu.
-func (j *Job) finishLocked(state, errMsg string) bool {
-	if terminalState(j.state) {
+// finishLocked moves the job to a terminal state with the result fields
+// of ws and closes the fanout. Returns false if another path already
+// finished it. Caller holds j.mu.
+func (j *Job) finishLocked(state serve.State, ws *jobapi.Status) bool {
+	if j.state.Terminal() {
 		return false
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	if j.started.IsZero() && state == "succeeded" {
-		j.started = j.submitted
+	j.setState(state)
+	j.st.Err = ws.Err
+	j.st.Iterations, j.st.HPWL, j.st.Overflow = ws.Iterations, ws.HPWL, ws.Overflow
+	j.st.Cached = j.st.Cached || ws.Cached
+	j.st.Resumed, j.st.Fallback = ws.Resumed, ws.Fallback
+	j.st.Finished = jobapi.OptTime(time.Now())
+	if j.st.Started == nil && state == serve.Succeeded {
+		j.st.Started = jobapi.OptTime(j.st.Submitted)
 	}
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
+	j.Progress.Close()
 	return true
 }

@@ -1,31 +1,17 @@
 package gateway
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
+	"xplace/internal/jobapi"
 	"xplace/internal/placer"
 )
-
-// workerStatus is the slice of xserve's job JSON the gateway consumes.
-type workerStatus struct {
-	ID       int64            `json:"id"`
-	State    string           `json:"state"`
-	Err      string           `json:"error,omitempty"`
-	Iters    int              `json:"iterations,omitempty"`
-	HPWL     float64          `json:"hpwl,omitempty"`
-	Overflow float64          `json:"overflow,omitempty"`
-	Cached   bool             `json:"cached,omitempty"`
-	Fallback string           `json:"fallback,omitempty"`
-	Progress *placer.Snapshot `json:"progress,omitempty"`
-}
 
 // errJobLost: the worker is reachable but no longer knows the job (it
 // restarted without a store, or with an empty one). For the gateway
@@ -57,8 +43,7 @@ func (g *Gateway) monitorLoop(j *Job) {
 		node, _ := j.current()
 		st, serr := g.fetchStatus(j)
 		switch {
-		case serr == nil && st != nil && terminalState(st.State):
-			g.finishRemote(j, st)
+		case serr == nil && g.finish(j, st):
 			return
 		case serr == nil:
 			if !g.sleep(100 * time.Millisecond) {
@@ -86,15 +71,14 @@ func (g *Gateway) monitorLoop(j *Job) {
 // keeps reporting progress. Returns false when the job is over (no
 // willing node within RouteWait, or gateway shutdown).
 func (g *Gateway) failover(j *Job) bool {
-	if j.terminal() {
+	dead, ok := j.markFailedOver()
+	if !ok {
 		return false
 	}
-	dead := j.markFailedOver()
 	g.failoverTotal.Inc()
 	if err := g.routeWithRetry(j, dead); err != nil {
 		if g.ctx.Err() == nil {
-			g.finishLocal(j, "failed",
-				fmt.Errorf("gateway: failover after node %s died: %w", dead, err))
+			g.fail(j, fmt.Errorf("gateway: failover after node %s died: %w", dead, err))
 		}
 		return false
 	}
@@ -102,29 +86,21 @@ func (g *Gateway) failover(j *Job) bool {
 }
 
 // fetchStatus polls the worker for the job's current state.
-func (g *Gateway) fetchStatus(j *Job) (*workerStatus, error) {
+func (g *Gateway) fetchStatus(j *Job) (*jobapi.Status, error) {
 	node, rid := j.current()
 	if node == "" {
 		return nil, errJobLost
 	}
-	req, err := http.NewRequestWithContext(g.ctx, http.MethodGet,
-		fmt.Sprintf("%s/jobs/%d", node, rid), nil)
-	if err != nil {
+	code, b, err := g.call(g.ctx, http.MethodGet, fmt.Sprintf("%s/jobs/%d", node, rid), nil)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode == http.StatusNotFound {
+	case code == http.StatusNotFound:
 		return nil, errJobLost
+	case code != http.StatusOK:
+		return nil, fmt.Errorf("node %s: HTTP %d", node, code)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("node %s: HTTP %d", node, resp.StatusCode)
-	}
-	var ws workerStatus
+	var ws jobapi.Status
 	if err := json.Unmarshal(b, &ws); err != nil {
 		return nil, err
 	}
@@ -164,42 +140,33 @@ func (g *Gateway) streamJob(j *Job) error {
 		return fmt.Errorf("node %s: events HTTP %d", node, resp.StatusCode)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var event, data string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			switch event {
-			case "progress":
-				var sn placer.Snapshot
-				if json.Unmarshal([]byte(data), &sn) == nil {
-					j.observe(sn)
-				}
-			case "done":
-				var ws workerStatus
-				if json.Unmarshal([]byte(data), &ws) == nil && terminalState(ws.State) {
-					g.finishRemote(j, &ws)
-					return nil
-				}
-				return fmt.Errorf("node %s: malformed done event", node)
-			case "draining":
-				// The worker is shutting down gracefully; its store will carry
-				// the job across the restart. Treat as a dropped stream: the
-				// monitor polls status and reconnects (or fails over if the
-				// node never comes back).
-				return fmt.Errorf("node %s: draining", node)
+	events := jobapi.NewEventReader(resp.Body)
+	for {
+		ev, err := events.Next()
+		if err == io.EOF {
+			return fmt.Errorf("node %s: event stream ended without done", node)
+		}
+		if err != nil {
+			return err
+		}
+		switch ev.Name {
+		case jobapi.EventProgress:
+			var sn placer.Snapshot
+			if json.Unmarshal(ev.Data, &sn) == nil {
+				j.observe(sn)
 			}
-			event, data = "", ""
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
+		case jobapi.EventDone:
+			var ws jobapi.Status
+			if json.Unmarshal(ev.Data, &ws) == nil && g.finish(j, &ws) {
+				return nil
+			}
+			return fmt.Errorf("node %s: malformed done event", node)
+		case jobapi.EventDraining:
+			// The worker is shutting down gracefully; its store will carry
+			// the job across the restart. Treat as a dropped stream: the
+			// monitor polls status and reconnects (or fails over if the
+			// node never comes back).
+			return fmt.Errorf("node %s: draining", node)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("node %s: event stream ended without done", node)
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -113,7 +112,7 @@ func (g *Gateway) probeLoop(n *node) {
 			return
 		case <-t.C:
 		}
-		ok := g.probeOnce(n)
+		ok := g.probe(n.name, "/readyz")
 		n.mu.Lock()
 		if ok {
 			n.consecOK++
@@ -134,20 +133,12 @@ func (g *Gateway) probeLoop(n *node) {
 	}
 }
 
-func (g *Gateway) probeOnce(n *node) bool {
+// probe asks one of a worker's health endpoints whether it answers 200.
+func (g *Gateway) probe(name, path string) bool {
 	ctx, cancel := context.WithTimeout(g.ctx, g.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.name+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	code, _, err := g.call(ctx, http.MethodGet, name+path, nil)
+	return err == nil && code == http.StatusOK
 }
 
 // confirmDead distinguishes a dropped stream from a dead worker before
@@ -160,20 +151,9 @@ func (g *Gateway) confirmDead(name string) bool {
 		if i > 0 && !g.sleep(50*time.Millisecond) {
 			return false
 		}
-		ctx, cancel := context.WithTimeout(g.ctx, g.opts.ProbeTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, name+"/healthz", nil)
-		if err == nil {
-			resp, derr := g.client.Do(req)
-			if derr == nil {
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					cancel()
-					return false
-				}
-			}
+		if g.probe(name, "/healthz") {
+			return false
 		}
-		cancel()
 	}
 	return true
 }

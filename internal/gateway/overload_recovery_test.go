@@ -1,9 +1,9 @@
 package gateway
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -181,7 +181,7 @@ func TestGatewaySSERelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc Status
+	var acc jobapi.Status
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		t.Fatal(err)
 	}
@@ -195,67 +195,48 @@ func TestGatewaySSERelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := readEvents(t, es1, 5)
+	first := readEvents(t, es1.Body, 5)
 	es1.Body.Close()
-	if len(first) < 5 || first[4].id < 1 {
+	if len(first) < 5 || first[4].ID < 1 {
 		t.Fatalf("first stream: %+v", first)
 	}
 
 	// Resume with Last-Event-ID: strictly continues, no replay, no gap.
 	req2, _ := http.NewRequest("GET", srv.URL+"/jobs/1/events", nil)
-	req2.Header.Set("Last-Event-ID", strconv.Itoa(first[4].id))
+	req2.Header.Set("Last-Event-ID", strconv.Itoa(first[4].ID))
 	es2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer es2.Body.Close()
-	resumed := readEvents(t, es2, 3)
+	resumed := readEvents(t, es2.Body, 3)
 	if len(resumed) < 3 {
 		t.Fatalf("resumed stream: %+v", resumed)
 	}
-	if resumed[0].id != first[4].id+1 {
-		t.Errorf("resume started at %d, want %d", resumed[0].id, first[4].id+1)
+	if resumed[0].ID != first[4].ID+1 {
+		t.Errorf("resume started at %d, want %d", resumed[0].ID, first[4].ID+1)
 	}
 	for i := 1; i < len(resumed); i++ {
-		if resumed[i].id != resumed[i-1].id+1 {
+		if resumed[i].ID != resumed[i-1].ID+1 {
 			t.Fatalf("resumed stream not contiguous: %+v", resumed)
 		}
 	}
 }
 
-type event struct {
-	id    int
-	event string
-	data  string
-}
-
-func readEvents(t *testing.T, resp *http.Response, n int) []event {
+// readEvents reads up to n events off a job's stream with the contract's
+// own reader.
+func readEvents(t *testing.T, body io.Reader, n int) []jobapi.Event {
 	t.Helper()
-	var out []event
-	cur := event{id: -1}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if cur.event != "" {
-				out = append(out, cur)
-				if len(out) == n {
-					return out
-				}
-			}
-			cur = event{id: -1}
-		case strings.HasPrefix(line, "id: "):
-			id, err := strconv.Atoi(strings.TrimPrefix(line, "id: "))
-			if err != nil {
-				t.Fatalf("bad id line %q", line)
-			}
-			cur.id = id
-		case strings.HasPrefix(line, "event: "):
-			cur.event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = strings.TrimPrefix(line, "data: ")
+	var out []jobapi.Event
+	for r := jobapi.NewEventReader(body); len(out) < n; {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
 	}
 	return out
 }
@@ -270,12 +251,20 @@ func TestBadRequestIsDeterministic400(t *testing.T) {
 	}
 	defer closeGateway(t, g)
 
-	var re *RequestError
-	if _, err := g.Submit(jobapi.Request{}); !errors.As(err, &re) {
-		t.Fatalf("empty request = %v, want RequestError", err)
+	for _, req := range []jobapi.Request{
+		{},
+		{Bench: "no-such-bench"},
+		// Rejected here, not after a worker round trip.
+		{Bench: "fft_1", Mode: "bogus"},
+		{Bench: "fft_1", Timeout: "-1s"},
+	} {
+		var rej *jobapi.Rejection
+		if _, err := g.Submit(req); !errors.As(err, &rej) || rej.Code != http.StatusBadRequest {
+			t.Fatalf("%+v = %v, want a 400 Rejection", req, err)
+		}
 	}
-	if _, err := g.Submit(jobapi.Request{Bench: "no-such-bench"}); !errors.As(err, &re) {
-		t.Fatalf("unknown bench = %v, want RequestError", err)
+	if n := w.submitCount(); n != 0 {
+		t.Errorf("invalid requests reached the worker %d times", n)
 	}
 	if g.retryTotal.Value() != 0 || g.shedTotal.Value() != 0 || g.breakerTrips.Value() != 0 {
 		t.Errorf("client errors consumed fault budget: retries=%d shed=%d trips=%d",

@@ -1,17 +1,18 @@
-// Package jobapi is the wire form of a placement job request — the JSON
-// body accepted by cmd/xserve's POST /jobs and routed by the xgate
-// gateway. It lives in one place so every tier of the service agrees on
-// three derived identities:
+// Package jobapi owns the placement job contract — everything a client
+// of cmd/xserve (one worker) or cmd/xgate (a fleet) can observe:
 //
-//   - the canonical (normalized) request: two spellings of the same
-//     placement marshal to the same payload,
-//   - the cache key: the content address identical submissions share,
-//     which doubles as the gateway's consistent-hash routing key, and
-//   - the serve.Spec a worker actually runs.
-//
-// A gateway that re-derives any of these differently from the worker it
-// routes to would silently break cache-aware routing and exact failover
-// reruns, so the derivation is shared code, not protocol convention.
+//   - Request, the POST /jobs body, and the three identities derived from
+//     it: the canonical (normalized) payload, the cache key that doubles
+//     as the gateway's consistent-hash routing key, and the serve.Spec a
+//     worker runs. A gateway deriving any of these differently from its
+//     workers would silently break cache-aware routing and exact failover
+//     reruns, so the derivation is shared code, not protocol convention.
+//   - Status, the one wire form of a job.
+//   - NewMux, the one HTTP surface (routes, error-to-code table, SSE
+//     framing and Last-Event-ID resume) over any Service: a
+//     serve.Scheduler through ForScheduler, or a gateway.Gateway.
+//   - WriteProgress/WriteDone and EventReader, the two ends of the event
+//     stream.
 package jobapi
 
 import (
@@ -27,8 +28,9 @@ import (
 	"xplace/internal/serve"
 )
 
-// Request is the POST /jobs body. The design is a synthetic contest
-// benchmark (as in `xplace -bench`); mode selects the GP engine.
+// Request is the POST /jobs body (at most MaxRequestBytes of JSON). The
+// design is a synthetic contest benchmark (as in `xplace -bench`); mode
+// selects the GP engine.
 //
 // Zero-value coercion (part of the API): scale 0 selects the default
 // 0.02 and seed 0 selects the default 1 — a request with "seed": 0 names
@@ -126,61 +128,68 @@ func (r *Request) CacheKey() string {
 		r.Bench, r.Scale, r.Seed, r.Mode, r.Strategy, r.MaxIter, r.Grid, r.Model)
 }
 
-// ToSpec validates and normalizes the request in place, then expands it
-// into the runnable serve.Spec (generated design, placer options, durable
-// payload and cache key).
-func (r *Request) ToSpec() (serve.Spec, error) {
+// canonicalize is the single validation path — every check that can turn
+// a request into a 400 lives here or in Validate. It normalizes the
+// request in place and returns its Spec short of the design.
+func (r *Request) canonicalize() (spec serve.Spec, bench benchgen.Spec, err error) {
 	if err := r.Validate(); err != nil {
-		return serve.Spec{}, err
+		return spec, bench, err
 	}
-	bspec, ok := benchgen.FindSpec(r.Bench)
-	if !ok {
-		return serve.Spec{}, fmt.Errorf("unknown benchmark %q", r.Bench)
+	var ok bool
+	if bench, ok = benchgen.FindSpec(r.Bench); !ok {
+		return spec, bench, fmt.Errorf("unknown benchmark %q", r.Bench)
 	}
 	r.Normalize()
-	var opts placer.Options
 	switch r.Mode {
 	case "xplace":
-		opts = placer.Defaults()
+		spec.Options = placer.Defaults()
 	case "baseline":
-		opts = placer.BaselineDefaults()
+		spec.Options = placer.BaselineDefaults()
 	default:
-		return serve.Spec{}, fmt.Errorf("unknown mode %q", r.Mode)
+		return spec, bench, fmt.Errorf("unknown mode %q", r.Mode)
 	}
-	opts.Seed = r.Seed
-	opts.GridSize = r.Grid
-	opts.Strategy, _ = placer.ParseStrategy(r.Strategy) // validated above
+	spec.Options.Seed = r.Seed
+	spec.Options.GridSize = r.Grid
+	spec.Options.Strategy, _ = placer.ParseStrategy(r.Strategy) // validated above
 	if r.MaxIter > 0 {
-		opts.Sched.MaxIter = r.MaxIter
+		spec.Options.Sched.MaxIter = r.MaxIter
 	}
-	var timeout time.Duration
 	if r.Timeout != "" {
-		var err error
-		if timeout, err = time.ParseDuration(r.Timeout); err != nil {
-			return serve.Spec{}, fmt.Errorf("bad timeout: %v", err)
+		if spec.Timeout, err = time.ParseDuration(r.Timeout); err != nil {
+			return spec, bench, fmt.Errorf("bad timeout: %v", err)
 		}
-		if timeout < 0 {
-			return serve.Spec{}, fmt.Errorf("timeout %q must be >= 0", r.Timeout)
+		if spec.Timeout < 0 {
+			return spec, bench, fmt.Errorf("timeout %q must be >= 0", r.Timeout)
 		}
 	}
+	spec.Label, spec.Trace, spec.Model = r.Label, r.Trace, r.Model
 	// The normalized request is the job's durable identity: the payload
 	// replayed by a restarted daemon (or re-routed by a failing-over
 	// gateway), and the content key for the result cache. The expanded
 	// netlist is re-derived, never stored.
-	payload, err := json.Marshal(r)
+	spec.Payload, err = json.Marshal(r)
+	spec.Key = r.CacheKey()
+	return spec, bench, err
+}
+
+// Canonical validates and normalizes the request in place and returns
+// its canonical payload and cache key without generating the design —
+// what a gateway needs to reject, record and route a job.
+func (r *Request) Canonical() (payload []byte, key string, err error) {
+	spec, _, err := r.canonicalize()
+	return spec.Payload, spec.Key, err
+}
+
+// ToSpec validates and normalizes the request in place, then expands it
+// into the runnable serve.Spec (generated design, placer options, durable
+// payload and cache key).
+func (r *Request) ToSpec() (serve.Spec, error) {
+	spec, bench, err := r.canonicalize()
 	if err != nil {
 		return serve.Spec{}, err
 	}
-	return serve.Spec{
-		Design:  benchgen.Generate(bspec, r.Scale, r.Seed),
-		Options: opts,
-		Timeout: timeout,
-		Label:   r.Label,
-		Trace:   r.Trace,
-		Payload: payload,
-		Key:     r.CacheKey(),
-		Model:   r.Model,
-	}, nil
+	spec.Design = benchgen.Generate(bench, r.Scale, r.Seed)
+	return spec, nil
 }
 
 // Rehydrate rebuilds a Spec from a durable payload — the recovery half

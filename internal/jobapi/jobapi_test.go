@@ -74,3 +74,21 @@ func TestToSpecCarriesModel(t *testing.T) {
 		t.Fatalf("rehydrated model %q key %q, want fno32 / %q", re.Model, re.Key, spec.Key)
 	}
 }
+
+// TestCanonicalMatchesToSpec: the design-free path and the full expansion
+// are one derivation — same payload, same key, same normalization.
+func TestCanonicalMatchesToSpec(t *testing.T) {
+	a := Request{Bench: "fft_1", Scale: 0.002, Timeout: "30s"}
+	b := a
+	payload, key, err := a.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := b.ToSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(payload) != string(spec.Payload) || key != spec.Key || a != b {
+		t.Fatalf("Canonical = %s / %q, ToSpec = %s / %q", payload, key, spec.Payload, spec.Key)
+	}
+}

@@ -17,8 +17,7 @@
 //     the job's arena-backed scratch is released on every exit path, so a
 //     killed job returns the engine arena to its pre-job in-use baseline.
 //   - Per-iteration progress (iter, HPWL, overflow, lambda, gamma, stage)
-//     is kept in a bounded ring and fanned out to subscribers (the SSE
-//     stream of cmd/xserve).
+//     is kept in a bounded ring and fanned out to subscribers (Progress).
 //   - Shutdown stops intake, drains queued and running jobs (cancelling
 //     the remainder when its context expires), then tears down the
 //     engines — no goroutines survive it.
@@ -82,6 +81,17 @@ func (s State) String() string {
 
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s >= Succeeded }
+
+// ParseState is the inverse of State.String; ok is false for a name no
+// state prints as.
+func ParseState(name string) (State, bool) {
+	for s := Queued; s <= TimedOut; s++ {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return Failed, false
+}
 
 // Spec describes one placement job.
 type Spec struct {
@@ -186,6 +196,8 @@ func (o Options) withDefaults() Options {
 // Job is one placement unit of work. All accessors are safe for concurrent
 // use.
 type Job struct {
+	*Progress // snapshot ring + subscriber fan-out; closed on terminal state
+
 	id    int64
 	label string
 	spec  Spec
@@ -203,12 +215,6 @@ type Job struct {
 	err       error
 	result    *placer.Result
 	tracer    *obs.Tracer // per-job trace (Spec.Trace); set when running
-	snaps     []placer.Snapshot // progress ring
-	snapStart int               // ring read index
-	snapCount int               // valid entries in ring
-	total     int               // snapshots ever observed
-	subs      map[int]chan placer.Snapshot
-	nextSub   int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -300,56 +306,13 @@ func (j *Job) Status() Status {
 	if j.err != nil {
 		st.Err = j.err.Error()
 	}
-	if j.snapCount > 0 {
-		st.Progress = j.snaps[(j.snapStart+j.snapCount-1)%len(j.snaps)]
-	}
+	st.Progress, _ = j.Last()
 	if j.result != nil {
 		st.Iterations = j.result.Iterations
 		st.HPWL = j.result.HPWL
 		st.Overflow = j.result.Overflow
 	}
 	return st
-}
-
-// Snapshots returns the retained progress history in iteration order (the
-// ring keeps the most recent Options.History entries).
-func (j *Job) Snapshots() []placer.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]placer.Snapshot, j.snapCount)
-	for i := 0; i < j.snapCount; i++ {
-		out[i] = j.snaps[(j.snapStart+i)%len(j.snaps)]
-	}
-	return out
-}
-
-// Subscribe registers a live progress listener with the given channel
-// buffer. Snapshots that arrive while the buffer is full are dropped for
-// that subscriber (a slow SSE client must not stall the placement loop).
-// The channel is closed when the job finishes or unsubscribe is called.
-func (j *Job) Subscribe(buf int) (<-chan placer.Snapshot, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan placer.Snapshot, buf)
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if c, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(c)
-		}
-		j.mu.Unlock()
-	}
 }
 
 // Wait blocks until the job finishes or ctx is done, returning the result
@@ -361,28 +324,6 @@ func (j *Job) Wait(ctx context.Context) (*placer.Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// observe appends one progress snapshot to the ring and fans it out.
-func (j *Job) observe(s placer.Snapshot) {
-	j.mu.Lock()
-	if len(j.snaps) > 0 {
-		if j.snapCount < len(j.snaps) {
-			j.snaps[(j.snapStart+j.snapCount)%len(j.snaps)] = s
-			j.snapCount++
-		} else {
-			j.snaps[j.snapStart] = s
-			j.snapStart = (j.snapStart + 1) % len(j.snaps)
-		}
-	}
-	j.total++
-	for _, ch := range j.subs {
-		select {
-		case ch <- s:
-		default: // slow subscriber: drop rather than stall the GP loop
-		}
-	}
-	j.mu.Unlock()
 }
 
 // begin transitions Queued -> Running; ok is false when the job was
@@ -420,10 +361,7 @@ func (j *Job) finishLocked(res *placer.Result, err error) bool {
 		j.state = Failed
 	}
 	j.finished = time.Now()
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
+	j.Progress.Close()
 	return true
 }
 
@@ -637,9 +575,8 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 		j := &Job{
 			id:        r.ID,
 			label:     r.Label,
+			Progress:  NewProgress(s.opts.History),
 			recovered: true,
-			snaps:     make([]placer.Snapshot, s.opts.History),
-			subs:      make(map[int]chan placer.Snapshot),
 			submitted: r.Submitted,
 			done:      make(chan struct{}),
 		}
@@ -647,7 +584,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 		if r.Terminal() {
 			// History only: restore the terminal state without recounting it
 			// in this process's lifecycle counters.
-			j.state = stateFromString(r.State)
+			j.state, _ = ParseState(r.State) // unknown name: Failed
 			j.cached = r.Cached
 			j.started, j.finished = r.Started, r.Finished
 			if r.Err != "" {
@@ -658,6 +595,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 					Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow,
 				}
 			}
+			j.Progress.Close()
 			close(j.done)
 			continue
 		}
@@ -710,15 +648,6 @@ func (s *Scheduler) rehydrate(r jobstore.JobRecord) (Spec, error) {
 	return spec, nil
 }
 
-func stateFromString(st string) State {
-	for _, s := range []State{Queued, Running, Succeeded, Failed, Canceled, TimedOut} {
-		if s.String() == st {
-			return s
-		}
-	}
-	return Failed
-}
-
 // registerEngineGauges publishes one pooled engine's live accounting as
 // scrape-time gauges. The functions read engine state under the engine's
 // own locks only — a scrape never touches job locks, so it cannot stall
@@ -769,12 +698,11 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	j := &Job{
+		Progress:  NewProgress(s.opts.History),
 		label:     spec.Label,
 		spec:      spec,
 		base:      base,
 		cancel:    cancel,
-		snaps:     make([]placer.Snapshot, s.opts.History),
-		subs:      make(map[int]chan placer.Snapshot),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -973,7 +901,7 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	}
 
 	opts := j.spec.Options
-	opts.Progress = j.observe
+	opts.Progress = j.Add
 	opts.Metrics = s.reg
 	if j.spec.Model != "" {
 		// Attach the shared model through the scheduler's batched

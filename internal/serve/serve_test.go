@@ -321,6 +321,13 @@ func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
 	s := mustNew(t, Options{Engines: 1, QueueCap: 2, EngineWorkers: 1, LaunchOverhead: 0, History: 8})
 	defer s.Shutdown(context.Background())
 
+	// A blocker holds the single engine until the subscription exists, so
+	// the subscribed job cannot run (let alone finish) before Subscribe.
+	blocker, err := s.Submit(Spec{Design: testDesign(t, 800, 3), Options: testOpts(100000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, Running)
 	d := testDesign(t, 100, 6)
 	j, err := s.Submit(Spec{Design: d, Options: testOpts(40)})
 	if err != nil {
@@ -328,12 +335,14 @@ func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
 	}
 	ch, unsub := j.Subscribe(1024)
 	defer unsub()
+	s.Cancel(blocker.ID())
 	var got []placer.Snapshot
 	for sn := range ch { // closed when the job finishes
 		got = append(got, sn)
 	}
-	if len(got) == 0 {
-		t.Fatal("no snapshots streamed")
+	// The buffer outsizes the run, so every iteration was streamed.
+	if res, _ := j.Result(); res == nil || len(got) != res.Iterations {
+		t.Fatalf("streamed %d snapshots, result %+v", len(got), res)
 	}
 	if st := j.Status().State; st != Succeeded {
 		t.Fatalf("job state = %v", st)
