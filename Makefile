@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke bench-trajectory bench-smoke check
+.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke check
 
 all: check
 
@@ -71,13 +71,13 @@ test-oracle:
 # trained in-process with its training-MSE gate, the σ(ω) handoff /
 # determinism / blended-quality placement tests, the facade -model
 # option, and the serving side — registry, model-aware submit, and four
-# concurrent jobs sharing one model through the batched inference path —
-# under the race detector.
+# concurrent jobs taking turns on one shared model — under the race
+# detector.
 test-nn:
 	$(call lane,,TestArtifact|TestLoadRejects|TestGenerateBenchSamples|TestTrainingReducesLoss|TestGeneralizesToUnseenMaps|TestSaveLoadRoundTrip,./internal/nn)
 	$(call lane,,TestNNBlend,./internal/placer)
 	$(call lane,,TestSessionWithFieldModel|TestWithFieldModelTypedErrors|TestStatModelFacade,.)
-	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestBatchedInference,./internal/serve)
+	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestSharedModelAcrossJobs,./internal/serve)
 	$(call lane,-race,TestSubmitModelValidation|TestModelJobOverHTTP,./cmd/xserve)
 
 # Short fuzz pass over the byte-level trust boundaries — the file-format
@@ -98,27 +98,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct
 
-# The repo benchmark (BENCHMARK.json): six workloads, client-observed and
-# per-layer metrics; `go run ./benchmark --workload serve-open` runs one.
+# The repo benchmark (BENCHMARK.json), the one way to measure: six
+# workloads, client-observed and per-layer metrics; `go run ./benchmark
+# --workload serve-open` runs one.
 benchmark:
 	$(GO) run ./benchmark
-
-# Bench trajectory: the pinned nine-config run (DREAMPlace-style baseline,
-# Xplace without operator combination, full Xplace, the compute-backend
-# ablation: float32, spectral truncation, adaptive grid, and all three
-# combined, plus the LB/UB alternation strategy and the Xplace-NN blended
-# flow) on adaptec1, written as a machine-readable record with the
-# poisson512 micro timings. Re-baselining BENCH_8.json is a deliberate
-# act: run this target and commit the diff alongside the change that
-# moved the numbers.
-BENCH_BASELINE ?= BENCH_8.json
-bench-trajectory:
-	$(GO) run ./cmd/xbench -json $(BENCH_BASELINE)
-
-# Bench smoke gate (CI): re-run the trajectory and fail on schema drift,
-# >5% HPWL regression, or any launch-count change at equal iterations
-# against the checked-in baseline.
-bench-smoke:
-	$(GO) run ./cmd/xbench -check $(BENCH_BASELINE)
 
 check: vet build race

@@ -15,6 +15,18 @@ import (
 	"xplace/internal/placer"
 )
 
+// wantNoAllocs fails the test when a warm GP iteration touched the Go heap.
+// Under the race detector the count is not asserted: there sync.Pool.Put
+// drops a quarter of its objects at random, so the kernel's per-launch
+// WaitGroup pool refills from the heap about once per iteration. The
+// iterations still run, which is what the detector needs.
+func wantNoAllocs(t *testing.T, what string, allocs float64) {
+	t.Helper()
+	if allocs != 0 && !raceDetector {
+		t.Errorf("%s allocs = %v, want 0", what, allocs)
+	}
+}
+
 // TestSteadyStateIterationAllocFree: one full Xplace GP iteration (fused
 // wirelength + gradient, density solve, deferred metrics sync) performs
 // zero heap allocations once warm.
@@ -35,9 +47,7 @@ func TestSteadyStateIterationAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state GP iteration allocs = %v, want 0", allocs)
-	}
+	wantNoAllocs(t, "steady-state GP iteration", allocs)
 }
 
 // TestInstrumentedIterationAllocFree: the metrics path is all-atomics, so
@@ -64,12 +74,10 @@ func TestInstrumentedIterationAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("metrics-instrumented GP iteration allocs = %v, want 0", allocs)
-	}
+	wantNoAllocs(t, "metrics-instrumented GP iteration", allocs)
 }
 
-// TestPoissonSolveAllocFree: the full spectral solve — including the v2
+// TestPoissonSolveAllocFree: the full spectral solve — including the
 // batched potential/field evaluation — stays off the Go heap once the
 // plan's arena-backed scratch is warm.
 func TestPoissonSolveAllocFree(t *testing.T) {

@@ -11,8 +11,6 @@
 //	-figure 3  FNO training curve, parameter count, resolution transfer
 //	           and flip trick (Figure 3 / §4.3)
 //	-figure r  the early-stage r = lambda|gradD|/|gradWL| trace (§3.1.4)
-//	-spectral  v1-vs-v2 spectral engine ablation (DCT round trip and
-//	           batched Poisson field evaluation, 256-1024 grids)
 //	-all       everything
 //
 // GP seconds are SIMULATED seconds: parallel compute plus kernel-launch
@@ -25,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -35,11 +32,7 @@ import (
 	"xplace"
 	"xplace/internal/backend"
 	"xplace/internal/benchgen"
-	"xplace/internal/dct"
-	"xplace/internal/field"
-	"xplace/internal/geom"
 	"xplace/internal/kernel"
-	"xplace/internal/obs"
 	"xplace/internal/placer"
 )
 
@@ -53,21 +46,14 @@ var (
 	quick     = flag.Bool("quick", false, "run a 3-design subset of each suite")
 	table     = flag.Int("table", 0, "regenerate one table (1-4)")
 	figure    = flag.String("figure", "", "regenerate one figure (2, 3, r)")
-	substrate = flag.Bool("substrate", false, "report execution-substrate stats (arena, per-op allocs)")
-	spectral  = flag.Bool("spectral", false, "report the spectral-engine ablation (v1 vs v2 transforms)")
 	all       = flag.Bool("all", false, "regenerate every table and figure")
-	jsonOut   = flag.String("json", "", "run the bench trajectory and write its machine-readable record (BENCH_*.json) to this file")
-	checkRec  = flag.String("check", "", "run the bench trajectory and compare it against this baseline record; non-zero exit on regression")
-	checkTol  = flag.Float64("check-tol", 0.05, "HPWL regression tolerance for -check (0.05 = 5%)")
-	benchNote = flag.String("note", "", "free-form note stored in the -json record")
-	backendN  = flag.String("backend", "", "compute backend for the table/figure runs: float64 | float32 (default follows XPLACE_BACKEND; the pinned trajectory configs set their own)")
-	strategyN = flag.String("strategy", "", "GP strategy for the Xplace table rows: nesterov | lbub (the pinned trajectory configs set their own)")
-	modelPath = flag.String("model", "", "trained field-model artifact for the Xplace-NN column and the nn-blend trajectory config (default: train a small FNO in-process)")
+	backendN  = flag.String("backend", "", "compute backend for the table/figure runs: float64 | float32 (default follows XPLACE_BACKEND)")
+	strategyN = flag.String("strategy", "", "GP strategy for the Xplace table rows: nesterov | lbub")
+	modelPath = flag.String("model", "", "trained field-model artifact for the Xplace-NN column (default: train a small FNO in-process)")
 )
 
 // runStrategy is the parsed -strategy choice applied to the Xplace rows of
-// the flow tables and the substrate report (the default Strategy zero
-// value when the flag is unset).
+// the flow tables (the default Strategy zero value when the flag is unset).
 var runStrategy xplace.Strategy
 
 // defaultPlacement is xplace.DefaultPlacement with the -strategy override
@@ -95,8 +81,6 @@ func main() {
 		// The tables and figures build many configs through many helpers;
 		// rather than threading the choice through each one, set the
 		// process default every backend.Resolve(nil) call site follows.
-		// The pinned trajectory configs are unaffected: they set an
-		// explicit Backend so the gate never depends on the environment.
 		os.Setenv(backend.EnvVar, *backendN)
 	}
 	if st, err := xplace.ParseStrategy(*strategyN); err != nil {
@@ -105,11 +89,7 @@ func main() {
 	} else {
 		runStrategy = st
 	}
-	if *jsonOut != "" || *checkRec != "" {
-		benchTrajectory()
-		return
-	}
-	if !*all && *table == 0 && *figure == "" && !*substrate && !*spectral {
+	if !*all && *table == 0 && *figure == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -134,374 +114,6 @@ func main() {
 	if *all || *figure == "r" {
 		figureR()
 	}
-	if *all || *substrate {
-		substrateReport()
-	}
-	if *all || *spectral {
-		spectralReport()
-	}
-}
-
-// ----------------------------------------------------------- bench trajectory
-
-// Bench-trajectory constants. They are pinned — bench, scale, iteration
-// count and worker count all feed the operator schedule, and the checked-in
-// BENCH_*.json baseline plus the CI bench-smoke lane assume bit-identical
-// runs (same chunk boundaries -> same FP sums -> same OS skip decisions ->
-// same launch counts).
-const (
-	trajBench   = "adaptec1"
-	trajScale   = 0.004
-	trajIters   = 60
-	trajWorkers = 4
-)
-
-// trajF32Tol is the in-trajectory float32-vs-float64 HPWL gate: at the
-// pinned iteration count the fast-path trajectory must stay within this
-// relative band of the reference (mid-convergence trajectories diverge
-// more than converged ones, so this is looser than the 1% quality gates
-// the to-convergence tests apply).
-const trajF32Tol = 0.05
-
-// In-trajectory cross-strategy band: at the pinned round count the LB/UB
-// oracle's rough-legalized HPWL sits well above the mid-convergence
-// gradient flow (the flow's cells have not spread yet — overflow ~0.8 —
-// while the UB is already fully binned; measured ratio ~3.8). The band is
-// deliberately coarse: the tight quality gate is the to-convergence oracle
-// test (make test-oracle); this one only catches a strategy collapsing or
-// exploding inside the bench lane.
-const (
-	trajLBUBRatioHigh = 6.0
-	trajLBUBRatioLow  = 2.0
-)
-
-// In-trajectory NN-blend band: at the pinned iteration count the blended
-// trajectory sits close to the numerical reference (measured ~1.8% below
-// it — the predicted field is a smooth low-frequency stand-in, not a
-// different objective). The band is coarse on purpose: the tight quality
-// gate is the to-convergence test in the nn lane (make test-nn); this one
-// catches the blend path breaking inside the bench lane.
-const trajNNTol = 0.10
-
-// trajConfigs are the placer configurations the trajectory compares. The
-// first three reproduce the paper's operator ablation: the DREAMPlace-style
-// autograd baseline, Xplace with operator combination (OC) disabled, and
-// full Xplace — the launch-count gap between the last two is the OC saving
-// (§3.1.1) made machine-checkable. The remaining four isolate the compute-
-// backend fast path: float32 precision alone, spectral truncation alone,
-// the adaptive bin grid alone, and all three together. The last two track
-// the alternative placement paths on the same pinned design: the LB/UB
-// alternation strategy (the CI quality oracle) and the Xplace-NN blended
-// flow (σ(ω)-weighted predicted field in the early stage, via the pinned
-// in-process FNO or -model). Every config pins its Backend explicitly so
-// the record never depends on XPLACE_BACKEND.
-func trajConfigs() []struct {
-	name string
-	opts xplace.PlacementOptions
-} {
-	ref := func() xplace.PlacementOptions {
-		o := xplace.DefaultPlacement()
-		o.Backend = xplace.Float64Backend()
-		return o
-	}
-	base := xplace.BaselinePlacement()
-	base.Backend = xplace.Float64Backend()
-	unfused := ref()
-	unfused.OperatorCombination = false
-	f32 := xplace.DefaultPlacement()
-	f32.Backend = xplace.Float32Backend()
-	trunc := ref()
-	trunc.SpectralTruncation = true
-	adaptive := ref()
-	adaptive.AdaptiveGrid = true
-	fast := xplace.DefaultPlacement()
-	fast.Backend = xplace.Float32Backend()
-	fast.SpectralTruncation = true
-	fast.AdaptiveGrid = true
-	lbub := ref()
-	lbub.Strategy = xplace.StrategyLBUB
-	nn := ref()
-	nn.Predictor = fieldPredictor()
-	return []struct {
-		name string
-		opts xplace.PlacementOptions
-	}{
-		{"baseline", base},
-		{"xplace-unfused", unfused},
-		{"xplace", ref()},
-		{"xplace-f32", f32},
-		{"xplace-trunc", trunc},
-		{"xplace-adaptive", adaptive},
-		{"xplace-fast", fast},
-		{"xplace-lbub", lbub},
-		{"xplace-nn", nn},
-	}
-}
-
-// benchTrajectory runs the pinned three-config trajectory and emits the
-// machine-readable record (-json) and/or gates it against a checked-in
-// baseline (-check): schema validation, HPWL regression beyond -check-tol,
-// and any launch-count drift at equal iterations all fail the run.
-func benchTrajectory() {
-	d, err := xplace.GenerateBenchmark(trajBench, trajScale, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xbench:", err)
-		os.Exit(1)
-	}
-	rec := xplace.BenchRecord{Schema: obs.BenchSchema, Note: *benchNote}
-	for _, c := range trajConfigs() {
-		e := kernel.New(kernel.Options{
-			Workers:        trajWorkers,
-			LaunchOverhead: time.Duration(*launchUS) * time.Microsecond,
-		})
-		opts := c.opts
-		opts.Seed = *seed
-		p, err := placer.New(d, e, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		res, err := p.RunIterations(trajIters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		rec.Runs = append(rec.Runs, xplace.BenchRun{
-			Config:     c.name,
-			Bench:      trajBench,
-			Backend:    opts.Backend.Name(),
-			Scale:      trajScale,
-			Seed:       *seed,
-			Workers:    trajWorkers,
-			LaunchUS:   *launchUS,
-			Iterations: res.Iterations,
-			HPWL:       res.HPWL,
-			Overflow:   res.Overflow,
-			WallMS:     float64(res.WallTime.Microseconds()) / 1000,
-			SimMS:      float64(res.SimTime.Microseconds()) / 1000,
-			Launches:   res.Stats.Launches,
-			Syncs:      res.Stats.Syncs,
-			ArenaPeak:  res.Stats.Arena.Peak,
-		})
-		fmt.Printf("%-16s HPWL %.6g  ovfl %.3f  launches %d  sim %.1fms\n",
-			c.name, res.HPWL, res.Overflow, res.Stats.Launches,
-			float64(res.SimTime.Microseconds())/1000)
-		p.Close()
-		e.Close()
-	}
-
-	if fused, ok := rec.Run("xplace"); ok {
-		if unfused, ok := rec.Run("xplace-unfused"); ok && fused.Launches >= unfused.Launches {
-			fmt.Fprintf(os.Stderr, "xbench: OC regression: fused config launched %d kernels, unfused %d — operator combination saved nothing\n",
-				fused.Launches, unfused.Launches)
-			os.Exit(1)
-		}
-		// In-trajectory precision gate: the float32 fast path must track
-		// the float64 reference within trajF32Tol at the pinned iteration
-		// count, in both directions — large drift either way means the
-		// reduced-precision pipeline broke, not that it got lucky.
-		if f32, ok := rec.Run("xplace-f32"); ok {
-			if rel := abs(f32.HPWL-fused.HPWL) / fused.HPWL; rel > trajF32Tol {
-				fmt.Fprintf(os.Stderr, "xbench: float32 drift: HPWL %.6g vs float64 %.6g (%.1f%% > %.0f%%)\n",
-					f32.HPWL, fused.HPWL, rel*100, trajF32Tol*100)
-				os.Exit(1)
-			}
-		}
-		// NN-blend gate: the blended trajectory must track the numerical
-		// reference within the coarse band — drift means the σ(ω) blend or
-		// the predictor itself broke.
-		if nnRun, ok := rec.Run("xplace-nn"); ok {
-			if rel := abs(nnRun.HPWL-fused.HPWL) / fused.HPWL; rel > trajNNTol {
-				fmt.Fprintf(os.Stderr, "xbench: nn-blend drift: HPWL %.6g vs numerical %.6g (%.1f%% > %.0f%%)\n",
-					nnRun.HPWL, fused.HPWL, rel*100, trajNNTol*100)
-				os.Exit(1)
-			}
-		}
-		// Cross-strategy gate: the LB/UB oracle runs a structurally
-		// different algorithm on the same pinned design; a ratio outside
-		// the coarse band means one of the two placers broke.
-		if lbub, ok := rec.Run("xplace-lbub"); ok {
-			if ratio := lbub.HPWL / fused.HPWL; ratio > trajLBUBRatioHigh || ratio < trajLBUBRatioLow {
-				fmt.Fprintf(os.Stderr, "xbench: cross-strategy drift: lbub HPWL %.6g vs xplace %.6g (ratio %.2f outside [%.1f, %.1f])\n",
-					lbub.HPWL, fused.HPWL, ratio, trajLBUBRatioLow, trajLBUBRatioHigh)
-				os.Exit(1)
-			}
-		}
-	}
-
-	rec.Micro = poissonMicro()
-
-	if *jsonOut != "" {
-		fh, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteBenchRecord(fh, rec); err != nil {
-			fh.Close()
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		if err := fh.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *jsonOut)
-	}
-	if *checkRec != "" {
-		fh, err := os.Open(*checkRec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		baseline, err := obs.ReadBenchRecord(fh)
-		fh.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		if err := obs.CompareBenchRecords(baseline, rec, *checkTol); err != nil {
-			fmt.Fprintf(os.Stderr, "xbench: bench-smoke gate failed vs %s:\n%v\n", *checkRec, err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench-smoke gate passed vs %s (tol %.0f%%)\n", *checkRec, *checkTol*100)
-	}
-}
-
-// poissonMicro times the 512-grid Poisson solve (the GP hot loop's
-// dominant spectral kernel) across the backend/truncation ablation:
-// float64 vs float32 element storage, full spectrum vs the early-stage
-// half-band truncation. Wall times are machine-dependent — the smoke gate
-// ignores them — but the ratios document where the fast path's time goes.
-func poissonMicro() []obs.BenchMicro {
-	const n = 512
-	var out []obs.BenchMicro
-	for _, be := range []xplace.ComputeBackend{xplace.Float64Backend(), xplace.Float32Backend()} {
-		e := kernel.New(kernel.Options{Workers: trajWorkers})
-		grid := geom.NewGrid(geom.Rect{Hx: 1, Hy: 1}, n, n)
-		s := field.NewSystemOn(grid, e, be)
-		for i := range s.Total {
-			s.Total[i] = float64(i%23)*0.07 - 0.5
-		}
-		for _, variant := range []string{"full", "truncated"} {
-			if variant == "truncated" {
-				s.SetTruncation(n/2, n/2)
-			}
-			s.SolvePoisson(e) // warm the plans and scratch
-			// Best of five 100ms windows: scheduler noise only ever slows a
-			// window down, so the minimum is the stable estimate.
-			ms := math.Inf(1)
-			for w := 0; w < 5; w++ {
-				reps := 0
-				start := time.Now()
-				for time.Since(start) < 100*time.Millisecond {
-					s.SolvePoisson(e)
-					reps++
-				}
-				if v := float64(time.Since(start).Microseconds()) / 1000 / float64(reps); v < ms {
-					ms = v
-				}
-			}
-			out = append(out, obs.BenchMicro{
-				Name: "poisson512", Backend: be.Name(), Variant: variant, Grid: n, MS: ms,
-			})
-			fmt.Printf("%-16s %s/%s  %.2f ms/solve\n", "poisson512", be.Name(), variant, ms)
-		}
-		s.Release(e)
-		e.Close()
-	}
-	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// --------------------------------------------------------------- spectral
-
-// spectralReport times the two spectral engines (DESIGN.md §5): the v1
-// mirrored length-2N FFT with per-column gather against the v2 Makhoul
-// real-even kernels with the tiled column transpose, on the forward+inverse
-// round trip and on the batched Poisson field evaluation.
-func spectralReport() {
-	fmt.Println("== Spectral engine ablation: v1 (mirrored FFT) vs v2 (Makhoul + tiled) ==")
-	fmt.Println("(wall time per call, single-threaded; the GP hot path runs the")
-	fmt.Println(" field evaluation once per iteration)")
-	fmt.Println()
-	fmt.Printf("%-8s %6s | %14s %14s %8s\n", "op", "grid", "v1 ms", "v2 ms", "v1/v2")
-	timeOp := func(f func()) float64 {
-		f() // warm scratch
-		reps := 1
-		start := time.Now()
-		for time.Since(start) < 200*time.Millisecond {
-			f()
-			reps++
-		}
-		return float64(time.Since(start).Microseconds()) / 1000 / float64(reps)
-	}
-	for _, n := range []int{256, 512, 1024} {
-		f := make([]float64, n*n)
-		for i := range f {
-			f[i] = float64(i%17) * 0.1
-		}
-		coef := make([]float64, n*n)
-		out := make([]float64, n*n)
-		ex := make([]float64, n*n)
-		ey := make([]float64, n*n)
-		sx := make([]float64, n)
-		sy := make([]float64, n)
-		for i := range sx {
-			sx[i] = float64(i) / float64(n)
-			sy[i] = float64(i) / float64(n)
-		}
-		p1, p2 := dct.NewPlanV1(n, n), dct.NewPlan(n, n)
-		rt1 := timeOp(func() { p1.DCT2(f, coef, nil); p1.EvalCosCos(coef, out, nil) })
-		rt2 := timeOp(func() { p2.DCT2(f, coef, nil); p2.EvalCosCos(coef, out, nil) })
-		fmt.Printf("%-8s %6d | %14.2f %14.2f %7.2fx\n", "dct+idct", n, rt1, rt2, rt1/rt2)
-		fe1 := timeOp(func() { p1.EvalPotentialField(coef, sx, sy, out, ex, ey, nil) })
-		fe2 := timeOp(func() { p2.EvalPotentialField(coef, sx, sy, out, ex, ey, nil) })
-		fmt.Printf("%-8s %6d | %14.2f %14.2f %7.2fx\n", "field", n, fe1, fe2, fe1/fe2)
-	}
-	fmt.Println()
-}
-
-// -------------------------------------------------------------- substrate
-
-// substrateReport runs a short GP on each engine mode and prints the
-// execution-substrate accounting: launches, buffer-arena traffic (hits /
-// misses / peak bytes), and per-op arena checkout counts. The Xplace path
-// is expected to show zero steady-state arena traffic (all hot-loop
-// scratch is persistent), while the autograd baseline checks backward
-// scratch out of the arena every iteration.
-func substrateReport() {
-	fmt.Println("== Execution substrate: worker pool + buffer arena ==")
-	d, _ := xplace.GenerateBenchmark("adaptec1", *scale2005, *seed)
-	for _, mode := range []struct {
-		name string
-		opts xplace.PlacementOptions
-	}{
-		{"Xplace", defaultPlacement()},
-		{"DREAMPlace-style baseline", xplace.BaselinePlacement()},
-	} {
-		e := engine()
-		opts := mode.opts
-		opts.Seed = *seed
-		p, err := placer.New(d, e, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "substrate:", err)
-			return
-		}
-		if _, err := p.RunIterations(50); err != nil {
-			fmt.Fprintln(os.Stderr, "substrate:", err)
-			return
-		}
-		fmt.Printf("\n-- %s (50 iters, %d workers) --\n%s", mode.name, e.Workers(), e.Stats())
-		e.Close()
-	}
-	fmt.Println()
 }
 
 func subset(specs []benchgen.Spec, n int) []benchgen.Spec {
@@ -577,11 +189,9 @@ var (
 	pred     xplace.FieldPredictor
 )
 
-// fieldPredictor returns the predictor behind the Xplace-NN column and
-// the nn-blend trajectory config: the -model artifact when one is given,
-// else a small FNO trained in-process with pinned hyperparameters — fully
-// deterministic at a given -seed, which is what lets the nn-blend config
-// live in the checked-in BENCH_*.json baseline.
+// fieldPredictor returns the predictor behind the Xplace-NN column: the
+// -model artifact when one is given, else a small FNO trained in-process
+// with pinned hyperparameters — fully deterministic at a given -seed.
 func fieldPredictor() xplace.FieldPredictor {
 	predOnce.Do(func() {
 		if *modelPath != "" {

@@ -115,8 +115,8 @@ func TestModelJobOverHTTP(t *testing.T) {
 	if scrapeMetric(t, srv.URL, "xserve_nn_jobs_total") != 1 {
 		t.Error("xserve_nn_jobs_total != 1 after a model job")
 	}
-	if scrapeMetric(t, srv.URL, "xserve_nn_batch_requests_total") <= 0 {
-		t.Error("model job made no batched PredictField requests")
+	if scrapeMetric(t, srv.URL, "xserve_nn_inference_total") <= 0 {
+		t.Error("model job made no PredictField calls")
 	}
 
 	// The same placement without the model must MISS the cache (the model

@@ -1,11 +1,9 @@
 package dct
 
 // Ablation benches (DESIGN.md §5.2): the FFT-based DCT against the naive
-// O(n^2) transform it replaces, and the v2 spectral engine (Makhoul
-// kernels + tiled column transpose) against the v1 mirrored-FFT path.
+// O(n^2) transform it replaces.
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -65,42 +63,5 @@ func BenchmarkAblationDCTFFT128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.DCT2(f, out, Serial)
-	}
-}
-
-// BenchmarkAblationSpectral: v1 vs v2 forward+inverse round trip across the
-// production grid sizes (the placer runs 256-1024 square grids).
-func BenchmarkAblationSpectral(b *testing.B) {
-	for _, pv := range planVersions {
-		for _, n := range []int{256, 512, 1024} {
-			b.Run(fmt.Sprintf("%s/%d", pv.name, n), func(b *testing.B) {
-				benchRoundTrip(b, pv.mk(n, n), n)
-			})
-		}
-	}
-}
-
-// BenchmarkAblationFieldEval: the full Poisson evaluation (psi, Ex, Ey) —
-// batched two-pass sweep on v2 vs the sequential three-transform fallback
-// on v1.
-func BenchmarkAblationFieldEval(b *testing.B) {
-	for _, pv := range planVersions {
-		for _, n := range []int{256, 512} {
-			b.Run(fmt.Sprintf("%s/%d", pv.name, n), func(b *testing.B) {
-				p := pv.mk(n, n)
-				coef := randGrid(n, n, 3)
-				sx := randGrid(n, 1, 5)
-				sy := randGrid(n, 1, 7)
-				psi := make([]float64, n*n)
-				ex := make([]float64, n*n)
-				ey := make([]float64, n*n)
-				p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-				}
-			})
-		}
 	}
 }

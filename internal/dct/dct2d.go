@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// tileW is the column-tile width of the v2 column pass: the cache-blocked
+// tileW is the column-tile width of the column pass: the cache-blocked
 // transpose gathers tileW adjacent columns per block so every read of the
 // intermediate matrix is a contiguous tileW-wide run instead of a stride-Nx
 // element gather. 16 float64 = two cache lines per row touched.
@@ -22,23 +22,14 @@ const tileW = 16
 // bytes visible in the engine's accounting. Transforms are serialized by an
 // internal mutex, keeping a Plan safe for concurrent use.
 //
-// Two spectral engines are implemented behind the same API:
-//
-//	v2 (NewPlan, the default): Makhoul real-even kernels — the forward
-//	DCT-II runs a packed length-N/2 complex FFT per row and the evaluation
-//	transforms one length-N inverse FFT (see makhoul.go) — and a
-//	cache-blocked transpose column pass (tileW columns per block).
-//	v1 (NewPlanV1, kept for ablation): mirrored length-2N complex FFT per
-//	row and a per-column element-wise gather.
+// The row kernels are Makhoul's real-even transforms — the forward DCT-II
+// runs a packed length-N/2 complex FFT per row and the evaluation
+// transforms one length-N inverse FFT (see makhoul.go) — and the column
+// pass is a cache-blocked transpose (tileW columns per block).
 type Plan struct {
-	Nx, Ny  int
-	version int
+	Nx, Ny int
 
-	// v1 FFT plans (mirrored/zero-padded transforms).
-	rowFFT *fftPlan // length 2*Nx
-	colFFT *fftPlan // length 2*Ny
-
-	// v2 FFT plans (packed real / full-length transforms).
+	// FFT plans (packed real / full-length transforms).
 	rowHalf *fftPlan // length Nx/2 (nil when Nx < 4)
 	rowFull *fftPlan // length Nx
 	colHalf *fftPlan // length Ny/2 (nil when Ny < 4)
@@ -48,7 +39,7 @@ type Plan struct {
 	cosHx, sinHx []float64
 	cosHy, sinHy []float64
 
-	// v2 real-FFT unpack twiddles e^{-2*pi*i*k/N}, k = 0..N/2-1.
+	// Real-FFT unpack twiddles e^{-2*pi*i*k/N}, k = 0..N/2-1.
 	unpX, unpY []complex128
 
 	mu   sync.Mutex
@@ -56,10 +47,10 @@ type Plan struct {
 	tmp2 []float64 // second intermediate for the batched field evaluation
 
 	// Per-chunk scratch, grown on demand to the launcher's worker count.
-	scratch [][]complex128 // FFT buffer: max(nx,ny) (v2) or 2*max (v1)
+	scratch [][]complex128 // FFT buffer: max(nx,ny)
 	rowReal [][]float64    // real staging row: max(nx,ny)
-	tileIn  [][]float64    // gathered input columns: tileW*ny (ny for v1)
-	tileOut [][]float64    // transformed columns:    tileW*ny (ny for v1)
+	tileIn  [][]float64    // gathered input columns: tileW*ny
+	tileOut [][]float64    // transformed columns:    tileW*ny
 	// Field-evaluation tiles, grown only once EvalPotentialField is used.
 	tileIn2  [][]float64 // gathered tmp2 columns (Ex input)
 	tileOutB [][]float64 // Ex output columns
@@ -68,9 +59,8 @@ type Plan struct {
 	// Per-transform parameters consumed by the persistent bodies. Stored in
 	// fields (rather than captured by per-call closures) so launching a
 	// transform does not allocate.
-	src, dst   []float64
-	sinX, sinY bool
-	forward    bool
+	src, dst []float64
+	forward  bool
 
 	// Batched field-evaluation parameters.
 	coefIn, sx, sy       []float64
@@ -79,14 +69,12 @@ type Plan struct {
 
 	rowsBody, colsBody           func(chunk, start, end int)
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
-	scaleXBody, scaleYBody       func(start, end int)
 }
 
 // Launcher abstracts kernel.Engine for data-parallel execution so this
 // package stays dependency-free. LaunchChunks hands each worker a chunk
 // index (used to select private scratch); Workers bounds those indices.
 type Launcher interface {
-	Launch(name string, n int, body func(start, end int))
 	LaunchChunks(name string, n int, body func(chunk, start, end int)) int
 	Workers() int
 }
@@ -105,24 +93,12 @@ type ArenaLauncher interface {
 	FreeComplex(buf []complex128)
 }
 
-// NewPlan creates a v2 (Makhoul + tiled transpose) transform plan for an
-// Nx x Ny grid.
-func NewPlan(nx, ny int) *Plan { return newPlan(nx, ny, 2) }
-
-// NewPlanV1 creates a plan using the original mirrored-FFT row kernels and
-// element-wise column gather. Kept for ablation benchmarks and as a
-// reference implementation; produces identical results to NewPlan.
-func NewPlanV1(nx, ny int) *Plan { return newPlan(nx, ny, 1) }
-
-// Version reports the spectral engine revision (1 or 2) behind this plan.
-func (p *Plan) Version() int { return p.version }
-
 // SetFieldRowCutoff declares that the caller zeroes every field-evaluation
 // coefficient with row index v >= ky before calling EvalPotentialField, so
-// a v2 plan's rows pass may skip transforming those rows (a zero row
-// transforms to exactly zero, so the skip is bit-identical to evaluating
-// the truncated spectrum in full). ky <= 0 or ky >= Ny restores the full
-// evaluation; v1 plans ignore the cutoff. Sticky until changed.
+// the rows pass may skip transforming those rows (a zero row transforms to
+// exactly zero, so the skip is bit-identical to evaluating the truncated
+// spectrum in full). ky <= 0 or ky >= Ny restores the full evaluation.
+// Sticky until changed.
 func (p *Plan) SetFieldRowCutoff(ky int) {
 	p.mu.Lock()
 	if ky <= 0 || ky >= p.Ny {
@@ -138,30 +114,25 @@ func zeroRow(s []float64) {
 	}
 }
 
-func newPlan(nx, ny, version int) *Plan {
+// NewPlan creates a transform plan for an Nx x Ny grid.
+func NewPlan(nx, ny int) *Plan {
 	if nx <= 0 || ny <= 0 || nx&(nx-1) != 0 || ny&(ny-1) != 0 {
 		panic(fmt.Sprintf("dct: grid %dx%d must be powers of two", nx, ny))
 	}
-	p := &Plan{Nx: nx, Ny: ny, version: version}
+	p := &Plan{Nx: nx, Ny: ny}
 	p.cosHx, p.sinHx = halfTwiddles(nx)
 	p.cosHy, p.sinHy = halfTwiddles(ny)
-	if version == 1 {
-		p.rowFFT = newFFTPlan(2 * nx)
-		p.colFFT = newFFTPlan(2 * ny)
-		p.buildV1Bodies()
-	} else {
-		p.rowFull = newFFTPlan(nx)
-		p.colFull = newFFTPlan(ny)
-		if nx >= 4 {
-			p.rowHalf = newFFTPlan(nx / 2)
-		}
-		if ny >= 4 {
-			p.colHalf = newFFTPlan(ny / 2)
-		}
-		p.unpX = unpackTwiddles(nx)
-		p.unpY = unpackTwiddles(ny)
-		p.buildV2Bodies()
+	p.rowFull = newFFTPlan(nx)
+	p.colFull = newFFTPlan(ny)
+	if nx >= 4 {
+		p.rowHalf = newFFTPlan(nx / 2)
 	}
+	if ny >= 4 {
+		p.colHalf = newFFTPlan(ny / 2)
+	}
+	p.unpX = unpackTwiddles(nx)
+	p.unpY = unpackTwiddles(ny)
+	p.buildBodies()
 	p.buildFieldBodies()
 	return p
 }
@@ -181,42 +152,7 @@ func unpackTwiddles(n int) []complex128 {
 	return w
 }
 
-func (p *Plan) buildV1Bodies() {
-	nx := p.Nx
-	p.rowsBody = func(chunk, lo, hi int) {
-		scratch := p.scratch[chunk][:2*nx]
-		if p.forward {
-			for y := lo; y < hi; y++ {
-				dctIIRow(p.src[y*nx:(y+1)*nx], p.tmp[y*nx:(y+1)*nx], p.rowFFT, scratch, p.cosHx, p.sinHx)
-			}
-		} else {
-			for v := lo; v < hi; v++ {
-				evalRow(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], p.rowFFT, scratch, p.cosHx, p.sinHx, p.sinX)
-			}
-		}
-	}
-	p.colsBody = func(chunk, lo, hi int) {
-		ny := p.Ny
-		scratch := p.scratch[chunk]
-		col := p.tileIn[chunk]
-		out := p.tileOut[chunk]
-		for x := lo; x < hi; x++ {
-			for y := 0; y < ny; y++ {
-				col[y] = p.tmp[y*nx+x]
-			}
-			if p.forward {
-				dctIIRow(col, out, p.colFFT, scratch[:2*ny], p.cosHy, p.sinHy)
-			} else {
-				evalRow(col, out, p.colFFT, scratch[:2*ny], p.cosHy, p.sinHy, p.sinY)
-			}
-			for y := 0; y < ny; y++ {
-				p.dst[y*nx+x] = out[y]
-			}
-		}
-	}
-}
-
-func (p *Plan) buildV2Bodies() {
+func (p *Plan) buildBodies() {
 	nx := p.Nx
 	p.rowsBody = func(chunk, lo, hi int) {
 		scratch := p.scratch[chunk]
@@ -226,20 +162,14 @@ func (p *Plan) buildV2Bodies() {
 			}
 		} else {
 			for v := lo; v < hi; v++ {
-				row := p.src[v*nx : (v+1)*nx]
-				out := p.tmp[v*nx : (v+1)*nx]
-				if p.sinX {
-					evalMakhoul(row, nil, out, p.rowFull, scratch, p.cosHx, p.sinHx)
-				} else {
-					evalMakhoul(row, out, nil, p.rowFull, scratch, p.cosHx, p.sinHx)
-				}
+				evalMakhoul(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], nil, p.rowFull, scratch, p.cosHx, p.sinHx)
 			}
 		}
 	}
 	// Tiled column pass: gather tileW columns into contiguous buffers
 	// (reading the intermediate matrix row by row), run the row kernel on
-	// each buffered column, scatter back. Replaces the v1 per-column
-	// element-wise gather whose every read missed a fresh cache line.
+	// each buffered column, scatter back — a per-column element-wise gather
+	// would miss a fresh cache line on every read.
 	p.colsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
 		scratch := p.scratch[chunk]
@@ -261,8 +191,6 @@ func (p *Plan) buildV2Bodies() {
 				out := tout[b*ny : (b+1)*ny]
 				if p.forward {
 					dctIIMakhoul(col, out, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				} else if p.sinY {
-					evalMakhoul(col, nil, out, p.colFull, scratch, p.cosHy, p.sinHy)
 				} else {
 					evalMakhoul(col, out, nil, p.colFull, scratch, p.cosHy, p.sinHy)
 				}
@@ -277,15 +205,14 @@ func (p *Plan) buildV2Bodies() {
 	}
 }
 
-// buildFieldBodies wires the batched potential/field evaluation. The v2
-// bodies compute all three Poisson outputs (Psi, Ex, Ey) in one two-pass
-// sweep; the v1 scale bodies support the sequential fallback.
+// buildFieldBodies wires the batched potential/field evaluation: all three
+// Poisson outputs (Psi, Ex, Ey) in one two-pass sweep.
 func (p *Plan) buildFieldBodies() {
 	nx := p.Nx
 	// Rows pass (per coefficient row v): the cos-x series of coef feeds both
 	// Psi and Ey (Ey's extra factor sy[v] is constant within a row, so it is
 	// applied in the column pass), and the sin-x series of coef*sx feeds Ex.
-	// Two length-Nx inverse FFTs per row replace v1's three length-2Nx.
+	// Two length-Nx inverse FFTs per row.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
 		scratch := p.scratch[chunk]
 		srow := p.rowReal[chunk][:nx]
@@ -350,27 +277,6 @@ func (p *Plan) buildFieldBodies() {
 			}
 		}
 	}
-	// v1 fallback scale kernels: tmp2 = coefIn * sx[u] (per column) or
-	// * sy[v] (per row), launched over the Ny coefficient rows.
-	p.scaleXBody = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := p.coefIn[v*nx : (v+1)*nx]
-			out := p.tmp2[v*nx : (v+1)*nx]
-			for u := 0; u < nx; u++ {
-				out[u] = row[u] * p.sx[u]
-			}
-		}
-	}
-	p.scaleYBody = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s := p.sy[v]
-			row := p.coefIn[v*nx : (v+1)*nx]
-			out := p.tmp2[v*nx : (v+1)*nx]
-			for u := 0; u < nx; u++ {
-				out[u] = row[u] * s
-			}
-		}
-	}
 }
 
 func (p *Plan) checkSize(buf []float64, what string) {
@@ -412,16 +318,9 @@ func (p *Plan) ensure(L Launcher) {
 	if p.Ny > maxN {
 		maxN = p.Ny
 	}
-	cplx := maxN // v2 kernels need at most N complex values
-	if p.version == 1 {
-		cplx = 2 * maxN // mirrored transforms need 2N
-	}
 	colN := tileW * p.Ny
-	if p.version == 1 {
-		colN = p.Ny // v1 processes one column at a time
-	}
 	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, p.allocC(L, cplx))
+		p.scratch = append(p.scratch, p.allocC(L, maxN))
 		p.rowReal = append(p.rowReal, p.allocF(L, maxN))
 		p.tileIn = append(p.tileIn, p.allocF(L, colN))
 		p.tileOut = append(p.tileOut, p.allocF(L, colN))
@@ -437,9 +336,6 @@ func (p *Plan) ensure(L Launcher) {
 func (p *Plan) ensureField(L Launcher, w int) {
 	if p.tmp2 == nil {
 		p.tmp2 = p.allocF(L, p.Nx*p.Ny)
-	}
-	if p.version == 1 {
-		return // the fallback path reuses the single-transform scratch
 	}
 	colN := tileW * p.Ny
 	for len(p.tileIn2) < w {
@@ -499,47 +395,6 @@ func (p *Plan) run(L Launcher, rowsName, colsName string) {
 	p.src, p.dst = nil, nil
 }
 
-// dctIIRow computes the unnormalized 1-D DCT-II of src into dst using the
-// mirrored length-2N FFT identity (v1 kernel). scratch must have length 2N.
-func dctIIRow(src, dst []float64, fp *fftPlan, scratch []complex128, cosHalf, sinHalf []float64) {
-	n := len(src)
-	for i := 0; i < n; i++ {
-		scratch[i] = complex(src[i], 0)
-		scratch[2*n-1-i] = complex(src[i], 0)
-	}
-	fp.transform(scratch, false)
-	// X_k = 0.5 * Re(e^{-i*pi*k/(2N)} * Y_k)
-	for k := 0; k < n; k++ {
-		re := real(scratch[k])*cosHalf[k] + imag(scratch[k])*sinHalf[k]
-		dst[k] = 0.5 * re
-	}
-}
-
-// evalRow evaluates f_n = sum_u c_u * e^{i*pi*u*(2n+1)/(2N)} for n=0..N-1
-// via one inverse-DFT of length 2N (v1 kernel); the cosine series is the
-// real part and the sine series the imaginary part. wantSin selects which
-// lands in dst.
-func evalRow(coef, dst []float64, fp *fftPlan, scratch []complex128, cosHalf, sinHalf []float64, wantSin bool) {
-	n := len(coef)
-	for u := 0; u < n; u++ {
-		// w_u = c_u * e^{i*pi*u/(2N)}
-		scratch[u] = complex(coef[u]*cosHalf[u], coef[u]*sinHalf[u])
-	}
-	for u := n; u < 2*n; u++ {
-		scratch[u] = 0
-	}
-	fp.transform(scratch, true) // unnormalized inverse: sum_u w_u e^{+2pi i u n / 2N}
-	if wantSin {
-		for i := 0; i < n; i++ {
-			dst[i] = imag(scratch[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			dst[i] = real(scratch[i])
-		}
-	}
-}
-
 // halfTwiddles returns cos/sin of pi*k/(2N) for k = 0..N-1.
 func halfTwiddles(n int) (cosH, sinH []float64) {
 	cosH = make([]float64, n)
@@ -564,19 +419,7 @@ func (p *Plan) DCT2(src, dst []float64, L Launcher) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.src, p.dst, p.forward = src, dst, true
-	if p.version == 1 {
-		p.run(L, "dct2.rows", "dct2.cols")
-	} else {
-		p.run(L, "spectral2.fwd_rows", "spectral2.fwd_cols")
-	}
-}
-
-// eval2D is the shared implementation of the three evaluation transforms.
-// Caller must hold p.mu.
-func (p *Plan) eval2D(coef, dst []float64, L Launcher, sinX, sinY bool, rowsName, colsName string) {
-	p.src, p.dst, p.forward = coef, dst, false
-	p.sinX, p.sinY = sinX, sinY
-	p.run(L, rowsName, colsName)
+	p.run(L, "spectral2.fwd_rows", "spectral2.fwd_cols")
 }
 
 // EvalCosCos evaluates the cos-cos series (inverse DCT direction):
@@ -589,44 +432,8 @@ func (p *Plan) EvalCosCos(coef, dst []float64, L Launcher) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.version == 1 {
-		p.eval2D(coef, dst, L, false, false, "idct2.rows", "idct2.cols")
-	} else {
-		p.eval2D(coef, dst, L, false, false, "spectral2.coscos_rows", "spectral2.coscos_cols")
-	}
-}
-
-// EvalSinCos evaluates the sin-in-x, cos-in-y series (the x electric field):
-// dst[y][x] = sum_{v,u} coef[v][u] sin(pi u (2x+1)/(2Nx)) cos(pi v (2y+1)/(2Ny)).
-func (p *Plan) EvalSinCos(coef, dst []float64, L Launcher) {
-	p.checkSize(coef, "coef")
-	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.version == 1 {
-		p.eval2D(coef, dst, L, true, false, "idsct2.rows", "idsct2.cols")
-	} else {
-		p.eval2D(coef, dst, L, true, false, "spectral2.sincos_rows", "spectral2.sincos_cols")
-	}
-}
-
-// EvalCosSin evaluates the cos-in-x, sin-in-y series (the y electric field).
-func (p *Plan) EvalCosSin(coef, dst []float64, L Launcher) {
-	p.checkSize(coef, "coef")
-	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.version == 1 {
-		p.eval2D(coef, dst, L, false, true, "idcst2.rows", "idcst2.cols")
-	} else {
-		p.eval2D(coef, dst, L, false, true, "spectral2.cossin_rows", "spectral2.cossin_cols")
-	}
+	p.src, p.dst, p.forward = coef, dst, false
+	p.run(L, "spectral2.coscos_rows", "spectral2.coscos_cols")
 }
 
 // EvalPotentialField evaluates the three Poisson-solver output series in one
@@ -637,12 +444,10 @@ func (p *Plan) EvalCosSin(coef, dst []float64, L Launcher) {
 //	ey[y][x]  = sum coef[v][u] * sy[v] * cos_u(x) * sin_v(y)
 //
 // with cos_u(x) = cos(pi*u*(2x+1)/(2*Nx)) etc. sx has length Nx and sy
-// length Ny (the Poisson solver passes the spatial frequencies wu, wv). On
-// a v2 plan the shared cos-x row transform is computed once and each column
-// is gathered once for all three outputs — two launched passes total,
-// versus three independent evaluations (six passes) plus two scale kernels
-// for the unbatched path. A v1 plan falls back to exactly that sequential
-// path, so both versions produce identical results.
+// length Ny (the Poisson solver passes the spatial frequencies wu, wv). The
+// shared cos-x row transform is computed once and each column is gathered
+// once for all three outputs — two launched passes total, versus three
+// independent evaluations (six passes) plus two scale kernels unbatched.
 func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, L Launcher) {
 	p.checkSize(coef, "coef")
 	p.checkSize(psi, "psi")
@@ -663,19 +468,9 @@ func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, L Launche
 	}
 	p.ensureField(L, w)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
-	if p.version == 1 {
-		// Sequential fallback: three evaluations with explicit coefficient
-		// scaling through tmp2 (matches the pre-batching solver structure).
-		p.eval2D(coef, psi, L, false, false, "idct2.rows", "idct2.cols")
-		L.Launch("spectral.scale_x", p.Ny, p.scaleXBody)
-		p.eval2D(p.tmp2, ex, L, true, false, "idsct2.rows", "idsct2.cols")
-		L.Launch("spectral.scale_y", p.Ny, p.scaleYBody)
-		p.eval2D(p.tmp2, ey, L, false, true, "idcst2.rows", "idcst2.cols")
-	} else {
-		p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
-		L.LaunchChunks("spectral2.field_rows", p.Ny, p.fieldRowsBody)
-		L.LaunchChunks("spectral2.field_cols", p.Nx, p.fieldColsBody)
-		p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
-	}
+	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
+	L.LaunchChunks("spectral2.field_rows", p.Ny, p.fieldRowsBody)
+	L.LaunchChunks("spectral2.field_cols", p.Nx, p.fieldColsBody)
+	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
 }

@@ -165,14 +165,6 @@ func TestEvalTransformsMatchDirect(t *testing.T) {
 	if d := maxAbsDiff(got, directEval(c, nx, ny, false, false)); d > 1e-9 {
 		t.Errorf("EvalCosCos max diff %g", d)
 	}
-	p.EvalSinCos(c, got, Serial)
-	if d := maxAbsDiff(got, directEval(c, nx, ny, true, false)); d > 1e-9 {
-		t.Errorf("EvalSinCos max diff %g", d)
-	}
-	p.EvalCosSin(c, got, Serial)
-	if d := maxAbsDiff(got, directEval(c, nx, ny, false, true)); d > 1e-9 {
-		t.Errorf("EvalCosSin max diff %g", d)
-	}
 }
 
 // Property: DCT2 then properly normalized EvalCosCos reconstructs the input

@@ -30,12 +30,6 @@ import (
 // serialLauncher runs bodies inline; used when no engine is supplied.
 type serialLauncher struct{}
 
-func (serialLauncher) Launch(_ string, n int, body func(int, int)) {
-	if n > 0 {
-		body(0, n)
-	}
-}
-
 func (serialLauncher) LaunchChunks(_ string, n int, body func(int, int, int)) int {
 	if n > 0 {
 		body(0, 0, n)

@@ -1,21 +1,21 @@
 package dct
 
-// Makhoul length-N real-even transform kernels — the v2 spectral engine's
+// Makhoul length-N real-even transform kernels — the spectral engine's
 // 1-D building blocks (J. Makhoul, "A fast cosine transform in one and two
 // dimensions", IEEE TASSP 1980; the same formulation the enhanced-FFT
 // placement papers use for the Poisson step).
 //
-// The v1 path computes every DCT-II through a mirrored length-2N complex
+// The textbook route computes a DCT-II through a mirrored length-2N complex
 // FFT: 4N complex butterfly points per row for N real outputs. The kernels
 // here exploit the real/even structure instead:
 //
 //   - Forward (dctIIMakhoul): the even-odd permutation v[j] = x[2j],
 //     v[N-1-j] = x[2j+1] turns the DCT-II into the first N terms of a
 //     length-N DFT of a REAL sequence, which is computed as a packed
-//     length-N/2 complex FFT — about 4x less butterfly work than v1.
+//     length-N/2 complex FFT — about 4x less butterfly work.
 //   - Evaluation (evalMakhoul): the cosine/sine series at the half-sample
 //     points is the real/imaginary part of one length-N complex inverse
-//     FFT (vs v1's zero-padded length-2N inverse), and both series come
+//     FFT (vs a zero-padded length-2N inverse), and both series come
 //     out of the SAME transform, which the batched field evaluation uses.
 
 // dctIIMakhoul computes the unnormalized 1-D DCT-II

@@ -28,9 +28,7 @@ import (
 // modes on coarse grids, the enhanced-FFT placement observation), the
 // batched field evaluation skips those rows' transforms outright — a zero
 // row transforms to exact zeros, so the skip changes no bits of the
-// truncated-spectrum result. Plan32 implements only the v2 (Makhoul +
-// tiled transpose) engine; the v1 mirrored-FFT path stays float64-only as
-// the ablation reference.
+// truncated-spectrum result.
 
 // ArenaLauncher32 is an ArenaLauncher whose allocator also pools the
 // float32 element type (kernel.Engine satisfies it). Plan32 draws its
@@ -42,7 +40,7 @@ type ArenaLauncher32 interface {
 	Free32(buf []float32)
 }
 
-// Plan32 is the float32-backend analogue of a v2 Plan: 2-D DCT-II and the
+// Plan32 is the float32-backend analogue of Plan: 2-D DCT-II and the
 // batched potential/field evaluation over float32 grid buffers, with
 // per-chunk scratch and staged per-call parameters so steady-state
 // transforms are allocation-free. Results match the float64 plan to
@@ -87,7 +85,7 @@ type Plan32 struct {
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
 }
 
-// NewPlan32 creates a float32-backend v2 transform plan for an Nx x Ny
+// NewPlan32 creates a float32-backend transform plan for an Nx x Ny
 // grid (both powers of two).
 func NewPlan32(nx, ny int) *Plan32 {
 	if nx <= 0 || ny <= 0 || nx&(nx-1) != 0 || ny&(ny-1) != 0 {
@@ -195,7 +193,7 @@ func (p *Plan32) buildBodies() {
 			}
 		}
 	}
-	// Batched field evaluation, same two-pass structure as the float64 v2
+	// Batched field evaluation, same two-pass structure as the float64
 	// plan, plus the truncation skip.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
 		scratch := p.scratch[chunk]

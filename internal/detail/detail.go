@@ -332,8 +332,21 @@ func (st *state) ismPass(o Options) {
 	for _, c := range d.MovableCells() {
 		groups[fp{d.CellW[c], d.CellH[c]}] = append(groups[fp{d.CellW[c], d.CellH[c]}], c)
 	}
+	// Groups share nets, so matching one moves the costs the next one sees:
+	// visit them in a fixed (w, h) order, not in map order.
+	keys := make([]fp, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].w != keys[j].w {
+			return keys[i].w < keys[j].w
+		}
+		return keys[i].h < keys[j].h
+	})
 	perms := permutations(o.SetSize)
-	for _, cells := range groups {
+	for _, k := range keys {
+		cells := groups[k]
 		if len(cells) < 2 {
 			continue
 		}

@@ -229,112 +229,3 @@ func TestHistogramLabeled(t *testing.T) {
 		}
 	}
 }
-
-// ----------------------------------------------------------- bench record
-
-func benchRecordFixture() BenchRecord {
-	return BenchRecord{
-		Schema:    BenchSchema,
-		CreatedAt: "2026-08-06T00:00:00Z",
-		Note:      "fixture",
-		Runs: []BenchRun{
-			{Config: "baseline", Bench: "adaptec1", Scale: 0.004, Seed: 1, Workers: 4,
-				LaunchUS: 150, Iterations: 60, HPWL: 123456, Overflow: 0.8,
-				WallMS: 100, SimMS: 400, Launches: 2000, Syncs: 120, ArenaPeak: 1 << 20},
-			{Config: "xplace", Bench: "adaptec1", Scale: 0.004, Seed: 1, Workers: 4,
-				LaunchUS: 150, Iterations: 60, HPWL: 120000, Overflow: 0.8,
-				WallMS: 60, SimMS: 200, Launches: 900, Syncs: 60, ArenaPeak: 1 << 20},
-		},
-	}
-}
-
-func TestBenchRecordRoundTrip(t *testing.T) {
-	rec := benchRecordFixture()
-	var buf bytes.Buffer
-	if err := WriteBenchRecord(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchRecord(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != rec.Schema || len(got.Runs) != len(rec.Runs) {
-		t.Fatalf("round trip mangled record: %+v", got)
-	}
-	for i := range rec.Runs {
-		if got.Runs[i] != rec.Runs[i] {
-			t.Errorf("run %d round trip: got %+v want %+v", i, got.Runs[i], rec.Runs[i])
-		}
-	}
-}
-
-func TestBenchRecordValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*BenchRecord)
-	}{
-		{"bad schema", func(r *BenchRecord) { r.Schema = "xplace-bench/999" }},
-		{"no runs", func(r *BenchRecord) { r.Runs = nil }},
-		{"missing config", func(r *BenchRecord) { r.Runs[0].Config = "" }},
-		{"missing bench", func(r *BenchRecord) { r.Runs[0].Bench = "" }},
-		{"zero iterations", func(r *BenchRecord) { r.Runs[0].Iterations = 0 }},
-		{"bad hpwl", func(r *BenchRecord) { r.Runs[0].HPWL = 0 }},
-		{"zero launches", func(r *BenchRecord) { r.Runs[0].Launches = 0 }},
-		{"micro missing name", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Backend: "float32", MS: 1.5}}
-		}},
-		{"micro missing backend", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Name: "poisson512", MS: 1.5}}
-		}},
-		{"micro bad ms", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Name: "poisson512", Backend: "float32", MS: 0}}
-		}},
-	}
-	for _, tc := range cases {
-		rec := benchRecordFixture()
-		tc.mutate(&rec)
-		if err := rec.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted invalid record", tc.name)
-		}
-	}
-}
-
-func TestCompareBenchRecords(t *testing.T) {
-	base := benchRecordFixture()
-	// Identical records pass.
-	if err := CompareBenchRecords(base, base, 0.05); err != nil {
-		t.Fatalf("self-compare failed: %v", err)
-	}
-	// Small HPWL drift within tolerance passes.
-	cur := benchRecordFixture()
-	cur.Runs[1].HPWL *= 1.04
-	if err := CompareBenchRecords(base, cur, 0.05); err != nil {
-		t.Fatalf("4%% drift rejected at 5%% tolerance: %v", err)
-	}
-	// HPWL regression beyond tolerance fails.
-	cur = benchRecordFixture()
-	cur.Runs[1].HPWL *= 1.10
-	if err := CompareBenchRecords(base, cur, 0.05); err == nil {
-		t.Fatal("10% HPWL regression passed a 5% gate")
-	}
-	// The gate is bidirectional: an unexpectedly BETTER HPWL beyond
-	// tolerance is numeric drift on a pinned config and fails too.
-	cur = benchRecordFixture()
-	cur.Runs[1].HPWL *= 0.90
-	if err := CompareBenchRecords(base, cur, 0.05); err == nil {
-		t.Fatal("10% HPWL improvement passed a 5% drift gate")
-	}
-	// A changed launch count at equal iterations fails (operator schedule
-	// drifted).
-	cur = benchRecordFixture()
-	cur.Runs[0].Launches += 60
-	if err := CompareBenchRecords(base, cur, 0.05); err == nil {
-		t.Fatal("launch-count drift passed")
-	}
-	// A missing config fails.
-	cur = benchRecordFixture()
-	cur.Runs = cur.Runs[:1]
-	if err := CompareBenchRecords(base, cur, 0.05); err == nil {
-		t.Fatal("missing config passed")
-	}
-}

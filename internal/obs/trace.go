@@ -1,9 +1,8 @@
 // Package obs is the operator-level observability layer: a span-based
 // tracer that records every kernel launch and operator group on both the
 // wall clock and the engine's simulated clock (exportable as Chrome
-// `trace_event` JSON), a typed metrics registry (counters, gauges,
-// histograms with Prometheus text exposition), and the machine-readable
-// bench-trajectory record behind `xbench -json` / BENCH_*.json.
+// `trace_event` JSON) and a typed metrics registry (counters, gauges,
+// histograms with Prometheus text exposition).
 //
 // Everything in this package is nil-safe by contract: every method on a
 // nil *Tracer, *Registry, *Counter, *Gauge or *Histogram is a no-op (or

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"xplace/internal/nn"
 	"xplace/internal/obs"
@@ -30,11 +29,12 @@ func (e *UnknownModelError) Error() string {
 	return fmt.Sprintf("serve: unknown model %q (loaded: %s)", e.Name, strings.Join(e.Known, ", "))
 }
 
-// ModelRegistry holds the named, immutable field models a scheduler can
-// attach to jobs. Models are loaded once (at daemon startup, from the
-// -models dir) and shared by every job that names them — the FNO forward
-// pass is read-only, so one copy serves any number of concurrent jobs.
-// Acquire/release refcounts track how many running jobs hold each model.
+// ModelRegistry holds the named field models a scheduler can attach to
+// jobs. Models are loaded once (at daemon startup, from the -models dir)
+// and shared by every job that names them: the weights never change, but a
+// forward pass caches activations in the layers, so each model carries a
+// lock that admits one inference at a time (see sharedPredictor).
+// acquire/release refcounts track how many running jobs hold each model.
 type ModelRegistry struct {
 	mu     sync.Mutex
 	models map[string]*modelEntry
@@ -42,7 +42,10 @@ type ModelRegistry struct {
 
 type modelEntry struct {
 	model *nn.Model
-	refs  int64
+	refs  int64 // guarded by ModelRegistry.mu
+	// infer serializes forward passes: nn.Model.Forward writes its input
+	// caches and map size (inCache, inSpec, h, w) into the layers.
+	infer sync.Mutex
 }
 
 // NewModelRegistry returns an empty registry.
@@ -123,21 +126,10 @@ func (g *ModelRegistry) Has(name string) bool {
 	return ok
 }
 
-// Model returns the shared immutable model for name (read-only use).
-func (g *ModelRegistry) Model(name string) (*nn.Model, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.models[name]
-	if !ok {
-		return nil, false
-	}
-	return e.model, true
-}
-
-// Acquire takes a refcounted handle on name for the duration of a job.
-// The release func must be called exactly once when the job is done with
-// the model.
-func (g *ModelRegistry) Acquire(name string) (*nn.Model, func(), error) {
+// acquire takes a refcounted handle on name for the duration of a job.
+// The release func must be called when the job is done with the model;
+// calling it again is a no-op.
+func (g *ModelRegistry) acquire(name string) (*modelEntry, func(), error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e, ok := g.models[name]
@@ -158,7 +150,7 @@ func (g *ModelRegistry) Acquire(name string) (*nn.Model, func(), error) {
 			g.mu.Unlock()
 		})
 	}
-	return e.model, release, nil
+	return e, release, nil
 }
 
 // Refs returns the live reference count for name (0 for unknown names).
@@ -181,119 +173,19 @@ func (g *ModelRegistry) totalRefs() int64 {
 	return n
 }
 
-// defaultBatchWindow is the micro-batch coalescing window: after the
-// first PredictField request arrives, the batcher waits this long for
-// requests from other concurrent jobs before running the batch.
-const defaultBatchWindow = 500 * time.Microsecond
-
-// maxNNBatch bounds one micro-batch (more engines than this on one
-// scheduler would be unusual).
-const maxNNBatch = 64
-
-// predictReq is one job's blocking PredictField call, in flight to the
-// batcher.
-type predictReq struct {
-	model  *nn.Model
-	dens   []float64
-	nx, ny int
-	ex, ey []float64
-	done   chan struct{}
+// sharedPredictor is one job's placer FieldPredictor hook over a registry
+// model. PredictField holds the model's lock for the whole inference, so
+// concurrent jobs naming one model take turns; the density/field buffers
+// belong to the calling job's placer.
+type sharedPredictor struct {
+	entry *modelEntry
+	calls *obs.Counter
 }
 
-// nnBatcher serializes all PredictField calls of a scheduler through one
-// goroutine, coalescing requests that arrive within the batch window
-// into a micro-batch. Concurrent jobs therefore share a single inference
-// path (and the models' read-only weights) instead of racing N forward
-// passes across the engine workers' caches.
-type nnBatcher struct {
-	reqs   chan *predictReq
-	stop   chan struct{}
-	done   chan struct{}
-	window time.Duration
-
-	batches   *obs.Counter
-	requests  *obs.Counter
-	coalesced *obs.Counter
-}
-
-func newNNBatcher(window time.Duration, reg *obs.Registry) *nnBatcher {
-	if window <= 0 {
-		window = defaultBatchWindow
-	}
-	b := &nnBatcher{
-		reqs:   make(chan *predictReq, maxNNBatch),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		window: window,
-		batches: reg.Counter("xserve_nn_batch_total",
-			"micro-batches executed by the shared inference path"),
-		requests: reg.Counter("xserve_nn_batch_requests_total",
-			"PredictField calls served by the shared inference path"),
-		coalesced: reg.Counter("xserve_nn_batch_coalesced_total",
-			"PredictField calls that shared a micro-batch with another job"),
-	}
-	go b.run()
-	return b
-}
-
-func (b *nnBatcher) run() {
-	defer close(b.done)
-	for {
-		select {
-		case <-b.stop:
-			return
-		case r := <-b.reqs:
-			batch := b.collect(r)
-			for _, q := range batch {
-				p := nn.Predictor{M: q.model}
-				p.PredictField(q.dens, q.nx, q.ny, q.ex, q.ey)
-				close(q.done)
-			}
-			b.batches.Inc()
-			b.requests.Add(int64(len(batch)))
-			if len(batch) > 1 {
-				b.coalesced.Add(int64(len(batch)))
-			}
-		}
-	}
-}
-
-// collect gathers the micro-batch: the first request plus whatever other
-// jobs submit within the window.
-func (b *nnBatcher) collect(first *predictReq) []*predictReq {
-	batch := []*predictReq{first}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
-	for len(batch) < maxNNBatch {
-		select {
-		case r := <-b.reqs:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// shutdown stops the batcher after the last worker has exited (no
-// requests can be in flight).
-func (b *nnBatcher) shutdown() {
-	close(b.stop)
-	<-b.done
-}
-
-// batchedPredictor adapts one job's placer FieldPredictor hook onto the
-// scheduler's shared batcher. PredictField blocks the job's worker until
-// the batch containing its request has run, so the density/field buffers
-// (owned by the job's placer) are never touched concurrently.
-type batchedPredictor struct {
-	b     *nnBatcher
-	model *nn.Model
-}
-
-func (p *batchedPredictor) PredictField(density []float64, nx, ny int, exOut, eyOut []float64) {
-	req := &predictReq{model: p.model, dens: density, nx: nx, ny: ny, ex: exOut, ey: eyOut,
-		done: make(chan struct{})}
-	p.b.reqs <- req
-	<-req.done
+func (p *sharedPredictor) PredictField(density []float64, nx, ny int, exOut, eyOut []float64) {
+	p.entry.infer.Lock()
+	defer p.entry.infer.Unlock()
+	pred := nn.Predictor{M: p.entry.model}
+	pred.PredictField(density, nx, ny, exOut, eyOut)
+	p.calls.Inc()
 }

@@ -7,13 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"xplace/internal/nn"
 )
 
 // quickModel trains a deliberately tiny (and weak) model — these tests
-// exercise the registry and the batched inference plumbing, not
+// exercise the registry and the shared inference plumbing, not
 // placement quality.
 func quickModel(tb testing.TB, seed int64) *nn.Model {
 	tb.Helper()
@@ -77,16 +76,16 @@ func TestModelRegistryAcquireRefcounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1, rel1, err := reg.Acquire("m")
+	m1, rel1, err := reg.acquire("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, rel2, err := reg.Acquire("m")
+	m2, rel2, err := reg.acquire("m")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
-		t.Error("two acquires returned different model instances; must share one")
+		t.Error("two acquires returned different model entries; must share one")
 	}
 	if got := reg.Refs("m"); got != 2 {
 		t.Errorf("refs = %d, want 2", got)
@@ -102,7 +101,7 @@ func TestModelRegistryAcquireRefcounts(t *testing.T) {
 	}
 
 	var unk *UnknownModelError
-	if _, _, err := reg.Acquire("ghost"); !errors.As(err, &unk) {
+	if _, _, err := reg.acquire("ghost"); !errors.As(err, &unk) {
 		t.Fatalf("acquire unknown: got %v, want UnknownModelError", err)
 	} else if unk.Name != "ghost" || len(unk.Known) != 1 || unk.Known[0] != "m" {
 		t.Errorf("error detail %+v, want name ghost and known [m]", unk)
@@ -135,26 +134,19 @@ func TestSubmitRejectsUnknownModel(t *testing.T) {
 	}
 }
 
-// TestBatchedInferenceSharedAcrossJobs is the serving acceptance gate:
-// four concurrent jobs naming the same model share one registry entry
-// and drain their PredictField calls through the scheduler's single
-// batched-inference goroutine (xserve_nn_batch_total > 0; run under
-// -race in the CI nn lane).
-func TestBatchedInferenceSharedAcrossJobs(t *testing.T) {
+// TestSharedModelAcrossJobs is the serving acceptance gate: four
+// concurrent jobs on four engines name the same model, share one registry
+// entry and take turns on its inference lock (run under -race in the CI nn
+// lane: an unlocked forward pass writes the layers' caches from four
+// goroutines).
+func TestSharedModelAcrossJobs(t *testing.T) {
 	dir := t.TempDir()
 	writeModelFile(t, dir, "shared.xfnm", quickModel(t, 1))
 	reg := NewModelRegistry()
 	if _, err := reg.LoadDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	s := mustNew(t, Options{
-		Engines:       4,
-		EngineWorkers: 1,
-		Models:        reg,
-		// A wide window so the four jobs' early-iteration predictions
-		// actually coalesce.
-		ModelBatchWindow: 2 * time.Millisecond,
-	})
+	s := mustNew(t, Options{Engines: 4, EngineWorkers: 1, Models: reg})
 
 	d := testDesign(t, 300, 7)
 	jobs := make([]*Job, 4)
@@ -174,14 +166,9 @@ func TestBatchedInferenceSharedAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batches := s.batcher.batches.Value()
-	requests := s.batcher.requests.Value()
-	coalesced := s.batcher.coalesced.Value()
-	if batches <= 0 {
-		t.Error("xserve_nn_batch_total = 0, want > 0")
-	}
-	if requests < batches {
-		t.Errorf("requests %d < batches %d", requests, batches)
+	calls := s.nnCalls.Value()
+	if calls <= 0 {
+		t.Error("xserve_nn_inference_total = 0, want > 0")
 	}
 	if got := s.nnJobs.Value(); got != 4 {
 		t.Errorf("xserve_nn_jobs_total = %d, want 4", got)
@@ -190,7 +177,8 @@ func TestBatchedInferenceSharedAcrossJobs(t *testing.T) {
 		t.Errorf("model refs after drain = %d, want 0", got)
 	}
 	// All four jobs converged identically: same design, same model, same
-	// seed, and the batcher must not have mixed up outputs.
+	// seed — a forward pass that saw another job's cached activations
+	// would have moved one of them.
 	ref, _ := jobs[0].Result()
 	for _, j := range jobs[1:] {
 		res, _ := j.Result()
@@ -199,6 +187,5 @@ func TestBatchedInferenceSharedAcrossJobs(t *testing.T) {
 				j.ID(), res.Iterations, res.HPWL, ref.Iterations, ref.HPWL)
 		}
 	}
-	t.Logf("batched inference: %d requests in %d batches (%d coalesced)",
-		requests, batches, coalesced)
+	t.Logf("shared model: %d PredictField calls across 4 jobs", calls)
 }

@@ -169,12 +169,8 @@ type Options struct {
 	CheckpointEvery int
 	// Models is the registry of named field models jobs may select via
 	// Spec.Model (the daemon's -models dir). Nil rejects every model
-	// request. When set, all jobs on this scheduler share one batched
-	// inference path (see nnBatcher).
+	// request.
 	Models *ModelRegistry
-	// ModelBatchWindow is the micro-batch coalescing window of the shared
-	// inference path (0 = 500µs default).
-	ModelBatchWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -455,8 +451,8 @@ type Scheduler struct {
 	fallbacks   *obs.Counter
 
 	models  *ModelRegistry
-	batcher *nnBatcher
 	nnJobs  *obs.Counter
+	nnCalls *obs.Counter
 }
 
 // New starts a scheduler with its engine pool and worker set. With
@@ -524,8 +520,8 @@ func New(opts Options) (*Scheduler, error) {
 	s.fallbacks = reg.Counter("xserve_fallback_total", "diverged jobs rescued by the lbub fallback strategy")
 	if o.Models != nil {
 		s.models = o.Models
-		s.batcher = newNNBatcher(o.ModelBatchWindow, reg)
 		s.nnJobs = reg.Counter("xserve_nn_jobs_total", "jobs run with a field model attached")
+		s.nnCalls = reg.Counter("xserve_nn_inference_total", "PredictField calls run on the shared field models")
 		reg.GaugeFunc("xserve_nn_models_loaded", "field models in the registry",
 			func() float64 { return float64(o.Models.Len()) })
 		reg.GaugeFunc("xserve_nn_model_refs", "live job references across all field models",
@@ -904,22 +900,21 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	opts.Progress = j.Add
 	opts.Metrics = s.reg
 	if j.spec.Model != "" {
-		// Attach the shared model through the scheduler's batched
-		// inference path. A recovered job can reach this point on a node
-		// whose registry no longer holds the model (Submit validation
-		// only covers live submissions) — that job fails typed, same as
-		// a 400 would have.
+		// Attach the shared model. A recovered job can reach this point on
+		// a node whose registry no longer holds the model (Submit
+		// validation only covers live submissions) — that job fails typed,
+		// same as a 400 would have.
 		if s.models == nil {
 			s.jobFinished(j, nil, &UnknownModelError{Name: j.spec.Model})
 			return
 		}
-		model, release, err := s.models.Acquire(j.spec.Model)
+		entry, release, err := s.models.acquire(j.spec.Model)
 		if err != nil {
 			s.jobFinished(j, nil, err)
 			return
 		}
 		defer release()
-		opts.Predictor = &batchedPredictor{b: s.batcher, model: model}
+		opts.Predictor = &sharedPredictor{entry: entry, calls: s.nnCalls}
 		s.nnJobs.Inc()
 	}
 	if s.store != nil && s.opts.CheckpointEvery > 0 {
@@ -1024,11 +1019,6 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 		close(s.queue) // workers exit after draining remaining jobs
 		go func() {
 			s.wg.Wait()
-			if s.batcher != nil {
-				// All workers have exited, so no PredictField can be in
-				// flight or arrive later — the batcher can stop cleanly.
-				s.batcher.shutdown()
-			}
 			close(s.drained)
 		}()
 	}

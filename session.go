@@ -27,11 +27,6 @@ type (
 	// MetricsRegistry is a typed metrics registry with Prometheus text
 	// exposition (WritePrometheus). A nil *MetricsRegistry is disabled.
 	MetricsRegistry = obs.Registry
-	// BenchRecord is the machine-readable bench-trajectory record emitted
-	// by `xbench -json` (the BENCH_*.json schema).
-	BenchRecord = obs.BenchRecord
-	// BenchRun is one configuration's entry in a BenchRecord.
-	BenchRun = obs.BenchRun
 )
 
 // NewTracer returns an enabled tracer with its epoch pinned to now.
