@@ -67,17 +67,21 @@ test-oracle:
 	$(call lane,,TestDivergenceFallbackOverHTTP|TestLBUBJobOverHTTP|TestStrategyInCacheKey,./cmd/xserve)
 
 # Neural-field lane (§3.3 end to end, in-CI): the model-artifact
-# integrity suite (versioned header, sha256, shape checks), a tiny FNO
-# trained in-process with its training-MSE gate, the σ(ω) handoff /
-# determinism / blended-quality placement tests, the facade -model
-# option, and the serving side — registry, model-aware submit, and four
-# concurrent jobs taking turns on one shared model — under the race
-# detector.
+# integrity suite (versioned header, sha256, shape checks, the parent
+# layout), a tiny FNO trained in-process with its training-MSE gate, the
+# planned transform against the full-FFT oracle and — under the race
+# detector — the allocation and shared-predictor gates, the σ(ω) handoff /
+# determinism / blended-quality placement tests and the grid check, the
+# facade -model option, and the serving side — registry, model-aware
+# submit, four concurrent jobs on one shared model with no lock between
+# them, an undersized grid failing its job and not the daemon — under the
+# race detector.
 test-nn:
 	$(call lane,,TestArtifact|TestLoadRejects|TestGenerateBenchSamples|TestTrainingReducesLoss|TestGeneralizesToUnseenMaps|TestSaveLoadRoundTrip,./internal/nn)
-	$(call lane,,TestNNBlend,./internal/placer)
+	$(call lane,-race,TestPlannedMatchesFullFFT|TestTruncatedDFTMatchesDefinition|TestParentArtifactLoadsAndPredicts|TestPredictFieldAllocFree|TestPredictorConcurrentUse|TestPredictorCheckGrid,./internal/nn)
+	$(call lane,,TestNNBlend|TestNNGridTooSmallForModel,./internal/placer)
 	$(call lane,,TestSessionWithFieldModel|TestWithFieldModelTypedErrors|TestStatModelFacade,.)
-	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestSharedModelAcrossJobs,./internal/serve)
+	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestSharedModelAcrossJobs|TestModelGridTooSmallFailsJob,./internal/serve)
 	$(call lane,-race,TestSubmitModelValidation|TestModelJobOverHTTP,./cmd/xserve)
 
 # Short fuzz pass over the byte-level trust boundaries — the file-format
@@ -92,11 +96,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseDEF -fuzztime=$(FUZZTIME) ./internal/lefdef
 	$(GO) test -run '^$$' -fuzz=FuzzRequestCanonical -fuzztime=$(FUZZTIME) ./internal/jobapi
 
-# Kernel-substrate and transform microbenchmarks (pool vs goroutine-spawn
-# dispatch, DCT round trips). Allocation columns are the regression signal:
-# pooled launches and warm transforms must report 0 allocs/op.
+# Kernel-substrate, transform and field-model microbenchmarks (pool vs
+# goroutine-spawn dispatch, DCT round trips, one warm PredictField at the
+# gp-nn shape and at paper scale). Allocation columns are the regression
+# signal: pooled launches, warm transforms and warm inference must report
+# 0 allocs/op.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn
 
 # The repo benchmark (BENCHMARK.json), the one way to measure: six
 # workloads, client-observed and per-layer metrics; `go run ./benchmark

@@ -34,7 +34,7 @@ func TestFFTMatchesDirectDFT(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		got := append([]complex128(nil), x...)
-		FFT(got)
+		newFFTPlan(n).transform(got, false)
 		want := directDFT(x, false)
 		for i := range got {
 			if cmplx.Abs(got[i]-want[i]) > 1e-9*float64(n) {
@@ -52,8 +52,9 @@ func TestFFTInverseIdentity(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		buf := append([]complex128(nil), x...)
-		FFT(buf)
-		IFFT(buf)
+		plan := newFFTPlan(n)
+		plan.transform(buf, false)
+		plan.transform(buf, true)
 		for i := range buf {
 			got := buf[i] / complex(float64(n), 0)
 			if cmplx.Abs(got-x[i]) > 1e-9 {
@@ -69,7 +70,7 @@ func TestFFTPanicsOnNonPow2(t *testing.T) {
 			t.Error("want panic")
 		}
 	}()
-	FFT(make([]complex128, 3))
+	newFFTPlan(3)
 }
 
 // directDCT2 is the O(N^4) reference for the 2-D DCT-II.
@@ -263,10 +264,11 @@ func BenchmarkFFT1024(b *testing.B) {
 	for i := range x {
 		x[i] = complex(float64(i%7), 0)
 	}
+	plan := newFFTPlan(len(x))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := append([]complex128(nil), x...)
-		FFT(buf)
+		plan.transform(buf, false)
 	}
 }
 

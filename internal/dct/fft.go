@@ -114,15 +114,3 @@ func (p *fftPlan) transform(buf []complex128, inverse bool) {
 		}
 	}
 }
-
-// FFT computes the in-place forward DFT of buf (length must be a power of
-// two): X_k = sum_n x_n e^{-2*pi*i*k*n/N}.
-func FFT(buf []complex128) {
-	newFFTPlan(len(buf)).transform(buf, false)
-}
-
-// IFFT computes the in-place unnormalized inverse DFT of buf; divide by
-// len(buf) to invert FFT exactly.
-func IFFT(buf []complex128) {
-	newFFTPlan(len(buf)).transform(buf, true)
-}

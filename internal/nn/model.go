@@ -1,9 +1,10 @@
 // Package nn implements the paper's neural extension (§3.3): a two-path
 // Fourier Neural Operator that maps a placement density map to its
-// electric field. Each block combines a frequency-domain path (2-D FFT,
-// low-pass filter keeping a fixed number of modes, a complex linear
-// transform per retained mode, inverse FFT — Eq. 11) and a spatial path
-// (pixel-wise 1x1 convolution), summed and passed through GELU (Eq. 12).
+// electric field. Each block combines a frequency-domain path (2-D DFT
+// restricted to a fixed number of low modes, a complex linear transform
+// per retained mode, inverse DFT of those modes — Eq. 11) and a spatial
+// path (pixel-wise 1x1 convolution), summed and passed through GELU
+// (Eq. 12).
 // The input is lifted from {density; mesh-x; mesh-y} by a fully-connected
 // layer and projected back to one channel at the output; the relative L2
 // loss (Eq. 13) drives Adam training.
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"xplace/internal/dct"
 )
 
 // Config describes the model architecture. The default (Width 17,
@@ -40,28 +39,14 @@ func DefaultConfig() Config { return Config{Width: 17, Modes: 10, Layers: 4, See
 // InChannels is the input channel count: density + mesh-x + mesh-y.
 const InChannels = 3
 
-// tensorCH is a channels-first feature map: data[c] has length H*W.
-type tensorCH struct {
-	data [][]float64
-	h, w int
-}
-
-func newCH(c, h, w int) tensorCH {
-	t := tensorCH{data: make([][]float64, c), h: h, w: w}
-	for i := range t.data {
-		t.data[i] = make([]float64, h*w)
-	}
-	return t
-}
-
-// conv1x1 is a pixel-wise fully connected layer across channels.
+// conv1x1 holds the weights of a pixel-wise fully connected layer across
+// channels; gw/gb accumulate gradients during training.
 type conv1x1 struct {
 	in, out int
 	w       []float64 // [out*in]
 	b       []float64 // [out]
 	gw      []float64
 	gb      []float64
-	inCache tensorCH
 }
 
 func newConv1x1(in, out int, rng *rand.Rand) *conv1x1 {
@@ -79,57 +64,9 @@ func newConv1x1(in, out int, rng *rand.Rand) *conv1x1 {
 	return c
 }
 
-func (c *conv1x1) forward(x tensorCH) tensorCH {
-	c.inCache = x
-	y := newCH(c.out, x.h, x.w)
-	n := x.h * x.w
-	for o := 0; o < c.out; o++ {
-		yo := y.data[o]
-		for p := 0; p < n; p++ {
-			yo[p] = c.b[o]
-		}
-		for i := 0; i < c.in; i++ {
-			wi := c.w[o*c.in+i]
-			xi := x.data[i]
-			for p := 0; p < n; p++ {
-				yo[p] += wi * xi[p]
-			}
-		}
-	}
-	return y
-}
-
-func (c *conv1x1) backward(g tensorCH) tensorCH {
-	x := c.inCache
-	n := x.h * x.w
-	gx := newCH(c.in, x.h, x.w)
-	for o := 0; o < c.out; o++ {
-		go_ := g.data[o]
-		for p := 0; p < n; p++ {
-			c.gb[o] += go_[p]
-		}
-		for i := 0; i < c.in; i++ {
-			xi := x.data[i]
-			gxi := gx.data[i]
-			wi := c.w[o*c.in+i]
-			var gw float64
-			for p := 0; p < n; p++ {
-				gw += go_[p] * xi[p]
-				gxi[p] += wi * go_[p]
-			}
-			c.gw[o*c.in+i] += gw
-		}
-	}
-	return gx
-}
-
-// geluLayer applies the GELU activation (tanh approximation).
-type geluLayer struct {
-	inCache tensorCH
-}
-
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
+// gelu is the GELU activation (tanh approximation).
 func gelu(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
 }
@@ -140,41 +77,15 @@ func geluGrad(x float64) float64 {
 	return 0.5*(1+t) + 0.5*x*dt
 }
 
-func (l *geluLayer) forward(x tensorCH) tensorCH {
-	l.inCache = x
-	y := newCH(len(x.data), x.h, x.w)
-	for c := range x.data {
-		for p, v := range x.data[c] {
-			y.data[c][p] = gelu(v)
-		}
-	}
-	return y
-}
-
-func (l *geluLayer) backward(g tensorCH) tensorCH {
-	x := l.inCache
-	gx := newCH(len(x.data), x.h, x.w)
-	for c := range x.data {
-		for p := range x.data[c] {
-			gx.data[c][p] = g.data[c][p] * geluGrad(x.data[c][p])
-		}
-	}
-	return gx
-}
-
-// spectralConv is the frequency path: FFT2 -> low-pass keep of
-// 2*Modes*Modes complex modes -> complex channel mixing -> real(IFFT2).
-// Weights are indexed by mode slot, so the layer runs at any resolution
-// with H, W >= 2*Modes.
+// spectralConv holds the weights of the frequency path: one complex
+// channel-mixing matrix per kept mode. Slot j*Modes+kx addresses spectrum
+// row ky_j (j < Modes: ky = j; else ky = H-2*Modes+j) and column kx <
+// Modes, so the layer runs at any resolution with H, W >= 2*Modes.
 type spectralConv struct {
 	in, out, modes int
-	// wRe/wIm[(o*in+i)*nModes + mode]
+	// wRe/wIm[(o*in+i)*nModes + slot]
 	wRe, wIm []float64
 	gRe, gIm []float64
-
-	// caches for backward
-	inSpec [][]complex128 // per input channel, kept modes only
-	h, w   int
 }
 
 func (s *spectralConv) nModes() int { return 2 * s.modes * s.modes }
@@ -194,195 +105,16 @@ func newSpectralConv(in, out, modes int, rng *rand.Rand) *spectralConv {
 	return s
 }
 
-// modeCoords maps a mode slot to spectrum coordinates for an HxW grid:
-// block 0 holds ky in [0, m), block 1 holds ky in [H-m, H); kx in [0, m).
-func (s *spectralConv) modeCoords(slot, h int) (ky, kx int) {
-	m := s.modes
-	block := slot / (m * m)
-	rem := slot % (m * m)
-	ky = rem / m
-	kx = rem % m
-	if block == 1 {
-		ky = h - m + ky
-	}
-	return ky, kx
-}
-
-// fft2 computes the 2-D FFT of a real map (row-major h x w) into a
-// complex spectrum.
-func fft2(x []float64, h, w int) []complex128 {
-	spec := make([]complex128, h*w)
-	for i, v := range x {
-		spec[i] = complex(v, 0)
-	}
-	// Rows.
-	for y := 0; y < h; y++ {
-		dct.FFT(spec[y*w : (y+1)*w])
-	}
-	// Columns.
-	col := make([]complex128, h)
-	for x0 := 0; x0 < w; x0++ {
-		for y := 0; y < h; y++ {
-			col[y] = spec[y*w+x0]
-		}
-		dct.FFT(col)
-		for y := 0; y < h; y++ {
-			spec[y*w+x0] = col[y]
-		}
-	}
-	return spec
-}
-
-// ifft2Real computes Re(IFFT2(spec))/(h*w).
-func ifft2Real(spec []complex128, h, w int) []float64 {
-	buf := make([]complex128, h*w)
-	copy(buf, spec)
-	for y := 0; y < h; y++ {
-		dct.IFFT(buf[y*w : (y+1)*w])
-	}
-	col := make([]complex128, h)
-	for x0 := 0; x0 < w; x0++ {
-		for y := 0; y < h; y++ {
-			col[y] = buf[y*w+x0]
-		}
-		dct.IFFT(col)
-		for y := 0; y < h; y++ {
-			buf[y*w+x0] = col[y]
-		}
-	}
-	out := make([]float64, h*w)
-	norm := 1 / float64(h*w)
-	for i, v := range buf {
-		out[i] = real(v) * norm
-	}
-	return out
-}
-
-func (s *spectralConv) forward(x tensorCH) tensorCH {
-	h, w := x.h, x.w
-	s.h, s.w = h, w
-	nm := s.nModes()
-	if h < 2*s.modes || w < 2*s.modes {
-		panic(fmt.Sprintf("nn: resolution %dx%d too small for %d modes", h, w, s.modes))
-	}
-	// Keep only the filtered modes of each input channel.
-	s.inSpec = make([][]complex128, s.in)
-	for i := 0; i < s.in; i++ {
-		full := fft2(x.data[i], h, w)
-		kept := make([]complex128, nm)
-		for slot := 0; slot < nm; slot++ {
-			ky, kx := s.modeCoords(slot, h)
-			kept[slot] = full[ky*w+kx]
-		}
-		s.inSpec[i] = kept
-	}
-	y := newCH(s.out, h, w)
-	outSpec := make([]complex128, h*w)
-	for o := 0; o < s.out; o++ {
-		for i := range outSpec {
-			outSpec[i] = 0
-		}
-		for slot := 0; slot < nm; slot++ {
-			ky, kx := s.modeCoords(slot, h)
-			var acc complex128
-			for i := 0; i < s.in; i++ {
-				wc := complex(s.wRe[(o*s.in+i)*nm+slot], s.wIm[(o*s.in+i)*nm+slot])
-				acc += wc * s.inSpec[i][slot]
-			}
-			outSpec[ky*w+kx] = acc
-		}
-		// Real part of the inverse transform symmetrizes the spectrum.
-		y.data[o] = ifft2Real(outSpec, h, w)
-	}
-	return y
-}
-
-func (s *spectralConv) backward(g tensorCH) tensorCH {
-	h, w := s.h, s.w
-	nm := s.nModes()
-	norm := 1 / float64(h*w)
-	// G_Y[k] = FFT2(g)/N on kept modes.
-	gySpec := make([][]complex128, s.out)
-	for o := 0; o < s.out; o++ {
-		full := fft2(g.data[o], h, w)
-		kept := make([]complex128, nm)
-		for slot := 0; slot < nm; slot++ {
-			ky, kx := s.modeCoords(slot, h)
-			kept[slot] = full[ky*w+kx] * complex(norm, 0)
-		}
-		gySpec[o] = kept
-	}
-	// Weight grads: G_w = conj(x) * G_Y; input spectrum grads:
-	// G_X = conj(w) * G_Y.
-	gxSpec := make([][]complex128, s.in)
-	for i := range gxSpec {
-		gxSpec[i] = make([]complex128, nm)
-	}
-	for o := 0; o < s.out; o++ {
-		for i := 0; i < s.in; i++ {
-			base := (o*s.in + i) * nm
-			for slot := 0; slot < nm; slot++ {
-				gy := gySpec[o][slot]
-				gw := gy * complex(real(s.inSpec[i][slot]), -imag(s.inSpec[i][slot]))
-				s.gRe[base+slot] += real(gw)
-				s.gIm[base+slot] += imag(gw)
-				wc := complex(s.wRe[base+slot], -s.wIm[base+slot])
-				gxSpec[i][slot] += wc * gy
-			}
-		}
-	}
-	// Back through the FFT: dL/dx = Re(unnormalized IFFT2(G_X)).
-	gx := newCH(s.in, h, w)
-	spec := make([]complex128, h*w)
-	for i := 0; i < s.in; i++ {
-		for k := range spec {
-			spec[k] = 0
-		}
-		for slot := 0; slot < nm; slot++ {
-			ky, kx := s.modeCoords(slot, h)
-			spec[ky*w+kx] = gxSpec[i][slot]
-		}
-		// Unnormalized inverse = ifft2Real * (h*w).
-		rr := ifft2Real(spec, h, w)
-		for p := range rr {
-			gx.data[i][p] = rr[p] * float64(h*w)
-		}
-	}
-	return gx
-}
-
 // block is one FNO layer: spectral + spatial paths, summed, GELU.
 type block struct {
 	spec *spectralConv
 	conv *conv1x1
-	act  geluLayer
 }
 
-func (b *block) forward(x tensorCH) tensorCH {
-	sp := b.spec.forward(x)
-	cv := b.conv.forward(x)
-	sum := newCH(len(sp.data), x.h, x.w)
-	for c := range sum.data {
-		for p := range sum.data[c] {
-			sum.data[c][p] = sp.data[c][p] + cv.data[c][p]
-		}
-	}
-	return b.act.forward(sum)
-}
-
-func (b *block) backward(g tensorCH) tensorCH {
-	gs := b.act.backward(g)
-	g1 := b.spec.backward(gs)
-	g2 := b.conv.backward(gs)
-	for c := range g1.data {
-		for p := range g1.data[c] {
-			g1.data[c][p] += g2.data[c][p]
-		}
-	}
-	return g1
-}
-
-// Model is the full two-path FNO of Figure 3.
+// Model is the full two-path FNO of Figure 3: the weights, and the
+// gradient buffers Train accumulates into. Everything a pass over one map
+// needs besides them lives in a workspace, so a model is read-only after
+// Load or Train and any number of goroutines may run inference on it.
 type Model struct {
 	Cfg Config
 	// TrainRes is the grid resolution the model was trained on (0 if
@@ -467,61 +199,11 @@ func (m *Model) zeroGrad() {
 	}
 }
 
-// buildInput assembles I = {D; Mx; My} (Mx = x/W, My = y/H mesh indices).
-func buildInput(density []float64, h, w int) tensorCH {
-	x := newCH(InChannels, h, w)
-	copy(x.data[0], density)
-	for yy := 0; yy < h; yy++ {
-		for xx := 0; xx < w; xx++ {
-			x.data[1][yy*w+xx] = float64(xx) / float64(w)
-			x.data[2][yy*w+xx] = float64(yy) / float64(h)
-		}
-	}
-	return x
-}
-
 // Forward predicts the x-direction field for a density map (row-major
-// h x w).
+// h x w). It builds its workspace per call; Predictor is the reusing,
+// allocation-free path.
 func (m *Model) Forward(density []float64, h, w int) []float64 {
-	x := buildInput(density, h, w)
-	hdn := m.lift.forward(x)
-	for _, b := range m.blocks {
-		hdn = b.forward(hdn)
-	}
-	out := m.proj.forward(hdn)
-	return out.data[0]
-}
-
-// forwardBackward runs one sample through the model, computes the
-// relative L2 loss against label and accumulates parameter gradients.
-func (m *Model) forwardBackward(density, label []float64, h, w int) float64 {
-	pred := m.Forward(density, h, w)
-	// Relative L2 (Eq. 13).
-	var diffSq, labSq float64
-	for i := range pred {
-		d := pred[i] - label[i]
-		diffSq += d * d
-		labSq += label[i] * label[i]
-	}
-	diffNorm := math.Sqrt(diffSq)
-	labNorm := math.Sqrt(labSq)
-	if labNorm < 1e-12 {
-		labNorm = 1e-12
-	}
-	loss := diffNorm / labNorm
-	// dL/dpred = (pred - label) / (|diff| * |label|).
-	g := newCH(1, h, w)
-	denom := diffNorm * labNorm
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	for i := range pred {
-		g.data[0][i] = (pred[i] - label[i]) / denom
-	}
-	gh := m.proj.backward(g)
-	for i := len(m.blocks) - 1; i >= 0; i-- {
-		gh = m.blocks[i].backward(gh)
-	}
-	m.lift.backward(gh)
-	return loss
+	out := make([]float64, h*w)
+	newWorkspace(m.Cfg, h, w, false).forward(m, density, out)
+	return out
 }

@@ -111,6 +111,8 @@ func (m *Model) Train(samples []Sample, opts TrainOptions) []float64 {
 		mom[i] = make([]float64, len(ps[i]))
 		vel[i] = make([]float64, len(ps[i]))
 	}
+	// One workspace per map size in the set (usually one).
+	spaces := map[[2]int]*workspace{}
 	const b1, b2, eps = 0.9, 0.999, 1e-8
 	rng := rand.New(rand.NewSource(opts.Seed))
 	losses := make([]float64, 0, opts.Epochs)
@@ -120,8 +122,13 @@ func (m *Model) Train(samples []Sample, opts TrainOptions) []float64 {
 		var sum float64
 		for _, si := range order {
 			s := samples[si]
+			ws := spaces[[2]int{s.H, s.W}]
+			if ws == nil {
+				ws = newWorkspace(m.Cfg, s.H, s.W, true)
+				spaces[[2]int{s.H, s.W}] = ws
+			}
 			m.zeroGrad()
-			sum += m.forwardBackward(s.Density, s.Ex, s.H, s.W)
+			sum += ws.forwardBackward(m, s.Density, s.Ex)
 			step++
 			b1p := 1 - math.Pow(b1, float64(step))
 			b2p := 1 - math.Pow(b2, float64(step))
@@ -187,12 +194,17 @@ func (m *Model) EvaluateFlipY(samples []Sample) float64 {
 // transpose returns the H x W map as W x H.
 func transpose(a []float64, h, w int) []float64 {
 	out := make([]float64, h*w)
+	transposeInto(out, a, h, w)
+	return out
+}
+
+// transposeInto writes the H x W map a into dst as W x H.
+func transposeInto(dst, a []float64, h, w int) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			out[x*h+y] = a[y*w+x]
+			dst[x*h+y] = a[y*w+x]
 		}
 	}
-	return out
 }
 
 // predictY predicts the y field via the transpose trick.
@@ -201,17 +213,3 @@ func (m *Model) predictY(density []float64, h, w int) []float64 {
 	py := m.Forward(t, w, h)
 	return transpose(py, w, h)
 }
-
-// Predictor adapts a trained Model to the placer's FieldPredictor hook
-// (Eq. 14 blending happens in the placer).
-type Predictor struct {
-	M *Model
-}
-
-// PredictField fills exOut/eyOut with the model's field prediction for
-// the given density map.
-func (p *Predictor) PredictField(density []float64, nx, ny int, exOut, eyOut []float64) {
-	copy(exOut, p.M.Forward(density, ny, nx))
-	copy(eyOut, p.M.predictY(density, ny, nx))
-}
-

@@ -1,6 +1,7 @@
 package placer
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -225,7 +226,59 @@ func TestNNBlendQualityAdaptec1(t *testing.T) {
 	if blended.Overflow > 0.10 {
 		t.Errorf("NN-blended overflow %v, want converged (<= 0.10)", blended.Overflow)
 	}
-	t.Logf("adaptec1 x0.004: numerical %d iters HPWL %.1f ovfl %.3f sim %v | NN-blended %d iters HPWL %.1f ovfl %.3f sim %v",
-		ref.Iterations, ref.HPWL, ref.Overflow, ref.SimTime,
-		blended.Iterations, blended.HPWL, blended.Overflow, blended.SimTime)
+	t.Logf("adaptec1 x0.004: numerical %d iters HPWL %.1f ovfl %.3f sim %v wall %v | NN-blended %d iters HPWL %.1f ovfl %.3f sim %v wall %v",
+		ref.Iterations, ref.HPWL, ref.Overflow, ref.SimTime, ref.WallTime,
+		blended.Iterations, blended.HPWL, blended.Overflow, blended.SimTime, blended.WallTime)
+}
+
+// TestNNGridTooSmallForModel: a model keeping 4 modes cannot run on a grid
+// under 8x8 bins. New must say so — naming grid and modes — instead of
+// letting the first blended iteration panic; the adaptive grid's coarse
+// start counts too. A predictor without CheckGrid is not asked.
+func TestNNGridTooSmallForModel(t *testing.T) {
+	d := clusteredDesign(t, 60, 5)
+	e := eng()
+	pred := &nn.Predictor{M: tinyFieldModel(t)} // modes 4
+
+	opts := nnTestOptions()
+	opts.GridSize = 4
+	opts.Predictor = pred
+	_, err := New(d, e, opts)
+	if err == nil {
+		t.Fatal("New accepted a 4x4 grid for a 4-mode model")
+	}
+	for _, want := range []string{"4x4", "4 modes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+
+	opts.GridSize = 8
+	opts.AdaptiveGrid = false
+	p, err := New(d, e, opts)
+	if err != nil {
+		t.Fatalf("8x8 grid, 4 modes: %v", err)
+	}
+	p.Close()
+
+	opts.GridSize = 4
+	opts.Predictor = &spyPredictor{inner: pred}
+	p, err = New(d, e, opts)
+	if err != nil {
+		t.Fatalf("predictor without CheckGrid: %v", err)
+	}
+	p.Close()
+
+	// 5 modes fit the 16x16 grid but not the adaptive grid's 8x8 start.
+	opts.GridSize = 16
+	opts.Predictor = &nn.Predictor{M: nn.NewModel(nn.Config{Width: 2, Modes: 5, Layers: 1, Seed: 1})}
+	p, err = New(d, e, opts)
+	if err != nil {
+		t.Fatalf("16x16 grid, 5 modes: %v", err)
+	}
+	p.Close()
+	opts.AdaptiveGrid = true
+	if _, err = New(d, e, opts); err == nil || !strings.Contains(err.Error(), "8x8") {
+		t.Errorf("adaptive 16x16 grid, 5 modes: error %v, want one naming the 8x8 coarse grid", err)
+	}
 }

@@ -60,6 +60,9 @@ func (m Mode) String() string {
 // FieldPredictor is the neural extension hook (§3.3): given the total
 // density map it predicts the electric field. The placer blends the
 // prediction with the numerical field by sigma(omega) (Eq. 14).
+//
+// A predictor may also implement CheckGrid(nx, ny int) error: New then
+// asks it whether it can run on the placement grid and fails if not.
 type FieldPredictor interface {
 	PredictField(density []float64, nx, ny int, exOut, eyOut []float64)
 }
@@ -354,6 +357,22 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	if m&(m-1) != 0 || m <= 0 {
 		return nil, fmt.Errorf("placer: grid size %d must be a power of two", m)
 	}
+	mc := 0 // the adaptive grid's coarse start, 0 without one
+	if opts.AdaptiveGrid && m/2 >= 8 {
+		mc = m / 2
+	}
+	// A predictor that knows which grids it can run on (an FNO keeping k
+	// modes needs 2k bins per axis) is asked now, so that the job fails
+	// here and not with a panic inside its first blended iteration.
+	if c, ok := opts.Predictor.(interface{ CheckGrid(nx, ny int) error }); ok {
+		err := c.CheckGrid(m, m)
+		if err == nil && mc > 0 {
+			err = c.CheckGrid(mc, mc)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("placer: field predictor: %w", err)
+		}
+	}
 	be := backend.Resolve(opts.Backend)
 	opts.Backend = be
 	grid := geom.NewGrid(d.Region, m, m)
@@ -374,8 +393,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
 	}
-	if opts.AdaptiveGrid && m/2 >= 8 {
-		mc := m / 2
+	if mc > 0 {
 		p.sysCoarse = field.NewSystemOn(geom.NewGrid(d.Region, mc, mc), e, be)
 		p.sys = p.sysCoarse
 	}

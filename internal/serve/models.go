@@ -31,9 +31,9 @@ func (e *UnknownModelError) Error() string {
 
 // ModelRegistry holds the named field models a scheduler can attach to
 // jobs. Models are loaded once (at daemon startup, from the -models dir)
-// and shared by every job that names them: the weights never change, but a
-// forward pass caches activations in the layers, so each model carries a
-// lock that admits one inference at a time (see sharedPredictor).
+// and shared by every job that names them: a loaded model is read-only and
+// each inference runs in a workspace checked out of the entry's
+// nn.Predictor, so jobs naming one model predict concurrently.
 // acquire/release refcounts track how many running jobs hold each model.
 type ModelRegistry struct {
 	mu     sync.Mutex
@@ -41,11 +41,8 @@ type ModelRegistry struct {
 }
 
 type modelEntry struct {
-	model *nn.Model
-	refs  int64 // guarded by ModelRegistry.mu
-	// infer serializes forward passes: nn.Model.Forward writes its input
-	// caches and map size (inCache, inSpec, h, w) into the layers.
-	infer sync.Mutex
+	pred nn.Predictor // shared by every job on the model
+	refs int64        // guarded by ModelRegistry.mu
 }
 
 // NewModelRegistry returns an empty registry.
@@ -66,7 +63,7 @@ func (g *ModelRegistry) Load(name string, r io.Reader) error {
 	if _, dup := g.models[name]; dup {
 		return fmt.Errorf("model %q: already loaded", name)
 	}
-	g.models[name] = &modelEntry{model: m}
+	g.models[name] = &modelEntry{pred: nn.Predictor{M: m}}
 	return nil
 }
 
@@ -174,18 +171,17 @@ func (g *ModelRegistry) totalRefs() int64 {
 }
 
 // sharedPredictor is one job's placer FieldPredictor hook over a registry
-// model. PredictField holds the model's lock for the whole inference, so
-// concurrent jobs naming one model take turns; the density/field buffers
-// belong to the calling job's placer.
+// model: the entry's predictor plus the daemon's call counter. The
+// density/field buffers belong to the calling job's placer.
 type sharedPredictor struct {
 	entry *modelEntry
 	calls *obs.Counter
 }
 
 func (p *sharedPredictor) PredictField(density []float64, nx, ny int, exOut, eyOut []float64) {
-	p.entry.infer.Lock()
-	defer p.entry.infer.Unlock()
-	pred := nn.Predictor{M: p.entry.model}
-	pred.PredictField(density, nx, ny, exOut, eyOut)
+	p.entry.pred.PredictField(density, nx, ny, exOut, eyOut)
 	p.calls.Inc()
 }
+
+// CheckGrid lets placer.New refuse a grid the model cannot run on.
+func (p *sharedPredictor) CheckGrid(nx, ny int) error { return p.entry.pred.CheckGrid(nx, ny) }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xplace/internal/nn"
@@ -135,10 +136,10 @@ func TestSubmitRejectsUnknownModel(t *testing.T) {
 }
 
 // TestSharedModelAcrossJobs is the serving acceptance gate: four
-// concurrent jobs on four engines name the same model, share one registry
-// entry and take turns on its inference lock (run under -race in the CI nn
-// lane: an unlocked forward pass writes the layers' caches from four
-// goroutines).
+// concurrent jobs on four engines name the same model and share one
+// registry entry and its predictor with no lock between them (run under
+// -race in the CI nn lane: a forward pass that wrote anything but its own
+// checked-out workspace would race across the four goroutines).
 func TestSharedModelAcrossJobs(t *testing.T) {
 	dir := t.TempDir()
 	writeModelFile(t, dir, "shared.xfnm", quickModel(t, 1))
@@ -177,8 +178,8 @@ func TestSharedModelAcrossJobs(t *testing.T) {
 		t.Errorf("model refs after drain = %d, want 0", got)
 	}
 	// All four jobs converged identically: same design, same model, same
-	// seed — a forward pass that saw another job's cached activations
-	// would have moved one of them.
+	// seed — a forward pass that saw another job's activations would have
+	// moved one of them.
 	ref, _ := jobs[0].Result()
 	for _, j := range jobs[1:] {
 		res, _ := j.Result()
@@ -188,4 +189,47 @@ func TestSharedModelAcrossJobs(t *testing.T) {
 		}
 	}
 	t.Logf("shared model: %d PredictField calls across 4 jobs", calls)
+}
+
+// TestModelGridTooSmallFailsJob: a request whose grid is too small for the
+// model's modes used to panic inside the placer and take the daemon down.
+// The job must end failed with an error naming grid and modes, and the
+// scheduler must go on to run the next job.
+func TestModelGridTooSmallFailsJob(t *testing.T) {
+	reg := NewModelRegistry()
+	var buf bytes.Buffer
+	if err := quickModel(t, 1).Save(&buf); err != nil { // modes 3: needs 6x6
+		t.Fatal(err)
+	}
+	if err := reg.Load("m", &buf); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Options{Engines: 1, Models: reg})
+	defer s.Shutdown(context.Background())
+
+	d := testDesign(t, 60, 3)
+	small := testOpts(30)
+	small.GridSize = 4
+	bad, err := s.Submit(Spec{Design: d, Options: small, Model: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := s.Submit(Spec{Design: d, Options: testOpts(30), Model: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Wait(context.Background()); err == nil {
+		t.Error("4x4 grid with a 3-mode model: job succeeded, want failed")
+	} else if !strings.Contains(err.Error(), "4x4") || !strings.Contains(err.Error(), "3 modes") {
+		t.Errorf("error %q does not name the grid and the modes", err)
+	}
+	if st := bad.Status().State; st != Failed {
+		t.Errorf("undersized job state = %v, want failed", st)
+	}
+	if _, err := good.Wait(context.Background()); err != nil {
+		t.Errorf("the job after the failed one: %v", err)
+	}
+	if got := reg.Refs("m"); got != 0 {
+		t.Errorf("model refs after both jobs = %d, want 0", got)
+	}
 }
