@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke check
+.PHONY: all fmt vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke check
 
 all: check
+
+# Formatting gate: gofmt must have nothing to rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "make: gofmt -l lists:" >&2; gofmt -l . >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -96,13 +100,14 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseDEF -fuzztime=$(FUZZTIME) ./internal/lefdef
 	$(GO) test -run '^$$' -fuzz=FuzzRequestCanonical -fuzztime=$(FUZZTIME) ./internal/jobapi
 
-# Kernel-substrate, transform and field-model microbenchmarks (pool vs
-# goroutine-spawn dispatch, DCT round trips, one warm PredictField at the
-# gp-nn shape and at paper scale). Allocation columns are the regression
-# signal: pooled launches, warm transforms and warm inference must report
-# 0 allocs/op.
+# Kernel-substrate, transform, field-model and hot-operator microbenchmarks
+# (pool vs goroutine-spawn dispatch, DCT round trips, one warm PredictField
+# at the gp-nn shape and at paper scale, density scatter/gather and the
+# fused wirelength operator at the gp-small and gp-cells shapes). Allocation
+# columns are the regression signal: pooled launches, warm transforms, warm
+# inference and the per-iteration operators must report 0 allocs/op.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength
 
 # The repo benchmark (BENCHMARK.json), the one way to measure: six
 # workloads, client-observed and per-layer metrics; `go run ./benchmark
@@ -110,4 +115,4 @@ bench:
 benchmark:
 	$(GO) run ./benchmark
 
-check: vet build race
+check: fmt vet build race

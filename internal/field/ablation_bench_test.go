@@ -32,7 +32,7 @@ func scatterAtomic(e *kernel.Engine, s *System, d *netlist.Design, out []float64
 		out[i] = 0
 	}
 	invBinArea := 1 / s.Grid.BinArea()
-	e.Launch("density.atomic", d.NumCells(), func(lo, hi int) {
+	e.LaunchChunks("density.atomic", d.NumCells(), func(chunk, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			if d.CellKind[c] != netlist.Movable {
 				continue
@@ -43,11 +43,12 @@ func scatterAtomic(e *kernel.Engine, s *System, d *netlist.Design, out []float64
 				continue
 			}
 			x0, x1, y0, y1 := s.Grid.BinRange(r)
+			w := s.binSpanX(s.spanX[chunk], r, x0, x1)
 			for iy := y0; iy < y1; iy++ {
-				for ix := x0; ix < x1; ix++ {
-					ov := s.Grid.BinRect(ix, iy).Overlap(r)
-					if ov > 0 {
-						atomicAdd(&out[iy*s.Nx+ix], ov*scale*invBinArea)
+				h := s.binSpanY(r, iy)
+				for i, wi := range w {
+					if ov := wi * h; h > 0 && ov > 0 {
+						atomicAdd(&out[iy*s.Nx+x0+i], ov*scale*invBinArea)
 					}
 				}
 			}

@@ -72,6 +72,7 @@ type System struct {
 	coef    []float64 // DCT coefficients scratch
 	wu, wv  []float64 // frequencies pi*u/Nx, pi*v/Ny
 	scratch [][]float64
+	spanX   [][]float64 // per-chunk bin-width scratch of scatter and gather (Nx each)
 	workers int
 
 	// Reduced-precision path (nil/unused on the reference backend). The
@@ -80,9 +81,9 @@ type System struct {
 	// boundary — so callers are backend-agnostic.
 	be        backend.Backend
 	plan32    *dct.Plan32
-	total32   []float32   // Total converted across the boundary
-	coef32    []float32   // spectral coefficients
-	psi32     []float32   // solver outputs before the store conversion
+	total32   []float32 // Total converted across the boundary
+	coef32    []float32 // spectral coefficients
+	psi32     []float32 // solver outputs before the store conversion
 	ex32      []float32
 	ey32      []float32
 	scratch32 [][]float32 // per-worker scatter maps (f32 halves the traffic)
@@ -98,30 +99,30 @@ type System struct {
 	// Staged parameters for the persistent kernel bodies below. Set by the
 	// exported methods immediately before launching; never read outside a
 	// launch.
-	scD          *netlist.Design
-	scX, scY     []float64
-	scMask       KindMask
-	scOut        []float64
-	scUsed       int
-	addA, addB   []float64
-	addDst       []float64
-	gaD          *netlist.Design
-	gaX, gaY     []float64
-	gaMask       KindMask
-	gaGX, gaGY   []float64
-	ovDens       []float64
-	ovTarget     float64
-	maxDens      []float64
-	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
-	scatterBody  func(w, lo, hi int)
-	mergeBody    func(lo, hi int)
+	scD            *netlist.Design
+	scX, scY       []float64
+	scMask         KindMask
+	scOut          []float64
+	scUsed         int
+	addA, addB     []float64
+	addDst         []float64
+	gaD            *netlist.Design
+	gaX, gaY       []float64
+	gaMask         KindMask
+	gaGX, gaGY     []float64
+	ovDens         []float64
+	ovTarget       float64
+	maxDens        []float64
+	mergeNames     map[string]string // scatter name -> name+".merge" (interned)
+	scatterBody    func(w, lo, hi int)
+	mergeBody      func(lo, hi int)
 	addBody        func(lo, hi int)
 	spectralBody   func(lo, hi int)
 	spectralBody32 func(lo, hi int)
-	energyBody   func(lo, hi int) float64
-	gatherBody   func(lo, hi int)
-	ovBody       func(lo, hi int) float64
-	maxBody      func(lo, hi int) float64
+	energyBody     func(lo, hi int) float64
+	gatherBody     func(w, lo, hi int)
+	ovBody         func(lo, hi int) float64
+	maxBody        func(lo, hi int) float64
 }
 
 func sumCombine(a, b float64) float64 { return a + b }
@@ -160,6 +161,10 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 	}
 	for v := 0; v < ny; v++ {
 		s.wv[v] = math.Pi * float64(v) / float64(ny)
+	}
+	s.spanX = make([][]float64, s.workers)
+	for w := range s.spanX {
+		s.spanX[w] = make([]float64, nx)
 	}
 	if backend.IsReference(b) {
 		s.plan = dct.NewPlan(nx, ny)
@@ -245,88 +250,92 @@ func (s *System) ensure32(e *kernel.Engine) {
 	s.ey32 = e.Alloc32(n)
 }
 
+// binSpanX fills wx[i] with the width of the overlap of r with bin column
+// x0+i for the columns [x0, x1) and returns wx cut to that length. A width
+// is <= 0 where they do not overlap. The overlap of r with bin (ix, iy) is
+// separable — width(ix) * height(iy) — so a cell computes each width once
+// instead of once per row; the operands and their order are those of
+// Grid.BinRect(ix, iy).Intersect(r) (the builtin min/max have math.Min/Max
+// semantics), which keeps every sum bit-identical to the per-bin rectangle
+// form.
+func (s *System) binSpanX(wx []float64, r geom.Rect, x0, x1 int) []float64 {
+	wx = wx[:x1-x0]
+	for i := range wx {
+		bx := s.Grid.Region.Lx + float64(x0+i)*s.Grid.Dx
+		wx[i] = min(bx+s.Grid.Dx, r.Hx) - max(bx, r.Lx)
+	}
+	return wx
+}
+
+// binSpanY returns the height of the overlap of r with bin row iy (<= 0
+// where they do not overlap).
+func (s *System) binSpanY(r geom.Rect, iy int) float64 {
+	by := s.Grid.Region.Ly + float64(iy)*s.Grid.Dy
+	return min(by+s.Grid.Dy, r.Hy) - max(by, r.Ly)
+}
+
+// scatterInto zeroes buf and accumulates into it, for every cell of
+// [lo, hi) the staged mask selects, overlap area x density scale per bin.
+// wx is the chunk's bin-width scratch (length Nx).
+func scatterInto[T float32 | float64](s *System, buf []T, wx []float64, lo, hi int) {
+	d, x, y, mask := s.scD, s.scX, s.scY, s.scMask
+	nx := s.Nx
+	clear(buf)
+	for c := lo; c < hi; c++ {
+		if !mask.Has(d.CellKind[c]) {
+			continue
+		}
+		r, scale := s.expandedRect(d, c, x[c], y[c])
+		r = r.Intersect(s.Grid.Region)
+		if r.Empty() {
+			continue
+		}
+		x0, x1, y0, y1 := s.Grid.BinRange(r)
+		w := s.binSpanX(wx, r, x0, x1)
+		for iy := y0; iy < y1; iy++ {
+			h := s.binSpanY(r, iy)
+			if h <= 0 {
+				continue
+			}
+			row := buf[iy*nx+x0 : iy*nx+x1][:len(w)]
+			for i, wi := range w {
+				if ov := wi * h; ov > 0 {
+					row[i] += T(ov * scale)
+				}
+			}
+		}
+	}
+}
+
+// mergeFrom sums the first s.scUsed per-chunk maps over bins [lo, hi) into
+// the staged output, in occupancy units. The sum is float64 whatever the
+// maps' element type.
+func mergeFrom[T float32 | float64](s *System, maps [][]T, invBinArea float64, lo, hi int) {
+	out, maps := s.scOut, maps[:s.scUsed]
+	for b := lo; b < hi; b++ {
+		var sum float64
+		for _, m := range maps {
+			sum += float64(m[b])
+		}
+		out[b] = sum * invBinArea
+	}
+}
+
 // buildBodies constructs the persistent kernel bodies once. Each reads its
 // parameters from the staged s.* fields at execution time.
 func (s *System) buildBodies() {
 	nx, ny := s.Nx, s.Ny
 	invBinArea := 1 / s.Grid.BinArea()
 	binArea := s.Grid.BinArea()
-	s.scatterBody = func(w, lo, hi int) {
-		d, x, y, mask := s.scD, s.scX, s.scY, s.scMask
-		buf := s.scratch[w]
-		for i := range buf {
-			buf[i] = 0
-		}
-		for c := lo; c < hi; c++ {
-			if !mask.Has(d.CellKind[c]) {
-				continue
-			}
-			r, scale := s.expandedRect(d, c, x[c], y[c])
-			r = r.Intersect(s.Grid.Region)
-			if r.Empty() {
-				continue
-			}
-			x0, x1, y0, y1 := s.Grid.BinRange(r)
-			for iy := y0; iy < y1; iy++ {
-				for ix := x0; ix < x1; ix++ {
-					ov := s.Grid.BinRect(ix, iy).Overlap(r)
-					if ov > 0 {
-						buf[iy*s.Nx+ix] += ov * scale
-					}
-				}
-			}
-		}
-	}
-	s.mergeBody = func(lo, hi int) {
-		out, used := s.scOut, s.scUsed
-		for b := lo; b < hi; b++ {
-			var sum float64
-			for w := 0; w < used; w++ {
-				sum += s.scratch[w][b]
-			}
-			out[b] = sum * invBinArea
-		}
-	}
-	if s.be != nil {
+	if s.be == nil {
+		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch[w], s.spanX[w], lo, hi) }
+		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch, invBinArea, lo, hi) }
+	} else {
 		// Reduced-precision scatter: the per-worker private maps are
 		// float32 (half the streamed bytes of the hot loop); the merge
 		// accumulates in float64 and converts at the boundary store.
-		s.scatterBody = func(w, lo, hi int) {
-			d, x, y, mask := s.scD, s.scX, s.scY, s.scMask
-			buf := s.scratch32[w]
-			for i := range buf {
-				buf[i] = 0
-			}
-			for c := lo; c < hi; c++ {
-				if !mask.Has(d.CellKind[c]) {
-					continue
-				}
-				r, scale := s.expandedRect(d, c, x[c], y[c])
-				r = r.Intersect(s.Grid.Region)
-				if r.Empty() {
-					continue
-				}
-				x0, x1, y0, y1 := s.Grid.BinRange(r)
-				for iy := y0; iy < y1; iy++ {
-					for ix := x0; ix < x1; ix++ {
-						ov := s.Grid.BinRect(ix, iy).Overlap(r)
-						if ov > 0 {
-							buf[iy*s.Nx+ix] += float32(ov * scale)
-						}
-					}
-				}
-			}
-		}
-		s.mergeBody = func(lo, hi int) {
-			out, used := s.scOut, s.scUsed
-			for b := lo; b < hi; b++ {
-				var sum float64
-				for w := 0; w < used; w++ {
-					sum += float64(s.scratch32[w][b])
-				}
-				out[b] = sum * invBinArea
-			}
-		}
+		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch32[w], s.spanX[w], lo, hi) }
+		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch32, invBinArea, lo, hi) }
 	}
 	s.addBody = func(lo, hi int) {
 		a, b, dst := s.addA, s.addB, s.addDst
@@ -399,9 +408,10 @@ func (s *System) buildBodies() {
 		}
 		return sum
 	}
-	s.gatherBody = func(lo, hi int) {
+	s.gatherBody = func(w, lo, hi int) {
 		d, x, y, mask := s.gaD, s.gaX, s.gaY, s.gaMask
 		gradX, gradY := s.gaGX, s.gaGY
+		wx := s.spanX[w]
 		for c := lo; c < hi; c++ {
 			if !mask.Has(d.CellKind[c]) {
 				gradX[c], gradY[c] = 0, 0
@@ -414,16 +424,26 @@ func (s *System) buildBodies() {
 				continue
 			}
 			x0, x1, y0, y1 := s.Grid.BinRange(r)
+			w := s.binSpanX(wx, r, x0, x1)
 			var fx, fy float64
 			for iy := y0; iy < y1; iy++ {
-				for ix := x0; ix < x1; ix++ {
-					ov := s.Grid.BinRect(ix, iy).Overlap(r)
-					if ov <= 0 {
+				h := s.binSpanY(r, iy)
+				if h <= 0 {
+					continue
+				}
+				ex := s.Ex[iy*nx+x0 : iy*nx+x1][:len(w)]
+				ey := s.Ey[iy*nx+x0 : iy*nx+x1][:len(w)]
+				for i, wi := range w {
+					// Both tests: a NaN product of a width <= 0 must be
+					// skipped as the empty intersection it is, a NaN
+					// product of a positive width must propagate.
+					ov := wi * h
+					if wi <= 0 || ov <= 0 {
 						continue
 					}
 					q := ov * scale * invBinArea // charge share in bin units
-					fx += q * s.Ex[iy*s.Nx+ix]
-					fy += q * s.Ey[iy*s.Nx+ix]
+					fx += q * ex[i]
+					fy += q * ey[i]
 				}
 			}
 			// Energy gradient = -force; convert bin units -> design units.
@@ -472,6 +492,16 @@ func (s *System) expandedRect(d *netlist.Design, c int, x, y float64) (geom.Rect
 	return geom.Rect{Lx: x - ew/2, Ly: y - eh/2, Hx: x + ew/2, Hy: y + eh/2}, scale
 }
 
+// checkEngine panics, on the calling goroutine, when e would hand a kernel
+// body a chunk index past the per-chunk scratch the system was built with
+// (a bare index-out-of-range inside a pool goroutine would kill the
+// process instead).
+func (s *System) checkEngine(e *kernel.Engine) {
+	if e.Workers() > s.workers {
+		panic(fmt.Sprintf("field: system built for %d workers driven by a %d-worker engine", s.workers, e.Workers()))
+	}
+}
+
 // ScatterDensity accumulates the density of all cells selected by mask
 // into out (occupancy units). One kernel for the parallel scatter into
 // per-worker private maps plus one merge kernel — the atomics-free
@@ -491,6 +521,7 @@ func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []floa
 		mergeName = name + ".merge"
 		s.mergeNames[name] = mergeName
 	}
+	s.checkEngine(e)
 	s.scD, s.scX, s.scY, s.scMask, s.scOut = d, x, y, mask, out
 	s.scUsed = e.LaunchChunks(name, d.NumCells(), s.scatterBody)
 	e.Launch(mergeName, s.Nx*s.Ny, s.mergeBody)
@@ -555,8 +586,9 @@ func (s *System) GatherField(e *kernel.Engine, d *netlist.Design, x, y []float64
 	if y == nil {
 		y = d.CellY
 	}
+	s.checkEngine(e)
 	s.gaD, s.gaX, s.gaY, s.gaMask, s.gaGX, s.gaGY = d, x, y, mask, gradX, gradY
-	e.Launch("density.gather_field", d.NumCells(), s.gatherBody)
+	e.LaunchChunks("density.gather_field", d.NumCells(), s.gatherBody)
 }
 
 // Overflow computes the overflow ratio OVFL of Eq. 7 from the cell density

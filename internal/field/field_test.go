@@ -1,9 +1,14 @@
 package field
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"xplace/internal/backend"
+	"xplace/internal/benchgen"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
 	"xplace/internal/netlist"
@@ -313,6 +318,237 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 	}
 }
 
+// oracleScatter is the rect-per-bin density scatter this package ran before
+// the separable kernel — one geom.Rect per (cell, bin), its area taken by
+// BinRect(ix, iy).Overlap(r) — kept verbatim as the bit-identity reference,
+// over the engine's own chunk bounds and merged in chunk order. T is the
+// element type of the per-chunk maps (float32 on the reduced-precision
+// backend).
+func oracleScatter[T float32 | float64](e *kernel.Engine, s *System, d *netlist.Design, x, y []float64, mask KindMask, out []float64) {
+	scratch := make([][]T, e.Workers())
+	for w := range scratch {
+		scratch[w] = make([]T, s.Nx*s.Ny)
+	}
+	invBinArea := 1 / s.Grid.BinArea()
+	used := e.LaunchChunks("oracle.scatter", d.NumCells(), func(w, lo, hi int) {
+		buf := scratch[w]
+		for c := lo; c < hi; c++ {
+			if !mask.Has(d.CellKind[c]) {
+				continue
+			}
+			r, scale := s.expandedRect(d, c, x[c], y[c])
+			r = r.Intersect(s.Grid.Region)
+			if r.Empty() {
+				continue
+			}
+			x0, x1, y0, y1 := s.Grid.BinRange(r)
+			for iy := y0; iy < y1; iy++ {
+				for ix := x0; ix < x1; ix++ {
+					ov := s.Grid.BinRect(ix, iy).Overlap(r)
+					if ov > 0 {
+						buf[iy*s.Nx+ix] += T(ov * scale)
+					}
+				}
+			}
+		}
+	})
+	for b := range out {
+		var sum float64
+		for w := 0; w < used; w++ {
+			sum += float64(scratch[w][b])
+		}
+		out[b] = sum * invBinArea
+	}
+}
+
+// oracleGather is the rect-per-bin field gather, verbatim like
+// oracleScatter; it reads the system's current Ex/Ey.
+func oracleGather(e *kernel.Engine, s *System, d *netlist.Design, x, y []float64, mask KindMask, gradX, gradY []float64) {
+	invBinArea := 1 / s.Grid.BinArea()
+	e.Launch("oracle.gather", d.NumCells(), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			if !mask.Has(d.CellKind[c]) {
+				gradX[c], gradY[c] = 0, 0
+				continue
+			}
+			r, scale := s.expandedRect(d, c, x[c], y[c])
+			r = r.Intersect(s.Grid.Region)
+			if r.Empty() {
+				gradX[c], gradY[c] = 0, 0
+				continue
+			}
+			x0, x1, y0, y1 := s.Grid.BinRange(r)
+			var fx, fy float64
+			for iy := y0; iy < y1; iy++ {
+				for ix := x0; ix < x1; ix++ {
+					ov := s.Grid.BinRect(ix, iy).Overlap(r)
+					if ov <= 0 {
+						continue
+					}
+					q := ov * scale * invBinArea // charge share in bin units
+					fx += q * s.Ex[iy*s.Nx+ix]
+					fy += q * s.Ey[iy*s.Nx+ix]
+				}
+			}
+			gradX[c] = -fx / s.Grid.Dx
+			gradY[c] = -fy / s.Grid.Dy
+		}
+	})
+}
+
+// oracleDesign builds n cells of all three kinds over grid g: sub-bin cells
+// (expanded and scaled), cells of a few bins, macros up to three quarters
+// of the region (96 bin columns on a 128-wide grid), cells with edges
+// exactly on bin boundaries, cells straddling the region boundary, cells
+// fully outside it, and zero-width / zero-height cells.
+func oracleDesign(tb testing.TB, g geom.Grid, n int, seed int64) *netlist.Design {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := netlist.NewDesign("oracle", g.Region)
+	rw, rh := g.Region.W(), g.Region.H()
+	for i := 0; i < n; i++ {
+		w, h := g.Dx*(0.05+0.9*rng.Float64()), g.Dy*(0.05+0.9*rng.Float64())
+		x := g.Region.Lx + rw*rng.Float64()
+		y := g.Region.Ly + rh*rng.Float64()
+		switch rng.Intn(10) {
+		case 0, 1, 2: // a few bins
+			w, h = g.Dx*(1+3*rng.Float64()), g.Dy*(1+3*rng.Float64())
+		case 3: // macro
+			if rng.Intn(6) == 0 {
+				w, h = rw*(0.5+0.25*rng.Float64()), rh*(0.5+0.25*rng.Float64())
+			} else {
+				w, h = g.Dx*(4+8*rng.Float64()), g.Dy*(4+8*rng.Float64())
+			}
+		case 4: // bin-aligned edges
+			w, h = g.Dx*float64(1+rng.Intn(3)), g.Dy*float64(1+rng.Intn(3))
+			x = g.Region.Lx + g.Dx*float64(rng.Intn(g.Nx)) + w/2
+			y = g.Region.Ly + g.Dy*float64(rng.Intn(g.Ny)) + h/2
+		case 5: // straddling the boundary
+			w, h = g.Dx*(0.2+4*rng.Float64()), g.Dy*(0.2+4*rng.Float64())
+			x = []float64{g.Region.Lx, g.Region.Hx}[rng.Intn(2)] + w*(rng.Float64()-0.5)
+			if rng.Intn(2) == 0 {
+				y = []float64{g.Region.Ly, g.Region.Hy}[rng.Intn(2)] + h*(rng.Float64()-0.5)
+			}
+		case 6: // fully outside (or just touching)
+			x = g.Region.Hx + w/2 + g.Dx*float64(rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				x, y = g.Region.Lx+rw*rng.Float64(), g.Region.Ly-h/2-g.Dy*float64(rng.Intn(3))
+			}
+		case 7: // zero area
+			switch rng.Intn(3) {
+			case 0:
+				w = 0
+			case 1:
+				h = 0
+			default:
+				w, h = 0, 0
+			}
+		}
+		d.AddCell("c", w, h, x, y, netlist.CellKind(rng.Intn(3)))
+	}
+	if err := d.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestScatterGatherBitIdenticalToRectOracle pins the separable scatter and
+// gather to the rect-per-bin oracle bit for bit — every bin of the density
+// map, then (after a solve on it) every cell's gradient — on both element
+// types of the per-chunk maps.
+func TestScatterGatherBitIdenticalToRectOracle(t *testing.T) {
+	const cells = 5000 // >= the engine's parallel threshold: with 2 workers both chunks run
+	regions := []geom.Rect{
+		{Hx: 16, Hy: 16},
+		{Lx: -3.5, Ly: 10.25, Hx: 997.2, Hy: 311.9},
+		{Lx: 459, Ly: 459, Hx: 11151, Hy: 11139},
+	}
+	for gi, dim := range [][2]int{{16, 16}, {64, 32}, {128, 128}} {
+		grid := geom.NewGrid(regions[gi], dim[0], dim[1])
+		d := oracleDesign(t, grid, cells, int64(gi+1))
+		for _, workers := range []int{1, 2} {
+			for _, mask := range []KindMask{MaskMovable | MaskFixed, MaskAll, MaskPlaceable} {
+				for _, be := range []backend.Backend{nil, backend.Float32()} {
+					name := fmt.Sprintf("%dx%d/workers=%d/mask=%03b/f32=%v", dim[0], dim[1], workers, mask, be != nil)
+					t.Run(name, func(t *testing.T) {
+						e := kernel.New(kernel.Options{Workers: workers})
+						defer e.Close()
+						s := NewSystemOn(grid, e, be)
+						defer s.Release(e)
+						want := make([]float64, grid.NumBins())
+						if be == nil {
+							oracleScatter[float64](e, s, d, d.CellX, d.CellY, mask, want)
+						} else {
+							oracleScatter[float32](e, s, d, d.CellX, d.CellY, mask, want)
+						}
+						s.ScatterDensity(e, d, nil, nil, mask, s.Total, "density.total")
+						var mass float64
+						for b := range want {
+							if math.Float64bits(s.Total[b]) != math.Float64bits(want[b]) {
+								t.Fatalf("bin %d: density %v, oracle %v", b, s.Total[b], want[b])
+							}
+							mass += want[b]
+						}
+						if mass == 0 {
+							t.Fatal("empty density map: the case tests nothing")
+						}
+						s.SolvePoisson(e)
+						n := d.NumCells()
+						gx, gy := make([]float64, n), make([]float64, n)
+						wx, wy := make([]float64, n), make([]float64, n)
+						oracleGather(e, s, d, d.CellX, d.CellY, mask, wx, wy)
+						s.GatherField(e, d, nil, nil, mask, gx, gy)
+						var moved int
+						for c := 0; c < n; c++ {
+							if math.Float64bits(gx[c]) != math.Float64bits(wx[c]) || math.Float64bits(gy[c]) != math.Float64bits(wy[c]) {
+								t.Fatalf("cell %d: gradient (%v, %v), oracle (%v, %v)", c, gx[c], gy[c], wx[c], wy[c])
+							}
+							if wx[c] != 0 || wy[c] != 0 {
+								moved++
+							}
+						}
+						if moved < n/4 {
+							t.Fatalf("only %d of %d cells feel a field: the case tests little", moved, n)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSystemRejectsWiderEngine: a system's per-chunk scratch is sized for
+// the engine it was built on; driving it with an engine of more workers
+// must fail on the calling goroutine with a message that says so, not with
+// an index out of range inside a pool goroutine (which no caller can
+// recover and which takes the process down).
+func TestSystemRejectsWiderEngine(t *testing.T) {
+	narrow := kernel.New(kernel.Options{Workers: 1})
+	defer narrow.Close()
+	wide := kernel.New(kernel.Options{Workers: 2})
+	defer wide.Close()
+	grid := geom.NewGrid(geom.Rect{Hx: 16, Hy: 16}, 16, 16)
+	s := NewSystem(grid, narrow)
+	d := oracleDesign(t, grid, 3000, 9) // >= the parallel threshold: chunk 1 would run
+	n := d.NumCells()
+	for name, call := range map[string]func(){
+		"ScatterDensity": func() { s.ScatterDensity(wide, d, nil, nil, MaskAll, s.Total, "density.total") },
+		"GatherField":    func() { s.GatherField(wide, d, nil, nil, MaskAll, make([]float64, n), make([]float64, n)) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "field: system built for 1 workers driven by a 2-worker engine") {
+					t.Errorf("%s on a wider engine: recovered %q", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+	// The other direction is fine: fewer chunks than scratch maps.
+	NewSystem(grid, wide).ScatterDensity(narrow, d, nil, nil, MaskAll, s.Total, "density.total")
+}
+
 func BenchmarkScatterAndSolve(b *testing.B) {
 	e := eng()
 	s := newSys(128, 128, e)
@@ -327,5 +563,68 @@ func BenchmarkScatterAndSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ScatterDensity(e, d, nil, nil, MaskMovable, s.Total, "s")
 		s.SolvePoisson(e)
+	}
+}
+
+// benchShapes are the two shapes of the repository benchmark on which
+// scatter and gather matter: gp-small (856 cells; 64 is the grid the
+// placer's automatic rule picks for its 1.5k augmented cells) and gp-cells
+// (53k cells on 64x64).
+var benchShapes = []struct {
+	name  string
+	scale float64
+	grid  int
+}{
+	{"gp-small", 0.004, 64},
+	{"gp-cells", 0.25, 64},
+}
+
+// benchShape builds the filler-augmented adaptec1 design of shape i, its
+// field system and a 2-worker engine (the harness's engine setting).
+func benchShape(b *testing.B, i int) (*kernel.Engine, *System, *netlist.Design) {
+	b.Helper()
+	sh := benchShapes[i]
+	spec, ok := benchgen.FindSpec("adaptec1")
+	if !ok {
+		b.Fatal("no adaptec1 spec")
+	}
+	d := benchgen.Generate(spec, sh.scale, 1).Clone()
+	d.AddFillers(1.0)
+	if err := d.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	e := kernel.New(kernel.Options{Workers: 2})
+	b.Cleanup(e.Close)
+	return e, NewSystem(geom.NewGrid(d.Region, sh.grid, sh.grid), e), d
+}
+
+func BenchmarkScatter(b *testing.B) {
+	for i, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			e, s, d := benchShape(b, i)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ScatterDensity(e, d, nil, nil, MaskAll, s.Total, "density.total")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d.NumCells()), "ns/cell")
+		})
+	}
+}
+
+func BenchmarkGather(b *testing.B) {
+	for i, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			e, s, d := benchShape(b, i)
+			s.ScatterDensity(e, d, nil, nil, MaskAll, s.Total, "density.total")
+			s.SolvePoisson(e)
+			gx, gy := make([]float64, d.NumCells()), make([]float64, d.NumCells())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.GatherField(e, d, nil, nil, MaskPlaceable, gx, gy)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d.NumCells()), "ns/cell")
+		})
 	}
 }

@@ -28,14 +28,14 @@ type QuadSystem struct {
 // B2B model re-selects its edges every solve) settles to zero steady
 // allocations once the edge count peaks.
 type QuadBuilder struct {
-	n           int
-	diag, b     []float64
-	edgeI       []int32
-	edgeJ       []int32
-	edgeW       []float64
-	edgeD       []float64
-	sys         QuadSystem
-	rowFill     []int32
+	n       int
+	diag, b []float64
+	edgeI   []int32
+	edgeJ   []int32
+	edgeW   []float64
+	edgeD   []float64
+	sys     QuadSystem
+	rowFill []int32
 }
 
 // Reset prepares the builder for a system over n variables.

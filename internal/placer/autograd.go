@@ -3,7 +3,6 @@ package placer
 import (
 	"xplace/internal/field"
 	"xplace/internal/tensor"
-	"xplace/internal/wirelength"
 )
 
 // autogradGradient computes the objective gradient the PyTorch way: leaf
@@ -40,13 +39,13 @@ func (p *Placer) autogradGradient(vx, vy []float64, gamma, lambda float64) (wa f
 	waOp := tensor.Op{
 		Name: "wa",
 		Forward: func(ctx *tensor.Context, in []*tensor.Tensor) *tensor.Tensor {
-			wa = wirelength.WAGrad(e, d, in[0].Data, in[1].Data, gamma, p.pinGX, p.pinGY)
+			wa = p.wl.Grad(in[0].Data, in[1].Data, gamma, p.pinGX, p.pinGY)
 			out := tensor.New(1)
 			out.Data[0] = wa
 			return out
 		},
 		Backward: func(ctx *tensor.Context, in []*tensor.Tensor, _ *tensor.Tensor, g []float64) {
-			wirelength.PinToCellGrad(e, d, p.pinGX, p.pinGY, p.wlGX, p.wlGY)
+			p.wl.PinToCell(p.pinGX, p.pinGY, p.wlGX, p.wlGY)
 			gv := g[0]
 			gx, gy := p.agGX, p.agGY
 			e.Launch("wa.bwd_scale", len(gx), func(lo, hi int) {
@@ -88,7 +87,7 @@ func (p *Placer) autogradGradient(vx, vy []float64, gamma, lambda float64) (wa f
 
 	if !p.lambdaInit {
 		tensor.Backward(ctx, tensor.Add(ctx, wlLoss, densLoss))
-		wirelength.PinToCellGrad(e, d, p.pinGX, p.pinGY, p.wlGX, p.wlGY)
+		p.wl.PinToCell(p.pinGX, p.pinGY, p.wlGX, p.wlGY)
 		nWL, nD := p.l1Norms(p.wlGX, p.wlGY, p.dGX, p.dGY)
 		p.schd.InitLambda(nWL, nD)
 		p.lambdaInit = true

@@ -5,7 +5,6 @@ import (
 
 	"xplace/internal/field"
 	"xplace/internal/metrics"
-	"xplace/internal/wirelength"
 )
 
 // iterateBaseline runs one GP iteration the DREAMPlace way: autograd
@@ -42,7 +41,7 @@ func (p *Placer) iterateBaseline() error {
 	// evaluation at the new lookahead point.
 	gs = p.beginGroup()
 	nvx, nvy := p.opt.Positions()
-	_ = wirelength.WAForward(e, d, nvx, nvy, gamma)
+	_ = p.wl.Forward(nvx, nvy, gamma)
 	p.sys.ScatterDensity(e, d, nvx, nvy, field.MaskAll, p.sys.Total, "density.total_ls")
 	_ = p.sys.SolvePoisson(e)
 	p.endGroup(gs, "op.linesearch")
@@ -50,7 +49,7 @@ func (p *Placer) iterateBaseline() error {
 	// Exact HPWL and overflow as separate operators (no fusion, no
 	// extraction: the cell map is scattered from scratch).
 	gs = p.beginGroup()
-	hpwl := wirelength.HPWL(e, d, vx, vy)
+	hpwl := p.wl.HPWL(vx, vy)
 	p.sys.ScatterDensity(e, d, vx, vy, field.MaskMovable|field.MaskFixed, p.sys.D, "density.cells_ovfl")
 	p.lastOverflow = p.sys.Overflow(e, d, p.sys.D, p.opts.TargetDensity)
 

@@ -109,7 +109,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		{"adaptive_grid", func(o *Options) { o.AdaptiveGrid = true }, 40},
 		{"spectral_truncation", func(o *Options) { o.SpectralTruncation = true }, 30},
 		{"adam", func(o *Options) { o.Optimizer = OptAdam }, 25},
-		{"baseline_mode", func(o *Options) { *o = BaselineDefaults(); o.GridSize = 32; o.TargetDensity = 0.9; o.Sched.MaxIter = 200 }, 20},
+		{"baseline_mode", func(o *Options) {
+			*o = BaselineDefaults()
+			o.GridSize = 32
+			o.TargetDensity = 0.9
+			o.Sched.MaxIter = 200
+		}, 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -258,14 +258,14 @@ type Placer struct {
 	// otherwise). The coarse-to-fine switch is one-way.
 	sysFine   *field.System
 	sysCoarse *field.System
-	pre  *optim.Preconditioner
-	schd *sched.Scheduler
-	opt  optim.Optimizer
-	rec  *metrics.Recorder
-	wl   *wirelength.Ops
-	lbub *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
-	sq   *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
-	ctx  context.Context   // active run's context; Background outside a run
+	pre       *optim.Preconditioner
+	schd      *sched.Scheduler
+	opt       optim.Optimizer
+	rec       *metrics.Recorder
+	wl        *wirelength.Ops
+	lbub      *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
+	sq        *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
+	ctx       context.Context   // active run's context; Background outside a run
 
 	// Observability instruments (nil-safe: a disabled tracer/registry makes
 	// every use a nil-check no-op).
@@ -285,13 +285,13 @@ type Placer struct {
 	hIter        *obs.Histogram
 
 	// Gradient buffers (cell-indexed over the augmented design).
-	pinGX, pinGY   []float64
-	wlGX, wlGY     []float64
-	dGX, dGY       []float64
-	gX, gY         []float64
-	exBlend        []float64 // NN-blended field scratch
-	eyBlend        []float64
-	agGX, agGY     []float64 // autograd backward scratch (lazy)
+	pinGX, pinGY []float64
+	wlGX, wlGY   []float64
+	dGX, dGY     []float64
+	gX, gY       []float64
+	exBlend      []float64 // NN-blended field scratch
+	eyBlend      []float64
+	agGX, agGY   []float64 // autograd backward scratch (lazy)
 	lastOverflow float64
 	lastEnergy   float64
 	lastR        float64

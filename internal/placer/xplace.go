@@ -5,7 +5,6 @@ import (
 
 	"xplace/internal/field"
 	"xplace/internal/sched"
-	"xplace/internal/wirelength"
 )
 
 // coarseOverflowExit is the overflow below which the adaptive-grid run
@@ -139,7 +138,7 @@ func (p *Placer) iterateXplace() error {
 		wa = p.autogradGradient(vx, vy, gamma, p.schd.Lambda)
 		p.endGroup(gs, "op.autograd")
 		gs = p.beginGroup()
-		hpwl = wirelength.HPWL(e, d, vx, vy)
+		hpwl = p.wl.HPWL(vx, vy)
 		// Overflow needs the cell map; without extraction it is scattered
 		// from scratch.
 		p.sys.ScatterDensity(e, d, vx, vy, field.MaskMovable|field.MaskFixed, p.sys.D, "density.cells_ovfl")

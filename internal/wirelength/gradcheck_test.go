@@ -18,6 +18,7 @@ func TestGradientFiniteDifferenceProperty(t *testing.T) {
 	gammas := []float64{0.5, 3, 20, 150}
 	for _, seed := range []int64{11, 12, 13} {
 		d := randomDesign(t, 15, 25, seed)
+		wa, lse := newTestOps(t, e, d, WA), newTestOps(t, e, d, LSE)
 		np := d.NumPins()
 		nc := d.NumCells()
 		gx, gy := make([]float64, np), make([]float64, np)
@@ -31,18 +32,18 @@ func TestGradientFiniteDifferenceProperty(t *testing.T) {
 			forward func(x, y []float64, g float64) float64
 		}{
 			{"WA",
-				func(x, y []float64, g float64) float64 { return WAGrad(e, d, x, y, g, gx, gy) },
-				func(x, y []float64, g float64) float64 { return WAForward(e, d, x, y, g) }},
+				func(x, y []float64, g float64) float64 { return wa.Grad(x, y, g, gx, gy) },
+				func(x, y []float64, g float64) float64 { return wa.Forward(x, y, g) }},
 			{"LSE",
-				func(x, y []float64, g float64) float64 { return LSEGrad(e, d, x, y, g, gx, gy) },
-				func(x, y []float64, g float64) float64 { return LSEForward(e, d, x, y, g) }},
+				func(x, y []float64, g float64) float64 { return lse.Grad(x, y, g, gx, gy) },
+				func(x, y []float64, g float64) float64 { return lse.Forward(x, y, g) }},
 		} {
 			for _, gamma := range gammas {
-				wa := m.grad(x, y, gamma)
-				if math.IsNaN(wa) || math.IsInf(wa, 0) {
-					t.Fatalf("%s seed %d gamma %g: forward = %v", m.name, seed, gamma, wa)
+				wl := m.grad(x, y, gamma)
+				if math.IsNaN(wl) || math.IsInf(wl, 0) {
+					t.Fatalf("%s seed %d gamma %g: forward = %v", m.name, seed, gamma, wl)
 				}
-				PinToCellGrad(e, d, gx, gy, cgx, cgy)
+				wa.PinToCell(gx, gy, cgx, cgy)
 
 				// Step scaled to gamma: small enough for the O(h^2) FD
 				// error, large enough to survive double rounding at
@@ -81,14 +82,15 @@ func TestFusedGradMatchesUnfusedAcrossGamma(t *testing.T) {
 	e := eng()
 	defer e.Close()
 	d := randomDesign(t, 40, 70, 21)
+	wa, lse := newTestOps(t, e, d, WA), newTestOps(t, e, d, LSE)
 	np := d.NumPins()
 	ga, gb := make([]float64, np), make([]float64, np)
 	fa, fb := make([]float64, np), make([]float64, np)
 	for _, gamma := range []float64{0.5, 3, 20, 150} {
-		wa := WAGrad(e, d, d.CellX, d.CellY, gamma, ga, gb)
-		res := Fused(e, d, d.CellX, d.CellY, gamma, fa, fb)
-		if wa != res.WA {
-			t.Errorf("gamma %g: fused WA %v != unfused %v", gamma, res.WA, wa)
+		unf := wa.Grad(d.CellX, d.CellY, gamma, ga, gb)
+		res := wa.Fused(d.CellX, d.CellY, gamma, fa, fb)
+		if unf != res.WA {
+			t.Errorf("gamma %g: fused WA %v != unfused %v", gamma, res.WA, unf)
 		}
 		for p := 0; p < np; p++ {
 			if ga[p] != fa[p] || gb[p] != fb[p] {
@@ -96,10 +98,10 @@ func TestFusedGradMatchesUnfusedAcrossGamma(t *testing.T) {
 					gamma, p, fa[p], fb[p], ga[p], gb[p])
 			}
 		}
-		lse := LSEGrad(e, d, d.CellX, d.CellY, gamma, ga, gb)
-		lres := FusedLSE(e, d, d.CellX, d.CellY, gamma, fa, fb)
-		if lse != lres.WA {
-			t.Errorf("gamma %g: fused LSE %v != unfused %v", gamma, lres.WA, lse)
+		lunf := lse.Grad(d.CellX, d.CellY, gamma, ga, gb)
+		lres := lse.Fused(d.CellX, d.CellY, gamma, fa, fb)
+		if lunf != lres.WA {
+			t.Errorf("gamma %g: fused LSE %v != unfused %v", gamma, lres.WA, lunf)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package wirelength
 import (
 	"math"
 
-	"xplace/internal/kernel"
 	"xplace/internal/netlist"
 )
 
@@ -20,7 +19,7 @@ import (
 
 // netLSE computes the stable LSE wirelength and per-pin gradient of one
 // net in one dimension; mirrors netWA's contract.
-func netLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64) (float64, float64) {
+func netLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64, sc *netScratch) (float64, float64) {
 	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
 	if e-s < 2 {
 		if grad != nil {
@@ -30,105 +29,23 @@ func netLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float6
 		}
 		return 0, 0
 	}
-	minV, maxV := math.Inf(1), math.Inf(-1)
-	for p := s; p < e; p++ {
-		v := pos[d.PinCell[p]] + off[p]
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
+	v, ap, am, minV, maxV := sc.gather(d, s, e, pos, off)
 	hpwl := maxV - minV
-	inv := 1 / gamma
+	expWeights(v, ap, am, minV, maxV, 1/gamma)
 	var sPlus, sMinus float64
-	for p := s; p < e; p++ {
-		v := pos[d.PinCell[p]] + off[p]
-		sPlus += math.Exp((v - maxV) * inv)
-		sMinus += math.Exp((minV - v) * inv)
+	for i := range v {
+		sPlus += ap[i]
+		sMinus += am[i]
 	}
 	// LSE = gamma*(log sum e^{(v-max)/g} + max/g + log sum e^{(min-v)/g} - min/g)
 	lse := gamma*(math.Log(sPlus)+math.Log(sMinus)) + hpwl
 	if grad != nil {
 		invSP := 1 / sPlus
 		invSM := 1 / sMinus
-		for p := s; p < e; p++ {
-			v := pos[d.PinCell[p]] + off[p]
-			gp := math.Exp((v-maxV)*inv) * invSP
-			gm := math.Exp((minV-v)*inv) * invSM
-			grad[p] = gp - gm
+		g := grad[s:e]
+		for i := range v {
+			g[i] = ap[i]*invSP - am[i]*invSM
 		}
 	}
 	return lse, hpwl
-}
-
-// FusedLSE is the LSE counterpart of Fused: smoothed wirelength, pin
-// gradient and HPWL in one kernel.
-func FusedLSE(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64, pinGX, pinGY []float64) Result {
-	nw := e.Workers()
-	partWL := e.Alloc(nw)
-	partHP := e.Alloc(nw)
-	e.LaunchChunks("wl.fused_lse_grad_hpwl", d.NumNets(), func(w, lo, hi int) {
-		var wl, hp float64
-		for n := lo; n < hi; n++ {
-			wx, hx := netLSE(d, n, x, d.PinOffX, gamma, pinGX)
-			wy, hy := netLSE(d, n, y, d.PinOffY, gamma, pinGY)
-			wl += wx + wy
-			hp += hx + hy
-		}
-		partWL[w] += wl
-		partHP[w] += hp
-	})
-	var res Result
-	for w := 0; w < nw; w++ {
-		res.WA += partWL[w]
-		res.HPWL += partHP[w]
-	}
-	e.Free(partWL)
-	e.Free(partHP)
-	return res
-}
-
-// LSEGrad evaluates the LSE wirelength and its pin gradient without the
-// HPWL fusion.
-func LSEGrad(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64, pinGX, pinGY []float64) float64 {
-	nw := e.Workers()
-	part := e.Alloc(nw)
-	e.LaunchChunks("wl.lse_grad", d.NumNets(), func(w, lo, hi int) {
-		var wl float64
-		for n := lo; n < hi; n++ {
-			wx, _ := netLSE(d, n, x, d.PinOffX, gamma, pinGX)
-			wy, _ := netLSE(d, n, y, d.PinOffY, gamma, pinGY)
-			wl += wx + wy
-		}
-		part[w] += wl
-	})
-	var total float64
-	for w := 0; w < nw; w++ {
-		total += part[w]
-	}
-	e.Free(part)
-	return total
-}
-
-// LSEForward evaluates only the LSE wirelength.
-func LSEForward(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64) float64 {
-	nw := e.Workers()
-	part := e.Alloc(nw)
-	e.LaunchChunks("wl.lse_fwd", d.NumNets(), func(w, lo, hi int) {
-		var wl float64
-		for n := lo; n < hi; n++ {
-			wx, _ := netLSE(d, n, x, d.PinOffX, gamma, nil)
-			wy, _ := netLSE(d, n, y, d.PinOffY, gamma, nil)
-			wl += wx + wy
-		}
-		part[w] += wl
-	})
-	var total float64
-	for w := 0; w < nw; w++ {
-		total += part[w]
-	}
-	e.Free(part)
-	return total
 }

@@ -21,14 +21,20 @@ const (
 // once, with per-call parameters staged in struct fields, so steady-state
 // evaluations are allocation-free (per-call closures would heap-allocate on
 // every launch). An Ops is single-flight: drive it from one placement loop
-// at a time. The free package functions (Fused, WAGrad, ...) remain for
-// one-shot callers.
+// at a time. It launches on the engine it was built for and takes none as
+// an argument, so a chunk index always addresses scratch sized for it.
 type Ops struct {
 	e     *kernel.Engine
 	d     *netlist.Design
 	model Model
 
 	partWA, partHP []float64 // one slot per worker chunk
+
+	// Per-net scratch, one netScratch per worker chunk, all cut from the
+	// single arena buffer netBuf (3 x maxDeg floats per chunk).
+	maxDeg int
+	netBuf []float64
+	net    []netScratch
 
 	// Staged per-call parameters.
 	x, y           []float64
@@ -40,42 +46,48 @@ type Ops struct {
 	hpwlBody            func(lo, hi int) float64
 	p2cBody             func(lo, hi int)
 
-	fusedName, gradName string
+	fusedName, gradName, fwdName string
 }
 
 // NewOps builds the persistent wirelength operators for (e, d) using the
-// given smoothed model. The per-worker partial buffers come from e's
-// arena; call Release when done with the operator set.
+// given smoothed model. The per-worker partial buffers and per-net scratch
+// come from e's arena; call Release when done with the operator set.
 func NewOps(e *kernel.Engine, d *netlist.Design, model Model) *Ops {
 	o := &Ops{
-		e:      e,
-		d:      d,
-		model:  model,
-		partWA: e.Alloc(e.Workers()),
-		partHP: e.Alloc(e.Workers()),
+		e:     e,
+		d:     d,
+		model: model,
+		net:   make([]netScratch, e.Workers()),
 	}
+	for n := 0; n < d.NumNets(); n++ {
+		o.maxDeg = max(o.maxDeg, d.NetPinStart[n+1]-d.NetPinStart[n])
+	}
+	o.ensure()
 	netFn := netWA
-	o.fusedName, o.gradName = "wl.fused_wa_grad_hpwl", "wl.wa_grad"
+	o.fusedName, o.gradName, o.fwdName = "wl.fused_wa_grad_hpwl", "wl.wa_grad", "wl.wa_fwd"
 	if model == LSE {
 		netFn = netLSE
-		o.fusedName, o.gradName = "wl.fused_lse_grad_hpwl", "wl.lse_grad"
+		o.fusedName, o.gradName, o.fwdName = "wl.fused_lse_grad_hpwl", "wl.lse_grad", "wl.lse_fwd"
 	}
 	o.fusedBody = func(w, lo, hi int) {
+		sc := &o.net[w]
 		var wl, hp float64
 		for n := lo; n < hi; n++ {
-			wx, hx := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX)
-			wy, hy := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY)
+			wx, hx := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX, sc)
+			wy, hy := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY, sc)
 			wl += wx + wy
 			hp += hx + hy
 		}
 		o.partWA[w] = wl
 		o.partHP[w] = hp
 	}
+	// gradBody serves Grad and, with the pin gradients staged nil, Forward.
 	o.gradBody = func(w, lo, hi int) {
+		sc := &o.net[w]
 		var wl float64
 		for n := lo; n < hi; n++ {
-			wx, _ := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX)
-			wy, _ := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY)
+			wx, _ := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX, sc)
+			wy, _ := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY, sc)
 			wl += wx + wy
 		}
 		o.partWA[w] = wl
@@ -97,22 +109,32 @@ func NewOps(e *kernel.Engine, d *netlist.Design, model Model) *Ops {
 	return o
 }
 
-// Release returns the per-worker partial buffers to the engine arena.
-// Idempotent; the Ops stays usable — the next evaluation checks the
-// partials out again.
+// Release returns the per-worker partial buffers and the per-net scratch to
+// the engine arena. Idempotent; the Ops stays usable — the next evaluation
+// checks them out again.
 func (o *Ops) Release() {
 	if o.partWA != nil {
 		o.e.Free(o.partWA)
 		o.e.Free(o.partHP)
-		o.partWA, o.partHP = nil, nil
+		o.e.Free(o.netBuf)
+		o.partWA, o.partHP, o.netBuf = nil, nil, nil
+		clear(o.net)
 	}
 }
 
-// ensure re-checks the partial buffers out after a Release.
+// ensure checks the partial buffers and the per-net scratch out of the
+// arena (at construction and again after a Release).
 func (o *Ops) ensure() {
-	if o.partWA == nil {
-		o.partWA = o.e.Alloc(o.e.Workers())
-		o.partHP = o.e.Alloc(o.e.Workers())
+	if o.partWA != nil {
+		return
+	}
+	nw, k := len(o.net), o.maxDeg
+	o.partWA = o.e.Alloc(nw)
+	o.partHP = o.e.Alloc(nw)
+	o.netBuf = o.e.Alloc(3 * k * nw)
+	for w := range o.net {
+		b := o.netBuf[3*k*w : 3*k*(w+1)]
+		o.net[w] = netScratch{v: b[:k], ap: b[k : 2*k], am: b[2*k:]}
 	}
 }
 
@@ -133,9 +155,19 @@ func (o *Ops) Fused(x, y []float64, gamma float64, pinGX, pinGY []float64) Resul
 // Grad evaluates the smoothed wirelength and its pin gradient WITHOUT the
 // HPWL fusion — the "no operator combination" configuration.
 func (o *Ops) Grad(x, y []float64, gamma float64, pinGX, pinGY []float64) float64 {
+	return o.unfused(o.gradName, x, y, gamma, pinGX, pinGY)
+}
+
+// Forward evaluates only the smoothed wirelength (no gradient) as one
+// kernel — the forward operator the autograd baseline's line search runs.
+func (o *Ops) Forward(x, y []float64, gamma float64) float64 {
+	return o.unfused(o.fwdName, x, y, gamma, nil, nil)
+}
+
+func (o *Ops) unfused(name string, x, y []float64, gamma float64, pinGX, pinGY []float64) float64 {
 	o.ensure()
 	o.x, o.y, o.gamma, o.pinGX, o.pinGY = x, y, gamma, pinGX, pinGY
-	used := o.e.LaunchChunks(o.gradName, o.d.NumNets(), o.gradBody)
+	used := o.e.LaunchChunks(name, o.d.NumNets(), o.gradBody)
 	var total float64
 	for w := 0; w < used; w++ {
 		total += o.partWA[w]

@@ -3,16 +3,16 @@
 // weighted-average (WA) smoothed wirelength (Eq. 6), and its analytic
 // gradient.
 //
-// The package provides both the paper's fused operator (§3.1.1 operator
-// combination: WA wirelength + WA gradient + HPWL in ONE kernel, sharing
-// the per-net min/max scan) and the unfused operators the ablation and the
-// DREAMPlace-style baseline use (separate kernels, each rescanning min/max).
+// The operators live on Ops, which provides both the paper's fused operator
+// (§3.1.1 operator combination: WA wirelength + WA gradient + HPWL in ONE
+// kernel, sharing the per-net min/max scan) and the unfused operators the
+// ablation and the DREAMPlace-style baseline use (separate kernels, each
+// rescanning min/max).
 package wirelength
 
 import (
 	"math"
 
-	"xplace/internal/kernel"
 	"xplace/internal/netlist"
 )
 
@@ -22,10 +22,71 @@ type Result struct {
 	HPWL float64 // exact half-perimeter wirelength
 }
 
+// netScratch is one worker chunk's per-net scratch: the gathered pin
+// coordinates of the net being evaluated and their two stable exponential
+// weights a+ = e^{(v-max)/gamma}, a- = e^{(min-v)/gamma}. Each slice is as
+// long as the design's largest net, so a net's working set stays in L1.
+type netScratch struct {
+	v, ap, am []float64
+}
+
+// gather copies the pin coordinates pos[PinCell[p]]+off[p] of pins [s, e)
+// into sc.v while scanning their min/max (shared by the smoothed
+// wirelength, its gradient and HPWL) and returns the three scratch slices
+// cut to the net's degree.
+func (sc *netScratch) gather(d *netlist.Design, s, e int, pos, off []float64) (v, ap, am []float64, minV, maxV float64) {
+	cells, offs := d.PinCell[s:e], off[s:e]
+	v, ap, am = sc.v[:len(cells)], sc.ap[:len(cells)], sc.am[:len(cells)]
+	minV, maxV = math.Inf(1), math.Inf(-1)
+	for i, c := range cells {
+		x := pos[c] + offs[i]
+		v[i] = x
+		if x < minV {
+			minV = x
+		}
+		if x > maxV {
+			maxV = x
+		}
+	}
+	return v, ap, am, minV, maxV
+}
+
+// expOrOne is math.Exp with the zero argument answered without the call:
+// Exp(±0) is exactly 1, and every net has a pin at its max (a+ argument 0)
+// and one at its min (a- argument 0).
+func expOrOne(t float64) float64 {
+	if t == 0 {
+		return 1
+	}
+	return math.Exp(t)
+}
+
+// expWeights fills ap[i] = e^{(v[i]-maxV)*inv} and am[i] = e^{(minV-v[i])*inv},
+// each evaluated once per net and dimension and read back by the sums and
+// the gradient. With the zero arguments skipped a net of degree deg costs at
+// most 2*deg-2 exponentials; in a two-pin net the two that remain share the
+// argument (minV-maxV)*inv, so it costs one.
+func expWeights(v, ap, am []float64, minV, maxV, inv float64) {
+	if len(v) == 2 && (v[0] < v[1] || v[1] < v[0]) { // distinct, neither NaN
+		lo, hi := 0, 1
+		if v[1] < v[0] {
+			lo, hi = 1, 0
+		}
+		a := math.Exp((minV - maxV) * inv)
+		ap[lo], am[lo] = a, expOrOne((minV-v[lo])*inv)
+		ap[hi], am[hi] = expOrOne((v[hi]-maxV)*inv), a
+		return
+	}
+	for i, x := range v {
+		ap[i] = expOrOne((x - maxV) * inv)
+		am[i] = expOrOne((minV - x) * inv)
+	}
+}
+
 // netWA computes the stable WA wirelength and per-pin gradient of one net
 // in one dimension. pos is indexed by cell; grad (per pin, indexed by
 // global pin id) is written if non-nil. Returns (waWL, hpwl).
-func netWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64) (float64, float64) {
+func netWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64, sc *netScratch) (float64, float64) {
 	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
 	if e-s < 2 {
 		if grad != nil {
@@ -35,143 +96,30 @@ func netWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64
 		}
 		return 0, 0
 	}
-	// Pass 1: min/max (shared by WA, gradient and HPWL).
-	minV, maxV := math.Inf(1), math.Inf(-1)
-	for p := s; p < e; p++ {
-		v := pos[d.PinCell[p]] + off[p]
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
+	v, ap, am, minV, maxV := sc.gather(d, s, e, pos, off)
 	hpwl := maxV - minV
-	// Pass 2: stable exponential sums (Eq. 6).
+	// Stable exponential sums (Eq. 6).
 	inv := 1 / gamma
+	expWeights(v, ap, am, minV, maxV, inv)
 	var sPlus, sMinus, bPlus, bMinus float64
-	for p := s; p < e; p++ {
-		v := pos[d.PinCell[p]] + off[p]
-		ap := math.Exp((v - maxV) * inv)
-		am := math.Exp((minV - v) * inv)
-		sPlus += ap
-		sMinus += am
-		bPlus += v * ap
-		bMinus += v * am
+	for i, x := range v {
+		sPlus += ap[i]
+		sMinus += am[i]
+		bPlus += x * ap[i]
+		bMinus += x * am[i]
 	}
 	wa := bPlus/sPlus - bMinus/sMinus
 	if grad != nil {
-		// Pass 3: gradient. d(B+/S+)/dv_j = a_j*(S+ + (v_j*S+ - B+)/gamma)/S+^2
-		// and symmetrically for the minus term.
+		// d(B+/S+)/dv_j = a_j*(S+ + (v_j*S+ - B+)/gamma)/S+^2 and
+		// symmetrically for the minus term.
 		invSP2 := 1 / (sPlus * sPlus)
 		invSM2 := 1 / (sMinus * sMinus)
-		for p := s; p < e; p++ {
-			v := pos[d.PinCell[p]] + off[p]
-			ap := math.Exp((v - maxV) * inv)
-			am := math.Exp((minV - v) * inv)
-			gp := ap * (sPlus + (v*sPlus-bPlus)*inv) * invSP2
-			gm := am * (sMinus - (v*sMinus-bMinus)*inv) * invSM2
-			grad[p] = gp - gm
+		g := grad[s:e]
+		for i, x := range v {
+			gp := ap[i] * (sPlus + (x*sPlus-bPlus)*inv) * invSP2
+			gm := am[i] * (sMinus - (x*sMinus-bMinus)*inv) * invSM2
+			g[i] = gp - gm
 		}
 	}
 	return wa, hpwl
-}
-
-// Fused evaluates WA wirelength, WA pin gradient and HPWL in a single
-// kernel launch (the paper's operator combination, §3.1.1). pinGX/pinGY
-// must have length NumPins; they receive d(WA)/d(pin position).
-func Fused(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64, pinGX, pinGY []float64) Result {
-	nw := e.Workers()
-	partWA := e.Alloc(nw)
-	partHP := e.Alloc(nw)
-	e.LaunchChunks("wl.fused_wa_grad_hpwl", d.NumNets(), func(w, lo, hi int) {
-		var wa, hp float64
-		for n := lo; n < hi; n++ {
-			wx, hx := netWA(d, n, x, d.PinOffX, gamma, pinGX)
-			wy, hy := netWA(d, n, y, d.PinOffY, gamma, pinGY)
-			wa += wx + wy
-			hp += hx + hy
-		}
-		partWA[w] += wa
-		partHP[w] += hp
-	})
-	var res Result
-	for w := 0; w < nw; w++ {
-		res.WA += partWA[w]
-		res.HPWL += partHP[w]
-	}
-	e.Free(partWA)
-	e.Free(partHP)
-	return res
-}
-
-// WAGrad evaluates the WA wirelength and its pin gradient as one kernel
-// (DREAMPlace's objective-and-gradient merging) WITHOUT the HPWL fusion —
-// the "no operator combination" configuration.
-func WAGrad(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64, pinGX, pinGY []float64) float64 {
-	nw := e.Workers()
-	part := e.Alloc(nw)
-	e.LaunchChunks("wl.wa_grad", d.NumNets(), func(w, lo, hi int) {
-		var wa float64
-		for n := lo; n < hi; n++ {
-			wx, _ := netWA(d, n, x, d.PinOffX, gamma, pinGX)
-			wy, _ := netWA(d, n, y, d.PinOffY, gamma, pinGY)
-			wa += wx + wy
-		}
-		part[w] += wa
-	})
-	var total float64
-	for w := 0; w < nw; w++ {
-		total += part[w]
-	}
-	e.Free(part)
-	return total
-}
-
-// WAForward evaluates only the WA wirelength (no gradient) as one kernel —
-// the forward operator the autograd baseline differentiates.
-func WAForward(e *kernel.Engine, d *netlist.Design, x, y []float64, gamma float64) float64 {
-	nw := e.Workers()
-	part := e.Alloc(nw)
-	e.LaunchChunks("wl.wa_fwd", d.NumNets(), func(w, lo, hi int) {
-		var wa float64
-		for n := lo; n < hi; n++ {
-			wx, _ := netWA(d, n, x, d.PinOffX, gamma, nil)
-			wy, _ := netWA(d, n, y, d.PinOffY, gamma, nil)
-			wa += wx + wy
-		}
-		part[w] += wa
-	})
-	var total float64
-	for w := 0; w < nw; w++ {
-		total += part[w]
-	}
-	e.Free(part)
-	return total
-}
-
-// HPWL evaluates the exact half-perimeter wirelength as its own kernel,
-// rescanning every net's min/max (what the unfused configuration pays).
-func HPWL(e *kernel.Engine, d *netlist.Design, x, y []float64) float64 {
-	return e.ParallelReduce("wl.hpwl", d.NumNets(), 0,
-		func(lo, hi int) float64 {
-			return hpwlRange(d, x, y, lo, hi)
-		}, sumFloat)
-}
-
-// PinToCellGrad scatters per-pin gradients onto cell centers as one kernel
-// parallel over cells (race-free: each cell sums its own pins via the CSR
-// reverse map). Overwrites cellGX/cellGY; cells without pins get zero.
-func PinToCellGrad(e *kernel.Engine, d *netlist.Design, pinGX, pinGY, cellGX, cellGY []float64) {
-	e.Launch("wl.pin_to_cell", d.NumCells(), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			var gx, gy float64
-			for _, p := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
-				gx += pinGX[p]
-				gy += pinGY[p]
-			}
-			cellGX[c] = gx
-			cellGY[c] = gy
-		}
-	})
 }

@@ -1,10 +1,12 @@
 package wirelength
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"xplace/internal/benchgen"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
 	"xplace/internal/netlist"
@@ -34,10 +36,20 @@ func randomDesign(tb testing.TB, nc, nn int, seed int64) *netlist.Design {
 
 func eng() *kernel.Engine { return kernel.New(kernel.Options{Workers: 4}) }
 
+// newTestOps builds the operator set of model m for (e, d) and returns its
+// arena checkouts when the test ends.
+func newTestOps(tb testing.TB, e *kernel.Engine, d *netlist.Design, m Model) *Ops {
+	tb.Helper()
+	o := NewOps(e, d, m)
+	tb.Cleanup(o.Release)
+	return o
+}
+
 func TestHPWLMatchesNetlistReference(t *testing.T) {
 	d := randomDesign(t, 50, 80, 1)
 	e := eng()
-	got := HPWL(e, d, d.CellX, d.CellY)
+	wa := newTestOps(t, e, d, WA)
+	got := wa.HPWL(d.CellX, d.CellY)
 	want := d.HPWL(nil, nil)
 	if math.Abs(got-want) > 1e-9*(1+want) {
 		t.Errorf("HPWL = %v, want %v", got, want)
@@ -47,14 +59,15 @@ func TestHPWLMatchesNetlistReference(t *testing.T) {
 func TestWAUnderestimatesAndConvergesToHPWL(t *testing.T) {
 	d := randomDesign(t, 40, 60, 2)
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	hp := d.HPWL(nil, nil)
 	prevGap := math.Inf(1)
 	for _, gamma := range []float64{100, 10, 1, 0.1} {
-		wa := WAForward(e, d, d.CellX, d.CellY, gamma)
-		if wa > hp+1e-6 {
-			t.Errorf("gamma=%v: WA %v exceeds HPWL %v", gamma, wa, hp)
+		wl := wa.Forward(d.CellX, d.CellY, gamma)
+		if wl > hp+1e-6 {
+			t.Errorf("gamma=%v: WA %v exceeds HPWL %v", gamma, wl, hp)
 		}
-		gap := hp - wa
+		gap := hp - wl
 		if gap > prevGap+1e-9 {
 			t.Errorf("gamma=%v: gap %v grew from %v (should shrink)", gamma, gap, prevGap)
 		}
@@ -68,18 +81,19 @@ func TestWAUnderestimatesAndConvergesToHPWL(t *testing.T) {
 func TestFusedAgreesWithUnfused(t *testing.T) {
 	d := randomDesign(t, 60, 90, 3)
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	np := d.NumPins()
 	gx1, gy1 := make([]float64, np), make([]float64, np)
 	gx2, gy2 := make([]float64, np), make([]float64, np)
 	gamma := 5.0
 
-	res := Fused(e, d, d.CellX, d.CellY, gamma, gx1, gy1)
-	wa := WAGrad(e, d, d.CellX, d.CellY, gamma, gx2, gy2)
-	hp := HPWL(e, d, d.CellX, d.CellY)
-	fwd := WAForward(e, d, d.CellX, d.CellY, gamma)
+	res := wa.Fused(d.CellX, d.CellY, gamma, gx1, gy1)
+	unf := wa.Grad(d.CellX, d.CellY, gamma, gx2, gy2)
+	hp := wa.HPWL(d.CellX, d.CellY)
+	fwd := wa.Forward(d.CellX, d.CellY, gamma)
 
-	if math.Abs(res.WA-wa) > 1e-9*(1+math.Abs(wa)) {
-		t.Errorf("fused WA %v != unfused %v", res.WA, wa)
+	if math.Abs(res.WA-unf) > 1e-9*(1+math.Abs(unf)) {
+		t.Errorf("fused WA %v != unfused %v", res.WA, unf)
 	}
 	if math.Abs(res.WA-fwd) > 1e-9*(1+math.Abs(fwd)) {
 		t.Errorf("fused WA %v != forward-only %v", res.WA, fwd)
@@ -100,14 +114,15 @@ func TestFusedUsesOneLaunchUnfusedTwo(t *testing.T) {
 	gx, gy := make([]float64, np), make([]float64, np)
 
 	eF := eng()
-	Fused(eF, d, d.CellX, d.CellY, 5, gx, gy)
+	newTestOps(t, eF, d, WA).Fused(d.CellX, d.CellY, 5, gx, gy)
 	if got := eF.Stats().Launches; got != 1 {
 		t.Errorf("fused launches = %d, want 1", got)
 	}
 
 	eU := eng()
-	WAGrad(eU, d, d.CellX, d.CellY, 5, gx, gy)
-	HPWL(eU, d, d.CellX, d.CellY)
+	unfused := newTestOps(t, eU, d, WA)
+	unfused.Grad(d.CellX, d.CellY, 5, gx, gy)
+	unfused.HPWL(d.CellX, d.CellY)
 	if got := eU.Stats().Launches; got != 2 {
 		t.Errorf("unfused launches = %d, want 2", got)
 	}
@@ -117,22 +132,23 @@ func TestFusedUsesOneLaunchUnfusedTwo(t *testing.T) {
 func TestWAGradientFiniteDifference(t *testing.T) {
 	d := randomDesign(t, 12, 20, 5)
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	gamma := 3.0
 	np := d.NumPins()
 	gx, gy := make([]float64, np), make([]float64, np)
-	Fused(e, d, d.CellX, d.CellY, gamma, gx, gy)
+	wa.Fused(d.CellX, d.CellY, gamma, gx, gy)
 	// Cell gradient via pin scatter.
 	cgx := make([]float64, d.NumCells())
 	cgy := make([]float64, d.NumCells())
-	PinToCellGrad(e, d, gx, gy, cgx, cgy)
+	wa.PinToCell(gx, gy, cgx, cgy)
 
 	h := 1e-5
 	x := append([]float64(nil), d.CellX...)
 	for c := 0; c < d.NumCells(); c++ {
 		x[c] += h
-		up := WAForward(e, d, x, d.CellY, gamma)
+		up := wa.Forward(x, d.CellY, gamma)
 		x[c] -= 2 * h
-		dn := WAForward(e, d, x, d.CellY, gamma)
+		dn := wa.Forward(x, d.CellY, gamma)
 		x[c] += h
 		fd := (up - dn) / (2 * h)
 		if math.Abs(fd-cgx[c]) > 1e-4*(1+math.Abs(fd)) {
@@ -145,9 +161,10 @@ func TestWAGradientFiniteDifference(t *testing.T) {
 func TestWAGradientSumsToZero(t *testing.T) {
 	d := randomDesign(t, 30, 50, 6)
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	np := d.NumPins()
 	gx, gy := make([]float64, np), make([]float64, np)
-	Fused(e, d, d.CellX, d.CellY, 2, gx, gy)
+	wa.Fused(d.CellX, d.CellY, 2, gx, gy)
 	for n := 0; n < d.NumNets(); n++ {
 		var sx, sy float64
 		for p := d.NetPinStart[n]; p < d.NetPinStart[n+1]; p++ {
@@ -173,8 +190,9 @@ func TestWAGradientTwoPinLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	gx, gy := make([]float64, 2), make([]float64, 2)
-	Fused(e, d, d.CellX, d.CellY, 0.01, gx, gy)
+	wa.Fused(d.CellX, d.CellY, 0.01, gx, gy)
 	if math.Abs(gx[0]+1) > 1e-6 || math.Abs(gx[1]-1) > 1e-6 {
 		t.Errorf("x grads = %v, want [-1, 1]", gx)
 	}
@@ -192,9 +210,10 @@ func TestSmallNetsContributeZeroAndClearGrads(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	gx := []float64{123}
 	gy := []float64{456}
-	res := Fused(e, d, d.CellX, d.CellY, 1, gx, gy)
+	res := wa.Fused(d.CellX, d.CellY, 1, gx, gy)
 	if res.WA != 0 || res.HPWL != 0 {
 		t.Errorf("single-pin net result = %+v", res)
 	}
@@ -206,6 +225,7 @@ func TestSmallNetsContributeZeroAndClearGrads(t *testing.T) {
 func TestPinToCellGrad(t *testing.T) {
 	d := randomDesign(t, 20, 30, 7)
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	np := d.NumPins()
 	pgx := make([]float64, np)
 	pgy := make([]float64, np)
@@ -215,7 +235,7 @@ func TestPinToCellGrad(t *testing.T) {
 	}
 	cgx := make([]float64, d.NumCells())
 	cgy := make([]float64, d.NumCells())
-	PinToCellGrad(e, d, pgx, pgy, cgx, cgy)
+	wa.PinToCell(pgx, pgy, cgx, cgy)
 	// Reference: direct accumulation.
 	wantX := make([]float64, d.NumCells())
 	wantY := make([]float64, d.NumCells())
@@ -243,8 +263,9 @@ func TestStabilityWithExtremeCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := eng()
+	wa := newTestOps(t, e, d, WA)
 	gx, gy := make([]float64, 2), make([]float64, 2)
-	res := Fused(e, d, d.CellX, d.CellY, 1e-3, gx, gy)
+	res := wa.Fused(d.CellX, d.CellY, 1e-3, gx, gy)
 	if math.IsNaN(res.WA) || math.IsInf(res.WA, 0) {
 		t.Errorf("WA overflowed: %v", res.WA)
 	}
@@ -255,25 +276,320 @@ func TestStabilityWithExtremeCoordinates(t *testing.T) {
 	}
 }
 
+// oracleNetWA is the three-pass per-net WA routine this package ran before
+// the cached-weight one — min/max, exponential sums, then the gradient, each
+// pass re-gathering the pin coordinate and the last re-evaluating both
+// exponentials — kept verbatim as the bit-identity reference.
+func oracleNetWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64) (float64, float64) {
+	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
+	if e-s < 2 {
+		if grad != nil {
+			for p := s; p < e; p++ {
+				grad[p] = 0
+			}
+		}
+		return 0, 0
+	}
+	// Pass 1: min/max (shared by WA, gradient and HPWL).
+	minV, maxV := math.Inf(1), math.Inf(-1)
+	for p := s; p < e; p++ {
+		v := pos[d.PinCell[p]] + off[p]
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	hpwl := maxV - minV
+	// Pass 2: stable exponential sums (Eq. 6).
+	inv := 1 / gamma
+	var sPlus, sMinus, bPlus, bMinus float64
+	for p := s; p < e; p++ {
+		v := pos[d.PinCell[p]] + off[p]
+		ap := math.Exp((v - maxV) * inv)
+		am := math.Exp((minV - v) * inv)
+		sPlus += ap
+		sMinus += am
+		bPlus += v * ap
+		bMinus += v * am
+	}
+	wa := bPlus/sPlus - bMinus/sMinus
+	if grad != nil {
+		// Pass 3: gradient. d(B+/S+)/dv_j = a_j*(S+ + (v_j*S+ - B+)/gamma)/S+^2
+		// and symmetrically for the minus term.
+		invSP2 := 1 / (sPlus * sPlus)
+		invSM2 := 1 / (sMinus * sMinus)
+		for p := s; p < e; p++ {
+			v := pos[d.PinCell[p]] + off[p]
+			ap := math.Exp((v - maxV) * inv)
+			am := math.Exp((minV - v) * inv)
+			gp := ap * (sPlus + (v*sPlus-bPlus)*inv) * invSP2
+			gm := am * (sMinus - (v*sMinus-bMinus)*inv) * invSM2
+			grad[p] = gp - gm
+		}
+	}
+	return wa, hpwl
+}
+
+// oracleNetLSE is the three-pass per-net LSE routine, verbatim like
+// oracleNetWA.
+func oracleNetLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64) (float64, float64) {
+	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
+	if e-s < 2 {
+		if grad != nil {
+			for p := s; p < e; p++ {
+				grad[p] = 0
+			}
+		}
+		return 0, 0
+	}
+	minV, maxV := math.Inf(1), math.Inf(-1)
+	for p := s; p < e; p++ {
+		v := pos[d.PinCell[p]] + off[p]
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	hpwl := maxV - minV
+	inv := 1 / gamma
+	var sPlus, sMinus float64
+	for p := s; p < e; p++ {
+		v := pos[d.PinCell[p]] + off[p]
+		sPlus += math.Exp((v - maxV) * inv)
+		sMinus += math.Exp((minV - v) * inv)
+	}
+	// LSE = gamma*(log sum e^{(v-max)/g} + max/g + log sum e^{(min-v)/g} - min/g)
+	lse := gamma*(math.Log(sPlus)+math.Log(sMinus)) + hpwl
+	if grad != nil {
+		invSP := 1 / sPlus
+		invSM := 1 / sMinus
+		for p := s; p < e; p++ {
+			v := pos[d.PinCell[p]] + off[p]
+			gp := math.Exp((v-maxV)*inv) * invSP
+			gm := math.Exp((minV-v)*inv) * invSM
+			grad[p] = gp - gm
+		}
+	}
+	return lse, hpwl
+}
+
+// oracleNetsDesign builds nets of degree 0, 1, 2 (distinct pins; both pins
+// coincident; coincident in one dimension only), 3, 24 and 500, repeated
+// until there are at least minNets of them. Cells sit on a coarse lattice
+// and pin offsets come from a small set, so the larger nets have several
+// pins tied at their min and at their max.
+func oracleNetsDesign(tb testing.TB, minNets int, seed int64) *netlist.Design {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := netlist.NewDesign("oracle", geom.Rect{Hx: 100, Hy: 100})
+	const nc = 400
+	for i := 0; i < nc; i++ {
+		d.AddCell("c", 1, 1, float64(5+10*rng.Intn(10)), float64(5+10*rng.Intn(10)), netlist.Movable)
+	}
+	offs := []float64{0, 0, 0.5, -0.5, 0.123}
+	off := func() float64 { return offs[rng.Intn(len(offs))] }
+	big := 0
+	for d.NumNets() < minNets {
+		for _, deg := range []int{0, 1, 2, 2, 2, 3, 24, 500} {
+			if deg == 500 {
+				if big++; big > 3 {
+					continue
+				}
+			}
+			variant := d.NumNets() % 3
+			d.AddNet("n")
+			first := rng.Intn(nc)
+			for j := 0; j < deg; j++ {
+				c := rng.Intn(nc)
+				ox, oy := off(), off()
+				switch {
+				case deg == 2 && variant == 1: // both pins coincident
+					c, ox, oy = first, 0.5, -0.5
+				case deg == 2 && variant == 2 && j == 1: // same y, other x
+					c, ox, oy = first, 3.25, d.PinOffY[len(d.PinOffY)-1]
+				case deg == 3 && j == 2: // a tie in a three-pin net
+					c, ox, oy = first, d.PinOffX[len(d.PinOffX)-2], d.PinOffY[len(d.PinOffY)-2]
+				}
+				if j == 0 {
+					c = first
+				}
+				d.AddPin(c, ox, oy)
+			}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestNetKernelsBitIdenticalToThreePassOracle pins the cached-weight per-net
+// routines — and the fused and unfused operators built on them, per-chunk
+// scratch included — to the three-pass oracles: smoothed value, HPWL and
+// every pin gradient, bit for bit.
+func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
+	if math.Exp(0) != 1 || math.Exp(math.Copysign(0, -1)) != 1 {
+		t.Fatal("math.Exp(±0) != 1: expOrOne is not an identity on this platform")
+	}
+	d := oracleNetsDesign(t, 2100, 1) // >= the engine's parallel threshold: with 2 workers both chunks run
+	np := d.NumPins()
+	degrees := map[int]int{}
+	for n := 0; n < d.NumNets(); n++ {
+		degrees[d.NetPinStart[n+1]-d.NetPinStart[n]]++
+	}
+	for _, deg := range []int{0, 1, 2, 3, 24, 500} {
+		if degrees[deg] == 0 {
+			t.Fatalf("no net of degree %d in the design: %v", deg, degrees)
+		}
+	}
+	bitsEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, m := range []struct {
+		name   string
+		model  Model
+		oracle func(*netlist.Design, int, []float64, []float64, float64, []float64) (float64, float64)
+	}{{"WA", WA, oracleNetWA}, {"LSE", LSE, oracleNetLSE}} {
+		for _, gamma := range []float64{1e-3, 1, 50} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/gamma=%g/workers=%d", m.name, gamma, workers), func(t *testing.T) {
+					e := kernel.New(kernel.Options{Workers: workers})
+					defer e.Close()
+					ops := newTestOps(t, e, d, m.model)
+					wantGX, wantGY := make([]float64, np), make([]float64, np)
+					partWL, partHP := make([]float64, workers), make([]float64, workers)
+					used := e.LaunchChunks("oracle", d.NumNets(), func(w, lo, hi int) {
+						var wl, hp float64
+						for n := lo; n < hi; n++ {
+							wx, hx := m.oracle(d, n, d.CellX, d.PinOffX, gamma, wantGX)
+							wy, hy := m.oracle(d, n, d.CellY, d.PinOffY, gamma, wantGY)
+							wl += wx + wy
+							hp += hx + hy
+						}
+						partWL[w], partHP[w] = wl, hp
+					})
+					var want Result
+					for w := 0; w < used; w++ {
+						want.WA += partWL[w]
+						want.HPWL += partHP[w]
+					}
+
+					gx, gy := make([]float64, np), make([]float64, np)
+					checkGrads := func(op string) {
+						t.Helper()
+						for p := 0; p < np; p++ {
+							if !bitsEq(gx[p], wantGX[p]) || !bitsEq(gy[p], wantGY[p]) {
+								t.Fatalf("%s: pin %d (net %d) gradient (%v, %v), oracle (%v, %v)",
+									op, p, d.PinNet[p], gx[p], gy[p], wantGX[p], wantGY[p])
+							}
+							gx[p], gy[p] = math.NaN(), math.NaN()
+						}
+					}
+					if got := ops.Fused(d.CellX, d.CellY, gamma, gx, gy); !bitsEq(got.WA, want.WA) || !bitsEq(got.HPWL, want.HPWL) {
+						t.Errorf("Fused = %+v, oracle %+v", got, want)
+					}
+					checkGrads("Fused")
+					if got := ops.Grad(d.CellX, d.CellY, gamma, gx, gy); !bitsEq(got, want.WA) {
+						t.Errorf("Grad = %v, oracle %v", got, want.WA)
+					}
+					checkGrads("Grad")
+					if got := ops.Forward(d.CellX, d.CellY, gamma); !bitsEq(got, want.WA) {
+						t.Errorf("Forward = %v, oracle %v", got, want.WA)
+					}
+					if got := ops.HPWL(d.CellX, d.CellY); math.Abs(got-want.HPWL) > 1e-9*want.HPWL {
+						t.Errorf("HPWL = %v, fused oracle %v", got, want.HPWL)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOpsReleaseReturnsArena: a bare Ops gives everything it checked out —
+// the per-worker partials and the per-net scratch — back on Release, and
+// checks it out again on the next evaluation.
+func TestOpsReleaseReturnsArena(t *testing.T) {
+	e := eng()
+	defer e.Close()
+	d := randomDesign(t, 50, 80, 8)
+	np := d.NumPins()
+	gx, gy := make([]float64, np), make([]float64, np)
+	o := NewOps(e, d, WA)
+	if e.ArenaStats().InUse == 0 {
+		t.Fatal("NewOps checked nothing out of the arena")
+	}
+	first := o.Fused(d.CellX, d.CellY, 5, gx, gy)
+	o.Release()
+	o.Release() // idempotent
+	if got := e.ArenaStats().InUse; got != 0 {
+		t.Fatalf("arena in-use after Release = %d bytes, want 0", got)
+	}
+	if again := o.Fused(d.CellX, d.CellY, 5, gx, gy); again != first {
+		t.Errorf("Fused after Release = %+v, want %+v", again, first)
+	}
+	o.Release()
+	if got := e.ArenaStats().InUse; got != 0 {
+		t.Fatalf("arena in-use after second Release = %d bytes, want 0", got)
+	}
+}
+
 func BenchmarkFused(b *testing.B) {
 	d := randomDesign(b, 5000, 5000, 1)
 	e := eng()
+	wa := newTestOps(b, e, d, WA)
 	np := d.NumPins()
 	gx, gy := make([]float64, np), make([]float64, np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Fused(e, d, d.CellX, d.CellY, 5, gx, gy)
+		wa.Fused(d.CellX, d.CellY, 5, gx, gy)
 	}
 }
 
 func BenchmarkUnfused(b *testing.B) {
 	d := randomDesign(b, 5000, 5000, 1)
 	e := eng()
+	wa := newTestOps(b, e, d, WA)
 	np := d.NumPins()
 	gx, gy := make([]float64, np), make([]float64, np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WAGrad(e, d, d.CellX, d.CellY, 5, gx, gy)
-		HPWL(e, d, d.CellX, d.CellY)
+		wa.Grad(d.CellX, d.CellY, 5, gx, gy)
+		wa.HPWL(d.CellX, d.CellY)
+	}
+}
+
+// BenchmarkOpsFused times the fused operator on the two shapes of the
+// repository benchmark where wirelength matters — gp-small (adaptec1 x
+// 0.004) and gp-cells (x 0.25), filler-augmented as the placer runs them —
+// on a 2-worker engine (the harness's engine setting).
+func BenchmarkOpsFused(b *testing.B) {
+	spec, ok := benchgen.FindSpec("adaptec1")
+	if !ok {
+		b.Fatal("no adaptec1 spec")
+	}
+	for _, sh := range []struct {
+		name  string
+		scale float64
+	}{{"gp-small", 0.004}, {"gp-cells", 0.25}} {
+		b.Run(sh.name, func(b *testing.B) {
+			d := benchgen.Generate(spec, sh.scale, 1).Clone()
+			d.AddFillers(1.0)
+			if err := d.Finish(); err != nil {
+				b.Fatal(err)
+			}
+			e := kernel.New(kernel.Options{Workers: 2})
+			defer e.Close()
+			o := newTestOps(b, e, d, WA)
+			np := d.NumPins()
+			gx, gy := make([]float64, np), make([]float64, np)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Fused(d.CellX, d.CellY, 5, gx, gy)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(np), "ns/pin")
+		})
 	}
 }
