@@ -11,15 +11,14 @@
 //     of the engine arena, which pools per element type with exact byte
 //     accounting (kernel.Arena).
 //   - Kernel bodies: Kernels() is the backend's staged-parameter body
-//     registry. Elementwise operators (vec.*) and the float64 boundary
-//     conversions (cvt.*) are registered under stable names; consumers
-//     Make a body once, Bind per call, and hand Run to Engine.Launch —
-//     allocation-free in steady state, exactly like the hand-built staged
-//     bodies in field/wirelength/optim.
+//     registry. The float64 boundary conversions (cvt.*) are registered
+//     under stable names; consumers Make a body once, Bind per call, and
+//     hand Run to Engine.Launch — allocation-free in steady state, exactly
+//     like the hand-built staged bodies in field/wirelength/optim.
 //   - Conversion at API boundaries: public structures (field.System's
-//     density and potential maps, tensor.Tensor.Data) stay []float64; the
-//     cvt.load / cvt.store bodies move values across the precision
-//     boundary in single launched passes.
+//     density and potential maps) stay []float64; the cvt.load / cvt.store
+//     bodies move values across the precision boundary in single launched
+//     passes.
 //
 // Structured kernels that cannot be expressed elementwise (density scatter,
 // the Makhoul spectral transforms) dispatch on the backend identity
@@ -41,9 +40,7 @@ import (
 // path without touching call sites.
 const EnvVar = "XPLACE_BACKEND"
 
-// Backend is one element-type implementation of the compute boundary. It
-// also satisfies kernel.ComputeBackend, so an Engine can carry its default
-// backend without the kernel package importing this one.
+// Backend is one element-type implementation of the compute boundary.
 type Backend interface {
 	// Name is the registry name ("float64", "float32").
 	Name() string

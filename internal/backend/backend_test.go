@@ -83,28 +83,13 @@ func TestBufAllocRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVecBodiesParity: every standard elementwise body computes the same
-// values on both backends (within float32 rounding), through Bind + Run.
+// TestVecBodiesParity: the two boundary conversions carry the same values
+// on both backends (within float32 rounding), through Bind + Run.
 func TestVecBodiesParity(t *testing.T) {
 	const n = 257 // odd, not a power of two
 	src := make([]float64, n)
-	add := make([]float64, n)
 	for i := range src {
 		src[i] = math.Sin(float64(i)*0.37) * 3
-		add[i] = math.Cos(float64(i) * 0.11)
-	}
-	const s = 1.75
-
-	want := map[string][]float64{
-		"vec.copy": src, "vec.scale": nil, "vec.add": nil, "vec.axpby": nil,
-	}
-	want["vec.scale"] = make([]float64, n)
-	want["vec.add"] = make([]float64, n)
-	want["vec.axpby"] = make([]float64, n)
-	for i := 0; i < n; i++ {
-		want["vec.scale"][i] = s * src[i]
-		want["vec.add"][i] = src[i] + add[i]
-		want["vec.axpby"][i] = src[i] + s*add[i]
 	}
 
 	e := kernel.New(kernel.Options{Workers: 2})
@@ -114,33 +99,20 @@ func TestVecBodiesParity(t *testing.T) {
 		if b.Name() == "float32" {
 			tol = 1e-6
 		}
-		// Load src/add across the boundary once.
 		a := b.Alloc(e, n)
-		bb := b.Alloc(e, n)
 		ld := b.Kernels().Make("cvt.load")
 		ld.Bind(a, WrapF64(src), Buf{}, 0)
 		ld.Run(0, n)
-		ld.Bind(bb, WrapF64(add), Buf{}, 0)
-		ld.Run(0, n)
-
-		dst := b.Alloc(e, n)
 		out := make([]float64, n)
 		st := b.Kernels().Make("cvt.store")
-		for name, exp := range want {
-			body := b.Kernels().Make(name)
-			body.Bind(dst, a, bb, s)
-			body.Run(0, n)
-			st.Bind(WrapF64(out), dst, Buf{}, 0)
-			st.Run(0, n)
-			for i := 0; i < n; i++ {
-				if d := math.Abs(out[i] - exp[i]); d > tol*(1+math.Abs(exp[i])) {
-					t.Fatalf("%s/%s: out[%d] = %g, want %g", b.Name(), name, i, out[i], exp[i])
-				}
+		st.Bind(WrapF64(out), a, Buf{}, 0)
+		st.Run(0, n)
+		for i := 0; i < n; i++ {
+			if d := math.Abs(out[i] - src[i]); d > tol*(1+math.Abs(src[i])) {
+				t.Fatalf("%s: out[%d] = %g, want %g", b.Name(), i, out[i], src[i])
 			}
 		}
 		b.Free(e, a)
-		b.Free(e, bb)
-		b.Free(e, dst)
 	}
 }
 

@@ -4,10 +4,9 @@ import "xplace/internal/kernel"
 
 // f32Backend is the reduced-precision fast path: buffers are float32 (half
 // the memory traffic of the reference backend through cache-bound kernels)
-// and bodies are written as contiguous FMA-shaped loops — one multiply-add
-// per element over dense slices, the form the compiler turns into packed
-// vector code. The density-equalization field tolerates the precision loss
-// (FFTPL's observation); exactness-sensitive results are gated by the
+// and the cvt.* bodies round across the float64 boundary. The
+// density-equalization field tolerates the precision loss (FFTPL's
+// observation); exactness-sensitive results are gated by the
 // tolerance-banded goldens instead of the bit-identical determinism tests.
 type f32Backend struct {
 	kernels *Kernels
@@ -18,39 +17,6 @@ var fast = newF32()
 func newF32() *f32Backend {
 	b := &f32Backend{kernels: NewKernels()}
 	k := b.kernels
-	k.Register("vec.copy", func() VecBody {
-		var p f32Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			copy(p.dst[lo:hi], p.a[lo:hi])
-		}}
-	})
-	k.Register("vec.scale", func() VecBody {
-		var p f32Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, s := p.dst, p.a, p.s
-			for i := lo; i < hi; i++ {
-				dst[i] = s * a[i]
-			}
-		}}
-	})
-	k.Register("vec.add", func() VecBody {
-		var p f32Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, bb := p.dst, p.a, p.b
-			for i := lo; i < hi; i++ {
-				dst[i] = a[i] + bb[i]
-			}
-		}}
-	})
-	k.Register("vec.axpby", func() VecBody {
-		var p f32Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, bb, s := p.dst, p.a, p.b, p.s
-			for i := lo; i < hi; i++ {
-				dst[i] = a[i] + s*bb[i]
-			}
-		}}
-	})
 	k.Register("cvt.load", func() VecBody {
 		var p f32Params
 		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
@@ -76,15 +42,13 @@ func newF32() *f32Backend {
 // The float64 views are populated alongside the float32 ones so the cvt.*
 // bodies can cross the boundary without a separate bind shape.
 type f32Params struct {
-	dst, a, b  []float32
+	dst, a     []float32
 	dst64, a64 []float64
-	s          float32
 }
 
-func (p *f32Params) bind(dst, a, b Buf, s float64) {
-	p.dst, p.a, p.b = dst.f32, a.f32, b.f32
+func (p *f32Params) bind(dst, a, _ Buf, _ float64) {
+	p.dst, p.a = dst.f32, a.f32
 	p.dst64, p.a64 = dst.f64, a.f64
-	p.s = float32(s)
 }
 
 func (b *f32Backend) Name() string      { return "float32" }

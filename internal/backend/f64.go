@@ -20,39 +20,6 @@ func init() {
 func newF64() *f64Backend {
 	b := &f64Backend{kernels: NewKernels()}
 	k := b.kernels
-	k.Register("vec.copy", func() VecBody {
-		var p f64Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			copy(p.dst[lo:hi], p.a[lo:hi])
-		}}
-	})
-	k.Register("vec.scale", func() VecBody {
-		var p f64Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, s := p.dst, p.a, p.s
-			for i := lo; i < hi; i++ {
-				dst[i] = s * a[i]
-			}
-		}}
-	})
-	k.Register("vec.add", func() VecBody {
-		var p f64Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, bb := p.dst, p.a, p.b
-			for i := lo; i < hi; i++ {
-				dst[i] = a[i] + bb[i]
-			}
-		}}
-	})
-	k.Register("vec.axpby", func() VecBody {
-		var p f64Params
-		return VecBody{Bind: p.bind, Run: func(lo, hi int) {
-			dst, a, bb, s := p.dst, p.a, p.b, p.s
-			for i := lo; i < hi; i++ {
-				dst[i] = a[i] + s*bb[i]
-			}
-		}}
-	})
 	// On the reference backend both conversions are plain copies: the
 	// element type IS the facade type.
 	k.Register("cvt.load", func() VecBody {
@@ -72,12 +39,11 @@ func newF64() *f64Backend {
 
 // f64Params is the staged parameter block shared by the reference bodies.
 type f64Params struct {
-	dst, a, b []float64
-	s         float64
+	dst, a []float64
 }
 
-func (p *f64Params) bind(dst, a, b Buf, s float64) {
-	p.dst, p.a, p.b, p.s = dst.f64, a.f64, b.f64, s
+func (p *f64Params) bind(dst, a, _ Buf, _ float64) {
+	p.dst, p.a = dst.f64, a.f64
 }
 
 func (b *f64Backend) Name() string      { return "float64" }

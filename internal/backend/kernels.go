@@ -24,12 +24,8 @@ type VecBody struct {
 type BodyMaker func() VecBody
 
 // Kernels is a backend's staged-parameter kernel-body registry. Every
-// backend registers the standard elementwise set under stable names:
+// backend registers the boundary conversions under stable names:
 //
-//	vec.copy   dst[i] = a[i]
-//	vec.scale  dst[i] = s * a[i]
-//	vec.add    dst[i] = a[i] + b[i]
-//	vec.axpby  dst[i] = a[i] + s * b[i]
 //	cvt.load   dst[i] = elem(a.Float64()[i])   (into the backend's type)
 //	cvt.store  dst.Float64()[i] = float64(a[i]) (out of the backend's type)
 //

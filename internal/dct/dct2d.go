@@ -65,7 +65,6 @@ type Plan struct {
 	// Batched field-evaluation parameters.
 	coefIn, sx, sy       []float64
 	dstPsi, dstEx, dstEy []float64
-	rowCut               int // field-eval rows >= rowCut are known-zero; 0 = full
 
 	rowsBody, colsBody           func(chunk, start, end int)
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
@@ -91,27 +90,6 @@ type ArenaLauncher interface {
 	AllocComplex(n int) []complex128
 	Free(buf []float64)
 	FreeComplex(buf []complex128)
-}
-
-// SetFieldRowCutoff declares that the caller zeroes every field-evaluation
-// coefficient with row index v >= ky before calling EvalPotentialField, so
-// the rows pass may skip transforming those rows (a zero row transforms to
-// exactly zero, so the skip is bit-identical to evaluating the truncated
-// spectrum in full). ky <= 0 or ky >= Ny restores the full evaluation.
-// Sticky until changed.
-func (p *Plan) SetFieldRowCutoff(ky int) {
-	p.mu.Lock()
-	if ky <= 0 || ky >= p.Ny {
-		ky = 0
-	}
-	p.rowCut = ky
-	p.mu.Unlock()
-}
-
-func zeroRow(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
 }
 
 // NewPlan creates a transform plan for an Nx x Ny grid.
@@ -217,15 +195,6 @@ func (p *Plan) buildFieldBodies() {
 		scratch := p.scratch[chunk]
 		srow := p.rowReal[chunk][:nx]
 		for v := lo; v < hi; v++ {
-			if p.rowCut > 0 && v >= p.rowCut {
-				// Mode truncation: the caller zeroed this whole coefficient
-				// row, and the half-sample series of a zero row is zero —
-				// two memsets replace two inverse FFTs (real-even symmetry
-				// means no other row depends on this one).
-				zeroRow(p.tmp[v*nx : (v+1)*nx])
-				zeroRow(p.tmp2[v*nx : (v+1)*nx])
-				continue
-			}
 			row := p.coefIn[v*nx : (v+1)*nx]
 			evalMakhoul(row, p.tmp[v*nx:(v+1)*nx], nil, p.rowFull, scratch, p.cosHx, p.sinHx)
 			for u := 0; u < nx; u++ {

@@ -22,13 +22,6 @@ import (
 // extra work is two cache-hot linear passes per row against a halved
 // DRAM bill. Accuracy-wise the result carries float32 storage rounding
 // per pass (~1e-7 relative), well inside the tolerance-banded goldens.
-//
-// Plan32 additionally supports high-frequency mode truncation: when the
-// Poisson solver zeroes every coefficient row v >= ky (negligible high
-// modes on coarse grids, the enhanced-FFT placement observation), the
-// batched field evaluation skips those rows' transforms outright — a zero
-// row transforms to exact zeros, so the skip changes no bits of the
-// truncated-spectrum result.
 
 // ArenaLauncher32 is an ArenaLauncher whose allocator also pools the
 // float32 element type (kernel.Engine satisfies it). Plan32 draws its
@@ -79,7 +72,6 @@ type Plan32 struct {
 	coefIn               []float32
 	sx, sy               []float64
 	dstPsi, dstEx, dstEy []float32
-	rowCut               int // field-eval rows >= rowCut are known-zero; 0 = full
 
 	rowsBody, colsBody           func(chunk, start, end int)
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
@@ -108,19 +100,6 @@ func NewPlan32(nx, ny int) *Plan32 {
 	return p
 }
 
-// SetFieldRowCutoff declares that the caller zeroes every field-evaluation
-// coefficient with row index v >= ky before calling EvalPotentialField, so
-// the rows pass may skip those rows (their transform is identically zero).
-// ky <= 0 or ky >= Ny restores the full evaluation. Sticky until changed.
-func (p *Plan32) SetFieldRowCutoff(ky int) {
-	p.mu.Lock()
-	if ky <= 0 || ky >= p.Ny {
-		ky = 0
-	}
-	p.rowCut = ky
-	p.mu.Unlock()
-}
-
 // load32 converts a float32 row into the float64 staging buffer.
 func load32(dst []float64, src []float32) {
 	for i, v := range src {
@@ -132,12 +111,6 @@ func load32(dst []float64, src []float32) {
 func store32(dst []float32, src []float64) {
 	for i, v := range src {
 		dst[i] = float32(v)
-	}
-}
-
-func zero32(s []float32) {
-	for i := range s {
-		s[i] = 0
 	}
 }
 
@@ -193,22 +166,13 @@ func (p *Plan32) buildBodies() {
 			}
 		}
 	}
-	// Batched field evaluation, same two-pass structure as the float64
-	// plan, plus the truncation skip.
+	// Batched field evaluation, same two-pass structure as the float64 plan.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
 		scratch := p.scratch[chunk]
 		rin := p.rowIn[chunk][:nx]
 		rout := p.rowOut[chunk][:nx]
 		srow := p.rowReal[chunk][:nx]
 		for v := lo; v < hi; v++ {
-			if p.rowCut > 0 && v >= p.rowCut {
-				// Mode truncation: this whole coefficient row was zeroed by
-				// the caller, and the half-sample series of a zero row is
-				// zero — two memsets replace two inverse FFTs.
-				zero32(p.tmp[v*nx : (v+1)*nx])
-				zero32(p.tmp2[v*nx : (v+1)*nx])
-				continue
-			}
 			load32(rin, p.coefIn[v*nx:(v+1)*nx])
 			evalMakhoul(rin, rout, nil, p.rowFull, scratch, p.cosHx, p.sinHx)
 			store32(p.tmp[v*nx:(v+1)*nx], rout)
@@ -411,9 +375,7 @@ func (p *Plan32) EvalCosCos(coef, dst []float32, L Launcher) {
 // EvalPotentialField evaluates psi/ex/ey in one batched two-pass sweep,
 // the float32-backend counterpart of Plan.EvalPotentialField. The scale
 // vectors sx (length Nx) and sy (length Ny) stay float64 — they are the
-// solver's precomputed spatial frequencies, not grid-sized data. When a
-// field-row cutoff is set (SetFieldRowCutoff), coefficient rows above it
-// are assumed zero and their row transforms are skipped.
+// solver's precomputed spatial frequencies, not grid-sized data.
 func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, ey []float32, L Launcher) {
 	p.checkSize(coef, "coef")
 	p.checkSize(psi, "psi")

@@ -88,65 +88,6 @@ func TestPlan32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestFieldRowCutoffMatchesFullEval: with the high coefficient rows zeroed
-// by the caller, evaluating with the row cutoff set produces exactly the
-// same output as the full evaluation of the truncated spectrum — on both
-// the float64 and float32 plans (a zero row transforms to exact zeros in
-// either precision, so the skip changes no bits).
-func TestFieldRowCutoffMatchesFullEval(t *testing.T) {
-	nx, ny := 16, 32
-	ky := ny / 2
-	coef := randGrid(nx, ny, 59)
-	for v := ky; v < ny; v++ {
-		for u := 0; u < nx; u++ {
-			coef[v*nx+u] = 0
-		}
-	}
-	sx := randGrid(nx, 1, 61)
-	sy := randGrid(ny, 1, 67)
-
-	t.Run("float64", func(t *testing.T) {
-		full := NewPlan(nx, ny)
-		cut := NewPlan(nx, ny)
-		cut.SetFieldRowCutoff(ky)
-		out := func(p *Plan) (psi, ex, ey []float64) {
-			psi = make([]float64, nx*ny)
-			ex = make([]float64, nx*ny)
-			ey = make([]float64, nx*ny)
-			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-			return
-		}
-		wp, wx, wy := out(full)
-		gp, gx, gy := out(cut)
-		for i := range wp {
-			if gp[i] != wp[i] || gx[i] != wx[i] || gy[i] != wy[i] {
-				t.Fatalf("cutoff eval diverged at %d: psi %g vs %g, ex %g vs %g, ey %g vs %g",
-					i, gp[i], wp[i], gx[i], wx[i], gy[i], wy[i])
-			}
-		}
-	})
-	t.Run("float32", func(t *testing.T) {
-		full := NewPlan32(nx, ny)
-		cut := NewPlan32(nx, ny)
-		cut.SetFieldRowCutoff(ky)
-		c32 := to32(coef)
-		out := func(p *Plan32) (psi, ex, ey []float32) {
-			psi = make([]float32, nx*ny)
-			ex = make([]float32, nx*ny)
-			ey = make([]float32, nx*ny)
-			p.EvalPotentialField(c32, sx, sy, psi, ex, ey, Serial)
-			return
-		}
-		wp, wx, wy := out(full)
-		gp, gx, gy := out(cut)
-		for i := range wp {
-			if gp[i] != wp[i] || gx[i] != wx[i] || gy[i] != wy[i] {
-				t.Fatalf("cutoff eval diverged at %d", i)
-			}
-		}
-	})
-}
-
 // TestPlan32RoundTrip: forward DCT2 then normalized EvalCosCos
 // reconstructs the input within the float32 band.
 func TestPlan32RoundTrip(t *testing.T) {

@@ -88,11 +88,6 @@ type System struct {
 	ey32      []float32
 	scratch32 [][]float32 // per-worker scatter maps (f32 halves the traffic)
 
-	// Spectral truncation: modes u >= truncKx or v >= truncKy are zeroed in
-	// the spectral scale pass (0 = keep all). The row cutoff additionally
-	// lets the plan skip the zeroed rows' inverse transforms outright.
-	truncKx, truncKy int
-
 	cvtLd, cvtSt         backend.VecBody
 	cvtLdBody, cvtStBody func(lo, hi int)
 
@@ -191,28 +186,6 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 
 // Backend returns the system's compute backend (nil for the reference).
 func (s *System) Backend() backend.Backend { return s.be }
-
-// SetTruncation zeroes the high-frequency modes u >= kx or v >= ky during
-// the spectral scale pass and lets the plan skip the zeroed rows' inverse
-// transforms — the adaptive-resolution observation that coarse grids carry
-// negligible energy above mid-band. kx/ky <= 0 (or >= the grid dimension)
-// keep all modes in that direction. With truncation off (the default) the
-// solve is bit-identical to the untruncated plan.
-func (s *System) SetTruncation(kx, ky int) {
-	if kx <= 0 || kx >= s.Nx {
-		kx = 0
-	}
-	if ky <= 0 || ky >= s.Ny {
-		ky = 0
-	}
-	s.truncKx, s.truncKy = kx, ky
-	if s.plan != nil {
-		s.plan.SetFieldRowCutoff(ky)
-	}
-	if s.plan32 != nil {
-		s.plan32.SetFieldRowCutoff(ky)
-	}
-}
 
 // Release returns the spectral plan's arena-backed scratch — and, on a
 // reduced-precision backend, the solver's element buffers — to engine e.
@@ -345,13 +318,6 @@ func (s *System) buildBodies() {
 	}
 	s.spectralBody = func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if s.truncKy > 0 && v >= s.truncKy {
-				row := s.coef[v*nx : (v+1)*nx]
-				for u := range row {
-					row[u] = 0
-				}
-				continue
-			}
 			fv := 2 / float64(ny)
 			if v == 0 {
 				fv = 1 / float64(ny)
@@ -363,7 +329,7 @@ func (s *System) buildBodies() {
 					fu = 1 / float64(nx)
 				}
 				idx := v*nx + u
-				if u == 0 && v == 0 || (s.truncKx > 0 && u >= s.truncKx) {
+				if u == 0 && v == 0 {
 					s.coef[idx] = 0
 					continue
 				}
@@ -375,13 +341,6 @@ func (s *System) buildBodies() {
 		// Same normalization/division as the reference body; the scale is
 		// computed in float64 and only the stored coefficient is float32.
 		for v := lo; v < hi; v++ {
-			if s.truncKy > 0 && v >= s.truncKy {
-				row := s.coef32[v*nx : (v+1)*nx]
-				for u := range row {
-					row[u] = 0
-				}
-				continue
-			}
 			fv := 2 / float64(ny)
 			if v == 0 {
 				fv = 1 / float64(ny)
@@ -393,7 +352,7 @@ func (s *System) buildBodies() {
 					fu = 1 / float64(nx)
 				}
 				idx := v*nx + u
-				if u == 0 && v == 0 || (s.truncKx > 0 && u >= s.truncKx) {
+				if u == 0 && v == 0 {
 					s.coef32[idx] = 0
 					continue
 				}

@@ -120,63 +120,3 @@ func TestFloat32SystemRelease(t *testing.T) {
 	s.SolvePoisson(e)
 	s.Release(e)
 }
-
-// TestTruncationKeepsLowModes: with kx/ky at half band, a pure low-mode
-// density is solved exactly (its spectrum is untouched) on both backends,
-// while truncation plus the row cutoff produce identical results to
-// manually zeroing the high modes.
-func TestTruncationKeepsLowModes(t *testing.T) {
-	nx, ny := 32, 32
-	u, v := 3, 5 // below the half-band cutoff
-	wu := math.Pi * float64(u) / float64(nx)
-	wv := math.Pi * float64(v) / float64(ny)
-	fill := func(s *System) {
-		for yy := 0; yy < ny; yy++ {
-			for xx := 0; xx < nx; xx++ {
-				s.Total[yy*nx+xx] = math.Cos(wu*(float64(xx)+0.5)) * math.Cos(wv*(float64(yy)+0.5))
-			}
-		}
-	}
-	for _, mode := range []string{"float64", "float32"} {
-		t.Run(mode, func(t *testing.T) {
-			e := eng()
-			defer e.Close()
-			mk := func() *System {
-				if mode == "float32" {
-					return newSys32(nx, ny, e)
-				}
-				return newSys(nx, ny, e)
-			}
-			full, cut := mk(), mk()
-			fill(full)
-			fill(cut)
-			cut.SetTruncation(nx/2, ny/2)
-			full.SolvePoisson(e)
-			cut.SolvePoisson(e)
-			tol := 1e-9
-			if mode == "float32" {
-				tol = 1e-4
-			}
-			den := wu*wu + wv*wv
-			for i := range cut.Psi {
-				if math.Abs(cut.Psi[i]-full.Total[i]/den) > tol {
-					t.Fatalf("truncated psi[%d] = %v, want %v", i, cut.Psi[i], full.Total[i]/den)
-				}
-				if math.Abs(cut.Psi[i]-full.Psi[i]) > tol {
-					t.Fatalf("truncated psi[%d] = %v, full %v", i, cut.Psi[i], full.Psi[i])
-				}
-			}
-		})
-	}
-}
-
-// TestSetTruncationClamps: out-of-range cutoffs disable truncation.
-func TestSetTruncationClamps(t *testing.T) {
-	e := eng()
-	defer e.Close()
-	s := newSys(8, 8, e)
-	s.SetTruncation(-1, 99)
-	if s.truncKx != 0 || s.truncKy != 0 {
-		t.Fatalf("clamped truncation = %d,%d, want 0,0", s.truncKx, s.truncKy)
-	}
-}

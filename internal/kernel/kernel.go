@@ -166,18 +166,6 @@ func (p *pool) close() {
 // otherwise escape and heap-allocate on every pooled launch.
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
-// ComputeBackend identifies the element-type / kernel-body provider an
-// Engine is driven with. The concrete implementations (the float64
-// reference backend and the float32 fast path) live in internal/backend;
-// the kernel layer only carries the handle so consumers sharing an engine
-// agree on a default element type.
-type ComputeBackend interface {
-	// Name is the registry name ("float64", "float32").
-	Name() string
-	// ElemBytes is the width of one element of the backend's type.
-	ElemBytes() int
-}
-
 // Engine executes kernels. It is safe for concurrent use by the recorder
 // and evaluator goroutines, but kernels themselves are expected to be
 // launched from a single placement loop (as on a single CUDA stream);
@@ -187,7 +175,6 @@ type Engine struct {
 	overhead time.Duration
 	tracing  bool
 	arena    Arena
-	backend  ComputeBackend // default element-type provider; nil = reference
 
 	poolMu   sync.Mutex
 	pool     *pool
@@ -202,13 +189,6 @@ type Engine struct {
 	curOp    string // op name arena checkouts are attributed to
 	trace    []string
 	tracer   *obs.Tracer // span tracer; nil when tracing is off
-
-	// defq is the engine's built-in deferred-sync queue, backing the
-	// DeferSync/Flush convenience methods. Concurrent placement loops
-	// sharing one engine must each own a private queue (NewSyncQueue)
-	// instead, so one loop's flush never executes another loop's deferred
-	// operations.
-	defq SyncQueue
 }
 
 type deferredSync struct {
@@ -217,12 +197,12 @@ type deferredSync struct {
 }
 
 // SyncQueue is one caller's stream of deferred host-device synchronization
-// operations (the §3.1.3 sync reordering). The engine-level DeferSync/Flush
-// pair operates on a single shared queue, which is fine for one placement
-// loop per engine; when several loops share an engine, each must flush only
-// its own deferrals — a shared queue would hand loop A's record closure to
-// loop B's flush, racing on A's staged state. Obtain a private queue with
-// Engine.NewSyncQueue.
+// operations, e.g. copying a scalar metric back to the host: the paper
+// reorders such operators to the end of each GP iteration (the §3.1.3 sync
+// reordering), where Flush executes them as one sync point. Every placement
+// loop owns a private queue (Engine.NewSyncQueue): loops sharing an engine
+// must flush only their own deferrals — a shared queue would hand loop A's
+// record closure to loop B's flush, racing on A's staged state.
 type SyncQueue struct {
 	e        *Engine
 	mu       sync.Mutex
@@ -265,13 +245,6 @@ func (q *SyncQueue) Flush() {
 	q.e.Sync()
 }
 
-// reset discards pending deferrals and the recycled backing arrays.
-func (q *SyncQueue) reset() {
-	q.mu.Lock()
-	q.deferred, q.spare = nil, nil
-	q.mu.Unlock()
-}
-
 // New returns an Engine with the given options. Workers are not spawned
 // until the first launch large enough to go parallel; call Close to tear
 // them down (a finalizer closes leaked engines' pools on GC).
@@ -290,7 +263,6 @@ func New(opts Options) *Engine {
 		tracing:  opts.Trace,
 		perOp:    make(map[string]*OpStats),
 	}
-	e.defq.e = e
 	runtime.SetFinalizer(e, (*Engine).Close)
 	return e
 }
@@ -303,24 +275,6 @@ func NewDefault() *Engine {
 
 // Workers returns the engine's degree of parallelism.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetBackend records the engine's default compute backend (nil restores
-// the reference/float64 default). Consumers that are not given an explicit
-// backend inherit this one, so a Session configured with WithBackend
-// propagates its choice to every run sharing the engine.
-func (e *Engine) SetBackend(b ComputeBackend) {
-	e.mu.Lock()
-	e.backend = b
-	e.mu.Unlock()
-}
-
-// Backend returns the engine's default compute backend (nil when none was
-// set; callers treat nil as the reference backend).
-func (e *Engine) Backend() ComputeBackend {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.backend
-}
 
 // LaunchOverhead returns the simulated per-launch cost.
 func (e *Engine) LaunchOverhead() time.Duration { return e.overhead }
@@ -629,19 +583,6 @@ func (e *Engine) begin(name string) {
 	e.mu.Unlock()
 }
 
-// DeferSync enqueues an operation that requires host-device
-// synchronization (e.g. copying a scalar metric back to the host) on the
-// engine's default queue. The paper reorders such operators to the end of
-// each GP iteration; Flush executes them in FIFO order. Callers sharing
-// the engine with other loops should use a private queue (NewSyncQueue).
-func (e *Engine) DeferSync(name string, fn func()) { e.defq.Defer(name, fn) }
-
-// Flush runs the default queue's deferred synchronization operations (one
-// sync point for the whole batch) and clears the queue. The queue's backing
-// array is recycled, so the defer/flush cycle is allocation-free in steady
-// state.
-func (e *Engine) Flush() { e.defq.Flush() }
-
 // Sync records an immediate host-device synchronization point (the
 // un-reordered path used by the baseline).
 func (e *Engine) Sync() {
@@ -722,9 +663,8 @@ func (e *Engine) Trace() []string {
 	return out
 }
 
-// Reset clears all accounting and the trace; deferred syncs are discarded
-// and the arena's flow counters are zeroed (pooled buffers are kept warm).
-// The worker pool is untouched.
+// Reset clears all accounting and the trace, and zeroes the arena's flow
+// counters (pooled buffers are kept warm). The worker pool is untouched.
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.launches, e.compute, e.syncs = 0, 0, 0
@@ -732,6 +672,5 @@ func (e *Engine) Reset() {
 	e.curOp = ""
 	e.trace = nil
 	e.mu.Unlock()
-	e.defq.reset()
 	e.arena.resetCounters()
 }

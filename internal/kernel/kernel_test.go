@@ -120,13 +120,14 @@ func TestParallelReduceSmallAndEmpty(t *testing.T) {
 
 func TestDeferSyncOrderingAndFlush(t *testing.T) {
 	e := New(Options{Workers: 1})
+	q := e.NewSyncQueue()
 	var order []string
-	e.DeferSync("first", func() { order = append(order, "first") })
-	e.DeferSync("second", func() { order = append(order, "second") })
+	q.Defer("first", func() { order = append(order, "first") })
+	q.Defer("second", func() { order = append(order, "second") })
 	if len(order) != 0 {
 		t.Fatal("deferred ops must not run before Flush")
 	}
-	e.Flush()
+	q.Flush()
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v", order)
 	}
@@ -134,7 +135,7 @@ func TestDeferSyncOrderingAndFlush(t *testing.T) {
 		t.Errorf("one Flush = one sync point, got %d", st.Syncs)
 	}
 	// Flushing an empty queue is a no-op (no extra sync).
-	e.Flush()
+	q.Flush()
 	if st := e.Stats(); st.Syncs != 1 {
 		t.Errorf("empty flush added a sync: %d", st.Syncs)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"xplace/internal/backend"
 	"xplace/internal/kernel"
 	"xplace/internal/netlist"
 )
@@ -41,9 +40,9 @@ type Optimizer interface {
 
 // State is the serializable mutable state of an optimizer, the
 // checkpoint/resume payload. Kind discriminates the concrete type;
-// Vectors and Vectors32 hold named per-cell series (only the fields the
-// kind uses are present). Float64 values round-trip encoding/json
-// exactly, so a JSON-serialized State resumes bit-identically.
+// Vectors holds named per-cell series (only the fields the kind uses are
+// present). Float64 values round-trip encoding/json exactly, so a
+// JSON-serialized State resumes bit-identically.
 type State struct {
 	Kind string `json:"kind"` // "nesterov" | "adam"
 	Iter int    `json:"iter"`
@@ -52,11 +51,9 @@ type State struct {
 	// Adam: the running beta powers for bias correction.
 	B1Pow float64 `json:"b1_pow,omitempty"`
 	B2Pow float64 `json:"b2_pow,omitempty"`
-	// Vectors: nesterov uses ux,uy,vx,vy,pvx,pvy,pgx,pgy; adam uses x,y
-	// plus (reference backend) mx,my,vx2,vy2.
+	// Vectors: nesterov uses ux,uy,vx,vy,pvx,pvy,pgx,pgy; adam uses
+	// x,y,mx,my,vx2,vy2.
 	Vectors map[string][]float64 `json:"vectors,omitempty"`
-	// Vectors32: adam moment state on a reduced-precision backend.
-	Vectors32 map[string][]float32 `json:"vectors32,omitempty"`
 }
 
 // vec fetches a named vector of the required length from a State.
@@ -71,19 +68,7 @@ func (st State) vec(name string, n int) ([]float64, error) {
 	return v, nil
 }
 
-func (st State) vec32(name string, n int) ([]float32, error) {
-	v, ok := st.Vectors32[name]
-	if !ok {
-		return nil, fmt.Errorf("optim: state missing float32 vector %q", name)
-	}
-	if len(v) != n {
-		return nil, fmt.Errorf("optim: state vector %q has %d entries, want %d", name, len(v), n)
-	}
-	return v, nil
-}
-
 func cloneF64(v []float64) []float64 { return append([]float64(nil), v...) }
-func cloneF32(v []float32) []float32 { return append([]float32(nil), v...) }
 
 // Bounds clamp cell centers into the legal placement area; entries are
 // per-cell [lo, hi] for each axis. Cells whose entry is lo > hi (fixed
@@ -292,17 +277,11 @@ func (o *Nesterov) Restore(st State) error {
 	return nil
 }
 
-// Adam implements the Adam optimizer over cell coordinates. On a
-// reduced-precision backend the first/second moment state is stored in
-// float32 (halving the optimizer-state traffic, the classic mixed-
-// precision training layout); positions and gradients stay float64 at the
-// API boundary and the per-element update math runs in float64 registers.
+// Adam implements the Adam optimizer over cell coordinates.
 type Adam struct {
 	bounds                Bounds
 	x, y                  []float64
 	mx, my, vxm, vym      []float64
-	mx32, my32            []float32
-	vxm32, vym32          []float32
 	LR, Beta1, Beta2, Eps float64
 	iter                  int
 	b1Pow, b2Pow          float64
@@ -312,46 +291,21 @@ type Adam struct {
 	stepBody       func(lo, hi int)
 }
 
-// NewAdam creates an Adam optimizer starting from (x0, y0) (copied), with
-// reference-precision (float64) moment state.
+// NewAdam creates an Adam optimizer starting from (x0, y0) (copied).
 func NewAdam(x0, y0 []float64, bounds Bounds, lr float64) *Adam {
-	return NewAdamOn(x0, y0, bounds, lr, nil)
-}
-
-// NewAdamOn creates an Adam optimizer whose moment state uses compute
-// backend b (nil means the reference backend, identical to NewAdam).
-func NewAdamOn(x0, y0 []float64, bounds Bounds, lr float64, be backend.Backend) *Adam {
 	n := len(x0)
 	o := &Adam{
 		bounds: bounds,
 		x:      append(make([]float64, 0, n), x0...),
 		y:      append(make([]float64, 0, n), y0...),
+		mx:     make([]float64, n),
+		my:     make([]float64, n),
+		vxm:    make([]float64, n),
+		vym:    make([]float64, n),
 		LR:     lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		b1Pow: 1, b2Pow: 1,
 	}
 	b := o.bounds
-	if backend.IsReference(be) {
-		o.mx, o.my = make([]float64, n), make([]float64, n)
-		o.vxm, o.vym = make([]float64, n), make([]float64, n)
-		o.stepBody = func(lo, hi int) {
-			gx, gy := o.stepGX, o.stepGY
-			mc, vc := o.mc, o.vc
-			for c := lo; c < hi; c++ {
-				if b.frozen(c) {
-					continue
-				}
-				o.mx[c] = o.Beta1*o.mx[c] + (1-o.Beta1)*gx[c]
-				o.my[c] = o.Beta1*o.my[c] + (1-o.Beta1)*gy[c]
-				o.vxm[c] = o.Beta2*o.vxm[c] + (1-o.Beta2)*gx[c]*gx[c]
-				o.vym[c] = o.Beta2*o.vym[c] + (1-o.Beta2)*gy[c]*gy[c]
-				o.x[c] = clampTo(o.x[c]-o.LR*(o.mx[c]*mc)/(math.Sqrt(o.vxm[c]*vc)+o.Eps), b.LoX[c], b.HiX[c])
-				o.y[c] = clampTo(o.y[c]-o.LR*(o.my[c]*mc)/(math.Sqrt(o.vym[c]*vc)+o.Eps), b.LoY[c], b.HiY[c])
-			}
-		}
-		return o
-	}
-	o.mx32, o.my32 = make([]float32, n), make([]float32, n)
-	o.vxm32, o.vym32 = make([]float32, n), make([]float32, n)
 	o.stepBody = func(lo, hi int) {
 		gx, gy := o.stepGX, o.stepGY
 		mc, vc := o.mc, o.vc
@@ -359,14 +313,12 @@ func NewAdamOn(x0, y0 []float64, bounds Bounds, lr float64, be backend.Backend) 
 			if b.frozen(c) {
 				continue
 			}
-			mx := o.Beta1*float64(o.mx32[c]) + (1-o.Beta1)*gx[c]
-			my := o.Beta1*float64(o.my32[c]) + (1-o.Beta1)*gy[c]
-			vx := o.Beta2*float64(o.vxm32[c]) + (1-o.Beta2)*gx[c]*gx[c]
-			vy := o.Beta2*float64(o.vym32[c]) + (1-o.Beta2)*gy[c]*gy[c]
-			o.mx32[c], o.my32[c] = float32(mx), float32(my)
-			o.vxm32[c], o.vym32[c] = float32(vx), float32(vy)
-			o.x[c] = clampTo(o.x[c]-o.LR*(mx*mc)/(math.Sqrt(vx*vc)+o.Eps), b.LoX[c], b.HiX[c])
-			o.y[c] = clampTo(o.y[c]-o.LR*(my*mc)/(math.Sqrt(vy*vc)+o.Eps), b.LoY[c], b.HiY[c])
+			o.mx[c] = o.Beta1*o.mx[c] + (1-o.Beta1)*gx[c]
+			o.my[c] = o.Beta1*o.my[c] + (1-o.Beta1)*gy[c]
+			o.vxm[c] = o.Beta2*o.vxm[c] + (1-o.Beta2)*gx[c]*gx[c]
+			o.vym[c] = o.Beta2*o.vym[c] + (1-o.Beta2)*gy[c]*gy[c]
+			o.x[c] = clampTo(o.x[c]-o.LR*(o.mx[c]*mc)/(math.Sqrt(o.vxm[c]*vc)+o.Eps), b.LoX[c], b.HiX[c])
+			o.y[c] = clampTo(o.y[c]-o.LR*(o.my[c]*mc)/(math.Sqrt(o.vym[c]*vc)+o.Eps), b.LoY[c], b.HiY[c])
 		}
 	}
 	return o
@@ -389,74 +341,37 @@ func (o *Adam) Step(e *kernel.Engine, gx, gy []float64) {
 	e.Launch("optim.adam_step", len(o.x), o.stepBody)
 }
 
-// State snapshots the Adam iterate and moment estimates (float32 moments
-// when the optimizer was built on a reduced-precision backend).
+// State snapshots the Adam iterate and moment estimates.
 func (o *Adam) State() State {
-	st := State{
+	return State{
 		Kind:  "adam",
 		Iter:  o.iter,
 		B1Pow: o.b1Pow,
 		B2Pow: o.b2Pow,
 		Vectors: map[string][]float64{
 			"x": cloneF64(o.x), "y": cloneF64(o.y),
+			"mx": cloneF64(o.mx), "my": cloneF64(o.my),
+			"vx2": cloneF64(o.vxm), "vy2": cloneF64(o.vym),
 		},
 	}
-	if o.mx32 != nil {
-		st.Vectors32 = map[string][]float32{
-			"mx": cloneF32(o.mx32), "my": cloneF32(o.my32),
-			"vx2": cloneF32(o.vxm32), "vy2": cloneF32(o.vym32),
-		}
-		return st
-	}
-	st.Vectors["mx"] = cloneF64(o.mx)
-	st.Vectors["my"] = cloneF64(o.my)
-	st.Vectors["vx2"] = cloneF64(o.vxm)
-	st.Vectors["vy2"] = cloneF64(o.vym)
-	return st
 }
 
 // Restore replaces the iterate and moments with a snapshot taken by
-// State. The snapshot's moment precision must match the optimizer's
-// backend (a float64-moment checkpoint does not restore into a float32
-// optimizer — rebuild the job on the backend it was checkpointed on).
+// State.
 func (o *Adam) Restore(st State) error {
 	if st.Kind != "adam" {
 		return fmt.Errorf("optim: restoring %q state into Adam", st.Kind)
 	}
 	n := len(o.x)
-	for name, d := range map[string][]float64{"x": o.x, "y": o.y} {
+	for name, d := range map[string][]float64{
+		"x": o.x, "y": o.y,
+		"mx": o.mx, "my": o.my, "vx2": o.vxm, "vy2": o.vym,
+	} {
 		src, err := st.vec(name, n)
 		if err != nil {
 			return err
 		}
 		copy(d, src)
-	}
-	if o.mx32 != nil {
-		if st.Vectors32 == nil {
-			return fmt.Errorf("optim: float64-moment checkpoint cannot restore into a float32 Adam")
-		}
-		for name, d := range map[string][]float32{
-			"mx": o.mx32, "my": o.my32, "vx2": o.vxm32, "vy2": o.vym32,
-		} {
-			src, err := st.vec32(name, n)
-			if err != nil {
-				return err
-			}
-			copy(d, src)
-		}
-	} else {
-		if st.Vectors32 != nil {
-			return fmt.Errorf("optim: float32-moment checkpoint cannot restore into a float64 Adam")
-		}
-		for name, d := range map[string][]float64{
-			"mx": o.mx, "my": o.my, "vx2": o.vxm, "vy2": o.vym,
-		} {
-			src, err := st.vec(name, n)
-			if err != nil {
-				return err
-			}
-			copy(d, src)
-		}
 	}
 	o.iter = st.Iter
 	o.b1Pow = st.B1Pow

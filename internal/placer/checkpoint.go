@@ -10,11 +10,10 @@ import (
 // Checkpoint is the serializable mid-trajectory state of a Placer, taken
 // at an iteration boundary. It captures exactly the state that crosses
 // iterations — the optimizer trajectory, the parameter schedule, the
-// cached density gradient (which operator skipping may reuse), the last
-// host-visible scalars and the adaptive-grid phase — so a fresh Placer
-// built from the same design, options and engine worker count that
-// restores a Checkpoint continues the run bit-identically to one that was
-// never interrupted.
+// cached density gradient (which operator skipping may reuse) and the last
+// host-visible scalars — so a fresh Placer built from the same design,
+// options and engine worker count that restores a Checkpoint continues the
+// run bit-identically to one that was never interrupted.
 //
 // Everything else a Placer holds is either reconstructed from the job
 // spec (design, grid, bounds, preconditioner, kernel bodies) or
@@ -33,9 +32,6 @@ type Checkpoint struct {
 	LastEnergy   float64 `json:"last_energy"`
 	LastR        float64 `json:"last_r"`
 	LambdaInit   bool    `json:"lambda_init"`
-	// Refined records the one-way coarse-to-fine switch of the
-	// adaptive-grid schedule (meaningful only when AdaptiveGrid is set).
-	Refined bool `json:"refined,omitempty"`
 	// DGX/DGY are the cached density gradients: an early-stage resumed
 	// iteration may reuse them via operator skipping (§3.1.4) instead of
 	// recomputing the field.
@@ -63,7 +59,6 @@ func (p *Placer) Checkpoint() *Checkpoint {
 		LastEnergy:   p.lastEnergy,
 		LastR:        p.lastR,
 		LambdaInit:   p.lambdaInit,
-		Refined:      p.sysCoarse != nil && p.sys == p.sysFine,
 		DGX:          append([]float64(nil), p.dGX...),
 		DGY:          append([]float64(nil), p.dGY...),
 		Sched:        p.schd.State(),
@@ -95,11 +90,5 @@ func (p *Placer) restore(cp *Checkpoint) error {
 	p.lastEnergy = cp.LastEnergy
 	p.lastR = cp.LastR
 	p.lambdaInit = cp.LambdaInit
-	if cp.Refined && p.sysCoarse != nil && p.sys == p.sysCoarse {
-		// Replay the one-way coarse-to-fine switch: the resumed run must
-		// not re-enter the coarse phase the original run already left.
-		p.sys = p.sysFine
-		p.sysCoarse.Release(p.eng)
-	}
 	return nil
 }

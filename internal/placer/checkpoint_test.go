@@ -88,8 +88,8 @@ func resumeFrom(t *testing.T, opts Options, cp *Checkpoint) *Result {
 // checkpoint finishes with final positions, HPWL, overflow and iteration
 // count bit-identical to a run that was never interrupted. Covered
 // configurations: the full Xplace defaults (operator skipping active in
-// the checkpointed window), the adaptive-grid schedule (resume on both
-// sides of the coarse-to-fine switch), and Adam.
+// the checkpointed window), the float32 backend, the LSE wirelength model,
+// Adam and the autograd baseline.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	base := func() Options {
 		o := Defaults()
@@ -106,8 +106,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}{
 		{"defaults_early", func(o *Options) {}, 10},
 		{"defaults_late", func(o *Options) {}, 80},
-		{"adaptive_grid", func(o *Options) { o.AdaptiveGrid = true }, 40},
-		{"spectral_truncation", func(o *Options) { o.SpectralTruncation = true }, 30},
+		{"float32", func(o *Options) { o.Backend = backend.Float32() }, 35},
+		{"lse", func(o *Options) { o.Wirelength = WLLogSumExp }, 35},
 		{"adam", func(o *Options) { o.Optimizer = OptAdam }, 25},
 		{"baseline_mode", func(o *Options) {
 			*o = BaselineDefaults()

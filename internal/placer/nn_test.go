@@ -233,8 +233,8 @@ func TestNNBlendQualityAdaptec1(t *testing.T) {
 
 // TestNNGridTooSmallForModel: a model keeping 4 modes cannot run on a grid
 // under 8x8 bins. New must say so — naming grid and modes — instead of
-// letting the first blended iteration panic; the adaptive grid's coarse
-// start counts too. A predictor without CheckGrid is not asked.
+// letting the first blended iteration panic. A predictor without CheckGrid
+// is not asked.
 func TestNNGridTooSmallForModel(t *testing.T) {
 	d := clusteredDesign(t, 60, 5)
 	e := eng()
@@ -254,7 +254,6 @@ func TestNNGridTooSmallForModel(t *testing.T) {
 	}
 
 	opts.GridSize = 8
-	opts.AdaptiveGrid = false
 	p, err := New(d, e, opts)
 	if err != nil {
 		t.Fatalf("8x8 grid, 4 modes: %v", err)
@@ -268,17 +267,4 @@ func TestNNGridTooSmallForModel(t *testing.T) {
 		t.Fatalf("predictor without CheckGrid: %v", err)
 	}
 	p.Close()
-
-	// 5 modes fit the 16x16 grid but not the adaptive grid's 8x8 start.
-	opts.GridSize = 16
-	opts.Predictor = &nn.Predictor{M: nn.NewModel(nn.Config{Width: 2, Modes: 5, Layers: 1, Seed: 1})}
-	p, err = New(d, e, opts)
-	if err != nil {
-		t.Fatalf("16x16 grid, 5 modes: %v", err)
-	}
-	p.Close()
-	opts.AdaptiveGrid = true
-	if _, err = New(d, e, opts); err == nil || !strings.Contains(err.Error(), "8x8") {
-		t.Errorf("adaptive 16x16 grid, 5 modes: error %v, want one naming the 8x8 coarse grid", err)
-	}
 }

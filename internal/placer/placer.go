@@ -113,25 +113,12 @@ type Options struct {
 	// GridSize is the density grid dimension M (power of two). 0 picks
 	// automatically from the cell count.
 	GridSize int
-	// Backend selects the compute backend of the density system and the
-	// optimizer state (element type + kernel bodies). nil resolves through
-	// backend.Default(), i.e. the XPLACE_BACKEND environment variable,
-	// falling back to the bit-exact float64 reference. Deterministic
-	// harnesses should pin it explicitly.
+	// Backend selects the compute backend of the density system (element
+	// type + kernel bodies). nil resolves through backend.Default(), i.e.
+	// the XPLACE_BACKEND environment variable, falling back to the
+	// bit-exact float64 reference. Deterministic harnesses should pin it
+	// explicitly.
 	Backend backend.Backend
-	// AdaptiveGrid, when set, starts the density system on an M/2 bin grid
-	// while the §3.2 stage classifier reports "early" and the overflow is
-	// high, switching (once) to the full grid as spreading progresses —
-	// early iterations only need the coarse repulsion field, at a quarter
-	// of the spectral-solve work.
-	AdaptiveGrid bool
-	// SpectralTruncation, when set, zeroes the upper half-band of the
-	// Poisson spectrum during the "early" stage and skips the zeroed rows'
-	// inverse transforms. The early-stage field is dominated by low modes
-	// (the density is heavily smoothed), so truncation changes the
-	// trajectory negligibly while saving about half the field-evaluation
-	// row transforms.
-	SpectralTruncation bool
 	// TargetDensity is the bin density constraint D_t (default 1.0).
 	TargetDensity float64
 	// Seed drives the random initial placement spread.
@@ -252,20 +239,15 @@ type Placer struct {
 	eng  *kernel.Engine
 	orig *netlist.Design
 	d    *netlist.Design // augmented with fillers
-	sys  *field.System   // active system (the coarse one until refinement)
-	// Adaptive-grid state: sysFine is the full-resolution system; sysCoarse
-	// is the M/2 system the run starts on when AdaptiveGrid is set (nil
-	// otherwise). The coarse-to-fine switch is one-way.
-	sysFine   *field.System
-	sysCoarse *field.System
-	pre       *optim.Preconditioner
-	schd      *sched.Scheduler
-	opt       optim.Optimizer
-	rec       *metrics.Recorder
-	wl        *wirelength.Ops
-	lbub      *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
-	sq        *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
-	ctx       context.Context   // active run's context; Background outside a run
+	sys  *field.System
+	pre  *optim.Preconditioner
+	schd *sched.Scheduler
+	opt  optim.Optimizer
+	rec  *metrics.Recorder
+	wl   *wirelength.Ops
+	lbub *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
+	sq   *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
+	ctx  context.Context   // active run's context; Background outside a run
 
 	// Observability instruments (nil-safe: a disabled tracer/registry makes
 	// every use a nil-check no-op).
@@ -339,8 +321,6 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 		opts.OperatorReduction = false
 		opts.OperatorSkipping = false
 		opts.Sched.StageAware = false
-		opts.AdaptiveGrid = false
-		opts.SpectralTruncation = false
 	}
 	opts.Sched.SkipEnabled = opts.OperatorSkipping
 
@@ -357,19 +337,11 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	if m&(m-1) != 0 || m <= 0 {
 		return nil, fmt.Errorf("placer: grid size %d must be a power of two", m)
 	}
-	mc := 0 // the adaptive grid's coarse start, 0 without one
-	if opts.AdaptiveGrid && m/2 >= 8 {
-		mc = m / 2
-	}
 	// A predictor that knows which grids it can run on (an FNO keeping k
 	// modes needs 2k bins per axis) is asked now, so that the job fails
 	// here and not with a panic inside its first blended iteration.
 	if c, ok := opts.Predictor.(interface{ CheckGrid(nx, ny int) error }); ok {
-		err := c.CheckGrid(m, m)
-		if err == nil && mc > 0 {
-			err = c.CheckGrid(mc, mc)
-		}
-		if err != nil {
+		if err := c.CheckGrid(m, m); err != nil {
 			return nil, fmt.Errorf("placer: field predictor: %w", err)
 		}
 	}
@@ -388,14 +360,10 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 
 	p := &Placer{
 		opts: opts, eng: e, orig: d, d: aug,
-		sys: sys, sysFine: sys, pre: pre, schd: schd,
+		sys: sys, pre: pre, schd: schd,
 		rec: &metrics.Recorder{},
 		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
-	}
-	if mc > 0 {
-		p.sysCoarse = field.NewSystemOn(geom.NewGrid(d.Region, mc, mc), e, be)
-		p.sys = p.sysCoarse
 	}
 	n := aug.NumCells()
 	p.pinGX = make([]float64, aug.NumPins())
@@ -419,7 +387,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 		if lr == 0 {
 			lr = binSize
 		}
-		p.opt = optim.NewAdamOn(x0, y0, bounds, lr, be)
+		p.opt = optim.NewAdam(x0, y0, bounds, lr)
 	default:
 		p.opt = optim.NewNesterov(x0, y0, bounds, binSize)
 	}
@@ -737,8 +705,8 @@ func (p *Placer) snapshot() Snapshot {
 	}
 }
 
-// Close returns the placer's arena-backed scratch (the spectral plans'
-// buffers, the density systems' backend buffers, the wirelength partials)
+// Close returns the placer's arena-backed scratch (the spectral plan's
+// buffers, the density system's backend buffers, the wirelength partials)
 // to the engine, dropping the engine arena's in-use bytes back to their
 // pre-placer baseline. Call it when the placer is done — in particular
 // after a cancelled or timed-out run, so pooled engines do not accumulate
@@ -751,11 +719,8 @@ func (p *Placer) Close() {
 	if p.wl != nil {
 		p.wl.Release()
 	}
-	if p.sysFine != nil {
-		p.sysFine.Release(p.eng)
-	}
-	if p.sysCoarse != nil {
-		p.sysCoarse.Release(p.eng)
+	if p.sys != nil {
+		p.sys.Release(p.eng)
 	}
 }
 

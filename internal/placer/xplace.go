@@ -4,45 +4,7 @@ import (
 	"time"
 
 	"xplace/internal/field"
-	"xplace/internal/sched"
 )
-
-// coarseOverflowExit is the overflow below which the adaptive-grid run
-// abandons the coarse system even inside the early stage: the cells are
-// spread enough that the fine field is worth its cost. Kept conservative
-// — the coarse field stops resolving inter-cell structure well before the
-// overflow target, and refining late costs wirelength.
-const coarseOverflowExit = 0.6
-
-// maybeRefineGrid performs the one-way coarse-to-fine switch of the
-// adaptive-grid schedule: stay on the M/2 system while the §3.2 classifier
-// reports "early" AND the overflow is still high; refine otherwise. The
-// coarse system's arena scratch is returned immediately on the switch.
-func (p *Placer) maybeRefineGrid() {
-	if p.sys != p.sysCoarse || p.sysCoarse == nil || p.iter == 0 {
-		return
-	}
-	if sched.StageName(p.schd.Omega()) == "early" && p.lastOverflow > coarseOverflowExit {
-		return
-	}
-	p.sys = p.sysFine
-	p.sysCoarse.Release(p.eng)
-}
-
-// updateTruncation applies the stage-driven spectral truncation schedule:
-// during the early stage the Poisson solve keeps only the lower half-band
-// in each direction (and skips the zeroed rows' transforms); afterwards
-// the full spectrum is restored.
-func (p *Placer) updateTruncation() {
-	if !p.opts.SpectralTruncation {
-		return
-	}
-	if sched.StageName(p.schd.Omega()) == "early" {
-		p.sys.SetTruncation(p.sys.Nx/2, p.sys.Ny/2)
-	} else {
-		p.sys.SetTruncation(0, 0)
-	}
-}
 
 // iterateXplace runs one GP iteration of the Xplace framework with the
 // operator-level optimizations of §3.1 applied per the option toggles:
@@ -200,23 +162,6 @@ func (p *Placer) iterateXplace() error {
 func (p *Placer) computeDensity(vx, vy []float64) {
 	e := p.eng
 	d := p.d
-	p.maybeRefineGrid()
-	p.updateTruncation()
-	if p.sys == p.sysCoarse {
-		// Coarse phase of the adaptive-grid schedule. The overflow ratio is
-		// NOT computed on the coarse grid: bins several cells wide average
-		// the density below the target and the scheduler would see a nearly
-		// converged placement on iteration one. Instead the cell map is
-		// scattered on the fine grid just for OVFL (a scatter is far cheaper
-		// than the spectral solve being saved), while the total map, the
-		// Poisson solve and the field gather all run at coarse resolution.
-		p.sysFine.ScatterDensity(e, d, vx, vy, field.MaskMovable|field.MaskFixed, p.sysFine.D, "density.cells_ovfl")
-		p.lastOverflow = p.sysFine.Overflow(e, d, p.sysFine.D, p.opts.TargetDensity)
-		p.sys.ScatterDensity(e, d, vx, vy, field.MaskAll, p.sys.Total, "density.total_coarse")
-		p.lastEnergy = p.sys.SolvePoisson(e)
-		p.sys.GatherField(e, d, vx, vy, field.MaskPlaceable, p.dGX, p.dGY)
-		return
-	}
 	if p.opts.OperatorExtraction {
 		// OE (§3.1.2, Figure 2a): D once, D_fl once, cheap add, OVFL
 		// reuses D.

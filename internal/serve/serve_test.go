@@ -292,7 +292,11 @@ func TestShutdownCancelsWhenContextExpires(t *testing.T) {
 	baseG := runtime.NumGoroutine()
 	s := mustNew(t, Options{Engines: 1, QueueCap: 4, EngineWorkers: 1, LaunchOverhead: 0})
 	d := testDesign(t, 800, 4)
-	j, err := s.Submit(Spec{Design: d, Options: testOpts(100000)})
+	// MinIter pins the loop: the job converges in about the 50 ms the drain
+	// below is given, and must still be running when that expires.
+	longOpts := testOpts(100000)
+	longOpts.Sched.MinIter = 100000
+	j, err := s.Submit(Spec{Design: d, Options: longOpts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,7 @@ func WithEngineOptions(workers int, overhead time.Duration) Option {
 // WithBackend selects the compute backend (element type + kernel bodies)
 // of every run the session drives: Float64Backend() is the exact,
 // bit-stable reference; Float32Backend() the reduced-precision fast path.
-// A per-run PlacementOptions.Backend wins over the session's choice. The
-// session also records the backend on its engine (Engine.SetBackend), so
-// other consumers sharing the engine can see the session default.
+// A per-run PlacementOptions.Backend wins over the session's choice.
 func WithBackend(b ComputeBackend) Option {
 	return func(s *Session) { s.backend = b }
 }
@@ -204,9 +202,6 @@ func (s *Session) Engine() *Engine {
 	if s.eng == nil {
 		s.eng = kernel.New(kernel.Options{Workers: s.workers, LaunchOverhead: s.overhead})
 		s.ownsEng = true
-	}
-	if s.backend != nil && s.eng.Backend() == nil {
-		s.eng.SetBackend(s.backend)
 	}
 	return s.eng
 }

@@ -88,17 +88,14 @@ func TestSessionLeavesSuppliedEngineOpen(t *testing.T) {
 	}
 }
 
-// TestSessionWithBackend: WithBackend threads the compute backend into the
-// engine and every run; WithBackendName resolves registry names and rejects
-// unknown ones.
+// TestSessionWithBackend: WithBackend threads the compute backend into
+// every run; WithBackendName resolves registry names and rejects unknown
+// ones.
 func TestSessionWithBackend(t *testing.T) {
 	s := NewSession(WithEngineOptions(1, 0), WithBackend(Float32Backend()))
 	defer s.Close()
 	if s.Backend() == nil || s.Backend().Name() != "float32" {
 		t.Fatalf("session backend = %v, want float32", s.Backend())
-	}
-	if got := s.Engine().Backend(); got == nil || got.Name() != "float32" {
-		t.Fatalf("engine backend = %v, want float32", got)
 	}
 	res, err := s.Place(context.Background(), sessionTestDesign(t, 150, 8), sessionTestOpts(10))
 	if err != nil {

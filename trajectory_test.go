@@ -8,7 +8,7 @@ import (
 	"xplace/internal/placer"
 )
 
-// TestGoldenTrajectory pins the operator schedule of nine placer
+// TestGoldenTrajectory pins the operator schedule of six placer
 // configurations on one small design: adaptec1 x 0.004, seed 1, 4 workers,
 // 150 us launches, 60 fixed iterations. Bench, scale, iteration count and
 // worker count all feed the schedule (same chunk boundaries -> same FP sums
@@ -21,8 +21,8 @@ import (
 // The first three configs are the paper's operator ablation (autograd
 // baseline, Xplace without operator combination, full Xplace — the gap
 // between the last two is the OC saving of §3.1.1; their strict launch
-// ordering follows from the exact counts). The next four isolate the
-// compute-backend fast path, the last two the alternative placement paths.
+// ordering follows from the exact counts). The fourth isolates the float32
+// compute backend, the last two the alternative placement paths.
 // Every config pins its Backend, so XPLACE_BACKEND cannot move the numbers.
 func TestGoldenTrajectory(t *testing.T) {
 	const (
@@ -46,13 +46,6 @@ func TestGoldenTrajectory(t *testing.T) {
 	unfused.OperatorCombination = false
 	f32 := DefaultPlacement()
 	f32.Backend = Float32Backend()
-	trunc := ref()
-	trunc.SpectralTruncation = true
-	adaptive := ref()
-	adaptive.AdaptiveGrid = true
-	fast := f32
-	fast.SpectralTruncation = true
-	fast.AdaptiveGrid = true
 	lbub := ref()
 	lbub.Strategy = StrategyLBUB
 	// The FNO `xbench -table 2` trains in-process: pinned hyperparameters,
@@ -73,9 +66,6 @@ func TestGoldenTrajectory(t *testing.T) {
 		{"xplace-unfused", unfused, 1114, 12740.4},
 		{"xplace", ref(), 994, 12740.4},
 		{"xplace-f32", f32, 1158, 12742.8},
-		{"xplace-trunc", trunc, 994, 12748.4},
-		{"xplace-adaptive", adaptive, 993, 18350.4},
-		{"xplace-fast", fast, 1157, 18321.0},
 		{"xplace-lbub", lbub, 13924, 48977.4},
 		{"xplace-nn", nn, 750, 12509.1},
 	} {
