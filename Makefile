@@ -101,11 +101,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRequestCanonical -fuzztime=$(FUZZTIME) ./internal/jobapi
 
 # Kernel-substrate, transform, field-model and hot-operator microbenchmarks
-# (pool vs goroutine-spawn dispatch, DCT round trips, one warm PredictField
-# at the gp-nn shape and at paper scale, density scatter/gather and the
-# fused wirelength operator at the gp-small and gp-cells shapes). Allocation
-# columns are the regression signal: pooled launches, warm transforms, warm
-# inference and the per-iteration operators must report 0 allocs/op.
+# (pool vs goroutine-spawn dispatch, DCT round trips, the batched field
+# evaluation with and without psi and one warm Poisson solve at the
+# gp-small and gp-spectral grids, one warm PredictField at the gp-nn shape
+# and at paper scale, density scatter/gather and the fused wirelength
+# operator at the gp-small and gp-cells shapes). Allocation columns are the
+# regression signal: pooled launches, warm transforms, warm inference and
+# the per-iteration operators must report 0 allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength
 

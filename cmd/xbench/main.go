@@ -421,7 +421,7 @@ func figure2() {
 		}
 		var densOps []string
 		for _, op := range e.Trace() {
-			if strings.HasPrefix(op, "density.") || op == "poisson.energy" {
+			if strings.HasPrefix(op, "density.") || op == "poisson.spectral_scale" {
 				densOps = append(densOps, op)
 			}
 		}

@@ -23,17 +23,15 @@ const tileW = 16
 // internal mutex, keeping a Plan safe for concurrent use.
 //
 // The row kernels are Makhoul's real-even transforms — the forward DCT-II
-// runs a packed length-N/2 complex FFT per row and the evaluation
-// transforms one length-N inverse FFT (see makhoul.go) — and the column
-// pass is a cache-blocked transpose (tileW columns per block).
+// and the cosine/sine series evaluation each run one packed length-N/2
+// complex FFT per line (see makhoul.go) — and the column pass is a
+// cache-blocked transpose (tileW columns per block).
 type Plan struct {
 	Nx, Ny int
 
-	// FFT plans (packed real / full-length transforms).
+	// Packed real-even FFT plans.
 	rowHalf *fftPlan // length Nx/2 (nil when Nx < 4)
-	rowFull *fftPlan // length Nx
 	colHalf *fftPlan // length Ny/2 (nil when Ny < 4)
-	colFull *fftPlan // length Ny
 
 	// Half-angle twiddles cos/sin(pi*k/(2N)), precomputed once.
 	cosHx, sinHx []float64
@@ -47,7 +45,7 @@ type Plan struct {
 	tmp2 []float64 // second intermediate for the batched field evaluation
 
 	// Per-chunk scratch, grown on demand to the launcher's worker count.
-	scratch [][]complex128 // FFT buffer: max(nx,ny)
+	scratch [][]complex128 // packed FFT buffer: max(nx,ny)/2
 	rowReal [][]float64    // real staging row: max(nx,ny)
 	tileIn  [][]float64    // gathered input columns: tileW*ny
 	tileOut [][]float64    // transformed columns:    tileW*ny
@@ -100,8 +98,6 @@ func NewPlan(nx, ny int) *Plan {
 	p := &Plan{Nx: nx, Ny: ny}
 	p.cosHx, p.sinHx = halfTwiddles(nx)
 	p.cosHy, p.sinHy = halfTwiddles(ny)
-	p.rowFull = newFFTPlan(nx)
-	p.colFull = newFFTPlan(ny)
 	if nx >= 4 {
 		p.rowHalf = newFFTPlan(nx / 2)
 	}
@@ -116,7 +112,8 @@ func NewPlan(nx, ny int) *Plan {
 }
 
 // unpackTwiddles returns e^{-2*pi*i*k/n} for k = 0..n/2-1 (the real-FFT
-// unpack rotation used by dctIIMakhoul).
+// unpack rotation of dctIIMakhoul; dctIIIMakhoul's packing uses its
+// conjugate).
 func unpackTwiddles(n int) []complex128 {
 	m := n / 2
 	if m < 1 {
@@ -140,7 +137,7 @@ func (p *Plan) buildBodies() {
 			}
 		} else {
 			for v := lo; v < hi; v++ {
-				evalMakhoul(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], nil, p.rowFull, scratch, p.cosHx, p.sinHx)
+				dctIIIMakhoul(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			}
 		}
 	}
@@ -170,7 +167,7 @@ func (p *Plan) buildBodies() {
 				if p.forward {
 					dctIIMakhoul(col, out, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 				} else {
-					evalMakhoul(col, out, nil, p.colFull, scratch, p.cosHy, p.sinHy)
+					dctIIIMakhoul(col, out, false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 				}
 			}
 			for y := 0; y < ny; y++ {
@@ -183,29 +180,29 @@ func (p *Plan) buildBodies() {
 	}
 }
 
-// buildFieldBodies wires the batched potential/field evaluation: all three
-// Poisson outputs (Psi, Ex, Ey) in one two-pass sweep.
+// buildFieldBodies wires the batched potential/field evaluation: the
+// Poisson outputs (Ex, Ey, and Psi when asked for) in one two-pass sweep.
 func (p *Plan) buildFieldBodies() {
 	nx := p.Nx
 	// Rows pass (per coefficient row v): the cos-x series of coef feeds both
 	// Psi and Ey (Ey's extra factor sy[v] is constant within a row, so it is
 	// applied in the column pass), and the sin-x series of coef*sx feeds Ex.
-	// Two length-Nx inverse FFTs per row.
+	// Two packed length-Nx/2 inverse FFTs per row.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
 		scratch := p.scratch[chunk]
 		srow := p.rowReal[chunk][:nx]
 		for v := lo; v < hi; v++ {
 			row := p.coefIn[v*nx : (v+1)*nx]
-			evalMakhoul(row, p.tmp[v*nx:(v+1)*nx], nil, p.rowFull, scratch, p.cosHx, p.sinHx)
+			dctIIIMakhoul(row, p.tmp[v*nx:(v+1)*nx], false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			for u := 0; u < nx; u++ {
 				srow[u] = row[u] * p.sx[u]
 			}
-			evalMakhoul(srow, nil, p.tmp2[v*nx:(v+1)*nx], p.rowFull, scratch, p.cosHx, p.sinHx)
+			dctIIIMakhoul(srow, p.tmp2[v*nx:(v+1)*nx], true, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 		}
 	}
-	// Columns pass (per column x, tiled): cos-y of tmp -> Psi, sin-y of
-	// sy*tmp -> Ey, cos-y of tmp2 -> Ex. One gather and one scatter serve
-	// all three outputs.
+	// Columns pass (per column x, tiled): sin-y of sy*tmp -> Ey, cos-y of
+	// tmp2 -> Ex, and cos-y of tmp -> Psi when dstPsi is set. One gather and
+	// one scatter serve every output.
 	p.fieldColsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
 		scratch := p.scratch[chunk]
@@ -229,19 +226,28 @@ func (p *Plan) buildFieldBodies() {
 			}
 			for b := 0; b < w; b++ {
 				colA := tA[b*ny : (b+1)*ny]
-				evalMakhoul(colA, tPsi[b*ny:(b+1)*ny], nil, p.colFull, scratch, p.cosHy, p.sinHy)
+				if p.dstPsi != nil {
+					dctIIIMakhoul(colA, tPsi[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
+				}
 				for v := 0; v < ny; v++ {
 					eyIn[v] = colA[v] * p.sy[v]
 				}
-				evalMakhoul(eyIn, nil, tEy[b*ny:(b+1)*ny], p.colFull, scratch, p.cosHy, p.sinHy)
-				evalMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], nil, p.colFull, scratch, p.cosHy, p.sinHy)
+				dctIIIMakhoul(eyIn, tEy[b*ny:(b+1)*ny], true, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
+				dctIIIMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 			}
 			for y := 0; y < ny; y++ {
 				base := y*nx + x0
 				for b := 0; b < w; b++ {
-					p.dstPsi[base+b] = tPsi[b*ny+y]
 					p.dstEx[base+b] = tEx[b*ny+y]
 					p.dstEy[base+b] = tEy[b*ny+y]
+				}
+			}
+			if p.dstPsi != nil {
+				for y := 0; y < ny; y++ {
+					base := y*nx + x0
+					for b := 0; b < w; b++ {
+						p.dstPsi[base+b] = tPsi[b*ny+y]
+					}
 				}
 			}
 		}
@@ -289,7 +295,7 @@ func (p *Plan) ensure(L Launcher) {
 	}
 	colN := tileW * p.Ny
 	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, p.allocC(L, maxN))
+		p.scratch = append(p.scratch, p.allocC(L, max(maxN/2, 1)))
 		p.rowReal = append(p.rowReal, p.allocF(L, maxN))
 		p.tileIn = append(p.tileIn, p.allocF(L, colN))
 		p.tileOut = append(p.tileOut, p.allocF(L, colN))
@@ -405,7 +411,7 @@ func (p *Plan) EvalCosCos(coef, dst []float64, L Launcher) {
 	p.run(L, "spectral2.coscos_rows", "spectral2.coscos_cols")
 }
 
-// EvalPotentialField evaluates the three Poisson-solver output series in one
+// EvalPotentialField evaluates the Poisson-solver output series in one
 // batched sweep:
 //
 //	psi[y][x] = sum coef[v][u]         * cos_u(x) * cos_v(y)
@@ -415,11 +421,15 @@ func (p *Plan) EvalCosCos(coef, dst []float64, L Launcher) {
 // with cos_u(x) = cos(pi*u*(2x+1)/(2*Nx)) etc. sx has length Nx and sy
 // length Ny (the Poisson solver passes the spatial frequencies wu, wv). The
 // shared cos-x row transform is computed once and each column is gathered
-// once for all three outputs — two launched passes total, versus three
-// independent evaluations (six passes) plus two scale kernels unbatched.
+// once for every output — two launched passes total. psi may be nil: the
+// potential is then not evaluated (the gradient needs only ex and ey), which
+// saves one of the five series transforms per line; ex and ey are the same
+// bits either way.
 func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, L Launcher) {
 	p.checkSize(coef, "coef")
-	p.checkSize(psi, "psi")
+	if psi != nil {
+		p.checkSize(psi, "psi")
+	}
 	p.checkSize(ex, "ex")
 	p.checkSize(ey, "ey")
 	if len(sx) != p.Nx || len(sy) != p.Ny {

@@ -92,29 +92,32 @@ func directDCT2(f []float64, nx, ny int) []float64 {
 	return out
 }
 
-// directEval is the O(N^4) reference for the evaluation transforms.
+// directEval is the O(N^4) reference for the evaluation transforms: every
+// output is the full double sum over the coefficients (the basis values are
+// tabulated once, nothing else is factored).
 func directEval(c []float64, nx, ny int, sinX, sinY bool) []float64 {
+	basis := func(n int, sine bool) []float64 {
+		t := make([]float64, n*n) // t[k*n+j] = basis k at sample j
+		for k := 0; k < n; k++ {
+			for j := 0; j < n; j++ {
+				ang := math.Pi * float64(k) * (2*float64(j) + 1) / (2 * float64(n))
+				if sine {
+					t[k*n+j] = math.Sin(ang)
+				} else {
+					t[k*n+j] = math.Cos(ang)
+				}
+			}
+		}
+		return t
+	}
+	bx, by := basis(nx, sinX), basis(ny, sinY)
 	out := make([]float64, nx*ny)
-	bx := func(u, x int) float64 {
-		ang := math.Pi * float64(u) * (2*float64(x) + 1) / (2 * float64(nx))
-		if sinX {
-			return math.Sin(ang)
-		}
-		return math.Cos(ang)
-	}
-	by := func(v, y int) float64 {
-		ang := math.Pi * float64(v) * (2*float64(y) + 1) / (2 * float64(ny))
-		if sinY {
-			return math.Sin(ang)
-		}
-		return math.Cos(ang)
-	}
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
 			var s float64
 			for v := 0; v < ny; v++ {
 				for u := 0; u < nx; u++ {
-					s += c[v*nx+u] * bx(u, x) * by(v, y)
+					s += c[v*nx+u] * bx[u*nx+x] * by[v*ny+y]
 				}
 			}
 			out[y*nx+x] = s

@@ -1,22 +1,28 @@
 package dct
 
+import "math"
+
 // Makhoul length-N real-even transform kernels — the spectral engine's
 // 1-D building blocks (J. Makhoul, "A fast cosine transform in one and two
 // dimensions", IEEE TASSP 1980; the same formulation the enhanced-FFT
 // placement papers use for the Poisson step).
 //
-// The textbook route computes a DCT-II through a mirrored length-2N complex
-// FFT: 4N complex butterfly points per row for N real outputs. The kernels
-// here exploit the real/even structure instead:
+// The textbook routes compute a DCT-II through a mirrored length-2N complex
+// FFT and a half-sample series through a length-N (or zero-padded 2N)
+// complex inverse FFT. Both kernels here keep the real-even structure end
+// to end instead, so each runs ONE packed length-N/2 complex FFT:
 //
 //   - Forward (dctIIMakhoul): the even-odd permutation v[j] = x[2j],
 //     v[N-1-j] = x[2j+1] turns the DCT-II into the first N terms of a
 //     length-N DFT of a REAL sequence, which is computed as a packed
-//     length-N/2 complex FFT — about 4x less butterfly work.
-//   - Evaluation (evalMakhoul): the cosine/sine series at the half-sample
-//     points is the real/imaginary part of one length-N complex inverse
-//     FFT (vs a zero-padded length-2N inverse), and both series come
-//     out of the SAME transform, which the batched field evaluation uses.
+//     length-N/2 complex FFT.
+//   - Evaluation (dctIIIMakhoul): its exact inverse. A pre-twiddle
+//     rebuilds the Hermitian spectrum V of the permuted sequence from the
+//     series coefficients, the packed length-N/2 inverse FFT produces the
+//     real v two samples per complex point, and the un-permute writes them
+//     back to the half-sample grid. The sine series is the cosine series of
+//     the index-reflected coefficients with the odd outputs negated, so the
+//     same kernel serves both.
 
 // dctIIMakhoul computes the unnormalized 1-D DCT-II
 //
@@ -75,43 +81,99 @@ func dctIIMakhoul(src, dst []float64, half *fftPlan, scratch []complex128, unp [
 	}
 }
 
-// evalMakhoul evaluates the complex half-sample series
+// dctIIIMakhoul evaluates the half-sample cosine series (sine = false)
 //
-//	g[j] = sum_u coef[u] * e^{i*pi*u*(2j+1)/(2N)},  j = 0..N-1
+//	dst[j] = sum_u coef[u] * cos(pi*u*(2j+1)/(2N)),  j = 0..N-1
 //
-// with ONE length-N complex inverse FFT: with B the unnormalized inverse
-// DFT of b[u] = coef[u]*e^{i*pi*u/(2N)}, the even outputs are g[2j] = B[j]
-// and the odd outputs g[2j+1] = conj(B[N-1-j]) (coef real). The real part
-// of g is the cosine series and the imaginary part the sine series, so a
-// single call can produce either or both: dstCos and/or dstSin may be nil
-// to skip that series. full is the N-point FFT plan, scratch holds at
-// least N complex values. coef must not alias the destinations.
-func evalMakhoul(coef, dstCos, dstSin []float64, full *fftPlan, scratch []complex128, cosH, sinH []float64) {
+// or the sine series (sine = true)
+//
+//	dst[j] = sum_u coef[u] * sin(pi*u*(2j+1)/(2N))
+//
+// with one packed length-N/2 complex inverse FFT — the inverse of
+// dctIIMakhoul. The cosine series is N/2 times the inverse DCT-II of X,
+// X[0] = 2*coef[0], X[k] = coef[k], so the permuted sequence v it
+// un-permutes to has the Hermitian spectrum
+//
+//	V[k] = e^{i*pi*k/(2N)} * (X[k] - i*X[N-k]),  X[N] = 0.
+//
+// The sine series reads X[k] = coef[N-k] (X[0] = 0) — sin(pi*(N-k)*(2j+1)/(2N))
+// = (-1)^j cos(pi*k*(2j+1)/(2N)) — and flips the sign of the odd outputs.
+// Arguments are those of dctIIMakhoul (scratch holds at least N/2 complex
+// values). coef and dst must not alias.
+func dctIIIMakhoul(coef, dst []float64, sine bool, half *fftPlan, scratch []complex128, unp []complex128, cosH, sinH []float64) {
 	n := len(coef)
 	if n == 1 {
-		if dstCos != nil {
-			dstCos[0] = coef[0]
-		}
-		if dstSin != nil {
-			dstSin[0] = 0
+		dst[0] = coef[0]
+		if sine {
+			dst[0] = 0
 		}
 		return
 	}
-	for u := 0; u < n; u++ {
-		scratch[u] = complex(coef[u]*cosH[u], coef[u]*sinH[u])
+	if n == 2 {
+		if sine {
+			dst[0] = sinH[1] * coef[1]
+			dst[1] = dst[0]
+		} else {
+			dst[0] = coef[0] + cosH[1]*coef[1]
+			dst[1] = coef[0] - cosH[1]*coef[1]
+		}
+		return
 	}
-	full.transform(scratch[:n], true)
 	m := n / 2
-	if dstCos != nil {
-		for j := 0; j < m; j++ {
-			dstCos[2*j] = real(scratch[j])
-			dstCos[2*j+1] = real(scratch[n-1-j])
+	h := m / 2
+	// x(k), x(n-k) of the series being evaluated; the sine series swaps them.
+	pair := func(k int) (re, im float64) {
+		if sine {
+			return coef[n-k], coef[k]
 		}
+		return coef[k], coef[n-k]
 	}
-	if dstSin != nil {
-		for j := 0; j < m; j++ {
-			dstSin[2*j] = imag(scratch[j])
-			dstSin[2*j+1] = -imag(scratch[n-1-j])
-		}
+	// Pre-twiddle, packed: the inverse of dctIIMakhoul's unpack. With
+	// V[k+m] = conj(V[m-k]), the packed spectrum of z[i] = v[2i] + i*v[2i+1]
+	// is Z[k] = (S + i*D*e^{2*pi*i*k/N})/2, S = V[k] + conj(V[m-k]),
+	// D = V[k] - conj(V[m-k]); Z[m-k] is the same S and D conjugated, so
+	// each pair (k, m-k) is built from two V values.
+	v0 := 2 * coef[0]
+	if sine {
+		v0 = 0
+	}
+	vm := math.Sqrt2 * coef[m] // V[m] = e^{i*pi/4}(1-i)*coef[m] is real
+	scratch[0] = complex(0.5*(v0+vm), 0.5*(v0-vm))
+	for k := 1; k < h; k++ {
+		j := m - k
+		a, b := pair(k)
+		vkr := cosH[k]*a + sinH[k]*b
+		vki := sinH[k]*a - cosH[k]*b
+		a, b = pair(j)
+		vjr := cosH[j]*a + sinH[j]*b
+		vji := sinH[j]*a - cosH[j]*b
+		sr, si := vkr+vjr, vki-vji
+		dr, di := vkr-vjr, vki+vji
+		// T = D * conj(unp[k]) = D * e^{2*pi*i*k/N}.
+		ur, ui := real(unp[k]), -imag(unp[k])
+		tr := dr*ur - di*ui
+		ti := dr*ui + di*ur
+		scratch[k] = complex(0.5*(sr-ti), 0.5*(si+tr))
+		scratch[j] = complex(0.5*(sr+ti), 0.5*(tr-si))
+	}
+	// Z[m/2] pairs with itself: S = 2*Re(V), D*e^{i*pi/2} = -2*Im(V).
+	a, b := pair(h)
+	scratch[h] = complex(cosH[h]*a+sinH[h]*b, cosH[h]*b-sinH[h]*a)
+	half.transform(scratch[:m], true)
+	// Un-permute dst[2j] = v[j], dst[2j+1] = v[n-1-j]; the sine series
+	// negates the odd outputs, which are exactly the second half of z.
+	for i := 0; i < h; i++ {
+		z := scratch[i]
+		dst[4*i] = real(z)
+		dst[4*i+2] = imag(z)
+	}
+	sign := 1.0
+	if sine {
+		sign = -1
+	}
+	for i := h; i < m; i++ {
+		z := scratch[i]
+		dst[2*n-4*i-1] = sign * real(z)
+		dst[2*n-4*i-3] = sign * imag(z)
 	}
 }

@@ -2,6 +2,7 @@ package dct
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -81,36 +82,108 @@ func fieldReference(coef, sx, sy []float64, nx, ny int) (psi, ex, ey []float64) 
 	return
 }
 
+// fieldShapes are the grids the field-evaluation oracle runs on: the sizes
+// below 4 (no packed FFT: dctIIIMakhoul's explicit N = 2 path) in both
+// orientations, the smallest packed size, non-square grids both ways, and
+// one grid with several column tiles.
+var fieldShapes = [][2]int{{2, 16}, {16, 2}, {4, 4}, {8, 32}, {32, 8}, {64, 64}}
+
 // TestEvalPotentialFieldMatchesDirect: the batched field evaluation — the
-// only consumer of evalMakhoul's sine series — against the direct
-// references.
+// only consumer of dctIIIMakhoul's sine series — against the direct
+// references, on the float64 plan (absolute 1e-9) and the float32 plan
+// (f32Tol of the output magnitude).
 func TestEvalPotentialFieldMatchesDirect(t *testing.T) {
-	nx, ny := 8, 32
-	coef := randGrid(nx, ny, 31)
-	sx := randGrid(nx, 1, 37)
-	sy := randGrid(ny, 1, 41)
-	wantPsi, wantEx, wantEy := fieldReference(coef, sx, sy, nx, ny)
+	type fieldCase struct {
+		nx, ny                  int
+		coef, sx, sy            []float64
+		wantPsi, wantEx, wantEy []float64
+	}
+	cases := make([]fieldCase, len(fieldShapes))
+	for i, dims := range fieldShapes {
+		c := fieldCase{nx: dims[0], ny: dims[1]}
+		c.coef = randGrid(c.nx, c.ny, 31)
+		c.sx = randGrid(c.nx, 1, 37)
+		c.sy = randGrid(c.ny, 1, 41)
+		c.wantPsi, c.wantEx, c.wantEy = fieldReference(c.coef, c.sx, c.sy, c.nx, c.ny)
+		cases[i] = c
+	}
 	t.Run(engine, func(t *testing.T) {
-		p := NewPlan(nx, ny)
-		psi := make([]float64, nx*ny)
-		ex := make([]float64, nx*ny)
-		ey := make([]float64, nx*ny)
-		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-		if d := maxAbsDiff(psi, wantPsi); d > 1e-9 {
-			t.Errorf("psi max diff %g", d)
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%dx%d", c.nx, c.ny), func(t *testing.T) {
+				n := c.nx * c.ny
+				psi, ex, ey := make([]float64, n), make([]float64, n), make([]float64, n)
+				NewPlan(c.nx, c.ny).EvalPotentialField(c.coef, c.sx, c.sy, psi, ex, ey, Serial)
+				for _, o := range []struct {
+					name      string
+					got, want []float64
+				}{{"psi", psi, c.wantPsi}, {"ex", ex, c.wantEx}, {"ey", ey, c.wantEy}} {
+					if d := maxAbsDiff(o.got, o.want); d > 1e-9 {
+						t.Errorf("%s max diff %g", o.name, d)
+					}
+				}
+			})
 		}
-		if d := maxAbsDiff(ex, wantEx); d > 1e-9 {
-			t.Errorf("ex max diff %g", d)
-		}
-		if d := maxAbsDiff(ey, wantEy); d > 1e-9 {
-			t.Errorf("ey max diff %g", d)
+	})
+	t.Run("float32", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%dx%d", c.nx, c.ny), func(t *testing.T) {
+				n := c.nx * c.ny
+				psi, ex, ey := make([]float32, n), make([]float32, n), make([]float32, n)
+				NewPlan32(c.nx, c.ny).EvalPotentialField(to32(c.coef), c.sx, c.sy, psi, ex, ey, Serial)
+				for _, o := range []struct {
+					name string
+					got  []float32
+					want []float64
+				}{{"psi", psi, c.wantPsi}, {"ex", ex, c.wantEx}, {"ey", ey, c.wantEy}} {
+					if d := maxRelDiff32(o.got, o.want); d > f32Tol {
+						t.Errorf("%s rel diff %g", o.name, d)
+					}
+				}
+			})
 		}
 	})
 }
 
+// TestEvalPotentialFieldSkipsPsi: a nil psi skips the potential and leaves
+// ex and ey bit-identical to the call that evaluates it, on both plans.
+func TestEvalPotentialFieldSkipsPsi(t *testing.T) {
+	for _, dims := range fieldShapes {
+		nx, ny := dims[0], dims[1]
+		coef := randGrid(nx, ny, 59)
+		sx := randGrid(nx, 1, 61)
+		sy := randGrid(ny, 1, 67)
+		t.Run(fmt.Sprintf("%dx%d", nx, ny), func(t *testing.T) {
+			p := NewPlan(nx, ny)
+			psi := make([]float64, nx*ny)
+			ex, ey := make([]float64, nx*ny), make([]float64, nx*ny)
+			ex2, ey2 := make([]float64, nx*ny), make([]float64, nx*ny)
+			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+			p.EvalPotentialField(coef, sx, sy, nil, ex2, ey2, Serial)
+			for i := range ex {
+				if math.Float64bits(ex[i]) != math.Float64bits(ex2[i]) || math.Float64bits(ey[i]) != math.Float64bits(ey2[i]) {
+					t.Fatalf("bin %d: psi=nil gives (%v, %v), with psi (%v, %v)", i, ex2[i], ey2[i], ex[i], ey[i])
+				}
+			}
+
+			p32 := NewPlan32(nx, ny)
+			c32 := to32(coef)
+			psi32 := make([]float32, nx*ny)
+			ex32, ey32 := make([]float32, nx*ny), make([]float32, nx*ny)
+			ex32b, ey32b := make([]float32, nx*ny), make([]float32, nx*ny)
+			p32.EvalPotentialField(c32, sx, sy, psi32, ex32, ey32, Serial)
+			p32.EvalPotentialField(c32, sx, sy, nil, ex32b, ey32b, Serial)
+			for i := range ex32 {
+				if math.Float32bits(ex32[i]) != math.Float32bits(ex32b[i]) || math.Float32bits(ey32[i]) != math.Float32bits(ey32b[i]) {
+					t.Fatalf("float32 bin %d: psi=nil gives (%v, %v), with psi (%v, %v)", i, ex32b[i], ey32b[i], ex32[i], ey32[i])
+				}
+			}
+		})
+	}
+}
+
 // TestEvalPotentialFieldAllocFree: after the first call warms the plan
 // scratch (including the second intermediate and field tiles), the batched
-// evaluation performs zero heap allocations.
+// evaluation performs zero heap allocations, with and without psi.
 func TestEvalPotentialFieldAllocFree(t *testing.T) {
 	nx, ny := 32, 64
 	coef := randGrid(nx, ny, 43)
@@ -124,11 +197,44 @@ func TestEvalPotentialFieldAllocFree(t *testing.T) {
 		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
 		allocs := testing.AllocsPerRun(20, func() {
 			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+			p.EvalPotentialField(coef, sx, sy, nil, ex, ey, Serial)
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state EvalPotentialField allocs = %v, want 0", allocs)
 		}
 	})
+}
+
+// BenchmarkEvalPotentialField: the batched field evaluation alone, at the
+// gp-small grid (64) and the gp-spectral grid (512), with the potential
+// (what the benchmark's dct.field_eval_us probe times) and without it (what
+// the Poisson solve runs).
+func BenchmarkEvalPotentialField(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		coef := randGrid(n, n, 71)
+		sx := randGrid(n, 1, 73)
+		sy := randGrid(n, 1, 79)
+		for _, withPsi := range []bool{true, false} {
+			name := fmt.Sprintf("%d/nopsi", n)
+			if withPsi {
+				name = fmt.Sprintf("%d/psi", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				p := NewPlan(n, n)
+				var psi []float64
+				if withPsi {
+					psi = make([]float64, n*n)
+				}
+				ex, ey := make([]float64, n*n), make([]float64, n*n)
+				p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkDCT2DRoundTrip: the acceptance benchmark — forward DCT2 plus

@@ -42,9 +42,7 @@ type Plan32 struct {
 	Nx, Ny int
 
 	rowHalf *fftPlan // length Nx/2 (nil when Nx < 4)
-	rowFull *fftPlan // length Nx
 	colHalf *fftPlan // length Ny/2 (nil when Ny < 4)
-	colFull *fftPlan // length Ny
 
 	cosHx, sinHx []float64
 	cosHy, sinHy []float64
@@ -56,7 +54,7 @@ type Plan32 struct {
 
 	// Per-chunk scratch: the complex FFT buffer, float64 staging rows for
 	// the mixed-precision row kernels, and the float64 column tiles.
-	scratch  [][]complex128 // max(nx,ny)
+	scratch  [][]complex128 // packed FFT buffer: max(nx,ny)/2
 	rowIn    [][]float64    // converted input row: max(nx,ny)
 	rowOut   [][]float64    // transformed row before store: max(nx,ny)
 	rowReal  [][]float64    // scaled-coefficient row (field eval): max(nx,ny)
@@ -86,8 +84,6 @@ func NewPlan32(nx, ny int) *Plan32 {
 	p := &Plan32{Nx: nx, Ny: ny}
 	p.cosHx, p.sinHx = halfTwiddles(nx)
 	p.cosHy, p.sinHy = halfTwiddles(ny)
-	p.rowFull = newFFTPlan(nx)
-	p.colFull = newFFTPlan(ny)
 	if nx >= 4 {
 		p.rowHalf = newFFTPlan(nx / 2)
 	}
@@ -125,7 +121,7 @@ func (p *Plan32) buildBodies() {
 			if p.forward {
 				dctIIMakhoul(rin, rout, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			} else {
-				evalMakhoul(rin, rout, nil, p.rowFull, scratch, p.cosHx, p.sinHx)
+				dctIIIMakhoul(rin, rout, false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			}
 			store32(p.tmp[y*nx:(y+1)*nx], rout)
 		}
@@ -155,7 +151,7 @@ func (p *Plan32) buildBodies() {
 				if p.forward {
 					dctIIMakhoul(col, out, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 				} else {
-					evalMakhoul(col, out, nil, p.colFull, scratch, p.cosHy, p.sinHy)
+					dctIIIMakhoul(col, out, false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 				}
 			}
 			for y := 0; y < ny; y++ {
@@ -174,12 +170,12 @@ func (p *Plan32) buildBodies() {
 		srow := p.rowReal[chunk][:nx]
 		for v := lo; v < hi; v++ {
 			load32(rin, p.coefIn[v*nx:(v+1)*nx])
-			evalMakhoul(rin, rout, nil, p.rowFull, scratch, p.cosHx, p.sinHx)
+			dctIIIMakhoul(rin, rout, false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			store32(p.tmp[v*nx:(v+1)*nx], rout)
 			for u := 0; u < nx; u++ {
 				srow[u] = rin[u] * p.sx[u]
 			}
-			evalMakhoul(srow, nil, rout, p.rowFull, scratch, p.cosHx, p.sinHx)
+			dctIIIMakhoul(srow, rout, true, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
 			store32(p.tmp2[v*nx:(v+1)*nx], rout)
 		}
 	}
@@ -206,19 +202,28 @@ func (p *Plan32) buildBodies() {
 			}
 			for b := 0; b < w; b++ {
 				colA := tA[b*ny : (b+1)*ny]
-				evalMakhoul(colA, tPsi[b*ny:(b+1)*ny], nil, p.colFull, scratch, p.cosHy, p.sinHy)
+				if p.dstPsi != nil {
+					dctIIIMakhoul(colA, tPsi[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
+				}
 				for v := 0; v < ny; v++ {
 					eyIn[v] = colA[v] * p.sy[v]
 				}
-				evalMakhoul(eyIn, nil, tEy[b*ny:(b+1)*ny], p.colFull, scratch, p.cosHy, p.sinHy)
-				evalMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], nil, p.colFull, scratch, p.cosHy, p.sinHy)
+				dctIIIMakhoul(eyIn, tEy[b*ny:(b+1)*ny], true, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
+				dctIIIMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
 			}
 			for y := 0; y < ny; y++ {
 				base := y*nx + x0
 				for b := 0; b < w; b++ {
-					p.dstPsi[base+b] = float32(tPsi[b*ny+y])
 					p.dstEx[base+b] = float32(tEx[b*ny+y])
 					p.dstEy[base+b] = float32(tEy[b*ny+y])
+				}
+			}
+			if p.dstPsi != nil {
+				for y := 0; y < ny; y++ {
+					base := y*nx + x0
+					for b := 0; b < w; b++ {
+						p.dstPsi[base+b] = float32(tPsi[b*ny+y])
+					}
 				}
 			}
 		}
@@ -270,7 +275,7 @@ func (p *Plan32) ensure(L Launcher) {
 	}
 	colN := tileW * p.Ny
 	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, p.allocC(L, maxN))
+		p.scratch = append(p.scratch, p.allocC(L, max(maxN/2, 1)))
 		p.rowIn = append(p.rowIn, p.allocF(L, maxN))
 		p.rowOut = append(p.rowOut, p.allocF(L, maxN))
 		p.rowReal = append(p.rowReal, p.allocF(L, maxN))
@@ -372,13 +377,16 @@ func (p *Plan32) EvalCosCos(coef, dst []float32, L Launcher) {
 	p.run(L, "spectral32.coscos_rows", "spectral32.coscos_cols")
 }
 
-// EvalPotentialField evaluates psi/ex/ey in one batched two-pass sweep,
-// the float32-backend counterpart of Plan.EvalPotentialField. The scale
-// vectors sx (length Nx) and sy (length Ny) stay float64 — they are the
-// solver's precomputed spatial frequencies, not grid-sized data.
+// EvalPotentialField evaluates ex/ey (and psi unless it is nil) in one
+// batched two-pass sweep, the float32-backend counterpart of
+// Plan.EvalPotentialField. The scale vectors sx (length Nx) and sy (length
+// Ny) stay float64 — they are the solver's precomputed spatial frequencies,
+// not grid-sized data.
 func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, ey []float32, L Launcher) {
 	p.checkSize(coef, "coef")
-	p.checkSize(psi, "psi")
+	if psi != nil {
+		p.checkSize(psi, "psi")
+	}
 	p.checkSize(ex, "ex")
 	p.checkSize(ey, "ey")
 	if len(sx) != p.Nx || len(sy) != p.Ny {

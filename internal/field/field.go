@@ -63,10 +63,11 @@ type System struct {
 	Dfl   []float64 // filler density D_fl
 	Total []float64 // D~ = D + D_fl (Eq. 10)
 
-	// Electrostatic solution for Total.
-	Psi []float64 // potential
-	Ex  []float64 // field x = -dPsi/dx (bin units)
-	Ey  []float64 // field y
+	// Electrostatic field of Total (the potential psi itself is never
+	// materialized: the gradient needs only E, the energy comes from the
+	// spectrum).
+	Ex []float64 // field x = -dPsi/dx (bin units)
+	Ey []float64 // field y
 
 	plan    *dct.Plan
 	coef    []float64 // DCT coefficients scratch
@@ -83,8 +84,7 @@ type System struct {
 	plan32    *dct.Plan32
 	total32   []float32 // Total converted across the boundary
 	coef32    []float32 // spectral coefficients
-	psi32     []float32 // solver outputs before the store conversion
-	ex32      []float32
+	ex32      []float32 // solver outputs before the store conversion
 	ey32      []float32
 	scratch32 [][]float32 // per-worker scatter maps (f32 halves the traffic)
 
@@ -94,30 +94,28 @@ type System struct {
 	// Staged parameters for the persistent kernel bodies below. Set by the
 	// exported methods immediately before launching; never read outside a
 	// launch.
-	scD            *netlist.Design
-	scX, scY       []float64
-	scMask         KindMask
-	scOut          []float64
-	scUsed         int
-	addA, addB     []float64
-	addDst         []float64
-	gaD            *netlist.Design
-	gaX, gaY       []float64
-	gaMask         KindMask
-	gaGX, gaGY     []float64
-	ovDens         []float64
-	ovTarget       float64
-	maxDens        []float64
-	mergeNames     map[string]string // scatter name -> name+".merge" (interned)
-	scatterBody    func(w, lo, hi int)
-	mergeBody      func(lo, hi int)
-	addBody        func(lo, hi int)
-	spectralBody   func(lo, hi int)
-	spectralBody32 func(lo, hi int)
-	energyBody     func(lo, hi int) float64
-	gatherBody     func(w, lo, hi int)
-	ovBody         func(lo, hi int) float64
-	maxBody        func(lo, hi int) float64
+	scD          *netlist.Design
+	scX, scY     []float64
+	scMask       KindMask
+	scOut        []float64
+	scUsed       int
+	addA, addB   []float64
+	addDst       []float64
+	gaD          *netlist.Design
+	gaX, gaY     []float64
+	gaMask       KindMask
+	gaGX, gaGY   []float64
+	ovDens       []float64
+	ovTarget     float64
+	maxDens      []float64
+	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
+	scatterBody  func(w, lo, hi int)
+	mergeBody    func(lo, hi int)
+	addBody      func(lo, hi int)
+	spectralBody func(lo, hi int) float64
+	gatherBody   func(w, lo, hi int)
+	ovBody       func(lo, hi int) float64
+	maxBody      func(lo, hi int) float64
 }
 
 func sumCombine(a, b float64) float64 { return a + b }
@@ -142,7 +140,6 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 		D:       make([]float64, nx*ny),
 		Dfl:     make([]float64, nx*ny),
 		Total:   make([]float64, nx*ny),
-		Psi:     make([]float64, nx*ny),
 		Ex:      make([]float64, nx*ny),
 		Ey:      make([]float64, nx*ny),
 		wu:      make([]float64, nx),
@@ -203,10 +200,9 @@ func (s *System) Release(e *kernel.Engine) {
 	if s.total32 != nil {
 		e.Free32(s.total32)
 		e.Free32(s.coef32)
-		e.Free32(s.psi32)
 		e.Free32(s.ex32)
 		e.Free32(s.ey32)
-		s.total32, s.coef32, s.psi32, s.ex32, s.ey32 = nil, nil, nil, nil, nil
+		s.total32, s.coef32, s.ex32, s.ey32 = nil, nil, nil, nil
 	}
 }
 
@@ -218,7 +214,6 @@ func (s *System) ensure32(e *kernel.Engine) {
 	n := s.Nx * s.Ny
 	s.total32 = e.Alloc32(n)
 	s.coef32 = e.Alloc32(n)
-	s.psi32 = e.Alloc32(n)
 	s.ex32 = e.Alloc32(n)
 	s.ey32 = e.Alloc32(n)
 }
@@ -294,78 +289,63 @@ func mergeFrom[T float32 | float64](s *System, maps [][]T, invBinArea float64, l
 	}
 }
 
+// spectralScale turns the raw DCT-II coefficients c of Total in rows
+// [lo, hi) into the potential's series coefficients a = c * norm / (wu^2 +
+// wv^2) in place (the DC term is dropped: the density mean exerts no force),
+// and returns those rows' share of sum(a * c). By Parseval that sum is
+// sum(Total * psi) — the energy without evaluating psi. The arithmetic is
+// float64 whatever the element type; only the stored coefficient is T.
+func spectralScale[T float32 | float64](s *System, coef []T, lo, hi int) float64 {
+	nx, ny := s.Nx, s.Ny
+	var sum float64
+	for v := lo; v < hi; v++ {
+		fv := 2 / float64(ny)
+		if v == 0 {
+			fv = 1 / float64(ny)
+		}
+		wv2 := s.wv[v] * s.wv[v]
+		for u := 0; u < nx; u++ {
+			fu := 2 / float64(nx)
+			if u == 0 {
+				fu = 1 / float64(nx)
+			}
+			idx := v*nx + u
+			if u == 0 && v == 0 {
+				coef[idx] = 0
+				continue
+			}
+			c := float64(coef[idx])
+			a := c * (fu * fv / (s.wu[u]*s.wu[u] + wv2))
+			coef[idx] = T(a)
+			sum += a * c
+		}
+	}
+	return sum
+}
+
 // buildBodies constructs the persistent kernel bodies once. Each reads its
 // parameters from the staged s.* fields at execution time.
 func (s *System) buildBodies() {
-	nx, ny := s.Nx, s.Ny
+	nx := s.Nx
 	invBinArea := 1 / s.Grid.BinArea()
 	binArea := s.Grid.BinArea()
 	if s.be == nil {
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch, invBinArea, lo, hi) }
+		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef, lo, hi) }
 	} else {
 		// Reduced-precision scatter: the per-worker private maps are
 		// float32 (half the streamed bytes of the hot loop); the merge
 		// accumulates in float64 and converts at the boundary store.
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch32[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch32, invBinArea, lo, hi) }
+		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef32, lo, hi) }
 	}
 	s.addBody = func(lo, hi int) {
 		a, b, dst := s.addA, s.addB, s.addDst
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] + b[i]
 		}
-	}
-	s.spectralBody = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			fv := 2 / float64(ny)
-			if v == 0 {
-				fv = 1 / float64(ny)
-			}
-			wv2 := s.wv[v] * s.wv[v]
-			for u := 0; u < nx; u++ {
-				fu := 2 / float64(nx)
-				if u == 0 {
-					fu = 1 / float64(nx)
-				}
-				idx := v*nx + u
-				if u == 0 && v == 0 {
-					s.coef[idx] = 0
-					continue
-				}
-				s.coef[idx] *= fu * fv / (s.wu[u]*s.wu[u] + wv2)
-			}
-		}
-	}
-	s.spectralBody32 = func(lo, hi int) {
-		// Same normalization/division as the reference body; the scale is
-		// computed in float64 and only the stored coefficient is float32.
-		for v := lo; v < hi; v++ {
-			fv := 2 / float64(ny)
-			if v == 0 {
-				fv = 1 / float64(ny)
-			}
-			wv2 := s.wv[v] * s.wv[v]
-			for u := 0; u < nx; u++ {
-				fu := 2 / float64(nx)
-				if u == 0 {
-					fu = 1 / float64(nx)
-				}
-				idx := v*nx + u
-				if u == 0 && v == 0 {
-					s.coef32[idx] = 0
-					continue
-				}
-				s.coef32[idx] = float32(float64(s.coef32[idx]) * fu * fv / (s.wu[u]*s.wu[u] + wv2))
-			}
-		}
-	}
-	s.energyBody = func(lo, hi int) float64 {
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += s.Total[i] * s.Psi[i]
-		}
-		return sum
 	}
 	s.gatherBody = func(w, lo, hi int) {
 		d, x, y, mask := s.gaD, s.gaX, s.gaY, s.gaMask
@@ -494,44 +474,43 @@ func (s *System) AddMaps(e *kernel.Engine, a, b, dst []float64) {
 }
 
 // SolvePoisson solves Eq. 5 for s.Total: forward DCT, spectral division by
-// (wu^2 + wv^2), and one batched evaluation producing the potential and
-// both field components (Ex = sum c*wu*sin*cos, Ey = sum c*wv*cos*sin) —
-// the shared cos-x row transform and column gathers are computed once
-// instead of per output. Returns the system energy 0.5 * sum(rho * psi) —
-// the density penalty D(p) of Eq. 3.
+// (wu^2 + wv^2), and one batched evaluation of both field components
+// (Ex = sum a*wu*sin*cos, Ey = sum a*wv*cos*sin) — the shared cos-x row
+// transform and column gathers are computed once instead of per output.
+// The potential psi is not evaluated: the returned system energy
+// 0.5 * sum(rho * psi) — the density penalty D(p) of Eq. 3 — equals
+// 0.5 * sum(a * c) over the spectrum (Parseval), accumulated by the
+// spectral scale itself.
 func (s *System) SolvePoisson(e *kernel.Engine) float64 {
-	nx, ny := s.Nx, s.Ny
 	if s.plan32 != nil {
 		return s.solvePoisson32(e)
 	}
 	s.plan.DCT2(s.Total, s.coef, e)
-	// Normalize to true series coefficients and divide by (wu^2+wv^2).
-	e.Launch("poisson.spectral_scale", ny, s.spectralBody)
-	s.plan.EvalPotentialField(s.coef, s.wu, s.wv, s.Psi, s.Ex, s.Ey, e)
-	// Energy.
-	return e.ParallelReduce("poisson.energy", nx*ny, 0, s.energyBody, sumCombine) * 0.5
+	energy := e.ParallelReduce("poisson.spectral_scale", s.Ny, 0, s.spectralBody, sumCombine)
+	s.plan.EvalPotentialField(s.coef, s.wu, s.wv, nil, s.Ex, s.Ey, e)
+	return 0.5 * energy
 }
 
 // solvePoisson32 is the reduced-precision solve: the backend's cvt.*
-// registry bodies convert Total in and psi/ex/ey out at the boundary, and
-// the transforms run on the float32 plan. The energy reduction reads the
-// converted float64 Psi so its accumulation order matches the reference.
+// registry bodies convert Total in and ex/ey out at the boundary, and the
+// transforms run on the float32 plan. The energy is summed in float64 from
+// the float32 raw coefficients.
 func (s *System) solvePoisson32(e *kernel.Engine) float64 {
-	nx, ny := s.Nx, s.Ny
+	n := s.Nx * s.Ny
 	s.ensure32(e)
 	s.cvtLd.Bind(backend.WrapF32(s.total32), backend.WrapF64(s.Total), backend.Buf{}, 0)
-	e.Launch("poisson.cvt_load", nx*ny, s.cvtLdBody)
+	e.Launch("poisson.cvt_load", n, s.cvtLdBody)
 	s.plan32.DCT2(s.total32, s.coef32, e)
-	e.Launch("poisson.spectral_scale", ny, s.spectralBody32)
-	s.plan32.EvalPotentialField(s.coef32, s.wu, s.wv, s.psi32, s.ex32, s.ey32, e)
-	for _, st := range [3]struct {
+	energy := e.ParallelReduce("poisson.spectral_scale", s.Ny, 0, s.spectralBody, sumCombine)
+	s.plan32.EvalPotentialField(s.coef32, s.wu, s.wv, nil, s.ex32, s.ey32, e)
+	for _, st := range [2]struct {
 		dst []float64
 		src []float32
-	}{{s.Psi, s.psi32}, {s.Ex, s.ex32}, {s.Ey, s.ey32}} {
+	}{{s.Ex, s.ex32}, {s.Ey, s.ey32}} {
 		s.cvtSt.Bind(backend.WrapF64(st.dst), backend.WrapF32(st.src), backend.Buf{}, 0)
-		e.Launch("poisson.cvt_store", nx*ny, s.cvtStBody)
+		e.Launch("poisson.cvt_store", n, s.cvtStBody)
 	}
-	return e.ParallelReduce("poisson.energy", nx*ny, 0, s.energyBody, sumCombine) * 0.5
+	return 0.5 * energy
 }
 
 // GatherField writes the density gradient for every cell selected by mask

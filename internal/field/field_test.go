@@ -122,7 +122,8 @@ func TestAddMaps(t *testing.T) {
 }
 
 // Analytic Poisson check: for rho = cos(wu(x+1/2))cos(wv(y+1/2)) the
-// potential is rho/(wu^2+wv^2) and the x field wu/(wu^2+wv^2)*sin*cos.
+// potential is rho/(wu^2+wv^2), so the energy 0.5*sum(rho*psi) is
+// 0.5*(Nx*Ny/4)/(wu^2+wv^2), and the x field is wu/(wu^2+wv^2)*sin*cos.
 func TestPoissonAnalyticBasis(t *testing.T) {
 	e := eng()
 	nx, ny := 32, 32
@@ -135,15 +136,14 @@ func TestPoissonAnalyticBasis(t *testing.T) {
 			s.Total[yy*nx+xx] = math.Cos(wu*(float64(xx)+0.5)) * math.Cos(wv*(float64(yy)+0.5))
 		}
 	}
-	s.SolvePoisson(e)
+	energy := s.SolvePoisson(e)
 	den := wu*wu + wv*wv
+	if want := 0.5 * float64(nx*ny) / 4 / den; math.Abs(energy-want) > 1e-12*want {
+		t.Errorf("energy = %v, want %v", energy, want)
+	}
 	for yy := 0; yy < ny; yy++ {
 		for xx := 0; xx < nx; xx++ {
 			i := yy*nx + xx
-			wantPsi := s.Total[i] / den
-			if math.Abs(s.Psi[i]-wantPsi) > 1e-9 {
-				t.Fatalf("psi[%d] = %v, want %v", i, s.Psi[i], wantPsi)
-			}
 			wantEx := wu / den * math.Sin(wu*(float64(xx)+0.5)) * math.Cos(wv*(float64(yy)+0.5))
 			if math.Abs(s.Ex[i]-wantEx) > 1e-9 {
 				t.Fatalf("Ex[%d] = %v, want %v", i, s.Ex[i], wantEx)
@@ -153,6 +153,36 @@ func TestPoissonAnalyticBasis(t *testing.T) {
 				t.Fatalf("Ey[%d] = %v, want %v", i, s.Ey[i], wantEy)
 			}
 		}
+	}
+}
+
+// TestSpectralEnergyMatchesDirect: the energy SolvePoisson accumulates over
+// the spectrum equals 0.5*sum(Total*psi) with psi evaluated on the grid
+// from the same coefficients, on square and non-square grids.
+func TestSpectralEnergyMatchesDirect(t *testing.T) {
+	e := eng()
+	defer e.Close()
+	rng := rand.New(rand.NewSource(7))
+	for _, dims := range [][2]int{{32, 32}, {64, 16}, {128, 128}} {
+		nx, ny := dims[0], dims[1]
+		s := newSys(nx, ny, e)
+		for i := range s.Total {
+			s.Total[i] = 2 * rng.Float64() * rng.Float64()
+		}
+		energy := s.SolvePoisson(e)
+		psi := make([]float64, nx*ny)
+		ex, ey := make([]float64, nx*ny), make([]float64, nx*ny)
+		s.plan.EvalPotentialField(s.coef, s.wu, s.wv, psi, ex, ey, e)
+		var direct float64
+		for i, rho := range s.Total {
+			direct += rho * psi[i]
+		}
+		direct *= 0.5
+		rel := math.Abs(energy-direct) / direct
+		if !(rel <= 1e-12) {
+			t.Errorf("%dx%d: spectral energy %v, direct %v (rel %g)", nx, ny, energy, direct, rel)
+		}
+		t.Logf("%dx%d: energy %v, rel diff to direct %.1e", nx, ny, energy, rel)
 	}
 }
 
@@ -563,6 +593,29 @@ func BenchmarkScatterAndSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ScatterDensity(e, d, nil, nil, MaskMovable, s.Total, "s")
 		s.SolvePoisson(e)
+	}
+}
+
+// BenchmarkPoissonSolve: one warm SolvePoisson at the gp-small grid (64)
+// and the gp-spectral grid (512), on the harness's 2-worker engine.
+func BenchmarkPoissonSolve(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			e := kernel.New(kernel.Options{Workers: 2})
+			defer e.Close()
+			s := newSys(n, n, e)
+			defer s.Release(e)
+			rng := rand.New(rand.NewSource(11))
+			for i := range s.Total {
+				s.Total[i] = rng.Float64()
+			}
+			s.SolvePoisson(e)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SolvePoisson(e)
+			}
+		})
 	}
 }
 

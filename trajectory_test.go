@@ -62,12 +62,12 @@ func TestGoldenTrajectory(t *testing.T) {
 		launches int64
 		hpwl     float64
 	}{
-		{"baseline", base, 2288, 12660.5},
-		{"xplace-unfused", unfused, 1114, 12740.4},
-		{"xplace", ref(), 994, 12740.4},
-		{"xplace-f32", f32, 1158, 12742.8},
+		{"baseline", base, 2168, 12660.5},
+		{"xplace-unfused", unfused, 1073, 12740.4},
+		{"xplace", ref(), 953, 12740.4},
+		{"xplace-f32", f32, 1076, 12742.8},
 		{"xplace-lbub", lbub, 13924, 48977.4},
-		{"xplace-nn", nn, 750, 12509.1},
+		{"xplace-nn", nn, 728, 12509.1},
 	} {
 		e := kernel.New(kernel.Options{Workers: 4, LaunchOverhead: 150 * time.Microsecond})
 		opts := c.opts
@@ -82,6 +82,7 @@ func TestGoldenTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		t.Logf("%s: %d launches, HPWL %.1f", c.name, res.Stats.Launches, res.HPWL)
 		if res.Iterations != iters {
 			t.Errorf("%s: ran %d iterations, want %d", c.name, res.Iterations, iters)
 		}
