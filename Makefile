@@ -76,15 +76,17 @@ test-oracle:
 # planned transform against the full-FFT oracle and — under the race
 # detector — the allocation and shared-predictor gates, the σ(ω) handoff /
 # determinism / blended-quality placement tests and the grid check, the
-# facade -model option, and the serving side — registry, model-aware
-# submit, four concurrent jobs on one shared model with no lock between
-# them, an undersized grid failing its job and not the daemon — under the
-# race detector.
+# facade's model loading and per-run predictor, the xplace CLI's -model /
+# -strategy / -mode paths on a built binary, and the serving side —
+# registry, model-aware submit, four concurrent jobs on one shared model
+# with no lock between them, an undersized grid failing its job and not
+# the daemon — under the race detector.
 test-nn:
 	$(call lane,,TestArtifact|TestLoadRejects|TestGenerateBenchSamples|TestTrainingReducesLoss|TestGeneralizesToUnseenMaps|TestSaveLoadRoundTrip,./internal/nn)
 	$(call lane,-race,TestPlannedMatchesFullFFT|TestTruncatedDFTMatchesDefinition|TestParentArtifactLoadsAndPredicts|TestPredictFieldAllocFree|TestPredictorConcurrentUse|TestPredictorCheckGrid,./internal/nn)
 	$(call lane,,TestNNBlend|TestNNGridTooSmallForModel,./internal/placer)
-	$(call lane,,TestSessionWithFieldModel|TestWithFieldModelTypedErrors|TestStatModelFacade,.)
+	$(call lane,,TestSessionWithFieldModel|TestLoadModelTypedErrors|TestStatModelFacade,.)
+	$(call lane,,TestStrategyFlagUnknown|TestModelFlagMissingFile|TestNNModeRequiresModel|TestModelFlagChangesGP,./cmd/xplace)
 	$(call lane,-race,TestModelRegistry|TestSubmitRejectsUnknownModel|TestSharedModelAcrossJobs|TestModelGridTooSmallFailsJob,./internal/serve)
 	$(call lane,-race,TestSubmitModelValidation|TestModelJobOverHTTP,./cmd/xserve)
 

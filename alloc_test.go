@@ -12,6 +12,7 @@ import (
 	"xplace/internal/benchgen"
 	"xplace/internal/field"
 	"xplace/internal/geom"
+	"xplace/internal/obs"
 	"xplace/internal/placer"
 )
 
@@ -59,7 +60,7 @@ func TestInstrumentedIterationAllocFree(t *testing.T) {
 	spec, _ := benchgen.FindSpec("adaptec1")
 	d := benchgen.Generate(spec, benchScale, 1)
 	opts := DefaultPlacement()
-	opts.Metrics = NewMetricsRegistry()
+	opts.Metrics = obs.NewRegistry()
 	p, err := placer.New(d, benchEngine(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -153,14 +154,15 @@ type flowRow struct {
 	failed bool
 }
 
+// runFlow runs one flow on a fresh engine of its own, closed on return.
 func runFlow(d *xplace.Design, opts xplace.PlacementOptions, route *xplace.RouteOptions) flowRow {
-	fo := xplace.FlowOptions{
+	s := xplace.NewSession(xplace.WithEngineOptions(*workers, time.Duration(*launchUS)*time.Microsecond))
+	defer s.Close()
+	fr, err := s.Flow(context.Background(), d, xplace.FlowOptions{
 		Placement: opts,
 		Legalizer: xplace.LegalizeTetris,
-		Engine:    engine(),
 		Route:     route,
-	}
-	fr, err := xplace.RunFlow(d, fo)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flow failed: %v\n", err)
 		return flowRow{failed: true}

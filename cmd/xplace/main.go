@@ -101,13 +101,10 @@ func main() {
 		}
 		sopts = append(sopts, bopt)
 	}
-	if *strategy != "" {
-		sopt, err := xplace.WithStrategyName(*strategy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xplace:", err)
-			os.Exit(2)
-		}
-		sopts = append(sopts, sopt)
+	strat, err := xplace.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xplace:", err)
+		os.Exit(2)
 	}
 	if *trace != "" {
 		tr = xplace.NewTracer()
@@ -117,15 +114,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xplace: -mode xplace-nn requires -model (train one with xtrain)")
 		os.Exit(2)
 	}
+	var pred xplace.FieldPredictor
 	if *model != "" {
-		// The artifact is integrity-checked here, at option time — a bad
+		// The artifact is integrity-checked here, before placement — a bad
 		// file is a clean CLI error, not a mid-placement failure.
-		mopt, err := xplace.WithFieldModel(*model)
-		if err != nil {
+		if pred, err = loadPredictor(*model); err != nil {
 			fmt.Fprintln(os.Stderr, "xplace:", err)
 			os.Exit(1)
 		}
-		sopts = append(sopts, mopt)
 	}
 	session := xplace.NewSession(sopts...)
 	defer session.Close()
@@ -135,13 +131,14 @@ func main() {
 	case "baseline":
 		opts.Placement = xplace.BaselinePlacement()
 	case "xplace-nn":
-		// The model itself was installed above as a session option
-		// (WithFieldModel); the mode only selects the full-optimization
-		// placement configuration it blends into.
+		// The model itself was loaded above (-model); the mode only selects
+		// the full-optimization placement configuration it blends into.
 		opts.Placement = xplace.DefaultPlacement()
 	default:
 		opts.Placement = xplace.DefaultPlacement()
 	}
+	opts.Placement.Strategy = strat
+	opts.Placement.Predictor = pred
 	opts.Placement.GridSize = *grid
 	opts.Placement.TargetDensity = *target
 	opts.Placement.Seed = *seed
@@ -221,4 +218,19 @@ func main() {
 		}
 		fmt.Println("wrote", *svg)
 	}
+}
+
+// loadPredictor opens and loads the model artifact at path as a field
+// predictor. Load errors carry the typed ErrModel* sentinels.
+func loadPredictor(path string) (xplace.FieldPredictor, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	m, err := xplace.LoadModel(f)
+	if err != nil {
+		return nil, fmt.Errorf("model %s: %w", path, err)
+	}
+	return xplace.NewFieldPredictor(m), nil
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,14 +25,14 @@ func main() {
 	fmt.Printf("adaptec1 (scaled): %d movable cells, %d fixed, %d nets, util %.2f\n\n",
 		st.Movable, st.Fixed, st.Nets, st.Util)
 
+	// Simulated-GPU regime: kernel launches cost 150us on the simulated
+	// clock (see DESIGN.md), the balance the paper's speedups live in.
+	s := xplace.NewSession(xplace.WithEngineOptions(0, 150*time.Microsecond))
+	defer s.Close()
 	run := func(label string, p xplace.PlacementOptions) *xplace.FlowResult {
-		fr, err := xplace.RunFlow(d, xplace.FlowOptions{
+		fr, err := s.Flow(context.Background(), d, xplace.FlowOptions{
 			Placement: p,
 			Legalizer: xplace.LegalizeTetris,
-			// Simulated-GPU regime: kernel launches cost 150us on the
-			// simulated clock (see DESIGN.md), the balance the paper's
-			// speedups live in.
-			LaunchOverhead: 150 * time.Microsecond,
 		})
 		if err != nil {
 			log.Fatal(err)

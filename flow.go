@@ -21,27 +21,18 @@ const (
 // DetailOptions configures detailed placement.
 type DetailOptions = detail.Options
 
-// FlowOptions configures the end-to-end flow: GP -> legalization ->
-// detailed placement -> optional routability scoring.
+// FlowOptions configures one end-to-end flow: GP -> legalization ->
+// detailed placement -> optional routability scoring. The engine it runs
+// on is the Session's.
 type FlowOptions struct {
 	// Placement configures the GP engine (DefaultPlacement /
 	// BaselinePlacement / custom).
 	Placement PlacementOptions
 	// Legalizer selects the legalization algorithm.
 	Legalizer LegalizerKind
-	// Detail configures detailed placement. Set SkipDetail to omit the
-	// DP stage entirely.
-	Detail     DetailOptions
-	SkipDetail bool
 	// Route, when non-nil, runs the global router on the final placement
 	// (the Table 4 OVFL-5 metric).
 	Route *RouteOptions
-	// Workers / LaunchOverhead configure the kernel engine (see
-	// NewEngine). Ignored when Engine is set.
-	Workers        int
-	LaunchOverhead time.Duration
-	// Engine, when non-nil, is used as-is (its accounting is reset).
-	Engine *Engine
 	// Progress, when non-nil, receives a Snapshot after every GP
 	// iteration (overrides Placement.Progress).
 	Progress func(Snapshot)
@@ -66,33 +57,14 @@ type FlowResult struct {
 	Route *RouteResult
 }
 
-// RunFlow executes the full placement flow on a design. The design's
-// stored positions are untouched; results are returned in the FlowResult.
+// RunFlow executes the full placement flow on a design with a default
+// engine. It is a thin wrapper over Session.Flow on a temporary Session, so
+// the engine it creates is released before returning. The design's stored
+// positions are untouched; results are returned in the FlowResult.
 func RunFlow(d *Design, opts FlowOptions) (*FlowResult, error) {
-	return RunFlowContext(context.Background(), d, opts)
-}
-
-// RunFlowContext executes the full placement flow under ctx: cancellation
-// is honored between kernel launches during global placement and between
-// the flow stages (GP, legalization, detailed placement, routing). On
-// cancellation the error wraps ctx.Err() and the placer's arena-backed
-// scratch has been returned to the engine.
-//
-// It is a thin wrapper over Session.Flow: a temporary Session is built
-// from FlowOptions (Engine when set, else a fresh engine from
-// Workers/LaunchOverhead) and closed before returning, so an engine this
-// call creates is always released; an engine supplied via opts.Engine is
-// used as-is and never closed.
-func RunFlowContext(ctx context.Context, d *Design, opts FlowOptions) (*FlowResult, error) {
-	var sopts []Option
-	if opts.Engine != nil {
-		sopts = append(sopts, WithEngine(opts.Engine))
-	} else {
-		sopts = append(sopts, WithEngineOptions(opts.Workers, opts.LaunchOverhead))
-	}
-	s := NewSession(sopts...)
+	s := NewSession()
 	defer s.Close()
-	return s.Flow(ctx, d, opts)
+	return s.Flow(context.Background(), d, opts)
 }
 
 // Legalize runs just the legalization stage.

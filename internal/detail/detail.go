@@ -470,7 +470,3 @@ func permutations(k int) [][]int {
 	}
 	return out
 }
-
-// HPWL evaluates the design's total HPWL at the given positions (a
-// convenience re-export for flows).
-func HPWL(d *netlist.Design, x, y []float64) float64 { return d.HPWL(x, y) }

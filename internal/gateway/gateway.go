@@ -71,13 +71,26 @@ func isBadRequest(err error) bool {
 	return errors.As(err, &rej) && rej.Code == http.StatusBadRequest
 }
 
+// Fixed gateway settings no deployment has needed to change.
+const (
+	// clientTimeout bounds submits, probes and status polls. Event streams
+	// use a dedicated timeout-free client.
+	clientTimeout = 10 * time.Second
+	// historyCap is the per-job progress ring capacity.
+	historyCap = 512
+	// breakerThreshold consecutive submit failures open a node's circuit
+	// breaker for Options.BreakerCooldown.
+	breakerThreshold = 3
+	// draftEngines and draftQueueCap size the embedded draft scheduler.
+	draftEngines  = 1
+	draftQueueCap = 4
+)
+
 // DraftOptions configures the local degradation tier: a small embedded
-// scheduler that answers allow_draft jobs with an lbub draft placement
-// when the whole fleet is at backpressure.
+// scheduler (one engine, a queue of four) that answers allow_draft jobs
+// with an lbub draft placement when the whole fleet is at backpressure.
 type DraftOptions struct {
 	Enabled       bool
-	Engines       int // default 1
-	QueueCap      int // default 4
 	EngineWorkers int // kernel workers per engine (0 = NumCPU)
 	MaxIter       int // iteration cap imposed on draft runs (0 = request's own)
 }
@@ -89,10 +102,6 @@ type Options struct {
 	// Replicas is the virtual-node count per worker on the hash ring
 	// (default 64).
 	Replicas int
-	// Client is used for submits, probes and status polls (default:
-	// 10s-timeout client). Event streams use a dedicated timeout-free
-	// client internally.
-	Client *http.Client
 
 	// ProbePeriod is the readiness-probe interval per node (default
 	// 250ms); ProbeTimeout bounds one probe (default ProbePeriod).
@@ -110,10 +119,9 @@ type Options struct {
 	RetryBase      time.Duration
 	RetryMaxDelay  time.Duration
 
-	// BreakerThreshold consecutive submit failures open a node's circuit
-	// breaker for BreakerCooldown (defaults 3 and 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long an open circuit breaker keeps a node out
+	// of routing (default 2s).
+	BreakerCooldown time.Duration
 
 	// RetryAfter is the hint returned with 429 responses and the pause
 	// between failover routing sweeps (default 1s). RouteWait bounds how
@@ -122,10 +130,6 @@ type Options struct {
 	RetryAfter time.Duration
 	RouteWait  time.Duration
 
-	// History is the per-job progress ring capacity (default 512).
-	History int
-	// Metrics receives the xgate_* series (nil = private registry).
-	Metrics *obs.Registry
 	// Store makes the gateway durable: accepted jobs are WAL'd and a
 	// restarted gateway re-routes the non-terminal ones. Must not be
 	// shared with a worker's store.
@@ -137,9 +141,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 64
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	if o.ProbePeriod <= 0 {
 		o.ProbePeriod = 250 * time.Millisecond
@@ -162,9 +163,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryMaxDelay <= 0 {
 		o.RetryMaxDelay = time.Second
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2 * time.Second
 	}
@@ -173,15 +171,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RouteWait <= 0 {
 		o.RouteWait = 60 * time.Second
-	}
-	if o.History <= 0 {
-		o.History = 512
-	}
-	if o.Draft.Engines <= 0 {
-		o.Draft.Engines = 1
-	}
-	if o.Draft.QueueCap <= 0 {
-		o.Draft.QueueCap = 4
 	}
 	return o
 }
@@ -226,14 +215,11 @@ func New(opts Options) (*Gateway, error) {
 	if len(o.Nodes) == 0 {
 		return nil, errors.New("gateway: at least one worker node required")
 	}
-	reg := o.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	g := &Gateway{
 		opts:   o,
-		client: o.Client,
+		client: &http.Client{Timeout: clientTimeout},
 		stream: &http.Client{},
 		ring:   newRing(o.Replicas),
 		reg:    reg,
@@ -255,10 +241,10 @@ func New(opts Options) (*Gateway, error) {
 
 	if o.Draft.Enabled {
 		ds, err := serve.New(serve.Options{
-			Engines:       o.Draft.Engines,
-			QueueCap:      o.Draft.QueueCap,
+			Engines:       draftEngines,
+			QueueCap:      draftQueueCap,
 			EngineWorkers: o.Draft.EngineWorkers,
-			History:       o.History,
+			History:       historyCap,
 		})
 		if err != nil {
 			cancel()
@@ -341,7 +327,7 @@ func (g *Gateway) newJobLocked(req jobapi.Request, body []byte, key string, reco
 		submitted = time.Now()
 	}
 	return &Job{
-		Progress: serve.NewProgress(g.opts.History),
+		Progress: serve.NewProgress(historyCap),
 		id:       id,
 		req:      req,
 		body:     body,
@@ -613,7 +599,7 @@ func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 		start := time.Now()
 		code, rb, err := g.call(g.ctx, http.MethodPost, n.name+"/jobs", body)
 		if err != nil {
-			n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
+			n.submitFailure(breakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 			lastErr = fmt.Errorf("node %s: %w", n.name, err)
 			continue
 		}
@@ -622,7 +608,7 @@ func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 		case code == http.StatusAccepted:
 			var ws jobapi.Status
 			if uerr := json.Unmarshal(rb, &ws); uerr != nil || ws.ID == 0 {
-				n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
+				n.submitFailure(breakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 				lastErr = fmt.Errorf("node %s: bad accept body: %v", n.name, uerr)
 				continue
 			}
@@ -634,7 +620,7 @@ func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 			// spill to the next ring node instead of hammering this one.
 			return nil, fmt.Errorf("node %s: %s", n.name, http.StatusText(code))
 		case code >= 500:
-			n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
+			n.submitFailure(breakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 			lastErr = fmt.Errorf("node %s: HTTP %d", n.name, code)
 			continue
 		default:

@@ -374,7 +374,6 @@ func TestBreakerEjectsFlappingNode(t *testing.T) {
 	w := newFakeWorker(t, time.Millisecond, 3)
 	opts := fastOpts(w.name())
 	opts.SubmitAttempts = 4
-	opts.BreakerThreshold = 3
 	opts.BreakerCooldown = 100 * time.Millisecond
 	g, err := New(opts)
 	if err != nil {

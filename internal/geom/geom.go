@@ -43,10 +43,6 @@ type Rect struct {
 	Lx, Ly, Hx, Hy float64
 }
 
-// NewRect returns the rectangle with lower-left corner (x, y), width w and
-// height h.
-func NewRect(x, y, w, h float64) Rect { return Rect{x, y, x + w, y + h} }
-
 // W returns the width of r (may be negative for malformed rects).
 func (r Rect) W() float64 { return r.Hx - r.Lx }
 

@@ -29,7 +29,7 @@ func TestPointArith(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := NewRect(1, 2, 3, 4) // [1,2]-[4,6]
+	r := Rect{1, 2, 4, 6}
 	if r.W() != 3 || r.H() != 4 {
 		t.Fatalf("W/H = %v/%v", r.W(), r.H())
 	}
@@ -189,8 +189,9 @@ func TestGridPanicsOnBadDims(t *testing.T) {
 // Property: overlap is symmetric and bounded by either area.
 func TestOverlapProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
-		a := NewRect(math.Mod(ax, 100), math.Mod(ay, 100), math.Abs(math.Mod(aw, 50)), math.Abs(math.Mod(ah, 50)))
-		b := NewRect(math.Mod(bx, 100), math.Mod(by, 100), math.Abs(math.Mod(bw, 50)), math.Abs(math.Mod(bh, 50)))
+		ax, ay, bx, by = math.Mod(ax, 100), math.Mod(ay, 100), math.Mod(bx, 100), math.Mod(by, 100)
+		a := Rect{ax, ay, ax + math.Abs(math.Mod(aw, 50)), ay + math.Abs(math.Mod(ah, 50))}
+		b := Rect{bx, by, bx + math.Abs(math.Mod(bw, 50)), by + math.Abs(math.Mod(bh, 50))}
 		ov1, ov2 := a.Overlap(b), b.Overlap(a)
 		if !almostEq(ov1, ov2) {
 			return false
@@ -207,8 +208,8 @@ func TestOverlapProperties(t *testing.T) {
 func TestBinRangeCoversClippedArea(t *testing.T) {
 	g := NewGrid(Rect{0, 0, 64, 64}, 8, 8)
 	f := func(x, y, w, h float64) bool {
-		r := NewRect(math.Mod(x, 80)-8, math.Mod(y, 80)-8,
-			math.Abs(math.Mod(w, 30)), math.Abs(math.Mod(h, 30)))
+		x, y = math.Mod(x, 80)-8, math.Mod(y, 80)-8
+		r := Rect{x, y, x + math.Abs(math.Mod(w, 30)), y + math.Abs(math.Mod(h, 30))}
 		clipped := r.Intersect(g.Region)
 		x0, x1, y0, y1 := g.BinRange(r)
 		var sum float64

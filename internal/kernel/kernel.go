@@ -267,12 +267,6 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// NewDefault returns an Engine with NumCPU workers and the default launch
-// overhead.
-func NewDefault() *Engine {
-	return New(Options{LaunchOverhead: DefaultLaunchOverhead})
-}
-
 // Workers returns the engine's degree of parallelism.
 func (e *Engine) Workers() int { return e.workers }
 

@@ -178,7 +178,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	e := NewDefault()
+	e := New(Options{LaunchOverhead: DefaultLaunchOverhead})
 	if e.Workers() <= 0 {
 		t.Error("default workers must be positive")
 	}

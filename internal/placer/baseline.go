@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"xplace/internal/field"
-	"xplace/internal/metrics"
 )
 
 // iterateBaseline runs one GP iteration the DREAMPlace way: autograd
@@ -62,7 +61,7 @@ func (p *Placer) iterateBaseline() error {
 	// Immediate per-metric host syncs (the un-reordered path).
 	e.Sync()
 	e.Sync()
-	rec := metrics.Record{
+	rec := Record{
 		Iter:     p.iter,
 		HPWL:     hpwl,
 		WA:       wa,

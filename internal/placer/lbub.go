@@ -9,7 +9,6 @@ import (
 
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
-	"xplace/internal/metrics"
 	"xplace/internal/netlist"
 	"xplace/internal/obs"
 	"xplace/internal/optim"
@@ -84,7 +83,7 @@ func newLBUBPlacer(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, 
 	}
 	p := &Placer{
 		opts: opts, eng: e, orig: d, d: d,
-		rec: &metrics.Recorder{},
+		rec: &Recorder{},
 		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
 	}
@@ -250,7 +249,7 @@ func (p *Placer) iterateLBUB() error {
 	// Record mapping: HPWL carries the UB (deliverable) series, WA the LB
 	// series, Lambda the anchor penalty, Omega the gap — so the existing
 	// recorder/CSV/Progress plumbing shows both bounds converging.
-	p.rec.Add(metrics.Record{
+	p.rec.Add(Record{
 		Iter:     p.iter,
 		HPWL:     lb.ubHPWL,
 		WA:       lb.lbHPWL,

@@ -29,7 +29,6 @@ import (
 	"xplace/internal/field"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
-	"xplace/internal/metrics"
 	"xplace/internal/netlist"
 	"xplace/internal/obs"
 	"xplace/internal/optim"
@@ -230,7 +229,7 @@ type Result struct {
 	WallTime   time.Duration
 	SimTime    time.Duration // wall compute + simulated kernel-launch cost
 	Stats      kernel.Stats
-	Recorder   *metrics.Recorder
+	Recorder   *Recorder
 }
 
 // Placer runs global placement for one design on one engine.
@@ -243,7 +242,7 @@ type Placer struct {
 	pre  *optim.Preconditioner
 	schd *sched.Scheduler
 	opt  optim.Optimizer
-	rec  *metrics.Recorder
+	rec  *Recorder
 	wl   *wirelength.Ops
 	lbub *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
 	sq   *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
@@ -296,7 +295,7 @@ type Placer struct {
 	// Deferred-record state: the one record closure is built once and the
 	// pending values staged per iteration (§3.1.3 sync reordering without a
 	// per-iteration closure allocation).
-	pendingRec  metrics.Record
+	pendingRec  Record
 	pendingWall time.Time
 	pendingSim  time.Duration
 	recordFn    func()
@@ -361,7 +360,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	p := &Placer{
 		opts: opts, eng: e, orig: d, d: aug,
 		sys: sys, pre: pre, schd: schd,
-		rec: &metrics.Recorder{},
+		rec: &Recorder{},
 		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
 	}
@@ -582,7 +581,7 @@ func initialPositions(d *netlist.Design, seed int64) (x, y []float64) {
 func (p *Placer) Design() *netlist.Design { return p.d }
 
 // Recorder returns the metrics recorder.
-func (p *Placer) Recorder() *metrics.Recorder { return p.rec }
+func (p *Placer) Recorder() *Recorder { return p.rec }
 
 // Scheduler exposes the parameter scheduler (for inspection in tests and
 // experiment harnesses).
@@ -765,8 +764,8 @@ func (p *Placer) l1Norms(ax, ay, bx, by []float64) (na, nb float64) {
 
 // metricsRecord assembles the per-iteration metrics record (the host-visible
 // scalars; WallTime/SimTime are filled at sync time).
-func metricsRecord(p *Placer, hpwl, wa, gamma, lambda float64) metrics.Record {
-	return metrics.Record{
+func metricsRecord(p *Placer, hpwl, wa, gamma, lambda float64) Record {
+	return Record{
 		Iter:     p.iter,
 		HPWL:     hpwl,
 		WA:       wa,

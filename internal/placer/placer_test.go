@@ -548,7 +548,7 @@ func TestResultRecorderMatchesIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 17 || res.Recorder.Len() != 17 {
-		t.Errorf("iterations %d, records %d, want 17/17", res.Iterations, res.Recorder.Len())
+	if res.Iterations != 17 || len(res.Recorder.History()) != 17 {
+		t.Errorf("iterations %d, records %d, want 17/17", res.Iterations, len(res.Recorder.History()))
 	}
 }

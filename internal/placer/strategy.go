@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"xplace/internal/metrics"
 )
 
 // Strategy selects the global-placement algorithm.
@@ -73,7 +71,7 @@ const (
 )
 
 // diverged classifies an iteration record as unrecoverable.
-func diverged(rec metrics.Record) bool {
+func diverged(rec Record) bool {
 	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	return bad(rec.HPWL) || bad(rec.WA) || bad(rec.Overflow) ||
 		math.Abs(rec.HPWL) > divergedHPWL || rec.Overflow > divergedOverflow

@@ -150,10 +150,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// History is the per-job progress ring capacity (default 512).
 	History int
-	// Metrics is the registry the scheduler publishes its xserve_* series
-	// to (and hands to every job's placer for the xplace_* series). Nil
-	// creates a private registry, retrievable with Scheduler.Registry.
-	Metrics *obs.Registry
 	// Store makes the scheduler durable: job transitions are written to the
 	// store's WAL, running jobs checkpoint every CheckpointEvery iterations,
 	// succeeded keyed jobs populate the result cache, and New replays the
@@ -465,10 +461,7 @@ type Scheduler struct {
 // blocking startup.
 func New(opts Options) (*Scheduler, error) {
 	o := opts.withDefaults()
-	reg := o.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	var recov []jobstore.JobRecord
 	queueCap := o.QueueCap
 	if o.Store != nil {
@@ -671,9 +664,8 @@ func (s *Scheduler) registerEngineGauges(i int, eng *kernel.Engine) {
 		func() float64 { return float64(eng.ArenaStats().Misses) })
 }
 
-// Registry returns the scheduler's metrics registry (for the daemon's
-// /metrics endpoint, or for callers that passed Options.Metrics and want
-// the same handle back).
+// Registry returns the scheduler's metrics registry: its xserve_* series
+// and every job placer's xplace_* series (the daemon's /metrics endpoint).
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // Submit enqueues a job. It never blocks: a full queue returns

@@ -1,7 +1,5 @@
-// Package viz renders placements and congestion/density maps for
-// inspection: placements as SVG (cells colored by kind, fences and
-// macros outlined) and scalar bin maps (density, gcell overflow) as PGM
-// grayscale images. Both formats are plain text, dependency-free and
+// Package viz renders placements for inspection as SVG (cells colored by
+// kind, fences and macros outlined): plain text, dependency-free and
 // diffable.
 package viz
 
@@ -9,7 +7,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 
 	"xplace/internal/netlist"
 )
@@ -103,60 +100,4 @@ func WriteSVG(w io.Writer, d *netlist.Design, x, y []float64, opts SVGOptions) e
 	}
 	fmt.Fprintln(bw, `</svg>`)
 	return bw.Flush()
-}
-
-// WritePGM renders a bin map (row-major, nx x ny, y growing upward) as a
-// binary-free plain PGM (P2) grayscale image, normalized to the map's
-// range. Useful for density and congestion maps.
-func WritePGM(w io.Writer, data []float64, nx, ny int) error {
-	if len(data) != nx*ny {
-		return fmt.Errorf("viz: map has %d values, want %d", len(data), nx*ny)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P2\n%d %d\n255\n", nx, ny)
-	// PGM rows go top-down; our maps bottom-up.
-	for yy := ny - 1; yy >= 0; yy-- {
-		for xx := 0; xx < nx; xx++ {
-			g := int(255 * (data[yy*nx+xx] - lo) / span)
-			if xx > 0 {
-				fmt.Fprint(bw, " ")
-			}
-			fmt.Fprint(bw, g)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// ASCIIHeatmap renders a bin map as a compact text heatmap (one rune per
-// bin, " .:-=+*#%@" ramp), handy in test logs and terminals.
-func ASCIIHeatmap(data []float64, nx, ny int) string {
-	ramp := []rune(" .:-=+*#%@")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	out := make([]rune, 0, (nx+1)*ny)
-	for yy := ny - 1; yy >= 0; yy-- {
-		for xx := 0; xx < nx; xx++ {
-			idx := int(float64(len(ramp)-1) * (data[yy*nx+xx] - lo) / span)
-			out = append(out, ramp[idx])
-		}
-		out = append(out, '\n')
-	}
-	return string(out)
 }

@@ -69,54 +69,3 @@ func TestWriteSVGWithOverridePositions(t *testing.T) {
 		t.Error("override positions had no effect")
 	}
 }
-
-func TestWritePGM(t *testing.T) {
-	data := []float64{0, 1, 2, 3, 4, 5} // 3x2
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, data, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "P2\n3 2\n255\n") {
-		t.Fatalf("bad header:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// Top row of the image is the HIGH-y row (values 3 4 5).
-	if lines[3] != "153 204 255" {
-		t.Errorf("top row = %q", lines[3])
-	}
-	if lines[4] != "0 51 102" {
-		t.Errorf("bottom row = %q", lines[4])
-	}
-}
-
-func TestWritePGMSizeMismatch(t *testing.T) {
-	if err := WritePGM(&bytes.Buffer{}, make([]float64, 5), 2, 3); err == nil {
-		t.Error("want error")
-	}
-}
-
-func TestWritePGMConstantMap(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, []float64{7, 7, 7, 7}, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "NaN") {
-		t.Error("constant map produced NaN")
-	}
-}
-
-func TestASCIIHeatmap(t *testing.T) {
-	data := []float64{0, 0, 0, 9} // 2x2, hottest at (1,1) = top-right
-	s := ASCIIHeatmap(data, 2, 2)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("heatmap:\n%q", s)
-	}
-	if lines[0][1] != '@' {
-		t.Errorf("hottest bin should render '@', got %q", lines[0])
-	}
-	if lines[1][0] != ' ' {
-		t.Errorf("cold bin should render space, got %q", lines[1])
-	}
-}

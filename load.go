@@ -16,7 +16,6 @@ type LoadOption func(*loadConfig)
 
 type loadConfig struct {
 	lefPath string
-	lib     *LEFLibrary
 }
 
 // WithLEF names the LEF library file to parse when Load encounters a DEF
@@ -25,25 +24,19 @@ func WithLEF(path string) LoadOption {
 	return func(c *loadConfig) { c.lefPath = path }
 }
 
-// WithLEFLibrary supplies an already-parsed LEF library for DEF designs
-// (wins over WithLEF).
-func WithLEFLibrary(lib *LEFLibrary) LoadOption {
-	return func(c *loadConfig) { c.lib = lib }
-}
-
 // Load reads a design from src, autodetecting the format. It replaces the
 // format-specific ReadBookshelf/ReadDEF entry points with one call:
 //
 //   - "design.aux" (bookshelf) loads the whole bookshelf bundle the .aux
 //     names; any other extension with bookshelf .aux contents also works.
 //   - "design.def" loads a DEF design; the LEF cell library must come from
-//     WithLEF (a path) or WithLEFLibrary (already parsed).
+//     WithLEF.
 //
 // Detection is by extension first (.aux, .def), then by content sniffing
 // for extensionless or unconventional names: a DEF file starts with
 // VERSION/DESIGN/NAMESCASESENSITIVE statements, a bookshelf .aux carries a
 // "RowBasedPlacement : ..." line. A .lef path is rejected with a pointer
-// to LoadLEF, since a library alone is not a design.
+// to WithLEF, since a library alone is not a design.
 func Load(src string, opts ...LoadOption) (*Design, error) {
 	var cfg loadConfig
 	for _, o := range opts {
@@ -55,7 +48,7 @@ func Load(src string, opts ...LoadOption) (*Design, error) {
 	case ".def":
 		return loadDEF(src, cfg)
 	case ".lef":
-		return nil, fmt.Errorf("xplace: %s is a LEF library, not a design; parse it with LoadLEF and pass it to Load via WithLEFLibrary", src)
+		return nil, fmt.Errorf("xplace: %s is a LEF library, not a design; name it with WithLEF when loading a DEF design", src)
 	}
 	head, err := readHead(src, 4096)
 	if err != nil {
@@ -70,9 +63,8 @@ func Load(src string, opts ...LoadOption) (*Design, error) {
 	return nil, fmt.Errorf("xplace: cannot detect the format of %s (want a bookshelf .aux or a DEF file)", src)
 }
 
-// LoadLEF parses the LEF cell library at path (the file-path counterpart
-// of ReadLEF, for use with Load's WithLEFLibrary).
-func LoadLEF(path string) (*LEFLibrary, error) {
+// loadLEF parses the LEF cell library at path.
+func loadLEF(path string) (*LEFLibrary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("xplace: load LEF: %w", err)
@@ -82,15 +74,12 @@ func LoadLEF(path string) (*LEFLibrary, error) {
 }
 
 func loadDEF(src string, cfg loadConfig) (*Design, error) {
-	lib := cfg.lib
-	if lib == nil && cfg.lefPath != "" {
-		var err error
-		if lib, err = LoadLEF(cfg.lefPath); err != nil {
-			return nil, err
-		}
+	if cfg.lefPath == "" {
+		return nil, fmt.Errorf("xplace: %s is a DEF design and needs a LEF library: pass WithLEF(path)", src)
 	}
-	if lib == nil {
-		return nil, fmt.Errorf("xplace: %s is a DEF design and needs a LEF library: pass WithLEF(path) or WithLEFLibrary(lib)", src)
+	lib, err := loadLEF(cfg.lefPath)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Open(src)
 	if err != nil {

@@ -60,9 +60,8 @@ func TestLoadBookshelfByExtension(t *testing.T) {
 	}
 }
 
-// TestLoadDEF: Load detects DEF by extension and by content sniffing, and
-// accepts the LEF library either as a path (WithLEF) or parsed
-// (WithLEFLibrary).
+// TestLoadDEF: Load detects DEF by extension and by content sniffing, with
+// the LEF library named by WithLEF.
 func TestLoadDEF(t *testing.T) {
 	dir := t.TempDir()
 	lefPath := filepath.Join(dir, "lib.lef")
@@ -84,16 +83,8 @@ func TestLoadDEF(t *testing.T) {
 		t.Errorf("DEF load: %d cells / %d nets", d.NumCells(), d.NumNets())
 	}
 
-	lib, err := LoadLEF(lefPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(defPath, WithLEFLibrary(lib)); err != nil {
-		t.Errorf("WithLEFLibrary: %v", err)
-	}
-
 	// Content sniffing on an extensionless DEF.
-	if _, err := Load(sniffPath, WithLEFLibrary(lib)); err != nil {
+	if _, err := Load(sniffPath, WithLEF(lefPath)); err != nil {
 		t.Errorf("sniffed DEF: %v", err)
 	}
 
@@ -103,7 +94,7 @@ func TestLoadDEF(t *testing.T) {
 	}
 }
 
-// TestLoadRejections: .lef paths point to LoadLEF, unknown formats and
+// TestLoadRejections: .lef paths point to WithLEF, unknown formats and
 // missing files error out cleanly.
 func TestLoadRejections(t *testing.T) {
 	dir := t.TempDir()
@@ -111,7 +102,7 @@ func TestLoadRejections(t *testing.T) {
 	if err := os.WriteFile(lefPath, []byte(loadTestLEF), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(lefPath); err == nil || !strings.Contains(err.Error(), "LoadLEF") {
+	if _, err := Load(lefPath); err == nil || !strings.Contains(err.Error(), "WithLEF") {
 		t.Errorf("LEF-path error = %v", err)
 	}
 

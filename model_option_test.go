@@ -3,6 +3,7 @@ package xplace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -20,68 +21,66 @@ func savedTinyModel(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestSessionWithFieldModel: the -model CLI path end to end at the facade
-// — a session built WithFieldModel drives the NN-blended flow (the result
-// differs from the pure numerical run of the same design and seed), and a
-// per-run Predictor wins over the session's.
+// TestSessionWithFieldModel: a model artifact loaded from disk and set as
+// the run's Predictor drives the NN-blended flow on a Session — the result
+// differs from the pure numerical run of the same design and seed.
 func TestSessionWithFieldModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fno.xfnm")
 	if err := os.WriteFile(path, savedTinyModel(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := WithFieldModel(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadModel(f)
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := sessionTestDesign(t, 150, 1)
 
-	s := NewSession(opt, WithEngineOptions(1, 0), WithBackend(Float64Backend()))
+	s := NewSession(WithEngineOptions(1, 0), WithBackend(Float64Backend()))
 	defer s.Close()
-	blended, err := s.Place(context.Background(), d, sessionTestOpts(40))
+	opts := sessionTestOpts(40)
+	opts.Predictor = NewFieldPredictor(m)
+	blended, err := s.Place(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	pure := NewSession(WithEngineOptions(1, 0), WithBackend(Float64Backend()))
-	defer pure.Close()
-	ref, err := pure.Place(context.Background(), d, sessionTestOpts(40))
+	ref, err := s.Place(context.Background(), d, sessionTestOpts(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if blended.HPWL == ref.HPWL {
-		t.Error("session field model had no effect: blended HPWL identical to numerical")
+		t.Error("field model had no effect: blended HPWL identical to numerical")
 	}
 }
 
-// TestWithFieldModelTypedErrors: every way an artifact can be bad is a
-// typed error at option-construction time, never a mid-placement failure.
-func TestWithFieldModelTypedErrors(t *testing.T) {
-	dir := t.TempDir()
+// TestLoadModelTypedErrors: every way an artifact's bytes can be bad —
+// foreign, future version, bit flip, truncation — is a typed error at load
+// time, never a mid-placement failure. (A missing file
+// is the CLI's case: cmd/xplace TestModelFlagMissingFile.)
+func TestLoadModelTypedErrors(t *testing.T) {
 	raw := savedTinyModel(t)
 
-	if _, err := WithFieldModel(filepath.Join(dir, "missing.xfnm")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("missing file: got %v, want os.ErrNotExist", err)
-	}
-
-	foreign := filepath.Join(dir, "foreign.xfnm")
-	if err := os.WriteFile(foreign, []byte("not a model at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WithFieldModel(foreign); !errors.Is(err, ErrModelNotArtifact) {
+	if _, err := LoadModel(bytes.NewReader([]byte("not a model at all"))); !errors.Is(err, ErrModelNotArtifact) {
 		t.Errorf("foreign bytes: got %v, want ErrModelNotArtifact", err)
 	}
 
-	corrupt := filepath.Join(dir, "corrupt.xfnm")
+	future := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(future[4:8], 99) // schema version after the magic
+	if _, err := LoadModel(bytes.NewReader(future)); !errors.Is(err, ErrModelVersion) {
+		t.Errorf("future version: got %v, want ErrModelVersion", err)
+	}
+
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)-10] ^= 0x20
-	if err := os.WriteFile(corrupt, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WithFieldModel(corrupt); !errors.Is(err, ErrModelCorrupt) {
+	if _, err := LoadModel(bytes.NewReader(flipped)); !errors.Is(err, ErrModelCorrupt) {
 		t.Errorf("bit flip: got %v, want ErrModelCorrupt", err)
 	}
 
-	if _, err := WithFieldModelReader(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, ErrModelCorrupt) {
+	if _, err := LoadModel(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, ErrModelCorrupt) {
 		t.Errorf("truncation: got %v, want ErrModelCorrupt", err)
 	}
 }

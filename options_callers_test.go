@@ -5,13 +5,65 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"xplace/internal/placer"
 )
+
+// srcFile is one parsed Go file of the module.
+type srcFile struct {
+	pkg     string            // import path of the file's package
+	test    bool              // a _test.go file
+	imports map[string]string // local package name -> import path
+	f       *ast.File
+}
+
+// parseModule parses every Go file under the module root (hidden
+// directories skipped).
+func parseModule(t *testing.T) []*srcFile {
+	t.Helper()
+	var files []*srcFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		sf := &srcFile{pkg: path.Join("xplace", filepath.ToSlash(filepath.Dir(p))),
+			test: strings.HasSuffix(p, "_test.go"), imports: map[string]string{}, f: f}
+		for _, im := range f.Imports {
+			ip, _ := strconv.Unquote(im.Path.Value)
+			name := path.Base(ip)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			sf.imports[name] = ip
+		}
+		files = append(files, sf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
 
 // TestPlacementOptionsHaveCallers: every field of placer.Options is set or
 // read — as a selector or a composite-literal key — by non-test code outside
@@ -27,25 +79,11 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 		"ExtraGradient": "TestExtraGradientHook",
 	}
 	used := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, sf := range parseModule(t) {
+		if sf.test || sf.pkg == "xplace/internal/placer" {
+			continue
 		}
-		if d.IsDir() {
-			if path == filepath.Join("internal", "placer") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				used[n.Sel.Name] = true
@@ -56,10 +94,6 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	typ := reflect.TypeOf(placer.Options{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -73,4 +107,316 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 			t.Errorf("allow-listed hook %s (exercised by %s) is no longer a field of placer.Options", name, test)
 		}
 	}
+}
+
+// TestPublicSurfaceHasCallers extends the guard above to the public
+// surface: this package's exported functions and variables, the Session
+// methods, and the fields of the structs a flow, a worker daemon and a
+// gateway are configured by. Each needs a non-test reference from outside
+// its declaring package (cmd/, examples/, benchmark/ or another package) or
+// an allow-list entry naming the _test.go function that references it.
+//
+// Fields and methods are matched by their owning type, resolved from the
+// declarations in scope (composite-literal types, parameter and variable
+// types, struct field types and function result types), so a same-named
+// member of another type — rec.History() — is not a use of
+// gateway.Options.History. Types and constants are exempt, as are the
+// jobapi.Request fields (the wire schema HTTP clients set, pinned by
+// TestContract) and placer.Options (guarded above).
+func TestPublicSurfaceHasCallers(t *testing.T) {
+	allow := map[string]string{
+		// Deprecated readers and the DEF writer, kept under the README policy.
+		"xplace.ReadDEF":  "TestLEFDEFToPlacementIntegration",
+		"xplace.ReadLEF":  "TestLEFDEFToPlacementIntegration",
+		"xplace.WriteDEF": "TestLEFDEFToPlacementIntegration",
+		// The paper's future-work extension (EXPERIMENTS.md).
+		"xplace.RunRoutabilityFlow": "TestRoutabilityFlowReducesCongestion",
+		// Typed artifact errors a library caller matches with errors.Is.
+		"xplace.ErrModelNotArtifact": "TestLoadModelTypedErrors",
+		"xplace.ErrModelVersion":     "TestLoadModelTypedErrors",
+		"xplace.ErrModelCorrupt":     "TestLoadModelTypedErrors",
+		// Timings only tests shorten.
+		"gateway.Options.ProbeTimeout":    "gatewayBackend",
+		"gateway.Options.RetryBase":       "fastOpts",
+		"gateway.Options.RetryMaxDelay":   "fastOpts",
+		"gateway.Options.BreakerCooldown": "TestBreakerEjectsFlappingNode",
+	}
+	guardedStructs := []string{
+		"xplace.FlowOptions",
+		"xplace/internal/serve.Options",
+		"xplace/internal/gateway.Options",
+		"xplace/internal/gateway.DraftOptions",
+	}
+	short := func(key string) string { return strings.TrimPrefix(key, "xplace/internal/") }
+
+	files := parseModule(t)
+	ix := indexModule(files)
+
+	// The guarded surface, keyed "owner.Name" with owner an import path
+	// (package-level names) or an import path plus type name (members).
+	var guarded []string
+	for _, sf := range files {
+		if sf.test || sf.pkg != "xplace" {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					guarded = append(guarded, "xplace."+d.Name.Name)
+				} else if ix.typeKey(sf, d.Recv.List[0].Type) == "xplace.Session" {
+					guarded = append(guarded, "xplace.Session."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, s := range d.Specs {
+					for _, id := range s.(*ast.ValueSpec).Names {
+						if id.IsExported() {
+							guarded = append(guarded, "xplace."+id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, st := range guardedStructs {
+		fields, ok := ix.fields[st]
+		if !ok {
+			t.Fatalf("guarded struct %s not found", short(st))
+		}
+		for name := range fields {
+			if ast.IsExported(name) {
+				guarded = append(guarded, st+"."+name)
+			}
+		}
+	}
+
+	used := ix.uses(files)
+	declared := map[string]bool{}
+	for _, key := range guarded {
+		declared[short(key)] = true
+		test, listed := allow[short(key)]
+		switch {
+		case !listed && !used[key]:
+			t.Errorf("%s has no non-test caller outside its package: give it one, allow-list the test that exercises it, or delete it", short(key))
+		case listed && used[key]:
+			t.Errorf("%s has a non-test caller now: drop its allow-list entry (%s)", short(key), test)
+		}
+	}
+	for entry, test := range allow {
+		if !declared[entry] {
+			t.Errorf("allow-list entry %s (%s) is no longer declared", entry, test)
+			continue
+		}
+		if !testMentions(files, test, entry[strings.LastIndex(entry, ".")+1:]) {
+			t.Errorf("allow-list entry %s names %s, which is not a _test.go function that mentions it", entry, test)
+		}
+	}
+}
+
+// testMentions reports whether a function named fn in some _test.go file
+// references name as an identifier or a selector.
+func testMentions(files []*srcFile, fn, name string) bool {
+	for _, sf := range files {
+		if !sf.test {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != fn || fd.Body == nil {
+				continue
+			}
+			found := false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == name {
+					found = true
+				}
+				return !found
+			})
+			if found {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// moduleIndex holds the declarations member uses are resolved against.
+// Type keys are "importpath.TypeName", pointers stripped.
+type moduleIndex struct {
+	fields  map[string]map[string]string // struct -> field -> field type
+	results map[string]string            // "path.Func" or "path.Type.Method" -> first result type
+}
+
+func indexModule(files []*srcFile) *moduleIndex {
+	ix := &moduleIndex{fields: map[string]map[string]string{}, results: map[string]string{}}
+	for _, sf := range files {
+		if sf.test {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					fields := map[string]string{}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							fields[id.Name] = ix.typeKey(sf, fl.Type)
+						}
+					}
+					ix.fields[sf.pkg+"."+ts.Name.Name] = fields
+				}
+			case *ast.FuncDecl:
+				if d.Type.Results == nil {
+					continue
+				}
+				owner := sf.pkg
+				if d.Recv != nil {
+					owner = ix.typeKey(sf, d.Recv.List[0].Type)
+				}
+				ix.results[owner+"."+d.Name.Name] = ix.typeKey(sf, d.Type.Results.List[0].Type)
+			}
+		}
+	}
+	return ix
+}
+
+// typeKey names the type a type expression denotes ("" when it is not a
+// possibly-pointer named type).
+func (ix *moduleIndex) typeKey(sf *srcFile, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return ix.typeKey(sf, e.X)
+	case *ast.ParenExpr:
+		return ix.typeKey(sf, e.X)
+	case *ast.Ident:
+		return sf.pkg + "." + e.Name
+	case *ast.SelectorExpr:
+		if id, ok := e.X.(*ast.Ident); ok && sf.imports[id.Name] != "" {
+			return sf.imports[id.Name] + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
+
+// uses walks every non-test file and returns the keys of the package-level
+// names, fields and methods it references from outside their package.
+func (ix *moduleIndex) uses(files []*srcFile) map[string]bool {
+	used := map[string]bool{}
+	for _, sf := range files {
+		if sf.test {
+			continue
+		}
+		use := func(owner, name string) {
+			if owner != "" && owner != sf.pkg && !strings.HasPrefix(owner, sf.pkg+".") {
+				used[owner+"."+name] = true
+			}
+		}
+		env := map[string]string{} // variable -> type key, reset per function
+		var typeOf func(e ast.Expr) string
+		typeOf = func(e ast.Expr) string {
+			switch e := e.(type) {
+			case *ast.ParenExpr:
+				return typeOf(e.X)
+			case *ast.StarExpr:
+				return typeOf(e.X)
+			case *ast.UnaryExpr:
+				if e.Op == token.AND {
+					return typeOf(e.X)
+				}
+			case *ast.CompositeLit:
+				return ix.typeKey(sf, e.Type)
+			case *ast.Ident:
+				return env[e.Name]
+			case *ast.SelectorExpr:
+				return ix.fields[typeOf(e.X)][e.Sel.Name]
+			case *ast.CallExpr:
+				switch fn := e.Fun.(type) {
+				case *ast.Ident:
+					return ix.results[sf.pkg+"."+fn.Name]
+				case *ast.SelectorExpr:
+					if id, ok := fn.X.(*ast.Ident); ok && env[id.Name] == "" && sf.imports[id.Name] != "" {
+						return ix.results[sf.imports[id.Name]+"."+fn.Sel.Name]
+					}
+					return ix.results[typeOf(fn.X)+"."+fn.Sel.Name]
+				}
+			}
+			return ""
+		}
+		declare := func(fl *ast.FieldList) {
+			if fl == nil {
+				return
+			}
+			for _, f := range fl.List {
+				for _, id := range f.Names {
+					env[id.Name] = ix.typeKey(sf, f.Type)
+				}
+			}
+		}
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				env = map[string]string{}
+				declare(n.Recv)
+				declare(n.Type.Params)
+			case *ast.FuncLit:
+				declare(n.Type.Params)
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					break
+				}
+				for i, lhs := range n.Lhs {
+					id, ok := lhs.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					switch {
+					case len(n.Rhs) == len(n.Lhs):
+						env[id.Name] = typeOf(n.Rhs[i])
+					case i == 0:
+						env[id.Name] = typeOf(n.Rhs[0])
+					}
+				}
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					switch {
+					case n.Type != nil:
+						env[id.Name] = ix.typeKey(sf, n.Type)
+					case i < len(n.Values):
+						env[id.Name] = typeOf(n.Values[i])
+					}
+				}
+			case *ast.CompositeLit:
+				owner := ix.typeKey(sf, n.Type)
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							use(owner, id.Name)
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && env[id.Name] == "" && sf.imports[id.Name] != "" {
+					use(sf.imports[id.Name], n.Sel.Name)
+				} else {
+					use(typeOf(n.X), n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	return used
 }

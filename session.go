@@ -3,8 +3,6 @@ package xplace
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -12,36 +10,26 @@ import (
 	"xplace/internal/detail"
 	"xplace/internal/kernel"
 	"xplace/internal/legal"
-	"xplace/internal/nn"
 	"xplace/internal/obs"
 	"xplace/internal/placer"
 	"xplace/internal/router"
 )
 
-// Observability handles, re-exported for API users.
-type (
-	// Tracer records operator spans and kernel launches, exportable as
-	// Chrome trace_event JSON (WriteChromeTrace). A nil *Tracer is the
-	// disabled tracer: every method no-ops.
-	Tracer = obs.Tracer
-	// MetricsRegistry is a typed metrics registry with Prometheus text
-	// exposition (WritePrometheus). A nil *MetricsRegistry is disabled.
-	MetricsRegistry = obs.Registry
-)
+// Tracer records operator spans and kernel launches, exportable as Chrome
+// trace_event JSON (WriteChromeTrace). A nil *Tracer is the disabled tracer:
+// every method no-ops.
+type Tracer = obs.Tracer
 
 // NewTracer returns an enabled tracer with its epoch pinned to now.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// Session is the package's run facade: it owns an engine (created lazily,
-// or supplied with WithEngine) plus the observability wiring — tracer,
-// metrics registry, progress hook — and threads them through every
-// placement or flow it runs. All entry points (Place, PlaceContext,
-// RunFlow, RunFlowContext) are thin wrappers over one Session path, so
-// there is a single place where engine lifetime and instrumentation are
-// decided.
+// Session is the package's run facade and the one place an engine is
+// configured: it owns the engine (created lazily, or supplied with
+// WithEngine), the tracer attached to it and the compute backend, and runs
+// every placement or flow on them. Everything else about a run — strategy,
+// field predictor, metrics registry, progress hook — is a PlacementOptions
+// field, set per call. Place and RunFlow are thin wrappers over one Session
+// path, so there is a single place where engine lifetime is decided.
 //
 // Engine ownership: a Session that creates its own engine (no WithEngine)
 // closes it in Close; a caller-supplied engine is NEVER closed by the
@@ -58,11 +46,7 @@ type Session struct {
 	workers  int
 	overhead time.Duration
 	backend  backend.Backend
-	strategy placer.Strategy
-	predict  placer.FieldPredictor
 	tracer   *obs.Tracer
-	metrics  *obs.Registry
-	progress func(Snapshot)
 	closed   bool
 }
 
@@ -103,84 +87,12 @@ func WithBackendName(name string) (Option, error) {
 	return WithBackend(b), nil
 }
 
-// WithStrategy selects the global-placement strategy of every run the
-// session drives (StrategyNesterov gradient flow, StrategyLBUB
-// lower/upper-bound alternation). A per-run PlacementOptions.Strategy
-// other than the default wins over the session's choice.
-func WithStrategy(st Strategy) Option {
-	return func(s *Session) { s.strategy = st }
-}
-
-// WithStrategyName is WithStrategy by name ("nesterov", "lbub"); it is
-// what the CLI -strategy flag maps to. Unknown names return an error
-// listing the selectable strategies. The empty name selects the default.
-func WithStrategyName(name string) (Option, error) {
-	st, err := placer.ParseStrategy(name)
-	if err != nil {
-		return nil, err
-	}
-	return WithStrategy(st), nil
-}
-
-// WithFieldPredictor blends p's predicted field into the early placement
-// stage of every run the session drives (the Xplace-NN flow, §3.3): the
-// predicted Ex/Ey replace a share σ(ω) of the numerical field while the
-// density is still spreading, and the run hands off to the pure numerical
-// flow as σ decays. A per-run PlacementOptions.Predictor wins over the
-// session's choice.
-func WithFieldPredictor(p FieldPredictor) Option {
-	return func(s *Session) { s.predict = p }
-}
-
-// WithFieldModel is WithFieldPredictor from a model artifact on disk; it
-// is what the CLI -model flags map to. The artifact is opened, integrity-
-// checked and loaded HERE — a missing file, foreign format (ErrNotModel),
-// unsupported version (ErrModelVersion) or corrupt payload
-// (ErrModelCorrupt) is a typed error at option-construction time, never a
-// failure mid-placement.
-func WithFieldModel(path string) (Option, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	opt, err := WithFieldModelReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("model %s: %w", path, err)
-	}
-	return opt, nil
-}
-
-// WithFieldModelReader is WithFieldModel for an already-open artifact
-// stream (an embedded model, a registry blob). Load errors carry the nn
-// package's typed sentinels (ErrNotModel, ErrModelVersion,
-// ErrModelCorrupt).
-func WithFieldModelReader(r io.Reader) (Option, error) {
-	m, err := nn.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return WithFieldPredictor(&nn.Predictor{M: m}), nil
-}
-
 // WithTracer records every kernel launch, operator group and flow stage of
 // the session's runs on t (attach is per-run: the engine's tracer is set
 // for the duration of Place/Flow and detached after, so a shared engine
 // does not keep tracing for other users).
 func WithTracer(t *Tracer) Option {
 	return func(s *Session) { s.tracer = t }
-}
-
-// WithMetrics publishes the placer's paper-optimization series (see
-// DESIGN.md) to m.
-func WithMetrics(m *MetricsRegistry) Option {
-	return func(s *Session) { s.metrics = m }
-}
-
-// WithProgress receives a Snapshot after every completed GP iteration
-// (unless the per-run PlacementOptions.Progress is set, which wins).
-func WithProgress(fn func(Snapshot)) Option {
-	return func(s *Session) { s.progress = fn }
 }
 
 // NewSession builds a session. With no options it lazily creates a
@@ -206,14 +118,6 @@ func (s *Session) Engine() *Engine {
 	return s.eng
 }
 
-// Backend returns the session's configured compute backend (nil when the
-// session follows the process default).
-func (s *Session) Backend() ComputeBackend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backend
-}
-
 // Close releases the session: an engine the session created is Closed
 // (worker pool torn down, arena dropped); a caller-supplied engine is left
 // untouched. Idempotent.
@@ -229,26 +133,14 @@ func (s *Session) Close() {
 	}
 }
 
-// instrument injects the session's observability wiring into run options;
-// per-run settings win over session-level ones.
+// instrument fills the run options' tracer and backend from the session
+// when the run leaves them unset.
 func (s *Session) instrument(opts placer.Options) placer.Options {
-	if opts.Progress == nil {
-		opts.Progress = s.progress
-	}
 	if opts.Tracer == nil {
 		opts.Tracer = s.tracer
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = s.metrics
-	}
 	if opts.Backend == nil {
 		opts.Backend = s.backend
-	}
-	if opts.Predictor == nil {
-		opts.Predictor = s.predict
-	}
-	if opts.Strategy == placer.StrategyNesterov {
-		opts.Strategy = s.strategy
 	}
 	return opts
 }
@@ -264,9 +156,8 @@ func (s *Session) attachTracer(eng *Engine, t *obs.Tracer) (detach func()) {
 }
 
 // Place runs global placement to convergence under ctx on the session's
-// engine, with the session's observability wiring. On cancellation or
-// deadline the error is ctx.Err() and the result holds the partial
-// placement (see placer.RunContext).
+// engine. On cancellation or deadline the error is ctx.Err() and the
+// result holds the partial placement (see placer.RunContext).
 func (s *Session) Place(ctx context.Context, d *Design, opts PlacementOptions) (*PlacementResult, error) {
 	opts = s.instrument(opts)
 	eng := s.Engine()
@@ -281,10 +172,9 @@ func (s *Session) Place(ctx context.Context, d *Design, opts PlacementOptions) (
 
 // Flow executes the full placement flow (GP -> legalization -> detailed
 // placement -> optional routing) under ctx on the session's engine.
-// FlowOptions.Engine/Workers/LaunchOverhead are ignored here — the
-// session decides the engine; use the RunFlow wrappers (or session
-// options) to configure it. Stage boundaries are recorded as flow-stage
-// spans when the session has a tracer.
+// Cancellation is honored between kernel launches during global placement
+// and between the stages; on cancellation the error wraps ctx.Err(). Stage
+// boundaries are recorded as flow-stage spans when the run has a tracer.
 func (s *Session) Flow(ctx context.Context, d *Design, opts FlowOptions) (*FlowResult, error) {
 	if opts.Progress != nil {
 		opts.Placement.Progress = opts.Progress
@@ -340,16 +230,13 @@ func (s *Session) Flow(ctx context.Context, d *Design, opts FlowOptions) (*FlowR
 	res.LegalX, res.LegalY = lx, ly
 	res.HPWLLegal = d.HPWL(lx, ly)
 
-	res.FinalX, res.FinalY = lx, ly
-	if !opts.SkipDetail {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("xplace: detailed placement: %w", err)
-		}
-		dpStart := time.Now()
-		res.FinalX, res.FinalY = detail.Run(d, lx, ly, opts.Detail)
-		res.DPTime = time.Since(dpStart)
-		stage("flow.detail")
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("xplace: detailed placement: %w", err)
 	}
+	dpStart := time.Now()
+	res.FinalX, res.FinalY = detail.Run(d, lx, ly, detail.Options{})
+	res.DPTime = time.Since(dpStart)
+	stage("flow.detail")
 	res.HPWLFinal = d.HPWL(res.FinalX, res.FinalY)
 	res.Violations = len(legal.Check(d, res.FinalX, res.FinalY))
 

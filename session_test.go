@@ -7,13 +7,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xplace/internal/benchgen"
+	"xplace/internal/obs"
+	"xplace/internal/placer"
 )
 
 func sessionTestDesign(t *testing.T, cells int, seed int64) *Design {
 	t.Helper()
 	spec := Catalog2005()[0]
 	scale := float64(cells) / float64(spec.Cells)
-	return GenerateFromSpec(spec, scale, seed)
+	return benchgen.Generate(spec, scale, seed)
 }
 
 // sessionTestOpts pins the GP loop to exactly iters iterations (MinIter
@@ -29,8 +33,7 @@ func sessionTestOpts(iters int) PlacementOptions {
 
 // TestSessionOwnsDefaultEngine: a session with no WithEngine lazily builds
 // an engine and Close tears it down — launching on it afterwards panics,
-// proving the worker pool is really gone (the pre-Session PlaceContext
-// leaked it silently).
+// proving the worker pool is really gone.
 func TestSessionOwnsDefaultEngine(t *testing.T) {
 	s := NewSession(WithEngineOptions(1, 0))
 	eng := s.Engine()
@@ -89,20 +92,34 @@ func TestSessionLeavesSuppliedEngineOpen(t *testing.T) {
 }
 
 // TestSessionWithBackend: WithBackend threads the compute backend into
-// every run; WithBackendName resolves registry names and rejects unknown
-// ones.
+// every run — the float32 backend's conversion kernels show up in the run's
+// launch accounting, the reference backend's do not — a per-run Backend
+// wins over the session's, and WithBackendName resolves registry names and
+// rejects unknown ones.
 func TestSessionWithBackend(t *testing.T) {
+	d := sessionTestDesign(t, 150, 8)
+	converts := func(s *Session, opts PlacementOptions) bool {
+		t.Helper()
+		res, err := s.Place(context.Background(), d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 10 {
+			t.Fatalf("Iterations = %d, want 10", res.Iterations)
+		}
+		_, ok := res.Stats.PerOp["poisson.cvt_load"]
+		return ok
+	}
+
 	s := NewSession(WithEngineOptions(1, 0), WithBackend(Float32Backend()))
 	defer s.Close()
-	if s.Backend() == nil || s.Backend().Name() != "float32" {
-		t.Fatalf("session backend = %v, want float32", s.Backend())
+	if !converts(s, sessionTestOpts(10)) {
+		t.Error("session float32 backend not applied to the run")
 	}
-	res, err := s.Place(context.Background(), sessionTestDesign(t, 150, 8), sessionTestOpts(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 10 {
-		t.Fatalf("Iterations = %d, want 10", res.Iterations)
+	ref := sessionTestOpts(10)
+	ref.Backend = Float64Backend()
+	if converts(s, ref) {
+		t.Error("per-run float64 backend lost to the session's float32")
 	}
 
 	if _, err := WithBackendName("float16"); err == nil {
@@ -114,8 +131,8 @@ func TestSessionWithBackend(t *testing.T) {
 	}
 	s2 := NewSession(WithEngineOptions(1, 0), opt)
 	defer s2.Close()
-	if s2.Backend().Name() != "float32" {
-		t.Fatalf("WithBackendName backend = %q", s2.Backend().Name())
+	if !converts(s2, sessionTestOpts(10)) {
+		t.Error("WithBackendName(\"float32\") not applied to the run")
 	}
 }
 
@@ -147,23 +164,21 @@ func TestSessionCloseTwiceAfterEngineClose(t *testing.T) {
 	s2.Close()
 }
 
-// TestSessionObservabilityWiring: WithTracer/WithMetrics/WithProgress
-// thread through a Session.Place run — kernels and operator groups land in
-// the tracer, the paper-optimization series land in the registry, and the
-// progress hook sees 1-based consecutive iterations.
+// TestSessionObservabilityWiring: the session's tracer and the run's
+// Metrics/Progress options thread through a Session.Place run — kernels and
+// operator groups land in the tracer, the paper-optimization series land in
+// the registry, and the progress hook sees 1-based consecutive iterations.
 func TestSessionObservabilityWiring(t *testing.T) {
 	tr := NewTracer()
-	reg := NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	var iters []int
-	s := NewSession(
-		WithEngineOptions(1, 0),
-		WithTracer(tr),
-		WithMetrics(reg),
-		WithProgress(func(sn Snapshot) { iters = append(iters, sn.Iter) }),
-	)
+	s := NewSession(WithEngineOptions(1, 0), WithTracer(tr))
 	defer s.Close()
 
-	res, err := s.Place(context.Background(), sessionTestDesign(t, 150, 3), sessionTestOpts(20))
+	opts := sessionTestOpts(20)
+	opts.Metrics = reg
+	opts.Progress = func(sn Snapshot) { iters = append(iters, sn.Iter) }
+	res, err := s.Place(context.Background(), sessionTestDesign(t, 150, 3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +228,11 @@ func TestSessionTraceLaunchSum(t *testing.T) {
 	eng := NewEngine(2, 100*time.Microsecond)
 	defer eng.Close()
 
-	p, err := NewPlacer(d, eng, sessionTestOpts(50))
+	p, err := placer.New(d, eng, sessionTestOpts(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attach after NewPlacer: RunContext begins with an engine Reset that
+	// Attach after placer.New: RunContext begins with an engine Reset that
 	// zeroes Stats, so the traced window must match the counted window.
 	tr := NewTracer()
 	eng.SetTracer(tr)
@@ -287,25 +302,7 @@ func TestSessionFlowStageSpans(t *testing.T) {
 	}
 }
 
-// TestRunFlowWrapperHonorsSuppliedEngine: the legacy RunFlowContext entry
-// point still runs on a caller engine without closing it.
-func TestRunFlowWrapperHonorsSuppliedEngine(t *testing.T) {
-	eng := NewEngine(1, 0)
-	defer eng.Close()
-	fopts := FlowOptions{Placement: sessionTestOpts(8), Engine: eng, SkipDetail: true}
-	if _, err := RunFlowContext(context.Background(), sessionTestDesign(t, 120, 6), fopts); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stats().Launches == 0 {
-		t.Fatal("flow did not run on the supplied engine")
-	}
-	// Engine survives the wrapper (its temporary session must not own it).
-	if eng.Closed() {
-		t.Error("RunFlowContext closed the caller-supplied engine")
-	}
-}
-
-// TestPlaceContextPartialResultOnCancel: the wrapper path preserves the
+// TestPlaceContextPartialResultOnCancel: Session.Place keeps the
 // partial-result contract — a cancelled run returns ctx.Err() plus the
 // placement it got to, with the last snapshot agreeing with Iterations.
 func TestPlaceContextPartialResultOnCancel(t *testing.T) {
@@ -318,7 +315,9 @@ func TestPlaceContextPartialResultOnCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := PlaceContext(ctx, sessionTestDesign(t, 400, 7), opts)
+	s := NewSession(WithEngineOptions(1, 0))
+	defer s.Close()
+	res, err := s.Place(ctx, sessionTestDesign(t, 400, 7), opts)
 	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

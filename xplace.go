@@ -81,8 +81,8 @@ type (
 	// TrainOptions configures FNO training.
 	TrainOptions = nn.TrainOptions
 	// FieldPredictor is the placer's neural-field hook: anything that maps
-	// a density grid to a predicted Ex/Ey field (PlacementOptions.Predictor,
-	// WithFieldPredictor). NewFieldPredictor adapts a trained Model.
+	// a density grid to a predicted Ex/Ey field (PlacementOptions.Predictor).
+	// NewFieldPredictor adapts a trained Model.
 	FieldPredictor = placer.FieldPredictor
 	// ModelArtifactHeader is the integrity-checked header of a saved model
 	// artifact (StatModel reads it without loading the weights).
@@ -99,8 +99,8 @@ type (
 	// Strategy selects the global-placement algorithm: StrategyNesterov is
 	// the paper's electrostatic gradient flow; StrategyLBUB the
 	// Coloquinte-style lower-bound/upper-bound alternation (draft-quality
-	// quadratic oracle). Select per run with PlacementOptions.Strategy or
-	// per session with WithStrategy.
+	// quadratic oracle). Select per run with PlacementOptions.Strategy;
+	// ParseStrategy resolves a name.
 	Strategy = placer.Strategy
 )
 
@@ -125,20 +125,8 @@ const (
 // to.
 func ParseStrategy(name string) (Strategy, error) { return placer.ParseStrategy(name) }
 
-// StrategyNames lists the selectable placement strategies.
-func StrategyNames() []string { return placer.StrategyNames() }
-
-// ErrDiverged marks a global placement run whose trajectory exploded
-// (non-finite or absurd HPWL/overflow); errors.Is-match it to trigger a
-// fallback. ErrStrategyNotResumable marks a checkpoint resume into a
-// strategy that does not support it (only Nesterov checkpoints).
-var (
-	ErrDiverged             = placer.ErrDiverged
-	ErrStrategyNotResumable = placer.ErrStrategyNotResumable
-)
-
-// Model-artifact sentinels (errors.Is-matchable through LoadModel,
-// StatModel and WithFieldModel): ErrModelNotArtifact marks a stream that
+// Model-artifact sentinels (errors.Is-matchable through LoadModel and
+// StatModel): ErrModelNotArtifact marks a stream that
 // is not a model artifact at all; ErrModelVersion an artifact written by
 // an incompatible schema version; ErrModelCorrupt an artifact whose frame
 // parses but whose header or payload fails integrity checking (sha256
@@ -171,9 +159,6 @@ func Float32Backend() ComputeBackend { return backend.Float32() }
 // XPLACE_BACKEND environment variable when set, else the reference).
 func LookupBackend(name string) (ComputeBackend, error) { return backend.Lookup(name) }
 
-// BackendNames lists the registered compute backends, sorted.
-func BackendNames() []string { return backend.Names() }
-
 // NewDesign creates an empty design over the region [0,w] x [0,h].
 // Populate it with AddCell/AddNet/AddPin and seal it with Finish.
 func NewDesign(name string, w, h float64) *Design {
@@ -195,32 +180,14 @@ func DefaultPlacement() PlacementOptions { return placer.Defaults() }
 // (autograd gradients, no fusion/extraction/skipping).
 func BaselinePlacement() PlacementOptions { return placer.BaselineDefaults() }
 
-// NewPlacer prepares a reusable placer for one design on one engine.
-// Engine ownership stays with the caller: the placer never Closes e, and
-// p.Close only returns the placer's arena-backed scratch to the engine.
-// Callers that want managed engine lifetime should use a Session instead.
-func NewPlacer(d *Design, e *Engine, opts PlacementOptions) (*placer.Placer, error) {
-	return placer.New(d, e, opts)
-}
-
 // Place runs global placement to convergence on a default engine. It is a
 // thin wrapper over Session.Place on a temporary Session, so the engine it
-// creates is released before returning.
+// creates is released before returning; Session.Place is the path that
+// takes a context.
 func Place(d *Design, opts PlacementOptions) (*PlacementResult, error) {
-	return PlaceContext(context.Background(), d, opts)
-}
-
-// PlaceContext runs global placement to convergence on a default engine,
-// honoring ctx: cancellation and deadlines are checked between kernel
-// launches, and the placer's scratch is released before returning. On
-// cancellation the error is ctx.Err() and the result carries the partial
-// placement. Like Place, it wraps Session.Place on a temporary Session
-// that is Closed before returning (fixing the historical leak where the
-// implicit default engine's worker pool was never torn down).
-func PlaceContext(ctx context.Context, d *Design, opts PlacementOptions) (*PlacementResult, error) {
 	s := NewSession()
 	defer s.Close()
-	return s.Place(ctx, d, opts)
+	return s.Place(context.Background(), d, opts)
 }
 
 // GenerateBenchmark synthesizes a contest design by name (Table 1 of the
@@ -231,11 +198,6 @@ func GenerateBenchmark(name string, scale float64, seed int64) (*Design, error) 
 		return nil, fmt.Errorf("xplace: unknown benchmark %q", name)
 	}
 	return benchgen.Generate(spec, scale, seed), nil
-}
-
-// GenerateFromSpec synthesizes a design from an explicit spec.
-func GenerateFromSpec(spec BenchmarkSpec, scale float64, seed int64) *Design {
-	return benchgen.Generate(spec, scale, seed)
 }
 
 // Catalog2005 lists the eight ISPD 2005 contest designs.
@@ -261,25 +223,20 @@ func WritePlacementPl(path string, d *Design, x, y []float64) error {
 
 // ReadLEF parses a LEF cell library.
 //
-// Deprecated: use LoadLEF for paths, or keep ReadLEF for non-file readers
-// (it stays supported under the deprecation policy in README.md).
+// Deprecated: use Load with WithLEF for paths, or keep ReadLEF for
+// non-file readers (it stays supported under the deprecation policy in
+// README.md).
 func ReadLEF(r io.Reader) (*LEFLibrary, error) { return lefdef.ParseLEF(r) }
 
 // ReadDEF parses a DEF design against a LEF library.
 //
-// Deprecated: use Load with WithLEF/WithLEFLibrary, which autodetects DEF
-// from the path and contents. ReadDEF stays supported for non-file
-// readers under the deprecation policy in README.md.
+// Deprecated: use Load with WithLEF, which autodetects DEF from the path
+// and contents. ReadDEF stays supported for non-file readers under the
+// deprecation policy in README.md.
 func ReadDEF(r io.Reader, lib *LEFLibrary) (*Design, error) { return lefdef.ParseDEF(r, lib) }
 
 // WriteDEF writes the design as DEF with the given center positions.
 func WriteDEF(w io.Writer, d *Design, x, y []float64) error { return lefdef.WriteDEF(w, d, x, y) }
-
-// RouteEstimate scores a placement's routability (the OVFL-5 metric of
-// Table 4). Pass nil positions to use the design's stored ones.
-func RouteEstimate(d *Design, x, y []float64, opts RouteOptions) *RouteResult {
-	return router.Route(d, x, y, opts)
-}
 
 // NewModel builds an untrained FNO (§3.3). DefaultModelConfig matches the
 // paper's ~471k-parameter scale.
@@ -326,11 +283,3 @@ func WriteSVG(w io.Writer, d *Design, x, y []float64, opts SVGOptions) error {
 
 // SVGOptions tunes WriteSVG.
 type SVGOptions = viz.SVGOptions
-
-// WriteHeatmapPGM renders a bin map (density, congestion) as a PGM image.
-func WriteHeatmapPGM(w io.Writer, data []float64, nx, ny int) error {
-	return viz.WritePGM(w, data, nx, ny)
-}
-
-// ASCIIHeatmap renders a bin map as a text heatmap for logs.
-func ASCIIHeatmap(data []float64, nx, ny int) string { return viz.ASCIIHeatmap(data, nx, ny) }

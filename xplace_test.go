@@ -84,30 +84,25 @@ func TestRunFlowEndToEnd(t *testing.T) {
 		fr.GPTime, fr.GPSim, fr.LGTime, fr.DPTime)
 }
 
-func TestRunFlowAbacusAndSkipDetail(t *testing.T) {
+func TestRunFlowAbacus(t *testing.T) {
 	d, err := GenerateBenchmark("pci_bridge32_a", 0.02, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := FlowOptions{
-		Placement:  DefaultPlacement(),
-		Legalizer:  LegalizeAbacus,
-		SkipDetail: true,
-		Workers:    2,
+		Placement: DefaultPlacement(),
+		Legalizer: LegalizeAbacus,
 	}
 	opts.Placement.Sched.MaxIter = 400
 	fr, err := RunFlow(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.DPTime != 0 {
-		t.Error("detail stage should be skipped")
-	}
 	if fr.Violations != 0 {
-		t.Errorf("%d violations after abacus", fr.Violations)
+		t.Errorf("%d violations after abacus + detail", fr.Violations)
 	}
-	if fr.HPWLFinal != fr.HPWLLegal {
-		t.Error("skip-detail must keep the legal placement")
+	if fr.HPWLFinal > fr.HPWLLegal {
+		t.Errorf("detailed placement degraded the abacus placement: %.0f -> %.0f", fr.HPWLLegal, fr.HPWLFinal)
 	}
 }
 
