@@ -173,7 +173,9 @@ func BenchmarkFigure2OperatorTrace(b *testing.B) {
 	spec, _ := benchgen.FindSpec("adaptec1")
 	d := benchgen.Generate(spec, benchScale, 1)
 	for i := 0; i < b.N; i++ {
-		e := kernel.New(kernel.Options{Trace: true})
+		e := kernel.New(kernel.Options{})
+		tr := NewTracer()
+		e.SetTracer(tr)
 		p, err := placer.New(d, e, DefaultPlacement())
 		if err != nil {
 			b.Fatal(err)
@@ -181,7 +183,7 @@ func BenchmarkFigure2OperatorTrace(b *testing.B) {
 		if err := p.RunIteration(); err != nil {
 			b.Fatal(err)
 		}
-		_ = e.Trace()
+		_ = tr.KernelLaunchCounts()
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"xplace/internal/backend"
 	"xplace/internal/benchgen"
 	"xplace/internal/kernel"
+	"xplace/internal/obs"
 	"xplace/internal/placer"
 )
 
@@ -408,7 +409,9 @@ func figure2() {
 	fmt.Println()
 	d, _ := xplace.GenerateBenchmark("adaptec1", 0.005, *seed)
 	for _, oe := range []bool{true, false} {
-		e := kernel.New(kernel.Options{Workers: *workers, Trace: true})
+		e := kernel.New(kernel.Options{Workers: *workers})
+		tr := obs.NewTracer()
+		e.SetTracer(tr)
 		opts := placer.Defaults()
 		opts.OperatorExtraction = oe
 		opts.OperatorSkipping = false
@@ -422,9 +425,9 @@ func figure2() {
 			return
 		}
 		var densOps []string
-		for _, op := range e.Trace() {
-			if strings.HasPrefix(op, "density.") || op == "poisson.spectral_scale" {
-				densOps = append(densOps, op)
+		for _, ev := range tr.Events() {
+			if ev.Cat == obs.CatKernel && (strings.HasPrefix(ev.Name, "density.") || ev.Name == "poisson.spectral_scale") {
+				densOps = append(densOps, ev.Name)
 			}
 		}
 		fmt.Printf("OE=%v density-path kernels: %s\n", oe, strings.Join(densOps, " -> "))

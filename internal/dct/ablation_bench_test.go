@@ -37,7 +37,7 @@ func TestNaiveDCTMatchesFFTDCT(t *testing.T) {
 	nx, ny := 16, 16
 	f := randGrid(nx, ny, 21)
 	want := make([]float64, nx*ny)
-	NewPlan(nx, ny).DCT2(f, want, Serial)
+	NewPlan(nx, ny).DCT2(f, want, serial)
 	got := make([]float64, nx*ny)
 	naiveDCT2(f, got, nx, ny)
 	if d := maxAbsDiff(got, want); d > 1e-8 {
@@ -62,6 +62,6 @@ func BenchmarkAblationDCTFFT128(b *testing.B) {
 	p := NewPlan(nx, ny)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(f, out, Serial)
+		p.DCT2(f, out, serial)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"xplace/internal/kernel"
 )
 
 // tileW is the column-tile width of the column pass: the cache-blocked
@@ -17,10 +19,10 @@ const tileW = 16
 //
 // A Plan owns all scratch for its transforms — the intermediate matrices,
 // per-chunk FFT buffers, and column tile buffers — so steady-state
-// transforms perform no heap allocations. Scratch is drawn from the
-// launcher's arena when it provides one (see ArenaLauncher), keeping the
-// bytes visible in the engine's accounting. Transforms are serialized by an
-// internal mutex, keeping a Plan safe for concurrent use.
+// transforms perform no heap allocations. Scratch is checked out of the
+// arena of the engine the transforms run on, keeping the bytes visible in
+// the engine's accounting; Release gives it back. Transforms are serialized
+// by an internal mutex, keeping a Plan safe for concurrent use.
 //
 // The row kernels are Makhoul's real-even transforms — the forward DCT-II
 // and the cosine/sine series evaluation each run one packed length-N/2
@@ -44,7 +46,7 @@ type Plan struct {
 	tmp  []float64 // nx*ny intermediate (rows pass output), lazily allocated
 	tmp2 []float64 // second intermediate for the batched field evaluation
 
-	// Per-chunk scratch, grown on demand to the launcher's worker count.
+	// Per-chunk scratch, grown on demand to the engine's worker count.
 	scratch [][]complex128 // packed FFT buffer: max(nx,ny)/2
 	rowReal [][]float64    // real staging row: max(nx,ny)
 	tileIn  [][]float64    // gathered input columns: tileW*ny
@@ -66,28 +68,6 @@ type Plan struct {
 
 	rowsBody, colsBody           func(chunk, start, end int)
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
-}
-
-// Launcher abstracts kernel.Engine for data-parallel execution so this
-// package stays dependency-free. LaunchChunks hands each worker a chunk
-// index (used to select private scratch); Workers bounds those indices.
-type Launcher interface {
-	LaunchChunks(name string, n int, body func(chunk, start, end int)) int
-	Workers() int
-}
-
-// ArenaLauncher is a Launcher that also owns a scratch allocator
-// (kernel.Engine satisfies it). Plans draw their long-lived scratch from it
-// when available so the buffers show up in the engine's arena accounting;
-// otherwise they fall back to plain make. Release returns the scratch when
-// the plan's owner is done (a cancelled placement job must not leave its
-// scratch checked out).
-type ArenaLauncher interface {
-	Launcher
-	Alloc(n int) []float64
-	AllocComplex(n int) []complex128
-	Free(buf []float64)
-	FreeComplex(buf []complex128)
 }
 
 // NewPlan creates a transform plan for an Nx x Ny grid.
@@ -260,34 +240,16 @@ func (p *Plan) checkSize(buf []float64, what string) {
 	}
 }
 
-// allocF draws a float64 buffer from the launcher's arena when it has one.
-func (p *Plan) allocF(L Launcher, n int) []float64 {
-	if a, ok := L.(ArenaLauncher); ok {
-		return a.Alloc(n)
-	}
-	return make([]float64, n)
-}
-
-// allocC draws a complex128 buffer from the launcher's arena when it has one.
-func (p *Plan) allocC(L Launcher, n int) []complex128 {
-	if a, ok := L.(ArenaLauncher); ok {
-		return a.AllocComplex(n)
-	}
-	return make([]complex128, n)
-}
-
-// ensure grows the plan's scratch for use with L. Called with p.mu held;
-// the early-out keeps steady-state transforms allocation-free.
-func (p *Plan) ensure(L Launcher) {
-	w := L.Workers()
-	if w < 1 {
-		w = 1
-	}
+// ensure grows the plan's scratch for use with e: one set of per-chunk
+// buffers per engine worker. Called with p.mu held; the early-out keeps
+// steady-state transforms allocation-free.
+func (p *Plan) ensure(e *kernel.Engine) {
+	w := e.Workers()
 	if p.tmp != nil && len(p.scratch) >= w {
 		return
 	}
 	if p.tmp == nil {
-		p.tmp = p.allocF(L, p.Nx*p.Ny)
+		p.tmp = e.Alloc(p.Nx * p.Ny)
 	}
 	maxN := p.Nx
 	if p.Ny > maxN {
@@ -295,58 +257,49 @@ func (p *Plan) ensure(L Launcher) {
 	}
 	colN := tileW * p.Ny
 	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, p.allocC(L, max(maxN/2, 1)))
-		p.rowReal = append(p.rowReal, p.allocF(L, maxN))
-		p.tileIn = append(p.tileIn, p.allocF(L, colN))
-		p.tileOut = append(p.tileOut, p.allocF(L, colN))
+		p.scratch = append(p.scratch, e.AllocComplex(max(maxN/2, 1)))
+		p.rowReal = append(p.rowReal, e.Alloc(maxN))
+		p.tileIn = append(p.tileIn, e.Alloc(colN))
+		p.tileOut = append(p.tileOut, e.Alloc(colN))
 	}
 	// Keep the field tiles in step if EvalPotentialField already ran once.
 	if p.tmp2 != nil {
-		p.ensureField(L, w)
+		p.ensureField(e)
 	}
 }
 
 // ensureField grows the batched-field scratch (second intermediate and the
 // extra column tiles), which only EvalPotentialField needs.
-func (p *Plan) ensureField(L Launcher, w int) {
+func (p *Plan) ensureField(e *kernel.Engine) {
 	if p.tmp2 == nil {
-		p.tmp2 = p.allocF(L, p.Nx*p.Ny)
+		p.tmp2 = e.Alloc(p.Nx * p.Ny)
 	}
 	colN := tileW * p.Ny
-	for len(p.tileIn2) < w {
-		p.tileIn2 = append(p.tileIn2, p.allocF(L, colN))
-		p.tileOutB = append(p.tileOutB, p.allocF(L, colN))
-		p.tileOutC = append(p.tileOutC, p.allocF(L, colN))
+	for len(p.tileIn2) < e.Workers() {
+		p.tileIn2 = append(p.tileIn2, e.Alloc(colN))
+		p.tileOutB = append(p.tileOutB, e.Alloc(colN))
+		p.tileOutC = append(p.tileOutC, e.Alloc(colN))
 	}
 }
 
 // Release returns every scratch buffer the plan has checked out back to
-// L's arena (when L provides one) and drops the references, so the owning
-// engine's in-use byte count falls back to its pre-plan baseline. Buffers
-// that were allocated by plain make (no arena available at ensure time) are
-// simply dropped for the GC. The plan stays usable: the next transform
-// re-ensures its scratch.
-func (p *Plan) Release(L Launcher) {
+// e's arena and drops the references, so the engine's in-use byte count
+// falls back to its pre-plan baseline (a cancelled placement job must not
+// leave its scratch checked out). The plan stays usable: the next
+// transform re-ensures its scratch.
+func (p *Plan) Release(e *kernel.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a, pooled := L.(ArenaLauncher)
-	freeF := func(buf []float64) {
-		if pooled && buf != nil {
-			a.Free(buf)
-		}
-	}
 	freeFs := func(bufs [][]float64) {
 		for _, b := range bufs {
-			freeF(b)
+			e.Free(b)
 		}
 	}
-	freeF(p.tmp)
-	freeF(p.tmp2)
+	e.Free(p.tmp)
+	e.Free(p.tmp2)
 	p.tmp, p.tmp2 = nil, nil
-	if pooled {
-		for _, b := range p.scratch {
-			a.FreeComplex(b)
-		}
+	for _, b := range p.scratch {
+		e.FreeComplex(b)
 	}
 	p.scratch = nil
 	freeFs(p.rowReal)
@@ -363,10 +316,10 @@ func (p *Plan) Release(L Launcher) {
 // parameters already staged in p's fields. Caller must hold p.mu. The two
 // kernel names are passed as literals by each transform so launching never
 // builds a string.
-func (p *Plan) run(L Launcher, rowsName, colsName string) {
-	p.ensure(L)
-	L.LaunchChunks(rowsName, p.Ny, p.rowsBody)
-	L.LaunchChunks(colsName, p.Nx, p.colsBody)
+func (p *Plan) run(e *kernel.Engine, rowsName, colsName string) {
+	p.ensure(e)
+	e.LaunchChunks(rowsName, p.Ny, p.rowsBody)
+	e.LaunchChunks(colsName, p.Nx, p.colsBody)
 	p.src, p.dst = nil, nil
 }
 
@@ -385,30 +338,24 @@ func halfTwiddles(n int) (cosH, sinH []float64) {
 // DCT2 computes the unnormalized 2-D DCT-II of src into dst:
 // dst[v][u] = sum_{y,x} src[y][x] cos(pi u (2x+1)/(2Nx)) cos(pi v (2y+1)/(2Ny)).
 // src and dst may alias.
-func (p *Plan) DCT2(src, dst []float64, L Launcher) {
+func (p *Plan) DCT2(src, dst []float64, e *kernel.Engine) {
 	p.checkSize(src, "src")
 	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.src, p.dst, p.forward = src, dst, true
-	p.run(L, "spectral2.fwd_rows", "spectral2.fwd_cols")
+	p.run(e, "spectral2.fwd_rows", "spectral2.fwd_cols")
 }
 
 // EvalCosCos evaluates the cos-cos series (inverse DCT direction):
 // dst[y][x] = sum_{v,u} coef[v][u] cos(pi u (2x+1)/(2Nx)) cos(pi v (2y+1)/(2Ny)).
-func (p *Plan) EvalCosCos(coef, dst []float64, L Launcher) {
+func (p *Plan) EvalCosCos(coef, dst []float64, e *kernel.Engine) {
 	p.checkSize(coef, "coef")
 	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.src, p.dst, p.forward = coef, dst, false
-	p.run(L, "spectral2.coscos_rows", "spectral2.coscos_cols")
+	p.run(e, "spectral2.coscos_rows", "spectral2.coscos_cols")
 }
 
 // EvalPotentialField evaluates the Poisson-solver output series in one
@@ -425,7 +372,7 @@ func (p *Plan) EvalCosCos(coef, dst []float64, L Launcher) {
 // potential is then not evaluated (the gradient needs only ex and ey), which
 // saves one of the five series transforms per line; ex and ey are the same
 // bits either way.
-func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, L Launcher) {
+func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, e *kernel.Engine) {
 	p.checkSize(coef, "coef")
 	if psi != nil {
 		p.checkSize(psi, "psi")
@@ -435,21 +382,14 @@ func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, L Launche
 	if len(sx) != p.Nx || len(sy) != p.Ny {
 		panic(fmt.Sprintf("dct: scale vectors %dx%d, want %dx%d", len(sx), len(sy), p.Nx, p.Ny))
 	}
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensure(L)
-	w := L.Workers()
-	if w < 1 {
-		w = 1
-	}
-	p.ensureField(L, w)
+	p.ensure(e)
+	p.ensureField(e)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
-	L.LaunchChunks("spectral2.field_rows", p.Ny, p.fieldRowsBody)
-	L.LaunchChunks("spectral2.field_cols", p.Nx, p.fieldColsBody)
+	e.LaunchChunks("spectral2.field_rows", p.Ny, p.fieldRowsBody)
+	e.LaunchChunks("spectral2.field_cols", p.Nx, p.fieldColsBody)
 	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
 }

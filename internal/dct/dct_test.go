@@ -5,7 +5,13 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"xplace/internal/kernel"
 )
+
+// serial is the one-worker engine the tests run transforms on: every launch
+// executes as a single chunk on the calling goroutine.
+var serial = kernel.New(kernel.Options{Workers: 1})
 
 // directDFT is the O(N^2) reference DFT.
 func directDFT(x []complex128, inverse bool) []complex128 {
@@ -151,7 +157,7 @@ func TestDCT2MatchesDirect(t *testing.T) {
 		f := randGrid(nx, ny, 7)
 		p := NewPlan(nx, ny)
 		got := make([]float64, nx*ny)
-		p.DCT2(f, got, Serial)
+		p.DCT2(f, got, serial)
 		want := directDCT2(f, nx, ny)
 		if d := maxAbsDiff(got, want); d > 1e-9 {
 			t.Errorf("%dx%d DCT2 max diff %g", nx, ny, d)
@@ -165,7 +171,7 @@ func TestEvalTransformsMatchDirect(t *testing.T) {
 	p := NewPlan(nx, ny)
 	got := make([]float64, nx*ny)
 
-	p.EvalCosCos(c, got, Serial)
+	p.EvalCosCos(c, got, serial)
 	if d := maxAbsDiff(got, directEval(c, nx, ny, false, false)); d > 1e-9 {
 		t.Errorf("EvalCosCos max diff %g", d)
 	}
@@ -179,7 +185,7 @@ func TestDCTRoundTrip(t *testing.T) {
 		f := randGrid(nx, ny, 11)
 		p := NewPlan(nx, ny)
 		coef := make([]float64, nx*ny)
-		p.DCT2(f, coef, Serial)
+		p.DCT2(f, coef, serial)
 		// Normalize: weight 1/N for index 0, 2/N otherwise, per dimension.
 		for v := 0; v < ny; v++ {
 			wv := 2 / float64(ny)
@@ -195,7 +201,7 @@ func TestDCTRoundTrip(t *testing.T) {
 			}
 		}
 		got := make([]float64, nx*ny)
-		p.EvalCosCos(coef, got, Serial)
+		p.EvalCosCos(coef, got, serial)
 		if d := maxAbsDiff(got, f); d > 1e-9 {
 			t.Errorf("%dx%d roundtrip max diff %g", nx, ny, d)
 		}
@@ -207,10 +213,10 @@ func TestDCT2InPlaceAliasing(t *testing.T) {
 	f := randGrid(nx, ny, 13)
 	want := make([]float64, nx*ny)
 	p := NewPlan(nx, ny)
-	p.DCT2(f, want, Serial)
+	p.DCT2(f, want, serial)
 	// Alias src and dst.
 	buf := append([]float64(nil), f...)
-	p.DCT2(buf, buf, Serial)
+	p.DCT2(buf, buf, serial)
 	if d := maxAbsDiff(buf, want); d > 1e-12 {
 		t.Errorf("aliased DCT2 differs by %g", d)
 	}
@@ -234,21 +240,8 @@ func TestPlanPanicsOnBadSizes(t *testing.T) {
 				t.Error("size mismatch should panic")
 			}
 		}()
-		p.DCT2(make([]float64, 5), make([]float64, 16), Serial)
+		p.DCT2(make([]float64, 5), make([]float64, 16), serial)
 	}()
-}
-
-func TestNilLauncherDefaultsToSerial(t *testing.T) {
-	nx, ny := 8, 8
-	f := randGrid(nx, ny, 17)
-	p := NewPlan(nx, ny)
-	a := make([]float64, nx*ny)
-	b := make([]float64, nx*ny)
-	p.DCT2(f, a, nil)
-	p.DCT2(f, b, Serial)
-	if d := maxAbsDiff(a, b); d != 0 {
-		t.Errorf("nil launcher differs by %g", d)
-	}
 }
 
 func BenchmarkDCT2_256(b *testing.B) {
@@ -258,7 +251,7 @@ func BenchmarkDCT2_256(b *testing.B) {
 	p := NewPlan(nx, ny)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(f, out, Serial)
+		p.DCT2(f, out, serial)
 	}
 }
 
@@ -284,11 +277,11 @@ func TestDCT2DRoundTripAllocFree(t *testing.T) {
 	coef := make([]float64, nx*ny)
 	out := make([]float64, nx*ny)
 	// Warm up the per-chunk scratch.
-	p.DCT2(f, coef, Serial)
-	p.EvalCosCos(coef, out, Serial)
+	p.DCT2(f, coef, serial)
+	p.EvalCosCos(coef, out, serial)
 	allocs := testing.AllocsPerRun(50, func() {
-		p.DCT2(f, coef, Serial)
-		p.EvalCosCos(coef, out, Serial)
+		p.DCT2(f, coef, serial)
+		p.EvalCosCos(coef, out, serial)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state DCT2D round-trip allocs = %v, want 0", allocs)

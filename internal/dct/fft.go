@@ -17,8 +17,9 @@
 // Any normalization is the caller's business (the Poisson solver folds it
 // into the coefficients).
 //
-// All sizes must be powers of two. Transforms run through a Launcher so row
-// and column batches execute as kernels on the engine.
+// All sizes must be powers of two. Transforms take the kernel.Engine they
+// run on: row and column batches execute as kernels on it, and plan scratch
+// is checked out of its arena.
 package dct
 
 import (
@@ -26,22 +27,6 @@ import (
 	"math"
 	"math/bits"
 )
-
-// serialLauncher runs bodies inline; used when no engine is supplied.
-type serialLauncher struct{}
-
-func (serialLauncher) LaunchChunks(_ string, n int, body func(int, int, int)) int {
-	if n > 0 {
-		body(0, 0, n)
-		return 1
-	}
-	return 0
-}
-
-func (serialLauncher) Workers() int { return 1 }
-
-// Serial is a Launcher that executes everything on the calling goroutine.
-var Serial Launcher = serialLauncher{}
 
 // fftPlan caches twiddle factors and the bit-reversal permutation for a
 // complex FFT of length n (power of two).

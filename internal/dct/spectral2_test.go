@@ -21,11 +21,11 @@ func TestSpectralVersionsMatchDirect(t *testing.T) {
 			p := NewPlan(nx, ny)
 			f := randGrid(nx, ny, 23)
 			got := make([]float64, nx*ny)
-			p.DCT2(f, got, Serial)
+			p.DCT2(f, got, serial)
 			if d := maxAbsDiff(got, directDCT2(f, nx, ny)); d > 1e-9 {
 				t.Errorf("%dx%d DCT2 max diff %g", nx, ny, d)
 			}
-			p.EvalCosCos(f, got, Serial)
+			p.EvalCosCos(f, got, serial)
 			if d := maxAbsDiff(got, directEval(f, nx, ny, false, false)); d > 1e-9 {
 				t.Errorf("%dx%d EvalCosCos max diff %g", nx, ny, d)
 			}
@@ -42,7 +42,7 @@ func TestSpectralRoundTripBothVersions(t *testing.T) {
 			f := randGrid(nx, ny, 29)
 			p := NewPlan(nx, ny)
 			coef := make([]float64, nx*ny)
-			p.DCT2(f, coef, Serial)
+			p.DCT2(f, coef, serial)
 			for v := 0; v < ny; v++ {
 				wv := 2 / float64(ny)
 				if v == 0 {
@@ -57,7 +57,7 @@ func TestSpectralRoundTripBothVersions(t *testing.T) {
 				}
 			}
 			got := make([]float64, nx*ny)
-			p.EvalCosCos(coef, got, Serial)
+			p.EvalCosCos(coef, got, serial)
 			if d := maxAbsDiff(got, f); d > 1e-9 {
 				t.Errorf("%dx%d roundtrip max diff %g", nx, ny, d)
 			}
@@ -112,7 +112,7 @@ func TestEvalPotentialFieldMatchesDirect(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d", c.nx, c.ny), func(t *testing.T) {
 				n := c.nx * c.ny
 				psi, ex, ey := make([]float64, n), make([]float64, n), make([]float64, n)
-				NewPlan(c.nx, c.ny).EvalPotentialField(c.coef, c.sx, c.sy, psi, ex, ey, Serial)
+				NewPlan(c.nx, c.ny).EvalPotentialField(c.coef, c.sx, c.sy, psi, ex, ey, serial)
 				for _, o := range []struct {
 					name      string
 					got, want []float64
@@ -129,7 +129,7 @@ func TestEvalPotentialFieldMatchesDirect(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d", c.nx, c.ny), func(t *testing.T) {
 				n := c.nx * c.ny
 				psi, ex, ey := make([]float32, n), make([]float32, n), make([]float32, n)
-				NewPlan32(c.nx, c.ny).EvalPotentialField(to32(c.coef), c.sx, c.sy, psi, ex, ey, Serial)
+				NewPlan32(c.nx, c.ny).EvalPotentialField(to32(c.coef), c.sx, c.sy, psi, ex, ey, serial)
 				for _, o := range []struct {
 					name string
 					got  []float32
@@ -157,8 +157,8 @@ func TestEvalPotentialFieldSkipsPsi(t *testing.T) {
 			psi := make([]float64, nx*ny)
 			ex, ey := make([]float64, nx*ny), make([]float64, nx*ny)
 			ex2, ey2 := make([]float64, nx*ny), make([]float64, nx*ny)
-			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-			p.EvalPotentialField(coef, sx, sy, nil, ex2, ey2, Serial)
+			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
+			p.EvalPotentialField(coef, sx, sy, nil, ex2, ey2, serial)
 			for i := range ex {
 				if math.Float64bits(ex[i]) != math.Float64bits(ex2[i]) || math.Float64bits(ey[i]) != math.Float64bits(ey2[i]) {
 					t.Fatalf("bin %d: psi=nil gives (%v, %v), with psi (%v, %v)", i, ex2[i], ey2[i], ex[i], ey[i])
@@ -170,8 +170,8 @@ func TestEvalPotentialFieldSkipsPsi(t *testing.T) {
 			psi32 := make([]float32, nx*ny)
 			ex32, ey32 := make([]float32, nx*ny), make([]float32, nx*ny)
 			ex32b, ey32b := make([]float32, nx*ny), make([]float32, nx*ny)
-			p32.EvalPotentialField(c32, sx, sy, psi32, ex32, ey32, Serial)
-			p32.EvalPotentialField(c32, sx, sy, nil, ex32b, ey32b, Serial)
+			p32.EvalPotentialField(c32, sx, sy, psi32, ex32, ey32, serial)
+			p32.EvalPotentialField(c32, sx, sy, nil, ex32b, ey32b, serial)
 			for i := range ex32 {
 				if math.Float32bits(ex32[i]) != math.Float32bits(ex32b[i]) || math.Float32bits(ey32[i]) != math.Float32bits(ey32b[i]) {
 					t.Fatalf("float32 bin %d: psi=nil gives (%v, %v), with psi (%v, %v)", i, ex32b[i], ey32b[i], ex32[i], ey32[i])
@@ -194,10 +194,10 @@ func TestEvalPotentialFieldAllocFree(t *testing.T) {
 		psi := make([]float64, nx*ny)
 		ex := make([]float64, nx*ny)
 		ey := make([]float64, nx*ny)
-		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
 		allocs := testing.AllocsPerRun(20, func() {
-			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
-			p.EvalPotentialField(coef, sx, sy, nil, ex, ey, Serial)
+			p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
+			p.EvalPotentialField(coef, sx, sy, nil, ex, ey, serial)
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state EvalPotentialField allocs = %v, want 0", allocs)
@@ -226,11 +226,11 @@ func BenchmarkEvalPotentialField(b *testing.B) {
 					psi = make([]float64, n*n)
 				}
 				ex, ey := make([]float64, n*n), make([]float64, n*n)
-				p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+				p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+					p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
 				}
 			})
 		}
@@ -252,12 +252,12 @@ func benchRoundTrip(b *testing.B, p *Plan, n int) {
 	f := randGrid(n, n, 3)
 	coef := make([]float64, n*n)
 	out := make([]float64, n*n)
-	p.DCT2(f, coef, Serial) // warm the scratch
-	p.EvalCosCos(coef, out, Serial)
+	p.DCT2(f, coef, serial) // warm the scratch
+	p.EvalCosCos(coef, out, serial)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(f, coef, Serial)
-		p.EvalCosCos(coef, out, Serial)
+		p.DCT2(f, coef, serial)
+		p.EvalCosCos(coef, out, serial)
 	}
 }

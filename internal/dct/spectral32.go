@@ -3,6 +3,8 @@ package dct
 import (
 	"fmt"
 	"sync"
+
+	"xplace/internal/kernel"
 )
 
 // This file is the float32 spectral engine behind the reduced-precision
@@ -23,20 +25,12 @@ import (
 // DRAM bill. Accuracy-wise the result carries float32 storage rounding
 // per pass (~1e-7 relative), well inside the tolerance-banded goldens.
 
-// ArenaLauncher32 is an ArenaLauncher whose allocator also pools the
-// float32 element type (kernel.Engine satisfies it). Plan32 draws its
-// matrices from the float32 pools and its staging scratch from the
-// float64/complex128 pools.
-type ArenaLauncher32 interface {
-	ArenaLauncher
-	Alloc32(n int) []float32
-	Free32(buf []float32)
-}
-
 // Plan32 is the float32-backend analogue of Plan: 2-D DCT-II and the
 // batched potential/field evaluation over float32 grid buffers, with
 // per-chunk scratch and staged per-call parameters so steady-state
-// transforms are allocation-free. Results match the float64 plan to
+// transforms are allocation-free. Its matrices come from the engine
+// arena's float32 pools and its staging scratch from the float64/complex128
+// pools. Results match the float64 plan to
 // float32 rounding (pinned by the goldens in spectral32_test.go).
 type Plan32 struct {
 	Nx, Ny int
@@ -236,38 +230,14 @@ func (p *Plan32) checkSize(buf []float32, what string) {
 	}
 }
 
-func (p *Plan32) allocF32(L Launcher, n int) []float32 {
-	if a, ok := L.(ArenaLauncher32); ok {
-		return a.Alloc32(n)
-	}
-	return make([]float32, n)
-}
-
-func (p *Plan32) allocF(L Launcher, n int) []float64 {
-	if a, ok := L.(ArenaLauncher); ok {
-		return a.Alloc(n)
-	}
-	return make([]float64, n)
-}
-
-func (p *Plan32) allocC(L Launcher, n int) []complex128 {
-	if a, ok := L.(ArenaLauncher); ok {
-		return a.AllocComplex(n)
-	}
-	return make([]complex128, n)
-}
-
-// ensure grows the plan's scratch for use with L. Called with p.mu held.
-func (p *Plan32) ensure(L Launcher) {
-	w := L.Workers()
-	if w < 1 {
-		w = 1
-	}
+// ensure grows the plan's scratch for use with e. Called with p.mu held.
+func (p *Plan32) ensure(e *kernel.Engine) {
+	w := e.Workers()
 	if p.tmp != nil && len(p.scratch) >= w {
 		return
 	}
 	if p.tmp == nil {
-		p.tmp = p.allocF32(L, p.Nx*p.Ny)
+		p.tmp = e.Alloc32(p.Nx * p.Ny)
 	}
 	maxN := p.Nx
 	if p.Ny > maxN {
@@ -275,58 +245,46 @@ func (p *Plan32) ensure(L Launcher) {
 	}
 	colN := tileW * p.Ny
 	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, p.allocC(L, max(maxN/2, 1)))
-		p.rowIn = append(p.rowIn, p.allocF(L, maxN))
-		p.rowOut = append(p.rowOut, p.allocF(L, maxN))
-		p.rowReal = append(p.rowReal, p.allocF(L, maxN))
-		p.tileIn = append(p.tileIn, p.allocF(L, colN))
-		p.tileOut = append(p.tileOut, p.allocF(L, colN))
+		p.scratch = append(p.scratch, e.AllocComplex(max(maxN/2, 1)))
+		p.rowIn = append(p.rowIn, e.Alloc(maxN))
+		p.rowOut = append(p.rowOut, e.Alloc(maxN))
+		p.rowReal = append(p.rowReal, e.Alloc(maxN))
+		p.tileIn = append(p.tileIn, e.Alloc(colN))
+		p.tileOut = append(p.tileOut, e.Alloc(colN))
 	}
 	if p.tmp2 != nil {
-		p.ensureField(L, w)
+		p.ensureField(e)
 	}
 }
 
-func (p *Plan32) ensureField(L Launcher, w int) {
+func (p *Plan32) ensureField(e *kernel.Engine) {
 	if p.tmp2 == nil {
-		p.tmp2 = p.allocF32(L, p.Nx*p.Ny)
+		p.tmp2 = e.Alloc32(p.Nx * p.Ny)
 	}
 	colN := tileW * p.Ny
-	for len(p.tileIn2) < w {
-		p.tileIn2 = append(p.tileIn2, p.allocF(L, colN))
-		p.tileOutB = append(p.tileOutB, p.allocF(L, colN))
-		p.tileOutC = append(p.tileOutC, p.allocF(L, colN))
+	for len(p.tileIn2) < e.Workers() {
+		p.tileIn2 = append(p.tileIn2, e.Alloc(colN))
+		p.tileOutB = append(p.tileOutB, e.Alloc(colN))
+		p.tileOutC = append(p.tileOutC, e.Alloc(colN))
 	}
 }
 
-// Release returns every scratch buffer to L's arena (when it has one) and
-// drops the references. Idempotent; the plan stays usable (the next
-// transform re-ensures its scratch).
-func (p *Plan32) Release(L Launcher) {
+// Release returns every scratch buffer to e's arena and drops the
+// references. Idempotent; the plan stays usable (the next transform
+// re-ensures its scratch).
+func (p *Plan32) Release(e *kernel.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a32, pooled32 := L.(ArenaLauncher32)
-	if pooled32 {
-		if p.tmp != nil {
-			a32.Free32(p.tmp)
-		}
-		if p.tmp2 != nil {
-			a32.Free32(p.tmp2)
-		}
-	}
+	e.Free32(p.tmp)
+	e.Free32(p.tmp2)
 	p.tmp, p.tmp2 = nil, nil
-	a, pooled := L.(ArenaLauncher)
-	if pooled {
-		for _, b := range p.scratch {
-			a.FreeComplex(b)
-		}
+	for _, b := range p.scratch {
+		e.FreeComplex(b)
 	}
 	p.scratch = nil
 	freeFs := func(bufs [][]float64) {
-		if pooled {
-			for _, b := range bufs {
-				a.Free(b)
-			}
+		for _, b := range bufs {
+			e.Free(b)
 		}
 	}
 	freeFs(p.rowIn)
@@ -343,38 +301,32 @@ func (p *Plan32) Release(L Launcher) {
 }
 
 // run executes the two-pass transform with staged parameters; p.mu held.
-func (p *Plan32) run(L Launcher, rowsName, colsName string) {
-	p.ensure(L)
-	L.LaunchChunks(rowsName, p.Ny, p.rowsBody)
-	L.LaunchChunks(colsName, p.Nx, p.colsBody)
+func (p *Plan32) run(e *kernel.Engine, rowsName, colsName string) {
+	p.ensure(e)
+	e.LaunchChunks(rowsName, p.Ny, p.rowsBody)
+	e.LaunchChunks(colsName, p.Nx, p.colsBody)
 	p.src, p.dst = nil, nil
 }
 
 // DCT2 computes the unnormalized 2-D DCT-II of src into dst (which may
 // alias), the float32-backend counterpart of Plan.DCT2.
-func (p *Plan32) DCT2(src, dst []float32, L Launcher) {
+func (p *Plan32) DCT2(src, dst []float32, e *kernel.Engine) {
 	p.checkSize(src, "src")
 	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.src, p.dst, p.forward = src, dst, true
-	p.run(L, "spectral32.fwd_rows", "spectral32.fwd_cols")
+	p.run(e, "spectral32.fwd_rows", "spectral32.fwd_cols")
 }
 
 // EvalCosCos evaluates the cos-cos series (inverse DCT direction).
-func (p *Plan32) EvalCosCos(coef, dst []float32, L Launcher) {
+func (p *Plan32) EvalCosCos(coef, dst []float32, e *kernel.Engine) {
 	p.checkSize(coef, "coef")
 	p.checkSize(dst, "dst")
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.src, p.dst, p.forward = coef, dst, false
-	p.run(L, "spectral32.coscos_rows", "spectral32.coscos_cols")
+	p.run(e, "spectral32.coscos_rows", "spectral32.coscos_cols")
 }
 
 // EvalPotentialField evaluates ex/ey (and psi unless it is nil) in one
@@ -382,7 +334,7 @@ func (p *Plan32) EvalCosCos(coef, dst []float32, L Launcher) {
 // Plan.EvalPotentialField. The scale vectors sx (length Nx) and sy (length
 // Ny) stay float64 — they are the solver's precomputed spatial frequencies,
 // not grid-sized data.
-func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, ey []float32, L Launcher) {
+func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, ey []float32, e *kernel.Engine) {
 	p.checkSize(coef, "coef")
 	if psi != nil {
 		p.checkSize(psi, "psi")
@@ -392,21 +344,14 @@ func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, e
 	if len(sx) != p.Nx || len(sy) != p.Ny {
 		panic(fmt.Sprintf("dct: scale vectors %dx%d, want %dx%d", len(sx), len(sy), p.Nx, p.Ny))
 	}
-	if L == nil {
-		L = Serial
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensure(L)
-	w := L.Workers()
-	if w < 1 {
-		w = 1
-	}
-	p.ensureField(L, w)
+	p.ensure(e)
+	p.ensureField(e)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
-	L.LaunchChunks("spectral32.field_rows", p.Ny, p.fieldRowsBody)
-	L.LaunchChunks("spectral32.field_cols", p.Nx, p.fieldColsBody)
+	e.LaunchChunks("spectral32.field_rows", p.Ny, p.fieldRowsBody)
+	e.LaunchChunks("spectral32.field_cols", p.Nx, p.fieldColsBody)
 	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
 }

@@ -54,14 +54,14 @@ func TestPlan32MatchesFloat64(t *testing.T) {
 
 		want := make([]float64, nx*ny)
 		got := make([]float32, nx*ny)
-		p64.DCT2(f, want, Serial)
-		p32.DCT2(to32(f), got, Serial)
+		p64.DCT2(f, want, serial)
+		p32.DCT2(to32(f), got, serial)
 		if d := maxRelDiff32(got, want); d > f32Tol {
 			t.Errorf("%dx%d DCT2 rel diff %g", nx, ny, d)
 		}
 
-		p64.EvalCosCos(f, want, Serial)
-		p32.EvalCosCos(to32(f), got, Serial)
+		p64.EvalCosCos(f, want, serial)
+		p32.EvalCosCos(to32(f), got, serial)
 		if d := maxRelDiff32(got, want); d > f32Tol {
 			t.Errorf("%dx%d EvalCosCos rel diff %g", nx, ny, d)
 		}
@@ -71,11 +71,11 @@ func TestPlan32MatchesFloat64(t *testing.T) {
 		psi64 := make([]float64, nx*ny)
 		ex64 := make([]float64, nx*ny)
 		ey64 := make([]float64, nx*ny)
-		p64.EvalPotentialField(f, sx, sy, psi64, ex64, ey64, Serial)
+		p64.EvalPotentialField(f, sx, sy, psi64, ex64, ey64, serial)
 		psi32 := make([]float32, nx*ny)
 		ex32 := make([]float32, nx*ny)
 		ey32 := make([]float32, nx*ny)
-		p32.EvalPotentialField(to32(f), sx, sy, psi32, ex32, ey32, Serial)
+		p32.EvalPotentialField(to32(f), sx, sy, psi32, ex32, ey32, serial)
 		if d := maxRelDiff32(psi32, psi64); d > f32Tol {
 			t.Errorf("%dx%d field psi rel diff %g", nx, ny, d)
 		}
@@ -95,7 +95,7 @@ func TestPlan32RoundTrip(t *testing.T) {
 	f := randGrid(nx, ny, 29)
 	p := NewPlan32(nx, ny)
 	coef := make([]float32, nx*ny)
-	p.DCT2(to32(f), coef, Serial)
+	p.DCT2(to32(f), coef, serial)
 	for v := 0; v < ny; v++ {
 		wv := 2 / float32(ny)
 		if v == 0 {
@@ -110,7 +110,7 @@ func TestPlan32RoundTrip(t *testing.T) {
 		}
 	}
 	got := make([]float32, nx*ny)
-	p.EvalCosCos(coef, got, Serial)
+	p.EvalCosCos(coef, got, serial)
 	if d := maxRelDiff32(got, f); d > f32Tol {
 		t.Errorf("roundtrip rel diff %g", d)
 	}
@@ -128,11 +128,11 @@ func TestPlan32AllocFree(t *testing.T) {
 	psi := make([]float32, nx*ny)
 	ex := make([]float32, nx*ny)
 	ey := make([]float32, nx*ny)
-	p.DCT2(f, coef, Serial)
-	p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+	p.DCT2(f, coef, serial)
+	p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
 	allocs := testing.AllocsPerRun(20, func() {
-		p.DCT2(f, coef, Serial)
-		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, Serial)
+		p.DCT2(f, coef, serial)
+		p.EvalPotentialField(coef, sx, sy, psi, ex, ey, serial)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state float32 transform allocs = %v, want 0", allocs)
@@ -151,13 +151,13 @@ func BenchmarkSpectralBackends(b *testing.B) {
 			f := to32(randGrid(n, n, 3))
 			coef := make([]float32, n*n)
 			out := make([]float32, n*n)
-			p.DCT2(f, coef, Serial)
-			p.EvalCosCos(coef, out, Serial)
+			p.DCT2(f, coef, serial)
+			p.EvalCosCos(coef, out, serial)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.DCT2(f, coef, Serial)
-				p.EvalCosCos(coef, out, Serial)
+				p.DCT2(f, coef, serial)
+				p.EvalCosCos(coef, out, serial)
 			}
 		})
 	}

@@ -297,7 +297,7 @@ func TestMaxDensity(t *testing.T) {
 // not scatter the same cells twice, while the naive path does.
 func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 	mk := func() (*kernel.Engine, *System, *netlist.Design) {
-		e := kernel.New(kernel.Options{Workers: 2, Trace: true})
+		e := kernel.New(kernel.Options{Workers: 2})
 		s := newSys(16, 16, e)
 		d := netlist.NewDesign("oe", s.Grid.Region)
 		for i := 0; i < 50; i++ {
@@ -330,21 +330,16 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 			t.Fatalf("total maps disagree at %d: %v vs %v", i, s1.Total[i], s2.Total[i])
 		}
 	}
-	// The naive path touches every non-filler cell twice; with tracing we
-	// can only compare compute time coarsely, so compare scatter work by
-	// kernel count of cells processed — proxy: naive compute >= OE compute
-	// is flaky on tiny inputs, so assert on launch structure instead: both
-	// paths have the same launch count here, but naive scans d.NumCells()
-	// twice. Verify via per-op presence.
-	tr := e2.Trace()
-	found := 0
-	for _, op := range tr {
-		if op == "density.all" || op == "density.cells_again" {
-			found++
-		}
+	// Compute time is too noisy on inputs this small to compare, so assert
+	// on launch structure: the naive path scatters every non-filler cell in
+	// two kernels, the OE path in one.
+	per2 := e2.Stats().PerOp
+	if per2["density.all"].Launches != 1 || per2["density.cells_again"].Launches != 1 {
+		t.Errorf("naive path missing its double scatter: %v", per2)
 	}
-	if found != 2 {
-		t.Errorf("naive path trace missing double scatter: %v", tr)
+	per1 := e1.Stats().PerOp
+	if per1["density.cells"].Launches != 1 || per1["density.fillers"].Launches != 1 {
+		t.Errorf("OE path should scatter cells and fillers once each: %v", per1)
 	}
 }
 

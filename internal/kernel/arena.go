@@ -8,15 +8,15 @@ import (
 
 // Arena is a size-class pooling allocator for kernel scratch buffers — the
 // "device memory allocator" of the substitution map (DESIGN.md §2). Hot
-// operators check buffers out with Alloc/AllocComplex (and the float32 /
-// complex64 variants the reduced-precision backend uses) and return them
+// operators check buffers out with Alloc/AllocComplex (and the float32
+// variant the reduced-precision backend uses) and return them
 // with the matching Free instead of calling make() inside the per-iteration
 // loop, so steady-state GP iterations perform no Go heap allocations: after
 // warm-up every checkout is served from a free list (a "hit").
 //
 // Buffers are bucketed by power-of-two capacity, with one free-list family
 // per element type; byte accounting is element-size-aware (4 bytes per
-// float32, 8 per float64 or complex64, 16 per complex128), so InUse/Pooled/
+// float32, 8 per float64, 16 per complex128), so InUse/Pooled/
 // Peak stay exact under mixed-precision workloads. Alloc returns a zeroed
 // slice of exactly the requested length; Free buckets by capacity, so
 // foreign slices (not obtained from the arena) may be donated as long as
@@ -26,7 +26,6 @@ type Arena struct {
 	f   [arenaClasses][][]float64
 	c   [arenaClasses][][]complex128
 	f32 [arenaClasses][][]float32
-	c64 [arenaClasses][][]complex64
 	st  ArenaStats
 	// limit overrides the pooled-class bound when non-zero (tests lower it
 	// to exercise the unpooled path without gigabyte allocations).
@@ -47,7 +46,7 @@ func (a *Arena) poolLimit() int {
 
 // ArenaStats is a snapshot of an Arena's accounting. Byte counts are in
 // class-capacity units (the pooled power-of-two size times the element
-// width: 4 bytes per float32, 8 per float64/complex64, 16 per complex128).
+// width: 4 bytes per float32, 8 per float64, 16 per complex128).
 type ArenaStats struct {
 	Hits   int64 // checkouts served from a free list
 	Misses int64 // checkouts that had to allocate fresh memory
@@ -175,13 +174,6 @@ func (a *Arena) Alloc32(n int) []float32 { return arenaAlloc(a, &a.f32, 4, n) }
 // Free32 returns a float32 buffer to the arena.
 func (a *Arena) Free32(buf []float32) { arenaFree(a, &a.f32, 4, buf) }
 
-// AllocComplex64 checks out a zeroed []complex64 of length n (8 bytes per
-// element).
-func (a *Arena) AllocComplex64(n int) []complex64 { return arenaAlloc(a, &a.c64, 8, n) }
-
-// FreeComplex64 returns a complex64 buffer to the arena.
-func (a *Arena) FreeComplex64(buf []complex64) { arenaFree(a, &a.c64, 8, buf) }
-
 // Stats returns a snapshot of the arena accounting.
 func (a *Arena) Stats() ArenaStats {
 	a.mu.Lock()
@@ -209,9 +201,6 @@ func (a *Arena) release() {
 	}
 	for i := range a.f32 {
 		a.f32[i] = nil
-	}
-	for i := range a.c64 {
-		a.c64[i] = nil
 	}
 	a.st.Pooled = 0
 	a.mu.Unlock()

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestCloseLaunchRace hammers every pooled launch path against Close. The
+// TestCloseLaunchRace hammers every launch flavour against Close. The
 // pre-fix engine captured the pool pointer under poolMu but enqueued tasks
 // after releasing it, so Close could close the task channel mid-send
 // (panic: send on closed channel). Run with -race; the in-flight launch
@@ -32,7 +32,7 @@ func TestCloseLaunchRace(t *testing.T) {
 					case 0:
 						e.Launch("race.launch", n, body)
 					case 1:
-						e.Fused("race.fused", n, body, body)
+						e.LaunchSerial("race.serial", func() {})
 					case 2:
 						e.LaunchChunks("race.chunks", n, chunkBody)
 					case 3:

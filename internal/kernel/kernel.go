@@ -27,10 +27,12 @@
 //     per iteration, and the Stats report arena hits/misses/peak plus
 //     per-op checkout counts.
 //
-// The Engine can also record a launch trace (used by the Figure 2 operator
-// extraction experiment) and supports deferred synchronization points,
-// modelling the paper's reordering of sync-needing operators to the end of
-// each GP iteration.
+// Every launch flavour (Launch, LaunchChunks, ParallelReduce, LaunchSerial)
+// goes through one dispatch routine, so the split into chunks, the barrier
+// and the accounting live in one place. Host-device synchronization points
+// are counted with Sync; the placer's §3.1.3 sync reordering issues its one
+// deferred metric record at the end of each GP iteration. An attached
+// obs.Tracer records every launch by name.
 package kernel
 
 import (
@@ -56,10 +58,6 @@ type Options struct {
 	// simulated clock. Negative means DefaultLaunchOverhead; zero disables
 	// the launch-cost model.
 	LaunchOverhead time.Duration
-	// Trace records the name of every launched kernel, retrievable with
-	// Engine.Trace. Intended for tests and the Figure 2 experiment, not
-	// for production runs.
-	Trace bool
 }
 
 // OpStats aggregates per-kernel-name accounting.
@@ -108,17 +106,39 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// task is one chunk of a kernel launch enqueued on the worker pool.
-// Exactly one of body/bodyChunk/bodyReduce/bodies is set.
+// task is one chunk of a kernel launch: the pool workers and the serial
+// path both execute it with run. Exactly one of body/chunked/reduce/serial
+// is set.
 type task struct {
-	body       func(start, end int)
-	bodyChunk  func(chunk, start, end int)
-	bodyReduce func(start, end int) float64
-	bodies     []func(start, end int) // fused stages, run in order per chunk
-	out        *float64               // bodyReduce destination
-	chunk      int
-	lo, hi     int
-	wg         *sync.WaitGroup
+	body     func(start, end int)
+	chunked  func(chunk, start, end int)
+	reduce   func(start, end int) float64
+	serial   func()
+	partials []float64 // pooled reduce: one cache-line slot per chunk
+	chunk    int
+	lo, hi   int
+	wg       *sync.WaitGroup // pooled launches only
+}
+
+// run executes the task's chunk and returns a reduce body's partial (0 for
+// the other flavours), also storing it in the chunk's partial slot when the
+// launch is pooled.
+func (t *task) run() float64 {
+	switch {
+	case t.body != nil:
+		t.body(t.lo, t.hi)
+	case t.chunked != nil:
+		t.chunked(t.chunk, t.lo, t.hi)
+	case t.reduce != nil:
+		v := t.reduce(t.lo, t.hi)
+		if t.partials != nil {
+			t.partials[t.chunk*reduceStride] = v
+		}
+		return v
+	default:
+		t.serial()
+	}
+	return 0
 }
 
 // pool is the persistent worker set: long-lived goroutines draining a task
@@ -141,18 +161,7 @@ func newPool(workers int) *pool {
 func (p *pool) run() {
 	defer p.done.Done()
 	for t := range p.tasks {
-		switch {
-		case t.body != nil:
-			t.body(t.lo, t.hi)
-		case t.bodyChunk != nil:
-			t.bodyChunk(t.chunk, t.lo, t.hi)
-		case t.bodyReduce != nil:
-			*t.out = t.bodyReduce(t.lo, t.hi)
-		default:
-			for _, b := range t.bodies {
-				b(t.lo, t.hi)
-			}
-		}
+		t.run()
 		t.wg.Done()
 	}
 }
@@ -173,7 +182,6 @@ var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 type Engine struct {
 	workers  int
 	overhead time.Duration
-	tracing  bool
 	arena    Arena
 
 	poolMu   sync.Mutex
@@ -186,63 +194,8 @@ type Engine struct {
 	compute  time.Duration
 	syncs    int64
 	perOp    map[string]*OpStats
-	curOp    string // op name arena checkouts are attributed to
-	trace    []string
+	curOp    string      // op name arena checkouts are attributed to
 	tracer   *obs.Tracer // span tracer; nil when tracing is off
-}
-
-type deferredSync struct {
-	name string
-	fn   func()
-}
-
-// SyncQueue is one caller's stream of deferred host-device synchronization
-// operations, e.g. copying a scalar metric back to the host: the paper
-// reorders such operators to the end of each GP iteration (the §3.1.3 sync
-// reordering), where Flush executes them as one sync point. Every placement
-// loop owns a private queue (Engine.NewSyncQueue): loops sharing an engine
-// must flush only their own deferrals — a shared queue would hand loop A's
-// record closure to loop B's flush, racing on A's staged state.
-type SyncQueue struct {
-	e        *Engine
-	mu       sync.Mutex
-	deferred []deferredSync
-	spare    []deferredSync // recycled backing array for deferred
-}
-
-// NewSyncQueue returns a private deferred-sync queue on this engine.
-func (e *Engine) NewSyncQueue() *SyncQueue { return &SyncQueue{e: e} }
-
-// Defer enqueues a sync-needing operation on this queue.
-func (q *SyncQueue) Defer(name string, fn func()) {
-	q.mu.Lock()
-	q.deferred = append(q.deferred, deferredSync{name, fn})
-	q.mu.Unlock()
-}
-
-// Flush runs this queue's deferred operations in FIFO order as one sync
-// point and clears the queue. The backing array is recycled, so the
-// defer/flush cycle is allocation-free in steady state. Flushing an empty
-// queue is a no-op (no sync is charged).
-func (q *SyncQueue) Flush() {
-	q.mu.Lock()
-	if len(q.deferred) == 0 {
-		q.mu.Unlock()
-		return
-	}
-	pending := q.deferred
-	q.deferred = q.spare[:0] // double-buffer: reuse the previous flush's array
-	q.mu.Unlock()
-	for _, d := range pending {
-		start := time.Now()
-		q.e.begin(d.name)
-		d.fn()
-		q.e.account(d.name, start, time.Since(start))
-	}
-	q.mu.Lock()
-	q.spare = pending[:0]
-	q.mu.Unlock()
-	q.e.Sync()
 }
 
 // New returns an Engine with the given options. Workers are not spawned
@@ -260,7 +213,6 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers:  w,
 		overhead: ov,
-		tracing:  opts.Trace,
 		perOp:    make(map[string]*OpStats),
 	}
 	runtime.SetFinalizer(e, (*Engine).Close)
@@ -269,9 +221,6 @@ func New(opts Options) *Engine {
 
 // Workers returns the engine's degree of parallelism.
 func (e *Engine) Workers() int { return e.workers }
-
-// LaunchOverhead returns the simulated per-launch cost.
-func (e *Engine) LaunchOverhead() time.Duration { return e.overhead }
 
 // Closed reports whether Close has run: the worker pool is gone and any
 // further launches execute serially on the calling goroutine. Used by
@@ -350,72 +299,69 @@ func (e *Engine) chunkBounds(w, n int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
+// dispatch is the one launch path every flavour goes through. It marks
+// name as the current op, decides once between the worker pool and the
+// calling goroutine, walks the chunk bounds once, waits on one barrier and
+// accounts the launch. The launch runs serially (one chunk, index 0, range
+// [0, n)) below minParallel, on a one-worker engine and on a closed engine.
+// A reduce task's partials are folded with combine into acc in chunk order;
+// only a pooled reduce checks its padded partial slots out of the arena.
+// dispatch returns the number of chunks run and the folded value.
+func (e *Engine) dispatch(name string, n int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
+	start := time.Now()
+	used := 0
+	e.begin(name)
+	var p *pool
+	if n >= minParallel && e.workers > 1 {
+		p = e.getPool()
+	}
+	switch {
+	case p != nil:
+		if t.reduce != nil {
+			// Partial slots are padded to cache-line stride: adjacent
+			// float64 slots written by different workers would share a
+			// cache line and ping-pong it between cores (false sharing;
+			// see BenchmarkReducePartials* in pool_test.go for the delta).
+			t.partials = e.Alloc(e.workers * reduceStride)
+		}
+		wg := wgPool.Get().(*sync.WaitGroup)
+		t.wg = wg
+		for w := 0; w < e.workers; w++ {
+			lo, hi, ok := e.chunkBounds(w, n)
+			if !ok {
+				break
+			}
+			t.chunk, t.lo, t.hi = w, lo, hi
+			wg.Add(1)
+			used++
+			p.tasks <- t
+		}
+		wg.Wait()
+		wgPool.Put(wg)
+		e.putPool()
+		if t.reduce != nil {
+			for w := 0; w < used; w++ {
+				acc = combine(acc, t.partials[w*reduceStride])
+			}
+			e.Free(t.partials)
+		}
+	case n > 0:
+		t.lo, t.hi = 0, n
+		if v := t.run(); t.reduce != nil {
+			acc = combine(acc, v)
+		}
+		used = 1
+	}
+	e.account(name, start, time.Since(start))
+	return used, acc
+}
+
 // Launch runs body over the index range [0, n) as one kernel named name.
 // The range is split into contiguous chunks, one per worker, executed by
 // the persistent pool. Launch blocks until the kernel completes
 // (stream-ordered execution).
 func (e *Engine) Launch(name string, n int, body func(start, end int)) {
-	start := time.Now()
-	e.begin(name)
-	if n > 0 {
-		p := (*pool)(nil)
-		if n >= minParallel && e.workers > 1 {
-			p = e.getPool()
-		}
-		if p == nil {
-			body(0, n)
-		} else {
-			wg := wgPool.Get().(*sync.WaitGroup)
-			for w := 0; w < e.workers; w++ {
-				lo, hi, ok := e.chunkBounds(w, n)
-				if !ok {
-					break
-				}
-				wg.Add(1)
-				p.tasks <- task{body: body, lo: lo, hi: hi, wg: wg}
-			}
-			wg.Wait()
-			wgPool.Put(wg)
-			e.putPool()
-		}
-	}
-	e.account(name, start, time.Since(start))
-}
-
-// Fused runs several bodies over [0, n) as ONE accounted kernel launch:
-// each chunk executes every body in order before the next chunk's work is
-// considered complete, so fusing K elementwise stages saves (K-1) launch
-// overheads by construction (§3.1.1/§3.1.3). Bodies must be elementwise
-// independent across stages: body k may read outputs of body j < k only at
-// indices inside its own [start, end) chunk.
-func (e *Engine) Fused(name string, n int, bodies ...func(start, end int)) {
-	start := time.Now()
-	e.begin(name)
-	if n > 0 && len(bodies) > 0 {
-		p := (*pool)(nil)
-		if n >= minParallel && e.workers > 1 {
-			p = e.getPool()
-		}
-		if p == nil {
-			for _, b := range bodies {
-				b(0, n)
-			}
-		} else {
-			wg := wgPool.Get().(*sync.WaitGroup)
-			for w := 0; w < e.workers; w++ {
-				lo, hi, ok := e.chunkBounds(w, n)
-				if !ok {
-					break
-				}
-				wg.Add(1)
-				p.tasks <- task{bodies: bodies, lo: lo, hi: hi, wg: wg}
-			}
-			wg.Wait()
-			wgPool.Put(wg)
-			e.putPool()
-		}
-	}
-	e.account(name, start, time.Since(start))
+	e.dispatch(name, n, task{body: body}, nil, 0)
 }
 
 // LaunchChunks runs body over [0, n) as one kernel, passing each worker its
@@ -424,34 +370,7 @@ func (e *Engine) Fused(name string, n int, bodies ...func(start, end int)) {
 // [0, Workers()); with small n only chunk 0 runs. Returns the number of
 // chunks used.
 func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end int)) int {
-	start := time.Now()
-	e.begin(name)
-	used := 0
-	if n > 0 {
-		p := (*pool)(nil)
-		if n >= minParallel && e.workers > 1 {
-			p = e.getPool()
-		}
-		if p == nil {
-			body(0, 0, n)
-			used = 1
-		} else {
-			wg := wgPool.Get().(*sync.WaitGroup)
-			for w := 0; w < e.workers; w++ {
-				lo, hi, ok := e.chunkBounds(w, n)
-				if !ok {
-					break
-				}
-				wg.Add(1)
-				used++
-				p.tasks <- task{bodyChunk: body, chunk: w, lo: lo, hi: hi, wg: wg}
-			}
-			wg.Wait()
-			wgPool.Put(wg)
-			e.putPool()
-		}
-	}
-	e.account(name, start, time.Since(start))
+	used, _ := e.dispatch(name, n, task{chunked: body}, nil, 0)
 	return used
 }
 
@@ -459,10 +378,7 @@ func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end in
 // operators whose body is inherently sequential (e.g. a scalar update); it
 // still costs one launch.
 func (e *Engine) LaunchSerial(name string, body func()) {
-	start := time.Now()
-	e.begin(name)
-	body()
-	e.account(name, start, time.Since(start))
+	e.dispatch(name, 1, task{serial: body}, nil, 0)
 }
 
 // ParallelReduce runs body over [0, n) with one private accumulator per
@@ -471,43 +387,7 @@ func (e *Engine) LaunchSerial(name string, body func()) {
 // reductions are allocation-free.
 func (e *Engine) ParallelReduce(name string, n int, init float64,
 	body func(start, end int) float64, combine func(a, b float64) float64) float64 {
-	start := time.Now()
-	e.begin(name)
-	result := init
-	if n > 0 {
-		p := (*pool)(nil)
-		if n >= minParallel && e.workers > 1 {
-			p = e.getPool()
-		}
-		if p == nil {
-			result = combine(result, body(0, n))
-		} else {
-			// Partial slots are padded to cache-line stride: adjacent
-			// float64 slots written by different workers would share a
-			// cache line and ping-pong it between cores (false sharing;
-			// see BenchmarkReducePartials* in pool_test.go for the delta).
-			partials := e.Alloc(e.workers * reduceStride)
-			used := 0
-			wg := wgPool.Get().(*sync.WaitGroup)
-			for w := 0; w < e.workers; w++ {
-				lo, hi, ok := e.chunkBounds(w, n)
-				if !ok {
-					break
-				}
-				wg.Add(1)
-				used++
-				p.tasks <- task{bodyReduce: body, out: &partials[w*reduceStride], lo: lo, hi: hi, wg: wg}
-			}
-			wg.Wait()
-			wgPool.Put(wg)
-			e.putPool()
-			for w := 0; w < used; w++ {
-				result = combine(result, partials[w*reduceStride])
-			}
-			e.Free(partials)
-		}
-	}
-	e.account(name, start, time.Since(start))
+	_, result := e.dispatch(name, n, task{reduce: body}, combine, init)
 	return result
 }
 
@@ -543,15 +423,6 @@ func (e *Engine) Alloc32(n int) []float32 {
 // Free32 returns a buffer obtained from Alloc32 to the arena.
 func (e *Engine) Free32(buf []float32) { e.arena.Free32(buf) }
 
-// AllocComplex64 checks a zeroed []complex64 of length n out of the arena.
-func (e *Engine) AllocComplex64(n int) []complex64 {
-	e.noteAlloc()
-	return e.arena.AllocComplex64(n)
-}
-
-// FreeComplex64 returns a buffer obtained from AllocComplex64 to the arena.
-func (e *Engine) FreeComplex64(buf []complex64) { e.arena.FreeComplex64(buf) }
-
 // ArenaStats returns a snapshot of the buffer-arena accounting.
 func (e *Engine) ArenaStats() ArenaStats { return e.arena.Stats() }
 
@@ -577,8 +448,9 @@ func (e *Engine) begin(name string) {
 	e.mu.Unlock()
 }
 
-// Sync records an immediate host-device synchronization point (the
-// un-reordered path used by the baseline).
+// Sync records one host-device synchronization point: one per metric on
+// the baseline path, one per iteration after the deferred record on the
+// reordered path.
 func (e *Engine) Sync() {
 	e.mu.Lock()
 	e.syncs++
@@ -611,9 +483,6 @@ func (e *Engine) account(name string, start time.Time, d time.Duration) {
 	}
 	st.Launches++
 	st.Compute += d
-	if e.tracing {
-		e.trace = append(e.trace, name)
-	}
 	tr := e.tracer
 	e.mu.Unlock()
 	tr.Kernel(name, start, d, simTS, d+e.overhead)
@@ -648,23 +517,13 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Trace returns a copy of the launch trace (empty unless Options.Trace).
-func (e *Engine) Trace() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, len(e.trace))
-	copy(out, e.trace)
-	return out
-}
-
-// Reset clears all accounting and the trace, and zeroes the arena's flow
+// Reset clears all accounting and zeroes the arena's flow
 // counters (pooled buffers are kept warm). The worker pool is untouched.
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.launches, e.compute, e.syncs = 0, 0, 0
 	e.perOp = make(map[string]*OpStats)
 	e.curOp = ""
-	e.trace = nil
 	e.mu.Unlock()
 	e.arena.resetCounters()
 }

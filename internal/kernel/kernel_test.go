@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xplace/internal/obs"
 )
 
 func TestLaunchCoversRange(t *testing.T) {
@@ -118,29 +120,6 @@ func TestParallelReduceSmallAndEmpty(t *testing.T) {
 	}
 }
 
-func TestDeferSyncOrderingAndFlush(t *testing.T) {
-	e := New(Options{Workers: 1})
-	q := e.NewSyncQueue()
-	var order []string
-	q.Defer("first", func() { order = append(order, "first") })
-	q.Defer("second", func() { order = append(order, "second") })
-	if len(order) != 0 {
-		t.Fatal("deferred ops must not run before Flush")
-	}
-	q.Flush()
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Errorf("order = %v", order)
-	}
-	if st := e.Stats(); st.Syncs != 1 {
-		t.Errorf("one Flush = one sync point, got %d", st.Syncs)
-	}
-	// Flushing an empty queue is a no-op (no extra sync).
-	q.Flush()
-	if st := e.Stats(); st.Syncs != 1 {
-		t.Errorf("empty flush added a sync: %d", st.Syncs)
-	}
-}
-
 func TestSyncCountsImmediately(t *testing.T) {
 	e := New(Options{Workers: 1})
 	e.Sync()
@@ -151,28 +130,32 @@ func TestSyncCountsImmediately(t *testing.T) {
 }
 
 func TestTrace(t *testing.T) {
-	e := New(Options{Workers: 1, Trace: true})
+	e := New(Options{Workers: 1})
+	tr := obs.NewTracer()
+	e.SetTracer(tr)
 	e.Launch("wa", 1, func(lo, hi int) {})
 	e.Launch("density", 1, func(lo, hi int) {})
 	e.LaunchSerial("ovfl", func() {})
-	tr := e.Trace()
+	e.SetTracer(nil)
+	e.Launch("untraced", 1, func(lo, hi int) {})
 	want := []string{"wa", "density", "ovfl"}
-	if len(tr) != len(want) {
-		t.Fatalf("trace = %v", tr)
+	evs := tr.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("trace = %+v", evs)
 	}
 	for i := range want {
-		if tr[i] != want[i] {
-			t.Errorf("trace[%d] = %q, want %q", i, tr[i], want[i])
+		if evs[i].Name != want[i] || evs[i].Cat != obs.CatKernel {
+			t.Errorf("trace[%d] = %q (%s), want kernel %q", i, evs[i].Name, evs[i].Cat, want[i])
 		}
 	}
 }
 
 func TestReset(t *testing.T) {
-	e := New(Options{Workers: 1, Trace: true})
+	e := New(Options{Workers: 1})
 	e.Launch("x", 1, func(lo, hi int) {})
 	e.Reset()
 	st := e.Stats()
-	if st.Launches != 0 || len(st.PerOp) != 0 || len(e.Trace()) != 0 {
+	if st.Launches != 0 || len(st.PerOp) != 0 {
 		t.Errorf("Reset did not clear: %+v", st)
 	}
 }
@@ -182,16 +165,16 @@ func TestDefaults(t *testing.T) {
 	if e.Workers() <= 0 {
 		t.Error("default workers must be positive")
 	}
-	if e.LaunchOverhead() != DefaultLaunchOverhead {
-		t.Errorf("overhead = %v", e.LaunchOverhead())
+	if got := e.Stats().Overhead; got != DefaultLaunchOverhead {
+		t.Errorf("overhead = %v", got)
 	}
 	z := New(Options{LaunchOverhead: -1})
-	if z.LaunchOverhead() != DefaultLaunchOverhead {
-		t.Errorf("negative overhead should map to default, got %v", z.LaunchOverhead())
+	if got := z.Stats().Overhead; got != DefaultLaunchOverhead {
+		t.Errorf("negative overhead should map to default, got %v", got)
 	}
 	zero := New(Options{})
-	if zero.LaunchOverhead() != 0 {
-		t.Errorf("zero overhead should disable the model, got %v", zero.LaunchOverhead())
+	if got := zero.Stats().Overhead; got != 0 {
+		t.Errorf("zero overhead should disable the model, got %v", got)
 	}
 }
 

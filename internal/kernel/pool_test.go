@@ -1,76 +1,98 @@
 package kernel
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestFusedRunsAllBodiesOnce verifies Fused executes every body over the
-// full range while accounting as a single launch.
-func TestFusedRunsAllBodiesOnce(t *testing.T) {
-	e := New(Options{Workers: 4})
-	defer e.Close()
-	n := 3 * minParallel
-	a := make([]int32, n)
-	b := make([]int32, n)
-	e.Fused("fused", n,
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&a[i], 1)
-			}
-		},
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&b[i], 1)
-			}
-		})
-	for i := 0; i < n; i++ {
-		if a[i] != 1 || b[i] != 1 {
-			t.Fatalf("index %d: a=%d b=%d, want 1/1", i, a[i], b[i])
-		}
+// TestLaunchFlavoursShareOneDecomposition pins the one dispatch path: for
+// every worker count, problem size and open/closed engine, Launch,
+// LaunchChunks and ParallelReduce see the same [lo, hi) chunks, LaunchChunks
+// numbers them 0..used-1 in range order, and ParallelReduce folds their
+// partials in chunk order.
+func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
+	type span struct{ chunk, lo, hi int }
+	byLo := func(s []span) []span {
+		sort.Slice(s, func(i, j int) bool { return s[i].lo < s[j].lo })
+		return s
 	}
-	st := e.Stats()
-	if st.Launches != 1 {
-		t.Errorf("Fused must count as ONE launch, got %d", st.Launches)
-	}
-	if st.PerOp["fused"].Launches != 1 {
-		t.Errorf("per-op launches = %d, want 1", st.PerOp["fused"].Launches)
-	}
-}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, minParallel - 1, minParallel, 4*minParallel + 37} {
+			for _, closed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("w%d/n%d/closed=%v", workers, n, closed), func(t *testing.T) {
+					e := New(Options{Workers: workers})
+					defer e.Close()
+					if closed {
+						e.Close()
+					}
+					var mu sync.Mutex
+					var launched, chunked, reduced []span
+					e.Launch("pin.launch", n, func(lo, hi int) {
+						mu.Lock()
+						launched = append(launched, span{-1, lo, hi})
+						mu.Unlock()
+					})
+					used := e.LaunchChunks("pin.chunks", n, func(c, lo, hi int) {
+						mu.Lock()
+						chunked = append(chunked, span{c, lo, hi})
+						mu.Unlock()
+					})
+					var folded []float64
+					got := e.ParallelReduce("pin.reduce", n, -1, func(lo, hi int) float64 {
+						mu.Lock()
+						reduced = append(reduced, span{-1, lo, hi})
+						mu.Unlock()
+						return float64(lo)
+					}, func(a, b float64) float64 {
+						folded = append(folded, b)
+						return a + b
+					})
+					launched, chunked, reduced = byLo(launched), byLo(chunked), byLo(reduced)
 
-// TestFusedStageOrderPerChunk verifies each chunk runs the fused stages in
-// order, so stage k can read stage j<k outputs inside its own chunk.
-func TestFusedStageOrderPerChunk(t *testing.T) {
-	e := New(Options{Workers: 4})
-	defer e.Close()
-	n := 4 * minParallel
-	x := make([]float64, n)
-	y := make([]float64, n)
-	e.Fused("staged", n,
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] = float64(i)
-			}
-		},
-		func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				y[i] = 2 * x[i]
-			}
-		})
-	for i := 0; i < n; i++ {
-		if y[i] != 2*float64(i) {
-			t.Fatalf("y[%d] = %v, want %v (stage order broken)", i, y[i], 2*float64(i))
-		}
-	}
-}
+					// The decomposition itself: contiguous chunks covering
+					// [0, n), several only when the launch is pooled.
+					next := 0
+					for _, s := range launched {
+						if s.lo != next || s.hi <= s.lo {
+							t.Fatalf("Launch chunks %v do not tile [0, %d)", launched, n)
+						}
+						next = s.hi
+					}
+					if next != n {
+						t.Fatalf("Launch chunks %v do not cover [0, %d)", launched, n)
+					}
+					pooled := !closed && workers > 1 && n >= minParallel
+					if !pooled && n > 0 && len(launched) != 1 {
+						t.Errorf("serial launch ran %d chunks, want 1", len(launched))
+					}
+					if pooled && len(launched) < 2 {
+						t.Errorf("pooled launch ran %d chunk, want several", len(launched))
+					}
 
-// TestFusedEmptyBodies: n>0 with no bodies is still one accounted launch.
-func TestFusedEmptyBodies(t *testing.T) {
-	e := New(Options{Workers: 2})
-	e.Fused("noop", 100)
-	if got := e.Stats().Launches; got != 1 {
-		t.Errorf("Launches = %d, want 1", got)
+					if used != len(chunked) || len(chunked) != len(launched) || len(reduced) != len(launched) {
+						t.Fatalf("chunk counts: Launch %d, LaunchChunks %d (used %d), ParallelReduce %d",
+							len(launched), len(chunked), used, len(reduced))
+					}
+					want, wantFold := -1.0, []float64(nil)
+					for i, s := range launched {
+						if c := chunked[i]; c.chunk != i || c.lo != s.lo || c.hi != s.hi {
+							t.Errorf("LaunchChunks chunk %d = %d:[%d,%d), Launch saw [%d,%d)", i, c.chunk, c.lo, c.hi, s.lo, s.hi)
+						}
+						if r := reduced[i]; r.lo != s.lo || r.hi != s.hi {
+							t.Errorf("ParallelReduce chunk %d = [%d,%d), Launch saw [%d,%d)", i, r.lo, r.hi, s.lo, s.hi)
+						}
+						wantFold = append(wantFold, float64(s.lo))
+						want += float64(s.lo)
+					}
+					if fmt.Sprint(folded) != fmt.Sprint(wantFold) || got != want {
+						t.Errorf("ParallelReduce = %v folding %v, want %v folding the partials in chunk order %v", got, folded, want, wantFold)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ func TestRunToRunDeterminism(t *testing.T) {
 }
 
 // TestConcurrentPlacersShareOneEngine runs 4 concurrent Place jobs against
-// ONE shared kernel.Engine (run it under -race: the per-placer SyncQueue,
-// the arena and the launch accounting must all be safe to share). Each
+// ONE shared kernel.Engine (run it under -race: each placer's deferred
+// record, the arena and the launch accounting must all be safe to share). Each
 // job must produce the same result it gets when running alone, and all
 // arena-backed scratch must be returned once the placers are closed.
 func TestConcurrentPlacersShareOneEngine(t *testing.T) {

@@ -84,7 +84,6 @@ func newLBUBPlacer(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, 
 	p := &Placer{
 		opts: opts, eng: e, orig: d, d: d,
 		rec: &Recorder{},
-		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
 	}
 	p.initLBUB(lbubGridSize(d, m, opts.TargetDensity))

@@ -244,9 +244,8 @@ type Placer struct {
 	opt  optim.Optimizer
 	rec  *Recorder
 	wl   *wirelength.Ops
-	lbub *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
-	sq   *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
-	ctx  context.Context   // active run's context; Background outside a run
+	lbub *lbubEngine     // non-nil iff Options.Strategy == StrategyLBUB
+	ctx  context.Context // active run's context; Background outside a run
 
 	// Observability instruments (nil-safe: a disabled tracer/registry makes
 	// every use a nil-check no-op).
@@ -288,7 +287,7 @@ type Placer struct {
 	curLambda              float64
 	combineBody            func(lo, hi int)
 	precondBody            func(lo, hi int)
-	fusedGradBodies        []func(lo, hi int) // {combineBody, precondBody}, prebuilt so Fused's variadic slice never allocates
+	fusedGradBody          func(lo, hi int) // combineBody then precondBody per chunk
 	curSigma               float64
 	blendBody              func(lo, hi int)
 
@@ -361,7 +360,6 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 		opts: opts, eng: e, orig: d, d: aug,
 		sys: sys, pre: pre, schd: schd,
 		rec: &Recorder{},
-		sq:  e.NewSyncQueue(),
 		ctx: context.Background(),
 	}
 	n := aug.NumCells()
@@ -506,7 +504,12 @@ func (p *Placer) buildBodies() {
 	p.precondBody = func(lo, hi int) {
 		p.pre.ApplyRange(p.curLambda, p.gX, p.gY, lo, hi)
 	}
-	p.fusedGradBodies = []func(lo, hi int){p.combineBody, p.precondBody}
+	// Each chunk preconditions only the indices it just combined, so the
+	// two stages fuse into one launch without a barrier between them.
+	p.fusedGradBody = func(lo, hi int) {
+		p.combineBody(lo, hi)
+		p.precondBody(lo, hi)
+	}
 	p.blendBody = func(lo, hi int) {
 		sigma := p.curSigma
 		for i := lo; i < hi; i++ {
@@ -714,7 +717,6 @@ func (p *Placer) snapshot() Snapshot {
 // a closed placer may still be run (the scratch is simply checked out
 // again).
 func (p *Placer) Close() {
-	p.sq.Flush()
 	if p.wl != nil {
 		p.wl.Release()
 	}

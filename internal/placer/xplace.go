@@ -10,7 +10,7 @@ import (
 // operator-level optimizations of §3.1 applied per the option toggles:
 //
 //   - OperatorReduction on: hand-derived numerical gradients assembled by
-//     fused kernels, in-place optimizer updates, deferred metric syncs.
+//     fused kernels, in-place optimizer updates, one deferred metric sync.
 //     Off: gradients via the autograd engine (twice the small-kernel
 //     launches), immediate syncs — the ablation's "none" starting point.
 //   - OperatorCombination fuses WA wirelength + gradient + HPWL into one
@@ -80,9 +80,9 @@ func (p *Placer) iterateXplace() error {
 		p.curLambda = p.schd.Lambda
 		if p.opts.OperatorCombination && p.opts.ExtraGradient == nil {
 			// OC also fuses gradient combination with preconditioning:
-			// one launch instead of two (the Fused helper — §3.1.1 applied
-			// to the assembly stage).
-			e.Fused("placer.fused_grad", len(p.gX), p.fusedGradBodies...)
+			// one launch instead of two (§3.1.1 applied to the assembly
+			// stage).
+			e.Launch("placer.fused_grad", len(p.gX), p.fusedGradBody)
 			p.mOCSaved.Inc()
 		} else {
 			e.Launch("placer.combine_grad", len(p.gX), p.combineBody)
@@ -133,14 +133,15 @@ func (p *Placer) iterateXplace() error {
 	gs = p.beginGroup()
 	rec := metricsRecord(p, hpwl, wa, gamma, lambda)
 	if p.opts.OperatorReduction {
-		// OR: the metric copy-back is a host sync; defer it to the end of
-		// the iteration (§3.1.3 sync reordering). The record closure is
-		// persistent; only its inputs are staged here.
+		// OR: the metric copy-back is a host sync; it is deferred to the
+		// end of the iteration (§3.1.3 sync reordering), where every metric
+		// comes back in one record launch and one sync point. The record
+		// closure is persistent; only its inputs are staged here.
 		p.pendingRec = rec
 		p.pendingWall = wallStart
 		p.pendingSim = simStart
-		p.sq.Defer("placer.record", p.recordFn)
-		p.sq.Flush()
+		e.LaunchSerial("placer.record", p.recordFn)
+		e.Sync()
 	} else {
 		// Immediate per-metric syncs.
 		e.Sync()

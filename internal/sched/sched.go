@@ -7,82 +7,67 @@ package sched
 
 import "math"
 
+// The schedule's constants: the ePlace/DREAMPlace-style values the placer
+// is tuned to.
+const (
+	// gamma = gammaBase * binSize * 10^(gammaK*overflow + gammaB): the WA
+	// smoothing parameter goes from ~50 bins at overflow 1 down to ~0.5 bins
+	// at overflow 0.1.
+	gammaBase = 0.5
+	gammaK    = 20.0 / 9
+	gammaB    = -2.0 / 9
+	// lambdaInit scales the initial density weight relative to the
+	// gradient-norm ratio: lambda0 = lambdaInit * |gradWL|_1 / |gradD|_1
+	// (the DREAMPlace-style warm start). The early stage is
+	// wirelength-dominated (r = lambda|gradD|/|gradWL| ultra-small, the
+	// §3.1.4 observation) while lambda ramps by muMax towards balance. This
+	// requires a spread initial placement.
+	lambdaInit = 1e-4
+	// muMax is the lambda multiplier per update; muMin is its lower clamp
+	// under HPWL degradation: growth pauses but never reverses (on small
+	// designs per-iteration HPWL noise is large relative to the total and a
+	// sub-1 floor stalls the ramp).
+	muMax = 1.1
+	muMin = 1.0
+	// refDeltaHPWL is the per-iteration HPWL increase treated as "one unit"
+	// of degradation when shrinking mu, as a fraction of the FIRST observed
+	// HPWL. A fixed reference (as ePlace's 3.5e5 DBU constant is) keeps tiny
+	// fluctuations at a collapsed intermediate state from stalling the
+	// lambda ramp.
+	refDeltaHPWL = 1e-2
+	// stopOverflow is the target overflow to stop at.
+	stopOverflow = 0.07
+	// stageInterval: during the intermediate stage (0.5 < omega < 0.95) a
+	// stage-aware schedule updates its parameters once per stageInterval
+	// iterations (Algorithm 1).
+	stageInterval = 3
+	// Early-stage density-operator skipping (§3.1.4): while r =
+	// lambda|gradD|/|gradWL| < skipRatio and iter < skipMaxIter, the density
+	// gradient is recomputed only every skipInterval iterations.
+	skipRatio    = 0.01
+	skipMaxIter  = 100
+	skipInterval = 20
+)
+
 // Options configures a Scheduler. Zero values select the defaults noted on
 // each field.
 type Options struct {
-	// GammaBase scales the WA smoothing parameter in units of bin size;
-	// gamma = GammaBase * binSize * 10^(GammaK*overflow + GammaB).
-	// Defaults: GammaBase 0.5, GammaK 20/9, GammaB -2/9 (gamma goes from
-	// ~50 bins at overflow 1 down to ~0.5 bins at overflow 0.1).
-	GammaBase, GammaK, GammaB float64
-	// LambdaInit scales the initial density weight relative to the
-	// gradient-norm ratio: lambda0 = LambdaInit * |gradWL|_1 / |gradD|_1.
-	// Default 1e-4 (the DREAMPlace-style warm start): the early stage is
-	// wirelength-dominated (r = lambda|gradD|/|gradWL| ultra-small, the
-	// §3.1.4 observation) while lambda ramps by MuMax towards balance.
-	// This requires a spread initial placement; from a fully collapsed
-	// start use LambdaInit near 1 (exact ePlace force balance) instead.
-	LambdaInit float64
-	// MuMax is the lambda multiplier per update (default 1.1); MuMin is
-	// its lower clamp under HPWL degradation (default 1.0: growth pauses
-	// but never reverses — on small designs per-iteration HPWL noise is
-	// large relative to the total and a sub-1 floor stalls the ramp).
-	MuMax, MuMin float64
-	// RefDeltaHPWL is the per-iteration HPWL increase treated as "one
-	// unit" of degradation when shrinking mu, expressed as a fraction of
-	// the FIRST observed HPWL (default 1e-2). Using a fixed absolute
-	// reference (as ePlace's 3.5e5 DBU constant does) keeps tiny
-	// fluctuations at a collapsed intermediate state from stalling the
-	// lambda ramp.
-	RefDeltaHPWL float64
-	// StopOverflow is the target overflow to stop at (default 0.07).
-	StopOverflow float64
 	// MinIter/MaxIter bound the GP loop (defaults 50 / 3000).
 	MinIter, MaxIter int
 	// StageAware enables Algorithm 1: during the intermediate stage
-	// (0.5 < omega < 0.95) parameters update once per StageInterval
-	// iterations (default 3).
-	StageAware    bool
-	StageInterval int
-	// SkipEnabled enables early-stage density-operator skipping (§3.1.4):
-	// when r = lambda|gradD|/|gradWL| < SkipRatio and iter < SkipMaxIter,
-	// the density gradient is recomputed only every SkipInterval
-	// iterations. Defaults: 0.01 / 100 / 20.
-	SkipEnabled  bool
-	SkipRatio    float64
-	SkipMaxIter  int
-	SkipInterval int
+	// (0.5 < omega < 0.95) parameters update once per stageInterval
+	// iterations.
+	StageAware bool
+	// SkipEnabled enables early-stage density-operator skipping (§3.1.4).
+	SkipEnabled bool
 }
 
 func (o Options) withDefaults() Options {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&o.GammaBase, 0.5)
-	def(&o.GammaK, 20.0/9)
-	def(&o.GammaB, -2.0/9)
-	def(&o.LambdaInit, 1e-4)
-	def(&o.MuMax, 1.1)
-	def(&o.MuMin, 1.0)
-	def(&o.RefDeltaHPWL, 1e-2)
-	def(&o.StopOverflow, 0.07)
 	if o.MinIter == 0 {
 		o.MinIter = 50
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 3000
-	}
-	if o.StageInterval == 0 {
-		o.StageInterval = 3
-	}
-	def(&o.SkipRatio, 0.01)
-	if o.SkipMaxIter == 0 {
-		o.SkipMaxIter = 100
-	}
-	if o.SkipInterval == 0 {
-		o.SkipInterval = 20
 	}
 	return o
 }
@@ -150,24 +135,24 @@ func StageName(omega float64) string {
 
 func (s *Scheduler) gammaFor(overflow float64) float64 {
 	ov := math.Max(0, math.Min(1, overflow))
-	return s.opts.GammaBase * s.binSize * math.Pow(10, s.opts.GammaK*ov+s.opts.GammaB)
+	return gammaBase * s.binSize * math.Pow(10, gammaK*ov+gammaB)
 }
 
 // InitLambda sets the initial density weight from the first iteration's
-// gradient norms: lambda0 = LambdaInit * |gradWL| / |gradD| (the
+// gradient norms: lambda0 = lambdaInit * |gradWL| / |gradD| (the
 // DREAMPlace warm start). Call once before the loop.
 func (s *Scheduler) InitLambda(wlGradNorm, densGradNorm float64) {
 	if densGradNorm <= 0 {
 		densGradNorm = 1
 	}
-	s.Lambda = s.opts.LambdaInit * wlGradNorm / densGradNorm
+	s.Lambda = lambdaInit * wlGradNorm / densGradNorm
 	if s.Lambda <= 0 {
-		s.Lambda = s.opts.LambdaInit
+		s.Lambda = lambdaInit
 	}
 }
 
 // ShouldUpdateParams implements Algorithm 1: in the intermediate stage
-// (0.5 < omega < 0.95) parameters update only once per StageInterval
+// (0.5 < omega < 0.95) parameters update only once per stageInterval
 // iterations; in every other stage they update each iteration. Without
 // stage awareness it always returns true.
 func (s *Scheduler) ShouldUpdateParams() bool {
@@ -176,23 +161,23 @@ func (s *Scheduler) ShouldUpdateParams() bool {
 	}
 	w := s.Omega()
 	if w > 0.5 && w < 0.95 {
-		return s.sinceUpdate >= s.opts.StageInterval-1
+		return s.sinceUpdate >= stageInterval-1
 	}
 	return true
 }
 
 // ShouldSkipDensity reports whether the density-gradient operator may be
-// skipped this iteration (§3.1.4): r < SkipRatio in the early stage, with
-// a full recomputation every SkipInterval iterations. r is the ratio
+// skipped this iteration (§3.1.4): r < skipRatio in the early stage, with
+// a full recomputation every skipInterval iterations. r is the ratio
 // lambda*|gradD| / |gradWL| from the previous full evaluation.
 func (s *Scheduler) ShouldSkipDensity(r float64) bool {
 	if !s.opts.SkipEnabled {
 		return false
 	}
-	if s.iter >= s.opts.SkipMaxIter || r >= s.opts.SkipRatio {
+	if s.iter >= skipMaxIter || r >= skipRatio {
 		return false
 	}
-	return s.iter%s.opts.SkipInterval != 0
+	return s.iter%skipInterval != 0
 }
 
 // Advance records one completed GP iteration and, when Algorithm 1 allows,
@@ -214,16 +199,16 @@ func (s *Scheduler) Advance(hpwl, overflow float64) bool {
 	}
 	s.sinceUpdate = 0
 	s.Gamma = s.gammaFor(overflow)
-	// mu = MuMax^(1 - relDelta/Ref), clamped to [MuMin, MuMax]: HPWL
-	// improvement (or small growth) pushes lambda up by MuMax; strong
-	// degradation backs off towards MuMin.
+	// mu = muMax^(1 - relDelta/refDeltaHPWL), clamped to [muMin, muMax]:
+	// HPWL improvement (or small growth) pushes lambda up by muMax; strong
+	// degradation backs off towards muMin.
 	relDelta := 0.0
 	if s.baseHPWL > 0 {
 		relDelta = (hpwl - s.prevHPWL) / s.baseHPWL
 	}
-	expo := 1 - relDelta/s.opts.RefDeltaHPWL
-	mu := math.Pow(s.opts.MuMax, expo)
-	mu = math.Max(s.opts.MuMin, math.Min(s.opts.MuMax, mu))
+	expo := 1 - relDelta/refDeltaHPWL
+	mu := math.Pow(muMax, expo)
+	mu = math.Max(muMin, math.Min(muMax, mu))
 	s.Lambda *= mu
 	s.prevHPWL = hpwl
 	return true
@@ -274,5 +259,5 @@ func (s *Scheduler) Done(overflow float64) bool {
 	if s.iter >= s.opts.MaxIter {
 		return true
 	}
-	return s.iter >= s.opts.MinIter && overflow <= s.opts.StopOverflow
+	return s.iter >= s.opts.MinIter && overflow <= stopOverflow
 }

@@ -333,10 +333,8 @@ func (j *Job) begin() bool {
 
 // finishLocked moves the job to its terminal state, classifying the
 // error. It requires j.mu held and reports whether this call performed
-// the transition; when it returns true the caller must close(j.done)
-// after releasing the lock — and, on a durable scheduler, only after the
-// terminal WAL record is written, so no waiter observes a completion the
-// store could still forget.
+// the transition; when it returns true the caller must settle the job
+// (Scheduler.settle) after releasing the lock.
 func (j *Job) finishLocked(res *placer.Result, err error) bool {
 	if j.state.Terminal() {
 		return false
@@ -353,14 +351,13 @@ func (j *Job) finishLocked(res *placer.Result, err error) bool {
 		j.state = Failed
 	}
 	j.finished = time.Now()
-	j.Progress.Close()
 	return true
 }
 
 // finish moves the job to its terminal state. It reports whether this
 // call performed the transition (false when another goroutine — e.g.
 // Cancel racing the worker — got there first). The winner owes the
-// close(j.done); see jobFinished.
+// settle; see jobFinished.
 func (j *Job) finish(res *placer.Result, err error) bool {
 	j.mu.Lock()
 	ok := j.finishLocked(res, err)
@@ -795,22 +792,28 @@ func (s *Scheduler) Cancel(id int64) bool {
 	// so a worker's racing begin either sees the cancelled state or wins
 	// outright and leaves the run to its context.
 	if j.cancelIfQueued() {
-		s.recordFinish(j, nil)
-		close(j.done)
+		s.settle(j, nil)
 	}
 	return true
 }
 
-// jobFinished records the terminal transition exactly once and updates the
-// scheduler counters from the job's final state. The done channel closes
-// only AFTER the store work (terminal WAL record, result-cache entry,
-// checkpoint removal): a waiter that observes completion observes a
-// completion the store already remembers.
+// jobFinished records the terminal transition exactly once and settles it.
 func (s *Scheduler) jobFinished(j *Job, res *placer.Result, err error) {
 	if !j.finish(res, err) {
 		return // another goroutine (Cancel vs worker) won the transition
 	}
+	s.settle(j, res)
+}
+
+// settle publishes a terminal transition this goroutine performed. The
+// counters and the store work (terminal WAL record, result-cache entry,
+// checkpoint removal) come first; only then does the progress stream end
+// (the SSE done frame) and the done channel close, so a waiter that
+// observes completion observes a job already counted and a completion the
+// store already remembers.
+func (s *Scheduler) settle(j *Job, res *placer.Result) {
 	s.recordFinish(j, res)
+	j.Progress.Close()
 	close(j.done)
 }
 
@@ -868,13 +871,25 @@ func (s *Scheduler) worker(eng *kernel.Engine) {
 	}
 }
 
-// runJob executes one job on eng under the job's context.
+// runJob executes one job on eng under the job's context. The job turns
+// terminal only after place has returned: by then its placers' arena
+// scratch is back in the engine, its model reference is released, the
+// engine's tracer is detached and the active gauge no longer counts it, so
+// a caller woken by Wait or the SSE done frame sees a settled worker.
 func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	if !j.begin() {
 		return // cancelled while queued
 	}
 	s.active.Add(1)
-	defer s.active.Add(-1)
+	res, err := s.place(eng, j)
+	s.active.Add(-1)
+	s.jobFinished(j, res, err)
+}
+
+// place runs the job's placement, falling back to lbub when the gradient
+// flow diverges, and returns its outcome. Everything it acquires is
+// released by the time it returns.
+func (s *Scheduler) place(eng *kernel.Engine, j *Job) (*placer.Result, error) {
 	s.walAppend(func() error { return s.store.AppendBegin(j.id) })
 
 	timeout := j.spec.Timeout
@@ -897,13 +912,11 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 		// validation only covers live submissions) — that job fails typed,
 		// same as a 400 would have.
 		if s.models == nil {
-			s.jobFinished(j, nil, &UnknownModelError{Name: j.spec.Model})
-			return
+			return nil, &UnknownModelError{Name: j.spec.Model}
 		}
 		entry, release, err := s.models.acquire(j.spec.Model)
 		if err != nil {
-			s.jobFinished(j, nil, err)
-			return
+			return nil, err
 		}
 		defer release()
 		opts.Predictor = &sharedPredictor{entry: entry, calls: s.nnCalls}
@@ -938,8 +951,7 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	}
 	p, err := placer.New(j.spec.Design, eng, opts)
 	if err != nil {
-		s.jobFinished(j, nil, err)
-		return
+		return nil, err
 	}
 	// Close on every exit path: a cancelled or timed-out run must return
 	// its arena-backed scratch so the pooled engine's in-use bytes fall
@@ -958,19 +970,17 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 		fp, ferr := placer.New(j.spec.Design, eng, fopts)
 		if ferr == nil {
 			defer fp.Close()
-			var fres *placer.Result
-			fres, ferr = fp.RunContext(ctx)
+			fres, ferr := fp.RunContext(ctx)
 			if ferr == nil {
 				j.setFallback(placer.StrategyLBUB.String())
 				s.fallbacks.Inc()
-				s.jobFinished(j, fres, nil)
-				return
+				return fres, nil
 			}
 		}
 		// The fallback failed too: surface the original divergence (the
 		// root cause), not the rescue attempt's error.
 	}
-	s.jobFinished(j, res, err)
+	return res, err
 }
 
 func (j *Job) setFallback(strategy string) {

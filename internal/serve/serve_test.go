@@ -179,24 +179,12 @@ func TestJobRuntimeAcceptance(t *testing.T) {
 	}
 
 	// Cancelled / timed-out / finished jobs all released their
-	// arena-backed scratch: every pooled engine is back to baseline. Wait
-	// returns at the terminal transition and the worker closes the job's
-	// placer right after, so give the last worker a moment to get there.
-	inUse := func() (engine int, bytes int64) {
-		for i, es := range s.EngineStatuses() {
-			if es.Stats.Arena.InUse != 0 {
-				return i, es.Stats.Arena.InUse
-			}
+	// arena-backed scratch before Wait returned: every pooled engine is
+	// back to baseline.
+	for i, es := range s.EngineStatuses() {
+		if es.Stats.Arena.InUse != 0 {
+			t.Errorf("engine %d arena in-use = %d bytes after drain, want 0", i, es.Stats.Arena.InUse)
 		}
-		return -1, 0
-	}
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if i, _ := inUse(); i < 0 {
-			break
-		}
-	}
-	if i, n := inUse(); i >= 0 {
-		t.Errorf("engine %d arena in-use = %d bytes after drain, want 0", i, n)
 	}
 
 	// The survivors' HPWL matches a solo run bit-for-bit: same seed, same

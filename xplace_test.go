@@ -108,7 +108,7 @@ func TestRunFlowAbacus(t *testing.T) {
 
 func TestEngineConfiguration(t *testing.T) {
 	e := NewEngine(3, 5*time.Microsecond)
-	if e.Workers() != 3 || e.LaunchOverhead() != 5*time.Microsecond {
+	if e.Workers() != 3 || e.Stats().Overhead != 5*time.Microsecond {
 		t.Error("engine options not applied")
 	}
 }
