@@ -104,9 +104,10 @@ fuzz-smoke:
 
 # Kernel-substrate, transform, field-model and hot-operator microbenchmarks
 # (pool vs goroutine-spawn dispatch, DCT round trips, the batched field
-# evaluation with and without psi and one warm Poisson solve at the
-# gp-small and gp-spectral grids, one warm PredictField at the gp-nn shape
-# and at paper scale, density scatter/gather and the fused wirelength
+# evaluation with and without psi at the gp-small and gp-spectral grids,
+# one warm Poisson solve at 64..512 on 1 and 2 workers (the table the
+# line-pass fan-out threshold rests on), one warm PredictField at the
+# gp-nn shape and at paper scale, density scatter/gather and the fused wirelength
 # operator at the gp-small and gp-cells shapes). Allocation columns are the
 # regression signal: pooled launches, warm transforms, warm inference and
 # the per-iteration operators must report 0 allocs/op.

@@ -12,6 +12,7 @@ import (
 	"xplace/internal/benchgen"
 	"xplace/internal/field"
 	"xplace/internal/geom"
+	"xplace/internal/kernel"
 	"xplace/internal/obs"
 	"xplace/internal/placer"
 )
@@ -80,20 +81,25 @@ func TestInstrumentedIterationAllocFree(t *testing.T) {
 
 // TestPoissonSolveAllocFree: the full spectral solve — including the
 // batched potential/field evaluation — stays off the Go heap once the
-// plan's arena-backed scratch is warm.
+// plan's arena-backed scratch is warm: at 64x64 on the default engine,
+// whose line passes run serially, and at 256x256 on a 2-worker engine,
+// whose line passes fan out over the pool (its count is held to 0 outside
+// the race detector, as wantNoAllocs says why).
 func TestPoissonSolveAllocFree(t *testing.T) {
-	e := benchEngine()
-	defer e.Close()
-	g := geom.NewGrid(geom.Rect{Hx: 64, Hy: 64}, 64, 64)
-	s := field.NewSystem(g, e)
-	for i := range s.Total {
-		s.Total[i] = float64(i%11) * 0.1
-	}
-	s.SolvePoisson(e)
-	allocs := testing.AllocsPerRun(50, func() {
+	solveAllocs := func(n int, e *kernel.Engine) float64 {
+		defer e.Close()
+		g := geom.NewGrid(geom.Rect{Hx: float64(n), Hy: float64(n)}, n, n)
+		s := field.NewSystem(g, e)
+		for i := range s.Total {
+			s.Total[i] = float64(i%11) * 0.1
+		}
 		s.SolvePoisson(e)
-	})
-	if allocs != 0 {
+		return testing.AllocsPerRun(50, func() {
+			s.SolvePoisson(e)
+		})
+	}
+	if allocs := solveAllocs(64, benchEngine()); allocs != 0 {
 		t.Errorf("steady-state Poisson solve allocs = %v, want 0", allocs)
 	}
+	wantNoAllocs(t, "steady-state pooled 256x256 Poisson solve", solveAllocs(256, kernel.New(kernel.Options{Workers: 2})))
 }

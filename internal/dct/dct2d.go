@@ -318,8 +318,8 @@ func (p *Plan) Release(e *kernel.Engine) {
 // builds a string.
 func (p *Plan) run(e *kernel.Engine, rowsName, colsName string) {
 	p.ensure(e)
-	e.LaunchChunks(rowsName, p.Ny, p.rowsBody)
-	e.LaunchChunks(colsName, p.Nx, p.colsBody)
+	e.LaunchLines(rowsName, p.Ny, p.Nx, p.rowsBody)
+	e.LaunchLines(colsName, p.Nx, p.Ny, p.colsBody)
 	p.src, p.dst = nil, nil
 }
 
@@ -388,8 +388,8 @@ func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, e *kernel
 	p.ensureField(e)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
-	e.LaunchChunks("spectral2.field_rows", p.Ny, p.fieldRowsBody)
-	e.LaunchChunks("spectral2.field_cols", p.Nx, p.fieldColsBody)
+	e.LaunchLines("spectral2.field_rows", p.Ny, p.Nx, p.fieldRowsBody)
+	e.LaunchLines("spectral2.field_cols", p.Nx, p.Ny, p.fieldColsBody)
 	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
 }

@@ -303,8 +303,8 @@ func (p *Plan32) Release(e *kernel.Engine) {
 // run executes the two-pass transform with staged parameters; p.mu held.
 func (p *Plan32) run(e *kernel.Engine, rowsName, colsName string) {
 	p.ensure(e)
-	e.LaunchChunks(rowsName, p.Ny, p.rowsBody)
-	e.LaunchChunks(colsName, p.Nx, p.colsBody)
+	e.LaunchLines(rowsName, p.Ny, p.Nx, p.rowsBody)
+	e.LaunchLines(colsName, p.Nx, p.Ny, p.colsBody)
 	p.src, p.dst = nil, nil
 }
 
@@ -350,8 +350,8 @@ func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, e
 	p.ensureField(e)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
-	e.LaunchChunks("spectral32.field_rows", p.Ny, p.fieldRowsBody)
-	e.LaunchChunks("spectral32.field_cols", p.Nx, p.fieldColsBody)
+	e.LaunchLines("spectral32.field_rows", p.Ny, p.Nx, p.fieldRowsBody)
+	e.LaunchLines("spectral32.field_cols", p.Nx, p.Ny, p.fieldColsBody)
 	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
 }

@@ -203,6 +203,35 @@ func TestPoissonUniformDensityZeroField(t *testing.T) {
 	}
 }
 
+// TestSolvePoissonBitIdenticalAcrossWorkers: at the gp-spectral grid the
+// solve's line passes fan out over the pool, yet Ex, Ey and the energy are
+// the one-worker bits on a 2-worker engine.
+func TestSolvePoissonBitIdenticalAcrossWorkers(t *testing.T) {
+	const n = 512
+	solve := func(workers int) (ex, ey []float64, energy float64) {
+		e := kernel.New(kernel.Options{Workers: workers})
+		defer e.Close()
+		s := newSys(n, n, e)
+		defer s.Release(e)
+		rng := rand.New(rand.NewSource(11))
+		for i := range s.Total {
+			s.Total[i] = rng.Float64()
+		}
+		energy = s.SolvePoisson(e)
+		return append([]float64(nil), s.Ex...), append([]float64(nil), s.Ey...), energy
+	}
+	ex1, ey1, en1 := solve(1)
+	ex2, ey2, en2 := solve(2)
+	if math.Float64bits(en1) != math.Float64bits(en2) {
+		t.Errorf("energy: 2 workers %v, 1 worker %v", en2, en1)
+	}
+	for i := range ex1 {
+		if math.Float64bits(ex1[i]) != math.Float64bits(ex2[i]) || math.Float64bits(ey1[i]) != math.Float64bits(ey2[i]) {
+			t.Fatalf("bin %d: 2 workers (%v, %v), 1 worker (%v, %v)", i, ex2[i], ey2[i], ex1[i], ey1[i])
+		}
+	}
+}
+
 // The field must push a probe cell away from a dense cluster.
 func TestFieldPushesAwayFromCluster(t *testing.T) {
 	e := eng()
@@ -591,26 +620,30 @@ func BenchmarkScatterAndSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkPoissonSolve: one warm SolvePoisson at the gp-small grid (64)
-// and the gp-spectral grid (512), on the harness's 2-worker engine.
+// BenchmarkPoissonSolve: one warm SolvePoisson from the gp-small grid (64)
+// to the gp-spectral grid (512), on one worker and on the harness's
+// 2-worker engine. The w2/w1 ratio per grid is the table the line-pass
+// fan-out threshold (kernel.minLineWork) rests on.
 func BenchmarkPoissonSolve(b *testing.B) {
-	for _, n := range []int{64, 512} {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			e := kernel.New(kernel.Options{Workers: 2})
-			defer e.Close()
-			s := newSys(n, n, e)
-			defer s.Release(e)
-			rng := rand.New(rand.NewSource(11))
-			for i := range s.Total {
-				s.Total[i] = rng.Float64()
-			}
-			s.SolvePoisson(e)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	for _, n := range []int{64, 128, 256, 512} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%d/w%d", n, workers), func(b *testing.B) {
+				e := kernel.New(kernel.Options{Workers: workers})
+				defer e.Close()
+				s := newSys(n, n, e)
+				defer s.Release(e)
+				rng := rand.New(rand.NewSource(11))
+				for i := range s.Total {
+					s.Total[i] = rng.Float64()
+				}
 				s.SolvePoisson(e)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.SolvePoisson(e)
+				}
+			})
+		}
 	}
 }
 

@@ -27,12 +27,16 @@
 //     per iteration, and the Stats report arena hits/misses/peak plus
 //     per-op checkout counts.
 //
-// Every launch flavour (Launch, LaunchChunks, ParallelReduce, LaunchSerial)
-// goes through one dispatch routine, so the split into chunks, the barrier
-// and the accounting live in one place. Host-device synchronization points
-// are counted with Sync; the placer's §3.1.3 sync reordering issues its one
-// deferred metric record at the end of each GP iteration. An attached
-// obs.Tracer records every launch by name.
+// Every launch flavour (Launch, LaunchChunks, ParallelReduce, LaunchLines,
+// LaunchSerial) goes through one dispatch routine, so the split into
+// chunks, the barrier and the accounting live in one place. A launch's n
+// counts what its body is split over: elements for Launch, LaunchChunks
+// and ParallelReduce, which fan out from minParallel elements, and whole
+// lines for LaunchLines, which fans out from minLineWork elements of line
+// work. Host-device synchronization points are counted with Sync; the
+// placer's §3.1.3 sync reordering issues its one deferred metric record at
+// the end of each GP iteration. An attached obs.Tracer records every
+// launch by name.
 package kernel
 
 import (
@@ -274,10 +278,20 @@ func (e *Engine) Close() {
 	e.arena.release()
 }
 
-// minParallel is the smallest iteration count worth fanning out over the
-// worker pool; below it the launch runs on the calling goroutine (still
-// counted as one launch — a tiny CUDA kernel still pays its launch cost).
+// minParallel is the smallest element count n worth fanning out over the
+// worker pool for Launch, LaunchChunks and ParallelReduce, whose n counts
+// loop iterations of one element each; below it the launch runs on the
+// calling goroutine (still counted as one launch — a tiny CUDA kernel still
+// pays its launch cost).
 const minParallel = 2048
+
+// minLineWork is the smallest line-pass work, lines × line length, worth
+// fanning out for LaunchLines, whose n counts whole lines (one 1-D
+// transform each). On a 2-worker engine a pooled Poisson solve
+// (BenchmarkPoissonSolve in internal/field) takes ~0.67 of the serial time
+// at 128x128 (2^14) and ~0.57 at 512x512; at 64x64 (2^12) the gain is
+// within the benchmark's noise, so those grids stay serial.
+const minLineWork = 1 << 14
 
 // reduceStride is the spacing, in float64 elements, between per-worker
 // partial slots in ParallelReduce: 8 float64 = 64 bytes = one cache line,
@@ -302,17 +316,18 @@ func (e *Engine) chunkBounds(w, n int) (lo, hi int, ok bool) {
 // dispatch is the one launch path every flavour goes through. It marks
 // name as the current op, decides once between the worker pool and the
 // calling goroutine, walks the chunk bounds once, waits on one barrier and
-// accounts the launch. The launch runs serially (one chunk, index 0, range
-// [0, n)) below minParallel, on a one-worker engine and on a closed engine.
+// accounts the launch. The launch is pooled when work reaches minWork on
+// an open engine of more than one worker; otherwise it runs serially (one
+// chunk, index 0, range [0, n)).
 // A reduce task's partials are folded with combine into acc in chunk order;
 // only a pooled reduce checks its padded partial slots out of the arena.
 // dispatch returns the number of chunks run and the folded value.
-func (e *Engine) dispatch(name string, n int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
+func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
 	start := time.Now()
 	used := 0
 	e.begin(name)
 	var p *pool
-	if n >= minParallel && e.workers > 1 {
+	if work >= minWork && e.workers > 1 {
 		p = e.getPool()
 	}
 	switch {
@@ -361,7 +376,7 @@ func (e *Engine) dispatch(name string, n int, t task, combine func(a, b float64)
 // the persistent pool. Launch blocks until the kernel completes
 // (stream-ordered execution).
 func (e *Engine) Launch(name string, n int, body func(start, end int)) {
-	e.dispatch(name, n, task{body: body}, nil, 0)
+	e.dispatch(name, n, n, minParallel, task{body: body}, nil, 0)
 }
 
 // LaunchChunks runs body over [0, n) as one kernel, passing each worker its
@@ -370,7 +385,22 @@ func (e *Engine) Launch(name string, n int, body func(start, end int)) {
 // [0, Workers()); with small n only chunk 0 runs. Returns the number of
 // chunks used.
 func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end int)) int {
-	used, _ := e.dispatch(name, n, task{chunked: body}, nil, 0)
+	used, _ := e.dispatch(name, n, n, minParallel, task{chunked: body}, nil, 0)
+	return used
+}
+
+// LaunchLines runs body over lines [0, lines) of lineLen elements each as
+// one kernel: a row or column pass of a 2-D transform, whose few lines each
+// carry a whole 1-D transform. It passes chunk indices as LaunchChunks
+// does, over the same chunks when pooled, and fans out when there are at
+// least two lines and lines*lineLen reaches minLineWork, however few lines
+// that is. Returns the number of chunks used.
+func (e *Engine) LaunchLines(name string, lines, lineLen int, body func(chunk, start, end int)) int {
+	work := 0
+	if lines >= 2 {
+		work = lines * lineLen
+	}
+	used, _ := e.dispatch(name, lines, work, minLineWork, task{chunked: body}, nil, 0)
 	return used
 }
 
@@ -378,7 +408,7 @@ func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end in
 // operators whose body is inherently sequential (e.g. a scalar update); it
 // still costs one launch.
 func (e *Engine) LaunchSerial(name string, body func()) {
-	e.dispatch(name, 1, task{serial: body}, nil, 0)
+	e.dispatch(name, 1, 1, minParallel, task{serial: body}, nil, 0)
 }
 
 // ParallelReduce runs body over [0, n) with one private accumulator per
@@ -387,7 +417,7 @@ func (e *Engine) LaunchSerial(name string, body func()) {
 // reductions are allocation-free.
 func (e *Engine) ParallelReduce(name string, n int, init float64,
 	body func(start, end int) float64, combine func(a, b float64) float64) float64 {
-	_, result := e.dispatch(name, n, task{reduce: body}, combine, init)
+	_, result := e.dispatch(name, n, n, minParallel, task{reduce: body}, combine, init)
 	return result
 }
 

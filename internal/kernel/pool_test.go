@@ -12,7 +12,10 @@ import (
 // every worker count, problem size and open/closed engine, Launch,
 // LaunchChunks and ParallelReduce see the same [lo, hi) chunks, LaunchChunks
 // numbers them 0..used-1 in range order, and ParallelReduce folds their
-// partials in chunk order.
+// partials in chunk order. LaunchLines over n lines pools exactly when the
+// engine is open with more than one worker, n >= 2 and n*lineLen reaches
+// minLineWork — then with LaunchChunks' chunks and indices over n — and
+// otherwise runs one serial chunk.
 func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 	type span struct{ chunk, lo, hi int }
 	byLo := func(s []span) []span {
@@ -20,7 +23,7 @@ func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 		return s
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, minParallel - 1, minParallel, 4*minParallel + 37} {
+		for _, n := range []int{0, 1, 2, 5, 128, minParallel - 1, minParallel, 4*minParallel + 37} {
 			for _, closed := range []bool{false, true} {
 				t.Run(fmt.Sprintf("w%d/n%d/closed=%v", workers, n, closed), func(t *testing.T) {
 					e := New(Options{Workers: workers})
@@ -89,6 +92,43 @@ func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 					}
 					if fmt.Sprint(folded) != fmt.Sprint(wantFold) || got != want {
 						t.Errorf("ParallelReduce = %v folding %v, want %v folding the partials in chunk order %v", got, folded, want, wantFold)
+					}
+
+					// The line flavour, just below and at its work threshold.
+					var pooledSpans []span
+					for c := 0; c < workers; c++ {
+						if lo, hi, ok := e.chunkBounds(c, n); ok {
+							pooledSpans = append(pooledSpans, span{c, lo, hi})
+						}
+					}
+					need := minLineWork
+					if n > 0 {
+						need = (minLineWork + n - 1) / n
+					}
+					for _, lineLen := range []int{1, need - 1, need} {
+						var lined []span
+						usedL := e.LaunchLines("pin.lines", n, lineLen, func(c, lo, hi int) {
+							mu.Lock()
+							lined = append(lined, span{c, lo, hi})
+							mu.Unlock()
+						})
+						lined = byLo(lined)
+						wantSpans := []span{{0, 0, n}}
+						switch {
+						case n == 0:
+							wantSpans = nil
+						case !closed && workers > 1 && n >= 2 && n*lineLen >= minLineWork:
+							wantSpans = pooledSpans
+							if len(wantSpans) < 2 {
+								t.Fatalf("pooled line pass over %d lines has %d chunk", n, len(wantSpans))
+							}
+							if pooled && fmt.Sprint(wantSpans) != fmt.Sprint(chunked) {
+								t.Fatalf("pooled chunks %v, LaunchChunks saw %v", wantSpans, chunked)
+							}
+						}
+						if usedL != len(lined) || fmt.Sprint(lined) != fmt.Sprint(wantSpans) {
+							t.Errorf("LaunchLines(%d lines x %d) ran %v (used %d), want %v", n, lineLen, lined, usedL, wantSpans)
+						}
 					}
 				})
 			}
