@@ -17,12 +17,13 @@ const tileW = 16
 // Plan holds precomputed state for 2-D transforms on an Nx x Ny grid
 // (row-major indexing: f[y*Nx+x]). Both dimensions must be powers of two.
 //
-// A Plan owns all scratch for its transforms — the intermediate matrices,
-// per-chunk FFT buffers, and column tile buffers — so steady-state
-// transforms perform no heap allocations. Scratch is checked out of the
-// arena of the engine the transforms run on, keeping the bytes visible in
-// the engine's accounting; Release gives it back. Transforms are serialized
-// by an internal mutex, keeping a Plan safe for concurrent use.
+// A Plan owns all scratch for its transforms — the intermediate matrices
+// and one lineScratch record (FFT buffer, staging row, column tiles) per
+// chunk — so steady-state transforms perform no heap allocations. Scratch
+// is checked out of the arena of the engine the transforms run on, keeping
+// the bytes visible in the engine's accounting; Release gives it back.
+// Transforms are serialized by an internal mutex, keeping a Plan safe for
+// concurrent use.
 //
 // The row kernels are Makhoul's real-even transforms — the forward DCT-II
 // and the cosine/sine series evaluation each run one packed length-N/2
@@ -42,19 +43,9 @@ type Plan struct {
 	// Real-FFT unpack twiddles e^{-2*pi*i*k/N}, k = 0..N/2-1.
 	unpX, unpY []complex128
 
-	mu   sync.Mutex
-	tmp  []float64 // nx*ny intermediate (rows pass output), lazily allocated
-	tmp2 []float64 // second intermediate for the batched field evaluation
-
-	// Per-chunk scratch, grown on demand to the engine's worker count.
-	scratch [][]complex128 // packed FFT buffer: max(nx,ny)/2
-	rowReal [][]float64    // real staging row: max(nx,ny)
-	tileIn  [][]float64    // gathered input columns: tileW*ny
-	tileOut [][]float64    // transformed columns:    tileW*ny
-	// Field-evaluation tiles, grown only once EvalPotentialField is used.
-	tileIn2  [][]float64 // gathered tmp2 columns (Ex input)
-	tileOutB [][]float64 // Ex output columns
-	tileOutC [][]float64 // Ey output columns
+	mu sync.Mutex
+	// Guarded by mu: the intermediates and the per-chunk line scratch.
+	planScratch[float64]
 
 	// Per-transform parameters consumed by the persistent bodies. Stored in
 	// fields (rather than captured by per-call closures) so launching a
@@ -110,7 +101,7 @@ func unpackTwiddles(n int) []complex128 {
 func (p *Plan) buildBodies() {
 	nx := p.Nx
 	p.rowsBody = func(chunk, lo, hi int) {
-		scratch := p.scratch[chunk]
+		scratch := p.lines[chunk].fft
 		if p.forward {
 			for y := lo; y < hi; y++ {
 				dctIIMakhoul(p.src[y*nx:(y+1)*nx], p.tmp[y*nx:(y+1)*nx], p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
@@ -127,9 +118,8 @@ func (p *Plan) buildBodies() {
 	// would miss a fresh cache line on every read.
 	p.colsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
-		scratch := p.scratch[chunk]
-		tin := p.tileIn[chunk]
-		tout := p.tileOut[chunk]
+		ls := &p.lines[chunk]
+		scratch, tin, tout := ls.fft, ls.tileIn, ls.tileOut
 		for x0 := lo; x0 < hi; x0 += tileW {
 			w := hi - x0
 			if w > tileW {
@@ -169,8 +159,8 @@ func (p *Plan) buildFieldBodies() {
 	// applied in the column pass), and the sin-x series of coef*sx feeds Ex.
 	// Two packed length-Nx/2 inverse FFTs per row.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
-		scratch := p.scratch[chunk]
-		srow := p.rowReal[chunk][:nx]
+		ls := &p.lines[chunk]
+		scratch, srow := ls.fft, ls.rowReal[:nx]
 		for v := lo; v < hi; v++ {
 			row := p.coefIn[v*nx : (v+1)*nx]
 			dctIIIMakhoul(row, p.tmp[v*nx:(v+1)*nx], false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
@@ -185,13 +175,9 @@ func (p *Plan) buildFieldBodies() {
 	// one scatter serve every output.
 	p.fieldColsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
-		scratch := p.scratch[chunk]
-		tA := p.tileIn[chunk]
-		tB := p.tileIn2[chunk]
-		tPsi := p.tileOut[chunk]
-		tEx := p.tileOutB[chunk]
-		tEy := p.tileOutC[chunk]
-		eyIn := p.rowReal[chunk][:ny]
+		ls := &p.lines[chunk]
+		scratch, eyIn := ls.fft, ls.rowReal[:ny]
+		tA, tB, tPsi, tEx, tEy := ls.tileIn, ls.tileIn2, ls.tileOut, ls.tileOutB, ls.tileOutC
 		for x0 := lo; x0 < hi; x0 += tileW {
 			w := hi - x0
 			if w > tileW {
@@ -240,76 +226,15 @@ func (p *Plan) checkSize(buf []float64, what string) {
 	}
 }
 
-// ensure grows the plan's scratch for use with e: one set of per-chunk
-// buffers per engine worker. Called with p.mu held; the early-out keeps
-// steady-state transforms allocation-free.
-func (p *Plan) ensure(e *kernel.Engine) {
-	w := e.Workers()
-	if p.tmp != nil && len(p.scratch) >= w {
-		return
-	}
-	if p.tmp == nil {
-		p.tmp = e.Alloc(p.Nx * p.Ny)
-	}
-	maxN := p.Nx
-	if p.Ny > maxN {
-		maxN = p.Ny
-	}
-	colN := tileW * p.Ny
-	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, e.AllocComplex(max(maxN/2, 1)))
-		p.rowReal = append(p.rowReal, e.Alloc(maxN))
-		p.tileIn = append(p.tileIn, e.Alloc(colN))
-		p.tileOut = append(p.tileOut, e.Alloc(colN))
-	}
-	// Keep the field tiles in step if EvalPotentialField already ran once.
-	if p.tmp2 != nil {
-		p.ensureField(e)
-	}
-}
-
-// ensureField grows the batched-field scratch (second intermediate and the
-// extra column tiles), which only EvalPotentialField needs.
-func (p *Plan) ensureField(e *kernel.Engine) {
-	if p.tmp2 == nil {
-		p.tmp2 = e.Alloc(p.Nx * p.Ny)
-	}
-	colN := tileW * p.Ny
-	for len(p.tileIn2) < e.Workers() {
-		p.tileIn2 = append(p.tileIn2, e.Alloc(colN))
-		p.tileOutB = append(p.tileOutB, e.Alloc(colN))
-		p.tileOutC = append(p.tileOutC, e.Alloc(colN))
-	}
-}
-
 // Release returns every scratch buffer the plan has checked out back to
 // e's arena and drops the references, so the engine's in-use byte count
 // falls back to its pre-plan baseline (a cancelled placement job must not
 // leave its scratch checked out). The plan stays usable: the next
-// transform re-ensures its scratch.
+// transform checks its scratch out again.
 func (p *Plan) Release(e *kernel.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	freeFs := func(bufs [][]float64) {
-		for _, b := range bufs {
-			e.Free(b)
-		}
-	}
-	e.Free(p.tmp)
-	e.Free(p.tmp2)
-	p.tmp, p.tmp2 = nil, nil
-	for _, b := range p.scratch {
-		e.FreeComplex(b)
-	}
-	p.scratch = nil
-	freeFs(p.rowReal)
-	freeFs(p.tileIn)
-	freeFs(p.tileOut)
-	freeFs(p.tileIn2)
-	freeFs(p.tileOutB)
-	freeFs(p.tileOutC)
-	p.rowReal, p.tileIn, p.tileOut = nil, nil, nil
-	p.tileIn2, p.tileOutB, p.tileOutC = nil, nil, nil
+	p.free(e)
 }
 
 // run executes the two-pass (rows then columns) transform with the
@@ -317,7 +242,7 @@ func (p *Plan) Release(e *kernel.Engine) {
 // kernel names are passed as literals by each transform so launching never
 // builds a string.
 func (p *Plan) run(e *kernel.Engine, rowsName, colsName string) {
-	p.ensure(e)
+	p.grow(e, p.Nx, p.Ny, false)
 	e.LaunchLines(rowsName, p.Ny, p.Nx, p.rowsBody)
 	e.LaunchLines(colsName, p.Nx, p.Ny, p.colsBody)
 	p.src, p.dst = nil, nil
@@ -384,8 +309,7 @@ func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, e *kernel
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensure(e)
-	p.ensureField(e)
+	p.grow(e, p.Nx, p.Ny, true)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
 	e.LaunchLines("spectral2.field_rows", p.Ny, p.Nx, p.fieldRowsBody)

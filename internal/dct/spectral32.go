@@ -42,21 +42,12 @@ type Plan32 struct {
 	cosHy, sinHy []float64
 	unpX, unpY   []complex128
 
-	mu   sync.Mutex
-	tmp  []float32 // nx*ny intermediate (rows pass output)
-	tmp2 []float32 // second intermediate for the batched field evaluation
-
-	// Per-chunk scratch: the complex FFT buffer, float64 staging rows for
-	// the mixed-precision row kernels, and the float64 column tiles.
-	scratch  [][]complex128 // packed FFT buffer: max(nx,ny)/2
-	rowIn    [][]float64    // converted input row: max(nx,ny)
-	rowOut   [][]float64    // transformed row before store: max(nx,ny)
-	rowReal  [][]float64    // scaled-coefficient row (field eval): max(nx,ny)
-	tileIn   [][]float64    // gathered+converted columns: tileW*ny
-	tileOut  [][]float64    // transformed columns: tileW*ny
-	tileIn2  [][]float64    // gathered tmp2 columns (Ex input)
-	tileOutB [][]float64    // Ex output columns
-	tileOutC [][]float64    // Ey output columns
+	mu sync.Mutex
+	// Guarded by mu: the float32 intermediates, and per chunk the complex
+	// FFT buffer, the float64 staging rows of the mixed-precision row
+	// kernels (rowIn, rowOut, and rowReal for the scaled-coefficient row)
+	// and the float64 column tiles.
+	planScratch[float32]
 
 	// Staged per-call parameters.
 	src, dst             []float32
@@ -107,9 +98,8 @@ func store32(dst []float32, src []float64) {
 func (p *Plan32) buildBodies() {
 	nx := p.Nx
 	p.rowsBody = func(chunk, lo, hi int) {
-		scratch := p.scratch[chunk]
-		rin := p.rowIn[chunk][:nx]
-		rout := p.rowOut[chunk][:nx]
+		ls := &p.lines[chunk]
+		scratch, rin, rout := ls.fft, ls.rowIn[:nx], ls.rowOut[:nx]
 		for y := lo; y < hi; y++ {
 			load32(rin, p.src[y*nx:(y+1)*nx])
 			if p.forward {
@@ -125,9 +115,8 @@ func (p *Plan32) buildBodies() {
 	// precision boundary costs no extra pass over the matrix.
 	p.colsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
-		scratch := p.scratch[chunk]
-		tin := p.tileIn[chunk]
-		tout := p.tileOut[chunk]
+		ls := &p.lines[chunk]
+		scratch, tin, tout := ls.fft, ls.tileIn, ls.tileOut
 		for x0 := lo; x0 < hi; x0 += tileW {
 			w := hi - x0
 			if w > tileW {
@@ -158,10 +147,8 @@ func (p *Plan32) buildBodies() {
 	}
 	// Batched field evaluation, same two-pass structure as the float64 plan.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
-		scratch := p.scratch[chunk]
-		rin := p.rowIn[chunk][:nx]
-		rout := p.rowOut[chunk][:nx]
-		srow := p.rowReal[chunk][:nx]
+		ls := &p.lines[chunk]
+		scratch, rin, rout, srow := ls.fft, ls.rowIn[:nx], ls.rowOut[:nx], ls.rowReal[:nx]
 		for v := lo; v < hi; v++ {
 			load32(rin, p.coefIn[v*nx:(v+1)*nx])
 			dctIIIMakhoul(rin, rout, false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
@@ -175,13 +162,9 @@ func (p *Plan32) buildBodies() {
 	}
 	p.fieldColsBody = func(chunk, lo, hi int) {
 		ny := p.Ny
-		scratch := p.scratch[chunk]
-		tA := p.tileIn[chunk]
-		tB := p.tileIn2[chunk]
-		tPsi := p.tileOut[chunk]
-		tEx := p.tileOutB[chunk]
-		tEy := p.tileOutC[chunk]
-		eyIn := p.rowReal[chunk][:ny]
+		ls := &p.lines[chunk]
+		scratch, eyIn := ls.fft, ls.rowReal[:ny]
+		tA, tB, tPsi, tEx, tEy := ls.tileIn, ls.tileIn2, ls.tileOut, ls.tileOutB, ls.tileOutC
 		for x0 := lo; x0 < hi; x0 += tileW {
 			w := hi - x0
 			if w > tileW {
@@ -230,79 +213,18 @@ func (p *Plan32) checkSize(buf []float32, what string) {
 	}
 }
 
-// ensure grows the plan's scratch for use with e. Called with p.mu held.
-func (p *Plan32) ensure(e *kernel.Engine) {
-	w := e.Workers()
-	if p.tmp != nil && len(p.scratch) >= w {
-		return
-	}
-	if p.tmp == nil {
-		p.tmp = e.Alloc32(p.Nx * p.Ny)
-	}
-	maxN := p.Nx
-	if p.Ny > maxN {
-		maxN = p.Ny
-	}
-	colN := tileW * p.Ny
-	for len(p.scratch) < w {
-		p.scratch = append(p.scratch, e.AllocComplex(max(maxN/2, 1)))
-		p.rowIn = append(p.rowIn, e.Alloc(maxN))
-		p.rowOut = append(p.rowOut, e.Alloc(maxN))
-		p.rowReal = append(p.rowReal, e.Alloc(maxN))
-		p.tileIn = append(p.tileIn, e.Alloc(colN))
-		p.tileOut = append(p.tileOut, e.Alloc(colN))
-	}
-	if p.tmp2 != nil {
-		p.ensureField(e)
-	}
-}
-
-func (p *Plan32) ensureField(e *kernel.Engine) {
-	if p.tmp2 == nil {
-		p.tmp2 = e.Alloc32(p.Nx * p.Ny)
-	}
-	colN := tileW * p.Ny
-	for len(p.tileIn2) < e.Workers() {
-		p.tileIn2 = append(p.tileIn2, e.Alloc(colN))
-		p.tileOutB = append(p.tileOutB, e.Alloc(colN))
-		p.tileOutC = append(p.tileOutC, e.Alloc(colN))
-	}
-}
-
 // Release returns every scratch buffer to e's arena and drops the
 // references. Idempotent; the plan stays usable (the next transform
-// re-ensures its scratch).
+// checks its scratch out again).
 func (p *Plan32) Release(e *kernel.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e.Free32(p.tmp)
-	e.Free32(p.tmp2)
-	p.tmp, p.tmp2 = nil, nil
-	for _, b := range p.scratch {
-		e.FreeComplex(b)
-	}
-	p.scratch = nil
-	freeFs := func(bufs [][]float64) {
-		for _, b := range bufs {
-			e.Free(b)
-		}
-	}
-	freeFs(p.rowIn)
-	freeFs(p.rowOut)
-	freeFs(p.rowReal)
-	freeFs(p.tileIn)
-	freeFs(p.tileOut)
-	freeFs(p.tileIn2)
-	freeFs(p.tileOutB)
-	freeFs(p.tileOutC)
-	p.rowIn, p.rowOut, p.rowReal = nil, nil, nil
-	p.tileIn, p.tileOut = nil, nil
-	p.tileIn2, p.tileOutB, p.tileOutC = nil, nil, nil
+	p.free(e)
 }
 
 // run executes the two-pass transform with staged parameters; p.mu held.
 func (p *Plan32) run(e *kernel.Engine, rowsName, colsName string) {
-	p.ensure(e)
+	p.grow(e, p.Nx, p.Ny, false)
 	e.LaunchLines(rowsName, p.Ny, p.Nx, p.rowsBody)
 	e.LaunchLines(colsName, p.Nx, p.Ny, p.colsBody)
 	p.src, p.dst = nil, nil
@@ -346,8 +268,7 @@ func (p *Plan32) EvalPotentialField(coef []float32, sx, sy []float64, psi, ex, e
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensure(e)
-	p.ensureField(e)
+	p.grow(e, p.Nx, p.Ny, true)
 	p.coefIn, p.sx, p.sy = coef, sx, sy
 	p.dstPsi, p.dstEx, p.dstEy = psi, ex, ey
 	e.LaunchLines("spectral32.field_rows", p.Ny, p.Nx, p.fieldRowsBody)

@@ -16,12 +16,22 @@ var workerShapes = []struct{ nx, ny int }{
 	{128, 128}, {256, 64}, {64, 256}, {512, 512}, {4, 4096},
 }
 
-// spectralOutputs runs every spectral transform of both plans on an engine
-// of the given width and returns their outputs by name. Each transform
-// writes into fresh, NaN-poisoned buffers, so a line no chunk wrote shows.
+// spectralOutputs runs every spectral transform of fresh plans of both
+// kinds on an engine of the given width and returns their outputs by name.
 func spectralOutputs(nx, ny, workers int) map[string][]float64 {
 	e := kernel.New(kernel.Options{Workers: workers})
 	defer e.Close()
+	p, p32 := NewPlan(nx, ny), NewPlan32(nx, ny)
+	defer p.Release(e)
+	defer p32.Release(e)
+	return planOutputs(e, p, p32)
+}
+
+// planOutputs runs every spectral transform of p and p32 on e and returns
+// their outputs by name. Each transform writes into fresh, NaN-poisoned
+// buffers, so a line no chunk wrote shows.
+func planOutputs(e *kernel.Engine, p *Plan, p32 *Plan32) map[string][]float64 {
+	nx, ny := p.Nx, p.Ny
 	coef := randGrid(nx, ny, 41)
 	sx, sy := randGrid(nx, 1, 42), randGrid(1, ny, 43)
 	n := nx * ny
@@ -48,8 +58,6 @@ func spectralOutputs(nx, ny, workers int) map[string][]float64 {
 	}
 	out := map[string][]float64{}
 
-	p := NewPlan(nx, ny)
-	defer p.Release(e)
 	dct, cc := poisoned(), poisoned()
 	p.DCT2(coef, dct, e)
 	p.EvalCosCos(coef, cc, e)
@@ -61,8 +69,6 @@ func spectralOutputs(nx, ny, workers int) map[string][]float64 {
 	out["Plan.psi"], out["Plan.ex"], out["Plan.ey"] = psi, ex, ey
 	out["Plan.ex(psi=nil)"], out["Plan.ey(psi=nil)"] = ex0, ey0
 
-	p32 := NewPlan32(nx, ny)
-	defer p32.Release(e)
 	c32 := to32(coef)
 	dct32, cc32 := poisoned32(), poisoned32()
 	p32.DCT2(c32, dct32, e)
@@ -81,7 +87,10 @@ func spectralOutputs(nx, ny, workers int) map[string][]float64 {
 // pass is transformed independently into chunk-private scratch, so however
 // the line passes fan out, DCT2, EvalCosCos and EvalPotentialField (with
 // and without psi) on both plans give the one-worker bits at 2, 3 and 8
-// workers.
+// workers. One Plan and one Plan32 driven in turn by engines of 1, 3 and 8
+// workers grow their per-chunk scratch to each engine's chunk count and
+// give the bits of fresh plans on that engine; Release on the last engine
+// returns every byte it lent (its InUse back at its baseline).
 func TestSpectralPassesBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, sh := range workerShapes {
 		t.Run(fmt.Sprintf("%dx%d", sh.nx, sh.ny), func(t *testing.T) {
@@ -93,14 +102,36 @@ func TestSpectralPassesBitIdenticalAcrossWorkers(t *testing.T) {
 					}
 				}
 			}
-			for _, workers := range []int{2, 3, 8} {
-				got := spectralOutputs(sh.nx, sh.ny, workers)
+			same := func(what string, got, want map[string][]float64) {
+				t.Helper()
 				for name, w := range want {
 					g := got[name]
 					for i := range w {
 						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-							t.Fatalf("%d workers: %s[%d] = %v, 1 worker gives %v", workers, name, i, g[i], w[i])
+							t.Fatalf("%s: %s[%d] = %v, want %v", what, name, i, g[i], w[i])
 						}
+					}
+				}
+			}
+			for _, workers := range []int{2, 3, 8} {
+				same(fmt.Sprintf("%d workers against 1", workers), spectralOutputs(sh.nx, sh.ny, workers), want)
+			}
+
+			p, p32 := NewPlan(sh.nx, sh.ny), NewPlan32(sh.nx, sh.ny)
+			for _, workers := range []int{1, 3, 8} {
+				e := kernel.New(kernel.Options{Workers: workers})
+				defer e.Close()
+				base := e.ArenaStats().InUse
+				fp, fp32 := NewPlan(sh.nx, sh.ny), NewPlan32(sh.nx, sh.ny)
+				fresh := planOutputs(e, fp, fp32)
+				fp.Release(e)
+				fp32.Release(e)
+				same(fmt.Sprintf("plans reused on %d workers against fresh plans", workers), planOutputs(e, p, p32), fresh)
+				if workers == 8 {
+					p.Release(e)
+					p32.Release(e)
+					if got := e.ArenaStats().InUse; got != base {
+						t.Errorf("InUse after Release on the last engine = %d, want %d", got, base)
 					}
 				}
 			}

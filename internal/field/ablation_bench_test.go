@@ -1,6 +1,6 @@
 package field
 
-// Ablation bench (DESIGN.md §5.3): the atomics-free per-worker-accumulator
+// Ablation bench (DESIGN.md §5.3): the atomics-free per-chunk-accumulator
 // density scatter against a CAS-loop atomic variant.
 
 import (
@@ -32,6 +32,7 @@ func scatterAtomic(e *kernel.Engine, s *System, d *netlist.Design, out []float64
 		out[i] = 0
 	}
 	invBinArea := 1 / s.Grid.BinArea()
+	s.grow(e, e.Chunks(d.NumCells()))
 	e.LaunchChunks("density.atomic", d.NumCells(), func(chunk, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			if d.CellKind[c] != netlist.Movable {

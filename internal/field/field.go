@@ -70,11 +70,10 @@ type System struct {
 	Ey []float64 // field y
 
 	plan    *dct.Plan
-	coef    []float64 // DCT coefficients scratch
-	wu, wv  []float64 // frequencies pi*u/Nx, pi*v/Ny
-	scratch [][]float64
+	coef    []float64   // DCT coefficients scratch
+	wu, wv  []float64   // frequencies pi*u/Nx, pi*v/Ny
+	scratch [][]float64 // per-chunk scatter maps (reference backend)
 	spanX   [][]float64 // per-chunk bin-width scratch of scatter and gather (Nx each)
-	workers int
 
 	// Reduced-precision path (nil/unused on the reference backend). The
 	// public maps stay []float64 — the backend element type is confined to
@@ -86,7 +85,7 @@ type System struct {
 	coef32    []float32 // spectral coefficients
 	ex32      []float32 // solver outputs before the store conversion
 	ey32      []float32
-	scratch32 [][]float32 // per-worker scatter maps (f32 halves the traffic)
+	scratch32 [][]float32 // per-chunk scatter maps (f32 halves the traffic)
 
 	cvtLd, cvtSt         backend.VecBody
 	cvtLdBody, cvtStBody func(lo, hi int)
@@ -120,9 +119,10 @@ type System struct {
 
 func sumCombine(a, b float64) float64 { return a + b }
 
-// NewSystem creates an electrostatic system on grid with per-worker
-// scatter buffers for engine e, using the reference (float64) backend.
-// Grid dimensions must be powers of two.
+// NewSystem creates an electrostatic system on grid for engine e, using the
+// reference (float64) backend. Grid dimensions must be powers of two. Any
+// engine may drive the system: its per-chunk scratch is checked out of the
+// driving engine's arena, sized by that engine's chunk count.
 func NewSystem(grid geom.Grid, e *kernel.Engine) *System {
 	return NewSystemOn(grid, e, nil)
 }
@@ -134,17 +134,16 @@ func NewSystem(grid geom.Grid, e *kernel.Engine) *System {
 func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 	nx, ny := grid.Nx, grid.Ny
 	s := &System{
-		Grid:    grid,
-		Nx:      nx,
-		Ny:      ny,
-		D:       make([]float64, nx*ny),
-		Dfl:     make([]float64, nx*ny),
-		Total:   make([]float64, nx*ny),
-		Ex:      make([]float64, nx*ny),
-		Ey:      make([]float64, nx*ny),
-		wu:      make([]float64, nx),
-		wv:      make([]float64, ny),
-		workers: e.Workers(),
+		Grid:  grid,
+		Nx:    nx,
+		Ny:    ny,
+		D:     make([]float64, nx*ny),
+		Dfl:   make([]float64, nx*ny),
+		Total: make([]float64, nx*ny),
+		Ex:    make([]float64, nx*ny),
+		Ey:    make([]float64, nx*ny),
+		wu:    make([]float64, nx),
+		wv:    make([]float64, ny),
 
 		mergeNames: make(map[string]string),
 	}
@@ -154,24 +153,12 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 	for v := 0; v < ny; v++ {
 		s.wv[v] = math.Pi * float64(v) / float64(ny)
 	}
-	s.spanX = make([][]float64, s.workers)
-	for w := range s.spanX {
-		s.spanX[w] = make([]float64, nx)
-	}
 	if backend.IsReference(b) {
 		s.plan = dct.NewPlan(nx, ny)
 		s.coef = make([]float64, nx*ny)
-		s.scratch = make([][]float64, s.workers)
-		for w := range s.scratch {
-			s.scratch[w] = make([]float64, nx*ny)
-		}
 	} else {
 		s.be = b
 		s.plan32 = dct.NewPlan32(nx, ny)
-		s.scratch32 = make([][]float32, s.workers)
-		for w := range s.scratch32 {
-			s.scratch32[w] = make([]float32, nx*ny)
-		}
 		s.cvtLd = b.Kernels().Make("cvt.load")
 		s.cvtSt = b.Kernels().Make("cvt.store")
 		s.cvtLdBody = func(lo, hi int) { s.cvtLd.Run(lo, hi) }
@@ -184,13 +171,24 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 // Backend returns the system's compute backend (nil for the reference).
 func (s *System) Backend() backend.Backend { return s.be }
 
-// Release returns the spectral plan's arena-backed scratch — and, on a
-// reduced-precision backend, the solver's element buffers — to engine e.
+// Release returns the per-chunk scatter maps and span rows, the spectral
+// plan's arena-backed scratch and, on a reduced-precision backend, the
+// solver's element buffers to engine e.
 // Call it when the system's owner (a placement job) is done — including on
 // cancellation — so the engine arena's in-use bytes return to their
 // pre-job baseline. Idempotent; the system stays usable (the next solve
 // re-checks the scratch out).
 func (s *System) Release(e *kernel.Engine) {
+	for _, b := range s.spanX {
+		e.Free(b)
+	}
+	for _, b := range s.scratch {
+		e.Free(b)
+	}
+	for _, b := range s.scratch32 {
+		e.Free32(b)
+	}
+	s.spanX, s.scratch, s.scratch32 = nil, nil, nil
 	if s.plan != nil {
 		s.plan.Release(e)
 	}
@@ -216,6 +214,21 @@ func (s *System) ensure32(e *kernel.Engine) {
 	s.coef32 = e.Alloc32(n)
 	s.ex32 = e.Alloc32(n)
 	s.ey32 = e.Alloc32(n)
+}
+
+// grow checks per-chunk scratch out of e's arena, on the calling goroutine,
+// until there is a span row and a scatter map of the backend's element type
+// for each of chunks chunks. Nothing is checked out once they are there,
+// which keeps steady-state launches allocation-free.
+func (s *System) grow(e *kernel.Engine, chunks int) {
+	for len(s.spanX) < chunks {
+		s.spanX = append(s.spanX, e.Alloc(s.Nx))
+		if s.be == nil {
+			s.scratch = append(s.scratch, e.Alloc(s.Nx*s.Ny))
+		} else {
+			s.scratch32 = append(s.scratch32, e.Alloc32(s.Nx*s.Ny))
+		}
+	}
 }
 
 // binSpanX fills wx[i] with the width of the overlap of r with bin column
@@ -334,7 +347,7 @@ func (s *System) buildBodies() {
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch, invBinArea, lo, hi) }
 		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef, lo, hi) }
 	} else {
-		// Reduced-precision scatter: the per-worker private maps are
+		// Reduced-precision scatter: the per-chunk private maps are
 		// float32 (half the streamed bytes of the hot loop); the merge
 		// accumulates in float64 and converts at the boundary store.
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch32[w], s.spanX[w], lo, hi) }
@@ -431,20 +444,11 @@ func (s *System) expandedRect(d *netlist.Design, c int, x, y float64) (geom.Rect
 	return geom.Rect{Lx: x - ew/2, Ly: y - eh/2, Hx: x + ew/2, Hy: y + eh/2}, scale
 }
 
-// checkEngine panics, on the calling goroutine, when e would hand a kernel
-// body a chunk index past the per-chunk scratch the system was built with
-// (a bare index-out-of-range inside a pool goroutine would kill the
-// process instead).
-func (s *System) checkEngine(e *kernel.Engine) {
-	if e.Workers() > s.workers {
-		panic(fmt.Sprintf("field: system built for %d workers driven by a %d-worker engine", s.workers, e.Workers()))
-	}
-}
-
 // ScatterDensity accumulates the density of all cells selected by mask
 // into out (occupancy units). One kernel for the parallel scatter into
-// per-worker private maps plus one merge kernel — the atomics-free
-// accumulation the design doc calls out.
+// per-chunk private maps plus one merge kernel — the atomics-free
+// accumulation the design doc calls out. The maps are sized by the chunk
+// count of e, whichever engine built the system.
 func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []float64, mask KindMask, out []float64, name string) {
 	if len(out) != s.Nx*s.Ny {
 		panic(fmt.Sprintf("field: out has %d bins, want %d", len(out), s.Nx*s.Ny))
@@ -460,7 +464,7 @@ func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []floa
 		mergeName = name + ".merge"
 		s.mergeNames[name] = mergeName
 	}
-	s.checkEngine(e)
+	s.grow(e, e.Chunks(d.NumCells()))
 	s.scD, s.scX, s.scY, s.scMask, s.scOut = d, x, y, mask, out
 	s.scUsed = e.LaunchChunks(name, d.NumCells(), s.scatterBody)
 	e.Launch(mergeName, s.Nx*s.Ny, s.mergeBody)
@@ -524,7 +528,7 @@ func (s *System) GatherField(e *kernel.Engine, d *netlist.Design, x, y []float64
 	if y == nil {
 		y = d.CellY
 	}
-	s.checkEngine(e)
+	s.grow(e, e.Chunks(d.NumCells()))
 	s.gaD, s.gaX, s.gaY, s.gaMask, s.gaGX, s.gaGY = d, x, y, mask, gradX, gradY
 	e.LaunchChunks("density.gather_field", d.NumCells(), s.gatherBody)
 }

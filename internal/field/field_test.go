@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"xplace/internal/backend"
@@ -379,7 +378,7 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 // element type of the per-chunk maps (float32 on the reduced-precision
 // backend).
 func oracleScatter[T float32 | float64](e *kernel.Engine, s *System, d *netlist.Design, x, y []float64, mask KindMask, out []float64) {
-	scratch := make([][]T, e.Workers())
+	scratch := make([][]T, e.Chunks(d.NumCells()))
 	for w := range scratch {
 		scratch[w] = make([]T, s.Nx*s.Ny)
 	}
@@ -571,36 +570,74 @@ func TestScatterGatherBitIdenticalToRectOracle(t *testing.T) {
 	}
 }
 
-// TestSystemRejectsWiderEngine: a system's per-chunk scratch is sized for
-// the engine it was built on; driving it with an engine of more workers
-// must fail on the calling goroutine with a message that says so, not with
-// an index out of range inside a pool goroutine (which no caller can
-// recover and which takes the process down).
-func TestSystemRejectsWiderEngine(t *testing.T) {
+// TestSystemDrivenByWiderEngine: a system's per-chunk scratch is grown
+// from the engine that drives it, not fixed by the one it was built on. A
+// system built on a 1-worker engine and driven by a 2- or 8-worker engine
+// gives D, Total, Ex, Ey, the energy and the gathered gradients of a system
+// built on the driving engine bit for bit, on both backends, and Release
+// returns the driving engine's arena to its pre-system bytes.
+func TestSystemDrivenByWiderEngine(t *testing.T) {
 	narrow := kernel.New(kernel.Options{Workers: 1})
 	defer narrow.Close()
-	wide := kernel.New(kernel.Options{Workers: 2})
-	defer wide.Close()
 	grid := geom.NewGrid(geom.Rect{Hx: 16, Hy: 16}, 16, 16)
-	s := NewSystem(grid, narrow)
-	d := oracleDesign(t, grid, 3000, 9) // >= the parallel threshold: chunk 1 would run
+	d := oracleDesign(t, grid, 3000, 9) // >= the parallel threshold: every chunk runs
 	n := d.NumCells()
-	for name, call := range map[string]func(){
-		"ScatterDensity": func() { s.ScatterDensity(wide, d, nil, nil, MaskAll, s.Total, "density.total") },
-		"GatherField":    func() { s.GatherField(wide, d, nil, nil, MaskAll, make([]float64, n), make([]float64, n)) },
-	} {
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "field: system built for 1 workers driven by a 2-worker engine") {
-					t.Errorf("%s on a wider engine: recovered %q", name, msg)
-				}
-			}()
-			call()
-		}()
+	type run struct {
+		d, total, ex, ey, gx, gy []float64
+		energy                   float64
 	}
-	// The other direction is fine: fewer chunks than scratch maps.
-	NewSystem(grid, wide).ScatterDensity(narrow, d, nil, nil, MaskAll, s.Total, "density.total")
+	drive := func(s *System, e *kernel.Engine) run {
+		s.ScatterDensity(e, d, nil, nil, MaskMovable|MaskFixed, s.D, "density.cells")
+		s.ScatterDensity(e, d, nil, nil, MaskAll, s.Total, "density.total")
+		r := run{energy: s.SolvePoisson(e), gx: make([]float64, n), gy: make([]float64, n)}
+		s.GatherField(e, d, nil, nil, MaskPlaceable, r.gx, r.gy)
+		r.d, r.total = append([]float64(nil), s.D...), append([]float64(nil), s.Total...)
+		r.ex, r.ey = append([]float64(nil), s.Ex...), append([]float64(nil), s.Ey...)
+		return r
+	}
+	for _, workers := range []int{2, 8} {
+		for _, be := range []backend.Backend{nil, backend.Float32()} {
+			t.Run(fmt.Sprintf("workers=%d/f32=%v", workers, be != nil), func(t *testing.T) {
+				e := kernel.New(kernel.Options{Workers: workers})
+				defer e.Close()
+				if e.Chunks(n) < 2 {
+					t.Fatalf("Chunks(%d) = %d: the case tests nothing", n, e.Chunks(n))
+				}
+				// A buffer held across the test keeps the baseline above
+				// zero, so returning more than was checked out shows.
+				hold := e.Alloc(1000)
+				defer e.Free(hold)
+				base := e.ArenaStats().InUse
+
+				s := NewSystemOn(grid, narrow, be)
+				ref := NewSystemOn(grid, e, be)
+				got, want := drive(s, e), drive(ref, e)
+				if math.Float64bits(got.energy) != math.Float64bits(want.energy) {
+					t.Errorf("energy %v, system built on the driving engine %v", got.energy, want.energy)
+				}
+				for name, pair := range map[string][2][]float64{
+					"D": {got.d, want.d}, "Total": {got.total, want.total},
+					"Ex": {got.ex, want.ex}, "Ey": {got.ey, want.ey},
+					"gradX": {got.gx, want.gx}, "gradY": {got.gy, want.gy},
+				} {
+					for i := range pair[1] {
+						if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+							t.Fatalf("%s[%d] = %v, system built on the driving engine %v", name, i, pair[0][i], pair[1][i])
+						}
+					}
+				}
+				if want.energy == 0 {
+					t.Fatal("zero energy: the case tests little")
+				}
+
+				s.Release(e)
+				ref.Release(e)
+				if got := e.ArenaStats().InUse; got != base {
+					t.Errorf("InUse after Release = %d, want the pre-system %d", got, base)
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkScatterAndSolve(b *testing.B) {
@@ -683,6 +720,7 @@ func BenchmarkScatter(b *testing.B) {
 	for i, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			e, s, d := benchShape(b, i)
+			s.ScatterDensity(e, d, nil, nil, MaskAll, s.Total, "density.total") // grows the per-chunk maps
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -29,8 +29,11 @@
 //
 // Every launch flavour (Launch, LaunchChunks, ParallelReduce, LaunchLines,
 // LaunchSerial) goes through one dispatch routine, so the split into
-// chunks, the barrier and the accounting live in one place. A launch's n
-// counts what its body is split over: elements for Launch, LaunchChunks
+// chunks, the barrier and the accounting live in one place. The engine
+// alone decides the split: chunk indices handed to a body are in
+// [0, Chunks(n)) (LineChunks for a line pass), and operators size their
+// per-chunk scratch by that count and nothing else. A launch's n counts
+// what its body is split over: elements for Launch, LaunchChunks
 // and ParallelReduce, which fan out from minParallel elements, and whole
 // lines for LaunchLines, which fans out from minLineWork elements of line
 // work. Host-device synchronization points are counted with Sync; the
@@ -223,7 +226,8 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Workers returns the engine's degree of parallelism.
+// Workers returns the engine's degree of parallelism. Operators size their
+// per-chunk scratch by Chunks or LineChunks, never by this.
 func (e *Engine) Workers() int { return e.workers }
 
 // Closed reports whether Close has run: the worker pool is gone and any
@@ -293,42 +297,61 @@ const minParallel = 2048
 // within the benchmark's noise, so those grids stay serial.
 const minLineWork = 1 << 14
 
-// reduceStride is the spacing, in float64 elements, between per-worker
+// reduceStride is the spacing, in float64 elements, between per-chunk
 // partial slots in ParallelReduce: 8 float64 = 64 bytes = one cache line,
 // so concurrent workers never write the same line.
 const reduceStride = 8
 
-// chunkBounds returns the [lo, hi) range of chunk w when n items are split
-// over e.workers contiguous chunks; ok is false past the last chunk.
-func (e *Engine) chunkBounds(w, n int) (lo, hi int, ok bool) {
-	chunk := (n + e.workers - 1) / e.workers
-	lo = w * chunk
-	if lo >= n {
-		return 0, 0, false
+// split cuts a launch over n items whose work is work into chunks
+// contiguous chunks of size items (the last may be shorter):
+// ceil(n/workers)-item chunks when work reaches minWork on an engine of
+// more than one worker, one chunk of all n otherwise, none when n is 0.
+// dispatch, Chunks and LineChunks all take the count from here.
+func (e *Engine) split(n, work, minWork int) (chunks, size int) {
+	switch {
+	case n <= 0:
+		return 0, 0
+	case work < minWork || e.workers <= 1:
+		return 1, n
 	}
-	hi = lo + chunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi, true
+	size = (n + e.workers - 1) / e.workers
+	return (n + size - 1) / size, size
+}
+
+// Chunks returns how many chunks a Launch, LaunchChunks or ParallelReduce
+// over n elements runs as on this engine: the bound on every chunk index a
+// body sees, and the count operators size their per-chunk scratch by (a
+// closed engine runs one chunk, inside the bound).
+func (e *Engine) Chunks(n int) int {
+	c, _ := e.split(n, n, minParallel)
+	return c
+}
+
+// LineChunks is Chunks for a LaunchLines over lines lines of lineLen
+// elements each.
+func (e *Engine) LineChunks(lines, lineLen int) int {
+	c, _ := e.split(lines, lines*lineLen, minLineWork)
+	return c
 }
 
 // dispatch is the one launch path every flavour goes through. It marks
-// name as the current op, decides once between the worker pool and the
-// calling goroutine, walks the chunk bounds once, waits on one barrier and
-// accounts the launch. The launch is pooled when work reaches minWork on
-// an open engine of more than one worker; otherwise it runs serially (one
-// chunk, index 0, range [0, n)).
+// name as the current op, takes the chunk count from split, decides once
+// between the worker pool and the calling goroutine, waits on one barrier
+// and accounts the launch. Several chunks run on the pool of an open
+// engine; otherwise the launch runs serially (one chunk, index 0, range
+// [0, n)).
 // A reduce task's partials are folded with combine into acc in chunk order;
 // only a pooled reduce checks its padded partial slots out of the arena.
 // dispatch returns the number of chunks run and the folded value.
 func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
 	start := time.Now()
-	used := 0
 	e.begin(name)
+	chunks, size := e.split(n, work, minWork)
 	var p *pool
-	if work >= minWork && e.workers > 1 {
-		p = e.getPool()
+	if chunks > 1 {
+		if p = e.getPool(); p == nil {
+			chunks = 1 // closed: serial
+		}
 	}
 	switch {
 	case p != nil:
@@ -337,26 +360,21 @@ func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine fun
 			// float64 slots written by different workers would share a
 			// cache line and ping-pong it between cores (false sharing;
 			// see BenchmarkReducePartials* in pool_test.go for the delta).
-			t.partials = e.Alloc(e.workers * reduceStride)
+			t.partials = e.Alloc(chunks * reduceStride)
 		}
 		wg := wgPool.Get().(*sync.WaitGroup)
 		t.wg = wg
-		for w := 0; w < e.workers; w++ {
-			lo, hi, ok := e.chunkBounds(w, n)
-			if !ok {
-				break
-			}
-			t.chunk, t.lo, t.hi = w, lo, hi
-			wg.Add(1)
-			used++
+		wg.Add(chunks)
+		for c := 0; c < chunks; c++ {
+			t.chunk, t.lo, t.hi = c, c*size, min((c+1)*size, n)
 			p.tasks <- t
 		}
 		wg.Wait()
 		wgPool.Put(wg)
 		e.putPool()
 		if t.reduce != nil {
-			for w := 0; w < used; w++ {
-				acc = combine(acc, t.partials[w*reduceStride])
+			for c := 0; c < chunks; c++ {
+				acc = combine(acc, t.partials[c*reduceStride])
 			}
 			e.Free(t.partials)
 		}
@@ -365,25 +383,23 @@ func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine fun
 		if v := t.run(); t.reduce != nil {
 			acc = combine(acc, v)
 		}
-		used = 1
 	}
 	e.account(name, start, time.Since(start))
-	return used, acc
+	return chunks, acc
 }
 
 // Launch runs body over the index range [0, n) as one kernel named name.
-// The range is split into contiguous chunks, one per worker, executed by
-// the persistent pool. Launch blocks until the kernel completes
+// The range is split into Chunks(n) contiguous chunks, executed by the
+// persistent pool. Launch blocks until the kernel completes
 // (stream-ordered execution).
 func (e *Engine) Launch(name string, n int, body func(start, end int)) {
 	e.dispatch(name, n, n, minParallel, task{body: body}, nil, 0)
 }
 
-// LaunchChunks runs body over [0, n) as one kernel, passing each worker its
-// chunk index so callers can keep private partial accumulators (the
-// paper's atomics-free reduction pattern). Chunk indices are in
-// [0, Workers()); with small n only chunk 0 runs. Returns the number of
-// chunks used.
+// LaunchChunks runs body over [0, n) as one kernel, passing each chunk its
+// index so callers can keep private partial accumulators (the paper's
+// atomics-free reduction pattern). Chunk indices are in [0, Chunks(n));
+// with small n only chunk 0 runs. Returns the number of chunks used.
 func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end int)) int {
 	used, _ := e.dispatch(name, n, n, minParallel, task{chunked: body}, nil, 0)
 	return used
@@ -392,15 +408,11 @@ func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end in
 // LaunchLines runs body over lines [0, lines) of lineLen elements each as
 // one kernel: a row or column pass of a 2-D transform, whose few lines each
 // carry a whole 1-D transform. It passes chunk indices as LaunchChunks
-// does, over the same chunks when pooled, and fans out when there are at
+// does, in [0, LineChunks(lines, lineLen)), and fans out when there are at
 // least two lines and lines*lineLen reaches minLineWork, however few lines
-// that is. Returns the number of chunks used.
+// that is (one line is one chunk). Returns the number of chunks used.
 func (e *Engine) LaunchLines(name string, lines, lineLen int, body func(chunk, start, end int)) int {
-	work := 0
-	if lines >= 2 {
-		work = lines * lineLen
-	}
-	used, _ := e.dispatch(name, lines, work, minLineWork, task{chunked: body}, nil, 0)
+	used, _ := e.dispatch(name, lines, lines*lineLen, minLineWork, task{chunked: body}, nil, 0)
 	return used
 }
 
@@ -412,7 +424,7 @@ func (e *Engine) LaunchSerial(name string, body func()) {
 }
 
 // ParallelReduce runs body over [0, n) with one private accumulator per
-// worker and folds the partials with combine, all as a single kernel. The
+// chunk and folds the partials with combine, all as a single kernel. The
 // partial buffer is checked out of the engine arena, so steady-state
 // reductions are allocation-free.
 func (e *Engine) ParallelReduce(name string, n int, init float64,

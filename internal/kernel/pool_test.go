@@ -14,8 +14,10 @@ import (
 // numbers them 0..used-1 in range order, and ParallelReduce folds their
 // partials in chunk order. LaunchLines over n lines pools exactly when the
 // engine is open with more than one worker, n >= 2 and n*lineLen reaches
-// minLineWork — then with LaunchChunks' chunks and indices over n — and
-// otherwise runs one serial chunk.
+// minLineWork — then with ceil(n/workers)-line chunks — and otherwise runs
+// one serial chunk. Every chunk index is below Chunks(n) (LineChunks for
+// the line flavour), and a pooled launch runs exactly that many chunks:
+// the count operators size their scratch by is the count the launch uses.
 func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 	type span struct{ chunk, lo, hi int }
 	byLo := func(s []span) []span {
@@ -74,6 +76,14 @@ func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 					if pooled && len(launched) < 2 {
 						t.Errorf("pooled launch ran %d chunk, want several", len(launched))
 					}
+					if pooled && used != e.Chunks(n) {
+						t.Errorf("pooled launch ran %d chunks, Chunks(%d) = %d", used, n, e.Chunks(n))
+					}
+					for _, s := range chunked {
+						if s.chunk >= e.Chunks(n) {
+							t.Errorf("chunk index %d, Chunks(%d) = %d", s.chunk, n, e.Chunks(n))
+						}
+					}
 
 					if used != len(chunked) || len(chunked) != len(launched) || len(reduced) != len(launched) {
 						t.Fatalf("chunk counts: Launch %d, LaunchChunks %d (used %d), ParallelReduce %d",
@@ -96,9 +106,9 @@ func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 
 					// The line flavour, just below and at its work threshold.
 					var pooledSpans []span
-					for c := 0; c < workers; c++ {
-						if lo, hi, ok := e.chunkBounds(c, n); ok {
-							pooledSpans = append(pooledSpans, span{c, lo, hi})
+					if size := (n + workers - 1) / workers; size > 0 {
+						for lo := 0; lo < n; lo += size {
+							pooledSpans = append(pooledSpans, span{len(pooledSpans), lo, min(lo+size, n)})
 						}
 					}
 					need := minLineWork
@@ -113,11 +123,20 @@ func TestLaunchFlavoursShareOneDecomposition(t *testing.T) {
 							mu.Unlock()
 						})
 						lined = byLo(lined)
+						bound := e.LineChunks(n, lineLen)
+						for _, s := range lined {
+							if s.chunk >= bound {
+								t.Errorf("LaunchLines(%d lines x %d) chunk index %d, LineChunks = %d", n, lineLen, s.chunk, bound)
+							}
+						}
 						wantSpans := []span{{0, 0, n}}
 						switch {
 						case n == 0:
 							wantSpans = nil
 						case !closed && workers > 1 && n >= 2 && n*lineLen >= minLineWork:
+							if usedL != bound {
+								t.Errorf("pooled LaunchLines(%d lines x %d) ran %d chunks, LineChunks = %d", n, lineLen, usedL, bound)
+							}
 							wantSpans = pooledSpans
 							if len(wantSpans) < 2 {
 								t.Fatalf("pooled line pass over %d lines has %d chunk", n, len(wantSpans))
@@ -199,8 +218,8 @@ func TestLaunchChunksParallelCoverage(t *testing.T) {
 			atomic.AddInt32(&seen[i], 1)
 		}
 	})
-	if used < 1 || used > e.Workers() {
-		t.Fatalf("used = %d, want in [1, %d]", used, e.Workers())
+	if used != e.Chunks(n) {
+		t.Fatalf("used = %d, want Chunks(%d) = %d", used, n, e.Chunks(n))
 	}
 	if len(got) != used {
 		t.Errorf("distinct chunks %d != used %d", len(got), used)

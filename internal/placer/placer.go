@@ -482,8 +482,8 @@ func (p *Placer) observeIteration() {
 
 // buildBodies constructs the persistent per-iteration kernel bodies once.
 func (p *Placer) buildBodies() {
-	p.l1PA = make([]float64, p.eng.Workers())
-	p.l1PB = make([]float64, p.eng.Workers())
+	chunks := p.eng.Chunks(p.d.NumCells())
+	p.l1PA, p.l1PB = make([]float64, chunks), make([]float64, chunks)
 	p.l1Body = func(w, lo, hi int) {
 		ax, ay, bx, by := p.l1AX, p.l1AY, p.l1BX, p.l1BY
 		var sa, sb float64

@@ -17,20 +17,21 @@ const (
 )
 
 // Ops is the persistent wirelength operator set used by the placer's hot
-// loop. It owns the per-worker partial buffers and builds every kernel body
+// loop. It owns the per-chunk partial buffers and builds every kernel body
 // once, with per-call parameters staged in struct fields, so steady-state
 // evaluations are allocation-free (per-call closures would heap-allocate on
 // every launch). An Ops is single-flight: drive it from one placement loop
 // at a time. It launches on the engine it was built for and takes none as
-// an argument, so a chunk index always addresses scratch sized for it.
+// an argument, so its scratch, sized by that engine's Chunks(nets),
+// covers every chunk index a body sees.
 type Ops struct {
 	e     *kernel.Engine
 	d     *netlist.Design
 	model Model
 
-	partWA, partHP []float64 // one slot per worker chunk
+	partWA, partHP []float64 // one slot per chunk
 
-	// Per-net scratch, one netScratch per worker chunk, all cut from the
+	// Per-net scratch, one netScratch per chunk, all cut from the
 	// single arena buffer netBuf (3 x maxDeg floats per chunk).
 	maxDeg int
 	netBuf []float64
@@ -50,14 +51,14 @@ type Ops struct {
 }
 
 // NewOps builds the persistent wirelength operators for (e, d) using the
-// given smoothed model. The per-worker partial buffers and per-net scratch
+// given smoothed model. The per-chunk partial buffers and per-net scratch
 // come from e's arena; call Release when done with the operator set.
 func NewOps(e *kernel.Engine, d *netlist.Design, model Model) *Ops {
 	o := &Ops{
 		e:     e,
 		d:     d,
 		model: model,
-		net:   make([]netScratch, e.Workers()),
+		net:   make([]netScratch, e.Chunks(d.NumNets())),
 	}
 	for n := 0; n < d.NumNets(); n++ {
 		o.maxDeg = max(o.maxDeg, d.NetPinStart[n+1]-d.NetPinStart[n])
@@ -109,7 +110,7 @@ func NewOps(e *kernel.Engine, d *netlist.Design, model Model) *Ops {
 	return o
 }
 
-// Release returns the per-worker partial buffers and the per-net scratch to
+// Release returns the per-chunk partial buffers and the per-net scratch to
 // the engine arena. Idempotent; the Ops stays usable — the next evaluation
 // checks them out again.
 func (o *Ops) Release() {

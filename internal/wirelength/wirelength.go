@@ -22,7 +22,7 @@ type Result struct {
 	HPWL float64 // exact half-perimeter wirelength
 }
 
-// netScratch is one worker chunk's per-net scratch: the gathered pin
+// netScratch is one chunk's per-net scratch: the gathered pin
 // coordinates of the net being evaluated and their two stable exponential
 // weights a+ = e^{(v-max)/gamma}, a- = e^{(min-v)/gamma}. Each slice is as
 // long as the design's largest net, so a net's working set stays in L1.

@@ -508,7 +508,7 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 }
 
 // TestOpsReleaseReturnsArena: a bare Ops gives everything it checked out —
-// the per-worker partials and the per-net scratch — back on Release, and
+// the per-chunk partials and the per-net scratch — back on Release, and
 // checks it out again on the next evaluation.
 func TestOpsReleaseReturnsArena(t *testing.T) {
 	e := eng()

@@ -17,6 +17,7 @@ import (
 
 // srcFile is one parsed Go file of the module.
 type srcFile struct {
+	fset    *token.FileSet    // positions of f
 	pkg     string            // import path of the file's package
 	test    bool              // a _test.go file
 	imports map[string]string // local package name -> import path
@@ -46,7 +47,7 @@ func parseModule(t *testing.T) []*srcFile {
 		if err != nil {
 			return err
 		}
-		sf := &srcFile{pkg: path.Join("xplace", filepath.ToSlash(filepath.Dir(p))),
+		sf := &srcFile{fset: fset, pkg: path.Join("xplace", filepath.ToSlash(filepath.Dir(p))),
 			test: strings.HasSuffix(p, "_test.go"), imports: map[string]string{}, f: f}
 		for _, im := range f.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
@@ -232,6 +233,41 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 	}
 }
 
+// TestChunkCountStaysInKernel: how a launch is split into chunks is the
+// kernel's decision, so per-chunk scratch outside internal/kernel is sized
+// by Engine.Chunks or Engine.LineChunks, never by the worker count. The
+// only non-test callers of Engine.Workers() outside the kernel are
+// internal/serve's xserve_engine_workers gauge and EngineStatus, which
+// report the width. Calls are matched by name; the guard first checks
+// that kernel.Engine is the only type with a Workers method, which makes
+// the match exact.
+func TestChunkCountStaysInKernel(t *testing.T) {
+	files := parseModule(t)
+	for _, sf := range files {
+		for _, d := range sf.f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "Workers" && !sf.test {
+				if owner := indexModule(nil).typeKey(sf, fd.Recv.List[0].Type); owner != "xplace/internal/kernel.Engine" {
+					t.Fatalf("%s declares a Workers method: match Engine.Workers() calls by type before trusting this guard", owner)
+				}
+			}
+		}
+	}
+	for _, sf := range files {
+		if sf.test || sf.pkg == "xplace/internal/kernel" || sf.pkg == "xplace/internal/serve" {
+			continue
+		}
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 0 {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Workers" {
+					t.Errorf("%s: Engine.Workers() called in %s: size per-chunk scratch by Engine.Chunks or Engine.LineChunks",
+						sf.fset.Position(sel.Pos()), sf.pkg)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // testMentions reports whether a function named fn in some _test.go file
 // references name as an identifier or a selector.
 func testMentions(files []*srcFile, fn, name string) bool {
@@ -314,6 +350,8 @@ func (ix *moduleIndex) typeKey(sf *srcFile, e ast.Expr) string {
 	case *ast.StarExpr:
 		return ix.typeKey(sf, e.X)
 	case *ast.ParenExpr:
+		return ix.typeKey(sf, e.X)
+	case *ast.IndexExpr: // an instantiated generic type
 		return ix.typeKey(sf, e.X)
 	case *ast.Ident:
 		return sf.pkg + "." + e.Name
