@@ -108,11 +108,13 @@ fuzz-smoke:
 # one warm Poisson solve at 64..512 on 1 and 2 workers (the table the
 # line-pass fan-out threshold rests on), one warm PredictField at the
 # gp-nn shape and at paper scale, density scatter/gather and the fused wirelength
-# operator at the gp-small and gp-cells shapes). Allocation columns are the
-# regression signal: pooled launches, warm transforms, warm inference and
-# the per-iteration operators must report 0 allocs/op.
+# operator at the gp-small and gp-cells shapes, one detailed-placement pass
+# on a 1000-cell row design). Allocation columns are the regression signal:
+# pooled launches, warm transforms, warm inference and the per-iteration
+# operators must report 0 allocs/op; detail.Run allocates per cell and net,
+# not per swap candidate.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength ./internal/detail
 
 # The repo benchmark (BENCHMARK.json), the one way to measure: six
 # workloads, client-observed and per-layer metrics; `go run ./benchmark

@@ -62,45 +62,144 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// state carries the mutable placement during refinement.
+// box is an axis-aligned bounding box; the empty box has lo > hi.
+type box struct{ lx, hx, ly, hy float64 }
+
+var emptyBox = box{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
+
+// add grows b to hold the point (px, py). Compares, not math.Min/Max: the
+// two are exact either way, and these inline.
+func (b *box) add(px, py float64) {
+	if px < b.lx {
+		b.lx = px
+	}
+	if px > b.hx {
+		b.hx = px
+	}
+	if py < b.ly {
+		b.ly = py
+	}
+	if py > b.hy {
+		b.hy = py
+	}
+}
+
+// hpwl is the half perimeter of a non-empty box.
+func (b box) hpwl() float64 { return (b.hx - b.lx) + (b.hy - b.ly) }
+
+// idSet is a set of small integer ids stamped with an epoch, so that
+// clearing it is one increment and its storage is reused.
+type idSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func newIDSet(n int) idSet { return idSet{stamp: make([]uint32, n), epoch: 1} }
+
+func (s *idSet) clear() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old stamps could alias the new epoch
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+func (s *idSet) has(i int) bool { return s.stamp[i] == s.epoch }
+
+// add inserts i and reports whether it was absent.
+func (s *idSet) add(i int) bool {
+	if s.stamp[i] == s.epoch {
+		return false
+	}
+	s.stamp[i] = s.epoch
+	return true
+}
+
+// state carries the mutable placement during refinement and the tables
+// one Run builds once and every move reads.
 type state struct {
 	d    *netlist.Design
 	x, y []float64
+
+	// The cell→net table: cell c's distinct nets, in first-pin order, are
+	// slotNet[slotStart[c]:slotStart[c+1]]. A slot is one (cell, net) pair;
+	// slotOff[k] bounds the pin offsets of the cell on that net.
+	slotStart []int
+	slotNet   []int
+	slotOff   []box
+
+	// Global-swap caches, current while a global-swap pass runs. hp[n] is
+	// net n's HPWL. excl[k] is slot k's exclusion box: the pin box of its
+	// net without the slot cell's pins, valid while exclVer[k] ==
+	// netVer[net]. netVer is bumped whenever a cell on the net may have
+	// moved.
+	hp      []float64
+	excl    []box
+	exclVer []uint32
+	netVer  []uint32
+
+	// Reused sets. inA and inB hold the nets of the two cells a swap
+	// scores; netSeen is the dedup set of a net union or an ISM set;
+	// cellUsed marks the cells ISM has placed in a set.
+	inA, inB, netSeen idSet
+	cellUsed          idSet
+}
+
+// newState copies the positions and builds the cell→net table.
+func newState(d *netlist.Design, x, y []float64) *state {
+	nc, nn := d.NumCells(), d.NumNets()
+	st := &state{
+		d:         d,
+		x:         append([]float64(nil), x...),
+		y:         append([]float64(nil), y...),
+		slotStart: make([]int, nc+1),
+		hp:        make([]float64, nn),
+		netVer:    make([]uint32, nn),
+		inA:       newIDSet(nn),
+		inB:       newIDSet(nn),
+		netSeen:   newIDSet(nn),
+		cellUsed:  newIDSet(nc),
+	}
+	slotOf := make([]int, nn)
+	for c := 0; c < nc; c++ {
+		st.netSeen.clear()
+		for _, p := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
+			n := d.PinNet[p]
+			if st.netSeen.add(n) {
+				slotOf[n] = len(st.slotNet)
+				st.slotNet = append(st.slotNet, n)
+				st.slotOff = append(st.slotOff, emptyBox)
+			}
+			st.slotOff[slotOf[n]].add(d.PinOffX[p], d.PinOffY[p])
+		}
+		st.slotStart[c+1] = len(st.slotNet)
+	}
+	st.excl = make([]box, len(st.slotNet))
+	st.exclVer = make([]uint32, len(st.slotNet))
+	for n := range st.netVer {
+		st.netVer[n] = 1 // no box is cached yet (exclVer 0)
+	}
+	return st
+}
+
+// cellNets returns the distinct nets touching cell c, in first-pin order.
+func (st *state) cellNets(c int) []int {
+	return st.slotNet[st.slotStart[c]:st.slotStart[c+1]]
 }
 
 // netHPWL computes one net's HPWL under the current state.
 func (st *state) netHPWL(n int) float64 {
-	s, e := st.d.NetPinStart[n], st.d.NetPinStart[n+1]
+	d := st.d
+	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
 	if e-s < 2 {
 		return 0
 	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
+	b := emptyBox
 	for p := s; p < e; p++ {
-		c := st.d.PinCell[p]
-		px := st.x[c] + st.d.PinOffX[p]
-		py := st.y[c] + st.d.PinOffY[p]
-		minX = math.Min(minX, px)
-		maxX = math.Max(maxX, px)
-		minY = math.Min(minY, py)
-		maxY = math.Max(maxY, py)
+		c := d.PinCell[p]
+		b.add(st.x[c]+d.PinOffX[p], st.y[c]+d.PinOffY[p])
 	}
-	return (maxX - minX) + (maxY - minY)
-}
-
-// cellNets returns the distinct nets touching cell c.
-func (st *state) cellNets(c int) []int {
-	d := st.d
-	var nets []int
-	seen := map[int]bool{}
-	for _, p := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
-		n := d.PinNet[p]
-		if !seen[n] {
-			seen[n] = true
-			nets = append(nets, n)
-		}
-	}
-	return nets
+	return b.hpwl()
 }
 
 // netsHPWL sums the HPWL of a net id set.
@@ -112,34 +211,11 @@ func (st *state) netsHPWL(nets []int) float64 {
 	return s
 }
 
-// unionNets merges two net id lists without duplicates.
-func unionNets(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, n := range a {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, n := range b {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Run refines a legal placement and returns improved positions. The input
 // slices are not modified.
 func Run(d *netlist.Design, x, y []float64, opts Options) ([]float64, []float64) {
 	o := opts.withDefaults()
-	st := &state{
-		d: d,
-		x: append([]float64(nil), x...),
-		y: append([]float64(nil), y...),
-	}
+	st := newState(d, x, y)
 	rng := rand.New(rand.NewSource(o.Seed))
 	for pass := 0; pass < o.Passes; pass++ {
 		st.globalSwap(o, rng)
@@ -156,6 +232,11 @@ func (st *state) globalSwap(o Options, rng *rand.Rand) {
 	movable := d.MovableCells()
 	if len(movable) < 2 {
 		return
+	}
+	// Cells moved since the last pass: every cached box is suspect.
+	for n := range st.netVer {
+		st.netVer[n]++
+		st.hp[n] = st.netHPWL(n)
 	}
 	// Spatial bucketing of same-size cells for candidate lookup.
 	var avgH float64
@@ -208,6 +289,10 @@ func (st *state) globalSwap(o Options, rng *rand.Rand) {
 		if math.Abs(ox-st.x[c])+math.Abs(oy-st.y[c]) < avgH {
 			continue // already near optimal
 		}
+		st.inA.clear()
+		for _, n := range nets {
+			st.inA.add(n)
+		}
 		// Candidates near the optimal region with the same footprint.
 		k0 := bkey(ox, oy)
 		bestDelta := -1e-9
@@ -218,7 +303,7 @@ func (st *state) globalSwap(o Options, rng *rand.Rand) {
 					if cand == c || d.CellW[cand] != d.CellW[c] || d.CellH[cand] != d.CellH[c] {
 						continue
 					}
-					delta := st.swapDelta(c, cand, nets)
+					delta := st.swapDelta(c, cand)
 					if delta < bestDelta {
 						bestDelta = delta
 						bestCand = cand
@@ -227,23 +312,90 @@ func (st *state) globalSwap(o Options, rng *rand.Rand) {
 			}
 		}
 		if bestCand >= 0 {
-			st.x[c], st.x[bestCand] = st.x[bestCand], st.x[c]
-			st.y[c], st.y[bestCand] = st.y[bestCand], st.y[c]
+			st.swap(c, bestCand)
+			st.moved(c)
+			st.moved(bestCand)
 		}
 	}
 }
 
+// swap exchanges the positions of cells a and b.
+func (st *state) swap(a, b int) {
+	st.x[a], st.x[b] = st.x[b], st.x[a]
+	st.y[a], st.y[b] = st.y[b], st.y[a]
+}
+
+// moved refreshes the HPWL cache and invalidates the exclusion boxes of
+// the nets of a cell that has just moved.
+func (st *state) moved(c int) {
+	for _, n := range st.cellNets(c) {
+		st.hp[n] = st.netHPWL(n)
+		st.netVer[n]++
+	}
+}
+
 // swapDelta returns the HPWL change of swapping cells a and b (negative
-// is an improvement). netsA must be a's distinct nets.
-func (st *state) swapDelta(a, b int, netsA []int) float64 {
-	nets := unionNets(netsA, st.cellNets(b))
-	before := st.netsHPWL(nets)
-	st.x[a], st.x[b] = st.x[b], st.x[a]
-	st.y[a], st.y[b] = st.y[b], st.y[a]
-	after := st.netsHPWL(nets)
-	st.x[a], st.x[b] = st.x[b], st.x[a]
-	st.y[a], st.y[b] = st.y[b], st.y[a]
+// is an improvement). st.inA must hold a's nets. The nets are summed in
+// the order a's nets, then b's nets not on a: before from the HPWL cache,
+// after from each net's exclusion box with the moved cell folded in at its
+// new position, or by a full pin walk over the swapped positions for a
+// net on both cells. Min and max are exact, so either way gives the bits
+// of that walk.
+func (st *state) swapDelta(a, b int) float64 {
+	st.inB.clear()
+	for _, n := range st.cellNets(b) {
+		st.inB.add(n)
+	}
+	var before, after float64
+	for k := st.slotStart[a]; k < st.slotStart[a+1]; k++ {
+		n := st.slotNet[k]
+		before += st.hp[n]
+		if st.inB.has(n) {
+			st.swap(a, b) // no exclusion box is read while swapped
+			after += st.netHPWL(n)
+			st.swap(a, b)
+		} else {
+			after += st.movedHPWL(k, a, st.x[b], st.y[b])
+		}
+	}
+	for k := st.slotStart[b]; k < st.slotStart[b+1]; k++ {
+		n := st.slotNet[k]
+		if st.inA.has(n) {
+			continue
+		}
+		before += st.hp[n]
+		after += st.movedHPWL(k, b, st.x[a], st.y[a])
+	}
 	return after - before
+}
+
+// movedHPWL is the HPWL of slot k's net with the slot cell c at (cx, cy)
+// and every other cell where it is. A single-pin net folds to a point:
+// HPWL 0, as netHPWL gives it.
+func (st *state) movedHPWL(k, c int, cx, cy float64) float64 {
+	b := st.exclBox(k, c)
+	off := st.slotOff[k]
+	b.add(cx+off.lx, cy+off.ly)
+	b.add(cx+off.hx, cy+off.hy)
+	return b.hpwl()
+}
+
+// exclBox returns slot k's exclusion box, rebuilding it if a cell on its
+// net may have moved since it was cached.
+func (st *state) exclBox(k, c int) box {
+	n := st.slotNet[k]
+	if st.exclVer[k] == st.netVer[n] {
+		return st.excl[k]
+	}
+	d := st.d
+	b := emptyBox
+	for p := d.NetPinStart[n]; p < d.NetPinStart[n+1]; p++ {
+		if cc := d.PinCell[p]; cc != c {
+			b.add(st.x[cc]+d.PinOffX[p], st.y[cc]+d.PinOffY[p])
+		}
+	}
+	st.excl[k], st.exclVer[k] = b, st.netVer[n]
+	return b
 }
 
 // localReorder permutes small windows of segment neighbours, repacking
@@ -273,6 +425,8 @@ func (st *state) localReorder(o Options) {
 			perms = append(perms, p)
 		}
 	}
+	baseX := make([]float64, o.WindowSize)
+	var nets []int
 	for _, cells := range bySeg {
 		if len(cells) < o.WindowSize {
 			continue
@@ -281,11 +435,15 @@ func (st *state) localReorder(o Options) {
 		for start := 0; start+o.WindowSize <= len(cells); start++ {
 			win := cells[start : start+o.WindowSize]
 			left := st.x[win[0]] - d.CellW[win[0]]/2
-			nets := []int{}
+			nets = nets[:0]
+			st.netSeen.clear()
 			for _, c := range win {
-				nets = unionNets(nets, st.cellNets(c))
+				for _, n := range st.cellNets(c) {
+					if st.netSeen.add(n) {
+						nets = append(nets, n)
+					}
+				}
 			}
-			baseX := make([]float64, len(win))
 			for i, c := range win {
 				baseX[i] = st.x[c]
 			}
@@ -345,6 +503,7 @@ func (st *state) ismPass(o Options) {
 		return keys[i].h < keys[j].h
 	})
 	perms := permutations(o.SetSize)
+	var set []int
 	for _, k := range keys {
 		cells := groups[k]
 		if len(cells) < 2 {
@@ -352,25 +511,27 @@ func (st *state) ismPass(o Options) {
 		}
 		sort.Slice(cells, func(i, j int) bool { return st.x[cells[i]] < st.x[cells[j]] })
 		// Build maximal independent sets greedily in x order.
-		used := make(map[int]bool)
+		used := &st.cellUsed
+		used.clear()
 		for i := 0; i < len(cells); i++ {
-			if used[cells[i]] {
+			if used.has(cells[i]) {
 				continue
 			}
-			set := []int{cells[i]}
-			setNets := map[int]bool{}
+			set = append(set[:0], cells[i])
+			setNets := &st.netSeen
+			setNets.clear()
 			for _, n := range st.cellNets(cells[i]) {
-				setNets[n] = true
+				setNets.add(n)
 			}
 			for j := i + 1; j < len(cells) && len(set) < o.SetSize; j++ {
 				c := cells[j]
-				if used[c] {
+				if used.has(c) {
 					continue
 				}
 				indep := true
 				cn := st.cellNets(c)
 				for _, n := range cn {
-					if setNets[n] {
+					if setNets.has(n) {
 						indep = false
 						break
 					}
@@ -380,14 +541,14 @@ func (st *state) ismPass(o Options) {
 				}
 				set = append(set, c)
 				for _, n := range cn {
-					setNets[n] = true
+					setNets.add(n)
 				}
 			}
 			if len(set) < 2 {
 				continue
 			}
 			for _, c := range set {
-				used[c] = true
+				used.add(c)
 			}
 			st.matchSet(set, perms)
 		}

@@ -2,6 +2,7 @@ package detail
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xplace/internal/geom"
@@ -34,6 +35,14 @@ func legalDesign(tb testing.TB, n int, seed int64) (*netlist.Design, []float64, 
 		d.AddPin(i, 0, 0)
 		d.AddPin(i+16, 0, 0)
 	}
+	// Cases the swap caches treat apart: a cell with two pins on one net
+	// (its slot's offset box spans both) and a single-pin net (HPWL 0).
+	d.AddNet("two")
+	d.AddPin(0, -0.5, 1)
+	d.AddPin(0, 0.5, -1)
+	d.AddPin(n/2, 0, 0)
+	d.AddNet("one")
+	d.AddPin(n-1, 0, 0)
 	if err := d.Finish(); err != nil {
 		tb.Fatal(err)
 	}
@@ -156,9 +165,33 @@ func TestNetHPWLAndUnion(t *testing.T) {
 	if want := d.HPWL(x, y); total != want {
 		t.Errorf("sum of net HPWL %v != design HPWL %v", total, want)
 	}
-	u := unionNets([]int{1, 2, 3}, []int{3, 4})
-	if len(u) != 4 {
-		t.Errorf("union = %v", u)
+	// The cell→net table against its definition: each cell's distinct
+	// nets in first-pin order.
+	st = newState(d, x, y)
+	for c := 0; c < d.NumCells(); c++ {
+		var want []int
+		for _, p := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
+			if !slices.Contains(want, d.PinNet[p]) {
+				want = append(want, d.PinNet[p])
+			}
+		}
+		if got := st.cellNets(c); !slices.Equal(got, want) {
+			t.Errorf("cell %d nets %v, want %v", c, got, want)
+		}
+	}
+	if pins, nets := d.CellPinStart[1]-d.CellPinStart[0], len(st.cellNets(0)); pins <= nets {
+		t.Errorf("cell 0 has %d pins on %d nets: no net holds two of its pins", pins, nets)
+	}
+}
+
+// TestRunAllocsScaleWithDesign: Run allocates per cell and net, not per
+// swap candidate. Rebuilding two net maps per candidate made 2 537 164
+// allocations on this design.
+func TestRunAllocsScaleWithDesign(t *testing.T) {
+	d, x, y := legalDesign(t, 1000, 1)
+	allocs := testing.AllocsPerRun(2, func() { Run(d, x, y, Options{Passes: 1}) })
+	if ceiling := 2 * float64(d.NumCells()+d.NumNets()); allocs > ceiling {
+		t.Errorf("Run made %.0f allocations, ceiling 2×(cells+nets) = %.0f", allocs, ceiling)
 	}
 }
 

@@ -1,0 +1,5 @@
+//go:build race
+
+package detail
+
+const raceDetector = true
