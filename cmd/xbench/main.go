@@ -426,7 +426,7 @@ func figure2() {
 		}
 		var densOps []string
 		for _, ev := range tr.Events() {
-			if ev.Cat == obs.CatKernel && (strings.HasPrefix(ev.Name, "density.") || ev.Name == "poisson.spectral_scale") {
+			if ev.Cat == obs.CatKernel && (strings.HasPrefix(ev.Name, "density.") || strings.HasPrefix(ev.Name, "poisson.")) {
 				densOps = append(densOps, ev.Name)
 			}
 		}

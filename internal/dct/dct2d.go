@@ -57,6 +57,11 @@ type Plan struct {
 	coefIn, sx, sy       []float64
 	dstPsi, dstEx, dstEy []float64
 
+	// One-kernel Poisson solve parameters (SolvePoisson).
+	scale     func(start, end int) float64
+	energy    float64
+	solveBody func()
+
 	rowsBody, colsBody           func(chunk, start, end int)
 	fieldRowsBody, fieldColsBody func(chunk, start, end int)
 }
@@ -79,6 +84,15 @@ func NewPlan(nx, ny int) *Plan {
 	p.unpY = unpackTwiddles(ny)
 	p.buildBodies()
 	p.buildFieldBodies()
+	p.solveBody = func() {
+		nx, ny := p.Nx, p.Ny
+		p.forward = true
+		p.rowsBody(0, 0, ny)
+		p.colsBody(0, 0, nx)
+		p.energy = p.scale(0, ny)
+		p.fieldRowsBody(0, 0, ny)
+		p.fieldColsBody(0, 0, nx)
+	}
 	return p
 }
 
@@ -316,4 +330,36 @@ func (p *Plan) EvalPotentialField(coef, sx, sy, psi, ex, ey []float64, e *kernel
 	e.LaunchLines("spectral2.field_cols", p.Nx, p.Ny, p.fieldColsBody)
 	p.dstPsi, p.dstEx, p.dstEy = nil, nil, nil
 	p.coefIn, p.sx, p.sy = nil, nil, nil
+}
+
+// SolvePoisson runs a whole spectral Poisson solve as one kernel named
+// "poisson.solve", for a grid kernel.OneBlock admits: the DCT-II of src
+// into coef, then scale over every coefficient row (it rescales coef in
+// place and returns a reduction of its own), then the field evaluation of
+// coef into ex and ey (psi is not evaluated). Each pass is the persistent
+// body DCT2 and EvalPotentialField launch, run as chunk 0 over its whole
+// range — the one chunk those launches have on such a grid — so ex, ey and
+// the returned value of scale are the bits of the three launches in turn.
+func (p *Plan) SolvePoisson(src, coef, sx, sy, ex, ey []float64, scale func(start, end int) float64, e *kernel.Engine) float64 {
+	if !kernel.OneBlock(p.Nx, p.Ny) {
+		panic(fmt.Sprintf("dct: a %dx%d grid does not fit one block", p.Nx, p.Ny))
+	}
+	p.checkSize(src, "src")
+	p.checkSize(coef, "coef")
+	p.checkSize(ex, "ex")
+	p.checkSize(ey, "ey")
+	if len(sx) != p.Nx || len(sy) != p.Ny {
+		panic(fmt.Sprintf("dct: scale vectors %dx%d, want %dx%d", len(sx), len(sy), p.Nx, p.Ny))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.grow(e, p.Nx, p.Ny, true)
+	p.src, p.dst, p.scale = src, coef, scale
+	p.coefIn, p.sx, p.sy = coef, sx, sy
+	p.dstEx, p.dstEy = ex, ey
+	e.LaunchSerial("poisson.solve", p.solveBody)
+	p.src, p.dst, p.scale = nil, nil, nil
+	p.coefIn, p.sx, p.sy = nil, nil, nil
+	p.dstEx, p.dstEy = nil, nil
+	return p.energy
 }

@@ -32,7 +32,7 @@ func scatterAtomic(e *kernel.Engine, s *System, d *netlist.Design, out []float64
 		out[i] = 0
 	}
 	invBinArea := 1 / s.Grid.BinArea()
-	s.grow(e, e.Chunks(d.NumCells()))
+	s.grow(e, e.Chunks(d.NumCells()), false)
 	e.LaunchChunks("density.atomic", d.NumCells(), func(chunk, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			if d.CellKind[c] != netlist.Movable {

@@ -5,11 +5,12 @@
 // electric field E = -grad(psi). The field, gathered back onto cells,
 // is the density gradient of the objective.
 //
-// The package exposes the individual operators (density scatter, map add,
-// Poisson solve, field gather, overflow ratio) so the placer can compose
-// them either with the paper's operator extraction (compute the cell
-// density map D once, reuse it for the total map D~ = D + D_fl and for
-// OVFL) or naively (recompute D for OVFL), which is the OE ablation.
+// The package exposes the individual operators (density scatter, Poisson
+// solve, field gather, overflow ratio) so the placer can compose them
+// either with the paper's operator extraction (DensityMaps: the cell
+// density map D is computed once and reused for the total map
+// D~ = D + D_fl and for OVFL, in one reduce over bins) or naively
+// (recompute D for OVFL), which is the OE ablation.
 //
 // Internally the electrostatic system lives in bin units (the region maps
 // to [0,Nx) x [0,Ny)); GatherField converts gradients back to design units.
@@ -73,6 +74,7 @@ type System struct {
 	coef    []float64   // DCT coefficients scratch
 	wu, wv  []float64   // frequencies pi*u/Nx, pi*v/Ny
 	scratch [][]float64 // per-chunk scatter maps (reference backend)
+	fillers [][]float64 // per-chunk filler maps of DensityMaps (reference backend)
 	spanX   [][]float64 // per-chunk bin-width scratch of scatter and gather (Nx each)
 
 	// Reduced-precision path (nil/unused on the reference backend). The
@@ -86,6 +88,7 @@ type System struct {
 	ex32      []float32 // solver outputs before the store conversion
 	ey32      []float32
 	scratch32 [][]float32 // per-chunk scatter maps (f32 halves the traffic)
+	fillers32 [][]float32 // per-chunk filler maps of DensityMaps
 
 	cvtLd, cvtSt         backend.VecBody
 	cvtLdBody, cvtStBody func(lo, hi int)
@@ -98,8 +101,6 @@ type System struct {
 	scMask       KindMask
 	scOut        []float64
 	scUsed       int
-	addA, addB   []float64
-	addDst       []float64
 	gaD          *netlist.Design
 	gaX, gaY     []float64
 	gaMask       KindMask
@@ -109,8 +110,9 @@ type System struct {
 	maxDens      []float64
 	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
 	scatterBody  func(w, lo, hi int)
+	fillerBody   func(w, lo, hi int) // scatterBody into the filler maps
 	mergeBody    func(lo, hi int)
-	addBody      func(lo, hi int)
+	mapsBody     func(lo, hi int) float64
 	spectralBody func(lo, hi int) float64
 	gatherBody   func(w, lo, hi int)
 	ovBody       func(lo, hi int) float64
@@ -171,9 +173,9 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 // Backend returns the system's compute backend (nil for the reference).
 func (s *System) Backend() backend.Backend { return s.be }
 
-// Release returns the per-chunk scatter maps and span rows, the spectral
-// plan's arena-backed scratch and, on a reduced-precision backend, the
-// solver's element buffers to engine e.
+// Release returns the per-chunk scatter and filler maps and span rows, the
+// spectral plan's arena-backed scratch and, on a reduced-precision backend,
+// the solver's element buffers to engine e.
 // Call it when the system's owner (a placement job) is done — including on
 // cancellation — so the engine arena's in-use bytes return to their
 // pre-job baseline. Idempotent; the system stays usable (the next solve
@@ -182,13 +184,17 @@ func (s *System) Release(e *kernel.Engine) {
 	for _, b := range s.spanX {
 		e.Free(b)
 	}
-	for _, b := range s.scratch {
-		e.Free(b)
+	for _, maps := range [...][][]float64{s.scratch, s.fillers} {
+		for _, b := range maps {
+			e.Free(b)
+		}
 	}
-	for _, b := range s.scratch32 {
-		e.Free32(b)
+	for _, maps := range [...][][]float32{s.scratch32, s.fillers32} {
+		for _, b := range maps {
+			e.Free32(b)
+		}
 	}
-	s.spanX, s.scratch, s.scratch32 = nil, nil, nil
+	s.spanX, s.scratch, s.scratch32, s.fillers, s.fillers32 = nil, nil, nil, nil, nil
 	if s.plan != nil {
 		s.plan.Release(e)
 	}
@@ -218,15 +224,24 @@ func (s *System) ensure32(e *kernel.Engine) {
 
 // grow checks per-chunk scratch out of e's arena, on the calling goroutine,
 // until there is a span row and a scatter map of the backend's element type
-// for each of chunks chunks. Nothing is checked out once they are there,
-// which keeps steady-state launches allocation-free.
-func (s *System) grow(e *kernel.Engine, chunks int) {
+// for each of chunks chunks, and with fillers a filler map as well. Nothing
+// is checked out once they are there, which keeps steady-state launches
+// allocation-free.
+func (s *System) grow(e *kernel.Engine, chunks int, fillers bool) {
+	n := s.Nx * s.Ny
 	for len(s.spanX) < chunks {
 		s.spanX = append(s.spanX, e.Alloc(s.Nx))
 		if s.be == nil {
-			s.scratch = append(s.scratch, e.Alloc(s.Nx*s.Ny))
+			s.scratch = append(s.scratch, e.Alloc(n))
 		} else {
-			s.scratch32 = append(s.scratch32, e.Alloc32(s.Nx*s.Ny))
+			s.scratch32 = append(s.scratch32, e.Alloc32(n))
+		}
+	}
+	for fillers && len(s.fillers)+len(s.fillers32) < chunks {
+		if s.be == nil {
+			s.fillers = append(s.fillers, e.Alloc(n))
+		} else {
+			s.fillers32 = append(s.fillers32, e.Alloc32(n))
 		}
 	}
 }
@@ -302,6 +317,31 @@ func mergeFrom[T float32 | float64](s *System, maps [][]T, invBinArea float64, l
 	}
 }
 
+// mapsFrom is the density-map reduce of DensityMaps over bins [lo, hi): D
+// and Dfl are the sums of the first s.scUsed cell and filler maps, as
+// mergeFrom writes them, Total is D + Dfl, and the return value is the
+// bins' overflow area of D above the staged target.
+func mapsFrom[T float32 | float64](s *System, cells, fillers [][]T, invBinArea, binArea float64, lo, hi int) float64 {
+	cells, fillers = cells[:s.scUsed], fillers[:s.scUsed]
+	target := s.ovTarget
+	var over float64
+	for b := lo; b < hi; b++ {
+		var sum, sumFl float64
+		for _, m := range cells {
+			sum += float64(m[b])
+		}
+		for _, m := range fillers {
+			sumFl += float64(m[b])
+		}
+		dens, densFl := sum*invBinArea, sumFl*invBinArea
+		s.D[b], s.Dfl[b], s.Total[b] = dens, densFl, dens+densFl
+		if ex := dens - target; ex > 0 {
+			over += ex * binArea
+		}
+	}
+	return over
+}
+
 // spectralScale turns the raw DCT-II coefficients c of Total in rows
 // [lo, hi) into the potential's series coefficients a = c * norm / (wu^2 +
 // wv^2) in place (the DC term is dropped: the density mean exerts no force),
@@ -344,21 +384,19 @@ func (s *System) buildBodies() {
 	binArea := s.Grid.BinArea()
 	if s.be == nil {
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch[w], s.spanX[w], lo, hi) }
+		s.fillerBody = func(w, lo, hi int) { scatterInto(s, s.fillers[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch, invBinArea, lo, hi) }
+		s.mapsBody = func(lo, hi int) float64 { return mapsFrom(s, s.scratch, s.fillers, invBinArea, binArea, lo, hi) }
 		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef, lo, hi) }
 	} else {
 		// Reduced-precision scatter: the per-chunk private maps are
 		// float32 (half the streamed bytes of the hot loop); the merge
 		// accumulates in float64 and converts at the boundary store.
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch32[w], s.spanX[w], lo, hi) }
+		s.fillerBody = func(w, lo, hi int) { scatterInto(s, s.fillers32[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch32, invBinArea, lo, hi) }
+		s.mapsBody = func(lo, hi int) float64 { return mapsFrom(s, s.scratch32, s.fillers32, invBinArea, binArea, lo, hi) }
 		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef32, lo, hi) }
-	}
-	s.addBody = func(lo, hi int) {
-		a, b, dst := s.addA, s.addB, s.addDst
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] + b[i]
-		}
 	}
 	s.gatherBody = func(w, lo, hi int) {
 		d, x, y, mask := s.gaD, s.gaX, s.gaY, s.gaMask
@@ -464,17 +502,31 @@ func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []floa
 		mergeName = name + ".merge"
 		s.mergeNames[name] = mergeName
 	}
-	s.grow(e, e.Chunks(d.NumCells()))
+	s.grow(e, e.Chunks(d.NumCells()), false)
 	s.scD, s.scX, s.scY, s.scMask, s.scOut = d, x, y, mask, out
 	s.scUsed = e.LaunchChunks(name, d.NumCells(), s.scatterBody)
 	e.Launch(mergeName, s.Nx*s.Ny, s.mergeBody)
 }
 
-// AddMaps computes dst = a + b elementwise as one (cheap) kernel — the
-// extracted total-map addition of Eq. 10 / Figure 2(a).
-func (s *System) AddMaps(e *kernel.Engine, a, b, dst []float64) {
-	s.addA, s.addB, s.addDst = a, b, dst
-	e.Launch("density.add_maps", len(dst), s.addBody)
+// DensityMaps is the extracted density step of Eq. 10 / Figure 2(a): it
+// scatters the movable and fixed cells ("density.cells") and the fillers
+// ("density.fillers") into two sets of per-chunk maps, then one reduce over
+// bins ("density.maps") writes D, Dfl and Total = D + Dfl and sums D's
+// overflow. It returns the overflow ratio OVFL of Eq. 7, as Overflow would
+// from D. Every map and the ratio are the bits of two ScatterDensity calls,
+// an elementwise add and Overflow: the reduce splits the bins as their
+// merges, add and overflow launches did.
+func (s *System) DensityMaps(e *kernel.Engine, d *netlist.Design, x, y []float64, targetDensity float64) float64 {
+	n := d.NumCells()
+	s.grow(e, e.Chunks(n), true)
+	s.scD, s.scX, s.scY = d, x, y
+	s.scMask = MaskMovable | MaskFixed
+	s.scUsed = e.LaunchChunks("density.cells", n, s.scatterBody)
+	s.scMask = MaskFiller
+	e.LaunchChunks("density.fillers", n, s.fillerBody)
+	s.ovTarget = targetDensity
+	over := e.ParallelReduce("density.maps", s.Nx*s.Ny, 0, s.mapsBody, sumCombine)
+	return overflowRatio(d, over)
 }
 
 // SolvePoisson solves Eq. 5 for s.Total: forward DCT, spectral division by
@@ -484,10 +536,15 @@ func (s *System) AddMaps(e *kernel.Engine, a, b, dst []float64) {
 // The potential psi is not evaluated: the returned system energy
 // 0.5 * sum(rho * psi) — the density penalty D(p) of Eq. 3 — equals
 // 0.5 * sum(a * c) over the spectrum (Parseval), accumulated by the
-// spectral scale itself.
+// spectral scale itself. On a grid kernel.OneBlock admits the whole solve
+// is one launch ("poisson.solve", the same bits); larger grids launch each
+// pass.
 func (s *System) SolvePoisson(e *kernel.Engine) float64 {
 	if s.plan32 != nil {
 		return s.solvePoisson32(e)
+	}
+	if kernel.OneBlock(s.Nx, s.Ny) {
+		return 0.5 * s.plan.SolvePoisson(s.Total, s.coef, s.wu, s.wv, s.Ex, s.Ey, s.spectralBody, e)
 	}
 	s.plan.DCT2(s.Total, s.coef, e)
 	energy := e.ParallelReduce("poisson.spectral_scale", s.Ny, 0, s.spectralBody, sumCombine)
@@ -528,7 +585,7 @@ func (s *System) GatherField(e *kernel.Engine, d *netlist.Design, x, y []float64
 	if y == nil {
 		y = d.CellY
 	}
-	s.grow(e, e.Chunks(d.NumCells()))
+	s.grow(e, e.Chunks(d.NumCells()), false)
 	s.gaD, s.gaX, s.gaY, s.gaMask, s.gaGX, s.gaGY = d, x, y, mask, gradX, gradY
 	e.LaunchChunks("density.gather_field", d.NumCells(), s.gatherBody)
 }
@@ -538,6 +595,12 @@ func (s *System) GatherField(e *kernel.Engine, d *netlist.Design, x, y []float64
 func (s *System) Overflow(e *kernel.Engine, d *netlist.Design, dens []float64, targetDensity float64) float64 {
 	s.ovDens, s.ovTarget = dens, targetDensity
 	over := e.ParallelReduce("density.ovfl", len(dens), 0, s.ovBody, sumCombine)
+	return overflowRatio(d, over)
+}
+
+// overflowRatio divides an overflow area by d's movable area (0 without
+// movable area).
+func overflowRatio(d *netlist.Design, over float64) float64 {
 	mov := d.MovableArea()
 	if mov <= 0 {
 		return 0

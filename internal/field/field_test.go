@@ -8,6 +8,7 @@ import (
 
 	"xplace/internal/backend"
 	"xplace/internal/benchgen"
+	"xplace/internal/dct"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
 	"xplace/internal/netlist"
@@ -104,19 +105,64 @@ func TestScatterClipsToRegion(t *testing.T) {
 	}
 }
 
-func TestAddMaps(t *testing.T) {
-	e := eng()
-	s := newSys(4, 4, e)
-	a := make([]float64, 16)
-	b := make([]float64, 16)
-	dst := make([]float64, 16)
-	for i := range a {
-		a[i] = float64(i)
-		b[i] = 100
-	}
-	s.AddMaps(e, a, b, dst)
-	if dst[3] != 103 || dst[15] != 115 {
-		t.Errorf("AddMaps = %v", dst)
+// TestDensityMapsMatchesSequence: the one density-map reduce of
+// DensityMaps writes D, Dfl, Total and the overflow ratio of the sequence
+// it replaces — two ScatterDensity calls, an elementwise add and Overflow —
+// bit for bit, on both backends and at engine widths whose chunks split the
+// cells and the bins differently.
+func TestDensityMapsMatchesSequence(t *testing.T) {
+	const target = 0.6
+	grid := geom.NewGrid(geom.Rect{Lx: -3.5, Ly: 10.25, Hx: 997.2, Hy: 611.9}, 64, 64)
+	d := oracleDesign(t, grid, 5000, 3) // >= the parallel threshold, as are the 4096 bins
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, be := range []backend.Backend{nil, backend.Float32()} {
+			t.Run(fmt.Sprintf("workers=%d/f32=%v", workers, be != nil), func(t *testing.T) {
+				e := kernel.New(kernel.Options{Workers: workers})
+				defer e.Close()
+				want := NewSystemOn(grid, e, be)
+				defer want.Release(e)
+				want.ScatterDensity(e, d, nil, nil, MaskMovable|MaskFixed, want.D, "density.cells")
+				want.ScatterDensity(e, d, nil, nil, MaskFiller, want.Dfl, "density.fillers")
+				for i := range want.Total {
+					want.Total[i] = want.D[i] + want.Dfl[i]
+				}
+				wantOvfl := want.Overflow(e, d, want.D, target)
+
+				got := NewSystemOn(grid, e, be)
+				defer got.Release(e)
+				e.Reset()
+				ovfl := got.DensityMaps(e, d, d.CellX, d.CellY, target)
+				if math.Float64bits(ovfl) != math.Float64bits(wantOvfl) {
+					t.Errorf("overflow %v, sequence %v", ovfl, wantOvfl)
+				}
+				if wantOvfl == 0 {
+					t.Error("zero overflow: the case tests little")
+				}
+				for name, pair := range map[string][2][]float64{
+					"D": {got.D, want.D}, "Dfl": {got.Dfl, want.Dfl}, "Total": {got.Total, want.Total},
+				} {
+					var mass float64
+					for i, w := range pair[1] {
+						if math.Float64bits(pair[0][i]) != math.Float64bits(w) {
+							t.Fatalf("%s[%d] = %v, sequence %v", name, i, pair[0][i], w)
+						}
+						mass += w
+					}
+					if mass == 0 {
+						t.Fatalf("empty %s map: the case tests nothing", name)
+					}
+				}
+				per := e.Stats().PerOp
+				for _, op := range []string{"density.cells", "density.fillers", "density.maps"} {
+					if per[op].Launches != 1 {
+						t.Errorf("%s: %d launches, want 1", op, per[op].Launches)
+					}
+				}
+				if st := e.Stats(); st.Launches != 3 {
+					t.Errorf("DensityMaps made %d launches, want 3: %v", st.Launches, st.PerOp)
+				}
+			})
+		}
 	}
 }
 
@@ -231,6 +277,71 @@ func TestSolvePoissonBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSolvePoissonOneLaunch: on a grid kernel.OneBlock admits the solve is
+// one "poisson.solve" launch whose energy, Ex and Ey are the bits of the
+// passes it replaces — Plan.DCT2, spectralScale over every row and
+// Plan.EvalPotentialField, run one after the other. Larger grids keep their
+// five launches: 128² on any engine, 512² on a one-worker engine too.
+func TestSolvePoissonOneLaunch(t *testing.T) {
+	passes := []string{"spectral2.fwd_rows", "spectral2.fwd_cols", "poisson.spectral_scale",
+		"spectral2.field_rows", "spectral2.field_cols"}
+	for _, c := range []struct {
+		nx, ny, workers int
+		oneLaunch       bool
+	}{
+		{32, 32, 1, true}, {32, 32, 4, true},
+		{64, 64, 1, true}, {64, 64, 4, true},
+		{64, 128, 1, true}, {64, 128, 4, true},
+		{128, 128, 1, false}, {128, 128, 4, false},
+		{512, 512, 1, false},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/workers=%d", c.nx, c.ny, c.workers), func(t *testing.T) {
+			e := kernel.New(kernel.Options{Workers: c.workers})
+			defer e.Close()
+			s := newSys(c.nx, c.ny, e)
+			defer s.Release(e)
+			rng := rand.New(rand.NewSource(5))
+			for i := range s.Total {
+				s.Total[i] = rng.Float64()
+			}
+			e.Reset()
+			energy := s.SolvePoisson(e)
+			st := e.Stats()
+			if c.oneLaunch {
+				if st.Launches != 1 || st.PerOp["poisson.solve"].Launches != 1 {
+					t.Fatalf("%d launches, want one poisson.solve: %v", st.Launches, st.PerOp)
+				}
+			} else {
+				for _, op := range passes {
+					if st.PerOp[op].Launches != 1 {
+						t.Errorf("%s: %d launches, want 1", op, st.PerOp[op].Launches)
+					}
+				}
+				if st.Launches != int64(len(passes)) {
+					t.Errorf("%d launches, want the %d passes: %v", st.Launches, len(passes), st.PerOp)
+				}
+				return
+			}
+
+			plan := dct.NewPlan(c.nx, c.ny)
+			defer plan.Release(e)
+			n := c.nx * c.ny
+			coef, ex, ey := make([]float64, n), make([]float64, n), make([]float64, n)
+			plan.DCT2(s.Total, coef, e)
+			want := 0.5 * spectralScale(s, coef, 0, c.ny)
+			plan.EvalPotentialField(coef, s.wu, s.wv, nil, ex, ey, e)
+			if math.Float64bits(energy) != math.Float64bits(want) || want == 0 {
+				t.Errorf("energy %v, passes %v", energy, want)
+			}
+			for i := range ex {
+				if math.Float64bits(s.Ex[i]) != math.Float64bits(ex[i]) || math.Float64bits(s.Ey[i]) != math.Float64bits(ey[i]) {
+					t.Fatalf("bin %d: (%v, %v), passes (%v, %v)", i, s.Ex[i], s.Ey[i], ex[i], ey[i])
+				}
+			}
+		})
+	}
+}
+
 // The field must push a probe cell away from a dense cluster.
 func TestFieldPushesAwayFromCluster(t *testing.T) {
 	e := eng()
@@ -321,8 +432,9 @@ func TestMaxDensity(t *testing.T) {
 	}
 }
 
-// Operator extraction accounting: the OE composition (D, Dfl, add) must
-// not scatter the same cells twice, while the naive path does.
+// Operator extraction accounting: the OE composition (DensityMaps: D, Dfl,
+// one reduce) must not scatter the same cells twice, while the naive path
+// does.
 func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 	mk := func() (*kernel.Engine, *System, *netlist.Design) {
 		e := kernel.New(kernel.Options{Workers: 2})
@@ -338,12 +450,9 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 		return e, s, d
 	}
 
-	// OE path: D once, Dfl once, add, OVFL from D.
+	// OE path: D once, Dfl once, one reduce for Total and OVFL from D.
 	e1, s1, d1 := mk()
-	s1.ScatterDensity(e1, d1, nil, nil, MaskMovable|MaskFixed, s1.D, "density.cells")
-	s1.ScatterDensity(e1, d1, nil, nil, MaskFiller, s1.Dfl, "density.fillers")
-	s1.AddMaps(e1, s1.D, s1.Dfl, s1.Total)
-	s1.Overflow(e1, d1, s1.D, 0.9)
+	s1.DensityMaps(e1, d1, d1.CellX, d1.CellY, 0.9)
 
 	// Naive path: total map in one scatter over all cells, then a second
 	// full scatter of the non-filler cells just for OVFL.
@@ -366,8 +475,8 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 		t.Errorf("naive path missing its double scatter: %v", per2)
 	}
 	per1 := e1.Stats().PerOp
-	if per1["density.cells"].Launches != 1 || per1["density.fillers"].Launches != 1 {
-		t.Errorf("OE path should scatter cells and fillers once each: %v", per1)
+	if per1["density.cells"].Launches != 1 || per1["density.fillers"].Launches != 1 || per1["density.maps"].Launches != 1 {
+		t.Errorf("OE path should scatter cells and fillers once each and reduce once: %v", per1)
 	}
 }
 
@@ -574,8 +683,9 @@ func TestScatterGatherBitIdenticalToRectOracle(t *testing.T) {
 // from the engine that drives it, not fixed by the one it was built on. A
 // system built on a 1-worker engine and driven by a 2- or 8-worker engine
 // gives D, Total, Ex, Ey, the energy and the gathered gradients of a system
-// built on the driving engine bit for bit, on both backends, and Release
-// returns the driving engine's arena to its pre-system bytes.
+// built on the driving engine bit for bit, on both backends, as are the
+// filler map and overflow of DensityMaps, and Release returns the driving
+// engine's arena, filler maps included, to its pre-system bytes.
 func TestSystemDrivenByWiderEngine(t *testing.T) {
 	narrow := kernel.New(kernel.Options{Workers: 1})
 	defer narrow.Close()
@@ -583,13 +693,15 @@ func TestSystemDrivenByWiderEngine(t *testing.T) {
 	d := oracleDesign(t, grid, 3000, 9) // >= the parallel threshold: every chunk runs
 	n := d.NumCells()
 	type run struct {
-		d, total, ex, ey, gx, gy []float64
-		energy                   float64
+		d, dfl, total, ex, ey, gx, gy []float64
+		energy, ovfl                  float64
 	}
 	drive := func(s *System, e *kernel.Engine) run {
+		ovfl := s.DensityMaps(e, d, d.CellX, d.CellY, 0.5)
+		dfl := append([]float64(nil), s.Dfl...)
 		s.ScatterDensity(e, d, nil, nil, MaskMovable|MaskFixed, s.D, "density.cells")
 		s.ScatterDensity(e, d, nil, nil, MaskAll, s.Total, "density.total")
-		r := run{energy: s.SolvePoisson(e), gx: make([]float64, n), gy: make([]float64, n)}
+		r := run{energy: s.SolvePoisson(e), ovfl: ovfl, dfl: dfl, gx: make([]float64, n), gy: make([]float64, n)}
 		s.GatherField(e, d, nil, nil, MaskPlaceable, r.gx, r.gy)
 		r.d, r.total = append([]float64(nil), s.D...), append([]float64(nil), s.Total...)
 		r.ex, r.ey = append([]float64(nil), s.Ex...), append([]float64(nil), s.Ey...)
@@ -615,8 +727,11 @@ func TestSystemDrivenByWiderEngine(t *testing.T) {
 				if math.Float64bits(got.energy) != math.Float64bits(want.energy) {
 					t.Errorf("energy %v, system built on the driving engine %v", got.energy, want.energy)
 				}
+				if math.Float64bits(got.ovfl) != math.Float64bits(want.ovfl) {
+					t.Errorf("overflow %v, system built on the driving engine %v", got.ovfl, want.ovfl)
+				}
 				for name, pair := range map[string][2][]float64{
-					"D": {got.d, want.d}, "Total": {got.total, want.total},
+					"D": {got.d, want.d}, "Dfl": {got.dfl, want.dfl}, "Total": {got.total, want.total},
 					"Ex": {got.ex, want.ex}, "Ey": {got.ey, want.ey},
 					"gradX": {got.gx, want.gx}, "gradY": {got.gy, want.gy},
 				} {

@@ -297,6 +297,19 @@ const minParallel = 2048
 // within the benchmark's noise, so those grids stay serial.
 const minLineWork = 1 << 14
 
+// OneBlock reports whether an nx × ny grid is small enough for one GPU
+// thread block to hold and transform whole, so an operator may run every
+// pass over it as one kernel: it is below minLineWork elements and each side
+// below minParallel, so every LaunchLines over its rows or columns and every
+// launch over its rows runs as one chunk on any engine. It depends on the
+// size alone, never on Workers, so launch counts do not change from host to
+// host. The bound it stands for: the largest such power-of-two grid, 64×128
+// float64, is 64 KB, within the 99 KB of shared memory an RTX 3090 gives one
+// block.
+func OneBlock(nx, ny int) bool {
+	return nx*ny < minLineWork && max(nx, ny) < minParallel
+}
+
 // reduceStride is the spacing, in float64 elements, between per-chunk
 // partial slots in ParallelReduce: 8 float64 = 64 bytes = one cache line,
 // so concurrent workers never write the same line.

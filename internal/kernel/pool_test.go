@@ -201,6 +201,33 @@ func TestLaunchChunksSmallSingleChunk(t *testing.T) {
 	}
 }
 
+// TestOneBlock: a grid OneBlock admits runs every line pass over its rows
+// or columns, and every launch over its rows, as one chunk on any engine;
+// the predicate itself never looks at an engine.
+func TestOneBlock(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny int
+		want   bool
+	}{
+		{32, 32, true}, {64, 64, true}, {64, 128, true}, {128, 64, true},
+		{128, 128, false}, {512, 512, false}, {4, 2048, false}, {1, 1, true},
+	} {
+		if got := OneBlock(c.nx, c.ny); got != c.want {
+			t.Errorf("OneBlock(%d, %d) = %v, want %v", c.nx, c.ny, got, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		for _, workers := range []int{1, 2, 8, 64} {
+			e := New(Options{Workers: workers})
+			if e.LineChunks(c.ny, c.nx) != 1 || e.LineChunks(c.nx, c.ny) != 1 || e.Chunks(c.ny) != 1 {
+				t.Errorf("%dx%d on %d workers: passes run as more than one chunk", c.nx, c.ny, workers)
+			}
+			e.Close()
+		}
+	}
+}
+
 // TestLaunchChunksParallelCoverage: above minParallel every chunk index is
 // distinct, in [0, used), and the union of ranges covers [0, n).
 func TestLaunchChunksParallelCoverage(t *testing.T) {

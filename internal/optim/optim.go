@@ -144,11 +144,14 @@ type Nesterov struct {
 
 	// Persistent kernel bodies with staged per-call parameters, so Step is
 	// allocation-free (per-call closures would heap-allocate every launch).
-	stepGX, stepGY     []float64
-	alpha, coef        float64
-	dAX, dAY, dBX, dBY []float64
-	stepBody           func(lo, hi int)
-	distBody           func(lo, hi int) float64
+	stepGX, stepGY []float64
+	alpha, coef    float64
+	stepBody       func(lo, hi int)
+	// The steplength's two squared distances, |v - pv|^2 and |g - pg|^2,
+	// as per-chunk partials of one launch (sized by the engine's chunk
+	// count on the first step that needs them).
+	distV, distG []float64
+	distBody     func(w, lo, hi int)
 }
 
 // NewNesterov creates a Nesterov optimizer starting from (x0, y0), which
@@ -180,23 +183,38 @@ func NewNesterov(x0, y0 []float64, bounds Bounds, initMove float64) *Nesterov {
 			o.uy[c] = newUy
 		}
 	}
-	o.distBody = func(lo, hi int) float64 {
-		ax, ay, bx, by := o.dAX, o.dAY, o.dBX, o.dBY
-		var v float64
+	o.distBody = func(w, lo, hi int) {
+		gx, gy := o.stepGX, o.stepGY
+		var v, g float64
 		for i := lo; i < hi; i++ {
-			dx := ax[i] - bx[i]
-			dy := ay[i] - by[i]
+			dx := o.vx[i] - o.pvx[i]
+			dy := o.vy[i] - o.pvy[i]
 			v += dx*dx + dy*dy
 		}
-		return v
+		for i := lo; i < hi; i++ {
+			dx := gx[i] - o.pgx[i]
+			dy := gy[i] - o.pgy[i]
+			g += dx*dx + dy*dy
+		}
+		o.distV[w], o.distG[w] = v, g
 	}
 	return o
 }
 
-// dist returns the l2 distance between (ax,ay) and (bx,by) as one kernel.
-func (o *Nesterov) dist(e *kernel.Engine, ax, ay, bx, by []float64) float64 {
-	o.dAX, o.dAY, o.dBX, o.dBY = ax, ay, bx, by
-	return math.Sqrt(e.ParallelReduce("optim.dist", len(ax), 0, o.distBody, addFloat))
+// dists returns the l2 distances |v - pv| and |g - pg| of the steplength
+// prediction as one kernel with two partials per chunk.
+func (o *Nesterov) dists(e *kernel.Engine, gx, gy []float64) (dv, dg float64) {
+	n := len(o.vx)
+	if c := e.Chunks(n); len(o.distV) < c {
+		o.distV, o.distG = make([]float64, c), make([]float64, c)
+	}
+	o.stepGX, o.stepGY = gx, gy
+	used := e.LaunchChunks("optim.dist", n, o.distBody)
+	for w := 0; w < used; w++ {
+		dv += o.distV[w]
+		dg += o.distG[w]
+	}
+	return math.Sqrt(dv), math.Sqrt(dg)
 }
 
 // Positions returns the lookahead point v.
@@ -216,8 +234,7 @@ func (o *Nesterov) Step(e *kernel.Engine, gx, gy []float64) {
 		}
 		alpha = o.InitMove / gn
 	} else {
-		num := o.dist(e, o.vx, o.vy, o.pvx, o.pvy)
-		den := o.dist(e, gx, gy, o.pgx, o.pgy)
+		num, den := o.dists(e, gx, gy)
 		if den <= 1e-30 {
 			den = 1e-30
 		}

@@ -281,13 +281,12 @@ type Placer struct {
 	// Persistent kernel bodies with staged per-iteration parameters so the
 	// steady-state GP loop is allocation-free (per-call closures would
 	// heap-allocate every iteration).
-	l1PA, l1PB             []float64 // per-chunk partials for l1Norms
+	l1PA, l1PB             []float64 // per-chunk partials of l1Norms and assembleBody
 	l1AX, l1AY, l1BX, l1BY []float64
 	l1Body                 func(w, lo, hi int)
 	curLambda              float64
 	combineBody            func(lo, hi int)
-	precondBody            func(lo, hi int)
-	fusedGradBody          func(lo, hi int) // combineBody then precondBody per chunk
+	assembleBody           func(w, lo, hi int) // the OC gradient assembly, cell-major
 	curSigma               float64
 	blendBody              func(lo, hi int)
 
@@ -501,14 +500,29 @@ func (p *Placer) buildBodies() {
 			p.gY[c] = p.wlGY[c] + lambda*p.dGY[c]
 		}
 	}
-	p.precondBody = func(lo, hi int) {
-		p.pre.ApplyRange(p.curLambda, p.gX, p.gY, lo, hi)
-	}
-	// Each chunk preconditions only the indices it just combined, so the
-	// two stages fuse into one launch without a barrier between them.
-	p.fusedGradBody = func(lo, hi int) {
-		p.combineBody(lo, hi)
-		p.precondBody(lo, hi)
+	// Per cell: sum its pins into the wirelength gradient (PinToCell's
+	// body), add both gradients to the chunk's l1 partials (l1Body's),
+	// combine them (combineBody's); then precondition the chunk's range.
+	// Every step reads only the cell it writes, so the four operators need
+	// no barrier between them, and the chunks are l1Norms' chunks.
+	d := p.d
+	p.assembleBody = func(w, lo, hi int) {
+		lambda := p.curLambda
+		var sa, sb float64
+		for c := lo; c < hi; c++ {
+			var gx, gy float64
+			for _, pin := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
+				gx += p.pinGX[pin]
+				gy += p.pinGY[pin]
+			}
+			p.wlGX[c], p.wlGY[c] = gx, gy
+			sa += math.Abs(gx) + math.Abs(gy)
+			sb += math.Abs(p.dGX[c]) + math.Abs(p.dGY[c])
+			p.gX[c] = gx + lambda*p.dGX[c]
+			p.gY[c] = gy + lambda*p.dGY[c]
+		}
+		p.l1PA[w], p.l1PB[w] = sa, sb
+		p.pre.ApplyRange(lambda, p.gX, p.gY, lo, hi)
 	}
 	p.blendBody = func(lo, hi int) {
 		sigma := p.curSigma
@@ -756,7 +770,11 @@ func (p *Placer) finalize(start time.Time) *Result {
 // one kernel (used for the r ratio and lambda initialization).
 func (p *Placer) l1Norms(ax, ay, bx, by []float64) (na, nb float64) {
 	p.l1AX, p.l1AY, p.l1BX, p.l1BY = ax, ay, bx, by
-	used := p.eng.LaunchChunks("placer.grad_norms", len(ax), p.l1Body)
+	return p.sumL1(p.eng.LaunchChunks("placer.grad_norms", len(ax), p.l1Body))
+}
+
+// sumL1 folds the first used chunks' l1 partials in chunk order.
+func (p *Placer) sumL1(used int) (na, nb float64) {
 	for w := 0; w < used; w++ {
 		na += p.l1PA[w]
 		nb += p.l1PB[w]

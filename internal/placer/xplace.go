@@ -14,7 +14,8 @@ import (
 //     Off: gradients via the autograd engine (twice the small-kernel
 //     launches), immediate syncs — the ablation's "none" starting point.
 //   - OperatorCombination fuses WA wirelength + gradient + HPWL into one
-//     kernel, and gradient combination + preconditioning into another.
+//     kernel, and the gradient assembly — pin-to-cell sum, gradient norms,
+//     combination and preconditioning — into another.
 //   - OperatorExtraction computes the cell density map once for both the
 //     total map and the overflow ratio.
 //   - OperatorSkipping reuses the cached density gradient early on.
@@ -38,6 +39,9 @@ func (p *Placer) iterateXplace() error {
 	var wa, hpwl float64
 	if p.opts.OperatorReduction {
 		// --- Numerical gradient path (OR on) --------------------------
+		// OC assembles the gradient in one cell-major launch, which sums
+		// the pin gradients onto cells itself.
+		assemble := p.opts.OperatorCombination && p.opts.ExtraGradient == nil
 
 		// Wirelength operators (model selected by Options.Wirelength).
 		gs := p.beginGroup()
@@ -50,7 +54,9 @@ func (p *Placer) iterateXplace() error {
 			wa = p.wl.Grad(vx, vy, gamma, p.pinGX, p.pinGY)
 			hpwl = p.wl.HPWL(vx, vy)
 		}
-		p.wl.PinToCell(p.pinGX, p.pinGY, p.wlGX, p.wlGY)
+		if !assemble {
+			p.wl.PinToCell(p.pinGX, p.pinGY, p.wlGX, p.wlGY)
+		}
 		p.endGroup(gs, "op.wirelength")
 
 		// Cancellation point between the wirelength and density operator
@@ -72,26 +78,35 @@ func (p *Placer) iterateXplace() error {
 
 		// Gradient assembly.
 		gs = p.beginGroup()
-		if !p.lambdaInit {
+		first := !p.lambdaInit
+		if first {
+			// The initial lambda needs both norms before the assembly.
+			if assemble {
+				p.wl.PinToCell(p.pinGX, p.pinGY, p.wlGX, p.wlGY)
+			}
 			nWL, nD := p.l1Norms(p.wlGX, p.wlGY, p.dGX, p.dGY)
 			p.schd.InitLambda(nWL, nD)
 			p.lambdaInit = true
 		}
 		p.curLambda = p.schd.Lambda
-		if p.opts.OperatorCombination && p.opts.ExtraGradient == nil {
-			// OC also fuses gradient combination with preconditioning:
-			// one launch instead of two (§3.1.1 applied to the assembly
-			// stage).
-			e.Launch("placer.fused_grad", len(p.gX), p.fusedGradBody)
-			p.mOCSaved.Inc()
+		var nWL, nD float64
+		if assemble {
+			// OC applied to the assembly stage (§3.1.1): pin-to-cell sum,
+			// gradient norms, combination and preconditioning in one
+			// launch instead of three, or four when the norms are due.
+			nWL, nD = p.sumL1(e.LaunchChunks("placer.fused_grad", len(p.gX), p.assembleBody))
+			p.mOCSaved.Add(2)
+			if !skip && !first {
+				p.mOCSaved.Inc()
+			}
 		} else {
 			e.Launch("placer.combine_grad", len(p.gX), p.combineBody)
-		}
-		if !skip {
-			nWL, nD := p.l1Norms(p.wlGX, p.wlGY, p.dGX, p.dGY)
-			if nWL > 0 {
-				p.lastR = p.curLambda * nD / nWL
+			if !skip {
+				nWL, nD = p.l1Norms(p.wlGX, p.wlGY, p.dGX, p.dGY)
 			}
+		}
+		if !skip && nWL > 0 {
+			p.lastR = p.curLambda * nD / nWL
 		}
 		p.endGroup(gs, "op.grad_assembly")
 	} else {
@@ -164,19 +179,17 @@ func (p *Placer) computeDensity(vx, vy []float64) {
 	e := p.eng
 	d := p.d
 	if p.opts.OperatorExtraction {
-		// OE (§3.1.2, Figure 2a): D once, D_fl once, cheap add, OVFL
-		// reuses D.
-		p.sys.ScatterDensity(e, d, vx, vy, field.MaskMovable|field.MaskFixed, p.sys.D, "density.cells")
-		p.sys.ScatterDensity(e, d, vx, vy, field.MaskFiller, p.sys.Dfl, "density.fillers")
-		p.sys.AddMaps(e, p.sys.D, p.sys.Dfl, p.sys.Total)
-		p.mOEReuse.Inc() // OVFL below reuses D instead of re-scattering
+		// OE (§3.1.2, Figure 2a): D once, D_fl once, and one reduce over
+		// bins that writes D~ = D + D_fl and OVFL reusing D.
+		p.lastOverflow = p.sys.DensityMaps(e, d, vx, vy, p.opts.TargetDensity)
+		p.mOEReuse.Inc() // OVFL reuses D instead of re-scattering
 	} else {
 		// Naive: total map in one pass, then a second full scatter of
 		// the non-filler cells just for the overflow ratio.
 		p.sys.ScatterDensity(e, d, vx, vy, field.MaskAll, p.sys.Total, "density.total")
 		p.sys.ScatterDensity(e, d, vx, vy, field.MaskMovable|field.MaskFixed, p.sys.D, "density.cells_ovfl")
+		p.lastOverflow = p.sys.Overflow(e, d, p.sys.D, p.opts.TargetDensity)
 	}
-	p.lastOverflow = p.sys.Overflow(e, d, p.sys.D, p.opts.TargetDensity)
 	p.lastEnergy = p.sys.SolvePoisson(e)
 
 	// Neural extension (§3.3): blend the predicted field into the

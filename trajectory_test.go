@@ -1,6 +1,11 @@
 package xplace
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,6 +29,10 @@ import (
 // ordering follows from the exact counts). The fourth isolates the float32
 // compute backend, the last two the alternative placement paths.
 // Every config pins its Backend, so XPLACE_BACKEND cannot move the numbers.
+//
+// The digest columns pin the bits, not only the schedule: an operator
+// fusion that keeps every launch count but reorders one sum moves them.
+// They are checked on amd64 only, where Go does not fuse multiply-adds.
 func TestGoldenTrajectory(t *testing.T) {
 	const (
 		seed    = 1
@@ -61,13 +70,15 @@ func TestGoldenTrajectory(t *testing.T) {
 		opts     PlacementOptions
 		launches int64
 		hpwl     float64
+		records  string // trajectoryDigests: per-iteration records
+		position string // trajectoryDigests: final positions
 	}{
-		{"baseline", base, 2168, 12660.5},
-		{"xplace-unfused", unfused, 1073, 12740.4},
-		{"xplace", ref(), 953, 12740.4},
-		{"xplace-f32", f32, 1076, 12742.8},
-		{"xplace-lbub", lbub, 13924, 48977.4},
-		{"xplace-nn", nn, 728, 12509.1},
+		{"baseline", base, 1629, 12660.5, "9fc87ddf155caf7b", "54a950ff1219caea"},
+		{"xplace-unfused", unfused, 727, 12740.4, "d2d610af241b654e", "21773c724e988489"},
+		{"xplace", ref(), 507, 12740.4, "d2d610af241b654e", "21773c724e988489"},
+		{"xplace-f32", f32, 794, 12742.8, "419f679f0638f29e", "003b61772fd13d8d"},
+		{"xplace-lbub", lbub, 13924, 48977.4, "b6aeef2ff0c0fc97", "bd1e3b323cf4c210"},
+		{"xplace-nn", nn, 434, 12509.1, "4b2263730857a4a3", "25c22f999ad673bc"},
 	} {
 		e := kernel.New(kernel.Options{Workers: 4, LaunchOverhead: 150 * time.Microsecond})
 		opts := c.opts
@@ -93,6 +104,12 @@ func TestGoldenTrajectory(t *testing.T) {
 			t.Errorf("%s: HPWL %.6g is %+.1f%% off the pinned %.6g (band %.0f%%)",
 				c.name, res.HPWL, 100*rel, c.hpwl, 100*hpwlTol)
 		}
+		recs, pos := trajectoryDigests(res)
+		t.Logf("%s: records %s, positions %s", c.name, recs, pos)
+		if runtime.GOARCH == "amd64" && (recs != c.records || pos != c.position) {
+			t.Errorf("%s: digests records %s positions %s, want %s %s",
+				c.name, recs, pos, c.records, c.position)
+		}
 		hpwl[c.name] = res.HPWL
 	}
 
@@ -114,4 +131,29 @@ func TestGoldenTrajectory(t *testing.T) {
 			t.Errorf("%s / xplace HPWL ratio %.3f outside [%g, %g]", r.config, ratio, r.lo, r.hi)
 		}
 	}
+}
+
+// trajectoryDigests returns two FNV-64a digests over little-endian
+// math.Float64bits: one of every iteration record's HPWL, WA, Energy,
+// Overflow, Gamma, Lambda, Omega and R, one of the final positions with
+// X[i] and Y[i] interleaved.
+func trajectoryDigests(res *placer.Result) (records, positions string) {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, r := range res.Recorder.History() {
+		for _, v := range [...]float64{r.HPWL, r.WA, r.Energy, r.Overflow, r.Gamma, r.Lambda, r.Omega, r.R} {
+			put(v)
+		}
+	}
+	records = fmt.Sprintf("%016x", h.Sum64())
+	h.Reset()
+	for i := range res.X {
+		put(res.X[i])
+		put(res.Y[i])
+	}
+	return records, fmt.Sprintf("%016x", h.Sum64())
 }
