@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke check
+.PHONY: all fmt vet build test test-float32 race test-fusion test-recovery test-gateway test-oracle test-nn bench benchmark fuzz-smoke check
 
 all: check
 
@@ -38,6 +38,19 @@ define lane
 	done
 	$(GO) test $(1) -run '$(2)' -v $(3)
 endef
+
+# Operator-fusion gate: the bit-identity checks every launch fusion must
+# pass, under the race detector — the golden trajectory's digests (and its
+# launch column), the fused gradient assembly against the unfused one on
+# several chunks and the per-op launch ledger of an iteration, the one-scatter
+# density maps against the scatter-per-kind sequence at 1-4 workers, and the
+# Nesterov step fed steplength partials from outside against its own
+# optim.dist launch.
+test-fusion:
+	$(call lane,-race,TestGoldenTrajectory,.)
+	$(call lane,-race,TestFusedAssemblyBitIdenticalToUnfused|TestIterationLaunchLedger,./internal/placer)
+	$(call lane,-race,TestDensityMapsMatchesSequence|TestOperatorExtractionSavesScatterWork,./internal/field)
+	$(call lane,-race,TestNesterovStepFusedMatchesStep,./internal/optim)
 
 # Durability gate: the job-store units (WAL replay, torn tail,
 # checkpoint atomicity, cache), the scheduler recovery/cache/lifecycle

@@ -110,7 +110,7 @@ type System struct {
 	maxDens      []float64
 	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
 	scatterBody  func(w, lo, hi int)
-	fillerBody   func(w, lo, hi int) // scatterBody into the filler maps
+	splitBody    func(w, lo, hi int) // DensityMaps' scatter into cell and filler maps
 	mergeBody    func(lo, hi int)
 	mapsBody     func(lo, hi int) float64
 	spectralBody func(lo, hi int) float64
@@ -270,35 +270,57 @@ func (s *System) binSpanY(r geom.Rect, iy int) float64 {
 	return min(by+s.Grid.Dy, r.Hy) - max(by, r.Ly)
 }
 
-// scatterInto zeroes buf and accumulates into it, for every cell of
-// [lo, hi) the staged mask selects, overlap area x density scale per bin.
-// wx is the chunk's bin-width scratch (length Nx).
-func scatterInto[T float32 | float64](s *System, buf []T, wx []float64, lo, hi int) {
-	d, x, y, mask := s.scD, s.scX, s.scY, s.scMask
+// scatterCell accumulates into buf cell c's overlap area x density scale
+// per bin, at the staged positions. wx is the chunk's bin-width scratch
+// (length Nx). It is the one per-cell stencil of both scatter bodies.
+func scatterCell[T float32 | float64](s *System, buf []T, wx []float64, c int) {
+	r, scale := s.expandedRect(s.scD, c, s.scX[c], s.scY[c])
+	r = r.Intersect(s.Grid.Region)
+	if r.Empty() {
+		return
+	}
 	nx := s.Nx
+	x0, x1, y0, y1 := s.Grid.BinRange(r)
+	w := s.binSpanX(wx, r, x0, x1)
+	for iy := y0; iy < y1; iy++ {
+		h := s.binSpanY(r, iy)
+		if h <= 0 {
+			continue
+		}
+		row := buf[iy*nx+x0 : iy*nx+x1][:len(w)]
+		for i, wi := range w {
+			if ov := wi * h; ov > 0 {
+				row[i] += T(ov * scale)
+			}
+		}
+	}
+}
+
+// scatterInto zeroes buf and accumulates into it every cell of [lo, hi)
+// the staged mask selects.
+func scatterInto[T float32 | float64](s *System, buf []T, wx []float64, lo, hi int) {
+	kind, mask := s.scD.CellKind, s.scMask
 	clear(buf)
 	for c := lo; c < hi; c++ {
-		if !mask.Has(d.CellKind[c]) {
-			continue
+		if mask.Has(kind[c]) {
+			scatterCell(s, buf, wx, c)
 		}
-		r, scale := s.expandedRect(d, c, x[c], y[c])
-		r = r.Intersect(s.Grid.Region)
-		if r.Empty() {
-			continue
-		}
-		x0, x1, y0, y1 := s.Grid.BinRange(r)
-		w := s.binSpanX(wx, r, x0, x1)
-		for iy := y0; iy < y1; iy++ {
-			h := s.binSpanY(r, iy)
-			if h <= 0 {
-				continue
-			}
-			row := buf[iy*nx+x0 : iy*nx+x1][:len(w)]
-			for i, wi := range w {
-				if ov := wi * h; ov > 0 {
-					row[i] += T(ov * scale)
-				}
-			}
+	}
+}
+
+// scatterSplit zeroes cells and fillers and accumulates every cell of
+// [lo, hi) into one of them by kind: fillers into fillers, movable and
+// fixed cells into cells. Each map receives the adds, in the order, that
+// scatterInto with MaskFiller or MaskMovable|MaskFixed would give it.
+func scatterSplit[T float32 | float64](s *System, cells, fillers []T, wx []float64, lo, hi int) {
+	kind := s.scD.CellKind
+	clear(cells)
+	clear(fillers)
+	for c := lo; c < hi; c++ {
+		if kind[c] == netlist.Filler {
+			scatterCell(s, fillers, wx, c)
+		} else {
+			scatterCell(s, cells, wx, c)
 		}
 	}
 }
@@ -384,7 +406,7 @@ func (s *System) buildBodies() {
 	binArea := s.Grid.BinArea()
 	if s.be == nil {
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch[w], s.spanX[w], lo, hi) }
-		s.fillerBody = func(w, lo, hi int) { scatterInto(s, s.fillers[w], s.spanX[w], lo, hi) }
+		s.splitBody = func(w, lo, hi int) { scatterSplit(s, s.scratch[w], s.fillers[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch, invBinArea, lo, hi) }
 		s.mapsBody = func(lo, hi int) float64 { return mapsFrom(s, s.scratch, s.fillers, invBinArea, binArea, lo, hi) }
 		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef, lo, hi) }
@@ -393,7 +415,7 @@ func (s *System) buildBodies() {
 		// float32 (half the streamed bytes of the hot loop); the merge
 		// accumulates in float64 and converts at the boundary store.
 		s.scatterBody = func(w, lo, hi int) { scatterInto(s, s.scratch32[w], s.spanX[w], lo, hi) }
-		s.fillerBody = func(w, lo, hi int) { scatterInto(s, s.fillers32[w], s.spanX[w], lo, hi) }
+		s.splitBody = func(w, lo, hi int) { scatterSplit(s, s.scratch32[w], s.fillers32[w], s.spanX[w], lo, hi) }
 		s.mergeBody = func(lo, hi int) { mergeFrom(s, s.scratch32, invBinArea, lo, hi) }
 		s.mapsBody = func(lo, hi int) float64 { return mapsFrom(s, s.scratch32, s.fillers32, invBinArea, binArea, lo, hi) }
 		s.spectralBody = func(lo, hi int) float64 { return spectralScale(s, s.coef32, lo, hi) }
@@ -508,22 +530,20 @@ func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []floa
 	e.Launch(mergeName, s.Nx*s.Ny, s.mergeBody)
 }
 
-// DensityMaps is the extracted density step of Eq. 10 / Figure 2(a): it
-// scatters the movable and fixed cells ("density.cells") and the fillers
-// ("density.fillers") into two sets of per-chunk maps, then one reduce over
-// bins ("density.maps") writes D, Dfl and Total = D + Dfl and sums D's
-// overflow. It returns the overflow ratio OVFL of Eq. 7, as Overflow would
-// from D. Every map and the ratio are the bits of two ScatterDensity calls,
-// an elementwise add and Overflow: the reduce splits the bins as their
-// merges, add and overflow launches did.
+// DensityMaps is the extracted density step of Eq. 10 / Figure 2(a): one
+// scatter ("density.scatter") sends each cell to one of two sets of
+// per-chunk maps by kind — movable and fixed cells to the cell maps,
+// fillers to the filler maps — then one reduce over bins ("density.maps")
+// writes D, Dfl and Total = D + Dfl and sums D's overflow. It returns the
+// overflow ratio OVFL of Eq. 7, as Overflow would from D. Every map and the
+// ratio are the bits of two ScatterDensity calls, an elementwise add and
+// Overflow: the scatter splits the cells, and the reduce the bins, as those
+// launches did.
 func (s *System) DensityMaps(e *kernel.Engine, d *netlist.Design, x, y []float64, targetDensity float64) float64 {
 	n := d.NumCells()
 	s.grow(e, e.Chunks(n), true)
 	s.scD, s.scX, s.scY = d, x, y
-	s.scMask = MaskMovable | MaskFixed
-	s.scUsed = e.LaunchChunks("density.cells", n, s.scatterBody)
-	s.scMask = MaskFiller
-	e.LaunchChunks("density.fillers", n, s.fillerBody)
+	s.scUsed = e.LaunchChunks("density.scatter", n, s.splitBody)
 	s.ovTarget = targetDensity
 	over := e.ParallelReduce("density.maps", s.Nx*s.Ny, 0, s.mapsBody, sumCombine)
 	return overflowRatio(d, over)

@@ -105,11 +105,11 @@ func TestScatterClipsToRegion(t *testing.T) {
 	}
 }
 
-// TestDensityMapsMatchesSequence: the one density-map reduce of
-// DensityMaps writes D, Dfl, Total and the overflow ratio of the sequence
-// it replaces — two ScatterDensity calls, an elementwise add and Overflow —
-// bit for bit, on both backends and at engine widths whose chunks split the
-// cells and the bins differently.
+// TestDensityMapsMatchesSequence: the one scatter and the one density-map
+// reduce of DensityMaps write D, Dfl, Total and the overflow ratio of the
+// sequence they replace — two ScatterDensity calls, an elementwise add and
+// Overflow — bit for bit, on both backends and at engine widths whose
+// chunks split the cells and the bins differently.
 func TestDensityMapsMatchesSequence(t *testing.T) {
 	const target = 0.6
 	grid := geom.NewGrid(geom.Rect{Lx: -3.5, Ly: 10.25, Hx: 997.2, Hy: 611.9}, 64, 64)
@@ -153,13 +153,13 @@ func TestDensityMapsMatchesSequence(t *testing.T) {
 					}
 				}
 				per := e.Stats().PerOp
-				for _, op := range []string{"density.cells", "density.fillers", "density.maps"} {
+				for _, op := range []string{"density.scatter", "density.maps"} {
 					if per[op].Launches != 1 {
 						t.Errorf("%s: %d launches, want 1", op, per[op].Launches)
 					}
 				}
-				if st := e.Stats(); st.Launches != 3 {
-					t.Errorf("DensityMaps made %d launches, want 3: %v", st.Launches, st.PerOp)
+				if st := e.Stats(); st.Launches != 2 {
+					t.Errorf("DensityMaps made %d launches, want 2: %v", st.Launches, st.PerOp)
 				}
 			})
 		}
@@ -432,9 +432,9 @@ func TestMaxDensity(t *testing.T) {
 	}
 }
 
-// Operator extraction accounting: the OE composition (DensityMaps: D, Dfl,
-// one reduce) must not scatter the same cells twice, while the naive path
-// does.
+// Operator extraction accounting: the OE composition (DensityMaps: one
+// scatter into D and Dfl, one reduce) must not scatter the same cells
+// twice, while the naive path does.
 func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 	mk := func() (*kernel.Engine, *System, *netlist.Design) {
 		e := kernel.New(kernel.Options{Workers: 2})
@@ -450,7 +450,8 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 		return e, s, d
 	}
 
-	// OE path: D once, Dfl once, one reduce for Total and OVFL from D.
+	// OE path: D and Dfl in one scatter, one reduce for Total and OVFL
+	// from D.
 	e1, s1, d1 := mk()
 	s1.DensityMaps(e1, d1, d1.CellX, d1.CellY, 0.9)
 
@@ -469,14 +470,14 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 	}
 	// Compute time is too noisy on inputs this small to compare, so assert
 	// on launch structure: the naive path scatters every non-filler cell in
-	// two kernels, the OE path in one.
+	// two kernels, the OE path in one, beside the fillers.
 	per2 := e2.Stats().PerOp
 	if per2["density.all"].Launches != 1 || per2["density.cells_again"].Launches != 1 {
 		t.Errorf("naive path missing its double scatter: %v", per2)
 	}
 	per1 := e1.Stats().PerOp
-	if per1["density.cells"].Launches != 1 || per1["density.fillers"].Launches != 1 || per1["density.maps"].Launches != 1 {
-		t.Errorf("OE path should scatter cells and fillers once each and reduce once: %v", per1)
+	if per1["density.scatter"].Launches != 1 || per1["density.maps"].Launches != 1 || e1.Stats().Launches != 2 {
+		t.Errorf("OE path should scatter cells and fillers in one launch and reduce once: %v", per1)
 	}
 }
 

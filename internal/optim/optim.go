@@ -148,8 +148,8 @@ type Nesterov struct {
 	alpha, coef    float64
 	stepBody       func(lo, hi int)
 	// The steplength's two squared distances, |v - pv|^2 and |g - pg|^2,
-	// as per-chunk partials of one launch (sized by the engine's chunk
-	// count on the first step that needs them).
+	// as per-chunk partials of one launch, Step's own or a caller's (sized
+	// by the engine's chunk count on the first step that needs them).
 	distV, distG []float64
 	distBody     func(w, lo, hi int)
 }
@@ -169,52 +169,65 @@ func NewNesterov(x0, y0 []float64, bounds Bounds, initMove float64) *Nesterov {
 	o.pgy = make([]float64, n)
 	b := o.bounds
 	o.stepBody = func(lo, hi int) {
-		gx, gy := o.stepGX, o.stepGY
+		// Chunk-local subslices: the loop indexes them without bounds
+		// checks and without reloading o's fields after every store.
 		alpha, coef := o.alpha, o.coef
-		for c := lo; c < hi; c++ {
-			if b.frozen(c) {
+		gx, gy := o.stepGX[lo:hi], o.stepGY[lo:hi]
+		ux, uy, vx, vy := o.ux[lo:hi], o.uy[lo:hi], o.vx[lo:hi], o.vy[lo:hi]
+		pvx, pvy, pgx, pgy := o.pvx[lo:hi], o.pvy[lo:hi], o.pgx[lo:hi], o.pgy[lo:hi]
+		lox, hix, loy, hiy := b.LoX[lo:hi], b.HiX[lo:hi], b.LoY[lo:hi], b.HiY[lo:hi]
+		for c := range vx {
+			// Save the lookahead and gradient for the next steplength
+			// prediction, frozen cells included.
+			pvx[c], pvy[c] = vx[c], vy[c]
+			pgx[c], pgy[c] = gx[c], gy[c]
+			if lox[c] > hix[c] { // frozen
 				continue
 			}
-			newUx := clampTo(o.vx[c]-alpha*gx[c], b.LoX[c], b.HiX[c])
-			newUy := clampTo(o.vy[c]-alpha*gy[c], b.LoY[c], b.HiY[c])
-			o.vx[c] = clampTo(newUx+coef*(newUx-o.ux[c]), b.LoX[c], b.HiX[c])
-			o.vy[c] = clampTo(newUy+coef*(newUy-o.uy[c]), b.LoY[c], b.HiY[c])
-			o.ux[c] = newUx
-			o.uy[c] = newUy
+			newUx := clampTo(vx[c]-alpha*gx[c], lox[c], hix[c])
+			newUy := clampTo(vy[c]-alpha*gy[c], loy[c], hiy[c])
+			vx[c] = clampTo(newUx+coef*(newUx-ux[c]), lox[c], hix[c])
+			vy[c] = clampTo(newUy+coef*(newUy-uy[c]), loy[c], hiy[c])
+			ux[c] = newUx
+			uy[c] = newUy
 		}
 	}
-	o.distBody = func(w, lo, hi int) {
-		gx, gy := o.stepGX, o.stepGY
-		var v, g float64
-		for i := lo; i < hi; i++ {
-			dx := o.vx[i] - o.pvx[i]
-			dy := o.vy[i] - o.pvy[i]
-			v += dx*dx + dy*dy
-		}
-		for i := lo; i < hi; i++ {
-			dx := gx[i] - o.pgx[i]
-			dy := gy[i] - o.pgy[i]
-			g += dx*dx + dy*dy
-		}
-		o.distV[w], o.distG[w] = v, g
-	}
+	o.distBody = func(w, lo, hi int) { o.DistRange(w, o.stepGX, o.stepGY, lo, hi) }
 	return o
 }
 
-// dists returns the l2 distances |v - pv| and |g - pg| of the steplength
-// prediction as one kernel with two partials per chunk.
-func (o *Nesterov) dists(e *kernel.Engine, gx, gy []float64) (dv, dg float64) {
-	n := len(o.vx)
-	if c := e.Chunks(n); len(o.distV) < c {
+// FuseDists reports whether the next Step predicts its steplength from
+// |v - pv| and |g - pg| (every step after the first) and, if so, sizes
+// their per-chunk partials for e's split of the cells. A caller that
+// writes the gradient in its own LaunchChunks over the cells can then fill
+// the partials in that launch with DistRange and call StepFused instead of
+// Step, which saves Step's "optim.dist" launch.
+func (o *Nesterov) FuseDists(e *kernel.Engine) bool {
+	if o.iter == 0 {
+		return false
+	}
+	if c := e.Chunks(len(o.vx)); len(o.distV) < c {
 		o.distV, o.distG = make([]float64, c), make([]float64, c)
 	}
-	o.stepGX, o.stepGY = gx, gy
-	used := e.LaunchChunks("optim.dist", n, o.distBody)
-	for w := 0; w < used; w++ {
-		dv += o.distV[w]
-		dg += o.distG[w]
+	return true
+}
+
+// DistRange writes chunk w's partials of |v - pv|^2 and |g - pg|^2 over
+// cells [lo, hi) for gradient (gx, gy), each in its own accumulator, in
+// index order: the body of the "optim.dist" launch.
+func (o *Nesterov) DistRange(w int, gx, gy []float64, lo, hi int) {
+	vx, vy, pvx, pvy := o.vx[lo:hi], o.vy[lo:hi], o.pvx[lo:hi], o.pvy[lo:hi]
+	gx, gy, pgx, pgy := gx[lo:hi], gy[lo:hi], o.pgx[lo:hi], o.pgy[lo:hi]
+	var v, g float64
+	for i := range vx {
+		dx := vx[i] - pvx[i]
+		dy := vy[i] - pvy[i]
+		v += dx*dx + dy*dy
+		dx = gx[i] - pgx[i]
+		dy = gy[i] - pgy[i]
+		g += dx*dx + dy*dy
 	}
-	return math.Sqrt(dv), math.Sqrt(dg)
+	o.distV[w], o.distG[w] = v, g
 }
 
 // Positions returns the lookahead point v.
@@ -223,9 +236,23 @@ func (o *Nesterov) Positions() (x, y []float64) { return o.vx, o.vy }
 // Current returns the major solution u.
 func (o *Nesterov) Current() (x, y []float64) { return o.ux, o.uy }
 
-// Step advances u and v given the gradient at v.
+// Step advances u and v given the gradient at v. After the first step the
+// steplength's two distances are one "optim.dist" launch with two partials
+// per chunk.
 func (o *Nesterov) Step(e *kernel.Engine, gx, gy []float64) {
-	n := len(o.ux)
+	chunks := 0
+	if o.FuseDists(e) {
+		o.stepGX, o.stepGY = gx, gy
+		chunks = e.LaunchChunks("optim.dist", len(o.vx), o.distBody)
+	}
+	o.StepFused(e, gx, gy, chunks)
+}
+
+// StepFused is Step with the steplength's distances summed from the first
+// chunks partials DistRange wrote for this gradient after FuseDists
+// reported true, in chunk order, as Step sums its own launch's. The first
+// step ignores chunks.
+func (o *Nesterov) StepFused(e *kernel.Engine, gx, gy []float64, chunks int) {
 	var alpha float64
 	if o.iter == 0 {
 		gn := rmsNorm(e, gx, gy)
@@ -234,7 +261,12 @@ func (o *Nesterov) Step(e *kernel.Engine, gx, gy []float64) {
 		}
 		alpha = o.InitMove / gn
 	} else {
-		num, den := o.dists(e, gx, gy)
+		var dv, dg float64
+		for w := 0; w < chunks; w++ {
+			dv += o.distV[w]
+			dg += o.distG[w]
+		}
+		num, den := math.Sqrt(dv), math.Sqrt(dg)
 		if den <= 1e-30 {
 			den = 1e-30
 		}
@@ -242,15 +274,11 @@ func (o *Nesterov) Step(e *kernel.Engine, gx, gy []float64) {
 	}
 	aNew := (1 + math.Sqrt(4*o.a*o.a+1)) / 2
 
-	// Save the lookahead and gradient for the next steplength prediction,
-	// then update u and v in one fused kernel (in-place, no autograd).
-	copy(o.pvx, o.vx)
-	copy(o.pvy, o.vy)
-	copy(o.pgx, gx)
-	copy(o.pgy, gy)
+	// Save the lookahead and gradient and update u and v in one fused
+	// kernel (in-place, no autograd).
 	o.stepGX, o.stepGY = gx, gy
 	o.alpha, o.coef = alpha, (o.a-1)/aNew
-	e.Launch("optim.nesterov_step", n, o.stepBody)
+	e.Launch("optim.nesterov_step", len(o.ux), o.stepBody)
 	o.a = aNew
 	o.iter++
 }

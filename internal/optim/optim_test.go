@@ -1,7 +1,9 @@
 package optim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"xplace/internal/geom"
@@ -266,4 +268,137 @@ func TestOmegaMonotoneInLambda(t *testing.T) {
 func TestOptimizerInterfaces(t *testing.T) {
 	var _ Optimizer = (*Nesterov)(nil)
 	var _ Optimizer = (*Adam)(nil)
+}
+
+// TestNesterovStepFusedMatchesStep drives two Nesterov optimizers over a
+// design with fixed (frozen) cells at one and three chunks: one takes Step,
+// which launches optim.dist itself; the other is fed steplength partials
+// from a caller's own launch (FuseDists, DistRange, StepFused), as the
+// placer's fused gradient assembly feeds them. After every step both keep
+// the pre-step lookahead and gradient as pv and pg for every cell, frozen
+// ones included; their steplength is the one the distances give, summed
+// per chunk in index order and folded in chunk order; and their states
+// agree bit for bit.
+func TestNesterovStepFusedMatchesStep(t *testing.T) {
+	const n, steps = 3000, 8
+	d := netlist.NewDesign("frozen", geom.Rect{Hx: 1000, Hy: 1000})
+	rng := rand.New(rand.NewSource(7))
+	frozen := 0
+	for i := 0; i < n; i++ {
+		kind := netlist.Movable
+		if i%7 == 3 {
+			kind = netlist.Fixed
+			frozen++
+		}
+		d.AddCell("c", 2, 2, 1+998*rng.Float64(), 1+998*rng.Float64(), kind)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBounds(d)
+	// A gradient that depends on the point and the step, so successive
+	// steps have distinct, non-trivial distances.
+	grad := func(it int, x, y, gx, gy []float64) {
+		for c := range x {
+			gx[c] = 2*(x[c]-500) + 40*math.Sin(float64(c*(it+1))+y[c]/50)
+			gy[c] = 2*(y[c]-500) + 40*math.Cos(float64(c+it)+x[c]/70)
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("chunks=%d", workers), func(t *testing.T) {
+			eRef := kernel.New(kernel.Options{Workers: workers})
+			defer eRef.Close()
+			eFused := kernel.New(kernel.Options{Workers: workers})
+			defer eFused.Close()
+			if c := eRef.Chunks(n); c != workers {
+				t.Fatalf("Chunks(%d) = %d, want %d", n, c, workers)
+			}
+			bounds := make([][2]int, eRef.Chunks(n))
+			eRef.LaunchChunks("test.bounds", n, func(w, lo, hi int) { bounds[w] = [2]int{lo, hi} })
+
+			ref := NewNesterov(d.CellX, d.CellY, b, 5)
+			fused := NewNesterov(d.CellX, d.CellY, b, 5)
+			gx, gy := make([]float64, n), make([]float64, n)
+			fgx, fgy := make([]float64, n), make([]float64, n)
+			for it := 0; it < steps; it++ {
+				pre := ref.State()
+				x, y := ref.Positions()
+				grad(it, x, y, gx, gy)
+				fx, fy := fused.Positions()
+				grad(it, fx, fy, fgx, fgy)
+
+				// The steplength oracle: the two distances as the
+				// standalone launch sums them.
+				var want float64
+				if it > 0 {
+					var dv, dg float64
+					for _, r := range bounds {
+						var v, g float64
+						for c := r[0]; c < r[1]; c++ {
+							dx, dy := x[c]-pre.Vectors["pvx"][c], y[c]-pre.Vectors["pvy"][c]
+							v += dx*dx + dy*dy
+						}
+						for c := r[0]; c < r[1]; c++ {
+							dx, dy := gx[c]-pre.Vectors["pgx"][c], gy[c]-pre.Vectors["pgy"][c]
+							g += dx*dx + dy*dy
+						}
+						dv += v
+						dg += g
+					}
+					want = math.Sqrt(dv) / math.Sqrt(dg)
+				}
+
+				ref.Step(eRef, gx, gy)
+				used := 0
+				fuse := fused.FuseDists(eFused)
+				if fuse != (it > 0) {
+					t.Fatalf("step %d: FuseDists = %v", it, fuse)
+				}
+				if fuse {
+					used = eFused.LaunchChunks("test.fused_grad", n, func(w, lo, hi int) {
+						fused.DistRange(w, fgx, fgy, lo, hi)
+					})
+				}
+				fused.StepFused(eFused, fgx, fgy, used)
+
+				if it > 0 && (!same(ref.alpha, want) || !same(fused.alpha, want)) {
+					t.Fatalf("step %d: alpha %v (Step), %v (StepFused), want %v", it, ref.alpha, fused.alpha, want)
+				}
+				if !same(ref.alpha, fused.alpha) {
+					t.Fatalf("step %d: alpha %v (Step), %v (StepFused)", it, ref.alpha, fused.alpha)
+				}
+				got := ref.State()
+				for c := 0; c < n; c++ {
+					if !same(got.Vectors["pvx"][c], pre.Vectors["vx"][c]) || !same(got.Vectors["pvy"][c], pre.Vectors["vy"][c]) ||
+						!same(got.Vectors["pgx"][c], gx[c]) || !same(got.Vectors["pgy"][c], gy[c]) {
+						t.Fatalf("step %d, cell %d (frozen %v): pv (%v, %v) pg (%v, %v), want v (%v, %v) g (%v, %v)",
+							it, c, b.frozen(c), got.Vectors["pvx"][c], got.Vectors["pvy"][c], got.Vectors["pgx"][c], got.Vectors["pgy"][c],
+							pre.Vectors["vx"][c], pre.Vectors["vy"][c], gx[c], gy[c])
+					}
+				}
+				other := fused.State()
+				if !same(got.A, other.A) || got.Iter != other.Iter {
+					t.Fatalf("step %d: a %v iter %d (Step), a %v iter %d (StepFused)", it, got.A, got.Iter, other.A, other.Iter)
+				}
+				for name, v := range got.Vectors {
+					for c := range v {
+						if !same(v[c], other.Vectors[name][c]) {
+							t.Fatalf("step %d: %s[%d] = %v (Step), %v (StepFused)", it, name, c, v[c], other.Vectors[name][c])
+						}
+					}
+				}
+			}
+			if got := eRef.Stats().PerOp["optim.dist"].Launches; got != steps-1 {
+				t.Errorf("Step: %d optim.dist launches, want %d", got, steps-1)
+			}
+			if got := eFused.Stats().PerOp["optim.dist"].Launches; got != 0 {
+				t.Errorf("StepFused: %d optim.dist launches, want 0", got)
+			}
+			if frozen == 0 {
+				t.Fatal("no frozen cells: the case tests little")
+			}
+		})
+	}
 }

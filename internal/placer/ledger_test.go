@@ -11,12 +11,13 @@ import (
 
 // TestIterationLaunchLedger pins which operators a 60-iteration Xplace run
 // launches and how often: the pin-to-cell sum and the gradient norms run
-// once, for the initial lambda, and are then part of the fused assembly;
-// the steplength is one launch per step after the first; every density
-// evaluation is one map reduce, one Poisson launch and one gather; and the
-// launches those replaced are gone. With OC off the pin-to-cell sum still
-// runs every iteration, so the ablation keeps its meaning. The backend is
-// pinned: the float32 solve keeps its passes.
+// once, for the initial lambda, and are then part of the fused assembly, as
+// is the steplength; every density evaluation is one scatter, one map
+// reduce, one Poisson launch and one gather; and the launches those
+// replaced are gone. With OC off the pin-to-cell sum still runs every
+// iteration and the steplength is one launch per step after the first, so
+// the ablation keeps its meaning. The backend is pinned: the float32 solve
+// keeps its passes.
 func TestIterationLaunchLedger(t *testing.T) {
 	const iters = 60
 	d := clusteredDesign(t, 400, 1)
@@ -45,7 +46,7 @@ func TestIterationLaunchLedger(t *testing.T) {
 		"wl.pin_to_cell":    1,
 		"placer.grad_norms": 1,
 		"placer.fused_grad": iters,
-		"optim.dist":        iters - 1,
+		"optim.dist":        0,
 	} {
 		if got := per[op].Launches; got != want {
 			t.Errorf("%s: %d launches, want %d", op, got, want)
@@ -55,20 +56,25 @@ func TestIterationLaunchLedger(t *testing.T) {
 	if evals == 0 || evals == iters {
 		t.Errorf("%d density evaluations in %d iterations: the case tests no skipping", evals, iters)
 	}
-	for _, op := range []string{"density.cells", "density.fillers", "density.maps", "poisson.solve"} {
+	for _, op := range []string{"density.scatter", "density.maps", "poisson.solve"} {
 		if got := per[op].Launches; got != evals {
 			t.Errorf("%s: %d launches, want one per density evaluation (%d)", op, got, evals)
 		}
 	}
 	for op := range per {
 		if strings.HasSuffix(op, ".merge") || strings.HasPrefix(op, "spectral2.") ||
-			op == "density.add_maps" || op == "density.ovfl" {
+			op == "density.add_maps" || op == "density.ovfl" ||
+			op == "density.cells" || op == "density.fillers" {
 			t.Errorf("%s ran %d times; the fused iteration replaces it", op, per[op].Launches)
 		}
 	}
 
-	if got := run(false)["wl.pin_to_cell"].Launches; got != iters {
+	off := run(false)
+	if got := off["wl.pin_to_cell"].Launches; got != iters {
 		t.Errorf("OC off: wl.pin_to_cell %d launches, want one per iteration (%d)", got, iters)
+	}
+	if got := off["optim.dist"].Launches; got != iters-1 {
+		t.Errorf("OC off: optim.dist %d launches, want one per step after the first (%d)", got, iters-1)
 	}
 }
 

@@ -287,6 +287,7 @@ type Placer struct {
 	curLambda              float64
 	combineBody            func(lo, hi int)
 	assembleBody           func(w, lo, hi int) // the OC gradient assembly, cell-major
+	stepDists              *optim.Nesterov     // non-nil while assembleBody fills its steplength partials
 	curSigma               float64
 	blendBody              func(lo, hi int)
 
@@ -502,9 +503,11 @@ func (p *Placer) buildBodies() {
 	}
 	// Per cell: sum its pins into the wirelength gradient (PinToCell's
 	// body), add both gradients to the chunk's l1 partials (l1Body's),
-	// combine them (combineBody's); then precondition the chunk's range.
-	// Every step reads only the cell it writes, so the four operators need
-	// no barrier between them, and the chunks are l1Norms' chunks.
+	// combine them (combineBody's); then precondition the chunk's range,
+	// and, when staged, write the optimizer's steplength partials of it
+	// (optim.dist's body). Every step reads only the cells it writes, so
+	// the operators need no barrier between them, and the chunks are
+	// l1Norms' and optim.dist's chunks.
 	d := p.d
 	p.assembleBody = func(w, lo, hi int) {
 		lambda := p.curLambda
@@ -523,6 +526,9 @@ func (p *Placer) buildBodies() {
 		}
 		p.l1PA[w], p.l1PB[w] = sa, sb
 		p.pre.ApplyRange(lambda, p.gX, p.gY, lo, hi)
+		if p.stepDists != nil {
+			p.stepDists.DistRange(w, p.gX, p.gY, lo, hi)
+		}
 	}
 	p.blendBody = func(lo, hi int) {
 		sigma := p.curSigma

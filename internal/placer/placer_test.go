@@ -240,14 +240,17 @@ func TestOperatorSkippingReducesDensityKernels(t *testing.T) {
 		if _, err := p.RunIterations(iters); err != nil {
 			t.Fatal(err)
 		}
-		return e.Stats().PerOp["density.cells"].Launches
+		return e.Stats().PerOp["density.scatter"].Launches
 	}
 	withSkip := run(true)
 	without := run(false)
+	if withSkip == 0 || without == 0 {
+		t.Fatalf("density.scatter launches: skip=%d, no-skip=%d; the op this counts did not run", withSkip, without)
+	}
 	if withSkip >= without {
 		t.Errorf("density scatter launches with skipping %d should be below %d", withSkip, without)
 	}
-	t.Logf("density.cells launches: skip=%d, no-skip=%d over %d iters", withSkip, without, iters)
+	t.Logf("density.scatter launches: skip=%d, no-skip=%d over %d iters", withSkip, without, iters)
 }
 
 func TestStageAwareReducesParamUpdates(t *testing.T) {
@@ -441,7 +444,7 @@ func TestAblationOrdering(t *testing.T) {
 		}
 		var dens time.Duration
 		for name, op := range res.Stats.PerOp {
-			if strings.HasPrefix(name, "density.cells") || strings.HasPrefix(name, "density.total") || strings.HasPrefix(name, "density.fillers") {
+			if strings.HasPrefix(name, "density.scatter") || strings.HasPrefix(name, "density.cells") || strings.HasPrefix(name, "density.total") {
 				dens += op.Compute
 			}
 		}
@@ -464,6 +467,11 @@ func TestAblationOrdering(t *testing.T) {
 	}
 	if all.launches >= oe.launches {
 		t.Errorf("OS should drop launches: all %.1f vs OE %.1f", all.launches, oe.launches)
+	}
+	for name, r := range map[string]m{"none": none, "OR": or, "OC": oc, "OE": oe, "all": all, "baseline": base} {
+		if r.densWork <= 0 {
+			t.Errorf("%s: no density scatter compute counted; the OE comparison checks nothing", name)
+		}
 	}
 	if oe.densWork >= oc.densWork {
 		t.Errorf("OE should cut density scatter compute: %v vs %v", oe.densWork, oc.densWork)

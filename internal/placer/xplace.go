@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"xplace/internal/field"
+	"xplace/internal/optim"
 )
 
 // iterateXplace runs one GP iteration of the Xplace framework with the
@@ -15,7 +16,8 @@ import (
 //     launches), immediate syncs — the ablation's "none" starting point.
 //   - OperatorCombination fuses WA wirelength + gradient + HPWL into one
 //     kernel, and the gradient assembly — pin-to-cell sum, gradient norms,
-//     combination and preconditioning — into another.
+//     combination, preconditioning and Nesterov's steplength distances —
+//     into another.
 //   - OperatorExtraction computes the cell density map once for both the
 //     total map and the overflow ratio.
 //   - OperatorSkipping reuses the cached density gradient early on.
@@ -37,6 +39,8 @@ func (p *Placer) iterateXplace() error {
 	gamma := p.schd.Gamma
 
 	var wa, hpwl float64
+	chunks := 0 // assembly chunks that wrote Nesterov's steplength partials
+	p.stepDists = nil
 	if p.opts.OperatorReduction {
 		// --- Numerical gradient path (OR on) --------------------------
 		// OC assembles the gradient in one cell-major launch, which sums
@@ -92,11 +96,20 @@ func (p *Placer) iterateXplace() error {
 		var nWL, nD float64
 		if assemble {
 			// OC applied to the assembly stage (§3.1.1): pin-to-cell sum,
-			// gradient norms, combination and preconditioning in one
-			// launch instead of three, or four when the norms are due.
-			nWL, nD = p.sumL1(e.LaunchChunks("placer.fused_grad", len(p.gX), p.assembleBody))
+			// gradient norms, combination, preconditioning and, after
+			// Nesterov's first step, its steplength distances in one
+			// launch instead of three, four or five.
+			if nest, ok := p.opt.(*optim.Nesterov); ok && nest.FuseDists(e) {
+				p.stepDists = nest
+			}
+			used := e.LaunchChunks("placer.fused_grad", len(p.gX), p.assembleBody)
+			nWL, nD = p.sumL1(used)
 			p.mOCSaved.Add(2)
 			if !skip && !first {
+				p.mOCSaved.Inc()
+			}
+			if p.stepDists != nil {
+				chunks = used
 				p.mOCSaved.Inc()
 			}
 		} else {
@@ -142,7 +155,11 @@ func (p *Placer) iterateXplace() error {
 		}
 		p.pre.Apply(e, lambda, p.gX, p.gY)
 	}
-	p.opt.Step(e, p.gX, p.gY)
+	if p.stepDists != nil {
+		p.stepDists.StepFused(e, p.gX, p.gY, chunks)
+	} else {
+		p.opt.Step(e, p.gX, p.gY)
+	}
 	p.endGroup(gs, "op.optim")
 
 	gs = p.beginGroup()

@@ -74,11 +74,11 @@ func TestGoldenTrajectory(t *testing.T) {
 		position string // trajectoryDigests: final positions
 	}{
 		{"baseline", base, 1629, 12660.5, "9fc87ddf155caf7b", "54a950ff1219caea"},
-		{"xplace-unfused", unfused, 727, 12740.4, "d2d610af241b654e", "21773c724e988489"},
-		{"xplace", ref(), 507, 12740.4, "d2d610af241b654e", "21773c724e988489"},
-		{"xplace-f32", f32, 794, 12742.8, "419f679f0638f29e", "003b61772fd13d8d"},
+		{"xplace-unfused", unfused, 686, 12740.4, "d2d610af241b654e", "21773c724e988489"},
+		{"xplace", ref(), 407, 12740.4, "d2d610af241b654e", "21773c724e988489"},
+		{"xplace-f32", f32, 694, 12742.8, "419f679f0638f29e", "003b61772fd13d8d"},
 		{"xplace-lbub", lbub, 13924, 48977.4, "b6aeef2ff0c0fc97", "bd1e3b323cf4c210"},
-		{"xplace-nn", nn, 434, 12509.1, "4b2263730857a4a3", "25c22f999ad673bc"},
+		{"xplace-nn", nn, 353, 12509.1, "4b2263730857a4a3", "25c22f999ad673bc"},
 	} {
 		e := kernel.New(kernel.Options{Workers: 4, LaunchOverhead: 150 * time.Microsecond})
 		opts := c.opts
