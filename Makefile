@@ -43,14 +43,16 @@ endef
 # pass, under the race detector — the golden trajectory's digests (and its
 # launch column), the fused gradient assembly against the unfused one on
 # several chunks and the per-op launch ledger of an iteration, the one-scatter
-# density maps against the scatter-per-kind sequence at 1-4 workers, and the
+# density maps against the scatter-per-kind sequence at 1-4 workers, the
 # Nesterov step fed steplength partials from outside against its own
-# optim.dist launch.
+# optim.dist launch, and the block-staged WA/LSE net kernels against the
+# three-pass oracle at 1-3 workers.
 test-fusion:
 	$(call lane,-race,TestGoldenTrajectory,.)
 	$(call lane,-race,TestFusedAssemblyBitIdenticalToUnfused|TestIterationLaunchLedger,./internal/placer)
 	$(call lane,-race,TestDensityMapsMatchesSequence|TestOperatorExtractionSavesScatterWork,./internal/field)
 	$(call lane,-race,TestNesterovStepFusedMatchesStep,./internal/optim)
+	$(call lane,-race,TestNetKernelsBitIdenticalToThreePassOracle,./internal/wirelength)
 
 # Durability gate: the job-store units (WAL replay, torn tail,
 # checkpoint atomicity, cache), the scheduler recovery/cache/lifecycle
@@ -122,12 +124,13 @@ fuzz-smoke:
 # line-pass fan-out threshold rests on), one warm PredictField at the
 # gp-nn shape and at paper scale, density scatter/gather and the fused wirelength
 # operator at the gp-small and gp-cells shapes, one detailed-placement pass
-# on a 1000-cell row design). Allocation columns are the regression signal:
-# pooled launches, warm transforms, warm inference and the per-iteration
-# operators must report 0 allocs/op; detail.Run allocates per cell and net,
-# not per swap candidate.
+# on a 1000-cell row design, the placer's design augmentation — Clone,
+# AddFillers, Finish — at the gp-cells shape). Allocation columns are the
+# regression signal: pooled launches, warm transforms, warm inference and the
+# per-iteration operators must report 0 allocs/op; detail.Run allocates per
+# cell and net, not per swap candidate.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength ./internal/detail
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct ./internal/nn ./internal/field ./internal/wirelength ./internal/detail ./internal/netlist
 
 # The repo benchmark (BENCHMARK.json), the one way to measure: six
 # workloads, client-observed and per-layer metrics; `go run ./benchmark

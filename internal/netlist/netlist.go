@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"xplace/internal/geom"
 )
@@ -217,15 +219,19 @@ func (d *Design) Finish() error {
 		fill[c]++
 	}
 	// Distinct nets per cell: pins of a cell on the same net are counted
-	// once (|S_i| of §3.2).
+	// once (|S_i| of §3.2). stamp[net] == c+1 marks a net already counted
+	// for cell c.
 	d.CellNetDeg = make([]int, n)
-	seen := make(map[int]struct{}, 8)
+	stamp := make([]int, d.NumNets())
 	for c := 0; c < n; c++ {
-		clear(seen)
+		deg := 0
 		for _, p := range d.CellPins[d.CellPinStart[c]:d.CellPinStart[c+1]] {
-			seen[d.PinNet[p]] = struct{}{}
+			if net := d.PinNet[p]; stamp[net] != c+1 {
+				stamp[net] = c + 1
+				deg++
+			}
 		}
-		d.CellNetDeg[c] = len(seen)
+		d.CellNetDeg[c] = deg
 	}
 	// Validate.
 	for c := 0; c < n; c++ {
@@ -411,12 +417,19 @@ func (d *Design) AddFillers(targetDensity float64) int {
 		return 0
 	}
 	count := int(fillArea / (side * side))
+	d.CellName = slices.Grow(d.CellName, count)
+	d.CellW = slices.Grow(d.CellW, count)
+	d.CellH = slices.Grow(d.CellH, count)
+	d.CellKind = slices.Grow(d.CellKind, count)
+	d.CellX = slices.Grow(d.CellX, count)
+	d.CellY = slices.Grow(d.CellY, count)
+	d.CellFence = slices.Grow(d.CellFence, count)
 	// Halton-like (2,3) low-discrepancy placement keeps the initial filler
 	// distribution uniform and deterministic.
 	for i := 0; i < count; i++ {
 		fx := d.Region.Lx + halton(i+1, 2)*d.Region.W()
 		fy := d.Region.Ly + halton(i+1, 3)*d.Region.H()
-		d.AddCell(fmt.Sprintf("__filler_%d", i), side, side, fx, fy, Filler)
+		d.AddCell("__filler_"+strconv.Itoa(i), side, side, fx, fy, Filler)
 	}
 	return count
 }

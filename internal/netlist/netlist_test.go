@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,6 +74,48 @@ func TestCellNetDegreeCountsDistinctNets(t *testing.T) {
 	}
 	if d.CellNetDeg[b] != 1 {
 		t.Errorf("deg(b) = %d", d.CellNetDeg[b])
+	}
+}
+
+// TestCellNetDegreeMatchesMapDefinition: on a random design where cells
+// carry several pins on one net, CellNetDeg is the number of distinct nets
+// among each cell's pins, counted with a set.
+func TestCellNetDegreeMatchesMapDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := NewDesign("deg", geom.Rect{Hx: 100, Hy: 100})
+	const nc = 60
+	for i := 0; i < nc; i++ {
+		d.AddCell("c", 1, 1, 50, 50, Movable)
+	}
+	for n := 0; n < 150; n++ {
+		d.AddNet("n")
+		deg := rng.Intn(8)
+		for j := 0; j < deg; j++ {
+			c := rng.Intn(nc / 4) // few cells per net: repeats are common
+			d.AddPin(c, 0, 0)
+			if rng.Intn(3) == 0 {
+				d.AddPin(c, 0.5, 0) // a second pin of c on this net
+			}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	repeats := 0
+	for c := 0; c < nc; c++ {
+		set := map[int]bool{}
+		for p, pc := range d.PinCell {
+			if pc == c {
+				set[d.PinNet[p]] = true
+			}
+		}
+		if d.CellNetDeg[c] != len(set) {
+			t.Errorf("CellNetDeg[%d] = %d, want %d distinct nets", c, d.CellNetDeg[c], len(set))
+		}
+		repeats += d.CellPinStart[c+1] - d.CellPinStart[c] - len(set)
+	}
+	if repeats == 0 {
+		t.Fatal("no cell has two pins on one net: the test checks nothing")
 	}
 }
 
@@ -212,6 +255,41 @@ func TestAddFillers(t *testing.T) {
 	st := d.Stats()
 	if st.Fillers != n || st.Movable != 10 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestAddFillersNamesAndPositions pins every filler to the AddCell-per-
+// filler definition: the name "__filler_<i>", the side of the average
+// movable cell and the (2,3) Halton point, bit for bit, after the cells
+// that were there.
+func TestAddFillersNamesAndPositions(t *testing.T) {
+	d := NewDesign("fill", geom.Rect{Lx: -3, Ly: 7, Hx: 91, Hy: 60})
+	d.AddCell("m0", 2, 3, 10, 10, Movable)
+	d.AddCell("m1", 5, 1, 20, 30, Movable)
+	d.AddCell("f0", 8, 8, 40, 40, Fixed)
+	want := d.Clone()
+	n := d.AddFillers(0.9)
+	if n < 100 {
+		t.Fatalf("only %d fillers", n)
+	}
+	side := math.Sqrt((2*3 + 5*1) / 2.0)
+	for i := 0; i < n; i++ {
+		fx := want.Region.Lx + halton(i+1, 2)*want.Region.W()
+		fy := want.Region.Ly + halton(i+1, 3)*want.Region.H()
+		want.AddCell(fmt.Sprintf("__filler_%d", i), side, side, fx, fy, Filler)
+	}
+	if d.NumCells() != want.NumCells() {
+		t.Fatalf("%d cells, want %d", d.NumCells(), want.NumCells())
+	}
+	bits := math.Float64bits
+	for c := 0; c < d.NumCells(); c++ {
+		if d.CellName[c] != want.CellName[c] || d.CellKind[c] != want.CellKind[c] || d.CellFence[c] != want.CellFence[c] ||
+			bits(d.CellW[c]) != bits(want.CellW[c]) || bits(d.CellH[c]) != bits(want.CellH[c]) ||
+			bits(d.CellX[c]) != bits(want.CellX[c]) || bits(d.CellY[c]) != bits(want.CellY[c]) {
+			t.Fatalf("cell %d = %q %v %gx%g at (%g, %g) fence %d, want %q %v %gx%g at (%g, %g) fence %d", c,
+				d.CellName[c], d.CellKind[c], d.CellW[c], d.CellH[c], d.CellX[c], d.CellY[c], d.CellFence[c],
+				want.CellName[c], want.CellKind[c], want.CellW[c], want.CellH[c], want.CellX[c], want.CellY[c], want.CellFence[c])
+		}
 	}
 }
 

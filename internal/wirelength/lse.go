@@ -1,10 +1,6 @@
 package wirelength
 
-import (
-	"math"
-
-	"xplace/internal/netlist"
-)
+import "math"
 
 // This file implements the log-sum-exp (LSE) smoothed wirelength — the
 // other classic differentiable HPWL model (used by NTUPlace3 and the
@@ -19,17 +15,13 @@ import (
 
 // netLSE computes the stable LSE wirelength and per-pin gradient of one
 // net in one dimension; mirrors netWA's contract.
-func netLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64, sc *netScratch) (float64, float64) {
-	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
-	if e-s < 2 {
-		if grad != nil {
-			for p := s; p < e; p++ {
-				grad[p] = 0
-			}
-		}
+func netLSE(v, ap, am []float64, gamma float64, grad []float64) (float64, float64) {
+	if len(v) < 2 {
+		clear(grad)
 		return 0, 0
 	}
-	v, ap, am, minV, maxV := sc.gather(d, s, e, pos, off)
+	ap, am = ap[:len(v)], am[:len(v)]
+	minV, maxV := minMax(v)
 	hpwl := maxV - minV
 	expWeights(v, ap, am, minV, maxV, 1/gamma)
 	var sPlus, sMinus float64
@@ -42,7 +34,7 @@ func netLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma float6
 	if grad != nil {
 		invSP := 1 / sPlus
 		invSM := 1 / sMinus
-		g := grad[s:e]
+		g := grad[:len(v)]
 		for i := range v {
 			g[i] = ap[i]*invSP - am[i]*invSM
 		}

@@ -28,11 +28,13 @@ type Ops struct {
 	e     *kernel.Engine
 	d     *netlist.Design
 	model Model
+	netFn netFunc // netWA or netLSE, by model
 
 	partWA, partHP []float64 // one slot per chunk
 
-	// Per-net scratch, one netScratch per chunk, all cut from the
-	// single arena buffer netBuf (3 x maxDeg floats per chunk).
+	// Per-chunk scratch, one netScratch per chunk, all cut from the
+	// single arena buffer netBuf: a block's staged x and y and the
+	// largest net's two weights (maxDeg floats each).
 	maxDeg int
 	netBuf []float64
 	net    []netScratch
@@ -58,40 +60,24 @@ func NewOps(e *kernel.Engine, d *netlist.Design, model Model) *Ops {
 		e:     e,
 		d:     d,
 		model: model,
+		netFn: netWA,
 		net:   make([]netScratch, e.Chunks(d.NumNets())),
 	}
 	for n := 0; n < d.NumNets(); n++ {
 		o.maxDeg = max(o.maxDeg, d.NetPinStart[n+1]-d.NetPinStart[n])
 	}
 	o.ensure()
-	netFn := netWA
 	o.fusedName, o.gradName, o.fwdName = "wl.fused_wa_grad_hpwl", "wl.wa_grad", "wl.wa_fwd"
 	if model == LSE {
-		netFn = netLSE
+		o.netFn = netLSE
 		o.fusedName, o.gradName, o.fwdName = "wl.fused_lse_grad_hpwl", "wl.lse_grad", "wl.lse_fwd"
 	}
 	o.fusedBody = func(w, lo, hi int) {
-		sc := &o.net[w]
-		var wl, hp float64
-		for n := lo; n < hi; n++ {
-			wx, hx := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX, sc)
-			wy, hy := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY, sc)
-			wl += wx + wy
-			hp += hx + hy
-		}
-		o.partWA[w] = wl
-		o.partHP[w] = hp
+		o.partWA[w], o.partHP[w] = o.evalNets(&o.net[w], lo, hi)
 	}
 	// gradBody serves Grad and, with the pin gradients staged nil, Forward.
 	o.gradBody = func(w, lo, hi int) {
-		sc := &o.net[w]
-		var wl float64
-		for n := lo; n < hi; n++ {
-			wx, _ := netFn(d, n, o.x, d.PinOffX, o.gamma, o.pinGX, sc)
-			wy, _ := netFn(d, n, o.y, d.PinOffY, o.gamma, o.pinGY, sc)
-			wl += wx + wy
-		}
-		o.partWA[w] = wl
+		o.partWA[w], _ = o.evalNets(&o.net[w], lo, hi)
 	}
 	o.hpwlBody = func(lo, hi int) float64 {
 		return hpwlRange(d, o.x, o.y, lo, hi)
@@ -129,14 +115,71 @@ func (o *Ops) ensure() {
 	if o.partWA != nil {
 		return
 	}
+	// A block holds up to blockPins pins, or one larger net, and never
+	// more pins than the design has.
 	nw, k := len(o.net), o.maxDeg
+	b := max(k, min(blockPins, o.d.NumPins()))
+	per := 2*b + 2*k
 	o.partWA = o.e.Alloc(nw)
 	o.partHP = o.e.Alloc(nw)
-	o.netBuf = o.e.Alloc(3 * k * nw)
+	o.netBuf = o.e.Alloc(per * nw)
 	for w := range o.net {
-		b := o.netBuf[3*k*w : 3*k*(w+1)]
-		o.net[w] = netScratch{v: b[:k], ap: b[k : 2*k], am: b[2*k:]}
+		buf := o.netBuf[per*w : per*(w+1)]
+		o.net[w] = netScratch{bx: buf[:b], by: buf[b : 2*b], ap: buf[2*b : 2*b+k], am: buf[2*b+k:]}
 	}
+}
+
+// blockPins is the pin budget of a staged block. A block's staged x and y
+// take 16 B per pin and its nets write as many bytes of pin gradients: at
+// 1024 pins that is 32 KiB, the size of two blocks' staged coordinates,
+// which stays inside the 32-48 KiB L1d of current x86 cores while the nets
+// run. Budgets from 256 to 8192 pins measured within noise of each other
+// on the gp-cells shape (EXPERIMENTS.md).
+const blockPins = 1024
+
+// blockEnd returns the end of the block that starts at net n0 of a chunk
+// ending at net hi: the block takes net n0 and then each next net while its
+// pins stay within blockPins (start is NetPinStart).
+func blockEnd(start []int, n0, hi int) int {
+	n1 := n0 + 1
+	for n1 < hi && start[n1+1]-start[n0] <= blockPins {
+		n1++
+	}
+	return n1
+}
+
+// evalNets evaluates nets [lo, hi) on chunk scratch sc and returns the sum
+// of their smoothed wirelength and HPWL over both dimensions. It walks the
+// nets in blocks of up to blockPins pins (a larger net is a block of its
+// own) and stages each block's pin coordinates x[PinCell[p]]+PinOffX[p] and
+// y[PinCell[p]]+PinOffY[p] in one pass over its pins — loads that do not
+// depend on each other, so the cache misses overlap — before the nets run
+// on the staged copy, one net at a time, in net order.
+func (o *Ops) evalNets(sc *netScratch, lo, hi int) (wl, hp float64) {
+	d, start := o.d, o.d.NetPinStart
+	for n0 := lo; n0 < hi; {
+		base, n1 := start[n0], blockEnd(start, n0, hi)
+		cells := d.PinCell[base:start[n1]]
+		offX, offY := d.PinOffX[base:][:len(cells)], d.PinOffY[base:][:len(cells)]
+		bx, by := sc.bx[:len(cells)], sc.by[:len(cells)]
+		for i, c := range cells {
+			bx[i] = o.x[c] + offX[i]
+			by[i] = o.y[c] + offY[i]
+		}
+		for n := n0; n < n1; n++ {
+			s, e := start[n], start[n+1]
+			var gx, gy []float64
+			if o.pinGX != nil {
+				gx, gy = o.pinGX[s:e], o.pinGY[s:e]
+			}
+			wx, hx := o.netFn(bx[s-base:e-base], sc.ap, sc.am, o.gamma, gx)
+			wy, hy := o.netFn(by[s-base:e-base], sc.ap, sc.am, o.gamma, gy)
+			wl += wx + wy
+			hp += hx + hy
+		}
+		n0 = n1
+	}
+	return wl, hp
 }
 
 // Fused evaluates smoothed wirelength, pin gradient and HPWL in a single

@@ -10,11 +10,7 @@
 // rescanning min/max).
 package wirelength
 
-import (
-	"math"
-
-	"xplace/internal/netlist"
-)
+import "math"
 
 // Result carries the scalar outputs of a wirelength operator evaluation.
 type Result struct {
@@ -22,25 +18,26 @@ type Result struct {
 	HPWL float64 // exact half-perimeter wirelength
 }
 
-// netScratch is one chunk's per-net scratch: the gathered pin
-// coordinates of the net being evaluated and their two stable exponential
-// weights a+ = e^{(v-max)/gamma}, a- = e^{(min-v)/gamma}. Each slice is as
-// long as the design's largest net, so a net's working set stays in L1.
+// netScratch is one chunk's scratch: the staged pin coordinates bx, by
+// of the block of nets being evaluated, and the two stable exponential
+// weights a+ = e^{(v-max)/gamma}, a- = e^{(min-v)/gamma} of the net being
+// evaluated. bx and by hold a block (see blockPins), ap and am the
+// design's largest net.
 type netScratch struct {
-	v, ap, am []float64
+	bx, by, ap, am []float64
 }
 
-// gather copies the pin coordinates pos[PinCell[p]]+off[p] of pins [s, e)
-// into sc.v while scanning their min/max (shared by the smoothed
-// wirelength, its gradient and HPWL) and returns the three scratch slices
-// cut to the net's degree.
-func (sc *netScratch) gather(d *netlist.Design, s, e int, pos, off []float64) (v, ap, am []float64, minV, maxV float64) {
-	cells, offs := d.PinCell[s:e], off[s:e]
-	v, ap, am = sc.v[:len(cells)], sc.ap[:len(cells)], sc.am[:len(cells)]
+// netFunc evaluates one net in one dimension from its staged pin
+// coordinates v, with ap and am as weight scratch at least len(v) long.
+// grad is the net's slice of the pin gradient, written if non-nil.
+// Returns (smoothed wirelength, hpwl).
+type netFunc func(v, ap, am []float64, gamma float64, grad []float64) (float64, float64)
+
+// minMax scans the staged coordinates of a net for their min and max
+// (shared by the smoothed wirelength, its gradient and HPWL).
+func minMax(v []float64) (minV, maxV float64) {
 	minV, maxV = math.Inf(1), math.Inf(-1)
-	for i, c := range cells {
-		x := pos[c] + offs[i]
-		v[i] = x
+	for _, x := range v {
 		if x < minV {
 			minV = x
 		}
@@ -48,7 +45,7 @@ func (sc *netScratch) gather(d *netlist.Design, s, e int, pos, off []float64) (v
 			maxV = x
 		}
 	}
-	return v, ap, am, minV, maxV
+	return minV, maxV
 }
 
 // expOrOne is math.Exp with the zero argument answered without the call:
@@ -84,19 +81,14 @@ func expWeights(v, ap, am []float64, minV, maxV, inv float64) {
 }
 
 // netWA computes the stable WA wirelength and per-pin gradient of one net
-// in one dimension. pos is indexed by cell; grad (per pin, indexed by
-// global pin id) is written if non-nil. Returns (waWL, hpwl).
-func netWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64, grad []float64, sc *netScratch) (float64, float64) {
-	s, e := d.NetPinStart[n], d.NetPinStart[n+1]
-	if e-s < 2 {
-		if grad != nil {
-			for p := s; p < e; p++ {
-				grad[p] = 0
-			}
-		}
+// in one dimension from its staged pin coordinates v (a netFunc).
+func netWA(v, ap, am []float64, gamma float64, grad []float64) (float64, float64) {
+	if len(v) < 2 {
+		clear(grad)
 		return 0, 0
 	}
-	v, ap, am, minV, maxV := sc.gather(d, s, e, pos, off)
+	ap, am = ap[:len(v)], am[:len(v)]
+	minV, maxV := minMax(v)
 	hpwl := maxV - minV
 	// Stable exponential sums (Eq. 6).
 	inv := 1 / gamma
@@ -114,7 +106,7 @@ func netWA(d *netlist.Design, n int, pos []float64, off []float64, gamma float64
 		// symmetrically for the minus term.
 		invSP2 := 1 / (sPlus * sPlus)
 		invSM2 := 1 / (sMinus * sMinus)
-		g := grad[s:e]
+		g := grad[:len(v)]
 		for i, x := range v {
 			gp := ap[i] * (sPlus + (x*sPlus-bPlus)*inv) * invSP2
 			gm := am[i] * (sMinus - (x*sMinus-bMinus)*inv) * invSM2

@@ -377,11 +377,25 @@ func oracleNetLSE(d *netlist.Design, n int, pos []float64, off []float64, gamma 
 	return lse, hpwl
 }
 
+// blockEdgeDegrees is a run of net degrees that puts 0- and 1-pin nets on
+// both sides of staged-block boundaries. The first net is larger than a
+// block, so it is a block of its own wherever the run starts, and the 0-pin
+// net after it opens the next block; that block fills to exactly blockPins
+// pins with a 0-pin net last, so the 1-pin net after it opens another,
+// which ends on a 1-pin net because the 2-pin net after it does not fit.
+var blockEdgeDegrees = []int{
+	blockPins + 5,
+	0, 1, blockPins - 2, 0, 1, 0,
+	1, 0, blockPins - 3, 0, 1,
+	2,
+}
+
 // oracleNetsDesign builds nets of degree 0, 1, 2 (distinct pins; both pins
 // coincident; coincident in one dimension only), 3, 24 and 500, repeated
-// until there are at least minNets of them. Cells sit on a coarse lattice
-// and pin offsets come from a small set, so the larger nets have several
-// pins tied at their min and at their max.
+// until there are at least minNets of them, with a blockEdgeDegrees run
+// after every 60 repeats. Cells sit on a coarse lattice and pin offsets
+// come from a small set, so the larger nets have several pins tied at their
+// min and at their max.
 func oracleNetsDesign(tb testing.TB, minNets int, seed int64) *netlist.Design {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -393,8 +407,12 @@ func oracleNetsDesign(tb testing.TB, minNets int, seed int64) *netlist.Design {
 	offs := []float64{0, 0, 0.5, -0.5, 0.123}
 	off := func() float64 { return offs[rng.Intn(len(offs))] }
 	big := 0
-	for d.NumNets() < minNets {
-		for _, deg := range []int{0, 1, 2, 2, 2, 3, 24, 500} {
+	for round := 1; d.NumNets() < minNets; round++ {
+		degs := []int{0, 1, 2, 2, 2, 3, 24, 500}
+		if round%60 == 0 {
+			degs = append(degs, blockEdgeDegrees...)
+		}
+		for _, deg := range degs {
 			if deg == 500 {
 				if big++; big > 3 {
 					continue
@@ -427,21 +445,57 @@ func oracleNetsDesign(tb testing.TB, minNets int, seed int64) *netlist.Design {
 	return d
 }
 
+// blockEdges records which edges of the staged-block walk a run's chunks
+// reached.
+type blockEdges struct {
+	bigBlock             bool // a net larger than blockPins, alone in its block
+	zeroEnds, zeroStarts bool // a 0-pin net last / first in a block inside a chunk
+	oneEnds, oneStarts   bool // the same for a 1-pin net
+	chunkCut             bool // a block ended by its chunk's end with room for the next net
+}
+
+// walk adds the edges that the blocks of chunk [lo, hi) reach.
+func (b *blockEdges) walk(d *netlist.Design, lo, hi int) {
+	start := d.NetPinStart
+	deg := func(n int) int { return start[n+1] - start[n] }
+	for n0 := lo; n0 < hi; {
+		n1 := blockEnd(start, n0, hi)
+		if n1 == n0+1 && deg(n0) > blockPins {
+			b.bigBlock = true
+		}
+		if n0 > lo {
+			b.zeroStarts = b.zeroStarts || deg(n0) == 0
+			b.oneStarts = b.oneStarts || deg(n0) == 1
+		}
+		if n1 < hi {
+			b.zeroEnds = b.zeroEnds || deg(n1-1) == 0
+			b.oneEnds = b.oneEnds || deg(n1-1) == 1
+		} else if hi < d.NumNets() && start[hi+1]-start[n0] <= blockPins {
+			b.chunkCut = true
+		}
+		n0 = n1
+	}
+}
+
 // TestNetKernelsBitIdenticalToThreePassOracle pins the cached-weight per-net
 // routines — and the fused and unfused operators built on them, per-chunk
-// scratch included — to the three-pass oracles: smoothed value, HPWL and
-// every pin gradient, bit for bit.
+// scratch and the staged-block walk included — to the three-pass oracles:
+// smoothed value, HPWL and every pin gradient, bit for bit. The design's
+// blocks reach every edge of the walk on 1, 2 and 3 workers: a net larger
+// than a block, 0- and 1-pin nets on both sides of a block boundary, and
+// (on 2 and 3) blocks cut short by a chunk's end. The three operators
+// allocate nothing.
 func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 	if math.Exp(0) != 1 || math.Exp(math.Copysign(0, -1)) != 1 {
 		t.Fatal("math.Exp(±0) != 1: expOrOne is not an identity on this platform")
 	}
-	d := oracleNetsDesign(t, 2100, 1) // >= the engine's parallel threshold: with 2 workers both chunks run
+	d := oracleNetsDesign(t, 2100, 1) // >= the engine's parallel threshold: with 3 workers all chunks run
 	np := d.NumPins()
 	degrees := map[int]int{}
 	for n := 0; n < d.NumNets(); n++ {
 		degrees[d.NetPinStart[n+1]-d.NetPinStart[n]]++
 	}
-	for _, deg := range []int{0, 1, 2, 3, 24, 500} {
+	for _, deg := range []int{0, 1, 2, 3, 24, 500, blockPins + 5} {
 		if degrees[deg] == 0 {
 			t.Fatalf("no net of degree %d in the design: %v", deg, degrees)
 		}
@@ -453,13 +507,14 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 		oracle func(*netlist.Design, int, []float64, []float64, float64, []float64) (float64, float64)
 	}{{"WA", WA, oracleNetWA}, {"LSE", LSE, oracleNetLSE}} {
 		for _, gamma := range []float64{1e-3, 1, 50} {
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 3} {
 				t.Run(fmt.Sprintf("%s/gamma=%g/workers=%d", m.name, gamma, workers), func(t *testing.T) {
 					e := kernel.New(kernel.Options{Workers: workers})
 					defer e.Close()
 					ops := newTestOps(t, e, d, m.model)
 					wantGX, wantGY := make([]float64, np), make([]float64, np)
 					partWL, partHP := make([]float64, workers), make([]float64, workers)
+					chunks := make([][2]int, workers)
 					used := e.LaunchChunks("oracle", d.NumNets(), func(w, lo, hi int) {
 						var wl, hp float64
 						for n := lo; n < hi; n++ {
@@ -469,11 +524,21 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 							hp += hx + hy
 						}
 						partWL[w], partHP[w] = wl, hp
+						chunks[w] = [2]int{lo, hi}
 					})
+					if used != workers {
+						t.Fatalf("%d chunks on %d workers", used, workers)
+					}
 					var want Result
+					var edges blockEdges
 					for w := 0; w < used; w++ {
 						want.WA += partWL[w]
 						want.HPWL += partHP[w]
+						edges.walk(d, chunks[w][0], chunks[w][1])
+					}
+					wantEdges := blockEdges{true, true, true, true, true, workers > 1}
+					if edges != wantEdges {
+						t.Fatalf("block edges reached: %+v, want %+v", edges, wantEdges)
 					}
 
 					gx, gy := make([]float64, np), make([]float64, np)
@@ -500,6 +565,19 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 					}
 					if got := ops.HPWL(d.CellX, d.CellY); math.Abs(got-want.HPWL) > 1e-9*want.HPWL {
 						t.Errorf("HPWL = %v, fused oracle %v", got, want.HPWL)
+					}
+
+					for _, op := range []struct {
+						name string
+						run  func()
+					}{
+						{"Fused", func() { ops.Fused(d.CellX, d.CellY, gamma, gx, gy) }},
+						{"Grad", func() { ops.Grad(d.CellX, d.CellY, gamma, gx, gy) }},
+						{"Forward", func() { ops.Forward(d.CellX, d.CellY, gamma) }},
+					} {
+						if a := testing.AllocsPerRun(20, op.run); a != 0 {
+							t.Errorf("%s allocates %v times per call, want 0", op.name, a)
+						}
 					}
 				})
 			}
