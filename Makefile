@@ -124,8 +124,8 @@ fuzz-smoke:
 # line-pass fan-out threshold rests on), one warm PredictField at the
 # gp-nn shape and at paper scale, density scatter/gather and the fused wirelength
 # operator at the gp-small and gp-cells shapes, one detailed-placement pass
-# on a 1000-cell row design, the placer's design augmentation — Clone,
-# AddFillers, Finish — at the gp-cells shape). Allocation columns are the
+# on a 1000-cell row design, the placer's design augmentation —
+# WithFillers — at the gp-cells shape). Allocation columns are the
 # regression signal: pooled launches, warm transforms, warm inference and the
 # per-iteration operators must report 0 allocs/op; detail.Run allocates per
 # cell and net, not per swap candidate.

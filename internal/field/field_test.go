@@ -443,11 +443,10 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			d.AddCell("m", 1, 1, float64(1+i%14), float64(1+i/14), netlist.Movable)
 		}
-		d.AddFillers(0.9)
 		if err := d.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		return e, s, d
+		return e, s, d.WithFillers(0.9)
 	}
 
 	// OE path: D and Dfl in one scatter, one reduce for Total and OVFL
@@ -822,11 +821,7 @@ func benchShape(b *testing.B, i int) (*kernel.Engine, *System, *netlist.Design) 
 	if !ok {
 		b.Fatal("no adaptec1 spec")
 	}
-	d := benchgen.Generate(spec, sh.scale, 1).Clone()
-	d.AddFillers(1.0)
-	if err := d.Finish(); err != nil {
-		b.Fatal(err)
-	}
+	d := benchgen.Generate(spec, sh.scale, 1).WithFillers(1.0)
 	e := kernel.New(kernel.Options{Workers: 2})
 	b.Cleanup(e.Close)
 	return e, NewSystem(geom.NewGrid(d.Region, sh.grid, sh.grid), e), d

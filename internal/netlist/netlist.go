@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strconv"
 
 	"xplace/internal/geom"
 )
@@ -28,8 +26,8 @@ const (
 	// obstacles in the density system.
 	Fixed
 	// Filler cells are whitespace fillers inserted for the electrostatic
-	// system (§3.1.2); they move but carry no pins and are discarded after
-	// global placement.
+	// system (§3.1.2, WithFillers); they follow the real cells, move but
+	// carry no pins, and are discarded after global placement.
 	Filler
 )
 
@@ -61,7 +59,7 @@ type Design struct {
 	Region geom.Rect
 	Rows   []Row
 
-	// Per-cell arrays, indexed by cell id.
+	// Per-cell arrays, indexed by cell id (fillers carry "" names).
 	CellName []string
 	CellW    []float64
 	CellH    []float64
@@ -252,9 +250,9 @@ func (d *Design) Finish() error {
 func (d *Design) Finished() bool { return d.finished }
 
 // Clone returns a deep, UNfinished copy of the design: all cells, nets and
-// pins are copied, but the reverse maps are dropped so more cells (e.g.
-// fillers) can be appended before calling Finish again. The placer uses
-// this to augment a user design without mutating it.
+// pins are copied, but the reverse maps are dropped so the copy can be
+// edited before calling Finish again. Its one non-test caller is the
+// routability flow, which inflates cell widths on a private copy.
 func (d *Design) Clone() *Design {
 	c := &Design{
 		Name:        d.Name,
@@ -277,15 +275,6 @@ func (d *Design) Clone() *Design {
 	}
 	c.curNetOpen = len(c.NetName) > 0
 	return c
-}
-
-// NetPins returns the pin ids of net n.
-func (d *Design) NetPins(n int) []int {
-	pins := make([]int, 0, d.NetPinStart[n+1]-d.NetPinStart[n])
-	for p := d.NetPinStart[n]; p < d.NetPinStart[n+1]; p++ {
-		pins = append(pins, p)
-	}
-	return pins
 }
 
 // CellRect returns the rectangle currently occupied by cell c.
@@ -385,15 +374,18 @@ func (d *Design) Utilization() float64 {
 	return d.MovableArea() / free
 }
 
-// AddFillers inserts filler cells so the electrostatic system sees a total
-// density near targetDensity (§3.1.2, Eq. 9-10): total filler area is
+// WithFillers returns a finished design with d's cells followed by filler
+// cells, so the electrostatic system sees a total density near
+// targetDensity (§3.1.2, Eq. 9-10): total filler area is
 // targetDensity*(region - fixed) - movable, split into square cells sized
-// like the average movable cell. Fillers are placed uniformly over the
-// region by a deterministic low-discrepancy sequence. Must be called
-// before Finish. Returns the number of fillers inserted.
-func (d *Design) AddFillers(targetDensity float64) int {
-	if d.finished {
-		panic("netlist: AddFillers after Finish")
+// like the average movable cell and spread uniformly over the region by a
+// deterministic low-discrepancy sequence. The tables fillers do not touch
+// (nets, pins, CellPins, rows, fences) are d's own slices; every per-cell
+// slice is a fresh copy extended by the fillers, which carry "" names. d
+// must be finished and is left unchanged.
+func (d *Design) WithFillers(targetDensity float64) *Design {
+	if !d.finished {
+		panic("netlist: WithFillers before Finish")
 	}
 	movable := 0
 	var movArea float64
@@ -403,35 +395,42 @@ func (d *Design) AddFillers(targetDensity float64) int {
 			movArea += d.CellW[c] * d.CellH[c]
 		}
 	}
-	if movable == 0 {
-		return 0
+	count, side := 0, 0.0
+	if movable > 0 {
+		side = math.Sqrt(movArea / float64(movable))
+		if fillArea := targetDensity*(d.Region.Area()-d.FixedArea()) - movArea; fillArea > 0 && side > 0 {
+			count = int(fillArea / (side * side))
+		}
 	}
-	free := d.Region.Area() - d.FixedArea()
-	fillArea := targetDensity*free - movArea
-	if fillArea <= 0 {
-		return 0
-	}
-	avg := movArea / float64(movable)
-	side := math.Sqrt(avg)
-	if side <= 0 {
-		return 0
-	}
-	count := int(fillArea / (side * side))
-	d.CellName = slices.Grow(d.CellName, count)
-	d.CellW = slices.Grow(d.CellW, count)
-	d.CellH = slices.Grow(d.CellH, count)
-	d.CellKind = slices.Grow(d.CellKind, count)
-	d.CellX = slices.Grow(d.CellX, count)
-	d.CellY = slices.Grow(d.CellY, count)
-	d.CellFence = slices.Grow(d.CellFence, count)
+	n, total := d.NumCells(), d.NumCells()+count
+	a := *d
+	a.CellName = extend(d.CellName, total, "")
+	a.CellW = extend(d.CellW, total, side)
+	a.CellH = extend(d.CellH, total, side)
+	a.CellKind = extend(d.CellKind, total, Filler)
+	a.CellFence = extend(d.CellFence, total, -1)
+	a.CellNetDeg = extend(d.CellNetDeg, total, 0)
+	a.CellPinStart = extend(d.CellPinStart, total+1, d.NumPins())
+	a.CellX = extend(d.CellX, total, 0)
+	a.CellY = extend(d.CellY, total, 0)
 	// Halton-like (2,3) low-discrepancy placement keeps the initial filler
 	// distribution uniform and deterministic.
 	for i := 0; i < count; i++ {
-		fx := d.Region.Lx + halton(i+1, 2)*d.Region.W()
-		fy := d.Region.Ly + halton(i+1, 3)*d.Region.H()
-		d.AddCell("__filler_"+strconv.Itoa(i), side, side, fx, fy, Filler)
+		a.CellX[n+i] = d.Region.Lx + halton(i+1, 2)*d.Region.W()
+		a.CellY[n+i] = d.Region.Ly + halton(i+1, 3)*d.Region.H()
 	}
-	return count
+	return &a
+}
+
+// extend returns a copy of s lengthened to n entries in one allocation,
+// the new entries set to v.
+func extend[T any](s []T, n int, v T) []T {
+	out := make([]T, n)
+	copy(out, s)
+	for i := len(s); i < n; i++ {
+		out[i] = v
+	}
+	return out
 }
 
 func halton(i, base int) float64 {

@@ -1,9 +1,9 @@
 package netlist
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,8 +45,8 @@ func TestBuilderCounts(t *testing.T) {
 
 func TestNetPinsAndReverseMap(t *testing.T) {
 	d := buildTiny(t)
-	if pins := d.NetPins(0); len(pins) != 2 || pins[0] != 0 || pins[1] != 1 {
-		t.Errorf("NetPins(0) = %v", pins)
+	if s, e := d.NetPinStart[0], d.NetPinStart[1]; s != 0 || e != 2 || d.PinNet[0] != 0 || d.PinNet[1] != 0 {
+		t.Errorf("net 0 pins = [%d, %d)", s, e)
 	}
 	// Cell b (id 1) touches pins 1 and 2.
 	pins := d.CellPins[d.CellPinStart[1]:d.CellPinStart[2]]
@@ -226,79 +226,208 @@ func TestMovableCells(t *testing.T) {
 	}
 }
 
-func TestAddFillers(t *testing.T) {
+// fillerRebuild is WithFillers' definition: a Clone of d with one
+// AddCell per filler, "" names, the (2,3) Halton point, and Finish. The
+// fillers fill targetDensity*(region - fixed) - movable with squares the
+// size of the average movable cell.
+func fillerRebuild(t *testing.T, d *Design, targetDensity float64) *Design {
+	t.Helper()
+	want := d.Clone()
+	movable, movArea := 0, 0.0
+	for c, k := range d.CellKind {
+		if k == Movable {
+			movable++
+			movArea += d.CellW[c] * d.CellH[c]
+		}
+	}
+	count, side := 0, 0.0
+	if movable > 0 {
+		side = math.Sqrt(movArea / float64(movable))
+		if fill := targetDensity*(d.Region.Area()-d.FixedArea()) - movArea; fill > 0 {
+			count = int(fill / (side * side))
+		}
+	}
+	for i := 0; i < count; i++ {
+		fx := d.Region.Lx + halton(i+1, 2)*d.Region.W()
+		fy := d.Region.Ly + halton(i+1, 3)*d.Region.H()
+		want.AddCell("", side, side, fx, fy, Filler)
+	}
+	return mustFinish(t, want)
+}
+
+// requireSameCells fails unless every per-cell slice of got and want, and
+// CellPins, are equal bit for bit.
+func requireSameCells(t *testing.T, got, want *Design) {
+	t.Helper()
+	if got.NumCells() != want.NumCells() {
+		t.Fatalf("%d cells, want %d", got.NumCells(), want.NumCells())
+	}
+	bits := math.Float64bits
+	for c := 0; c < want.NumCells(); c++ {
+		if got.CellName[c] != want.CellName[c] || got.CellKind[c] != want.CellKind[c] || got.CellFence[c] != want.CellFence[c] ||
+			got.CellNetDeg[c] != want.CellNetDeg[c] ||
+			bits(got.CellW[c]) != bits(want.CellW[c]) || bits(got.CellH[c]) != bits(want.CellH[c]) ||
+			bits(got.CellX[c]) != bits(want.CellX[c]) || bits(got.CellY[c]) != bits(want.CellY[c]) {
+			t.Fatalf("cell %d = %q %v %gx%g at (%g, %g) fence %d deg %d, want %q %v %gx%g at (%g, %g) fence %d deg %d", c,
+				got.CellName[c], got.CellKind[c], got.CellW[c], got.CellH[c], got.CellX[c], got.CellY[c], got.CellFence[c], got.CellNetDeg[c],
+				want.CellName[c], want.CellKind[c], want.CellW[c], want.CellH[c], want.CellX[c], want.CellY[c], want.CellFence[c], want.CellNetDeg[c])
+		}
+	}
+	requireSameInts(t, "CellPinStart", got.CellPinStart, want.CellPinStart)
+	requireSameInts(t, "CellPins", got.CellPins, want.CellPins)
+}
+
+func requireSameInts(t *testing.T, name string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, want %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+// fillerCases are the designs WithFillers is pinned on: a plain one, a
+// fenced one, one with no whitespace left and one with no movable cells.
+func fillerCases(t *testing.T) map[string]*Design {
+	t.Helper()
+	plain := NewDesign("plain", geom.Rect{Lx: -3, Ly: 7, Hx: 91, Hy: 60})
+	m0 := plain.AddCell("m0", 2, 3, 10, 10, Movable)
+	m1 := plain.AddCell("m1", 5, 1, 20, 30, Movable)
+	f0 := plain.AddCell("f0", 8, 8, 40, 40, Fixed)
+	plain.AddNet("a")
+	plain.AddPin(m0, 0.5, 0)
+	plain.AddPin(m1, 0, -0.5)
+	plain.AddPin(m0, -0.5, 1)
+	plain.AddNet("b")
+	plain.AddPin(m1, 0, 0)
+	plain.AddPin(f0, 1, 1)
+
+	fenced := NewDesign("fenced", geom.Rect{Hx: 50, Hy: 40})
+	fid := fenced.AddFence(geom.Rect{Lx: 5, Ly: 5, Hx: 20, Hy: 20})
+	for i := 0; i < 6; i++ {
+		c := fenced.AddCell("c", 1+float64(i%3), 2, 10, 10, Movable)
+		if i%2 == 0 {
+			fenced.SetFence(c, fid)
+		}
+		fenced.AddNet("n")
+		fenced.AddPin(c, 0, 0)
+		if i > 0 {
+			fenced.AddPin(c-1, 0.25, 0)
+		}
+	}
+
+	dense := NewDesign("dense", geom.Rect{Hx: 10, Hy: 10})
+	big := dense.AddCell("big", 10, 10, 5, 5, Movable)
+	dense.AddNet("n")
+	dense.AddPin(big, 0, 0)
+
+	fixed := NewDesign("fixed", geom.Rect{Hx: 30, Hy: 30})
+	p0 := fixed.AddCell("p0", 1, 1, 0.5, 0.5, Fixed)
+	p1 := fixed.AddCell("p1", 1, 1, 29.5, 29.5, Fixed)
+	fixed.AddNet("n")
+	fixed.AddPin(p0, 0, 0)
+	fixed.AddPin(p1, 0, 0)
+
+	return map[string]*Design{
+		"plain": mustFinish(t, plain), "fenced": mustFinish(t, fenced),
+		"dense": mustFinish(t, dense), "fixed": mustFinish(t, fixed),
+	}
+}
+
+// TestWithFillersMatchesRebuild pins WithFillers to its definition,
+// fillerRebuild, bit for bit, and checks it copies every per-cell slice,
+// shares the net and pin tables and leaves the caller's design alone.
+func TestWithFillersMatchesRebuild(t *testing.T) {
+	wantFillers := map[string]bool{"plain": true, "fenced": true}
+	for name, d := range fillerCases(t) {
+		t.Run(name, func(t *testing.T) {
+			before := mustFinish(t, d.Clone())
+			// The caller's per-cell arrays past their length too: a
+			// filler appended into their spare capacity would be written
+			// into the caller's memory.
+			xCap := slices.Clone(d.CellX[:cap(d.CellX)])
+			a := d.WithFillers(0.9)
+			if !a.Finished() {
+				t.Fatal("WithFillers returned an unfinished design")
+			}
+			fillers := a.NumCells() - d.NumCells()
+			if (fillers > 0) != wantFillers[name] {
+				t.Fatalf("%d fillers", fillers)
+			}
+			requireSameCells(t, a, fillerRebuild(t, d, 0.9))
+			if &a.PinCell[0] != &d.PinCell[0] || &a.PinNet[0] != &d.PinNet[0] ||
+				&a.PinOffX[0] != &d.PinOffX[0] || &a.PinOffY[0] != &d.PinOffY[0] ||
+				&a.NetPinStart[0] != &d.NetPinStart[0] || &a.NetName[0] != &d.NetName[0] ||
+				&a.CellPins[0] != &d.CellPins[0] {
+				t.Error("net and pin tables copied, want the caller's own")
+			}
+			if len(d.Fences) > 0 && &a.Fences[0] != &d.Fences[0] {
+				t.Error("fences copied, want the caller's own")
+			}
+			if &a.CellX[0] == &d.CellX[0] || &a.CellFence[0] == &d.CellFence[0] || &a.CellPinStart[0] == &d.CellPinStart[0] {
+				t.Error("per-cell slice shared with the caller")
+			}
+			requireSameCells(t, d, before)
+			if !slices.Equal(xCap, d.CellX[:cap(d.CellX)]) {
+				t.Error("WithFillers wrote into the caller's CellX")
+			}
+		})
+	}
+}
+
+func mustFinish(t *testing.T, d *Design) *Design {
+	t.Helper()
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestWithFillersAreaAndSide checks the filler arithmetic: total filler
+// area near targetDensity*(region - fixed) - movable, square fillers the
+// size of the average movable cell, every one inside the region.
+func TestWithFillersAreaAndSide(t *testing.T) {
 	d := NewDesign("fill", geom.Rect{Hx: 100, Hy: 100})
 	for i := 0; i < 10; i++ {
 		d.AddCell("c", 4, 4, 50, 50, Movable)
 	}
-	n := d.AddFillers(0.8)
-	if n == 0 {
-		t.Fatal("expected fillers")
-	}
-	// Filler area should approximate 0.8*10000 - 160 = 7840.
-	var fa float64
-	for c, k := range d.CellKind {
-		if k == Filler {
-			fa += d.CellW[c] * d.CellH[c]
-			if !d.Region.Contains(geom.Point{X: d.CellX[c], Y: d.CellY[c]}) {
-				t.Fatalf("filler %d at %g,%g outside region", c, d.CellX[c], d.CellY[c])
-			}
-		}
-	}
-	want := 0.8*10000 - 160
-	if math.Abs(fa-want) > want*0.02 {
-		t.Errorf("filler area = %v, want about %v", fa, want)
-	}
+	d.AddCell("f", 10, 10, 5, 5, Fixed)
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if st.Fillers != n || st.Movable != 10 {
-		t.Errorf("stats = %+v", st)
+	a := d.WithFillers(0.8)
+	st := a.Stats()
+	if st.Fillers == 0 || st.Movable != 10 || st.Fixed != 1 || a.NumCells() != 11+st.Fillers {
+		t.Fatalf("stats = %+v", st)
 	}
-}
-
-// TestAddFillersNamesAndPositions pins every filler to the AddCell-per-
-// filler definition: the name "__filler_<i>", the side of the average
-// movable cell and the (2,3) Halton point, bit for bit, after the cells
-// that were there.
-func TestAddFillersNamesAndPositions(t *testing.T) {
-	d := NewDesign("fill", geom.Rect{Lx: -3, Ly: 7, Hx: 91, Hy: 60})
-	d.AddCell("m0", 2, 3, 10, 10, Movable)
-	d.AddCell("m1", 5, 1, 20, 30, Movable)
-	d.AddCell("f0", 8, 8, 40, 40, Fixed)
-	want := d.Clone()
-	n := d.AddFillers(0.9)
-	if n < 100 {
-		t.Fatalf("only %d fillers", n)
-	}
-	side := math.Sqrt((2*3 + 5*1) / 2.0)
-	for i := 0; i < n; i++ {
-		fx := want.Region.Lx + halton(i+1, 2)*want.Region.W()
-		fy := want.Region.Ly + halton(i+1, 3)*want.Region.H()
-		want.AddCell(fmt.Sprintf("__filler_%d", i), side, side, fx, fy, Filler)
-	}
-	if d.NumCells() != want.NumCells() {
-		t.Fatalf("%d cells, want %d", d.NumCells(), want.NumCells())
-	}
-	bits := math.Float64bits
-	for c := 0; c < d.NumCells(); c++ {
-		if d.CellName[c] != want.CellName[c] || d.CellKind[c] != want.CellKind[c] || d.CellFence[c] != want.CellFence[c] ||
-			bits(d.CellW[c]) != bits(want.CellW[c]) || bits(d.CellH[c]) != bits(want.CellH[c]) ||
-			bits(d.CellX[c]) != bits(want.CellX[c]) || bits(d.CellY[c]) != bits(want.CellY[c]) {
-			t.Fatalf("cell %d = %q %v %gx%g at (%g, %g) fence %d, want %q %v %gx%g at (%g, %g) fence %d", c,
-				d.CellName[c], d.CellKind[c], d.CellW[c], d.CellH[c], d.CellX[c], d.CellY[c], d.CellFence[c],
-				want.CellName[c], want.CellKind[c], want.CellW[c], want.CellH[c], want.CellX[c], want.CellY[c], want.CellFence[c])
+	var fa float64
+	for c := d.NumCells(); c < a.NumCells(); c++ {
+		if a.CellKind[c] != Filler || a.CellW[c] != 4 || a.CellH[c] != 4 || a.CellName[c] != "" {
+			t.Fatalf("cell %d = %q %v %gx%g, want an unnamed 4x4 filler", c, a.CellName[c], a.CellKind[c], a.CellW[c], a.CellH[c])
+		}
+		fa += a.CellW[c] * a.CellH[c]
+		if !a.Region.Contains(geom.Point{X: a.CellX[c], Y: a.CellY[c]}) {
+			t.Fatalf("filler %d at %g,%g outside region", c, a.CellX[c], a.CellY[c])
 		}
 	}
+	want := 0.8*(10000-100) - 160
+	if math.Abs(fa-want) > want*0.02 {
+		t.Errorf("filler area = %v, want about %v", fa, want)
+	}
 }
 
-func TestAddFillersNoWhitespace(t *testing.T) {
-	d := NewDesign("dense", geom.Rect{Hx: 10, Hy: 10})
-	d.AddCell("big", 10, 10, 5, 5, Movable)
-	if n := d.AddFillers(0.9); n != 0 {
-		t.Errorf("no room for fillers, got %d", n)
-	}
+func TestWithFillersPanicsUnfinished(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic")
+		}
+	}()
+	d := NewDesign("open", geom.Rect{Hx: 10, Hy: 10})
+	d.AddCell("a", 1, 1, 5, 5, Movable)
+	d.WithFillers(1)
 }
 
 func TestFillerWithPinsRejected(t *testing.T) {

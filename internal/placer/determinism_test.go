@@ -1,6 +1,8 @@
 package placer
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -114,5 +116,69 @@ func TestConcurrentPlacersShareOneEngine(t *testing.T) {
 	}
 	if inUse := e.ArenaStats().InUse; inUse != 0 {
 		t.Errorf("shared engine arena in-use = %d bytes after all placers closed, want 0", inUse)
+	}
+}
+
+// TestPlacersShareCallerDesign runs two placers concurrently on one
+// caller's design, each on its own engine (run it under -race: the
+// placers share the design's net and pin tables and must only read
+// them). Each must place bit for bit as a placer running alone, and the
+// caller's design must come out unchanged.
+func TestPlacersShareCallerDesign(t *testing.T) {
+	d := clusteredDesign(t, 300, 9)
+	want := d.Clone()
+	if err := want.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	opts := Defaults()
+	opts.GridSize = 32
+	opts.TargetDensity = 0.9
+	const iters = 25
+	run := func() (*Result, error) {
+		e := kernel.New(kernel.Options{Workers: 2})
+		defer e.Close()
+		p, err := New(d, e, opts)
+		if err != nil {
+			return nil, err
+		}
+		defer p.Close()
+		return p.RunIterations(iters)
+	}
+	ref, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Iterations != iters || len(ref.X) != d.NumCells() {
+		t.Fatalf("alone: %d iterations and %d cells, want %d and %d", ref.Iterations, len(ref.X), iters, d.NumCells())
+	}
+
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+
+	bits := math.Float64bits
+	for i, r := range results {
+		if errs[i] != nil {
+			t.Fatalf("placer %d: %v", i, errs[i])
+		}
+		if r.Iterations != ref.Iterations || bits(r.HPWL) != bits(ref.HPWL) {
+			t.Fatalf("placer %d: HPWL %v in %d iters, alone %v in %d", i, r.HPWL, r.Iterations, ref.HPWL, ref.Iterations)
+		}
+		for c := range ref.X {
+			if bits(r.X[c]) != bits(ref.X[c]) || bits(r.Y[c]) != bits(ref.Y[c]) {
+				t.Fatalf("placer %d: cell %d at (%v, %v), alone (%v, %v)", i, c, r.X[c], r.Y[c], ref.X[c], ref.Y[c])
+			}
+		}
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Error("placing changed the caller's design")
 	}
 }

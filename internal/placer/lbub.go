@@ -82,7 +82,7 @@ func newLBUBPlacer(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, 
 		return nil, fmt.Errorf("placer: grid size %d must be a power of two", m)
 	}
 	p := &Placer{
-		opts: opts, eng: e, orig: d, d: d,
+		opts: opts, eng: e, d: d, cells: d.NumCells(),
 		rec: &Recorder{},
 		ctx: context.Background(),
 	}
@@ -304,16 +304,16 @@ func (p *Placer) lbubSolveAxis(x, off, tgt, sizes []float64, lo, hi, binDim floa
 	}
 
 	for netID := 0; netID < d.NumNets(); netID++ {
-		pins := d.NetPins(netID)
-		deg := len(pins)
+		s, e := d.NetPinStart[netID], d.NetPinStart[netID+1]
+		deg := e - s
 		if deg < 2 {
 			continue
 		}
 		// Boundary pins at the reference positions.
-		minP, maxP := pins[0], pins[0]
+		minP, maxP := s, s
 		minV := x[d.PinCell[minP]] + off[minP]
 		maxV := minV
-		for _, pid := range pins[1:] {
+		for pid := s + 1; pid < e; pid++ {
 			v := x[d.PinCell[pid]] + off[pid]
 			if v < minV {
 				minV, minP = v, pid
@@ -323,14 +323,14 @@ func (p *Placer) lbubSolveAxis(x, off, tgt, sizes []float64, lo, hi, binDim floa
 			}
 		}
 		if minP == maxP { // all pins coincide; connect first-to-rest
-			maxP = pins[0]
+			maxP = s
 			if minP == maxP {
-				maxP = pins[1]
+				maxP = s + 1
 			}
 		}
 		invDeg := 1.0 / float64(deg-1)
 		addEdge(minP, maxP, invDeg)
-		for _, pid := range pins {
+		for pid := s; pid < e; pid++ {
 			if pid != minP && pid != maxP {
 				addEdge(minP, pid, invDeg)
 				addEdge(maxP, pid, invDeg)

@@ -234,18 +234,18 @@ type Result struct {
 
 // Placer runs global placement for one design on one engine.
 type Placer struct {
-	opts Options
-	eng  *kernel.Engine
-	orig *netlist.Design
-	d    *netlist.Design // augmented with fillers
-	sys  *field.System
-	pre  *optim.Preconditioner
-	schd *sched.Scheduler
-	opt  optim.Optimizer
-	rec  *Recorder
-	wl   *wirelength.Ops
-	lbub *lbubEngine     // non-nil iff Options.Strategy == StrategyLBUB
-	ctx  context.Context // active run's context; Background outside a run
+	opts  Options
+	eng   *kernel.Engine
+	d     *netlist.Design // the caller's cells followed by the fillers
+	cells int             // the caller's cell count: results cut here
+	sys   *field.System
+	pre   *optim.Preconditioner
+	schd  *sched.Scheduler
+	opt   optim.Optimizer
+	rec   *Recorder
+	wl    *wirelength.Ops
+	lbub  *lbubEngine     // non-nil iff Options.Strategy == StrategyLBUB
+	ctx   context.Context // active run's context; Background outside a run
 
 	// Observability instruments (nil-safe: a disabled tracer/registry makes
 	// every use a nil-check no-op).
@@ -300,7 +300,8 @@ type Placer struct {
 	recordFn    func()
 }
 
-// New prepares a placer: augments the design with filler cells, builds the
+// New prepares a placer: its one design (d.WithFillers: d's cells, then the
+// fillers, on d's own net and pin tables; d is never written), the
 // electrostatic system, preconditioner, scheduler and optimizer.
 func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	if !d.Finished() {
@@ -322,11 +323,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	}
 	opts.Sched.SkipEnabled = opts.OperatorSkipping
 
-	aug := d.Clone()
-	aug.AddFillers(opts.TargetDensity)
-	if err := aug.Finish(); err != nil {
-		return nil, fmt.Errorf("placer: augmenting design: %w", err)
-	}
+	aug := d.WithFillers(opts.TargetDensity)
 
 	m := opts.GridSize
 	if m == 0 {
@@ -357,7 +354,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	schd := sched.New(opts.Sched, gammaRef, pre.Omega)
 
 	p := &Placer{
-		opts: opts, eng: e, orig: d, d: aug,
+		opts: opts, eng: e, d: aug, cells: d.NumCells(),
 		sys: sys, pre: pre, schd: schd,
 		rec: &Recorder{},
 		ctx: context.Background(),
@@ -599,8 +596,9 @@ func initialPositions(d *netlist.Design, seed int64) (x, y []float64) {
 	return x, y
 }
 
-// Design returns the augmented design the placer operates on (fillers
-// included) — useful for extension hooks.
+// Design returns the design the placer operates on: the caller's cells
+// followed by the fillers — useful for extension hooks. It shares the
+// caller's net and pin tables, so treat it as read-only.
 func (p *Placer) Design() *netlist.Design { return p.d }
 
 // Recorder returns the metrics recorder.
@@ -757,7 +755,7 @@ func (p *Placer) finalize(start time.Time) *Result {
 	} else {
 		ux, uy = p.opt.Current()
 	}
-	n := p.orig.NumCells()
+	n := p.cells
 	res := &Result{
 		X:          append(make([]float64, 0, n), ux[:n]...),
 		Y:          append(make([]float64, 0, n), uy[:n]...),
@@ -768,7 +766,8 @@ func (p *Placer) finalize(start time.Time) *Result {
 		Stats:      p.eng.Stats(),
 	}
 	res.SimTime = res.Stats.Simulated
-	res.HPWL = p.orig.HPWL(res.X, res.Y)
+	// Pins never reference fillers: this is the caller's design's HPWL.
+	res.HPWL = p.d.HPWL(res.X, res.Y)
 	return res
 }
 

@@ -417,6 +417,17 @@ func TestModeString(t *testing.T) {
 // The Table 3 ablation ordering: OR and OC reduce kernel launches, OE
 // reduces density-scatter compute (it costs one extra cheap launch), OS
 // drops early density evaluations; the baseline tops everything.
+//
+// The simulated clock is measured compute plus launches x overhead. The
+// fixture's overhead (1 ms) puts the smallest launch gap of the ordering,
+// baseline over none at 4 launches per iteration, at 4 ms/iter: the size
+// of the whole compute of an iteration on this design under -race (3-7
+// ms/iter), so wall-time noise in the compute part cannot reorder the
+// clock, while a step that stops saving launches, or whose compute grows
+// by more than the launches it saves, still fails it. The measured
+// columns (sim, densWork) are each configuration's best of three
+// interleaved runs: one stall of the machine (a GC pause, a preempted
+// worker) adds tens of ms to one run, as much as OE saves in all of them.
 func TestAblationOrdering(t *testing.T) {
 	d := clusteredDesign(t, 400, 11)
 	iters := 40
@@ -433,11 +444,13 @@ func TestAblationOrdering(t *testing.T) {
 		opts.OperatorExtraction = oe
 		opts.OperatorSkipping = os
 		opts.GridSize = 32
-		e := kernel.New(kernel.Options{Workers: 2, LaunchOverhead: 100 * time.Microsecond})
+		e := kernel.New(kernel.Options{Workers: 2, LaunchOverhead: time.Millisecond})
+		defer e.Close()
 		p, err := New(d, e, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer p.Close()
 		res, err := p.RunIterations(iters)
 		if err != nil {
 			t.Fatal(err)
@@ -454,12 +467,29 @@ func TestAblationOrdering(t *testing.T) {
 			densWork: dens,
 		}
 	}
-	none := run(false, false, false, false, ModeXplace)
-	or := run(true, false, false, false, ModeXplace)
-	oc := run(true, true, false, false, ModeXplace)
-	oe := run(true, true, true, false, ModeXplace)
-	all := run(true, true, true, true, ModeXplace)
-	base := run(false, false, false, false, ModeBaseline)
+	configs := []struct {
+		or, oc, oe, os bool
+		mode           Mode
+	}{
+		{false, false, false, false, ModeXplace}, // none
+		{true, false, false, false, ModeXplace},  // +OR
+		{true, true, false, false, ModeXplace},   // +OC
+		{true, true, true, false, ModeXplace},    // +OE
+		{true, true, true, true, ModeXplace},     // all
+		{false, false, false, false, ModeBaseline},
+	}
+	best := make([]m, len(configs))
+	for rep := 0; rep < 3; rep++ {
+		for i, c := range configs {
+			r := run(c.or, c.oc, c.oe, c.os, c.mode)
+			if rep > 0 {
+				r.sim = min(r.sim, best[i].sim)
+				r.densWork = min(r.densWork, best[i].densWork)
+			}
+			best[i] = r
+		}
+	}
+	none, or, oc, oe, all, base := best[0], best[1], best[2], best[3], best[4], best[5]
 
 	if !(base.launches > none.launches && none.launches > or.launches && or.launches > oc.launches) {
 		t.Errorf("launch ordering violated: base %.1f none %.1f OR %.1f OC %.1f",

@@ -652,11 +652,7 @@ func BenchmarkOpsFused(b *testing.B) {
 		scale float64
 	}{{"gp-small", 0.004}, {"gp-cells", 0.25}} {
 		b.Run(sh.name, func(b *testing.B) {
-			d := benchgen.Generate(spec, sh.scale, 1).Clone()
-			d.AddFillers(1.0)
-			if err := d.Finish(); err != nil {
-				b.Fatal(err)
-			}
+			d := benchgen.Generate(spec, sh.scale, 1).WithFillers(1.0)
 			e := kernel.New(kernel.Options{Workers: 2})
 			defer e.Close()
 			o := newTestOps(b, e, d, WA)
