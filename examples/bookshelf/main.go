@@ -39,7 +39,7 @@ func main() {
 	}
 
 	// Read it back, as an external tool would.
-	d, err := xplace.ReadBookshelf(filepath.Join(dir, "pci_bridge32_a.aux"))
+	d, err := xplace.Load(filepath.Join(dir, "pci_bridge32_a.aux"))
 	if err != nil {
 		log.Fatal(err)
 	}

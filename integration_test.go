@@ -5,6 +5,8 @@ package xplace
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,11 +80,15 @@ END STD
 	}
 	def.WriteString("END NETS\nEND DESIGN\n")
 
-	lib, err := ReadLEF(strings.NewReader(lef))
-	if err != nil {
+	dir := t.TempDir()
+	lefPath, defPath := filepath.Join(dir, "lefflow.lef"), filepath.Join(dir, "lefflow.def")
+	if err := os.WriteFile(lefPath, []byte(lef), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadDEF(strings.NewReader(def.String()), lib)
+	if err := os.WriteFile(defPath, []byte(def.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Load(defPath, WithLEF(lefPath))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,6 @@ const EnvVar = "XPLACE_BACKEND"
 type Backend interface {
 	// Name is the registry name ("float64", "float32").
 	Name() string
-	// ElemBytes is the width of one element (8 for float64, 4 for float32).
-	ElemBytes() int
 	// Alloc checks a zeroed n-element buffer of the backend's type out of
 	// the engine arena; Free returns it.
 	Alloc(e *kernel.Engine, n int) Buf

@@ -52,7 +52,6 @@ func (p *f32Params) bind(dst, a, _ Buf, _ float64) {
 }
 
 func (b *f32Backend) Name() string      { return "float32" }
-func (b *f32Backend) ElemBytes() int    { return 4 }
 func (b *f32Backend) Kernels() *Kernels { return b.kernels }
 
 func (b *f32Backend) Alloc(e *kernel.Engine, n int) Buf {

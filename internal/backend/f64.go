@@ -47,7 +47,6 @@ func (p *f64Params) bind(dst, a, _ Buf, _ float64) {
 }
 
 func (b *f64Backend) Name() string      { return "float64" }
-func (b *f64Backend) ElemBytes() int    { return 8 }
 func (b *f64Backend) Kernels() *Kernels { return b.kernels }
 
 func (b *f64Backend) Alloc(e *kernel.Engine, n int) Buf {

@@ -128,7 +128,7 @@ func TestGenerateMacrosDisjointAndInside(t *testing.T) {
 	}
 	for i := 0; i < len(rects); i++ {
 		for j := i + 1; j < len(rects); j++ {
-			if ov := rects[i].Overlap(rects[j]); ov > 1e-9 {
+			if ov := rects[i].Intersect(rects[j]).Area(); ov > 1e-9 {
 				t.Errorf("macros %d and %d overlap by %g", i, j, ov)
 			}
 		}

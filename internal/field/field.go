@@ -107,7 +107,6 @@ type System struct {
 	gaGX, gaGY   []float64
 	ovDens       []float64
 	ovTarget     float64
-	maxDens      []float64
 	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
 	scatterBody  func(w, lo, hi int)
 	splitBody    func(w, lo, hi int) // DensityMaps' scatter into cell and filler maps
@@ -116,7 +115,6 @@ type System struct {
 	spectralBody func(lo, hi int) float64
 	gatherBody   func(w, lo, hi int)
 	ovBody       func(lo, hi int) float64
-	maxBody      func(lo, hi int) float64
 }
 
 func sumCombine(a, b float64) float64 { return a + b }
@@ -473,16 +471,6 @@ func (s *System) buildBodies() {
 		}
 		return sum
 	}
-	s.maxBody = func(lo, hi int) float64 {
-		dens := s.maxDens
-		m := math.Inf(-1)
-		for b := lo; b < hi; b++ {
-			if dens[b] > m {
-				m = dens[b]
-			}
-		}
-		return m
-	}
 }
 
 // expandedRect returns cell c's footprint (centered at x,y) expanded to at
@@ -626,11 +614,4 @@ func overflowRatio(d *netlist.Design, over float64) float64 {
 		return 0
 	}
 	return over / mov
-}
-
-// MaxDensity returns the maximum bin occupancy of dens (one kernel) —
-// a diagnostic recorded by the evaluator.
-func (s *System) MaxDensity(e *kernel.Engine, dens []float64) float64 {
-	s.maxDens = dens
-	return e.ParallelReduce("density.max", len(dens), math.Inf(-1), s.maxBody, math.Max)
 }

@@ -422,16 +422,6 @@ func TestOverflowNoMovable(t *testing.T) {
 	}
 }
 
-func TestMaxDensity(t *testing.T) {
-	e := eng()
-	s := newSys(4, 4, e)
-	dens := make([]float64, 16)
-	dens[7] = 3.25
-	if got := s.MaxDensity(e, dens); got != 3.25 {
-		t.Errorf("MaxDensity = %v", got)
-	}
-}
-
 // Operator extraction accounting: the OE composition (DensityMaps: one
 // scatter into D and Dfl, one reduce) must not scatter the same cells
 // twice, while the naive path does.
@@ -482,7 +472,7 @@ func TestOperatorExtractionSavesScatterWork(t *testing.T) {
 
 // oracleScatter is the rect-per-bin density scatter this package ran before
 // the separable kernel — one geom.Rect per (cell, bin), its area taken by
-// BinRect(ix, iy).Overlap(r) — kept verbatim as the bit-identity reference,
+// BinRect(ix, iy).Intersect(r).Area() — kept verbatim as the bit-identity reference,
 // over the engine's own chunk bounds and merged in chunk order. T is the
 // element type of the per-chunk maps (float32 on the reduced-precision
 // backend).
@@ -506,7 +496,7 @@ func oracleScatter[T float32 | float64](e *kernel.Engine, s *System, d *netlist.
 			x0, x1, y0, y1 := s.Grid.BinRange(r)
 			for iy := y0; iy < y1; iy++ {
 				for ix := x0; ix < x1; ix++ {
-					ov := s.Grid.BinRect(ix, iy).Overlap(r)
+					ov := s.Grid.BinRect(ix, iy).Intersect(r).Area()
 					if ov > 0 {
 						buf[iy*s.Nx+ix] += T(ov * scale)
 					}
@@ -543,7 +533,7 @@ func oracleGather(e *kernel.Engine, s *System, d *netlist.Design, x, y []float64
 			var fx, fy float64
 			for iy := y0; iy < y1; iy++ {
 				for ix := x0; ix < x1; ix++ {
-					ov := s.Grid.BinRect(ix, iy).Overlap(r)
+					ov := s.Grid.BinRect(ix, iy).Intersect(r).Area()
 					if ov <= 0 {
 						continue
 					}

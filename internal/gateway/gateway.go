@@ -178,9 +178,10 @@ func (o Options) withDefaults() Options {
 // Gateway shards placement jobs across a fleet of xserve workers.
 type Gateway struct {
 	opts   Options
-	client *http.Client // submits, probes, status polls (bounded timeout)
-	stream *http.Client // SSE relays (no timeout; cancelled via ctx)
-	ring   *ring
+	client *http.Client     // submits, probes, status polls (bounded timeout)
+	stream *http.Client     // SSE relays (no timeout; cancelled via ctx)
+	ring   *ring            // fixed in New
+	nodes  map[string]*node // fixed in New
 	reg    *obs.Registry
 	store  *jobstore.Store
 	draft  *serve.Scheduler // nil unless Draft.Enabled
@@ -190,7 +191,6 @@ type Gateway struct {
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
-	nodes  map[string]*node
 	jobs   map[int64]*Job
 	nextID int64
 	closed bool
@@ -221,7 +221,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:   o,
 		client: &http.Client{Timeout: clientTimeout},
 		stream: &http.Client{},
-		ring:   newRing(o.Replicas),
+		ring:   newRing(o.Replicas, o.Nodes),
 		reg:    reg,
 		store:  o.Store,
 		ctx:    ctx,
@@ -254,9 +254,11 @@ func New(opts Options) (*Gateway, error) {
 	}
 
 	for _, name := range o.Nodes {
+		if g.nodes[name] != nil {
+			continue
+		}
 		n := g.newNode(name)
 		g.nodes[name] = n
-		g.ring.add(name)
 		g.wg.Add(1)
 		go g.probeLoop(n)
 	}
@@ -494,44 +496,6 @@ func (g *Gateway) call(ctx context.Context, method, url string, body []byte) (in
 	return resp.StatusCode, b, nil
 }
 
-// node returns the tracked node by name (nil when removed).
-func (g *Gateway) node(name string) *node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.nodes[name]
-}
-
-// AddNode inserts a worker into the ring at runtime. Only ~1/N of the
-// key space re-routes; every other key keeps hitting the node whose
-// result cache already holds it.
-func (g *Gateway) AddNode(name string) {
-	g.mu.Lock()
-	if _, ok := g.nodes[name]; ok || g.closed {
-		g.mu.Unlock()
-		return
-	}
-	n := g.newNode(name)
-	g.nodes[name] = n
-	g.mu.Unlock()
-	g.ring.add(name)
-	g.wg.Add(1)
-	go g.probeLoop(n)
-}
-
-// RemoveNode drains a worker out of the ring. In-flight jobs on it are
-// left to the failure path: if the node stays up they finish normally;
-// if it goes away they fail over.
-func (g *Gateway) RemoveNode(name string) {
-	g.mu.Lock()
-	n := g.nodes[name]
-	delete(g.nodes, name)
-	g.mu.Unlock()
-	g.ring.remove(name)
-	if n != nil {
-		close(n.stop)
-	}
-}
-
 // route walks the key's ring sequence and tries each available node
 // until one accepts. Backpressure (429) and draining (503) spill to the
 // next node immediately; transient faults retry with backoff on the
@@ -544,8 +508,8 @@ func (g *Gateway) route(key string, body []byte, exclude string) (string, *jobap
 		if name == exclude {
 			continue
 		}
-		n := g.node(name)
-		if n == nil || !n.available() {
+		n := g.nodes[name]
+		if !n.available() {
 			continue
 		}
 		ws, err := g.submitTo(n, body)

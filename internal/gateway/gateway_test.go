@@ -263,7 +263,7 @@ func closeGateway(t *testing.T, g *Gateway) {
 
 // TestCacheAwareRouting: identical resubmissions land on the node that
 // already holds the cached result — zero new engine launches — and the
-// property survives a node joining the ring.
+// property survives a gateway restarted with one more worker.
 func TestCacheAwareRouting(t *testing.T) {
 	wA := newFakeWorker(t, time.Millisecond, 5)
 	wB := newFakeWorker(t, time.Millisecond, 5)
@@ -272,7 +272,7 @@ func TestCacheAwareRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeGateway(t, g)
+	defer func() { closeGateway(t, g) }()
 
 	launches := func() int { return wA.launchCount() + wB.launchCount() }
 
@@ -312,11 +312,16 @@ func TestCacheAwareRouting(t *testing.T) {
 		t.Errorf("route_total = %d, want 2", g.routeTotal.Value())
 	}
 
-	// A node joins. The key either stays put (still cached) or moves to
-	// the joiner (one deterministic recompute); after that one submission
-	// the fleet is warm again and ownership is stable.
+	// The gateway restarts with one more worker. The key either stays put
+	// (still cached) or moves to the joiner (one deterministic recompute);
+	// after that one submission the fleet is warm again and ownership is
+	// stable.
+	closeGateway(t, g)
 	wC := newFakeWorker(t, time.Millisecond, 5)
-	g.AddNode(wC.name())
+	g, err = New(fastOpts(wA.name(), wB.name(), wC.name()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	j3, err := g.Submit(testRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +330,10 @@ func TestCacheAwareRouting(t *testing.T) {
 	if st3.State != "succeeded" {
 		t.Fatalf("post-join run: %+v", st3)
 	}
-	mid := launches()
+	if st3.Node != owner && st3.Node != wC.name() {
+		t.Errorf("post-join run on %s: a key moves only onto the joiner %s", st3.Node, wC.name())
+	}
+	mid := launches() + wC.launchCount()
 	j4, err := g.Submit(testRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +342,8 @@ func TestCacheAwareRouting(t *testing.T) {
 	if !st4.Cached || st4.Node != st3.Node {
 		t.Errorf("post-join resubmission not cache-stable: %+v vs node %s", st4, st3.Node)
 	}
-	if launches() != mid {
-		t.Errorf("post-join resubmission launched an engine: %d -> %d", mid, launches())
+	if got := launches() + wC.launchCount(); got != mid {
+		t.Errorf("post-join resubmission launched an engine: %d -> %d", mid, got)
 	}
 }
 
@@ -388,7 +396,7 @@ func TestBreakerEjectsFlappingNode(t *testing.T) {
 	if got := g.breakerTrips.Value(); got < 1 {
 		t.Fatalf("breaker never tripped: %d", got)
 	}
-	n := g.node(w.name())
+	n := g.nodes[w.name()]
 	if n.available() {
 		t.Fatal("node still routable with an open breaker")
 	}

@@ -29,8 +29,6 @@ type node struct {
 	latency *obs.Histogram // xgate_node_seconds{node}
 	healthG *obs.Gauge     // xgate_node_healthy{node}
 
-	stop chan struct{} // closed by RemoveNode; ends the probe loop
-
 	mu           sync.Mutex
 	healthy      bool
 	consecOK     int
@@ -46,7 +44,6 @@ func (g *Gateway) newNode(name string) *node {
 		routed:  g.reg.Counter("xgate_node_routed_total"+label, "jobs routed to this node"),
 		latency: g.reg.Histogram("xgate_node_seconds"+label, "submit round-trip latency to this node", nil),
 		healthG: g.reg.Gauge("xgate_node_healthy"+label, "1 while the node passes readiness probes"),
-		stop:    make(chan struct{}),
 		healthy: true, // optimistic start; DownAfter failed probes demote
 	}
 	n.healthG.Set(1)
@@ -108,8 +105,6 @@ func (g *Gateway) probeLoop(n *node) {
 		select {
 		case <-g.ctx.Done():
 			return
-		case <-n.stop:
-			return
 		case <-t.C:
 		}
 		ok := g.probe(n.name, "/readyz")
@@ -168,20 +163,14 @@ type NodeStatus struct {
 
 // Nodes returns the fleet's routing state, ring order not guaranteed.
 func (g *Gateway) Nodes() []NodeStatus {
-	g.mu.Lock()
-	nodes := make([]*node, 0, len(g.nodes))
+	out := make([]NodeStatus, 0, len(g.nodes))
 	for _, n := range g.nodes {
-		nodes = append(nodes, n)
-	}
-	g.mu.Unlock()
-	out := make([]NodeStatus, len(nodes))
-	for i, n := range nodes {
-		out[i] = NodeStatus{
+		out = append(out, NodeStatus{
 			Name:        n.name,
 			Healthy:     n.isHealthy(),
 			BreakerOpen: n.breakerOpen(),
 			Routed:      n.routed.Value(),
-		}
+		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out

@@ -4,24 +4,23 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 )
 
-// ring is a consistent-hash ring over worker nodes. Each node owns
-// `replicas` virtual points; a key routes to the node owning the first
-// point clockwise of the key's hash. Adding or removing one node moves
-// only ~1/N of the key space, so the result-cache locality the routing
+// ring is a consistent-hash ring over a fixed fleet of worker nodes,
+// built once in New and never written again, so lookups need no lock.
+// Each node owns `replicas` virtual points; a key routes to the node
+// owning the first point clockwise of the key's hash. A gateway
+// restarted with one more worker moves only ~1/N of the key space, all
+// of it onto the new worker, so the result-cache locality the routing
 // key encodes (identical resubmissions land on the node that already
-// holds the result) survives fleet changes.
+// holds the result) survives a fleet change.
 //
 // The hash is FNV-1a over plain strings — deterministic across
 // processes, so a restarted gateway routes every key exactly as its
 // predecessor did.
 type ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []ringPoint // sorted by hash
-	members  map[string]struct{}
+	points  []ringPoint // sorted by hash
+	members int
 }
 
 type ringPoint struct {
@@ -29,11 +28,22 @@ type ringPoint struct {
 	node string
 }
 
-func newRing(replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
+// newRing builds the ring over nodes (duplicates count once).
+func newRing(replicas int, nodes []string) *ring {
+	r := &ring{}
+	seen := make(map[string]struct{}, len(nodes))
+	for _, node := range nodes {
+		if _, ok := seen[node]; ok {
+			continue
+		}
+		seen[node] = struct{}{}
+		for i := 0; i < replicas; i++ {
+			r.points = append(r.points, ringPoint{ringHash(node + "#" + strconv.Itoa(i)), node})
+		}
 	}
-	return &ring{replicas: replicas, members: make(map[string]struct{})}
+	r.members = len(seen)
+	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
+	return r
 }
 
 func ringHash(s string) uint64 {
@@ -42,56 +52,19 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-func (r *ring) add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[node]; ok {
-		return
-	}
-	r.members[node] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, ringPoint{ringHash(node + "#" + strconv.Itoa(i)), node})
-	}
-	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
-}
-
-func (r *ring) remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[node]; !ok {
-		return
-	}
-	delete(r.members, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-func (r *ring) size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
 // sequence returns every member node in ring order starting from the
 // key's owner: sequence(key)[0] is where the key lives, and the rest is
 // the deterministic failover walk — the order every gateway instance
 // agrees to try when the owner is down or full.
 func (r *ring) sequence(key string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return nil
 	}
 	h := ringHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, len(r.members))
-	seen := make(map[string]struct{}, len(r.members))
-	for i := 0; i < len(r.points) && len(out) < len(r.members); i++ {
+	out := make([]string, 0, r.members)
+	seen := make(map[string]struct{}, r.members)
+	for i := 0; i < len(r.points) && len(out) < r.members; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if _, ok := seen[p.node]; ok {
 			continue
@@ -100,13 +73,4 @@ func (r *ring) sequence(key string) []string {
 		out = append(out, p.node)
 	}
 	return out
-}
-
-// owner is sequence(key)[0] without building the full walk.
-func (r *ring) owner(key string) string {
-	seq := r.sequence(key)
-	if len(seq) == 0 {
-		return ""
-	}
-	return seq[0]
 }

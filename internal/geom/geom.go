@@ -25,17 +25,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s in both dimensions.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// Manhattan returns the L1 distance between p and q.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 // Rect is an axis-aligned rectangle described by its lower-left (Lx, Ly)
 // and upper-right (Hx, Hy) corners. A Rect with Hx <= Lx or Hy <= Ly is
 // considered empty.
@@ -84,9 +73,6 @@ func (r Rect) Intersect(q Rect) Rect {
 	}
 }
 
-// Overlap returns the overlap area of r and q.
-func (r Rect) Overlap(q Rect) float64 { return r.Intersect(q).Area() }
-
 // Union returns the bounding box of r and q. If either is empty the other
 // is returned.
 func (r Rect) Union(q Rect) Rect {
@@ -102,16 +88,6 @@ func (r Rect) Union(q Rect) Rect {
 		Hx: math.Max(r.Hx, q.Hx),
 		Hy: math.Max(r.Hy, q.Hy),
 	}
-}
-
-// Translate returns r moved by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{r.Lx + dx, r.Ly + dy, r.Hx + dx, r.Hy + dy}
-}
-
-// ClampPoint returns p clamped into r.
-func (r Rect) ClampPoint(p Point) Point {
-	return Point{Clamp(p.X, r.Lx, r.Hx), Clamp(p.Y, r.Ly, r.Hy)}
 }
 
 func (r Rect) String() string {
@@ -156,13 +132,6 @@ func (g Grid) NumBins() int { return g.Nx * g.Ny }
 
 // BinArea returns the area of a single bin.
 func (g Grid) BinArea() float64 { return g.Dx * g.Dy }
-
-// BinIndex returns the flat index of the bin containing p, clamping p into
-// the region first so out-of-region points map to boundary bins.
-func (g Grid) BinIndex(p Point) int {
-	ix, iy := g.BinCoords(p)
-	return iy*g.Nx + ix
-}
 
 // BinCoords returns the (ix, iy) bin coordinates of the bin containing p,
 // clamped into the grid.

@@ -251,8 +251,8 @@ func (d *Design) Finished() bool { return d.finished }
 
 // Clone returns a deep, UNfinished copy of the design: all cells, nets and
 // pins are copied, but the reverse maps are dropped so the copy can be
-// edited before calling Finish again. Its one non-test caller is the
-// routability flow, which inflates cell widths on a private copy.
+// edited before calling Finish again. It has no non-test caller: tests
+// take it as the reference snapshot a run must leave the design equal to.
 func (d *Design) Clone() *Design {
 	c := &Design{
 		Name:        d.Name,

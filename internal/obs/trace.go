@@ -14,7 +14,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -37,8 +36,6 @@ type EventKind uint8
 const (
 	// KindSpan is a complete duration event (Chrome "ph":"X").
 	KindSpan EventKind = iota
-	// KindInstant is a zero-duration marker (Chrome "ph":"i").
-	KindInstant
 	// KindCounter is a named scalar sample (Chrome "ph":"C").
 	KindCounter
 )
@@ -81,14 +78,6 @@ func NewTracer() *Tracer {
 // Enabled reports whether the tracer records (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Epoch returns the tracer's wall-clock origin (zero time for nil).
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Kernel records one kernel launch: wall start/duration plus the launch's
 // position and extent on the simulated clock.
 func (t *Tracer) Kernel(name string, start time.Time, dur, sim, simDur time.Duration) {
@@ -112,18 +101,6 @@ func (t *Tracer) Span(name, cat string, start time.Time, dur, sim, simDur time.D
 	t.events = append(t.events, Event{
 		Name: name, Cat: cat, Kind: KindSpan,
 		TS: start.Sub(t.epoch), Dur: dur, Sim: sim, SimDur: simDur, Iter: iter,
-	})
-	t.mu.Unlock()
-}
-
-// Instant records a zero-duration marker (e.g. a host-device sync point).
-func (t *Tracer) Instant(name, cat string, at time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Kind: KindInstant, TS: at.Sub(t.epoch), Iter: -1,
 	})
 	t.mu.Unlock()
 }
@@ -206,7 +183,6 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -264,11 +240,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 					TS: us(ev.Sim), Dur: us(ev.SimDur), Pid: pidSim, Tid: tidKernels,
 				})
 			}
-		case KindInstant:
-			out = append(out, chromeEvent{
-				Name: ev.Name, Cat: ev.Cat, Ph: "i", S: "t",
-				TS: us(ev.TS), Pid: pidWall, Tid: tidKernels,
-			})
 		case KindCounter:
 			out = append(out, chromeEvent{
 				Name: ev.Name, Cat: ev.Cat, Ph: "C",
@@ -282,37 +253,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		"traceEvents":     out,
 		"displayTimeUnit": "ms",
 	})
-}
-
-// WriteSummary prints a per-operator launch/time table from the trace
-// (the text fallback when a Chrome trace viewer is not at hand).
-func (t *Tracer) WriteSummary(w io.Writer) error {
-	type agg struct {
-		launches int64
-		dur      time.Duration
-	}
-	per := make(map[string]*agg)
-	var total int64
-	for _, ev := range t.Events() {
-		if ev.Cat != CatKernel || ev.Kind != KindSpan {
-			continue
-		}
-		a := per[ev.Name]
-		if a == nil {
-			a = &agg{}
-			per[ev.Name] = a
-		}
-		a.launches++
-		a.dur += ev.Dur
-		total++
-	}
-	if _, err := fmt.Fprintf(w, "trace: %d kernel launches across %d operators\n", total, len(per)); err != nil {
-		return err
-	}
-	for name, a := range per {
-		if _, err := fmt.Fprintf(w, "  %-32s launches=%-8d compute=%v\n", name, a.launches, a.dur); err != nil {
-			return err
-		}
-	}
-	return nil
 }

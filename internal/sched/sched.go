@@ -107,17 +107,11 @@ func New(opts Options, binSize float64, omegaOf OmegaFunc) *Scheduler {
 	return s
 }
 
-// Opts returns the resolved options.
-func (s *Scheduler) Opts() Options { return s.opts }
-
 // Iter returns the number of Advance calls so far.
 func (s *Scheduler) Iter() int { return s.iter }
 
 // Omega returns the current placement-stage metric (§3.2).
 func (s *Scheduler) Omega() float64 { return s.omegaOf(s.Lambda) }
-
-// Stage names the current placement stage per the §3.2 classification.
-func (s *Scheduler) Stage() string { return StageName(s.Omega()) }
 
 // StageName classifies the precondition weighted ratio omega into the
 // paper's three placement stages (§3.2): early (omega <= 0.5),

@@ -17,7 +17,7 @@ func linOmega(sumDeg, sumA float64) OmegaFunc {
 
 func TestDefaults(t *testing.T) {
 	s := New(Options{}, 2.0, nil)
-	o := s.Opts()
+	o := s.opts
 	if o.MinIter != 50 || o.MaxIter != 3000 {
 		t.Errorf("defaults wrong: %+v", o)
 	}

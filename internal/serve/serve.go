@@ -95,8 +95,9 @@ func ParseState(name string) (State, bool) {
 
 // Spec describes one placement job.
 type Spec struct {
-	// Design is the finished design to place. The placer clones it before
-	// augmenting, so one design may back many concurrent jobs.
+	// Design is the finished design to place. The placer only reads it
+	// (its filler-extended model shares the net and pin tables read-only),
+	// so one design may back many concurrent jobs.
 	Design *netlist.Design
 	// Options configures global placement (Progress is overwritten by the
 	// runtime's own hook).
@@ -396,12 +397,6 @@ type Counters struct {
 	Queued     int64 // currently queued jobs
 	Iterations int64 // GP iterations completed across all finished jobs
 	Launches   int64 // kernel launches across all finished jobs
-}
-
-// EngineStatus is one pooled engine's live accounting.
-type EngineStatus struct {
-	Workers int
-	Stats   kernel.Stats
 }
 
 // Scheduler runs placement jobs from a bounded queue over an engine pool.
@@ -806,11 +801,12 @@ func (s *Scheduler) jobFinished(j *Job, res *placer.Result, err error) {
 }
 
 // settle publishes a terminal transition this goroutine performed. The
-// counters and the store work (terminal WAL record, result-cache entry,
-// checkpoint removal) come first; only then does the progress stream end
-// (the SSE done frame) and the done channel close, so a waiter that
-// observes completion observes a job already counted and a completion the
-// store already remembers.
+// counters and the store work (terminal WAL record, checkpoint removal)
+// come first; only then does the progress stream end (the SSE done frame)
+// and the done channel close, so a waiter that observes completion
+// observes a job already counted and a completion the store already
+// remembers. A run's result-cache entry precedes even the transition
+// (see cacheResult).
 func (s *Scheduler) settle(j *Job, res *placer.Result) {
 	s.recordFinish(j, res)
 	j.Progress.Close()
@@ -843,23 +839,30 @@ func (s *Scheduler) recordFinish(j *Job, res *placer.Result) {
 	if s.store == nil {
 		return
 	}
-	if st.State == Succeeded && !j.cached && j.spec.Key != "" && res != nil &&
-		j.fallbackStrategy() == "" {
-		// Fallback results are deliberately not cached: the key describes
-		// the requested strategy, and a draft-quality rescue must not
-		// shadow a future successful run (or a fixed input) forever.
-		if err := s.store.PutResult(&jobstore.CachedResult{
-			Key: j.spec.Key, Iterations: res.Iterations,
-			HPWL: res.HPWL, Overflow: res.Overflow, X: res.X, Y: res.Y,
-		}); err != nil {
-			s.storeErrors.Inc()
-		}
-	}
 	s.walAppend(func() error {
 		return s.store.AppendFinish(j.id, st.State.String(), st.Err,
 			st.Iterations, st.HPWL, st.Overflow, j.cached)
 	})
 	s.store.RemoveCheckpoint(j.id)
+}
+
+// cacheResult writes a keyed run's result to the result cache. runJob
+// calls it before the terminal transition, so a client that reads
+// Succeeded and resubmits at once finds the entry. Should Cancel win the
+// transition after the write, the entry stays: the result is still the
+// correct one for its key. Fallback results are deliberately not cached:
+// the key describes the requested strategy, and a draft-quality rescue
+// must not shadow a future successful run (or a fixed input) forever.
+func (s *Scheduler) cacheResult(j *Job, res *placer.Result) {
+	if s.store == nil || j.spec.Key == "" || res == nil || j.fallbackStrategy() != "" {
+		return
+	}
+	if err := s.store.PutResult(&jobstore.CachedResult{
+		Key: j.spec.Key, Iterations: res.Iterations,
+		HPWL: res.HPWL, Overflow: res.Overflow, X: res.X, Y: res.Y,
+	}); err != nil {
+		s.storeErrors.Inc()
+	}
 }
 
 // worker owns one engine and drains the queue until Shutdown closes it.
@@ -883,6 +886,9 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	s.active.Add(1)
 	res, err := s.place(eng, j)
 	s.active.Add(-1)
+	if err == nil {
+		s.cacheResult(j, res)
+	}
 	s.jobFinished(j, res, err)
 }
 
@@ -1071,15 +1077,4 @@ func (s *Scheduler) Counters() Counters {
 		Iterations: s.iterations.Value(),
 		Launches:   s.launches.Value(),
 	}
-}
-
-// EngineStatuses returns each pooled engine's live accounting (the stats
-// window is the engine's current/most recent job, the arena gauges are
-// cumulative).
-func (s *Scheduler) EngineStatuses() []EngineStatus {
-	out := make([]EngineStatus, len(s.engines))
-	for i, e := range s.engines {
-		out[i] = EngineStatus{Workers: e.Workers(), Stats: e.Stats()}
-	}
-	return out
 }

@@ -181,9 +181,9 @@ func TestJobRuntimeAcceptance(t *testing.T) {
 	// Cancelled / timed-out / finished jobs all released their
 	// arena-backed scratch before Wait returned: every pooled engine is
 	// back to baseline.
-	for i, es := range s.EngineStatuses() {
-		if es.Stats.Arena.InUse != 0 {
-			t.Errorf("engine %d arena in-use = %d bytes after drain, want 0", i, es.Stats.Arena.InUse)
+	for i, e := range s.engines {
+		if inUse := e.Stats().Arena.InUse; inUse != 0 {
+			t.Errorf("engine %d arena in-use = %d bytes after drain, want 0", i, inUse)
 		}
 	}
 
@@ -299,9 +299,9 @@ func TestShutdownCancelsWhenContextExpires(t *testing.T) {
 		t.Errorf("job state after forced drain = %v, want canceled", st)
 	}
 	// Forced drain still releases the job's arena-backed scratch.
-	for i, es := range s.EngineStatuses() {
-		if es.Stats.Arena.InUse != 0 {
-			t.Errorf("engine %d arena in-use = %d after forced drain, want 0", i, es.Stats.Arena.InUse)
+	for i, e := range s.engines {
+		if inUse := e.Stats().Arena.InUse; inUse != 0 {
+			t.Errorf("engine %d arena in-use = %d after forced drain, want 0", i, inUse)
 		}
 	}
 	waitGoroutines(t, baseG)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -304,6 +305,52 @@ func TestResultCacheServesIdenticalSubmission(t *testing.T) {
 	if !j3.Status().Cached || res3.HPWL != res1.HPWL {
 		t.Fatalf("cache not durable across restart: cached=%v HPWL %v vs %v",
 			j3.Status().Cached, res3.HPWL, res1.HPWL)
+	}
+}
+
+// TestResultCachedBeforeSucceeded: a keyed run's result-cache entry is
+// written before the job turns Succeeded, so a client that polls Status
+// and resubmits the moment it reads succeeded always hits the cache.
+func TestResultCachedBeforeSucceeded(t *testing.T) {
+	st, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := mustNew(t, Options{
+		Engines: 1, EngineWorkers: 1, QueueCap: 4,
+		Store: st, Rehydrate: storeRehydrate(t),
+	})
+	defer s.Shutdown(context.Background())
+
+	for i := 0; i < 6; i++ {
+		pay := storePayload{N: 120, Seed: int64(i + 1), MaxIter: 10}
+		key := fmt.Sprintf("poll-key-%d", i)
+		j, err := s.Submit(Spec{
+			Design:  testDesign(t, pay.N, pay.Seed),
+			Options: storeOpts(pay.MaxIter),
+			Payload: pay.bytes(t),
+			Key:     key,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			state := j.Status().State
+			if state == Succeeded {
+				if _, ok := st.GetResult(key); !ok {
+					t.Fatalf("job %d reads succeeded before its result is cached", i)
+				}
+				break
+			}
+			if state.Terminal() {
+				t.Fatalf("job %d ended %v", i, state)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d still %v after 30s", i, state)
+			}
+		}
 	}
 }
 

@@ -6,9 +6,9 @@
 // building a loss from small autograd ops roughly doubles the launch count
 // relative to hand-derived gradients.
 //
-// The library supports reverse-mode automatic differentiation (Backward),
-// in-place operators that bypass graph construction (the paper's "in-place
-// ops avoid redundant copying"), and user-defined operators with custom
+// The library supports reverse-mode automatic differentiation (Backward)
+// over the two built-in operators the DREAMPlace-style baseline assembles
+// its loss from (Add, Scale) and user-defined operators with custom
 // forward/backward kernels (the Figure 2(b) extension path: a user loss is
 // differentiated by autograd and its gradient accumulated onto numerically
 // computed gradients).
@@ -16,7 +16,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"xplace/internal/kernel"
 )
@@ -64,20 +63,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float64, n), Shape: s}
 }
 
-// FromSlice wraps data (not copied) in a 1-D tensor.
-func FromSlice(data []float64) *Tensor {
-	return &Tensor{Data: data, Shape: []int{len(data)}}
-}
-
-// Full returns a tensor of the given shape filled with v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
-}
-
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -90,13 +75,6 @@ func (t *Tensor) RequiresGrad() *Tensor {
 
 // NeedsGrad reports whether t participates in autograd (leaf or interior).
 func (t *Tensor) NeedsGrad() bool { return t.requiresGrad || t.node != nil }
-
-// Clone returns a deep copy of t's data (no graph history).
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
 
 // ZeroGrad clears t's gradient buffer.
 func (t *Tensor) ZeroGrad() {
@@ -174,72 +152,6 @@ func Add(ctx *Context, a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b.
-func Sub(ctx *Context, a, b *Tensor) *Tensor {
-	sameSize(a, b)
-	out := New(a.Shape...)
-	ctx.E.Launch("sub.fwd", a.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] - b.Data[i]
-		}
-	})
-	attach(ctx, out, "sub", func(ctx *Context, g []float64) {
-		if a.NeedsGrad() {
-			ga := ctx.E.Alloc(len(g))
-			ctx.E.Launch("sub.bwd", len(g), func(lo, hi int) {
-				copy(ga[lo:hi], g[lo:hi])
-			})
-			a.AccumulateGrad(ga)
-			ctx.E.Free(ga)
-		}
-		if b.NeedsGrad() {
-			gb := ctx.E.Alloc(len(g))
-			ctx.E.Launch("sub.bwd", len(g), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					gb[i] = -g[i]
-				}
-			})
-			b.AccumulateGrad(gb)
-			ctx.E.Free(gb)
-		}
-	}, a, b)
-	return out
-}
-
-// Mul returns a * b (elementwise).
-func Mul(ctx *Context, a, b *Tensor) *Tensor {
-	sameSize(a, b)
-	out := New(a.Shape...)
-	ctx.E.Launch("mul.fwd", a.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] * b.Data[i]
-		}
-	})
-	attach(ctx, out, "mul", func(ctx *Context, g []float64) {
-		if a.NeedsGrad() {
-			ga := ctx.E.Alloc(len(g))
-			ctx.E.Launch("mul.bwd", len(g), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ga[i] = g[i] * b.Data[i]
-				}
-			})
-			a.AccumulateGrad(ga)
-			ctx.E.Free(ga)
-		}
-		if b.NeedsGrad() {
-			gb := ctx.E.Alloc(len(g))
-			ctx.E.Launch("mul.bwd", len(g), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					gb[i] = g[i] * a.Data[i]
-				}
-			})
-			b.AccumulateGrad(gb)
-			ctx.E.Free(gb)
-		}
-	}, a, b)
-	return out
-}
-
 // Scale returns s * a.
 func Scale(ctx *Context, a *Tensor, s float64) *Tensor {
 	out := New(a.Shape...)
@@ -259,117 +171,6 @@ func Scale(ctx *Context, a *Tensor, s float64) *Tensor {
 		ctx.E.Free(ga)
 	}, a)
 	return out
-}
-
-// Sum returns the scalar (shape [1]) sum of a.
-func Sum(ctx *Context, a *Tensor) *Tensor {
-	out := New(1)
-	out.Data[0] = ctx.E.ParallelReduce("sum.fwd", a.Len(), 0,
-		func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += a.Data[i]
-			}
-			return s
-		}, func(x, y float64) float64 { return x + y })
-	attach(ctx, out, "sum", func(ctx *Context, g []float64) {
-		ga := ctx.E.Alloc(a.Len())
-		gv := g[0]
-		ctx.E.Launch("sum.bwd", a.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ga[i] = gv
-			}
-		})
-		a.AccumulateGrad(ga)
-		ctx.E.Free(ga)
-	}, a)
-	return out
-}
-
-// Dot returns the scalar inner product <a, b>.
-func Dot(ctx *Context, a, b *Tensor) *Tensor {
-	sameSize(a, b)
-	out := New(1)
-	out.Data[0] = ctx.E.ParallelReduce("dot.fwd", a.Len(), 0,
-		func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += a.Data[i] * b.Data[i]
-			}
-			return s
-		}, func(x, y float64) float64 { return x + y })
-	attach(ctx, out, "dot", func(ctx *Context, g []float64) {
-		gv := g[0]
-		if a.NeedsGrad() {
-			ga := ctx.E.Alloc(a.Len())
-			ctx.E.Launch("dot.bwd", a.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ga[i] = gv * b.Data[i]
-				}
-			})
-			a.AccumulateGrad(ga)
-			ctx.E.Free(ga)
-		}
-		if b.NeedsGrad() {
-			gb := ctx.E.Alloc(b.Len())
-			ctx.E.Launch("dot.bwd", b.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					gb[i] = gv * a.Data[i]
-				}
-			})
-			b.AccumulateGrad(gb)
-			ctx.E.Free(gb)
-		}
-	}, a, b)
-	return out
-}
-
-// Exp returns elementwise e^a.
-func Exp(ctx *Context, a *Tensor) *Tensor {
-	out := New(a.Shape...)
-	ctx.E.Launch("exp.fwd", a.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = math.Exp(a.Data[i])
-		}
-	})
-	attach(ctx, out, "exp", func(ctx *Context, g []float64) {
-		ga := ctx.E.Alloc(len(g))
-		ctx.E.Launch("exp.bwd", len(g), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ga[i] = g[i] * out.Data[i]
-			}
-		})
-		a.AccumulateGrad(ga)
-		ctx.E.Free(ga)
-	}, a)
-	return out
-}
-
-// AddInPlace performs a += b without building graph history — PyTorch-style
-// in-place operators; it is an error to apply it to a tensor that needs
-// gradients (the graph would silently become wrong).
-func AddInPlace(ctx *Context, a, b *Tensor) {
-	sameSize(a, b)
-	if a.NeedsGrad() {
-		panic("tensor: AddInPlace on a tensor that requires grad")
-	}
-	ctx.E.Launch("add_", a.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.Data[i] += b.Data[i]
-		}
-	})
-}
-
-// ScaleInPlace performs a *= s in place (no graph history).
-func ScaleInPlace(ctx *Context, a *Tensor, s float64) {
-	if a.NeedsGrad() {
-		panic("tensor: ScaleInPlace on a tensor that requires grad")
-	}
-	ctx.E.Launch("scale_", a.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.Data[i] *= s
-		}
-	})
 }
 
 // Op is a user-defined differentiable operator: Forward fills out given the

@@ -10,20 +10,119 @@ import (
 
 func ctx() *Context { return NewContext(kernel.New(kernel.Options{Workers: 2})) }
 
-func TestNewAndFull(t *testing.T) {
+// fromSlice wraps data (not copied) in a 1-D tensor.
+func fromSlice(data []float64) *Tensor { return &Tensor{Data: data, Shape: []int{len(data)}} }
+
+// The operators below are the tests' own, built through Apply the way the
+// baseline placer builds its wirelength and density operators, so the
+// graphs Backward walks here are the graphs a user-defined loss makes.
+
+// mul returns a * b (elementwise).
+func mul(c *Context, a, b *Tensor) *Tensor {
+	sameSize(a, b)
+	return Apply(c, Op{
+		Name: "mul",
+		Forward: func(c *Context, in []*Tensor) *Tensor {
+			out := New(a.Shape...)
+			c.E.Launch("mul.fwd", a.Len(), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out.Data[i] = in[0].Data[i] * in[1].Data[i]
+				}
+			})
+			return out
+		},
+		Backward: func(c *Context, in []*Tensor, _ *Tensor, g []float64) {
+			for k, other := range []*Tensor{in[1], in[0]} {
+				if !in[k].NeedsGrad() {
+					continue
+				}
+				gk := make([]float64, len(g))
+				c.E.Launch("mul.bwd", len(g), func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						gk[i] = g[i] * other.Data[i]
+					}
+				})
+				in[k].AccumulateGrad(gk)
+			}
+		},
+	}, a, b)
+}
+
+// dot returns the scalar inner product <a, b>; sum(a) is dot(a, ones).
+func dot(c *Context, a, b *Tensor) *Tensor {
+	sameSize(a, b)
+	return Apply(c, Op{
+		Name: "dot",
+		Forward: func(c *Context, in []*Tensor) *Tensor {
+			out := New(1)
+			out.Data[0] = c.E.ParallelReduce("dot.fwd", a.Len(), 0, func(lo, hi int) float64 {
+				var s float64
+				for i := lo; i < hi; i++ {
+					s += in[0].Data[i] * in[1].Data[i]
+				}
+				return s
+			}, func(x, y float64) float64 { return x + y })
+			return out
+		},
+		Backward: func(c *Context, in []*Tensor, _ *Tensor, g []float64) {
+			for k, other := range []*Tensor{in[1], in[0]} {
+				if !in[k].NeedsGrad() {
+					continue
+				}
+				gk := make([]float64, other.Len())
+				c.E.Launch("dot.bwd", len(gk), func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						gk[i] = g[0] * other.Data[i]
+					}
+				})
+				in[k].AccumulateGrad(gk)
+			}
+		},
+	}, a, b)
+}
+
+func sum(c *Context, a *Tensor) *Tensor {
+	ones := New(a.Shape...)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	return dot(c, a, ones)
+}
+
+// exp returns elementwise e^a.
+func exp(c *Context, a *Tensor) *Tensor {
+	return Apply(c, Op{
+		Name: "exp",
+		Forward: func(c *Context, in []*Tensor) *Tensor {
+			out := New(a.Shape...)
+			c.E.Launch("exp.fwd", a.Len(), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out.Data[i] = math.Exp(in[0].Data[i])
+				}
+			})
+			return out
+		},
+		Backward: func(c *Context, in []*Tensor, out *Tensor, g []float64) {
+			ga := make([]float64, len(g))
+			c.E.Launch("exp.bwd", len(g), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					ga[i] = g[i] * out.Data[i]
+				}
+			})
+			in[0].AccumulateGrad(ga)
+		},
+	}, a)
+}
+
+func TestNew(t *testing.T) {
 	a := New(2, 3)
 	if a.Len() != 6 || len(a.Shape) != 2 {
 		t.Fatalf("bad tensor %v", a.Shape)
 	}
-	b := Full(7, 4)
-	for _, v := range b.Data {
-		if v != 7 {
-			t.Fatal("Full wrong")
+	for _, v := range a.Data {
+		if v != 0 {
+			t.Fatal("New must be zero-filled")
 		}
-	}
-	c := FromSlice([]float64{1, 2, 3})
-	if c.Len() != 3 || c.Data[1] != 2 {
-		t.Fatal("FromSlice wrong")
 	}
 }
 
@@ -38,28 +137,13 @@ func TestNewPanicsOnNegativeDim(t *testing.T) {
 
 func TestElementwiseForward(t *testing.T) {
 	c := ctx()
-	a := FromSlice([]float64{1, 2, 3})
-	b := FromSlice([]float64{10, 20, 30})
+	a := fromSlice([]float64{1, 2, 3})
+	b := fromSlice([]float64{10, 20, 30})
 	if got := Add(c, a, b).Data; got[2] != 33 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := Sub(c, b, a).Data; got[0] != 9 {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Mul(c, a, b).Data; got[1] != 40 {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := Scale(c, a, -2).Data; got[2] != -6 {
 		t.Errorf("Scale = %v", got)
-	}
-	if got := Sum(c, a).Data[0]; got != 6 {
-		t.Errorf("Sum = %v", got)
-	}
-	if got := Dot(c, a, b).Data[0]; got != 140 {
-		t.Errorf("Dot = %v", got)
-	}
-	if got := Exp(c, FromSlice([]float64{0, 1})).Data; got[0] != 1 || math.Abs(got[1]-math.E) > 1e-12 {
-		t.Errorf("Exp = %v", got)
 	}
 }
 
@@ -69,15 +153,15 @@ func TestSizeMismatchPanics(t *testing.T) {
 			t.Error("want panic")
 		}
 	}()
-	Add(ctx(), FromSlice([]float64{1}), FromSlice([]float64{1, 2}))
+	Add(ctx(), fromSlice([]float64{1}), fromSlice([]float64{1, 2}))
 }
 
 func TestBackwardSimpleChain(t *testing.T) {
 	// loss = sum((a+b) * a) ; dloss/da = 2a + b, dloss/db = a
 	c := ctx()
-	a := FromSlice([]float64{1, 2, 3}).RequiresGrad()
-	b := FromSlice([]float64{4, 5, 6}).RequiresGrad()
-	loss := Sum(c, Mul(c, Add(c, a, b), a))
+	a := fromSlice([]float64{1, 2, 3}).RequiresGrad()
+	b := fromSlice([]float64{4, 5, 6}).RequiresGrad()
+	loss := sum(c, mul(c, Add(c, a, b), a))
 	Backward(c, loss)
 	wantA := []float64{2*1 + 4, 2*2 + 5, 2*3 + 6}
 	wantB := []float64{1, 2, 3}
@@ -94,9 +178,9 @@ func TestBackwardSimpleChain(t *testing.T) {
 func TestBackwardSharedSubexpression(t *testing.T) {
 	// y = a*a used twice: loss = sum(y) + sum(y) -> dloss/da = 4a.
 	c := ctx()
-	a := FromSlice([]float64{1, -2, 3}).RequiresGrad()
-	y := Mul(c, a, a)
-	loss := Add(c, Sum(c, y), Sum(c, y))
+	a := fromSlice([]float64{1, -2, 3}).RequiresGrad()
+	y := mul(c, a, a)
+	loss := Add(c, sum(c, y), sum(c, y))
 	Backward(c, loss)
 	for i, v := range a.Data {
 		if math.Abs(a.Grad[i]-4*v) > 1e-12 {
@@ -108,9 +192,9 @@ func TestBackwardSharedSubexpression(t *testing.T) {
 func TestBackwardScaleExpDot(t *testing.T) {
 	// loss = dot(exp(2a), b); dloss/da = 2*exp(2a)*b.
 	c := ctx()
-	a := FromSlice([]float64{0.1, 0.2}).RequiresGrad()
-	b := FromSlice([]float64{3, -1})
-	loss := Dot(c, Exp(c, Scale(c, a, 2)), b)
+	a := fromSlice([]float64{0.1, 0.2}).RequiresGrad()
+	b := fromSlice([]float64{3, -1})
+	loss := dot(c, exp(c, Scale(c, a, 2)), b)
 	Backward(c, loss)
 	for i := range a.Data {
 		want := 2 * math.Exp(2*a.Data[i]) * b.Data[i]
@@ -139,8 +223,8 @@ func TestBackwardMatchesAnalytic(t *testing.T) {
 			return true
 		}
 		c := ctx()
-		a := FromSlice(append([]float64(nil), vals...)).RequiresGrad()
-		loss := Scale(c, Sum(c, Mul(c, a, a)), s)
+		a := fromSlice(append([]float64(nil), vals...)).RequiresGrad()
+		loss := Scale(c, sum(c, mul(c, a, a)), s)
 		Backward(c, loss)
 		for i := range vals {
 			want := 2 * s * vals[i]
@@ -163,43 +247,46 @@ func TestBackwardRequiresScalar(t *testing.T) {
 		}
 	}()
 	c := ctx()
-	a := FromSlice([]float64{1, 2}).RequiresGrad()
+	a := fromSlice([]float64{1, 2}).RequiresGrad()
 	Backward(c, Add(c, a, a))
 }
 
 func TestNoGradContextBuildsNoGraph(t *testing.T) {
 	c := ctx()
 	c.NoGrad = true
-	a := FromSlice([]float64{1, 2}).RequiresGrad()
-	out := Mul(c, a, a)
+	a := fromSlice([]float64{1, 2}).RequiresGrad()
+	out := mul(c, a, a)
 	if out.node != nil {
 		t.Error("NoGrad must not attach a node")
 	}
 }
 
+// An in-place operator is a custom op whose forward writes into its input
+// and returns it: under NoGrad it builds no graph and copies nothing.
 func TestInPlaceOps(t *testing.T) {
 	c := ctx()
-	a := FromSlice([]float64{1, 2, 3})
-	b := FromSlice([]float64{10, 10, 10})
-	AddInPlace(c, a, b)
-	if a.Data[0] != 11 {
-		t.Errorf("AddInPlace = %v", a.Data)
+	c.NoGrad = true
+	addInPlace := Op{
+		Name: "add_",
+		Forward: func(c *Context, in []*Tensor) *Tensor {
+			a, b := in[0], in[1]
+			sameSize(a, b)
+			c.E.Launch("add_", a.Len(), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					a.Data[i] += b.Data[i]
+				}
+			})
+			return a
+		},
 	}
-	ScaleInPlace(c, a, 0.5)
-	if a.Data[2] != 6.5 {
-		t.Errorf("ScaleInPlace = %v", a.Data)
+	a := fromSlice([]float64{1, 2, 3})
+	data := a.Data
+	if out := Apply(c, addInPlace, a, fromSlice([]float64{10, 10, 10})); out != a || out.node != nil {
+		t.Errorf("in-place op returned a new or graphed tensor")
 	}
-}
-
-func TestInPlaceOnGradTensorPanics(t *testing.T) {
-	c := ctx()
-	a := FromSlice([]float64{1}).RequiresGrad()
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic")
-		}
-	}()
-	AddInPlace(c, a, FromSlice([]float64{1}))
+	if &a.Data[0] != &data[0] || a.Data[0] != 11 || a.Data[2] != 13 {
+		t.Errorf("add_ = %v, want in place [11 12 13]", a.Data)
+	}
 }
 
 func TestCustomOpApply(t *testing.T) {
@@ -231,8 +318,8 @@ func TestCustomOpApply(t *testing.T) {
 		},
 	}
 	c := ctx()
-	a := FromSlice([]float64{3, -4}).RequiresGrad()
-	loss := Sum(c, Apply(c, square, a))
+	a := fromSlice([]float64{3, -4}).RequiresGrad()
+	loss := sum(c, Apply(c, square, a))
 	Backward(c, loss)
 	if a.Grad[0] != 6 || a.Grad[1] != -8 {
 		t.Errorf("custom op grads = %v", a.Grad)
@@ -252,8 +339,8 @@ func TestAutogradLaunchesExceedHandWritten(t *testing.T) {
 	// Autograd route: loss = sum(a*a), Backward.
 	eAuto := kernel.New(kernel.Options{Workers: 2})
 	cAuto := NewContext(eAuto)
-	a := FromSlice(append([]float64(nil), data...)).RequiresGrad()
-	Backward(cAuto, Sum(cAuto, Mul(cAuto, a, a)))
+	a := fromSlice(append([]float64(nil), data...)).RequiresGrad()
+	Backward(cAuto, sum(cAuto, mul(cAuto, a, a)))
 
 	// Hand route: single fused kernel writes the gradient directly.
 	eHand := kernel.New(kernel.Options{Workers: 2})
@@ -280,11 +367,11 @@ func TestDoubleBackwardOverSharedGraph(t *testing.T) {
 	// stale interior gradients accumulate: grads after the second pass
 	// must equal leaf-accumulated 2x the analytic value, not more.
 	c := ctx()
-	a := FromSlice([]float64{1, 2}).RequiresGrad()
-	y := Mul(c, a, a) // interior
-	loss1 := Sum(c, y)
+	a := fromSlice([]float64{1, 2}).RequiresGrad()
+	y := mul(c, a, a) // interior
+	loss1 := sum(c, y)
 	Backward(c, loss1)
-	loss2 := Sum(c, y) // shares the interior node y
+	loss2 := sum(c, y) // shares the interior node y
 	Backward(c, loss2)
 	for i, v := range a.Data {
 		want := 2 * (2 * v) // two accumulated passes of d(sum a^2)/da
@@ -294,13 +381,8 @@ func TestDoubleBackwardOverSharedGraph(t *testing.T) {
 	}
 }
 
-func TestCloneAndZeroGrad(t *testing.T) {
-	a := FromSlice([]float64{1, 2})
-	b := a.Clone()
-	b.Data[0] = 99
-	if a.Data[0] != 1 {
-		t.Error("Clone must deep-copy")
-	}
+func TestZeroGrad(t *testing.T) {
+	a := fromSlice([]float64{1, 2})
 	a.AccumulateGrad([]float64{5, 5})
 	a.ZeroGrad()
 	if a.Grad[0] != 0 || a.Grad[1] != 0 {
@@ -314,5 +396,5 @@ func TestAccumulateGradMismatchPanics(t *testing.T) {
 			t.Error("want panic")
 		}
 	}()
-	FromSlice([]float64{1, 2}).AccumulateGrad([]float64{1})
+	fromSlice([]float64{1, 2}).AccumulateGrad([]float64{1})
 }

@@ -24,8 +24,8 @@ func WithLEF(path string) LoadOption {
 	return func(c *loadConfig) { c.lefPath = path }
 }
 
-// Load reads a design from src, autodetecting the format. It replaces the
-// format-specific ReadBookshelf/ReadDEF entry points with one call:
+// Load reads a design from src, autodetecting the format. It is the one
+// design reader of the public API:
 //
 //   - "design.aux" (bookshelf) loads the whole bookshelf bundle the .aux
 //     names; any other extension with bookshelf .aux contents also works.

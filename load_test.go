@@ -121,25 +121,3 @@ func TestLoadRejections(t *testing.T) {
 		t.Error("missing extensionless file did not error")
 	}
 }
-
-// TestDeprecatedReadersStillWork: the deprecation policy keeps the old
-// entry points functional — ReadBookshelf must agree with Load.
-func TestDeprecatedReadersStillWork(t *testing.T) {
-	d := sessionTestDesign(t, 120, 42)
-	dir := t.TempDir()
-	if err := WriteBookshelf(dir, "old", d); err != nil {
-		t.Fatal(err)
-	}
-	aux := filepath.Join(dir, "old.aux")
-	a, err := ReadBookshelf(aux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(aux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumCells() != b.NumCells() || a.NumNets() != b.NumNets() {
-		t.Error("ReadBookshelf and Load disagree")
-	}
-}

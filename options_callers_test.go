@@ -110,29 +110,36 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 	}
 }
 
-// TestPublicSurfaceHasCallers extends the guard above to the public
-// surface: this package's exported functions and variables, the methods of
-// the Session and of the kernel Engine, and the fields of the structs a
-// flow, a schedule, a worker daemon and a gateway are configured by. Each
-// needs a non-test reference from outside its declaring package (cmd/,
-// examples/, benchmark/ or another package) or an allow-list entry naming
-// the _test.go function that references it.
+// TestPublicSurfaceHasCallers extends the guard above to the whole
+// module: a name nothing calls is deleted, not kept. Two rules apply.
 //
-// Fields and methods are matched by their owning type, resolved from the
+// The public surface — this package's exported functions and variables,
+// the methods of the Session and of the kernel Engine, and the fields of
+// the structs a flow, a schedule, a worker daemon and a gateway are
+// configured by — needs a non-test reference from outside its declaring
+// package (cmd/, examples/, benchmark/ or another package). Fields and
+// methods there are matched by their owning type, resolved from the
 // declarations in scope (composite-literal types, parameter and variable
 // types, struct field types and function result types), so a same-named
 // member of another type — rec.History() — is not a use of
-// gateway.Options.History. Types and constants are exempt, as are the
-// jobapi.Request fields (the wire schema HTTP clients set, pinned by
-// TestContract) and placer.Options (guarded above).
+// gateway.Options.History.
+//
+// Every other non-main package needs a non-test reference to each of its
+// exported functions and variables (by import path from another package,
+// or by name inside its own) and to each exported method of its types,
+// outside the name's own declaration. Methods are matched by name against
+// every non-test selector, so a method reached only through an interface
+// (PredictField, Error) passes, as does one the standard library calls
+// (Unwrap).
+//
+// Either rule is met instead by an allow-list entry naming the _test.go
+// function that references the name. Types and constants are exempt, as
+// are the jobapi.Request fields (the wire schema HTTP clients set, pinned
+// by TestContract) and placer.Options (guarded above).
 func TestPublicSurfaceHasCallers(t *testing.T) {
 	allow := map[string]string{
-		// Deprecated readers and the DEF writer, kept under the README policy.
-		"xplace.ReadDEF":  "TestLEFDEFToPlacementIntegration",
-		"xplace.ReadLEF":  "TestLEFDEFToPlacementIntegration",
+		// The DEF writer: the integration test's round trip.
 		"xplace.WriteDEF": "TestLEFDEFToPlacementIntegration",
-		// The paper's future-work extension (EXPERIMENTS.md).
-		"xplace.RunRoutabilityFlow": "TestRoutabilityFlowReducesCongestion",
 		// Typed artifact errors a library caller matches with errors.Is.
 		"xplace.ErrModelNotArtifact": "TestLoadModelTypedErrors",
 		"xplace.ErrModelVersion":     "TestLoadModelTypedErrors",
@@ -147,7 +154,22 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 		"kernel.Engine.Closed": "TestSessionLeavesSuppliedEngineOpen",
 		// The seam for runs that must not converge.
 		"sched.Options.MinIter": "TestDone",
+		// Test seams: the reference snapshot of a design, the only builder
+		// of a fenced design, the launch-count invariant's assertion, a
+		// model's live reference count, the scheduler's typed counters and
+		// the inverse transforms the DCT round trips check DCT2 against.
+		"netlist.Design.Clone":          "TestPlacersShareCallerDesign",
+		"netlist.Design.AddFence":       "TestFenceBuilderValidation",
+		"netlist.Design.SetFence":       "TestFenceBuilderValidation",
+		"obs.Tracer.KernelLaunchCounts": "TestSessionObservabilityWiring",
+		"serve.ModelRegistry.Refs":      "TestModelRegistryAcquireRefcounts",
+		"serve.Scheduler.Counters":      "TestSubmitBackpressure",
+		"dct.Plan.EvalCosCos":           "TestEvalTransformsMatchDirect",
+		"dct.Plan32.EvalCosCos":         "TestPlan32RoundTrip",
 	}
+	// Methods the standard library calls through its own interfaces
+	// (fmt, errors.Is/As), which no selector names.
+	stdlib := map[string]bool{"Error": true, "String": true, "Unwrap": true}
 	guardedMethods := map[string]bool{
 		"xplace.Session":                true,
 		"xplace/internal/kernel.Engine": true,
@@ -163,13 +185,30 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 
 	files := parseModule(t)
 	ix := indexModule(files)
+	used := ix.uses(files)
+	refs := moduleRefs(ix, files)
 
-	// The guarded surface, keyed "owner.Name" with owner an import path
-	// (package-level names) or an import path plus type name (members).
+	// The guarded names, keyed "owner.Name" with owner an import path
+	// (package-level names) or an import path plus type name (members),
+	// and whether their rule finds a caller.
 	var guarded []string
+	called := map[string]bool{}
+	guard := func(key string, ok bool) {
+		guarded = append(guarded, key)
+		called[key] = ok
+	}
+	public := func(key string) { guard(key, used[key]) }
 	for _, sf := range files {
-		if sf.test {
+		if sf.test || sf.f.Name.Name == "main" {
 			continue
+		}
+		pkgLevel := func(name string) {
+			key := sf.pkg + "." + name
+			if sf.pkg == "xplace" {
+				public(key)
+				return
+			}
+			guard(key, used[key] || refs.outside(refs.ident[key], key))
 		}
 		for _, d := range sf.f.Decls {
 			switch d := d.(type) {
@@ -178,20 +217,24 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 					continue
 				}
 				if d.Recv == nil {
-					if sf.pkg == "xplace" {
-						guarded = append(guarded, "xplace."+d.Name.Name)
-					}
-				} else if owner := ix.typeKey(sf, d.Recv.List[0].Type); guardedMethods[owner] {
-					guarded = append(guarded, owner+"."+d.Name.Name)
+					pkgLevel(d.Name.Name)
+					continue
+				}
+				owner := ix.typeKey(sf, d.Recv.List[0].Type)
+				key := owner + "." + d.Name.Name
+				if guardedMethods[owner] {
+					public(key)
+				} else {
+					guard(key, stdlib[d.Name.Name] || refs.outside(refs.sel[d.Name.Name], key))
 				}
 			case *ast.GenDecl:
-				if d.Tok != token.VAR || sf.pkg != "xplace" {
+				if d.Tok != token.VAR {
 					continue
 				}
 				for _, s := range d.Specs {
 					for _, id := range s.(*ast.ValueSpec).Names {
 						if id.IsExported() {
-							guarded = append(guarded, "xplace."+id.Name)
+							pkgLevel(id.Name)
 						}
 					}
 				}
@@ -205,20 +248,19 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 		}
 		for name := range fields {
 			if ast.IsExported(name) {
-				guarded = append(guarded, st+"."+name)
+				public(st + "." + name)
 			}
 		}
 	}
 
-	used := ix.uses(files)
 	declared := map[string]bool{}
 	for _, key := range guarded {
 		declared[short(key)] = true
 		test, listed := allow[short(key)]
 		switch {
-		case !listed && !used[key]:
-			t.Errorf("%s has no non-test caller outside its package: give it one, allow-list the test that exercises it, or delete it", short(key))
-		case listed && used[key]:
+		case !listed && !called[key]:
+			t.Errorf("%s has no non-test caller: give it one, allow-list the test that exercises it, or delete it", short(key))
+		case listed && called[key]:
 			t.Errorf("%s has a non-test caller now: drop its allow-list entry (%s)", short(key), test)
 		}
 	}
@@ -236,11 +278,10 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 // TestChunkCountStaysInKernel: how a launch is split into chunks is the
 // kernel's decision, so per-chunk scratch outside internal/kernel is sized
 // by Engine.Chunks or Engine.LineChunks, never by the worker count. The
-// only non-test callers of Engine.Workers() outside the kernel are
-// internal/serve's xserve_engine_workers gauge and EngineStatus, which
-// report the width. Calls are matched by name; the guard first checks
-// that kernel.Engine is the only type with a Workers method, which makes
-// the match exact.
+// only non-test caller of Engine.Workers() outside the kernel is
+// internal/serve's xserve_engine_workers gauge, which reports the width.
+// Calls are matched by name; the guard first checks that kernel.Engine is
+// the only type with a Workers method, which makes the match exact.
 func TestChunkCountStaysInKernel(t *testing.T) {
 	files := parseModule(t)
 	for _, sf := range files {
@@ -470,4 +511,83 @@ func (ix *moduleIndex) uses(files []*srcFile) map[string]bool {
 		})
 	}
 	return used
+}
+
+// refSites records where each name is referenced in non-test code: sel by
+// selector name (any receiver), ident by "importpath.Name" for bare
+// identifiers of the file's own package. Each site is the key of the
+// top-level function it sits in ("" outside functions).
+type refSites struct {
+	sel, ident map[string]map[string]bool
+}
+
+func moduleRefs(ix *moduleIndex, files []*srcFile) *refSites {
+	r := &refSites{sel: map[string]map[string]bool{}, ident: map[string]map[string]bool{}}
+	add := func(m map[string]map[string]bool, name, site string) {
+		if m[name] == nil {
+			m[name] = map[string]bool{}
+		}
+		m[name][site] = true
+	}
+	for _, sf := range files {
+		if sf.test {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			site := ""
+			var roots []ast.Node
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				owner := sf.pkg
+				if d.Recv != nil {
+					owner = ix.typeKey(sf, d.Recv.List[0].Type)
+				}
+				site = owner + "." + d.Name.Name
+				roots = []ast.Node{d.Type}
+				if d.Body != nil {
+					roots = append(roots, d.Body)
+				}
+			case *ast.GenDecl:
+				roots = []ast.Node{d}
+			}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					add(r.sel, n.Sel.Name, site)
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Field: // parameter and field names declare, not reference
+					ast.Inspect(n.Type, visit)
+					return false
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						ast.Inspect(n.Type, visit)
+					}
+					for _, v := range n.Values {
+						ast.Inspect(v, visit)
+					}
+					return false
+				case *ast.Ident:
+					add(r.ident, sf.pkg+"."+n.Name, site)
+				}
+				return true
+			}
+			for _, root := range roots {
+				ast.Inspect(root, visit)
+			}
+		}
+	}
+	return r
+}
+
+// outside reports whether some site other than the name's own
+// declaration references it.
+func (r *refSites) outside(sites map[string]bool, self string) bool {
+	for s := range sites {
+		if s != self {
+			return true
+		}
+	}
+	return false
 }

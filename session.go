@@ -215,13 +215,7 @@ func (s *Session) Flow(ctx context.Context, d *Design, opts FlowOptions) (*FlowR
 		return nil, fmt.Errorf("xplace: legalization: %w", err)
 	}
 	lgStart := time.Now()
-	var lx, ly []float64
-	switch opts.Legalizer {
-	case LegalizeAbacus:
-		lx, ly, err = legal.Abacus(d, gp.X, gp.Y)
-	default:
-		lx, ly, err = legal.Tetris(d, gp.X, gp.Y)
-	}
+	lx, ly, err := Legalize(d, gp.X, gp.Y, opts.Legalizer)
 	if err != nil {
 		return nil, fmt.Errorf("xplace: legalization: %w", err)
 	}

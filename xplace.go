@@ -206,13 +206,6 @@ func Catalog2005() []BenchmarkSpec { return benchgen.Catalog2005() }
 // Catalog2015 lists the twenty ISPD 2015 contest designs.
 func Catalog2015() []BenchmarkSpec { return benchgen.Catalog2015() }
 
-// ReadBookshelf loads a bookshelf design from its .aux file.
-//
-// Deprecated: use Load, which autodetects the format from the path and
-// contents. ReadBookshelf is kept working under the deprecation policy in
-// README.md and is now a thin alias of Load's bookshelf path.
-func ReadBookshelf(auxPath string) (*Design, error) { return bookshelf.ReadAux(auxPath) }
-
 // WriteBookshelf writes the design as bookshelf files into dir.
 func WriteBookshelf(dir, base string, d *Design) error { return bookshelf.Write(dir, base, d) }
 
@@ -220,20 +213,6 @@ func WriteBookshelf(dir, base string, d *Design) error { return bookshelf.Write(
 func WritePlacementPl(path string, d *Design, x, y []float64) error {
 	return bookshelf.WritePl(path, d, x, y)
 }
-
-// ReadLEF parses a LEF cell library.
-//
-// Deprecated: use Load with WithLEF for paths, or keep ReadLEF for
-// non-file readers (it stays supported under the deprecation policy in
-// README.md).
-func ReadLEF(r io.Reader) (*LEFLibrary, error) { return lefdef.ParseLEF(r) }
-
-// ReadDEF parses a DEF design against a LEF library.
-//
-// Deprecated: use Load with WithLEF, which autodetects DEF from the path
-// and contents. ReadDEF stays supported for non-file readers under the
-// deprecation policy in README.md.
-func ReadDEF(r io.Reader, lib *LEFLibrary) (*Design, error) { return lefdef.ParseDEF(r, lib) }
 
 // WriteDEF writes the design as DEF with the given center positions.
 func WriteDEF(w io.Writer, d *Design, x, y []float64) error { return lefdef.WriteDEF(w, d, x, y) }

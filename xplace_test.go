@@ -146,7 +146,7 @@ func TestBookshelfAPIRoundTrip(t *testing.T) {
 	if err := WriteBookshelf(dir, "fft_2", d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBookshelf(dir + "/fft_2.aux")
+	got, err := Load(dir + "/fft_2.aux")
 	if err != nil {
 		t.Fatal(err)
 	}
