@@ -45,10 +45,13 @@ endef
 # several chunks and the per-op launch ledger of an iteration, the one-scatter
 # density maps against the scatter-per-kind sequence at 1-4 workers, the
 # Nesterov step fed steplength partials from outside against its own
-# optim.dist launch, and the block-staged WA/LSE net kernels against the
-# three-pass oracle at 1-3 workers.
+# optim.dist launch, the block-staged WA/LSE net kernels and the standalone
+# HPWL against the three-pass oracle at 1-3 workers, and the two-part launch
+# (wirelength beside the density scatter) against two sequential launches,
+# with a panicking chunk contained at its barrier.
 test-fusion:
 	$(call lane,-race,TestGoldenTrajectory,.)
+	$(call lane,-race,TestLaunchPairMatchesTwoLaunches|TestLaunchPanicContained,./internal/kernel)
 	$(call lane,-race,TestFusedAssemblyBitIdenticalToUnfused|TestIterationLaunchLedger,./internal/placer)
 	$(call lane,-race,TestDensityMapsMatchesSequence|TestOperatorExtractionSavesScatterWork,./internal/field)
 	$(call lane,-race,TestNesterovStepFusedMatchesStep,./internal/optim)

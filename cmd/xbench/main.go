@@ -426,8 +426,14 @@ func figure2() {
 		}
 		var densOps []string
 		for _, ev := range tr.Events() {
-			if ev.Cat == obs.CatKernel && (strings.HasPrefix(ev.Name, "density.") || strings.HasPrefix(ev.Name, "poisson.")) {
-				densOps = append(densOps, ev.Name)
+			if ev.Cat != obs.CatKernel {
+				continue
+			}
+			// A paired launch is traced as "a+b".
+			for _, name := range strings.Split(ev.Name, "+") {
+				if strings.HasPrefix(name, "density.") || strings.HasPrefix(name, "poisson.") {
+					densOps = append(densOps, name)
+				}
 			}
 		}
 		fmt.Printf("OE=%v density-path kernels: %s\n", oe, strings.Join(densOps, " -> "))

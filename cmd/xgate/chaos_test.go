@@ -212,13 +212,17 @@ killSearch:
 
 	// Every job completes under its original ID.
 	for seed, j := range jobs {
-		select {
-		case <-j.Done():
-		case <-time.After(4 * time.Minute):
-			t.Fatalf("seed %d (job %d) never finished after the kill: %+v", seed, j.ID(), j.Status())
+		deadline := time.Now().Add(4 * time.Minute)
+		st := j.Status()
+		for st.Finished == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d (job %d) never finished after the kill: %+v", seed, st.ID, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+			st = j.Status()
 		}
-		if st := j.Status(); st.State != "succeeded" {
-			t.Fatalf("seed %d (job %d): %+v", seed, j.ID(), st)
+		if st.State != "succeeded" {
+			t.Fatalf("seed %d (job %d): %+v", seed, st.ID, st)
 		}
 	}
 

@@ -74,8 +74,11 @@ func TestBufAllocRoundTrip(t *testing.T) {
 		if st := e.ArenaStats(); st.InUse != elemBytes[b.Name()]*1024 {
 			t.Fatalf("%s: InUse = %d, want %d", b.Name(), st.InUse, elemBytes[b.Name()]*1024)
 		}
-		if (b.Name() == "float64") != (buf.Float64() != nil) {
+		if (b.Name() == "float64") != (buf.Float64() != nil) || (b.Name() == "float32") != (buf.Float32() != nil) {
 			t.Fatalf("%s: wrong populated view", b.Name())
+		}
+		if buf.IsZero() || !(Buf{}).IsZero() {
+			t.Fatalf("%s: IsZero is %v on an allocated Buf, %v on the zero Buf", b.Name(), buf.IsZero(), (Buf{}).IsZero())
 		}
 		b.Free(e, buf)
 		if st := e.ArenaStats(); st.InUse != 0 {
@@ -117,9 +120,12 @@ func TestVecBodiesParity(t *testing.T) {
 	}
 }
 
-// TestKernelsUnknownBodyPanics: asking for an unregistered body is a
-// programming error.
+// TestKernelsUnknownBodyPanics: Has knows the registered bodies, and
+// asking for an unregistered one is a programming error.
 func TestKernelsUnknownBodyPanics(t *testing.T) {
+	if k := Float64().Kernels(); !k.Has("cvt.load") || k.Has("vec.nonsense") {
+		t.Fatalf("Has: cvt.load %v, vec.nonsense %v", k.Has("cvt.load"), k.Has("vec.nonsense"))
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Make of unknown body did not panic")

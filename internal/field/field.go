@@ -526,13 +526,27 @@ func (s *System) ScatterDensity(e *kernel.Engine, d *netlist.Design, x, y []floa
 // overflow ratio OVFL of Eq. 7, as Overflow would from D. Every map and the
 // ratio are the bits of two ScatterDensity calls, an elementwise add and
 // Overflow: the scatter splits the cells, and the reduce the bins, as those
-// launches did.
+// launches did. It is ScatterMaps, launched alone, then ReduceMaps.
 func (s *System) DensityMaps(e *kernel.Engine, d *netlist.Design, x, y []float64, targetDensity float64) float64 {
+	part := s.ScatterMaps(e, d, x, y)
+	return s.ReduceMaps(e, d, e.LaunchChunks(part.Name, part.N, part.Body), targetDensity)
+}
+
+// ScatterMaps stages the scatter of DensityMaps at (x, y) and returns it as
+// a launch part over the cells, for the caller to launch on e, alone or
+// beside another operator (kernel.Engine.LaunchPair); ReduceMaps finishes.
+func (s *System) ScatterMaps(e *kernel.Engine, d *netlist.Design, x, y []float64) kernel.Part {
 	n := d.NumCells()
 	s.grow(e, e.Chunks(n), true)
 	s.scD, s.scX, s.scY = d, x, y
-	s.scUsed = e.LaunchChunks("density.scatter", n, s.splitBody)
-	s.ovTarget = targetDensity
+	return kernel.Part{Name: "density.scatter", N: n, Body: s.splitBody}
+}
+
+// ReduceMaps is the reduce of DensityMaps over the maps of a ScatterMaps
+// launch that ran scattered chunks: it writes D, Dfl and Total and returns
+// the overflow ratio.
+func (s *System) ReduceMaps(e *kernel.Engine, d *netlist.Design, scattered int, targetDensity float64) float64 {
+	s.scUsed, s.ovTarget = scattered, targetDensity
 	over := e.ParallelReduce("density.maps", s.Nx*s.Ny, 0, s.mapsBody, sumCombine)
 	return overflowRatio(d, over)
 }

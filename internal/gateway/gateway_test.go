@@ -245,9 +245,9 @@ func testRequest(seed int64) jobapi.Request {
 func waitDone(t *testing.T, j *Job, within time.Duration) jobapi.Status {
 	t.Helper()
 	select {
-	case <-j.Done():
+	case <-j.done:
 	case <-time.After(within):
-		t.Fatalf("job %d not done within %v: %+v", j.ID(), within, j.Status())
+		t.Fatalf("job %d not done within %v: %+v", j.id, within, j.Status())
 	}
 	return j.Status()
 }

@@ -32,12 +32,6 @@ type Job struct {
 	done chan struct{}
 }
 
-// ID returns the gateway-scoped job id.
-func (j *Job) ID() int64 { return j.id }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Status returns a snapshot of the job's state in its wire form.
 func (j *Job) Status() jobapi.Status {
 	j.mu.Lock()

@@ -136,7 +136,7 @@ func TestGatewayWALRecovery(t *testing.T) {
 	defer closeGateway(t, g2)
 
 	// Terminal history intact, not re-run.
-	r1, ok := g2.Job(j1.ID())
+	r1, ok := g2.Job(j1.id)
 	if !ok {
 		t.Fatal("finished job lost across restart")
 	}
@@ -150,7 +150,7 @@ func TestGatewayWALRecovery(t *testing.T) {
 
 	// The in-flight job was re-adopted under its original ID and runs to
 	// completion.
-	r2, ok := g2.Job(j2.ID())
+	r2, ok := g2.Job(j2.id)
 	if !ok {
 		t.Fatal("in-flight job dropped across restart")
 	}

@@ -16,15 +16,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p + q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s in both dimensions.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Rect is an axis-aligned rectangle described by its lower-left (Lx, Ly)
 // and upper-right (Hx, Hy) corners. A Rect with Hx <= Lx or Hy <= Ly is
 // considered empty.
@@ -51,12 +42,6 @@ func (r Rect) Empty() bool { return r.Hx <= r.Lx || r.Hy <= r.Ly }
 
 // Center returns the center point of r.
 func (r Rect) Center() Point { return Point{(r.Lx + r.Hx) / 2, (r.Ly + r.Hy) / 2} }
-
-// Contains reports whether p lies inside r (inclusive of the low edges,
-// exclusive of the high edges, matching bin-assignment semantics).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Lx && p.X < r.Hx && p.Y >= r.Ly && p.Y < r.Hy
-}
 
 // ContainsRect reports whether q lies fully inside r (inclusive).
 func (r Rect) ContainsRect(q Rect) bool {

@@ -194,9 +194,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close flushes and closes the WAL. The store must not be used after.
 func (s *Store) Close() error {
 	s.mu.Lock()

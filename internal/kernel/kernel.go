@@ -28,8 +28,9 @@
 //     per-op checkout counts.
 //
 // Every launch flavour (Launch, LaunchChunks, ParallelReduce, LaunchLines,
-// LaunchSerial) goes through one dispatch routine, so the split into
-// chunks, the barrier and the accounting live in one place. The engine
+// LaunchSerial and the two-operator LaunchPair) goes through one dispatch
+// routine, so the split into chunks, the barrier, panic containment and
+// the accounting live in one place. The engine
 // alone decides the split: chunk indices handed to a body are in
 // [0, Chunks(n)) (LineChunks for a line pass), and operators size their
 // per-chunk scratch by that count and nothing else. A launch's n counts
@@ -45,9 +46,11 @@ package kernel
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xplace/internal/obs"
@@ -114,9 +117,11 @@ func (s Stats) String() string {
 }
 
 // task is one chunk of a kernel launch: the pool workers and the serial
-// path both execute it with run. Exactly one of body/chunked/reduce/serial
+// path both execute it with exec. Exactly one of body/chunked/reduce/serial
 // is set.
 type task struct {
+	name     string // op the chunk belongs to
+	part     int    // index of that op in its launch: 0, or 1 in a pair's second part
 	body     func(start, end int)
 	chunked  func(chunk, start, end int)
 	reduce   func(start, end int) float64
@@ -124,7 +129,7 @@ type task struct {
 	partials []float64 // pooled reduce: one cache-line slot per chunk
 	chunk    int
 	lo, hi   int
-	wg       *sync.WaitGroup // pooled launches only
+	b        *barrier // the launch's barrier (pooled launches)
 }
 
 // run executes the task's chunk and returns a reduce body's partial (0 for
@@ -148,6 +153,59 @@ func (t *task) run() float64 {
 	return 0
 }
 
+// exec runs the task's chunk and returns run's value, the chunk's run time
+// and, when the chunk panicked, the recovered panic: the panic does not
+// unwind the goroutine, so the launch's barrier still completes.
+func (t *task) exec() (v float64, busy time.Duration, fault *LaunchPanic) {
+	start := time.Now()
+	defer func() {
+		busy = time.Since(start)
+		if r := recover(); r != nil {
+			fault = &LaunchPanic{Op: t.name, Chunk: t.chunk, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return t.run(), 0, nil
+}
+
+// barrier is one launch's join point: the WaitGroup its pooled chunks
+// signal, each part's busy time (the summed run time of its chunks) and
+// the panic of its lowest panicking (part, chunk), if any.
+type barrier struct {
+	wg        sync.WaitGroup
+	busy      [2]atomic.Int64 // nanoseconds
+	mu        sync.Mutex
+	fault     *LaunchPanic
+	faultPart int
+}
+
+func (b *barrier) fail(p *LaunchPanic, part int) {
+	b.mu.Lock()
+	if f := b.fault; f == nil || part < b.faultPart || part == b.faultPart && p.Chunk < f.Chunk {
+		b.fault, b.faultPart = p, part
+	}
+	b.mu.Unlock()
+}
+
+// barrierPool recycles the barriers of pooled launches: one stored in a
+// task sent to the pool would otherwise heap-allocate on every launch.
+var barrierPool = sync.Pool{New: func() any { return new(barrier) }}
+
+// LaunchPanic is what a launch panics with, on the launching goroutine and
+// after its barrier, when one of its chunks panicked: the op and the chunk
+// that raised it (the lowest chunk of the first part that did), the value
+// it panicked with and that chunk's stack. Every other chunk has run, the
+// launch is accounted and the engine stays usable.
+type LaunchPanic struct {
+	Op    string
+	Chunk int
+	Value any
+	Stack []byte
+}
+
+func (p *LaunchPanic) Error() string {
+	return fmt.Sprintf("kernel: %s chunk %d panicked: %v", p.Op, p.Chunk, p.Value)
+}
+
 // pool is the persistent worker set: long-lived goroutines draining a task
 // channel. Created lazily on the first parallel dispatch, torn down by
 // Engine.Close (or the engine finalizer).
@@ -168,8 +226,12 @@ func newPool(workers int) *pool {
 func (p *pool) run() {
 	defer p.done.Done()
 	for t := range p.tasks {
-		t.run()
-		t.wg.Done()
+		_, busy, fault := t.exec()
+		t.b.busy[t.part].Add(int64(busy))
+		if fault != nil {
+			t.b.fail(fault, t.part)
+		}
+		t.b.wg.Done()
 	}
 }
 
@@ -177,10 +239,6 @@ func (p *pool) close() {
 	close(p.tasks)
 	p.done.Wait()
 }
-
-// wgPool recycles the per-launch WaitGroups: &wg stored in a task would
-// otherwise escape and heap-allocate on every pooled launch.
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // Engine executes kernels. It is safe for concurrent use by the recorder
 // and evaluator goroutines, but kernels themselves are expected to be
@@ -347,58 +405,118 @@ func (e *Engine) LineChunks(lines, lineLen int) int {
 	return c
 }
 
-// dispatch is the one launch path every flavour goes through. It marks
-// name as the current op, takes the chunk count from split, decides once
-// between the worker pool and the calling goroutine, waits on one barrier
-// and accounts the launch. Several chunks run on the pool of an open
-// engine; otherwise the launch runs serially (one chunk, index 0, range
-// [0, n)).
-// A reduce task's partials are folded with combine into acc in chunk order;
+// op is one operator of a launch: its name, the n items and the work its
+// split is decided on, and its task. dispatch fills in chunks and size.
+type op struct {
+	name             string
+	n, work, minWork int
+	t                task
+	chunks, size     int
+}
+
+// Part is one operator of a LaunchPair: its name, the n elements it is
+// split over and its chunked body, as LaunchChunks takes them.
+type Part struct {
+	Name string
+	N    int
+	Body func(chunk, lo, hi int)
+}
+
+// dispatch is the one launch path every flavour goes through. It marks the
+// first op's name as the current op, takes each op's chunk count from
+// split, decides once between the worker pool and the calling goroutine,
+// waits on one barrier and accounts the launch. When an op splits into
+// several chunks on an open engine, every chunk of every op goes on the
+// pool; otherwise the ops run serially, one after the other, each as one
+// chunk (index 0, range [0, n)): a pair of ops too small to split is no
+// more worth a hop to the pool than one is.
+// A reduce op's partials are folded with combine into acc in chunk order;
 // only a pooled reduce checks its padded partial slots out of the arena.
-// dispatch returns the number of chunks run and the folded value.
-func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
+// dispatch leaves each op's chunk count in ops and returns the folded
+// value. A chunk's panic is re-raised here, after the barrier and the
+// accounting, as a *LaunchPanic.
+func (e *Engine) dispatch(ops []op, combine func(a, b float64) float64, acc float64) float64 {
 	start := time.Now()
-	e.begin(name)
-	chunks, size := e.split(n, work, minWork)
+	e.begin(ops[0].name)
+	total, splits := 0, false
+	for i := range ops {
+		o := &ops[i]
+		o.chunks, o.size = e.split(o.n, o.work, o.minWork)
+		total += o.chunks
+		splits = splits || o.chunks > 1
+	}
 	var p *pool
-	if chunks > 1 {
-		if p = e.getPool(); p == nil {
-			chunks = 1 // closed: serial
-		}
+	if splits {
+		p = e.getPool() // nil when closed: serial
 	}
-	switch {
-	case p != nil:
-		if t.reduce != nil {
-			// Partial slots are padded to cache-line stride: adjacent
-			// float64 slots written by different workers would share a
-			// cache line and ping-pong it between cores (false sharing;
-			// see BenchmarkReducePartials* in pool_test.go for the delta).
-			t.partials = e.Alloc(chunks * reduceStride)
-		}
-		wg := wgPool.Get().(*sync.WaitGroup)
-		t.wg = wg
-		wg.Add(chunks)
-		for c := 0; c < chunks; c++ {
-			t.chunk, t.lo, t.hi = c, c*size, min((c+1)*size, n)
-			p.tasks <- t
-		}
-		wg.Wait()
-		wgPool.Put(wg)
-		e.putPool()
-		if t.reduce != nil {
-			for c := 0; c < chunks; c++ {
-				acc = combine(acc, t.partials[c*reduceStride])
+	var busy [2]time.Duration
+	var fault *LaunchPanic
+	if p != nil {
+		b := barrierPool.Get().(*barrier)
+		for i := range ops {
+			if o := &ops[i]; o.t.reduce != nil && o.chunks > 0 {
+				// Partial slots are padded to cache-line stride: adjacent
+				// float64 slots written by different workers would share a
+				// cache line and ping-pong it between cores (false sharing;
+				// see BenchmarkReducePartials* in pool_test.go for the delta).
+				o.t.partials = e.Alloc(o.chunks * reduceStride)
 			}
-			e.Free(t.partials)
 		}
-	case n > 0:
-		t.lo, t.hi = 0, n
-		if v := t.run(); t.reduce != nil {
-			acc = combine(acc, v)
+		b.wg.Add(total)
+		for i := range ops {
+			o := &ops[i]
+			t := o.t
+			t.name, t.part, t.b = o.name, i, b
+			for c := 0; c < o.chunks; c++ {
+				t.chunk, t.lo, t.hi = c, c*o.size, min((c+1)*o.size, o.n)
+				p.tasks <- t
+			}
+		}
+		b.wg.Wait()
+		e.putPool()
+		for i := range ops {
+			if o := &ops[i]; o.t.partials != nil {
+				for c := 0; c < o.chunks; c++ {
+					acc = combine(acc, o.t.partials[c*reduceStride])
+				}
+				e.Free(o.t.partials)
+			}
+		}
+		busy = [2]time.Duration{time.Duration(b.busy[0].Swap(0)), time.Duration(b.busy[1].Swap(0))}
+		fault, b.fault = b.fault, nil
+		barrierPool.Put(b)
+	} else {
+		for i := range ops {
+			o := &ops[i]
+			o.chunks = min(o.chunks, 1)
+			if o.n <= 0 {
+				continue
+			}
+			t := o.t
+			t.name, t.lo, t.hi = o.name, 0, o.n
+			v, d, f := t.exec()
+			busy[i] = d
+			if fault == nil {
+				fault = f
+			}
+			if t.reduce != nil {
+				acc = combine(acc, v)
+			}
 		}
 	}
-	e.account(name, start, time.Since(start))
-	return chunks, acc
+	e.account(ops, start, time.Since(start), busy)
+	if fault != nil {
+		panic(fault)
+	}
+	return acc
+}
+
+// launch dispatches a single-op launch and returns its chunk count and
+// folded value.
+func (e *Engine) launch(name string, n, work, minWork int, t task, combine func(a, b float64) float64, acc float64) (int, float64) {
+	ops := [1]op{{name: name, n: n, work: work, minWork: minWork, t: t}}
+	acc = e.dispatch(ops[:], combine, acc)
+	return ops[0].chunks, acc
 }
 
 // Launch runs body over the index range [0, n) as one kernel named name.
@@ -406,7 +524,7 @@ func (e *Engine) dispatch(name string, n, work, minWork int, t task, combine fun
 // persistent pool. Launch blocks until the kernel completes
 // (stream-ordered execution).
 func (e *Engine) Launch(name string, n int, body func(start, end int)) {
-	e.dispatch(name, n, n, minParallel, task{body: body}, nil, 0)
+	e.launch(name, n, n, minParallel, task{body: body}, nil, 0)
 }
 
 // LaunchChunks runs body over [0, n) as one kernel, passing each chunk its
@@ -414,8 +532,28 @@ func (e *Engine) Launch(name string, n int, body func(start, end int)) {
 // atomics-free reduction pattern). Chunk indices are in [0, Chunks(n));
 // with small n only chunk 0 runs. Returns the number of chunks used.
 func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end int)) int {
-	used, _ := e.dispatch(name, n, n, minParallel, task{chunked: body}, nil, 0)
+	used, _ := e.launch(name, n, n, minParallel, task{chunked: body}, nil, 0)
 	return used
+}
+
+// LaunchPair runs two independent operators as one kernel: a horizontally
+// fused launch whose blocks do one job or the other. Each part is split as
+// LaunchChunks would split it alone, so its bodies see the chunk indices,
+// ranges and scratch they would see there, and all chunks of both parts
+// wait on one barrier: on the pool when a part splits into several chunks,
+// and otherwise — both parts below the parallel threshold, or a one-worker
+// or closed engine — back to back on the calling goroutine, a then b. The pair is one launch: its
+// barrier-to-barrier time is its compute, split between the two ops by
+// their parts' busy time, and each op's Launches counts it; arena checkouts
+// during it are a's. The bodies must not write what the other part reads.
+// Returns the chunks each part used.
+func (e *Engine) LaunchPair(a, b Part) (usedA, usedB int) {
+	ops := [2]op{
+		{name: a.Name, n: a.N, work: a.N, minWork: minParallel, t: task{chunked: a.Body}},
+		{name: b.Name, n: b.N, work: b.N, minWork: minParallel, t: task{chunked: b.Body}},
+	}
+	e.dispatch(ops[:], nil, 0)
+	return ops[0].chunks, ops[1].chunks
 }
 
 // LaunchLines runs body over lines [0, lines) of lineLen elements each as
@@ -425,7 +563,7 @@ func (e *Engine) LaunchChunks(name string, n int, body func(chunk, start, end in
 // least two lines and lines*lineLen reaches minLineWork, however few lines
 // that is (one line is one chunk). Returns the number of chunks used.
 func (e *Engine) LaunchLines(name string, lines, lineLen int, body func(chunk, start, end int)) int {
-	used, _ := e.dispatch(name, lines, lines*lineLen, minLineWork, task{chunked: body}, nil, 0)
+	used, _ := e.launch(name, lines, lines*lineLen, minLineWork, task{chunked: body}, nil, 0)
 	return used
 }
 
@@ -433,7 +571,7 @@ func (e *Engine) LaunchLines(name string, lines, lineLen int, body func(chunk, s
 // operators whose body is inherently sequential (e.g. a scalar update); it
 // still costs one launch.
 func (e *Engine) LaunchSerial(name string, body func()) {
-	e.dispatch(name, 1, 1, minParallel, task{serial: body}, nil, 0)
+	e.launch(name, 1, 1, minParallel, task{serial: body}, nil, 0)
 }
 
 // ParallelReduce runs body over [0, n) with one private accumulator per
@@ -442,7 +580,7 @@ func (e *Engine) LaunchSerial(name string, body func()) {
 // reductions are allocation-free.
 func (e *Engine) ParallelReduce(name string, n int, init float64,
 	body func(start, end int) float64, combine func(a, b float64) float64) float64 {
-	_, result := e.dispatch(name, n, n, minParallel, task{reduce: body}, combine, init)
+	_, result := e.launch(name, n, n, minParallel, task{reduce: body}, combine, init)
 	return result
 }
 
@@ -523,7 +661,21 @@ func (e *Engine) SetTracer(t *obs.Tracer) {
 	e.mu.Unlock()
 }
 
-func (e *Engine) account(name string, start time.Time, d time.Duration) {
+// account books one launch of ops that took d from start: one launch and
+// d of compute on the engine clock, and for each op one launch and its
+// share of d, which is all of it for a single op and, for a pair, d split
+// in proportion to the parts' busy time (evenly when neither was busy), so
+// per-op compute still sums to the engine's. The tracer gets one kernel
+// span; a pair's is named "a+b".
+func (e *Engine) account(ops []op, start time.Time, d time.Duration, busy [2]time.Duration) {
+	share := [2]time.Duration{d}
+	if len(ops) == 2 {
+		share[0] = d / 2
+		if sum := busy[0] + busy[1]; sum > 0 {
+			share[0] = time.Duration(float64(d) * float64(busy[0]) / float64(sum))
+		}
+		share[1] = d - share[0]
+	}
 	e.mu.Lock()
 	// The launch's position on the simulated clock is the clock value
 	// before this launch's own cost is added.
@@ -531,16 +683,24 @@ func (e *Engine) account(name string, start time.Time, d time.Duration) {
 	e.launches++
 	e.compute += d
 	e.curOp = ""
-	st := e.perOp[name]
-	if st == nil {
-		st = &OpStats{}
-		e.perOp[name] = st
+	for i := range ops {
+		st := e.perOp[ops[i].name]
+		if st == nil {
+			st = &OpStats{}
+			e.perOp[ops[i].name] = st
+		}
+		st.Launches++
+		st.Compute += share[i]
 	}
-	st.Launches++
-	st.Compute += d
 	tr := e.tracer
 	e.mu.Unlock()
-	tr.Kernel(name, start, d, simTS, d+e.overhead)
+	if tr != nil {
+		name := ops[0].name
+		if len(ops) == 2 {
+			name += "+" + ops[1].name
+		}
+		tr.Kernel(name, start, d, simTS, d+e.overhead)
+	}
 }
 
 // SimulatedTime returns the simulated clock (compute plus launch cost)

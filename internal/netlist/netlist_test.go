@@ -409,7 +409,7 @@ func TestWithFillersAreaAndSide(t *testing.T) {
 			t.Fatalf("cell %d = %q %v %gx%g, want an unnamed 4x4 filler", c, a.CellName[c], a.CellKind[c], a.CellW[c], a.CellH[c])
 		}
 		fa += a.CellW[c] * a.CellH[c]
-		if !a.Region.Contains(geom.Point{X: a.CellX[c], Y: a.CellY[c]}) {
+		if r, x, y := a.Region, a.CellX[c], a.CellY[c]; x < r.Lx || x >= r.Hx || y < r.Ly || y >= r.Hy {
 			t.Fatalf("filler %d at %g,%g outside region", c, a.CellX[c], a.CellY[c])
 		}
 	}

@@ -13,9 +13,6 @@ import (
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	// Every recording method must be a no-op, not a panic.
 	tr.Kernel("k", time.Now(), time.Millisecond, 0, 0)
 	tr.Span("s", CatGroup, time.Now(), time.Millisecond, 0, 0, 3)

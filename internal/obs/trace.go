@@ -75,9 +75,6 @@ func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), events: make([]Event, 0, 4096)}
 }
 
-// Enabled reports whether the tracer records (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Kernel records one kernel launch: wall start/duration plus the launch's
 // position and extent on the simulated clock.
 func (t *Tracer) Kernel(name string, start time.Time, dur, sim, simDur time.Duration) {

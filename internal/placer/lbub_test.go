@@ -53,7 +53,7 @@ func TestLBUBConverges(t *testing.T) {
 		t.Error("LB solves launched no kernels")
 	}
 	for c := range res.X {
-		if !d.Region.Contains(geom.Point{X: res.X[c], Y: res.Y[c]}) {
+		if r, x, y := d.Region, res.X[c], res.Y[c]; x < r.Lx || x >= r.Hx || y < r.Ly || y >= r.Hy {
 			t.Fatalf("cell %d at (%v, %v) outside the region", c, res.X[c], res.Y[c])
 		}
 	}
@@ -195,7 +195,7 @@ func TestLBUBSurvivesPathologicalInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := range res.X {
-		if !d.Region.Contains(geom.Point{X: res.X[c], Y: res.Y[c]}) {
+		if r, x, y := d.Region, res.X[c], res.Y[c]; x < r.Lx || x >= r.Hx || y < r.Ly || y >= r.Hy {
 			t.Fatalf("cell %d at (%v, %v) outside the region", c, res.X[c], res.Y[c])
 		}
 	}

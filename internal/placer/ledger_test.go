@@ -10,18 +10,20 @@ import (
 )
 
 // TestIterationLaunchLedger pins which operators a 60-iteration Xplace run
-// launches and how often: the pin-to-cell sum and the gradient norms run
-// once, for the initial lambda, and are then part of the fused assembly, as
-// is the steplength; every density evaluation is one scatter, one map
-// reduce, one Poisson launch and one gather; and the launches those
-// replaced are gone. With OC off the pin-to-cell sum still runs every
-// iteration and the steplength is one launch per step after the first, so
-// the ablation keeps its meaning. The backend is pinned: the float32 solve
-// keeps its passes.
+// launches and how often: the fused wirelength kernel runs once per
+// iteration; the pin-to-cell sum and the gradient norms run once, for the
+// initial lambda, and are then part of the fused assembly, as is the
+// steplength; every density evaluation is one scatter, one map reduce, one
+// Poisson launch and one gather, and its scatter shares one launch with
+// that iteration's wirelength kernel, so the engine counts one launch fewer
+// per evaluation than the ops do; and the launches those replaced are gone.
+// With OC off the pin-to-cell sum still runs every iteration and the
+// steplength is one launch per step after the first, so the ablation keeps
+// its meaning. The backend is pinned: the float32 solve keeps its passes.
 func TestIterationLaunchLedger(t *testing.T) {
 	const iters = 60
 	d := clusteredDesign(t, 400, 1)
-	run := func(oc bool) map[string]kernel.OpStats {
+	run := func(oc bool) kernel.Stats {
 		e := kernel.New(kernel.Options{Workers: 2})
 		defer e.Close()
 		opts := Defaults()
@@ -38,15 +40,17 @@ func TestIterationLaunchLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats.PerOp
+		return res.Stats
 	}
 
-	per := run(true)
+	stats := run(true)
+	per := stats.PerOp
 	for op, want := range map[string]int64{
-		"wl.pin_to_cell":    1,
-		"placer.grad_norms": 1,
-		"placer.fused_grad": iters,
-		"optim.dist":        0,
+		"wl.fused_wa_grad_hpwl": iters,
+		"wl.pin_to_cell":        1,
+		"placer.grad_norms":     1,
+		"placer.fused_grad":     iters,
+		"optim.dist":            0,
 	} {
 		if got := per[op].Launches; got != want {
 			t.Errorf("%s: %d launches, want %d", op, got, want)
@@ -61,6 +65,14 @@ func TestIterationLaunchLedger(t *testing.T) {
 			t.Errorf("%s: %d launches, want one per density evaluation (%d)", op, got, evals)
 		}
 	}
+	var opLaunches int64
+	for _, st := range per {
+		opLaunches += st.Launches
+	}
+	if stats.Launches != opLaunches-evals {
+		t.Errorf("engine counted %d launches, ops %d: want one paired launch per density evaluation (%d fewer)",
+			stats.Launches, opLaunches, evals)
+	}
 	for op := range per {
 		if strings.HasSuffix(op, ".merge") || strings.HasPrefix(op, "spectral2.") ||
 			op == "density.add_maps" || op == "density.ovfl" ||
@@ -69,7 +81,7 @@ func TestIterationLaunchLedger(t *testing.T) {
 		}
 	}
 
-	off := run(false)
+	off := run(false).PerOp
 	if got := off["wl.pin_to_cell"].Launches; got != iters {
 		t.Errorf("OC off: wl.pin_to_cell %d launches, want one per iteration (%d)", got, iters)
 	}

@@ -22,6 +22,11 @@ import (
 //     total map and the overflow ratio.
 //   - OperatorSkipping reuses the cached density gradient early on.
 //
+// With OC and OE both on, an iteration that evaluates density launches the
+// fused wirelength kernel and the density scatter as one kernel
+// (kernel.Engine.LaunchPair): both read only the positions, and nothing
+// reads what either writes before the assembly.
+//
 // The iteration is allocation-free in steady state: every kernel body is
 // persistent (built once in buildBodies/NewOps/NewSystem), scratch lives in
 // preallocated buffers or the engine arena, and the deferred metric record
@@ -46,12 +51,22 @@ func (p *Placer) iterateXplace() error {
 		// OC assembles the gradient in one cell-major launch, which sums
 		// the pin gradients onto cells itself.
 		assemble := p.opts.OperatorCombination && p.opts.ExtraGradient == nil
+		// Density operators may be skipped (§3.1.4).
+		skip := p.schd.ShouldSkipDensity(p.lastR) && p.iter > 0
+		scattered := -1 // chunks of a density scatter paired with the wirelength kernel
 
 		// Wirelength operators (model selected by Options.Wirelength).
 		gs := p.beginGroup()
 		if p.opts.OperatorCombination {
 			// OC: smoothed wirelength + gradient + HPWL in one kernel.
-			res := p.wl.Fused(vx, vy, gamma, p.pinGX, p.pinGY)
+			wl := p.wl.FusedPart(vx, vy, gamma, p.pinGX, p.pinGY)
+			var used int
+			if !skip && p.opts.OperatorExtraction {
+				used, scattered = e.LaunchPair(wl, p.sys.ScatterMaps(e, d, vx, vy))
+			} else {
+				used = e.LaunchChunks(wl.Name, wl.N, wl.Body)
+			}
+			res := p.wl.FusedResult(used)
 			wa, hpwl = res.WA, res.HPWL
 			p.mOCSaved.Add(2) // three kernels' work in one launch
 		} else {
@@ -64,17 +79,17 @@ func (p *Placer) iterateXplace() error {
 		p.endGroup(gs, "op.wirelength")
 
 		// Cancellation point between the wirelength and density operator
-		// groups: every kernel so far has completed and no arena scratch is
-		// mid-checkout, so a killed job stops cleanly here.
+		// groups (after a paired scatter): every kernel so far has completed
+		// and no arena scratch is mid-checkout, so a killed job stops
+		// cleanly here.
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
 
-		// Density operators (possibly skipped, §3.1.4).
-		skip := p.schd.ShouldSkipDensity(p.lastR) && p.iter > 0
+		// Density operators.
 		if !skip {
 			gs = p.beginGroup()
-			p.computeDensity(vx, vy)
+			p.computeDensity(vx, vy, scattered)
 			p.endGroup(gs, "op.density")
 		} else {
 			p.mOSSkips.Inc()
@@ -192,13 +207,19 @@ func (p *Placer) iterateXplace() error {
 // computeDensity evaluates the full electrostatic system at (vx, vy):
 // density maps (extracted or naive per the OE toggle), overflow, Poisson
 // solve, optional neural blending, and the field gather into p.dGX/p.dGY.
-func (p *Placer) computeDensity(vx, vy []float64) {
+// scattered is the chunk count of the OE scatter when it was already
+// launched beside the wirelength kernel, and negative otherwise.
+func (p *Placer) computeDensity(vx, vy []float64, scattered int) {
 	e := p.eng
 	d := p.d
 	if p.opts.OperatorExtraction {
 		// OE (§3.1.2, Figure 2a): D once, D_fl once, and one reduce over
 		// bins that writes D~ = D + D_fl and OVFL reusing D.
-		p.lastOverflow = p.sys.DensityMaps(e, d, vx, vy, p.opts.TargetDensity)
+		if scattered < 0 {
+			p.lastOverflow = p.sys.DensityMaps(e, d, vx, vy, p.opts.TargetDensity)
+		} else {
+			p.lastOverflow = p.sys.ReduceMaps(e, d, scattered, p.opts.TargetDensity)
+		}
 		p.mOEReuse.Inc() // OVFL reuses D instead of re-scattering
 	} else {
 		// Naive: total map in one pass, then a second full scatter of

@@ -107,9 +107,6 @@ func New(opts Options, binSize float64, omegaOf OmegaFunc) *Scheduler {
 	return s
 }
 
-// Iter returns the number of Advance calls so far.
-func (s *Scheduler) Iter() int { return s.iter }
-
 // Omega returns the current placement-stage metric (§3.2).
 func (s *Scheduler) Omega() float64 { return s.omegaOf(s.Lambda) }
 

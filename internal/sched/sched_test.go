@@ -154,7 +154,7 @@ func TestShouldSkipDensity(t *testing.T) {
 		t.Error("must not skip when r >= threshold")
 	}
 	// Past skipMaxIter: never skip.
-	for s.Iter() < 100 {
+	for s.iter < 100 {
 		s.Advance(100, 0.9)
 	}
 	if s.ShouldSkipDensity(0.001) {

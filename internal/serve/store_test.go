@@ -215,7 +215,8 @@ func TestSchedulerRecovery(t *testing.T) {
 // same content key finishes instantly from the durable cache — same
 // numbers, zero new engine work.
 func TestResultCacheServesIdenticalSubmission(t *testing.T) {
-	st, err := jobstore.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestResultCacheServesIdenticalSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	st2, err := jobstore.Open(st.Dir())
+	st2, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,11 +183,26 @@ func (o *Ops) evalNets(sc *netScratch, lo, hi int) (wl, hp float64) {
 }
 
 // Fused evaluates smoothed wirelength, pin gradient and HPWL in a single
-// kernel launch (the paper's operator combination, §3.1.1).
+// kernel launch (the paper's operator combination, §3.1.1): FusedPart,
+// launched alone, then FusedResult.
 func (o *Ops) Fused(x, y []float64, gamma float64, pinGX, pinGY []float64) Result {
+	part := o.FusedPart(x, y, gamma, pinGX, pinGY)
+	return o.FusedResult(o.e.LaunchChunks(part.Name, part.N, part.Body))
+}
+
+// FusedPart stages a Fused evaluation at (x, y) and returns it as a launch
+// part over the nets, for the caller to launch alone or beside another
+// operator (kernel.Engine.LaunchPair) on this Ops' engine; FusedResult then
+// folds what it wrote.
+func (o *Ops) FusedPart(x, y []float64, gamma float64, pinGX, pinGY []float64) kernel.Part {
 	o.ensure()
 	o.x, o.y, o.gamma, o.pinGX, o.pinGY = x, y, gamma, pinGX, pinGY
-	used := o.e.LaunchChunks(o.fusedName, o.d.NumNets(), o.fusedBody)
+	return kernel.Part{Name: o.fusedName, N: o.d.NumNets(), Body: o.fusedBody}
+}
+
+// FusedResult folds, in chunk order, the per-chunk partials of a FusedPart
+// launch that ran used chunks.
+func (o *Ops) FusedResult(used int) Result {
 	var res Result
 	for w := 0; w < used; w++ {
 		res.WA += o.partWA[w]

@@ -483,8 +483,9 @@ func (b *blockEdges) walk(d *netlist.Design, lo, hi int) {
 // smoothed value, HPWL and every pin gradient, bit for bit. The design's
 // blocks reach every edge of the walk on 1, 2 and 3 workers: a net larger
 // than a block, 0- and 1-pin nets on both sides of a block boundary, and
-// (on 2 and 3) blocks cut short by a chunk's end. The three operators
-// allocate nothing.
+// (on 2 and 3) blocks cut short by a chunk's end. The standalone HPWL
+// operator has the fused HPWL's bits too. The four operators allocate
+// nothing.
 func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 	if math.Exp(0) != 1 || math.Exp(math.Copysign(0, -1)) != 1 {
 		t.Fatal("math.Exp(±0) != 1: expOrOne is not an identity on this platform")
@@ -563,7 +564,7 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 					if got := ops.Forward(d.CellX, d.CellY, gamma); !bitsEq(got, want.WA) {
 						t.Errorf("Forward = %v, oracle %v", got, want.WA)
 					}
-					if got := ops.HPWL(d.CellX, d.CellY); math.Abs(got-want.HPWL) > 1e-9*want.HPWL {
+					if got := ops.HPWL(d.CellX, d.CellY); !bitsEq(got, want.HPWL) {
 						t.Errorf("HPWL = %v, fused oracle %v", got, want.HPWL)
 					}
 
@@ -574,6 +575,7 @@ func TestNetKernelsBitIdenticalToThreePassOracle(t *testing.T) {
 						{"Fused", func() { ops.Fused(d.CellX, d.CellY, gamma, gx, gy) }},
 						{"Grad", func() { ops.Grad(d.CellX, d.CellY, gamma, gx, gy) }},
 						{"Forward", func() { ops.Forward(d.CellX, d.CellY, gamma) }},
+						{"HPWL", func() { ops.HPWL(d.CellX, d.CellY) }},
 					} {
 						if a := testing.AllocsPerRun(20, op.run); a != 0 {
 							t.Errorf("%s allocates %v times per call, want 0", op.name, a)

@@ -2,8 +2,11 @@ package xplace
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -127,10 +130,12 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 // Every other non-main package needs a non-test reference to each of its
 // exported functions and variables (by import path from another package,
 // or by name inside its own) and to each exported method of its types,
-// outside the name's own declaration. Methods are matched by name against
-// every non-test selector, so a method reached only through an interface
-// (PredictField, Error) passes, as does one the standard library calls
-// (Unwrap).
+// outside the name's own declaration. Methods are resolved by receiver
+// type with go/types (typedMethods), so a same-named method of another
+// type is no use of this one; a method that implements an interface the
+// module can reach — its own, the standard library's, error — passes, as
+// it may be called through the interface (PredictField) or by the standard
+// library (Error, String).
 //
 // Either rule is met instead by an allow-list entry naming the _test.go
 // function that references the name. Types and constants are exempt, as
@@ -166,10 +171,15 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 		"serve.Scheduler.Counters":      "TestSubmitBackpressure",
 		"dct.Plan.EvalCosCos":           "TestEvalTransformsMatchDirect",
 		"dct.Plan32.EvalCosCos":         "TestPlan32RoundTrip",
+		// The float32 backend's own surface, which goes with it (ROADMAP
+		// item 2).
+		"field.System.Backend": "TestFloat32SystemMatchesReference",
+		"backend.Buf.Len":      "TestBufAllocRoundTrip",
+		"backend.Buf.Float64":  "TestBufAllocRoundTrip",
+		"backend.Buf.Float32":  "TestBufAllocRoundTrip",
+		"backend.Buf.IsZero":   "TestBufAllocRoundTrip",
+		"backend.Kernels.Has":  "TestKernelsUnknownBodyPanics",
 	}
-	// Methods the standard library calls through its own interfaces
-	// (fmt, errors.Is/As), which no selector names.
-	stdlib := map[string]bool{"Error": true, "String": true, "Unwrap": true}
 	guardedMethods := map[string]bool{
 		"xplace.Session":                true,
 		"xplace/internal/kernel.Engine": true,
@@ -187,6 +197,7 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 	ix := indexModule(files)
 	used := ix.uses(files)
 	refs := moduleRefs(ix, files)
+	methodCalled := typedMethods(t, files)
 
 	// The guarded names, keyed "owner.Name" with owner an import path
 	// (package-level names) or an import path plus type name (members),
@@ -225,7 +236,7 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 				if guardedMethods[owner] {
 					public(key)
 				} else {
-					guard(key, stdlib[d.Name.Name] || refs.outside(refs.sel[d.Name.Name], key))
+					guard(key, methodCalled[key])
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.VAR {
@@ -513,16 +524,16 @@ func (ix *moduleIndex) uses(files []*srcFile) map[string]bool {
 	return used
 }
 
-// refSites records where each name is referenced in non-test code: sel by
-// selector name (any receiver), ident by "importpath.Name" for bare
-// identifiers of the file's own package. Each site is the key of the
-// top-level function it sits in ("" outside functions).
+// refSites records where each name is referenced in non-test code: ident
+// by "importpath.Name" for bare identifiers of the file's own package. Each
+// site is the key of the top-level function it sits in ("" outside
+// functions).
 type refSites struct {
-	sel, ident map[string]map[string]bool
+	ident map[string]map[string]bool
 }
 
 func moduleRefs(ix *moduleIndex, files []*srcFile) *refSites {
-	r := &refSites{sel: map[string]map[string]bool{}, ident: map[string]map[string]bool{}}
+	r := &refSites{ident: map[string]map[string]bool{}}
 	add := func(m map[string]map[string]bool, name, site string) {
 		if m[name] == nil {
 			m[name] = map[string]bool{}
@@ -554,7 +565,6 @@ func moduleRefs(ix *moduleIndex, files []*srcFile) *refSites {
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
-					add(r.sel, n.Sel.Name, site)
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.Field: // parameter and field names declare, not reference
@@ -590,4 +600,177 @@ func (r *refSites) outside(sites map[string]bool, self string) bool {
 		}
 	}
 	return false
+}
+
+// typedMethods type-checks the module's non-test code (the files the
+// default build context selects) with go/types, the standard library from
+// source, and returns the keys ("importpath.Type.Method") of the methods of
+// module types that a caller reaches: ones some non-test code references,
+// by receiver type, outside the method's own declaration, and ones by which
+// a module type — the method's own or one it is promoted to — implements an
+// interface the module can reach: error, the Unwrap interface errors.Is and
+// errors.As assert, every named interface of the module, every exported one
+// of the packages it imports, and every interface whose method non-test
+// code calls.
+func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
+	t.Helper()
+	byPkg := map[string][]*ast.File{}
+	fset := files[0].fset // parseModule parses every file into one set
+	for _, sf := range files {
+		name := sf.fset.Position(sf.f.Package).Filename
+		if ok, err := build.Default.MatchFile(filepath.Dir(name), filepath.Base(name)); sf.test || err != nil || !ok {
+			continue
+		}
+		byPkg[sf.pkg] = append(byPkg[sf.pkg], sf.f)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	imp := &moduleImporter{fset: fset, files: byPkg, info: info,
+		std: importer.ForCompiler(fset, "source", nil), done: map[string]*types.Package{}}
+	for p := range byPkg {
+		if _, err := imp.Import(p); err != nil {
+			t.Fatalf("type-checking %s: %v", p, err)
+		}
+	}
+
+	// Every interface in reach, indexed by method name.
+	ifaces := map[string][]*types.Interface{}
+	addIface := func(it *types.Interface) {
+		if it.IsMethodSet() {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+			}
+		}
+	}
+
+	called := map[string]bool{}
+	for _, fs := range byPkg {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				site := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+						site = methodKey(fn)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := info.Uses[id].(*types.Func); ok {
+							if key := methodKey(fn); key != "" && key != site {
+								called[key] = true
+							}
+							if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+								if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+									addIface(it)
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	addNamed := func(tn *types.TypeName) {
+		if named, ok := tn.Type().(*types.Named); ok && named.TypeParams() == nil {
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				addIface(it)
+			}
+		}
+	}
+	errType := types.Universe.Lookup("error")
+	addNamed(errType.(*types.TypeName))
+	unwrap := types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType.Type())), false)
+	addIface(types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Unwrap", unwrap)}, nil).Complete())
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		_, inModule := byPkg[p.Path()]
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && (inModule || tn.Exported()) {
+				addNamed(tn)
+			}
+		}
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	for p := range byPkg {
+		walk(imp.done[p])
+	}
+	for p := range byPkg {
+		scope := imp.done[p].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams() != nil || types.IsInterface(named) {
+				continue
+			}
+			// The pointer's method set holds the value's, and the methods
+			// promoted from embedded fields.
+			ptr := types.NewPointer(named)
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				m := ms.At(i).Obj().(*types.Func)
+				for _, it := range ifaces[m.Name()] {
+					if types.Implements(ptr, it) {
+						called[methodKey(m)] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return called
+}
+
+// methodKey names a method "importpath.Type.Method" ("" for a function or
+// a method of an unnamed or universe type).
+func methodKey(fn *types.Func) string {
+	fn = fn.Origin()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	named, ok := rt.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+}
+
+// moduleImporter type-checks the module's packages from the parsed files,
+// once each and into one Info, and imports everything else with std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	done  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.done[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	m.done[path] = p
+	return p, err
 }

@@ -75,10 +75,10 @@ func TestGoldenTrajectory(t *testing.T) {
 	}{
 		{"baseline", base, 1629, 12660.5, "9fc87ddf155caf7b", "54a950ff1219caea"},
 		{"xplace-unfused", unfused, 686, 12740.4, "d2d610af241b654e", "21773c724e988489"},
-		{"xplace", ref(), 407, 12740.4, "d2d610af241b654e", "21773c724e988489"},
-		{"xplace-f32", f32, 694, 12742.8, "419f679f0638f29e", "003b61772fd13d8d"},
+		{"xplace", ref(), 366, 12740.4, "d2d610af241b654e", "21773c724e988489"},
+		{"xplace-f32", f32, 653, 12742.8, "419f679f0638f29e", "003b61772fd13d8d"},
 		{"xplace-lbub", lbub, 13924, 48977.4, "b6aeef2ff0c0fc97", "bd1e3b323cf4c210"},
-		{"xplace-nn", nn, 353, 12509.1, "4b2263730857a4a3", "25c22f999ad673bc"},
+		{"xplace-nn", nn, 331, 12509.1, "4b2263730857a4a3", "25c22f999ad673bc"},
 	} {
 		e := kernel.New(kernel.Options{Workers: 4, LaunchOverhead: 150 * time.Microsecond})
 		opts := c.opts
@@ -93,7 +93,8 @@ func TestGoldenTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		t.Logf("%s: %d launches, HPWL %.1f", c.name, res.Stats.Launches, res.HPWL)
+		t.Logf("%s: %d launches, %d density evaluations, HPWL %.1f",
+			c.name, res.Stats.Launches, res.Stats.PerOp["density.gather_field"].Launches, res.HPWL)
 		if res.Iterations != iters {
 			t.Errorf("%s: ran %d iterations, want %d", c.name, res.Iterations, iters)
 		}
