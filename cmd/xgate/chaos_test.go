@@ -15,6 +15,7 @@ import (
 
 	"xplace/internal/gateway"
 	"xplace/internal/jobapi"
+	"xplace/internal/serve"
 )
 
 func freePort(t *testing.T) int {
@@ -197,7 +198,7 @@ killSearch:
 	for time.Now().Before(deadline) {
 		for _, j := range jobs {
 			st := j.Status()
-			if st.Progress != nil && st.Progress.Iter >= 8 && !terminal(st.State) && st.Node != "" {
+			if st.Progress != nil && st.Progress.Iter >= 8 && !st.State.Terminal() && st.Node != "" {
 				victim = st.Node
 				break killSearch
 			}
@@ -221,7 +222,7 @@ killSearch:
 			time.Sleep(5 * time.Millisecond)
 			st = j.Status()
 		}
-		if st.State != "succeeded" {
+		if st.State != serve.Succeeded {
 			t.Fatalf("seed %d (job %d): %+v", seed, st.ID, st)
 		}
 	}
@@ -267,14 +268,6 @@ killSearch:
 	if reg["xgate_shed_total"] != 0 {
 		t.Errorf("shed_total %v, want 0 — no job may be dropped", reg["xgate_shed_total"])
 	}
-}
-
-func terminal(s string) bool {
-	switch s {
-	case "succeeded", "failed", "canceled", "timed-out":
-		return true
-	}
-	return false
 }
 
 // metricValues scrapes the gateway registry's un-labelled series.

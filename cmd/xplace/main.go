@@ -31,7 +31,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator / placer seed")
 		in        = flag.String("in", "", "design input file (bookshelf .aux or DEF; format autodetected)")
 		lef       = flag.String("lef", "", "LEF cell library (required for DEF inputs)")
-		aux       = flag.String("aux", "", "bookshelf .aux input file (deprecated alias of -in)")
 		mode      = flag.String("mode", "xplace", "GP engine: xplace | baseline | xplace-nn")
 		backendN  = flag.String("backend", "", "compute backend: float64 (exact reference) | float32 (fast path); default follows XPLACE_BACKEND")
 		strategy  = flag.String("strategy", "", "GP strategy: nesterov (default gradient flow) | lbub (LB/UB alternation draft tier)")
@@ -64,9 +63,6 @@ func main() {
 		return
 	}
 
-	if *in == "" {
-		*in = *aux
-	}
 	var d *xplace.Design
 	var err error
 	switch {
@@ -207,7 +203,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xplace:", err)
 			os.Exit(1)
 		}
-		if err := xplace.WriteSVG(fh, d, fr.FinalX, fr.FinalY, xplace.SVGOptions{}); err != nil {
+		if err := xplace.WriteSVG(fh, d, fr.FinalX, fr.FinalY); err != nil {
 			fh.Close()
 			fmt.Fprintln(os.Stderr, "xplace:", err)
 			os.Exit(1)

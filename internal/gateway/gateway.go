@@ -289,7 +289,7 @@ func (g *Gateway) recover() error {
 				// Unreplayable non-terminal record: surface it as a failed
 				// job rather than silently dropping it.
 				j := g.newJobLocked(req, nil, r.Key, true, r.ID, r.Submitted)
-				j.finishLocked(serve.Failed, &jobapi.Status{Err: fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr)})
+				j.finishLocked(&jobapi.Status{State: serve.Failed, Err: fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr)})
 				g.jobs[r.ID] = j
 				continue
 			}
@@ -297,11 +297,8 @@ func (g *Gateway) recover() error {
 		j := g.newJobLocked(req, append([]byte(nil), r.Payload...), r.Key, true, r.ID, r.Submitted)
 		g.jobs[r.ID] = j
 		if r.Terminal() {
-			state, _ := serve.ParseState(r.State) // unknown name: Failed
-			j.finishLocked(state, &jobapi.Status{
-				Err: r.Err, Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow, Cached: r.Cached,
-			})
-			j.st.Started, j.st.Finished = jobapi.OptTime(r.Started), jobapi.OptTime(r.Finished)
+			j.st = serve.RecoveredStatus(r)
+			j.Progress.Close()
 			close(j.done)
 			continue
 		}
@@ -335,8 +332,7 @@ func (g *Gateway) newJobLocked(req jobapi.Request, body []byte, key string, reco
 		body:     body,
 		key:      key,
 		st: jobapi.Status{
-			ID: id, Label: req.Label, State: serve.Queued.String(),
-			Submitted: submitted, Recovered: recovered,
+			ID: id, Label: req.Label, Submitted: submitted, Recovered: recovered,
 		},
 		done: make(chan struct{}),
 	}
@@ -643,24 +639,24 @@ func (g *Gateway) walAppend(fn func() error) {
 // fail ends a job the gateway itself gave up on (no willing node after
 // a failover or a recovery).
 func (g *Gateway) fail(j *Job, err error) {
-	g.finish(j, &jobapi.Status{State: serve.Failed.String(), Err: err.Error()})
+	g.finish(j, &jobapi.Status{State: serve.Failed, Err: err.Error()})
 }
 
 // finish records a job's terminal status, as reported by its worker (or
 // by fail): WAL first, then waiters are released. It returns false when
-// ws is not terminal — a malformed report.
+// ws is not terminal — a malformed report (a status naming an unknown
+// state already failed to decode).
 func (g *Gateway) finish(j *Job, ws *jobapi.Status) bool {
-	state, ok := serve.ParseState(ws.State)
-	if !ok || !state.Terminal() {
+	if !ws.State.Terminal() {
 		return false
 	}
 	j.mu.Lock()
-	won := j.finishLocked(state, ws)
+	won := j.finishLocked(ws)
 	j.mu.Unlock()
 	if won {
 		st := j.Status()
 		g.walAppend(func() error {
-			return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
+			return g.store.AppendFinish(j.id, st.State.String(), st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
 		})
 		g.inflight.Add(-1)
 		close(j.done)
@@ -705,7 +701,7 @@ func (g *Gateway) relayDraft(j *Job, sj *serve.Job) {
 		j.observe(sn)
 	}
 	<-sj.Done()
-	st := jobapi.FromServe(sj.Status())
+	st := sj.Status()
 	g.finish(j, &st)
 }
 

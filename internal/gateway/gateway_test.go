@@ -179,7 +179,7 @@ func (j *fakeJob) status() jobapi.Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return jobapi.Status{
-		ID: j.id, State: j.state.String(), Iterations: j.iter, HPWL: j.hpwl, Cached: j.cached,
+		ID: j.id, State: j.state, Iterations: j.iter, HPWL: j.hpwl, Cached: j.cached,
 		Progress: &placer.Snapshot{Iter: j.iter, HPWL: j.hpwl},
 	}
 }
@@ -216,7 +216,7 @@ func (w *fakeWorker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 			_ = jobapi.WriteProgress(rw, placer.Snapshot{Iter: last, HPWL: float64(2000 - last)})
 			fl.Flush()
 		}
-		if state, _ := serve.ParseState(st.State); state.Terminal() {
+		if st.State.Terminal() {
 			_ = jobapi.WriteDone(rw, st)
 			fl.Flush()
 			return
@@ -281,7 +281,7 @@ func TestCacheAwareRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st1 := waitDone(t, j1, 15*time.Second)
-	if st1.State != "succeeded" || st1.Cached {
+	if st1.State != serve.Succeeded || st1.Cached {
 		t.Fatalf("first run: %+v", st1)
 	}
 	owner := st1.Node
@@ -327,7 +327,7 @@ func TestCacheAwareRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st3 := waitDone(t, j3, 15*time.Second)
-	if st3.State != "succeeded" {
+	if st3.State != serve.Succeeded {
 		t.Fatalf("post-join run: %+v", st3)
 	}
 	if st3.Node != owner && st3.Node != wC.name() {
@@ -364,7 +364,7 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 		t.Fatalf("submit through transient faults: %v", err)
 	}
 	st := waitDone(t, j, 15*time.Second)
-	if st.State != "succeeded" {
+	if st.State != serve.Succeeded {
 		t.Fatalf("job: %+v", st)
 	}
 	if got := g.retryTotal.Value(); got != 2 {
@@ -410,7 +410,7 @@ func TestBreakerEjectsFlappingNode(t *testing.T) {
 		t.Fatalf("submit after cooldown: %v", err)
 	}
 	st := waitDone(t, j, 15*time.Second)
-	if st.State != "succeeded" {
+	if st.State != serve.Succeeded {
 		t.Fatalf("post-recovery job: %+v", st)
 	}
 	if n.breakerOpen() {
@@ -446,7 +446,7 @@ func TestBackpressureSpillsToNextNode(t *testing.T) {
 		t.Fatalf("submit with one node full: %v", err)
 	}
 	st := waitDone(t, j2, 15*time.Second)
-	if st.State != "succeeded" {
+	if st.State != serve.Succeeded {
 		t.Fatalf("spilled job: %+v", st)
 	}
 	if st.Node == owner && byName[owner].launchCount() > 1 {
@@ -500,7 +500,7 @@ func TestFailoverOnDeadWorker(t *testing.T) {
 	byName[dead].die()
 
 	st := waitDone(t, j, 60*time.Second)
-	if st.State != "succeeded" {
+	if st.State != serve.Succeeded {
 		t.Fatalf("job after node death: %+v", st)
 	}
 	if st.Node == dead || st.Node == "" {

@@ -26,7 +26,6 @@ type Job struct {
 
 	mu      sync.Mutex
 	st      jobapi.Status // everything but Progress, which Status fills from the ring
-	state   serve.State   // typed st.State
 	maxIter int           // highest iteration delivered; non-increasing snapshots drop
 
 	done chan struct{}
@@ -43,11 +42,6 @@ func (j *Job) Status() jobapi.Status {
 	return st
 }
 
-// setState moves the job to state. Caller holds j.mu.
-func (j *Job) setState(state serve.State) {
-	j.state, j.st.State = state, state.String()
-}
-
 // observe appends one progress snapshot and fans it out. Snapshots at
 // or below the high-water iteration are dropped: after a failover the
 // replacement run replays iterations the client already saw (reruns are
@@ -56,14 +50,15 @@ func (j *Job) setState(state serve.State) {
 func (j *Job) observe(sn placer.Snapshot) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() || sn.Iter <= j.maxIter {
+	if j.st.State.Terminal() || sn.Iter <= j.maxIter {
 		return
 	}
 	j.maxIter = sn.Iter
-	if j.state == serve.Queued {
-		j.setState(serve.Running)
+	if j.st.State == serve.Queued {
+		j.st.State = serve.Running
 		if j.st.Started == nil {
-			j.st.Started = jobapi.OptTime(time.Now())
+			now := time.Now()
+			j.st.Started = &now
 		}
 	}
 	j.Add(sn)
@@ -103,7 +98,7 @@ func (j *Job) current() (node string, remoteID int64) {
 func (j *Job) markFailedOver() (deadNode string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.st.State.Terminal() {
 		return "", false
 	}
 	deadNode = j.st.Node
@@ -113,21 +108,22 @@ func (j *Job) markFailedOver() (deadNode string, ok bool) {
 	return deadNode, true
 }
 
-// finishLocked moves the job to a terminal state with the result fields
-// of ws and closes the fanout. Returns false if another path already
-// finished it. Caller holds j.mu.
-func (j *Job) finishLocked(state serve.State, ws *jobapi.Status) bool {
-	if j.state.Terminal() {
+// finishLocked merges the worker's terminal status ws (or the one fail
+// reports) into the job and closes the fanout. Returns false if another
+// path already finished it. Caller holds j.mu.
+func (j *Job) finishLocked(ws *jobapi.Status) bool {
+	if j.st.State.Terminal() {
 		return false
 	}
-	j.setState(state)
-	j.st.Err = ws.Err
+	j.st.State, j.st.Err = ws.State, ws.Err
 	j.st.Iterations, j.st.HPWL, j.st.Overflow = ws.Iterations, ws.HPWL, ws.Overflow
 	j.st.Cached = j.st.Cached || ws.Cached
 	j.st.Resumed, j.st.Fallback = ws.Resumed, ws.Fallback
-	j.st.Finished = jobapi.OptTime(time.Now())
-	if j.st.Started == nil && state == serve.Succeeded {
-		j.st.Started = jobapi.OptTime(j.st.Submitted)
+	now := time.Now()
+	j.st.Finished = &now
+	if j.st.Started == nil && ws.State == serve.Succeeded {
+		sub := j.st.Submitted
+		j.st.Started = &sub
 	}
 	j.Progress.Close()
 	return true

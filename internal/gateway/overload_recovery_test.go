@@ -13,6 +13,7 @@ import (
 
 	"xplace/internal/jobapi"
 	"xplace/internal/jobstore"
+	"xplace/internal/serve"
 )
 
 // TestOverloadDraftTierAndShed: with every worker at backpressure, an
@@ -46,7 +47,7 @@ func TestOverloadDraftTierAndShed(t *testing.T) {
 		t.Fatalf("allow_draft submit under overload: %v", err)
 	}
 	st := waitDone(t, j, 120*time.Second)
-	if st.State != "succeeded" {
+	if st.State != serve.Succeeded {
 		t.Fatalf("draft job: %+v", st)
 	}
 	if !st.Draft {
@@ -141,7 +142,7 @@ func TestGatewayWALRecovery(t *testing.T) {
 		t.Fatal("finished job lost across restart")
 	}
 	h1 := r1.Status()
-	if h1.State != "succeeded" || h1.HPWL != done1.HPWL || h1.Iterations != done1.Iterations {
+	if h1.State != serve.Succeeded || h1.HPWL != done1.HPWL || h1.Iterations != done1.Iterations {
 		t.Errorf("history job changed across restart: %+v vs %+v", h1, done1)
 	}
 	if !h1.Recovered {
@@ -155,7 +156,7 @@ func TestGatewayWALRecovery(t *testing.T) {
 		t.Fatal("in-flight job dropped across restart")
 	}
 	f2 := waitDone(t, r2, 60*time.Second)
-	if f2.State != "succeeded" {
+	if f2.State != serve.Succeeded {
 		t.Fatalf("recovered job: %+v", f2)
 	}
 	if !f2.Recovered {

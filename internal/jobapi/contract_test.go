@@ -70,7 +70,7 @@ func (u unendingLong) Accept(req jobapi.Request) (jobapi.Status, error) {
 	if err != nil {
 		return jobapi.Status{}, err
 	}
-	return jobapi.FromServe(j.Status()), nil
+	return j.Status(), nil
 }
 
 func schedulerBackend(t *testing.T) backend {

@@ -56,3 +56,29 @@ func FuzzRequestCanonical(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStatusDecode fuzzes the status decoder, which a gateway runs on
+// every worker's reply: arbitrary bytes never panic, and whatever decodes
+// re-encodes to bytes that decode and re-encode to the same bytes.
+func FuzzStatusDecode(f *testing.F) {
+	for _, name := range []string{"worker", "gateway", "queued"} {
+		f.Add(readFixture(f, name))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st Status
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		enc, err := json.Marshal(st)
+		if err != nil {
+			t.Fatalf("%q decodes but does not re-encode: %v", data, err)
+		}
+		var again Status
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("re-encoded %s does not decode: %v", enc, err)
+		}
+		if enc2, err := json.Marshal(again); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoding is not stable: %s -> %s (%v)", enc, enc2, err)
+		}
+	})
+}

@@ -7,7 +7,8 @@
 //     worker runs. A gateway deriving any of these differently from its
 //     workers would silently break cache-aware routing and exact failover
 //     reruns, so the derivation is shared code, not protocol convention.
-//   - Status, the one wire form of a job.
+//   - Status, the one wire form of a job: an alias of serve.Status, the
+//     record the scheduler builds and the gateway merges.
 //   - NewMux, the one HTTP surface (routes, error-to-code table, SSE
 //     framing and Last-Event-ID resume) over any Service: a
 //     serve.Scheduler through ForScheduler, or a gateway.Gateway.

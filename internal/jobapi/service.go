@@ -6,67 +6,13 @@ import (
 	"time"
 
 	"xplace/internal/obs"
-	"xplace/internal/placer"
 	"xplace/internal/serve"
 )
 
 // Status is the wire form of a job — the body of 202/GET/cancel
 // responses and of the SSE "done" event, on a worker and on the gateway
-// alike. Node, RemoteID, Draft and Failovers are set only by a gateway;
-// Resumed only by a worker (a gateway passes its worker's value through).
-type Status struct {
-	ID         int64            `json:"id"`
-	Label      string           `json:"label"`
-	State      string           `json:"state"` // serve.State.String()
-	Err        string           `json:"error,omitempty"`
-	Node       string           `json:"node,omitempty"`      // worker currently running the job
-	RemoteID   int64            `json:"remote_id,omitempty"` // job id on that worker
-	Draft      bool             `json:"draft,omitempty"`     // degraded to the gateway's local lbub tier
-	Failovers  int              `json:"failovers,omitempty"` // reruns after a worker death
-	Submitted  time.Time        `json:"submitted"`
-	Started    *time.Time       `json:"started,omitempty"`
-	Finished   *time.Time       `json:"finished,omitempty"`
-	Progress   *placer.Snapshot `json:"progress,omitempty"`
-	Iterations int              `json:"iterations,omitempty"`
-	HPWL       float64          `json:"hpwl,omitempty"`
-	Overflow   float64          `json:"overflow,omitempty"`
-	Cached     bool             `json:"cached,omitempty"`    // served from the result cache
-	Recovered  bool             `json:"recovered,omitempty"` // replayed from the WAL after a restart
-	Resumed    bool             `json:"resumed,omitempty"`   // continued from a placer checkpoint
-	Fallback   string           `json:"fallback,omitempty"`  // strategy that rescued a diverged run
-}
-
-// OptTime is the wire form of a possibly-unset timestamp.
-func OptTime(t time.Time) *time.Time {
-	if t.IsZero() {
-		return nil
-	}
-	return &t
-}
-
-// FromServe converts a scheduler job's status to the wire form.
-func FromServe(st serve.Status) Status {
-	out := Status{
-		ID:         st.ID,
-		Label:      st.Label,
-		State:      st.State.String(),
-		Err:        st.Err,
-		Submitted:  st.Submitted,
-		Started:    OptTime(st.Started),
-		Finished:   OptTime(st.Finished),
-		Iterations: st.Iterations,
-		HPWL:       st.HPWL,
-		Overflow:   st.Overflow,
-		Cached:     st.Cached,
-		Recovered:  st.Recovered,
-		Resumed:    st.Resumed,
-		Fallback:   st.Fallback,
-	}
-	if st.Progress.Iter > 0 || st.Progress.HPWL > 0 {
-		out.Progress = &st.Progress
-	}
-	return out
-}
+// alike. It is declared once, as serve.Status, and named here.
+type Status = serve.Status
 
 // Service is the job backend behind NewMux. It exists so one set of
 // handlers serves both a worker's scheduler and the gateway, and so the
@@ -116,7 +62,7 @@ func (s schedulerService) Accept(req Request) (Status, error) {
 	j, err := s.Submit(spec)
 	switch {
 	case err == nil:
-		return FromServe(j.Status()), nil
+		return j.Status(), nil
 	case errors.Is(err, serve.ErrQueueFull):
 		return Status{}, &Rejection{Code: http.StatusTooManyRequests, Err: err}
 	case errors.Is(err, serve.ErrDraining):
@@ -132,14 +78,14 @@ func (s schedulerService) Lookup(id int64) (Status, *serve.Progress, bool) {
 	if !ok {
 		return Status{}, nil, false
 	}
-	return FromServe(j.Status()), j.Progress, true
+	return j.Status(), j.Progress, true
 }
 
 func (s schedulerService) List() []Status {
 	jobs := s.Jobs()
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
-		out[i] = FromServe(j.Status())
+		out[i] = j.Status()
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xplace/internal/placer"
+	"xplace/internal/serve"
 )
 
 // TestEventFramesRoundTrip pins the frames byte for byte and reads them
@@ -19,7 +20,7 @@ func TestEventFramesRoundTrip(t *testing.T) {
 	if want := "id: 7\nevent: progress\ndata: {"; frame[:len(want)] != want || frame[len(frame)-3:] != "}\n\n" {
 		t.Fatalf("progress frame = %q", frame)
 	}
-	if err := WriteDone(&buf, Status{ID: 3, State: "succeeded"}); err != nil {
+	if err := WriteDone(&buf, Status{ID: 3, State: serve.Succeeded}); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString(": a comment frame names no event\n\nevent: draining\ndata: {}\n\nevent: progress\ndata: {\"trunc")

@@ -286,19 +286,6 @@ func (d *Design) CellRect(c int) geom.Rect {
 	}
 }
 
-// PinPos returns the absolute position of pin p given cell centers (x, y).
-// Pass nil to use the design's stored positions.
-func (d *Design) PinPos(p int, x, y []float64) (float64, float64) {
-	if x == nil {
-		x = d.CellX
-	}
-	if y == nil {
-		y = d.CellY
-	}
-	c := d.PinCell[p]
-	return x[c] + d.PinOffX[p], y[c] + d.PinOffY[p]
-}
-
 // HPWL computes the total half-perimeter wirelength of the design for the
 // given cell-center coordinate arrays (nil means stored positions).
 // Single-pin and empty nets contribute zero.

@@ -181,20 +181,6 @@ func TestHPWLLipschitz(t *testing.T) {
 	}
 }
 
-func TestPinPos(t *testing.T) {
-	d := buildTiny(t)
-	px, py := d.PinPos(1, nil, nil) // pin on b with offset (1,-1)
-	if px != 21 || py != 9 {
-		t.Errorf("PinPos = %v,%v", px, py)
-	}
-	x := append([]float64(nil), d.CellX...)
-	x[1] += 5
-	px, _ = d.PinPos(1, x, nil)
-	if px != 26 {
-		t.Errorf("PinPos with override = %v", px)
-	}
-}
-
 func TestCellRect(t *testing.T) {
 	d := buildTiny(t)
 	r := d.CellRect(2) // fixed 4x4 at (50,50)

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"xplace/internal/placer"
 )
 
 // TestJobsNewestFirst: Jobs() documents "newest first" — the order must
@@ -59,7 +63,7 @@ func TestCancelBeginAtomic(t *testing.T) {
 		st := j.Status()
 		res, jerr := j.Result()
 		switch {
-		case st.State == Canceled && st.Started.IsZero():
+		case st.State == Canceled && st.Started == nil:
 			if res != nil {
 				t.Fatalf("iter %d: cancelled-while-queued job has a result", i)
 			}
@@ -147,4 +151,83 @@ func TestShutdownCleanRepeatNil(t *testing.T) {
 	if err := s.Shutdown(expired); err != nil {
 		t.Fatalf("repeat Shutdown after clean drain: %v", err)
 	}
+}
+
+// TestPanickingJobFailsWorkerKeepsServing: a panic in a job's placement
+// (here a host-side ExtraGradient hook at iteration 3) fails that job with
+// a message naming the panic, and the one engine goes on to run the next
+// job. Both good jobs match solo runs bit for bit, and the engine's arena
+// and the active gauge are back at their pre-job values.
+func TestPanickingJobFailsWorkerKeepsServing(t *testing.T) {
+	good := func(seed int64) Spec {
+		return Spec{Design: testDesign(t, 200, seed), Options: testOpts(30)}
+	}
+	solo := func(spec Spec) *placer.Result {
+		s := mustNew(t, Options{Engines: 1, QueueCap: 1, EngineWorkers: 2})
+		defer s.Shutdown(context.Background())
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := []*placer.Result{solo(good(1)), solo(good(2))}
+
+	s := mustNew(t, Options{Engines: 1, QueueCap: 3, EngineWorkers: 2})
+	defer s.Shutdown(context.Background())
+	inUse := s.engines[0].ArenaStats().InUse
+	poisoned := good(3)
+	poisoned.Options.ExtraGradient = func(iter int, x, y, gx, gy []float64) {
+		if iter == 3 {
+			panic("poisoned gradient hook")
+		}
+	}
+	var jobs []*Job
+	for _, spec := range []Spec{good(1), poisoned, good(2)} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		<-j.Done()
+	}
+
+	if st := jobs[1].Status(); st.State != Failed || !strings.Contains(st.Err, "panicked: poisoned gradient hook") {
+		t.Errorf("poisoned job: state %v, error %q; want failed naming the panic", st.State, st.Err)
+	}
+	for i, j := range []*Job{jobs[0], jobs[2]} {
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("good job %d: %v", i, err)
+		}
+		if !sameBits(res.X, want[i].X) || !sameBits(res.Y, want[i].Y) ||
+			math.Float64bits(res.HPWL) != math.Float64bits(want[i].HPWL) || res.Iterations != want[i].Iterations {
+			t.Errorf("good job %d: HPWL %v after %d iterations, solo %v after %d (must be bit-identical)",
+				i, res.HPWL, res.Iterations, want[i].HPWL, want[i].Iterations)
+		}
+	}
+	if got := s.engines[0].ArenaStats().InUse; got != inUse {
+		t.Errorf("arena in use %d bytes after the jobs, %d before", got, inUse)
+	}
+	if c := s.Counters(); c.Active != 0 || c.Failed != 1 || c.Succeeded != 2 {
+		t.Errorf("counters %+v, want 0 active, 1 failed, 2 succeeded", c)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -82,8 +82,23 @@ func (s State) String() string {
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s >= Succeeded }
 
+// MarshalText writes the state as its String name, the form Status
+// carries on the wire ("state":"succeeded").
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a String name; any other name is an error, so a
+// status naming an unknown state does not decode.
+func (s *State) UnmarshalText(b []byte) error {
+	st, ok := ParseState(string(b))
+	if !ok {
+		return fmt.Errorf("serve: unknown job state %q", b)
+	}
+	*s = st
+	return nil
+}
+
 // ParseState is the inverse of State.String; ok is false for a name no
-// state prints as.
+// state prints as. Outside UnmarshalText it reads the names the WAL stores.
 func ParseState(name string) (State, bool) {
 	for s := Queued; s <= TimedOut; s++ {
 		if s.String() == name {
@@ -191,63 +206,83 @@ func (o Options) withDefaults() Options {
 type Job struct {
 	*Progress // snapshot ring + subscriber fan-out; closed on terminal state
 
-	id    int64
-	label string
-	spec  Spec
+	spec Spec
 
 	cancel context.CancelFunc // fires the job's base context
 	base   context.Context
 
-	cached    bool // result served from the store's result cache
-	recovered bool // job re-materialized from the WAL after a restart
-	resumed   bool // recovered mid-trajectory from a checkpoint
-
-	mu        sync.Mutex
-	fallback  string // strategy that rescued a diverged run ("lbub"), else ""
-	state     State
-	err       error
-	result    *placer.Result
-	tracer    *obs.Tracer // per-job trace (Spec.Trace); set when running
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	mu     sync.Mutex
+	st     Status // everything but Progress, which Status fills from the ring
+	err    error
+	result *placer.Result
+	tracer *obs.Tracer // per-job trace (Spec.Trace); set when running
 
 	done chan struct{} // closed on terminal state
 }
 
-// Status is a point-in-time copy of a job's externally visible state.
+// Status is a job's externally visible state and its one wire form: the
+// scheduler builds it, jobapi.NewMux writes it (the body of 202/GET/cancel
+// responses and of the SSE "done" event) and a gateway decodes it, merges
+// it into its own job and serves it again. Node, RemoteID, Draft and
+// Failovers are set only by a gateway; Resumed only by a worker (a gateway
+// passes its worker's value through).
 type Status struct {
-	ID        int64
-	Label     string
-	State     State
-	Err       string
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-	// Progress is the most recent iteration snapshot (zero until the
-	// first iteration completes).
-	Progress placer.Snapshot
+	ID        int64  `json:"id"`
+	Label     string `json:"label"`
+	State     State  `json:"state"` // its String name
+	Err       string `json:"error,omitempty"`
+	Node      string `json:"node,omitempty"`      // worker currently running the job
+	RemoteID  int64  `json:"remote_id,omitempty"` // job id on that worker
+	Draft     bool   `json:"draft,omitempty"`     // degraded to the gateway's local lbub tier
+	Failovers int    `json:"failovers,omitempty"` // reruns after a worker death
+
+	Submitted time.Time  `json:"submitted"`
+	Started   *time.Time `json:"started,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
+	// Progress is the most recent iteration snapshot (nil until the first
+	// iteration completes).
+	Progress *placer.Snapshot `json:"progress,omitempty"`
 	// Iterations / HPWL / Overflow are filled from the result once the job
 	// finishes (for cancelled/timed-out jobs: the partial result).
-	Iterations int
-	HPWL       float64
-	Overflow   float64
+	Iterations int     `json:"iterations,omitempty"`
+	HPWL       float64 `json:"hpwl,omitempty"`
+	Overflow   float64 `json:"overflow,omitempty"`
 	// Cached: the result came from the durable result cache — no engine ran.
-	Cached bool
+	Cached bool `json:"cached,omitempty"`
 	// Recovered: the job was re-materialized from the WAL after a restart;
 	// Resumed additionally means it continued mid-trajectory from a
 	// checkpoint rather than restarting at iteration 0.
-	Recovered bool
-	Resumed   bool
+	Recovered bool `json:"recovered,omitempty"`
+	Resumed   bool `json:"resumed,omitempty"`
 	// Fallback names the strategy that rescued the job after the primary
 	// one diverged ("lbub"); empty for a first-try result. A fallback
 	// result is a lower-quality draft and is never entered into the
 	// result cache.
-	Fallback string
+	Fallback string `json:"fallback,omitempty"`
 }
 
-// ID returns the job id assigned at submission.
-func (j *Job) ID() int64 { return j.id }
+// RecoveredStatus is the status of a job its WAL record shows terminal:
+// the history a restarted scheduler or gateway serves for it. An unknown
+// state name reads as Failed.
+func RecoveredStatus(r jobstore.JobRecord) Status {
+	state, _ := ParseState(r.State)
+	st := Status{
+		ID: r.ID, Label: r.Label, State: state, Err: r.Err, Submitted: r.Submitted,
+		Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow,
+		Cached: r.Cached, Recovered: true,
+	}
+	if !r.Started.IsZero() {
+		st.Started = &r.Started
+	}
+	if !r.Finished.IsZero() {
+		st.Finished = &r.Finished
+	}
+	return st
+}
+
+// ID returns the job id assigned at submission (set before the job is
+// published, never changed).
+func (j *Job) ID() int64 { return j.st.ID }
 
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -284,26 +319,9 @@ func (j *Job) setTracer(t *obs.Tracer) {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID:        j.id,
-		Label:     j.label,
-		State:     j.state,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-		Cached:    j.cached,
-		Recovered: j.recovered,
-		Resumed:   j.resumed,
-		Fallback:  j.fallback,
-	}
-	if j.err != nil {
-		st.Err = j.err.Error()
-	}
-	st.Progress, _ = j.Last()
-	if j.result != nil {
-		st.Iterations = j.result.Iterations
-		st.HPWL = j.result.HPWL
-		st.Overflow = j.result.Overflow
+	st := j.st
+	if p, ok := j.Last(); ok {
+		st.Progress = &p
 	}
 	return st
 }
@@ -324,11 +342,11 @@ func (j *Job) Wait(ctx context.Context) (*placer.Result, error) {
 func (j *Job) begin() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != Queued {
+	if j.st.State != Queued {
 		return false
 	}
-	j.state = Running
-	j.started = time.Now()
+	now := time.Now()
+	j.st.State, j.st.Started = Running, &now
 	return true
 }
 
@@ -337,21 +355,28 @@ func (j *Job) begin() bool {
 // the transition; when it returns true the caller must settle the job
 // (Scheduler.settle) after releasing the lock.
 func (j *Job) finishLocked(res *placer.Result, err error) bool {
-	if j.state.Terminal() {
+	if j.st.State.Terminal() {
 		return false
 	}
 	j.result, j.err = res, err
 	switch {
 	case err == nil:
-		j.state = Succeeded
+		j.st.State = Succeeded
 	case errors.Is(err, context.DeadlineExceeded):
-		j.state = TimedOut
+		j.st.State = TimedOut
 	case errors.Is(err, context.Canceled):
-		j.state = Canceled
+		j.st.State = Canceled
 	default:
-		j.state = Failed
+		j.st.State = Failed
 	}
-	j.finished = time.Now()
+	if err != nil {
+		j.st.Err = err.Error()
+	}
+	if res != nil {
+		j.st.Iterations, j.st.HPWL, j.st.Overflow = res.Iterations, res.HPWL, res.Overflow
+	}
+	now := time.Now()
+	j.st.Finished = &now
 	return true
 }
 
@@ -376,7 +401,7 @@ func (j *Job) finish(res *placer.Result, err error) bool {
 // kept going — discarding its eventual partial result.
 func (j *Job) cancelIfQueued() bool {
 	j.mu.Lock()
-	if j.state != Queued {
+	if j.st.State != Queued {
 		j.mu.Unlock()
 		return false
 	}
@@ -554,24 +579,21 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 			s.nextID = r.ID
 		}
 		j := &Job{
-			id:        r.ID,
-			label:     r.Label,
-			Progress:  NewProgress(s.opts.History),
-			recovered: true,
-			submitted: r.Submitted,
-			done:      make(chan struct{}),
+			Progress: NewProgress(s.opts.History),
+			st: Status{
+				ID: r.ID, Label: r.Label, Submitted: r.Submitted, Recovered: true,
+			},
+			done: make(chan struct{}),
 		}
 		s.jobs[r.ID] = j
 		if r.Terminal() {
 			// History only: restore the terminal state without recounting it
 			// in this process's lifecycle counters.
-			j.state, _ = ParseState(r.State) // unknown name: Failed
-			j.cached = r.Cached
-			j.started, j.finished = r.Started, r.Finished
+			j.st = RecoveredStatus(r)
 			if r.Err != "" {
 				j.err = errors.New(r.Err)
 			}
-			if j.state == Succeeded {
+			if j.st.State == Succeeded {
 				j.result = &placer.Result{
 					Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow,
 				}
@@ -588,7 +610,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 			continue
 		}
 		if spec.Options.Resume != nil {
-			j.resumed = true
+			j.st.Resumed = true
 			s.resumed.Inc()
 		}
 		j.spec = spec
@@ -678,13 +700,12 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		Progress:  NewProgress(s.opts.History),
-		label:     spec.Label,
-		spec:      spec,
-		base:      base,
-		cancel:    cancel,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		Progress: NewProgress(s.opts.History),
+		spec:     spec,
+		base:     base,
+		cancel:   cancel,
+		st:       Status{Label: spec.Label, Submitted: time.Now()},
+		done:     make(chan struct{}),
 	}
 	// Result-cache lookup: an identical prior submission (same content key)
 	// finishes the job immediately from the durable cache — no queue slot,
@@ -702,7 +723,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	s.nextID++
-	j.id = s.nextID
+	j.st.ID = s.nextID
 	if hit == nil {
 		select {
 		case s.queue <- j:
@@ -713,9 +734,9 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 			return nil, ErrQueueFull
 		}
 	} else {
-		j.cached = true
+		j.st.Cached = true
 	}
-	s.jobs[j.id] = j
+	s.jobs[j.st.ID] = j
 	s.mu.Unlock()
 	s.submitted.Inc()
 	if s.store != nil && spec.Key != "" {
@@ -726,7 +747,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		}
 	}
 	s.walAppend(func() error {
-		return s.store.AppendSubmit(j.id, spec.Label, spec.Payload, spec.Key)
+		return s.store.AppendSubmit(j.ID(), spec.Label, spec.Payload, spec.Key)
 	})
 	if hit != nil {
 		s.jobFinished(j, &placer.Result{
@@ -768,7 +789,7 @@ func (s *Scheduler) Jobs() []*Job {
 	for _, j := range s.jobs {
 		out = append(out, j)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id > out[b].id })
+	sort.Slice(out, func(a, b int) bool { return out[a].ID() > out[b].ID() })
 	return out
 }
 
@@ -827,23 +848,23 @@ func (s *Scheduler) recordFinish(j *Job, res *placer.Result) {
 	case TimedOut:
 		s.timedOut.Inc()
 	}
-	if res != nil && !j.cached {
+	if res != nil && !st.Cached {
 		// Cache hits burn no engine: the pre-computed result must not count
 		// as new GP work.
 		s.iterations.Add(int64(res.Iterations))
 		s.launches.Add(res.Stats.Launches)
 	}
-	if !st.Started.IsZero() && !st.Finished.IsZero() {
-		s.jobSeconds.Observe(st.Finished.Sub(st.Started).Seconds())
+	if st.Started != nil {
+		s.jobSeconds.Observe(st.Finished.Sub(*st.Started).Seconds())
 	}
 	if s.store == nil {
 		return
 	}
 	s.walAppend(func() error {
-		return s.store.AppendFinish(j.id, st.State.String(), st.Err,
-			st.Iterations, st.HPWL, st.Overflow, j.cached)
+		return s.store.AppendFinish(st.ID, st.State.String(), st.Err,
+			st.Iterations, st.HPWL, st.Overflow, st.Cached)
 	})
-	s.store.RemoveCheckpoint(j.id)
+	s.store.RemoveCheckpoint(st.ID)
 }
 
 // cacheResult writes a keyed run's result to the result cache. runJob
@@ -854,7 +875,7 @@ func (s *Scheduler) recordFinish(j *Job, res *placer.Result) {
 // the key describes the requested strategy, and a draft-quality rescue
 // must not shadow a future successful run (or a fixed input) forever.
 func (s *Scheduler) cacheResult(j *Job, res *placer.Result) {
-	if s.store == nil || j.spec.Key == "" || res == nil || j.fallbackStrategy() != "" {
+	if s.store == nil || j.spec.Key == "" || res == nil || j.Status().Fallback != "" {
 		return
 	}
 	if err := s.store.PutResult(&jobstore.CachedResult{
@@ -883,20 +904,34 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	if !j.begin() {
 		return // cancelled while queued
 	}
-	s.active.Add(1)
-	res, err := s.place(eng, j)
-	s.active.Add(-1)
+	res, err := s.run(eng, j)
 	if err == nil {
 		s.cacheResult(j, res)
 	}
 	s.jobFinished(j, res, err)
 }
 
+// run is place counted in the active gauge, with a panic in the job's
+// placement — a *kernel.LaunchPanic re-raised by a launch, or one from a
+// host-side hook such as Options.ExtraGradient — turned into the job's
+// error: the job fails and the worker goes on to the next one. place's
+// deferred releases and the gauge decrement run while the panic unwinds.
+func (s *Scheduler) run(eng *kernel.Engine, j *Job) (res *placer.Result, err error) {
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("serve: job %d panicked: %v", j.ID(), r)
+		}
+	}()
+	return s.place(eng, j)
+}
+
 // place runs the job's placement, falling back to lbub when the gradient
 // flow diverges, and returns its outcome. Everything it acquires is
 // released by the time it returns.
 func (s *Scheduler) place(eng *kernel.Engine, j *Job) (*placer.Result, error) {
-	s.walAppend(func() error { return s.store.AppendBegin(j.id) })
+	s.walAppend(func() error { return s.store.AppendBegin(j.ID()) })
 
 	timeout := j.spec.Timeout
 	if timeout == 0 {
@@ -936,7 +971,7 @@ func (s *Scheduler) place(eng *kernel.Engine, j *Job) (*placer.Result, error) {
 		opts.Checkpoint = func(cp *placer.Checkpoint) {
 			b, err := json.Marshal(cp)
 			if err == nil {
-				err = s.store.WriteCheckpoint(j.id, b)
+				err = s.store.WriteCheckpoint(j.ID(), b)
 			}
 			if err != nil {
 				s.storeErrors.Inc()
@@ -991,14 +1026,8 @@ func (s *Scheduler) place(eng *kernel.Engine, j *Job) (*placer.Result, error) {
 
 func (j *Job) setFallback(strategy string) {
 	j.mu.Lock()
-	j.fallback = strategy
+	j.st.Fallback = strategy
 	j.mu.Unlock()
-}
-
-func (j *Job) fallbackStrategy() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fallback
 }
 
 // Draining reports whether Shutdown has begun (new submissions are being

@@ -263,7 +263,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	if !s.Cancel(queued.ID()) {
 		t.Fatal("cancel queued job failed")
 	}
-	if st := queued.Status(); st.State != Canceled || !st.Started.IsZero() {
+	if st := queued.Status(); st.State != Canceled || st.Started != nil {
 		t.Errorf("queued job after cancel: state %v started %v, want canceled & never started",
 			st.State, st.Started)
 	}

@@ -20,15 +20,13 @@ import (
 	"xplace/internal/kernel"
 )
 
-// Context carries the execution engine and the grad-mode flag. A nil
-// Context is invalid; use NewContext.
+// Context carries the execution engine. A nil Context is invalid; use
+// NewContext.
 type Context struct {
 	E *kernel.Engine
-	// NoGrad disables graph construction (PyTorch's torch.no_grad()).
-	NoGrad bool
 }
 
-// NewContext returns a Context executing on e with gradients enabled.
+// NewContext returns a Context executing on e.
 func NewContext(e *kernel.Engine) *Context { return &Context{E: e} }
 
 // Tensor is an n-dimensional array of float64. Data is row-major.
@@ -102,12 +100,9 @@ func sameSize(a, b *Tensor) {
 	}
 }
 
-// attach wires an output tensor into the autograd graph unless grad mode is
-// off or no parent needs gradients.
+// attach wires an output tensor into the autograd graph unless no parent
+// needs gradients.
 func attach(ctx *Context, out *Tensor, name string, backward func(ctx *Context, gradOut []float64), parents ...*Tensor) {
-	if ctx.NoGrad {
-		return
-	}
 	need := false
 	for _, p := range parents {
 		if p.NeedsGrad() {

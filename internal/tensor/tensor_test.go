@@ -251,21 +251,11 @@ func TestBackwardRequiresScalar(t *testing.T) {
 	Backward(c, Add(c, a, a))
 }
 
-func TestNoGradContextBuildsNoGraph(t *testing.T) {
-	c := ctx()
-	c.NoGrad = true
-	a := fromSlice([]float64{1, 2}).RequiresGrad()
-	out := mul(c, a, a)
-	if out.node != nil {
-		t.Error("NoGrad must not attach a node")
-	}
-}
-
 // An in-place operator is a custom op whose forward writes into its input
-// and returns it: under NoGrad it builds no graph and copies nothing.
+// and returns it: on inputs that need no gradient it builds no graph and
+// copies nothing.
 func TestInPlaceOps(t *testing.T) {
 	c := ctx()
-	c.NoGrad = true
 	addInPlace := Op{
 		Name: "add_",
 		Forward: func(c *Context, in []*Tensor) *Tensor {

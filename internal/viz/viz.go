@@ -11,41 +11,29 @@ import (
 	"xplace/internal/netlist"
 )
 
-// SVGOptions tunes WriteSVG.
-type SVGOptions struct {
-	// Width is the image width in pixels (height follows the region's
-	// aspect ratio). Default 800.
-	Width float64
-	// DrawNets draws flylines for nets up to MaxNetDegree (0 disables).
-	DrawNets     bool
-	MaxNetDegree int
-}
+// width is the image width in pixels; the height follows the region's
+// aspect ratio.
+const width float64 = 800
 
 // WriteSVG renders the design at positions (x, y) (nil means stored) as
 // an SVG document.
-func WriteSVG(w io.Writer, d *netlist.Design, x, y []float64, opts SVGOptions) error {
+func WriteSVG(w io.Writer, d *netlist.Design, x, y []float64) error {
 	if x == nil {
 		x = d.CellX
 	}
 	if y == nil {
 		y = d.CellY
 	}
-	if opts.Width <= 0 {
-		opts.Width = 800
-	}
-	if opts.MaxNetDegree == 0 {
-		opts.MaxNetDegree = 8
-	}
 	bw := bufio.NewWriter(w)
-	scale := opts.Width / d.Region.W()
+	scale := width / d.Region.W()
 	hpx := d.Region.H() * scale
 	// SVG y grows downward; flip.
 	fy := func(v float64) float64 { return (d.Region.Hy - v) * scale }
 	fx := func(v float64) float64 { return (v - d.Region.Lx) * scale }
 
 	fmt.Fprintf(bw, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		opts.Width, hpx, opts.Width, hpx)
-	fmt.Fprintf(bw, `<rect width="%.0f" height="%.0f" fill="#ffffff" stroke="#000000"/>`+"\n", opts.Width, hpx)
+		width, hpx, width, hpx)
+	fmt.Fprintf(bw, `<rect width="%.0f" height="%.0f" fill="#ffffff" stroke="#000000"/>`+"\n", width, hpx)
 
 	// Rows as faint lines.
 	for _, r := range d.Rows {
@@ -75,28 +63,6 @@ func WriteSVG(w io.Writer, d *netlist.Design, x, y []float64, opts SVGOptions) e
 		hy := y[c] + d.CellH[c]/2
 		fmt.Fprintf(bw, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" fill-opacity="0.7" stroke="#223355" stroke-width="0.2"/>`+"\n",
 			fx(lx), fy(hy), d.CellW[c]*scale, d.CellH[c]*scale, fill)
-	}
-	// Net flylines (small nets only).
-	if opts.DrawNets {
-		for n := 0; n < d.NumNets(); n++ {
-			s, e := d.NetPinStart[n], d.NetPinStart[n+1]
-			if e-s < 2 || e-s > opts.MaxNetDegree {
-				continue
-			}
-			var cx, cy float64
-			for p := s; p < e; p++ {
-				px, py := d.PinPos(p, x, y)
-				cx += px
-				cy += py
-			}
-			cx /= float64(e - s)
-			cy /= float64(e - s)
-			for p := s; p < e; p++ {
-				px, py := d.PinPos(p, x, y)
-				fmt.Fprintf(bw, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#cc4444" stroke-width="0.3" stroke-opacity="0.4"/>`+"\n",
-					fx(cx), fy(cy), fx(px), fy(py))
-			}
-		}
 	}
 	fmt.Fprintln(bw, `</svg>`)
 	return bw.Flush()

@@ -31,7 +31,7 @@ func vizDesign(t *testing.T) *netlist.Design {
 func TestWriteSVG(t *testing.T) {
 	d := vizDesign(t)
 	var buf bytes.Buffer
-	if err := WriteSVG(&buf, d, nil, nil, SVGOptions{Width: 400, DrawNets: true}); err != nil {
+	if err := WriteSVG(&buf, d, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	svg := buf.String()
@@ -41,7 +41,7 @@ func TestWriteSVG(t *testing.T) {
 		`fill="#888888"`,   // fixed macro
 		`fill="#cc8800"`,   // fenced cell
 		"stroke-dasharray", // fence outline
-		`stroke="#cc4444"`, // flyline
+		`width="800"`,      // default width
 	} {
 		if !strings.Contains(svg, want) {
 			t.Errorf("SVG missing %q", want)
@@ -59,10 +59,10 @@ func TestWriteSVGWithOverridePositions(t *testing.T) {
 	y := append([]float64(nil), d.CellY...)
 	x[0] = 5
 	var a, b bytes.Buffer
-	if err := WriteSVG(&a, d, nil, nil, SVGOptions{}); err != nil {
+	if err := WriteSVG(&a, d, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSVG(&b, d, x, y, SVGOptions{}); err != nil {
+	if err := WriteSVG(&b, d, x, y); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() == b.String() {

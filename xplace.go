@@ -254,11 +254,8 @@ func LoadModel(r io.Reader) (*Model, error) { return nn.Load(r) }
 // decoding the weights — cheap inspection for tooling like `xtrain -stat`.
 func StatModel(r io.Reader) (ModelArtifactHeader, error) { return nn.Stat(r) }
 
-// WriteSVG renders a placement as SVG (cells colored by kind, fences
-// dashed, optional net flylines). Pass nil positions for stored ones.
-func WriteSVG(w io.Writer, d *Design, x, y []float64, opts SVGOptions) error {
-	return viz.WriteSVG(w, d, x, y, opts)
+// WriteSVG renders a placement as an 800-px-wide SVG (cells colored by
+// kind, fences dashed). Pass nil positions for stored ones.
+func WriteSVG(w io.Writer, d *Design, x, y []float64) error {
+	return viz.WriteSVG(w, d, x, y)
 }
-
-// SVGOptions tunes WriteSVG.
-type SVGOptions = viz.SVGOptions
