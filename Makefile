@@ -46,9 +46,13 @@ endef
 # density maps against the scatter-per-kind sequence at 1-4 workers, the
 # Nesterov step fed steplength partials from outside against its own
 # optim.dist launch, the block-staged WA/LSE net kernels and the standalone
-# HPWL against the three-pass oracle at 1-3 workers, and the two-part launch
+# HPWL against the three-pass oracle at 1-3 workers, the two-part launch
 # (wirelength beside the density scatter) against two sequential launches,
-# with a panicking chunk contained at its barrier.
+# with a panicking chunk contained at its barrier, and the spectral
+# transforms' bits: every output of both plans against digests pinned before
+# the column kernels replaced the transposes (64² to 512², rectangles,
+# 1- and 2-long lines, at 1 and 3 workers), the line passes at 1-8 workers,
+# and the Poisson solve at 1 and 2 workers.
 test-fusion:
 	$(call lane,-race,TestGoldenTrajectory,.)
 	$(call lane,-race,TestLaunchPairMatchesTwoLaunches|TestLaunchPanicContained,./internal/kernel)
@@ -56,6 +60,8 @@ test-fusion:
 	$(call lane,-race,TestDensityMapsMatchesSequence|TestOperatorExtractionSavesScatterWork,./internal/field)
 	$(call lane,-race,TestNesterovStepFusedMatchesStep,./internal/optim)
 	$(call lane,-race,TestNetKernelsBitIdenticalToThreePassOracle,./internal/wirelength)
+	$(call lane,-race,TestSpectralDigestsPinned|TestSpectralPassesBitIdenticalAcrossWorkers,./internal/dct)
+	$(call lane,-race,TestSolvePoissonBitIdenticalAcrossWorkers,./internal/field)
 
 # Durability gate: the job-store units (WAL replay, torn tail,
 # checkpoint atomicity, cache), the scheduler recovery/cache/lifecycle

@@ -2,46 +2,32 @@ package dct
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"xplace/internal/kernel"
 )
 
-// tileW is the column-tile width of the column pass: the cache-blocked
-// transpose gathers tileW adjacent columns per block so every read of the
-// intermediate matrix is a contiguous tileW-wide run instead of a stride-Nx
-// element gather. 16 float64 = two cache lines per row touched.
-const tileW = 16
-
 // Plan holds precomputed state for 2-D transforms on an Nx x Ny grid
 // (row-major indexing: f[y*Nx+x]). Both dimensions must be powers of two.
 //
 // A Plan owns all scratch for its transforms — the intermediate matrices
-// and one lineScratch record (FFT buffer, staging row, column tiles) per
-// chunk — so steady-state transforms perform no heap allocations. Scratch
-// is checked out of the arena of the engine the transforms run on, keeping
-// the bytes visible in the engine's accounting; Release gives it back.
-// Transforms are serialized by an internal mutex, keeping a Plan safe for
-// concurrent use.
+// and one lineScratch record (row FFT buffer, staging row, column block)
+// per chunk — so steady-state transforms perform no heap allocations.
+// Scratch is checked out of the arena of the engine the transforms run on,
+// keeping the bytes visible in the engine's accounting; Release gives it
+// back. Transforms are serialized by an internal mutex, keeping a Plan safe
+// for concurrent use.
 //
-// The row kernels are Makhoul's real-even transforms — the forward DCT-II
-// and the cosine/sine series evaluation each run one packed length-N/2
-// complex FFT per line (see makhoul.go) — and the column pass is a
-// cache-blocked transpose (tileW columns per block).
+// The kernels are Makhoul's real-even transforms — the forward DCT-II and
+// the cosine/sine series evaluation each run one packed length-N/2 complex
+// FFT per line (see makhoul.go). The rows pass transforms one row at a
+// time; the columns pass transforms colW adjacent columns at a time where
+// they lie in the matrix.
 type Plan struct {
 	Nx, Ny int
 
-	// Packed real-even FFT plans.
-	rowHalf *fftPlan // length Nx/2 (nil when Nx < 4)
-	colHalf *fftPlan // length Ny/2 (nil when Ny < 4)
-
-	// Half-angle twiddles cos/sin(pi*k/(2N)), precomputed once.
-	cosHx, sinHx []float64
-	cosHy, sinHy []float64
-
-	// Real-FFT unpack twiddles e^{-2*pi*i*k/N}, k = 0..N/2-1.
-	unpX, unpY []complex128
+	// Line-kernel tables along x (rows, length Nx) and y (columns, Ny).
+	ax, ay axis
 
 	mu sync.Mutex
 	// Guarded by mu: the intermediates and the per-chunk line scratch.
@@ -71,17 +57,7 @@ func NewPlan(nx, ny int) *Plan {
 	if nx <= 0 || ny <= 0 || nx&(nx-1) != 0 || ny&(ny-1) != 0 {
 		panic(fmt.Sprintf("dct: grid %dx%d must be powers of two", nx, ny))
 	}
-	p := &Plan{Nx: nx, Ny: ny}
-	p.cosHx, p.sinHx = halfTwiddles(nx)
-	p.cosHy, p.sinHy = halfTwiddles(ny)
-	if nx >= 4 {
-		p.rowHalf = newFFTPlan(nx / 2)
-	}
-	if ny >= 4 {
-		p.colHalf = newFFTPlan(ny / 2)
-	}
-	p.unpX = unpackTwiddles(nx)
-	p.unpY = unpackTwiddles(ny)
+	p := &Plan{Nx: nx, Ny: ny, ax: newAxis(nx), ay: newAxis(ny)}
 	p.buildBodies()
 	p.buildFieldBodies()
 	p.solveBody = func() {
@@ -96,71 +72,52 @@ func NewPlan(nx, ny int) *Plan {
 	return p
 }
 
-// unpackTwiddles returns e^{-2*pi*i*k/n} for k = 0..n/2-1 (the real-FFT
-// unpack rotation of dctIIMakhoul; dctIIIMakhoul's packing uses its
-// conjugate).
-func unpackTwiddles(n int) []complex128 {
-	m := n / 2
-	if m < 1 {
-		m = 1
-	}
-	w := make([]complex128, m)
-	for k := range w {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		w[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	return w
-}
-
 func (p *Plan) buildBodies() {
 	nx := p.Nx
 	p.rowsBody = func(chunk, lo, hi int) {
 		scratch := p.lines[chunk].fft
 		if p.forward {
 			for y := lo; y < hi; y++ {
-				dctIIMakhoul(p.src[y*nx:(y+1)*nx], p.tmp[y*nx:(y+1)*nx], p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+				dctIIMakhoul(p.src[y*nx:(y+1)*nx], p.tmp[y*nx:(y+1)*nx], &p.ax, scratch)
 			}
 		} else {
 			for v := lo; v < hi; v++ {
-				dctIIIMakhoul(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+				dctIIIMakhoul(p.src[v*nx:(v+1)*nx], p.tmp[v*nx:(v+1)*nx], false, &p.ax, scratch)
 			}
 		}
 	}
-	// Tiled column pass: gather tileW columns into contiguous buffers
-	// (reading the intermediate matrix row by row), run the row kernel on
-	// each buffered column, scatter back — a per-column element-wise gather
-	// would miss a fresh cache line on every read.
 	p.colsBody = func(chunk, lo, hi int) {
-		ny := p.Ny
-		ls := &p.lines[chunk]
-		scratch, tin, tout := ls.fft, ls.tileIn, ls.tileOut
-		for x0 := lo; x0 < hi; x0 += tileW {
-			w := hi - x0
-			if w > tileW {
-				w = tileW
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					tin[b*ny+y] = p.tmp[base+b]
-				}
-			}
-			for b := 0; b < w; b++ {
-				col := tin[b*ny : (b+1)*ny]
-				out := tout[b*ny : (b+1)*ny]
-				if p.forward {
-					dctIIMakhoul(col, out, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				} else {
-					dctIIIMakhoul(col, out, false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				}
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					p.dst[base+b] = tout[b*ny+y]
-				}
-			}
+		columns(p.tmp, p.dst, p.forward, nx, lo, hi, &p.ay, p.lines[chunk].block)
+	}
+}
+
+// columns is the columns pass of DCT2 (forward) and EvalCosCos on both
+// plans: the column kernel over columns [lo, hi) of src into dst, colW at a
+// time.
+func columns[T float32 | float64](src, dst []T, forward bool, nx, lo, hi int, ay *axis, blk []complex128) {
+	for x0 := lo; x0 < hi; x0 += colW {
+		w := min(colW, hi-x0)
+		if forward {
+			dctIICols(src, dst, nx, x0, w, ay, blk)
+		} else {
+			dctIIICols(src, dst, nil, false, nx, x0, w, ay, blk)
 		}
+	}
+}
+
+// fieldColumns is the columns pass of EvalPotentialField on both plans,
+// over columns [lo, hi), colW at a time: per block, the cos-y series of tmp
+// into psi (skipped when psi is nil), the sin-y series of sy*tmp into ey
+// (sy[v] multiplied in as each coefficient is read) and the cos-y series of
+// tmp2 into ex, so each block of tmp is read while it is cache-hot.
+func fieldColumns[T float32 | float64](tmp, tmp2, psi, ex, ey []T, sy []float64, nx, lo, hi int, ay *axis, blk []complex128) {
+	for x0 := lo; x0 < hi; x0 += colW {
+		w := min(colW, hi-x0)
+		if psi != nil {
+			dctIIICols(tmp, psi, nil, false, nx, x0, w, ay, blk)
+		}
+		dctIIICols(tmp, ey, sy, true, nx, x0, w, ay, blk)
+		dctIIICols(tmp2, ex, nil, false, nx, x0, w, ay, blk)
 	}
 }
 
@@ -177,60 +134,15 @@ func (p *Plan) buildFieldBodies() {
 		scratch, srow := ls.fft, ls.rowReal[:nx]
 		for v := lo; v < hi; v++ {
 			row := p.coefIn[v*nx : (v+1)*nx]
-			dctIIIMakhoul(row, p.tmp[v*nx:(v+1)*nx], false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+			dctIIIMakhoul(row, p.tmp[v*nx:(v+1)*nx], false, &p.ax, scratch)
 			for u := 0; u < nx; u++ {
 				srow[u] = row[u] * p.sx[u]
 			}
-			dctIIIMakhoul(srow, p.tmp2[v*nx:(v+1)*nx], true, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+			dctIIIMakhoul(srow, p.tmp2[v*nx:(v+1)*nx], true, &p.ax, scratch)
 		}
 	}
-	// Columns pass (per column x, tiled): sin-y of sy*tmp -> Ey, cos-y of
-	// tmp2 -> Ex, and cos-y of tmp -> Psi when dstPsi is set. One gather and
-	// one scatter serve every output.
 	p.fieldColsBody = func(chunk, lo, hi int) {
-		ny := p.Ny
-		ls := &p.lines[chunk]
-		scratch, eyIn := ls.fft, ls.rowReal[:ny]
-		tA, tB, tPsi, tEx, tEy := ls.tileIn, ls.tileIn2, ls.tileOut, ls.tileOutB, ls.tileOutC
-		for x0 := lo; x0 < hi; x0 += tileW {
-			w := hi - x0
-			if w > tileW {
-				w = tileW
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					tA[b*ny+y] = p.tmp[base+b]
-					tB[b*ny+y] = p.tmp2[base+b]
-				}
-			}
-			for b := 0; b < w; b++ {
-				colA := tA[b*ny : (b+1)*ny]
-				if p.dstPsi != nil {
-					dctIIIMakhoul(colA, tPsi[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				}
-				for v := 0; v < ny; v++ {
-					eyIn[v] = colA[v] * p.sy[v]
-				}
-				dctIIIMakhoul(eyIn, tEy[b*ny:(b+1)*ny], true, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				dctIIIMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					p.dstEx[base+b] = tEx[b*ny+y]
-					p.dstEy[base+b] = tEy[b*ny+y]
-				}
-			}
-			if p.dstPsi != nil {
-				for y := 0; y < ny; y++ {
-					base := y*nx + x0
-					for b := 0; b < w; b++ {
-						p.dstPsi[base+b] = tPsi[b*ny+y]
-					}
-				}
-			}
-		}
+		fieldColumns(p.tmp, p.tmp2, p.dstPsi, p.dstEx, p.dstEy, p.sy, nx, lo, hi, &p.ay, p.lines[chunk].block)
 	}
 }
 
@@ -260,18 +172,6 @@ func (p *Plan) run(e *kernel.Engine, rowsName, colsName string) {
 	e.LaunchLines(rowsName, p.Ny, p.Nx, p.rowsBody)
 	e.LaunchLines(colsName, p.Nx, p.Ny, p.colsBody)
 	p.src, p.dst = nil, nil
-}
-
-// halfTwiddles returns cos/sin of pi*k/(2N) for k = 0..N-1.
-func halfTwiddles(n int) (cosH, sinH []float64) {
-	cosH = make([]float64, n)
-	sinH = make([]float64, n)
-	for k := 0; k < n; k++ {
-		ang := math.Pi * float64(k) / float64(2*n)
-		cosH[k] = math.Cos(ang)
-		sinH[k] = math.Sin(ang)
-	}
-	return
 }
 
 // DCT2 computes the unnormalized 2-D DCT-II of src into dst:

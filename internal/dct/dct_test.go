@@ -32,6 +32,14 @@ func directDFT(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
+// loadReversed copies x into buf in the bit-reversed order transform takes
+// its input in.
+func loadReversed(p *fftPlan, buf, x []complex128) {
+	for i, v := range x {
+		buf[p.rev[i]] = v
+	}
+}
+
 func TestFFTMatchesDirectDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64} {
@@ -39,8 +47,10 @@ func TestFFTMatchesDirectDFT(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		got := append([]complex128(nil), x...)
-		newFFTPlan(n).transform(got, false)
+		plan := newFFTPlan(n)
+		got := make([]complex128, n)
+		loadReversed(plan, got, x)
+		plan.transform(got, false)
 		want := directDFT(x, false)
 		for i := range got {
 			if cmplx.Abs(got[i]-want[i]) > 1e-9*float64(n) {
@@ -57,9 +67,11 @@ func TestFFTInverseIdentity(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		buf := append([]complex128(nil), x...)
 		plan := newFFTPlan(n)
-		plan.transform(buf, false)
+		spec, buf := make([]complex128, n), make([]complex128, n)
+		loadReversed(plan, spec, x)
+		plan.transform(spec, false)
+		loadReversed(plan, buf, spec)
 		plan.transform(buf, true)
 		for i := range buf {
 			got := buf[i] / complex(float64(n), 0)
@@ -261,9 +273,11 @@ func BenchmarkFFT1024(b *testing.B) {
 		x[i] = complex(float64(i%7), 0)
 	}
 	plan := newFFTPlan(len(x))
+	buf := make([]complex128, len(x))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := append([]complex128(nil), x...)
+		loadReversed(plan, buf, x)
 		plan.transform(buf, false)
 	}
 }

@@ -69,32 +69,106 @@ func newFFTPlan(n int) *fftPlan {
 	return p
 }
 
-// transform runs an in-place FFT on buf (len n). inverse selects the
-// conjugate twiddles; no 1/n scaling is applied.
+// transform runs an in-place FFT on buf (len n). The input is loaded in
+// bit-reversed order — x[i] at buf[rev[i]] — by the caller, which writes it
+// there anyway, so no swap pass runs here; the output is in natural order.
+// inverse selects the conjugate twiddles; no 1/n scaling is applied.
+//
+// The radix-2 stages run two at a time: the butterflies of stages s and
+// s+1 that touch a group of four values run on them in registers, then the
+// next group. Each value sees the operations of the stage-by-stage loop in
+// the same order, so the result has the same bits; a last odd stage runs
+// alone.
 func (p *fftPlan) transform(buf []complex128, inverse bool) {
 	n := p.n
 	if len(buf) != n {
 		panic("dct: FFT buffer length mismatch")
 	}
-	for i, r := range p.rev {
-		if i < r {
-			buf[i], buf[r] = buf[r], buf[i]
-		}
-	}
 	w := p.wFwd
 	if inverse {
 		w = p.wInv
 	}
-	si := 0
-	for half := 1; half < n; half <<= 1 {
-		off := p.stage[si]
-		si++
-		for start := 0; start < n; start += half * 2 {
+	half, si := 1, 0
+	for ; 4*half <= n; half, si = 4*half, si+2 {
+		t1 := w[p.stage[si]:][:half]
+		t2 := w[p.stage[si+1]:][:2*half]
+		for base := 0; base < n; base += 4 * half {
+			q0 := buf[base:][:half]
+			q1 := buf[base+half:][:half]
+			q2 := buf[base+2*half:][:half]
+			q3 := buf[base+3*half:][:half]
+			for j, a0 := range q0 {
+				c := q1[j] * t1[j]
+				x0, x1 := a0+c, a0-c
+				a2 := q2[j]
+				c = q3[j] * t1[j]
+				x2, x3 := a2+c, a2-c
+				c = x2 * t2[j]
+				q0[j], q2[j] = x0+c, x0-c
+				c = x3 * t2[j+half]
+				q1[j], q3[j] = x1+c, x1-c
+			}
+		}
+	}
+	if half < n {
+		tw := w[p.stage[si]:][:half]
+		lo, hi := buf[:half], buf[half:][:half]
+		for j, a := range lo {
+			b := hi[j] * tw[j]
+			lo[j] = a + b
+			hi[j] = a - b
+		}
+	}
+}
+
+// transformLanes runs transform on each of the w lanes of blk, n rows of w
+// adjacent values (lane b of row r at blk[r*w+b]), each lane loaded
+// bit-reversed as transform wants. Every butterfly loads its twiddles once
+// and runs across the lanes; each lane sees the operations of transform in
+// the same order, so it gets the same bits.
+func (p *fftPlan) transformLanes(blk []complex128, w int, inverse bool) {
+	n := p.n
+	if len(blk) != n*w {
+		panic("dct: FFT block length mismatch")
+	}
+	tw := p.wFwd
+	if inverse {
+		tw = p.wInv
+	}
+	half, si := 1, 0
+	for ; 4*half <= n; half, si = 4*half, si+2 {
+		o1, o2 := p.stage[si], p.stage[si+1]
+		for base := 0; base < n; base += 4 * half {
 			for j := 0; j < half; j++ {
-				a := buf[start+j]
-				b := buf[start+j+half] * w[off+j]
-				buf[start+j] = a + b
-				buf[start+j+half] = a - b
+				t1, t2, t3 := tw[o1+j], tw[o2+j], tw[o2+j+half]
+				q0 := blk[(base+j)*w:][:w]
+				q1 := blk[(base+j+half)*w:][:w]
+				q2 := blk[(base+j+2*half)*w:][:w]
+				q3 := blk[(base+j+3*half)*w:][:w]
+				for b, a0 := range q0 {
+					c := q1[b] * t1
+					x0, x1 := a0+c, a0-c
+					a2 := q2[b]
+					c = q3[b] * t1
+					x2, x3 := a2+c, a2-c
+					c = x2 * t2
+					q0[b], q2[b] = x0+c, x0-c
+					c = x3 * t3
+					q1[b], q3[b] = x1+c, x1-c
+				}
+			}
+		}
+	}
+	if half < n {
+		off := p.stage[si]
+		for j := 0; j < half; j++ {
+			t := tw[off+j]
+			lo := blk[j*w:][:w]
+			hi := blk[(j+half)*w:][:w]
+			for b, a := range lo {
+				c := hi[b] * t
+				lo[b] = a + c
+				hi[b] = a - c
 			}
 		}
 	}

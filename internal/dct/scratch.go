@@ -3,19 +3,15 @@ package dct
 import "xplace/internal/kernel"
 
 // lineScratch is one chunk's private scratch for the line passes of a plan:
-// what a kernel body transforms a line or a column tile in.
+// what a row kernel transforms a row in, and what a column kernel
+// transforms a block of columns in.
 type lineScratch struct {
-	fft     []complex128 // packed FFT buffer: max(nx,ny)/2
-	rowReal []float64    // real staging row: max(nx,ny)
-	tileIn  []float64    // gathered input columns: tileW*ny
-	tileOut []float64    // transformed columns: tileW*ny
+	fft     []complex128 // packed FFT buffer of the row kernels: nx/2
+	rowReal []float64    // scaled-coefficient row of the field rows pass: nx
 	// Float64 staging rows of the float32 plan's row kernels (nil on the
-	// float64 plan).
-	rowIn, rowOut []float64 // max(nx,ny) each
-	// Field-evaluation tiles, checked out only once EvalPotentialField runs.
-	tileIn2  []float64 // gathered tmp2 columns (Ex input)
-	tileOutB []float64 // Ex output columns
-	tileOutC []float64 // Ey output columns
+	// float64 plan): nx each.
+	rowIn, rowOut []float64
+	block         []complex128 // packed spectra of a column block: colW*ny/2
 }
 
 // planScratch is the arena-backed working memory both plans share the
@@ -29,10 +25,9 @@ type planScratch[T float32 | float64] struct {
 
 // grow checks the scratch out of e's arena until there is a record for
 // each chunk either pass of an nx x ny plan runs as on e; field adds the
-// batched field evaluation's second intermediate and tiles, which stay in
-// step once checked out. Nothing is checked out once the scratch is there,
-// which keeps steady-state transforms allocation-free. Called with the
-// plan's mutex held.
+// batched field evaluation's second intermediate. Nothing is checked out
+// once the scratch is there, which keeps steady-state transforms
+// allocation-free. Called with the plan's mutex held.
 func (s *planScratch[T]) grow(e *kernel.Engine, nx, ny int, field bool) {
 	if s.tmp == nil {
 		s.tmp = allocGrid[T](e, nx*ny)
@@ -41,24 +36,16 @@ func (s *planScratch[T]) grow(e *kernel.Engine, nx, ny int, field bool) {
 		s.tmp2 = allocGrid[T](e, nx*ny)
 	}
 	chunks := max(e.LineChunks(ny, nx), e.LineChunks(nx, ny))
-	maxN := max(nx, ny)
-	colN := tileW * ny
 	for len(s.lines) < chunks {
 		ls := lineScratch{
-			fft:     e.AllocComplex(max(maxN/2, 1)),
-			rowReal: e.Alloc(maxN),
-			tileIn:  e.Alloc(colN),
-			tileOut: e.Alloc(colN),
+			fft:     e.AllocComplex(max(nx/2, 1)),
+			rowReal: e.Alloc(nx),
+			block:   e.AllocComplex(colW * max(ny/2, 1)),
 		}
 		if _, staged := any(s.tmp).([]float32); staged {
-			ls.rowIn, ls.rowOut = e.Alloc(maxN), e.Alloc(maxN)
+			ls.rowIn, ls.rowOut = e.Alloc(nx), e.Alloc(nx)
 		}
 		s.lines = append(s.lines, ls)
-	}
-	for i := range s.lines {
-		if ls := &s.lines[i]; s.tmp2 != nil && ls.tileIn2 == nil {
-			ls.tileIn2, ls.tileOutB, ls.tileOutC = e.Alloc(colN), e.Alloc(colN), e.Alloc(colN)
-		}
 	}
 }
 
@@ -69,7 +56,8 @@ func (s *planScratch[T]) free(e *kernel.Engine) {
 	freeGrid(e, s.tmp2)
 	for _, ls := range s.lines {
 		e.FreeComplex(ls.fft)
-		for _, b := range [...][]float64{ls.rowReal, ls.tileIn, ls.tileOut, ls.rowIn, ls.rowOut, ls.tileIn2, ls.tileOutB, ls.tileOutC} {
+		e.FreeComplex(ls.block)
+		for _, b := range [...][]float64{ls.rowReal, ls.rowIn, ls.rowOut} {
 			e.Free(b)
 		}
 	}

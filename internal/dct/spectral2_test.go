@@ -7,7 +7,8 @@ import (
 )
 
 // engine names the subtests of the golden tests below after the spectral
-// engine they pin: the Makhoul + tiled-transpose engine of DESIGN.md §5.6.
+// engine they pin: the Makhoul engine of DESIGN.md §5.6, its columns
+// transformed in place by the column-block kernels.
 const engine = "v2"
 
 // TestSpectralVersionsMatchDirect: the forward and cos-cos transforms
@@ -85,7 +86,7 @@ func fieldReference(coef, sx, sy []float64, nx, ny int) (psi, ex, ey []float64) 
 // fieldShapes are the grids the field-evaluation oracle runs on: the sizes
 // below 4 (no packed FFT: dctIIIMakhoul's explicit N = 2 path) in both
 // orientations, the smallest packed size, non-square grids both ways, and
-// one grid with several column tiles.
+// one grid with several column blocks.
 var fieldShapes = [][2]int{{2, 16}, {16, 2}, {4, 4}, {8, 32}, {32, 8}, {64, 64}}
 
 // TestEvalPotentialFieldMatchesDirect: the batched field evaluation — the
@@ -182,7 +183,7 @@ func TestEvalPotentialFieldSkipsPsi(t *testing.T) {
 }
 
 // TestEvalPotentialFieldAllocFree: after the first call warms the plan
-// scratch (including the second intermediate and field tiles), the batched
+// scratch (including the second intermediate), the batched
 // evaluation performs zero heap allocations, with and without psi.
 func TestEvalPotentialFieldAllocFree(t *testing.T) {
 	nx, ny := 32, 64

@@ -19,11 +19,12 @@ import (
 // are no faster than float64 on amd64 (no auto-vectorization, and
 // complex64 multiplies even promote through float64), so the row kernels
 // run in float64 registers on small staging buffers. Conversions ride on
-// passes that already exist — the tiled column gather/scatter converts in
-// place, and rows stage through a per-chunk float64 buffer — so the only
-// extra work is two cache-hot linear passes per row against a halved
-// DRAM bill. Accuracy-wise the result carries float32 storage rounding
-// per pass (~1e-7 relative), well inside the tolerance-banded goldens.
+// passes that already exist — the column kernels convert each value as
+// they read it into their complex block and as they store a result, and
+// rows stage through a per-chunk float64 buffer — so the only extra work
+// is two cache-hot linear passes per row against a halved DRAM bill.
+// Accuracy-wise the result carries float32 storage rounding per pass
+// (~1e-7 relative), well inside the tolerance-banded goldens.
 
 // Plan32 is the float32-backend analogue of Plan: 2-D DCT-II and the
 // batched potential/field evaluation over float32 grid buffers, with
@@ -35,18 +36,14 @@ import (
 type Plan32 struct {
 	Nx, Ny int
 
-	rowHalf *fftPlan // length Nx/2 (nil when Nx < 4)
-	colHalf *fftPlan // length Ny/2 (nil when Ny < 4)
-
-	cosHx, sinHx []float64
-	cosHy, sinHy []float64
-	unpX, unpY   []complex128
+	// Line-kernel tables along x (rows, length Nx) and y (columns, Ny).
+	ax, ay axis
 
 	mu sync.Mutex
 	// Guarded by mu: the float32 intermediates, and per chunk the complex
-	// FFT buffer, the float64 staging rows of the mixed-precision row
+	// row FFT buffer, the float64 staging rows of the mixed-precision row
 	// kernels (rowIn, rowOut, and rowReal for the scaled-coefficient row)
-	// and the float64 column tiles.
+	// and the complex column block.
 	planScratch[float32]
 
 	// Staged per-call parameters.
@@ -66,17 +63,7 @@ func NewPlan32(nx, ny int) *Plan32 {
 	if nx <= 0 || ny <= 0 || nx&(nx-1) != 0 || ny&(ny-1) != 0 {
 		panic(fmt.Sprintf("dct: grid %dx%d must be powers of two", nx, ny))
 	}
-	p := &Plan32{Nx: nx, Ny: ny}
-	p.cosHx, p.sinHx = halfTwiddles(nx)
-	p.cosHy, p.sinHy = halfTwiddles(ny)
-	if nx >= 4 {
-		p.rowHalf = newFFTPlan(nx / 2)
-	}
-	if ny >= 4 {
-		p.colHalf = newFFTPlan(ny / 2)
-	}
-	p.unpX = unpackTwiddles(nx)
-	p.unpY = unpackTwiddles(ny)
+	p := &Plan32{Nx: nx, Ny: ny, ax: newAxis(nx), ay: newAxis(ny)}
 	p.buildBodies()
 	return p
 }
@@ -103,47 +90,17 @@ func (p *Plan32) buildBodies() {
 		for y := lo; y < hi; y++ {
 			load32(rin, p.src[y*nx:(y+1)*nx])
 			if p.forward {
-				dctIIMakhoul(rin, rout, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+				dctIIMakhoul(rin, rout, &p.ax, scratch)
 			} else {
-				dctIIIMakhoul(rin, rout, false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+				dctIIIMakhoul(rin, rout, false, &p.ax, scratch)
 			}
 			store32(p.tmp[y*nx:(y+1)*nx], rout)
 		}
 	}
-	// Tiled column pass: the gather converts float32 intermediates into the
-	// float64 column tiles (and the scatter converts back), so the
-	// precision boundary costs no extra pass over the matrix.
+	// The column kernels read the float32 intermediates as float64 and
+	// round their results to float32 as they store them.
 	p.colsBody = func(chunk, lo, hi int) {
-		ny := p.Ny
-		ls := &p.lines[chunk]
-		scratch, tin, tout := ls.fft, ls.tileIn, ls.tileOut
-		for x0 := lo; x0 < hi; x0 += tileW {
-			w := hi - x0
-			if w > tileW {
-				w = tileW
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					tin[b*ny+y] = float64(p.tmp[base+b])
-				}
-			}
-			for b := 0; b < w; b++ {
-				col := tin[b*ny : (b+1)*ny]
-				out := tout[b*ny : (b+1)*ny]
-				if p.forward {
-					dctIIMakhoul(col, out, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				} else {
-					dctIIIMakhoul(col, out, false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				}
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					p.dst[base+b] = float32(tout[b*ny+y])
-				}
-			}
-		}
+		columns(p.tmp, p.dst, p.forward, nx, lo, hi, &p.ay, p.lines[chunk].block)
 	}
 	// Batched field evaluation, same two-pass structure as the float64 plan.
 	p.fieldRowsBody = func(chunk, lo, hi int) {
@@ -151,59 +108,17 @@ func (p *Plan32) buildBodies() {
 		scratch, rin, rout, srow := ls.fft, ls.rowIn[:nx], ls.rowOut[:nx], ls.rowReal[:nx]
 		for v := lo; v < hi; v++ {
 			load32(rin, p.coefIn[v*nx:(v+1)*nx])
-			dctIIIMakhoul(rin, rout, false, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+			dctIIIMakhoul(rin, rout, false, &p.ax, scratch)
 			store32(p.tmp[v*nx:(v+1)*nx], rout)
 			for u := 0; u < nx; u++ {
 				srow[u] = rin[u] * p.sx[u]
 			}
-			dctIIIMakhoul(srow, rout, true, p.rowHalf, scratch, p.unpX, p.cosHx, p.sinHx)
+			dctIIIMakhoul(srow, rout, true, &p.ax, scratch)
 			store32(p.tmp2[v*nx:(v+1)*nx], rout)
 		}
 	}
 	p.fieldColsBody = func(chunk, lo, hi int) {
-		ny := p.Ny
-		ls := &p.lines[chunk]
-		scratch, eyIn := ls.fft, ls.rowReal[:ny]
-		tA, tB, tPsi, tEx, tEy := ls.tileIn, ls.tileIn2, ls.tileOut, ls.tileOutB, ls.tileOutC
-		for x0 := lo; x0 < hi; x0 += tileW {
-			w := hi - x0
-			if w > tileW {
-				w = tileW
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					tA[b*ny+y] = float64(p.tmp[base+b])
-					tB[b*ny+y] = float64(p.tmp2[base+b])
-				}
-			}
-			for b := 0; b < w; b++ {
-				colA := tA[b*ny : (b+1)*ny]
-				if p.dstPsi != nil {
-					dctIIIMakhoul(colA, tPsi[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				}
-				for v := 0; v < ny; v++ {
-					eyIn[v] = colA[v] * p.sy[v]
-				}
-				dctIIIMakhoul(eyIn, tEy[b*ny:(b+1)*ny], true, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-				dctIIIMakhoul(tB[b*ny:(b+1)*ny], tEx[b*ny:(b+1)*ny], false, p.colHalf, scratch, p.unpY, p.cosHy, p.sinHy)
-			}
-			for y := 0; y < ny; y++ {
-				base := y*nx + x0
-				for b := 0; b < w; b++ {
-					p.dstEx[base+b] = float32(tEx[b*ny+y])
-					p.dstEy[base+b] = float32(tEy[b*ny+y])
-				}
-			}
-			if p.dstPsi != nil {
-				for y := 0; y < ny; y++ {
-					base := y*nx + x0
-					for b := 0; b < w; b++ {
-						p.dstPsi[base+b] = float32(tPsi[b*ny+y])
-					}
-				}
-			}
-		}
+		fieldColumns(p.tmp, p.tmp2, p.dstPsi, p.dstEx, p.dstEy, p.sy, nx, lo, hi, &p.ay, p.lines[chunk].block)
 	}
 }
 
