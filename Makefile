@@ -115,12 +115,14 @@ test-nn:
 	$(call lane,-race,TestSubmitModelValidation|TestModelJobOverHTTP,./cmd/xserve)
 
 # Short fuzz pass over the byte-level trust boundaries — the file-format
-# parsers, the wire job request and the wire job status a gateway decodes
-# from every worker: each target gets a few seconds on top of its seed
-# corpus. Catches parser panics (negative or non-finite geometry, truncated
-# streams), canonicalization drift (non-idempotent normalization, cache keys
-# that alias two placements) and a status that decodes but does not
-# re-encode to itself before they ship.
+# parsers, the wire job request, the wire job status a gateway decodes
+# from every worker, and the job-store WAL a restart replays: each target
+# gets a few seconds on top of its seed corpus. Catches parser panics
+# (negative or non-finite geometry, truncated streams), canonicalization
+# drift (non-idempotent normalization, cache keys that alias two
+# placements), a status that decodes but does not re-encode to itself, and
+# a torn or bit-flipped WAL that replays to anything but the fold of its
+# decodable lines before they ship.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/bookshelf
@@ -128,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseDEF -fuzztime=$(FUZZTIME) ./internal/lefdef
 	$(GO) test -run '^$$' -fuzz=FuzzRequestCanonical -fuzztime=$(FUZZTIME) ./internal/jobapi
 	$(GO) test -run '^$$' -fuzz=FuzzStatusDecode -fuzztime=$(FUZZTIME) ./internal/jobapi
+	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/jobstore
 
 # Kernel-substrate, transform, field-model and hot-operator microbenchmarks
 # (pool vs goroutine-spawn dispatch, DCT round trips, the batched field

@@ -38,19 +38,10 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		nodes       = flag.String("nodes", "", "comma-separated worker base URLs (required)")
-		replicas    = flag.Int("replicas", 64, "virtual nodes per worker on the hash ring")
-		probeEvery  = flag.Duration("probe-period", 250*time.Millisecond, "worker readiness probe interval")
-		downAfter   = flag.Int("down-after", 2, "consecutive probe failures marking a worker down")
-		upAfter     = flag.Int("up-after", 2, "consecutive probe successes marking a worker up")
-		attempts    = flag.Int("submit-attempts", 3, "submit tries per node before spilling to the next")
-		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 and failover sweep pause")
-		routeWait   = flag.Duration("route-wait", 60*time.Second, "how long failover/recovery sweeps for a willing node")
-		storeDir    = flag.String("store", "", "durable gateway WAL directory (empty = in-memory only)")
-		draft       = flag.Bool("draft", false, "enable the local lbub draft tier for allow_draft jobs under overload")
-		draftIter   = flag.Int("draft-max-iter", 0, "iteration cap for draft runs (0 = request's own)")
-		draftWorker = flag.Int("draft-workers", 0, "kernel workers for the draft engine (0 = NumCPU)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		nodes    = flag.String("nodes", "", "comma-separated worker base URLs (required)")
+		storeDir = flag.String("store", "", "durable gateway WAL directory (empty = in-memory only)")
+		draft    = flag.Bool("draft", false, "enable the local lbub draft tier for allow_draft jobs under overload")
 	)
 	flag.Parse()
 	fleet := splitNodes(*nodes)
@@ -66,22 +57,7 @@ func main() {
 			log.Fatalf("xgate: opening store: %v", err)
 		}
 	}
-	g, err := gateway.New(gateway.Options{
-		Nodes:          fleet,
-		Replicas:       *replicas,
-		ProbePeriod:    *probeEvery,
-		DownAfter:      *downAfter,
-		UpAfter:        *upAfter,
-		SubmitAttempts: *attempts,
-		RetryAfter:     *retryAfter,
-		RouteWait:      *routeWait,
-		Store:          store,
-		Draft: gateway.DraftOptions{
-			Enabled:       *draft,
-			MaxIter:       *draftIter,
-			EngineWorkers: *draftWorker,
-		},
-	})
+	g, err := gateway.New(gateway.Options{Nodes: fleet, Store: store, Draft: *draft})
 	if err != nil {
 		log.Fatalf("xgate: %v", err)
 	}

@@ -92,7 +92,7 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	if resumed[0].Name != jobapi.EventProgress {
 		t.Fatalf("first resumed event = %+v, want progress", resumed[0])
 	}
-	// The ring still holds every iteration (History default 512), so the
+	// The ring still holds every iteration (512 snapshots), so the
 	// resume must continue exactly where the stream left off: no replay
 	// from iteration 1, no gap.
 	if resumed[0].ID != last.ID+1 {

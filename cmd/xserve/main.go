@@ -50,7 +50,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "kernel workers per engine (0 = NumCPU)")
 		overhead  = flag.Duration("launch-overhead", -1, "simulated kernel-launch cost (-1 = default, 0 = off)")
 		timeout   = flag.Duration("timeout", 0, "default per-job timeout (0 = none)")
-		history   = flag.Int("history", 512, "per-job progress snapshots retained")
 		storeDir  = flag.String("store", "", "durable job store directory (empty = in-memory only)")
 		ckptEvery = flag.Int("checkpoint-every", 25, "placer checkpoint period in GP iterations (needs -store)")
 		modelsDir = flag.String("models", "", "field-model directory; each artifact is served under its file name (minus extension)")
@@ -81,7 +80,6 @@ func main() {
 		EngineWorkers:   *workers,
 		LaunchOverhead:  *overhead,
 		DefaultTimeout:  *timeout,
-		History:         *history,
 		Store:           store,
 		Rehydrate:       jobapi.Rehydrate,
 		CheckpointEvery: *ckptEvery,

@@ -28,6 +28,11 @@
 //     shed with 429 + Retry-After.
 //   - With a store, every accepted job is WAL'd (submit/begin/finish)
 //     and a restarted gateway re-routes the non-terminal ones.
+//
+// A deployment sets the fleet, the store and whether the draft tier runs.
+// The ring, the health debounce, the submit attempts and the draft
+// scheduler's size are constants; Options keeps the timings, which tests
+// shorten.
 package gateway
 
 import (
@@ -76,8 +81,14 @@ const (
 	// clientTimeout bounds submits, probes and status polls. Event streams
 	// use a dedicated timeout-free client.
 	clientTimeout = 10 * time.Second
-	// historyCap is the per-job progress ring capacity.
-	historyCap = 512
+	// ringReplicas is the virtual-node count per worker on the hash ring.
+	ringReplicas = 64
+	// downAfter consecutive probe failures mark a node unhealthy, upAfter
+	// consecutive successes bring it back.
+	downAfter = 2
+	upAfter   = 2
+	// submitAttempts bounds tries per node for one routing step.
+	submitAttempts = 3
 	// breakerThreshold consecutive submit failures open a node's circuit
 	// breaker for Options.BreakerCooldown.
 	breakerThreshold = 3
@@ -86,38 +97,20 @@ const (
 	draftQueueCap = 4
 )
 
-// DraftOptions configures the local degradation tier: a small embedded
-// scheduler (one engine, a queue of four) that answers allow_draft jobs
-// with an lbub draft placement when the whole fleet is at backpressure.
-type DraftOptions struct {
-	Enabled       bool
-	EngineWorkers int // kernel workers per engine (0 = NumCPU)
-	MaxIter       int // iteration cap imposed on draft runs (0 = request's own)
-}
-
 // Options configures a Gateway.
 type Options struct {
 	// Nodes are the worker base URLs (e.g. http://127.0.0.1:8081).
 	Nodes []string
-	// Replicas is the virtual-node count per worker on the hash ring
-	// (default 64).
-	Replicas int
 
 	// ProbePeriod is the readiness-probe interval per node (default
 	// 250ms); ProbeTimeout bounds one probe (default ProbePeriod).
-	// DownAfter consecutive probe failures mark a node unhealthy,
-	// UpAfter consecutive successes bring it back (defaults 2 and 2).
 	ProbePeriod  time.Duration
 	ProbeTimeout time.Duration
-	DownAfter    int
-	UpAfter      int
 
-	// SubmitAttempts bounds tries per node for one routing step (default
-	// 3); transient failures back off RetryBase·2^k with jitter, capped
+	// Transient submit failures back off RetryBase·2^k with jitter, capped
 	// at RetryMaxDelay (defaults 25ms and 1s).
-	SubmitAttempts int
-	RetryBase      time.Duration
-	RetryMaxDelay  time.Duration
+	RetryBase     time.Duration
+	RetryMaxDelay time.Duration
 
 	// BreakerCooldown is how long an open circuit breaker keeps a node out
 	// of routing (default 2s).
@@ -134,28 +127,18 @@ type Options struct {
 	// restarted gateway re-routes the non-terminal ones. Must not be
 	// shared with a worker's store.
 	Store *jobstore.Store
-	// Draft configures the local degradation tier.
-	Draft DraftOptions
+	// Draft enables the local degradation tier: a small embedded scheduler
+	// (one engine, a queue of four) that answers allow_draft jobs with an
+	// lbub draft placement when the whole fleet is at backpressure.
+	Draft bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = 64
-	}
 	if o.ProbePeriod <= 0 {
 		o.ProbePeriod = 250 * time.Millisecond
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = o.ProbePeriod
-	}
-	if o.DownAfter <= 0 {
-		o.DownAfter = 2
-	}
-	if o.UpAfter <= 0 {
-		o.UpAfter = 2
-	}
-	if o.SubmitAttempts <= 0 {
-		o.SubmitAttempts = 3
 	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = 25 * time.Millisecond
@@ -184,7 +167,7 @@ type Gateway struct {
 	nodes  map[string]*node // fixed in New
 	reg    *obs.Registry
 	store  *jobstore.Store
-	draft  *serve.Scheduler // nil unless Draft.Enabled
+	draft  *serve.Scheduler // nil unless Options.Draft
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -221,7 +204,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:   o,
 		client: &http.Client{Timeout: clientTimeout},
 		stream: &http.Client{},
-		ring:   newRing(o.Replicas, o.Nodes),
+		ring:   newRing(o.Nodes),
 		reg:    reg,
 		store:  o.Store,
 		ctx:    ctx,
@@ -239,13 +222,8 @@ func New(opts Options) (*Gateway, error) {
 	g.walAppends = reg.Counter("xgate_wal_appends_total", "records appended to the gateway WAL")
 	g.storeErrors = reg.Counter("xgate_store_errors_total", "gateway store operations that failed")
 
-	if o.Draft.Enabled {
-		ds, err := serve.New(serve.Options{
-			Engines:       draftEngines,
-			QueueCap:      draftQueueCap,
-			EngineWorkers: o.Draft.EngineWorkers,
-			History:       historyCap,
-		})
+	if o.Draft {
+		ds, err := serve.New(serve.Options{Engines: draftEngines, QueueCap: draftQueueCap})
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("gateway: starting draft tier: %w", err)
@@ -326,7 +304,7 @@ func (g *Gateway) newJobLocked(req jobapi.Request, body []byte, key string, reco
 		submitted = time.Now()
 	}
 	return &Job{
-		Progress: serve.NewProgress(historyCap),
+		Progress: serve.NewProgress(),
 		id:       id,
 		req:      req,
 		body:     body,
@@ -549,7 +527,7 @@ func (g *Gateway) routeWithRetry(j *Job, exclude string) error {
 // so the router can spill to the next ring node.
 func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 	var lastErr error
-	for attempt := 0; attempt < g.opts.SubmitAttempts; attempt++ {
+	for attempt := 0; attempt < submitAttempts; attempt++ {
 		if attempt > 0 {
 			g.retryTotal.Inc()
 			if !g.sleep(g.backoff(attempt)) {
@@ -670,9 +648,6 @@ func (g *Gateway) finish(j *Job, ws *jobapi.Status) bool {
 func (g *Gateway) startDraft(j *Job) error {
 	dreq := j.req
 	dreq.Strategy = placer.StrategyLBUB.String()
-	if g.opts.Draft.MaxIter > 0 && (dreq.MaxIter == 0 || dreq.MaxIter > g.opts.Draft.MaxIter) {
-		dreq.MaxIter = g.opts.Draft.MaxIter
-	}
 	spec, err := dreq.ToSpec()
 	if err != nil {
 		return err

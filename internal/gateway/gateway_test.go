@@ -227,14 +227,13 @@ func (w *fakeWorker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 // fastOpts are gateway options tuned for test latencies.
 func fastOpts(nodes ...string) Options {
 	return Options{
-		Nodes:          nodes,
-		ProbePeriod:    25 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SubmitAttempts: 3,
-		RetryBase:      time.Millisecond,
-		RetryMaxDelay:  10 * time.Millisecond,
-		RetryAfter:     20 * time.Millisecond,
-		RouteWait:      10 * time.Second,
+		Nodes:         nodes,
+		ProbePeriod:   25 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		RetryBase:     time.Millisecond,
+		RetryMaxDelay: 10 * time.Millisecond,
+		RetryAfter:    20 * time.Millisecond,
+		RouteWait:     10 * time.Second,
 	}
 }
 
@@ -381,7 +380,6 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 func TestBreakerEjectsFlappingNode(t *testing.T) {
 	w := newFakeWorker(t, time.Millisecond, 3)
 	opts := fastOpts(w.name())
-	opts.SubmitAttempts = 4
 	opts.BreakerCooldown = 100 * time.Millisecond
 	g, err := New(opts)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 //
 // Health and the breaker answer different questions. Health ("is the
 // process up and accepting?") comes from the readiness probe loop and
-// flips only after DownAfter/UpAfter consecutive observations, so one
+// flips only after downAfter/upAfter consecutive observations, so one
 // dropped packet does not eject a node. The breaker ("are MY submits to
 // it failing?") trips on consecutive submit failures and ejects the node
 // from routing for a cooldown even while probes still pass — the
@@ -44,7 +44,7 @@ func (g *Gateway) newNode(name string) *node {
 		routed:  g.reg.Counter("xgate_node_routed_total"+label, "jobs routed to this node"),
 		latency: g.reg.Histogram("xgate_node_seconds"+label, "submit round-trip latency to this node", nil),
 		healthG: g.reg.Gauge("xgate_node_healthy"+label, "1 while the node passes readiness probes"),
-		healthy: true, // optimistic start; DownAfter failed probes demote
+		healthy: true, // optimistic start; downAfter failed probes demote
 	}
 	n.healthG.Set(1)
 	return n
@@ -93,8 +93,8 @@ func (n *node) submitSuccess() {
 }
 
 // probeLoop polls the node's readiness endpoint every ProbePeriod and
-// debounces transitions: DownAfter consecutive failures mark the node
-// unhealthy (and fail over its in-flight jobs), UpAfter consecutive
+// debounces transitions: downAfter consecutive failures mark the node
+// unhealthy (and fail over its in-flight jobs), upAfter consecutive
 // successes bring it back. A draining worker answers /readyz with 503,
 // so it stops receiving new jobs before its queue starts rejecting.
 func (g *Gateway) probeLoop(n *node) {
@@ -112,14 +112,14 @@ func (g *Gateway) probeLoop(n *node) {
 		if ok {
 			n.consecOK++
 			n.consecFail = 0
-			if !n.healthy && n.consecOK >= g.opts.UpAfter {
+			if !n.healthy && n.consecOK >= upAfter {
 				n.healthy = true
 				n.healthG.Set(1)
 			}
 		} else {
 			n.consecFail++
 			n.consecOK = 0
-			if n.healthy && n.consecFail >= g.opts.DownAfter {
+			if n.healthy && n.consecFail >= downAfter {
 				n.healthy = false
 				n.healthG.Set(0)
 			}

@@ -24,7 +24,7 @@ func TestOverloadDraftTierAndShed(t *testing.T) {
 	w := newFakeWorker(t, time.Millisecond, 3)
 	w.setFull(true) // fleet-wide backpressure (fleet of one)
 	opts := fastOpts(w.name())
-	opts.Draft = DraftOptions{Enabled: true, EngineWorkers: 2, MaxIter: 40}
+	opts.Draft = true
 	g, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +42,7 @@ func TestOverloadDraftTierAndShed(t *testing.T) {
 	// Opt-in: a REAL lbub draft placement on the embedded scheduler.
 	req := testRequest(10)
 	req.AllowDraft = true
+	req.MaxIter = 40
 	j, err := g.Submit(req)
 	if err != nil {
 		t.Fatalf("allow_draft submit under overload: %v", err)

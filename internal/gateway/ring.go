@@ -8,7 +8,7 @@ import (
 
 // ring is a consistent-hash ring over a fixed fleet of worker nodes,
 // built once in New and never written again, so lookups need no lock.
-// Each node owns `replicas` virtual points; a key routes to the node
+// Each node owns ringReplicas virtual points; a key routes to the node
 // owning the first point clockwise of the key's hash. A gateway
 // restarted with one more worker moves only ~1/N of the key space, all
 // of it onto the new worker, so the result-cache locality the routing
@@ -29,7 +29,7 @@ type ringPoint struct {
 }
 
 // newRing builds the ring over nodes (duplicates count once).
-func newRing(replicas int, nodes []string) *ring {
+func newRing(nodes []string) *ring {
 	r := &ring{}
 	seen := make(map[string]struct{}, len(nodes))
 	for _, node := range nodes {
@@ -37,7 +37,7 @@ func newRing(replicas int, nodes []string) *ring {
 			continue
 		}
 		seen[node] = struct{}{}
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < ringReplicas; i++ {
 			r.points = append(r.points, ringPoint{ringHash(node + "#" + strconv.Itoa(i)), node})
 		}
 	}

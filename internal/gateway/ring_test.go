@@ -9,7 +9,7 @@ import (
 // and across ring rebuilds — every gateway instance (and every restart)
 // must agree on where a key lives and where it fails over to.
 func TestRingDeterminism(t *testing.T) {
-	build := func() *ring { return newRing(64, []string{"http://a:1", "http://b:1", "http://c:1"}) }
+	build := func() *ring { return newRing([]string{"http://a:1", "http://b:1", "http://c:1"}) }
 	r1, r2 := build(), build()
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("bench=adaptec1|seed=%d", i)
@@ -31,8 +31,8 @@ func TestRingDeterminism(t *testing.T) {
 // fleet's result caches warm through scale-out.
 func TestRingSpreadAndStability(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(64, nodes)
-	grown := newRing(64, append(nodes, "http://d:1"))
+	r := newRing(nodes)
+	grown := newRing(append(nodes, "http://d:1"))
 	owner := func(r *ring, k string) string { return r.sequence(k)[0] }
 	const keys = 2000
 	spread := map[string]int{}

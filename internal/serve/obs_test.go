@@ -16,7 +16,7 @@ import (
 // consumers and the final result can never disagree about how far a job
 // got.
 func TestSnapshotIterMatchesResultIterations(t *testing.T) {
-	s := mustNew(t, Options{Engines: 3, QueueCap: 8, EngineWorkers: 1, LaunchOverhead: 0, History: 100000})
+	s := mustNew(t, Options{Engines: 3, QueueCap: 8, EngineWorkers: 1, LaunchOverhead: 0})
 	defer s.Shutdown(context.Background())
 
 	check := func(name string, j *Job, wantErr error) {
@@ -69,8 +69,9 @@ func TestSnapshotIterMatchesResultIterations(t *testing.T) {
 	s.Cancel(canceled.ID())
 	check("cancelled", canceled, context.Canceled)
 
-	// Timed out mid-run.
-	timed, err := s.Submit(Spec{Design: testDesign(t, 900, 13), Options: longOpts,
+	// Timed out mid-run. The design is large enough that the run stops well
+	// short of the progress ring's capacity, so its first snapshot is kept.
+	timed, err := s.Submit(Spec{Design: testDesign(t, 3000, 13), Options: longOpts,
 		Label: "timeout", Timeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

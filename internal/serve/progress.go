@@ -21,10 +21,14 @@ type Progress struct {
 	closed    bool
 }
 
-// NewProgress returns a Progress retaining the last history snapshots.
-func NewProgress(history int) *Progress {
+// progressHistory is the progress ring capacity of every job, scheduler
+// and gateway jobs alike.
+const progressHistory = 512
+
+// NewProgress returns a Progress retaining the last progressHistory snapshots.
+func NewProgress() *Progress {
 	return &Progress{
-		snaps: make([]placer.Snapshot, history),
+		snaps: make([]placer.Snapshot, progressHistory),
 		subs:  make(map[int]chan placer.Snapshot),
 	}
 }

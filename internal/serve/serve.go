@@ -164,8 +164,6 @@ type Options struct {
 	LaunchOverhead time.Duration
 	// DefaultTimeout bounds jobs that do not set Spec.Timeout (0 = none).
 	DefaultTimeout time.Duration
-	// History is the per-job progress ring capacity (default 512).
-	History int
 	// Store makes the scheduler durable: job transitions are written to the
 	// store's WAL, running jobs checkpoint every CheckpointEvery iterations,
 	// succeeded keyed jobs populate the result cache, and New replays the
@@ -191,9 +189,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 16
-	}
-	if o.History <= 0 {
-		o.History = 512
 	}
 	if o.Store != nil && o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 25
@@ -579,7 +574,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 			s.nextID = r.ID
 		}
 		j := &Job{
-			Progress: NewProgress(s.opts.History),
+			Progress: NewProgress(),
 			st: Status{
 				ID: r.ID, Label: r.Label, Submitted: r.Submitted, Recovered: true,
 			},
@@ -700,7 +695,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		Progress: NewProgress(s.opts.History),
+		Progress: NewProgress(),
 		spec:     spec,
 		base:     base,
 		cancel:   cancel,

@@ -322,8 +322,31 @@ func TestSubmitAfterShutdownRejected(t *testing.T) {
 	}
 }
 
+// TestProgressRingKeepsLastHistory: past progressHistory snapshots the ring
+// drops the oldest, so it retains exactly the last progressHistory, in
+// order, and Last is the newest.
+func TestProgressRingKeepsLastHistory(t *testing.T) {
+	p := NewProgress()
+	const total = progressHistory + 8
+	for i := 1; i <= total; i++ {
+		p.Add(placer.Snapshot{Iter: i})
+	}
+	snaps := p.Snapshots()
+	if len(snaps) != progressHistory {
+		t.Fatalf("retained %d snapshots, want %d", len(snaps), progressHistory)
+	}
+	for k, sn := range snaps {
+		if want := total - progressHistory + 1 + k; sn.Iter != want {
+			t.Fatalf("snapshot %d has iter %d, want %d", k, sn.Iter, want)
+		}
+	}
+	if last, ok := p.Last(); !ok || last.Iter != total {
+		t.Errorf("Last = %+v, %v, want iter %d", last, ok, total)
+	}
+}
+
 func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
-	s := mustNew(t, Options{Engines: 1, QueueCap: 2, EngineWorkers: 1, LaunchOverhead: 0, History: 8})
+	s := mustNew(t, Options{Engines: 1, QueueCap: 2, EngineWorkers: 1, LaunchOverhead: 0})
 	defer s.Shutdown(context.Background())
 
 	// A blocker holds the single engine until the subscription exists, so
@@ -352,10 +375,11 @@ func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
 	if st := j.Status().State; st != Succeeded {
 		t.Fatalf("job state = %v", st)
 	}
-	// The ring retains only the last History entries, in order.
+	// The run is shorter than the ring, so the ring retains every
+	// iteration, in order (TestProgressRingKeepsLastHistory covers the wrap).
 	snaps := j.Snapshots()
-	if len(snaps) != 8 {
-		t.Fatalf("retained %d snapshots, want History=8", len(snaps))
+	if len(snaps) != len(got) {
+		t.Fatalf("retained %d snapshots, want all %d", len(snaps), len(got))
 	}
 	last := got[len(got)-1]
 	if snaps[len(snaps)-1] != last {

@@ -137,10 +137,16 @@ func TestPlacementOptionsHaveCallers(t *testing.T) {
 // it may be called through the interface (PredictField) or by the standard
 // library (Error, String).
 //
-// Either rule is met instead by an allow-list entry naming the _test.go
-// function that references the name. Types and constants are exempt, as
-// are the jobapi.Request fields (the wire schema HTTP clients set, pinned
-// by TestContract) and placer.Options (guarded above).
+// Every other exported field of a package-level struct type, in any
+// package, needs a non-test reference (a selector or a composite-literal
+// key, resolved with go/types) outside its declaration. Fields that carry
+// a struct tag are exempt, as encoding reads them (the jobapi.Request wire
+// schema, pinned by TestContract, among them), and so are embedded fields,
+// used through what they promote.
+//
+// Any rule is met instead by an allow-list entry naming the _test.go
+// function that references the name. Types and constants are exempt, as is
+// placer.Options (guarded above).
 func TestPublicSurfaceHasCallers(t *testing.T) {
 	allow := map[string]string{
 		// The DEF writer: the integration test's round trip.
@@ -154,6 +160,8 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 		"gateway.Options.RetryBase":       "fastOpts",
 		"gateway.Options.RetryMaxDelay":   "fastOpts",
 		"gateway.Options.BreakerCooldown": "TestBreakerEjectsFlappingNode",
+		"gateway.Options.RetryAfter":      "fastOpts",
+		"gateway.Options.RouteWait":       "fastOpts",
 		// Engine ownership is observable only to tests (a Session closes
 		// only the engines it created).
 		"kernel.Engine.Closed": "TestSessionLeavesSuppliedEngineOpen",
@@ -184,12 +192,11 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 		"xplace.Session":                true,
 		"xplace/internal/kernel.Engine": true,
 	}
-	guardedStructs := []string{
-		"xplace.FlowOptions",
-		"xplace/internal/sched.Options",
-		"xplace/internal/serve.Options",
-		"xplace/internal/gateway.Options",
-		"xplace/internal/gateway.DraftOptions",
+	guardedStructs := map[string]bool{
+		"xplace.FlowOptions":              true,
+		"xplace/internal/sched.Options":   true,
+		"xplace/internal/serve.Options":   true,
+		"xplace/internal/gateway.Options": true,
 	}
 	short := func(key string) string { return strings.TrimPrefix(key, "xplace/internal/") }
 
@@ -197,7 +204,7 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 	ix := indexModule(files)
 	used := ix.uses(files)
 	refs := moduleRefs(ix, files)
-	methodCalled := typedMethods(t, files)
+	methodCalled, fieldUsed := typedMembers(t, files)
 
 	// The guarded names, keyed "owner.Name" with owner an import path
 	// (package-level names) or an import path plus type name (members),
@@ -252,7 +259,7 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 			}
 		}
 	}
-	for _, st := range guardedStructs {
+	for st := range guardedStructs {
 		fields, ok := ix.fields[st]
 		if !ok {
 			t.Fatalf("guarded struct %s not found", short(st))
@@ -261,6 +268,12 @@ func TestPublicSurfaceHasCallers(t *testing.T) {
 			if ast.IsExported(name) {
 				public(st + "." + name)
 			}
+		}
+	}
+	for key, ok := range fieldUsed {
+		owner := key[:strings.LastIndex(key, ".")]
+		if !guardedStructs[owner] && owner != "xplace/internal/placer.Options" {
+			guard(key, ok)
 		}
 	}
 
@@ -602,17 +615,19 @@ func (r *refSites) outside(sites map[string]bool, self string) bool {
 	return false
 }
 
-// typedMethods type-checks the module's non-test code (the files the
+// typedMembers type-checks the module's non-test code (the files the
 // default build context selects) with go/types, the standard library from
-// source, and returns the keys ("importpath.Type.Method") of the methods of
+// source. It returns the keys ("importpath.Type.Method") of the methods of
 // module types that a caller reaches: ones some non-test code references,
 // by receiver type, outside the method's own declaration, and ones by which
 // a module type — the method's own or one it is promoted to — implements an
 // interface the module can reach: error, the Unwrap interface errors.Is and
 // errors.As assert, every named interface of the module, every exported one
 // of the packages it imports, and every interface whose method non-test
-// code calls.
-func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
+// code calls. It also returns, keyed "importpath.Type.Field", every
+// exported, untagged, named field of the module's package-level struct
+// types, mapped to whether non-test code references it.
+func typedMembers(t *testing.T, files []*srcFile) (methods, fields map[string]bool) {
 	t.Helper()
 	byPkg := map[string][]*ast.File{}
 	fset := files[0].fset // parseModule parses every file into one set
@@ -643,6 +658,7 @@ func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
 	}
 
 	called := map[string]bool{}
+	usedFields := map[*types.Var]bool{}
 	for _, fs := range byPkg {
 		for _, f := range fs {
 			for _, d := range f.Decls {
@@ -654,6 +670,9 @@ func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							usedFields[v.Origin()] = true
+						}
 						if fn, ok := info.Uses[id].(*types.Func); ok {
 							if key := methodKey(fn); key != "" && key != site {
 								called[key] = true
@@ -703,6 +722,7 @@ func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
 	for p := range byPkg {
 		walk(imp.done[p])
 	}
+	fields = map[string]bool{}
 	for p := range byPkg {
 		scope := imp.done[p].Scope()
 		for _, name := range scope.Names() {
@@ -711,7 +731,17 @@ func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)
-			if !ok || named.TypeParams() != nil || types.IsInterface(named) {
+			if !ok {
+				continue
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok && !tn.IsAlias() {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+						fields[p+"."+name+"."+f.Name()] = usedFields[f]
+					}
+				}
+			}
+			if named.TypeParams() != nil || types.IsInterface(named) {
 				continue
 			}
 			// The pointer's method set holds the value's, and the methods
@@ -729,7 +759,7 @@ func typedMethods(t *testing.T, files []*srcFile) map[string]bool {
 			}
 		}
 	}
-	return called
+	return called, fields
 }
 
 // methodKey names a method "importpath.Type.Method" ("" for a function or
